@@ -1,25 +1,21 @@
 #!/usr/bin/env python3
-"""Time the pure-Python kernels against the compiled backend.
+"""Time the kernels of ``redkit.kernels`` on four fixed workloads.
 
-Both implementations are imported directly, so one process measures both
-regardless of the REDKIT_KERNELS setting.  Workloads are deterministic;
-each timing is the best of ``--repeat`` runs.
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N] [--seed S]
+
+Workloads are deterministic for a seed; each timing is the best of
+``--repeat`` runs, and the answer column says whether a solution was found.
 """
 
 import argparse
 import time
 from random import Random
 
+from redkit import kernels
 from redkit.families import named_graph
-from redkit.kernels import _pure
 from redkit.oracles import cm_masks
 from redkit.pipeline import red_coloring_to_cm
 from redkit.witness import Witness
-
-try:
-    from redkit.kernels import _speed
-except ImportError:
-    _speed = None
 
 
 def _subset_sum_workload(seed):
@@ -53,7 +49,7 @@ WORKLOADS = [
     ("subset-sum dp", "subset_sum_solve", _subset_sum_workload),
     ("subset-sum mod dp", "subset_sum_mod_solve", _subset_sum_mod_workload),
     ("counter machine", "counter_machine_solve", _cm_workload),
-    ("ilp 0/1 brute", "ilp01_brute", _ilp_workload),
+    ("ilp 0/1 mitm", "ilp01_brute", _ilp_workload),
 ]
 
 
@@ -68,28 +64,19 @@ def _best(fn, args, repeat):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    if _speed is None:
-        print("compiled backend unavailable; timing pure backend only")
-    header = f"{'kernel':<20} {'pure':>10} {'compiled':>10} {'speedup':>9}"
+    header = f"{'kernel':<20} {'time':>10} {'answer':>7}"
     print(header)
     print("-" * len(header))
     for label, fn_name, make in WORKLOADS:
-        workload = make(args.seed)
-        pure_t, pure_r = _best(getattr(_pure, fn_name), workload, args.repeat)
-        if _speed is None:
-            print(f"{label:<20} {pure_t:>9.4f}s {'-':>10} {'-':>9}")
-            continue
-        fast_t, fast_r = _best(getattr(_speed, fn_name), workload,
-                               args.repeat)
-        if (pure_r is None) != (fast_r is None):
-            raise SystemExit(f"{label}: backends disagree on feasibility")
-        print(f"{label:<20} {pure_t:>9.4f}s {fast_t:>9.4f}s "
-              f"{pure_t / fast_t:>8.1f}x")
+        seconds, result = _best(getattr(kernels, fn_name), make(args.seed),
+                                args.repeat)
+        answer = "no" if result is None else "yes"
+        print(f"{label:<20} {seconds * 1000:>8.3f}ms {answer:>7}")
 
 
 if __name__ == "__main__":

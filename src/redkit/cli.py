@@ -66,7 +66,15 @@ def _jsonable(x):
 # gen
 
 
+# smallest value each numeric gen option accepts
+_GEN_MINIMUMS = {"n": 0, "m": 1, "max": 1, "q": 1, "ell": 1, "vars": 1,
+                 "clauses": 0, "arity": 1}
+
+
 def _cmd_gen(args) -> int:
+    for name, low in _GEN_MINIMUMS.items():
+        if getattr(args, name) < low:
+            return _fail(f"--{name} must be at least {low}", EXIT_USAGE)
     rng = Random(args.seed)
     kind = args.kind
     if kind == "subset-sum":
@@ -202,7 +210,11 @@ def _parse_family(spec: str):
         key, _, val = piece.partition("=")
         if key not in params:
             raise ValidationError(f"unknown family parameter {key!r}")
-        params[key] = int(val)
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise ValidationError(
+                f"family parameter {key!r}: not an integer: {val!r}") from None
     p = params
     if name == "subset-sum":
         return F.subset_sums(p["n"], p["max"], p["tmax"])
@@ -245,6 +257,8 @@ def _report_exit(rep, as_json: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        return _fail("--limit must be nonnegative", EXIT_USAGE)
     red = get_reduction(args.reduction)
     family = islice(_parse_family(args.family), args.limit)
     rep = nppt_contract_check(red, family)

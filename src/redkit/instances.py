@@ -615,7 +615,8 @@ def from_json(d: dict) -> ProblemInstance:
             return CnfInstance(
                 _iparse(d["num_vars"], "num_vars"),
                 tuple(tuple(_iparse(l, "literal") for l in c) for c in d["clauses"]),
-                d.get("arity_cap"))
+                None if d.get("arity_cap") is None
+                else _iparse(d["arity_cap"], "arity cap"))
         if k == "and_sat":
             return AndSatInstance(
                 _iparse(d["num_vars"], "num_vars"),

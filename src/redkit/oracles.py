@@ -21,7 +21,6 @@ class Budget:
     max_dp_cells: int = 4_000_000
     max_bruteforce_n: int = 25
     max_brute_states: int = 2_000_000
-    max_ilp_brute_ops: int = 8_000_000
     max_schedule_perm_n: int = 8
     max_cm_states: int = 4_000_000
     max_coloring_brute_ops: int = 600_000
@@ -212,44 +211,57 @@ def _knapsack_dp_weight(inst, keep, items):
 # 0-1 ILP feasibility.
 
 def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    """Standard and monotone 0-1 ILP as one subset sum over column codes.
+
+    Identical columns are first grouped into bundles of 1, 2, 4, ...
+    copies, so k copies cost about log2(k) items and every count from 0 to
+    k stays reachable.  ``kernels.ilp_code`` makes A x = rhs one integer
+    equation over the bundles; setting y = 1 - x on the bundles with
+    negative codes leaves positive items, and the bitset DP solves that
+    plain subset sum when its n * (t+1) table fits ``max_dp_cells``.
+    Otherwise a meet-in-the-middle search runs when each half's
+    2^ceil(n/2) sums fit ``max_brute_states``.
+    """
     if inst.variant == "zero_sum":
         return _solve_zero_sum(inst, budget)
-    m = inst.num_rows
-    n = len(inst.columns)
-    state_cap = budget.max_dp_cells // (m + 1)
-    layers = [{tuple([0] * m): None}]
-    total = 1
-    feasible_dp = True
+    groups: dict[tuple, list[int]] = {}
     for i, col in enumerate(inst.columns):
-        prev = layers[-1]
-        cur = dict(prev)
-        for state in prev:
-            ns = tuple(a + b for a, b in zip(state, col))
-            if ns not in cur:
-                cur[ns] = (i, state)
-        total += len(cur)
-        if total > state_cap:
-            feasible_dp = False
-            break
-        layers.append(cur)
-    if feasible_dp:
-        final = layers[-1]
-        if inst.rhs not in final:
-            return Verdict(False, method="dp")
-        x = [0] * n
-        state = inst.rhs
-        for j in range(n, 0, -1):
-            back = layers[j][state]
-            if back is not None and back[0] == j - 1:
-                x[j - 1] = 1
-                state = back[1]
-        return _yes(inst, tuple(x), "dp")
-    if (1 << n) * max(m, 1) <= budget.max_ilp_brute_ops:
-        got = kernels.ilp01_brute([list(c) for c in inst.columns], list(inst.rhs))
+        groups.setdefault(col, []).append(i)
+    bundles, cols = [], []
+    for col, idx in groups.items():
+        size = 1
+        while idx:
+            bundle, idx = idx[:size], idx[size:]
+            bundles.append(bundle)
+            cols.append(tuple(a * len(bundle) for a in col))
+            size <<= 1
+    coded = kernels.ilp_code(cols, inst.rhs)
+    if coded is None:
+        return Verdict(False, method="range")
+    codes, goal = coded
+    keep = [b for b, c in enumerate(codes) if c]
+    target = goal - sum(c for c in codes if c < 0)
+    if len(keep) * (target + 1) <= budget.max_dp_cells:
+        got = kernels.subset_sum_solve([abs(codes[b]) for b in keep], target)
         if got is None:
-            return Verdict(False, method="brute")
-        return _yes(inst, tuple(got), "brute")
-    raise ResourceLimitError("ilp: instance over budget")
+            return Verdict(False, method="dp")
+        chosen = [int(c < 0) for c in codes]
+        for k in got:
+            chosen[keep[k]] ^= 1
+        method = "dp"
+    elif 1 << (len(cols) - len(cols) // 2) <= budget.max_brute_states:
+        chosen = kernels.ilp01_brute(cols, inst.rhs)
+        if chosen is None:
+            return Verdict(False, method="mitm")
+        method = "mitm"
+    else:
+        raise ResourceLimitError("ilp: instance over budget")
+    x = [0] * len(inst.columns)
+    for bundle, pick in zip(bundles, chosen):
+        if pick:
+            for i in bundle:
+                x[i] = 1
+    return _yes(inst, tuple(x), method)
 
 
 def _solve_zero_sum(inst, budget):
@@ -537,26 +549,30 @@ def solve_and_sat(inst: I.AndSatInstance, budget: Budget = DEFAULT_BUDGET) -> Ve
 
 def solve_unbounded_ss(inst: I.UnboundedSubsetSumInstance,
                        budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    """Shift doubling: a 0/1 subset sum over the items p, 2p, 4p, ... <= t.
+
+    After k of item p's doubles any count of p below 2^k is reachable, and
+    2^k > t/p covers every count that fits.
+    """
     t = inst.target
     n = len(inst.items)
-    if (t + 1) * max(n, 1) <= budget.max_dp_cells:
-        used = [-1] * (t + 1)
-        used[0] = -2
-        for s in range(1, t + 1):
-            for i, p in enumerate(inst.items):
-                if 1 <= p <= s and used[s - p] != -1:
-                    used[s] = i
-                    break
-        if used[t] == -1:
-            return Verdict(False, method="dp")
-        counts: dict[int, int] = {}
-        s = t
-        while s:
-            i = used[s]
-            counts[i] = counts.get(i, 0) + 1
-            s -= inst.items[i]
-        return _yes(inst, counts, "dp")
-    raise ResourceLimitError("unbounded subset sum: instance over budget")
+    if (t + 1) * max(n, 1) > budget.max_dp_cells:
+        raise ResourceLimitError("unbounded subset sum: instance over budget")
+    doubles, owner = [], []
+    for i, p in enumerate(inst.items):
+        copies = 1
+        while 1 <= p * copies <= t:
+            doubles.append(p * copies)
+            owner.append((i, copies))
+            copies <<= 1
+    got = kernels.subset_sum_solve(doubles, t)
+    if got is None:
+        return Verdict(False, method="dp")
+    counts: dict[int, int] = {}
+    for k in got:
+        i, copies = owner[k]
+        counts[i] = counts.get(i, 0) + copies
+    return _yes(inst, counts, "dp")
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_solve_json_payload(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["answer"] == "yes"
     assert payload["kind"] == "subset_sum"
-    assert payload["backend"] in ("compiled", "pure")
+    assert payload["backend"] == "pure"
     assert payload["solution"] == [0, 1]
 
 
@@ -188,6 +188,32 @@ def test_verify_limit(capsys):
                        "--family", "subset-sum", "--limit", "25", "--json")
     assert code == 0
     assert json.loads(out)["checked"] == 25
+
+
+def _usage_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_bad_family_parameter(capsys):
+    _usage_error(capsys, "verify", "ss-to-knapsack",
+                 "--family", "subset-sum:n=x")
+
+
+def test_verify_negative_limit(capsys):
+    _usage_error(capsys, "verify", "ss-to-knapsack", "--limit", "-1")
+
+
+def test_gen_empty_modulus(capsys):
+    _usage_error(capsys, "gen", "zq", "--q", "0")
+
+
+def test_solve_bad_arity_cap(tmp_path, capsys):
+    p = tmp_path / "cnf.json"
+    p.write_text(json.dumps({"problem": "cnf", "num_vars": 1,
+                             "clauses": [[1]], "arity_cap": "x"}))
+    _usage_error(capsys, "solve", str(p))
 
 
 def test_cert_check_exit_codes(tmp_path, capsys):

@@ -1,93 +1,128 @@
-"""Backend parity: the Cython and pure-Python kernels must agree."""
+"""Kernels against independent in-test brute forces.
+
+Every expected answer here is recomputed by exhaustive search written in the
+test itself, so the kernels are never their own referee.
+"""
 
 from random import Random
 
 import pytest
 
-from redkit.kernels import BACKEND, _pure
+from redkit import kernels
+from redkit.kernels import BACKEND
 
-try:
-    from redkit.kernels import _speed
-except ImportError:
-    _speed = None
 
-needs_speed = pytest.mark.skipif(_speed is None,
-                                 reason="compiled backend unavailable")
+def _brute_subset_sum(items, target, q=None):
+    for mask in range(1 << len(items)):
+        total = sum(p for i, p in enumerate(items) if mask >> i & 1)
+        if (total % q == target) if q else total == target:
+            return True
+    return False
+
+
+def _check_indices(items, sol):
+    assert sol == sorted(set(sol))
+    assert all(0 <= i < len(items) for i in sol)
 
 
 def test_backend_is_declared():
-    assert BACKEND in ("pure", "compiled")
-
-
-def _check_subset_solution(items, target, sol):
-    assert sol == sorted(set(sol))
-    assert sum(items[i] for i in sol) == target
+    assert BACKEND == "pure"
 
 
 def test_pure_subset_sum_known_values():
-    assert _pure.subset_sum_solve((3, 5, 7), 8) == [0, 1]
-    assert _pure.subset_sum_solve((3, 5, 7), 4) is None
-    assert _pure.subset_sum_solve((), 0) == []
-    assert _pure.subset_sum_solve((2, 2, 2), 6) == [0, 1, 2]
+    assert kernels.subset_sum_solve((3, 5, 7), 8) == [0, 1]
+    assert kernels.subset_sum_solve((3, 5, 7), 4) is None
+    assert kernels.subset_sum_solve((), 0) == []
+    assert kernels.subset_sum_solve((2, 2, 2), 6) == [0, 1, 2]
+    assert kernels.subset_sum_solve((9, 0, 4), 4) == [2]
+    assert kernels.subset_sum_solve((1,), -1) is None
 
 
 def test_pure_mod_solve_known_values():
-    assert _pure.subset_sum_mod_solve((3, 5), 6, 2) == [0, 1]
-    assert _pure.subset_sum_mod_solve((2, 4), 8, 1) is None
-    assert _pure.subset_sum_mod_solve((), 5, 0) == []
+    assert kernels.subset_sum_mod_solve((3, 5), 6, 2) == [0, 1]
+    assert kernels.subset_sum_mod_solve((2, 4), 8, 1) is None
+    assert kernels.subset_sum_mod_solve((), 5, 0) == []
+    assert kernels.subset_sum_mod_solve((7, 10, 3), 7, 3) == [1]
 
 
 def test_pure_cm_known_values():
     # one up, one down on the same counter
-    assert _pure.counter_machine_solve([1, 0], [0, 1], [False, False], 1, 100) == []
-    assert _pure.counter_machine_solve([1, 0], [0, 1], [True, True], 1, 100) == [0, 1]
+    assert kernels.counter_machine_solve([1, 0], [0, 1], [False, False], 1, 100) == []
+    assert kernels.counter_machine_solve([1, 0], [0, 1], [True, True], 1, 100) == [0, 1]
     # required up with no way back down
-    assert _pure.counter_machine_solve([1], [0], [True], 1, 100) is None
+    assert kernels.counter_machine_solve([1], [0], [True], 1, 100) is None
     with pytest.raises(RuntimeError):
-        _pure.counter_machine_solve([1, 0], [0, 1], [False, False], 1, 1)
+        kernels.counter_machine_solve([1, 0], [0, 1], [False, False], 1, 1)
 
 
 def test_pure_ilp_brute_known_values():
-    assert _pure.ilp01_brute(((1, 0), (0, 1)), (1, 1)) == [1, 1]
-    assert _pure.ilp01_brute(((1, 0),), (0, 1)) is None
-    assert _pure.ilp01_brute((), (0,)) == [0] * 0
+    assert kernels.ilp01_brute(((1, 0), (0, 1)), (1, 1)) == [1, 1]
+    assert kernels.ilp01_brute(((1, 0),), (0, 1)) is None
+    assert kernels.ilp01_brute((), (0,)) == [0] * 0
+    assert len(kernels.ilp01_brute(((), ()), ())) == 2   # no rows: any x
 
 
-@needs_speed
-def test_subset_sum_parity():
+def test_subset_sum_matches_brute():
     rng = Random(7)
-    for _ in range(300):
+    for _ in range(400):
         t = rng.randint(0, 40)
-        items = tuple(rng.randint(1, max(t, 1)) for _ in range(rng.randint(0, 7)))
-        a = _pure.subset_sum_solve(items, t)
-        b = _speed.subset_sum_solve(items, t)
-        assert (a is None) == (b is None)
-        if a is not None:
-            _check_subset_solution(items, t, list(a))
-            _check_subset_solution(items, t, list(b))
+        # items beyond the target and zeros must be skipped, never chosen
+        items = tuple(rng.randint(0, t + 10) for _ in range(rng.randint(0, 8)))
+        got = kernels.subset_sum_solve(items, t)
+        assert (got is not None) == _brute_subset_sum(items, t), (items, t)
+        if got is not None:
+            _check_indices(items, got)
+            assert sum(items[i] for i in got) == t
 
 
-@needs_speed
-def test_mod_solve_parity():
+def test_mod_solve_matches_brute():
     rng = Random(8)
-    for _ in range(300):
+    for _ in range(400):
         q = rng.randint(1, 30)
-        items = tuple(rng.randrange(q) for _ in range(rng.randint(0, 7)))
+        # items may be multiples of q or exceed it; they count mod q
+        items = tuple(rng.choice((0, q, 2 * q, rng.randrange(3 * q)))
+                      for _ in range(rng.randint(0, 8)))
         t = rng.randrange(q)
-        a = _pure.subset_sum_mod_solve(items, q, t)
-        b = _speed.subset_sum_mod_solve(items, q, t)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert sum(items[i] for i in a) % q == t
-            assert sum(items[i] for i in b) % q == t
+        got = kernels.subset_sum_mod_solve(items, q, t)
+        assert (got is not None) == _brute_subset_sum(items, t, q), (items, q, t)
+        if got is not None:
+            _check_indices(items, got)
+            assert sum(items[i] for i in got) % q == t
 
 
-@needs_speed
-def test_cm_parity():
+def test_mod_solve_many_items():
+    # enough items for several checkpoint blocks in the walk back
+    rng = Random(12)
+    for _ in range(40):
+        q = rng.randint(2, 400)
+        items = [rng.randrange(q) * rng.choice((1, 2, 6)) % q
+                 for _ in range(rng.randint(20, 90))]
+        reach = {0}
+        for p in items:
+            reach |= {(r + p) % q for r in reach}
+        for t in rng.sample(range(q), min(q, 5)):
+            got = kernels.subset_sum_mod_solve(items, q, t)
+            assert (got is not None) == (t in reach), (items, q, t)
+            if got is not None:
+                _check_indices(items, got)
+                assert sum(items[i] for i in got) % q == t
+
+
+def test_subset_sum_large_target():
+    rng = Random(11)
+    items = [rng.randint(1, 10**6) for _ in range(12)]
+    for mask in (0, 1, 0b101010101010, (1 << 12) - 1):
+        t = sum(p for i, p in enumerate(items) if mask >> i & 1)
+        got = kernels.subset_sum_solve(items, t)
+        assert got is not None and sum(items[i] for i in got) == t
+    assert kernels.subset_sum_solve([2 * p for p in items], 2 * 10**6 + 1) is None
+
+
+def test_cm_matches_brute():
     rng = Random(9)
     for _ in range(300):
         dim = rng.randint(1, 4)
-        n = rng.randint(0, 6)
+        n = rng.randint(0, 7)
         incs, decs, req = [], [], []
         for _ in range(n):
             inc = dec = 0
@@ -100,33 +135,55 @@ def test_cm_parity():
             incs.append(inc)
             decs.append(dec)
             req.append(rng.random() < 0.4)
-        a = _pure.counter_machine_solve(incs, decs, req, dim, 10_000)
-        b = _speed.counter_machine_solve(incs, decs, req, dim, 10_000)
-        assert (a is None) == (b is None), (incs, decs, req)
-        if a is not None:
-            for sol in (a, b):
-                state = 0
-                chosen = set(sol)
-                assert all(i in chosen for i in range(n) if req[i])
-                for i in sorted(chosen):
-                    assert not state & incs[i] and state & decs[i] == decs[i]
-                    state = (state | incs[i]) & ~decs[i]
-                assert state == 0
+
+        def runs(chosen):
+            state = 0
+            for i in chosen:
+                if state & incs[i] or state & decs[i] != decs[i]:
+                    return False
+                state = (state | incs[i]) & ~decs[i]
+            return state == 0
+
+        expected = any(
+            all(mask >> i & 1 for i in range(n) if req[i]) and
+            runs([i for i in range(n) if mask >> i & 1])
+            for mask in range(1 << n))
+        got = kernels.counter_machine_solve(incs, decs, req, dim, 10_000)
+        assert (got is not None) == expected, (incs, decs, req)
+        if got is not None:
+            _check_indices(incs, got)
+            assert all(i in got for i in range(n) if req[i])
+            assert runs(got)
 
 
-@needs_speed
-def test_ilp_brute_parity():
+def test_ilp_brute_matches_brute():
     rng = Random(10)
-    for _ in range(200):
-        m = rng.randint(1, 3)
-        n = rng.randint(0, 6)
+    for _ in range(120):
+        m = rng.randint(1, 6)
+        n = rng.randint(0, 14)
         cols = tuple(tuple(rng.choice((-1, 0, 1)) for _ in range(m))
                      for _ in range(n))
-        rhs = tuple(rng.randint(-2, 2) for _ in range(m))
-        a = _pure.ilp01_brute(cols, rhs)
-        b = _speed.ilp01_brute(cols, rhs)
-        assert (a is None) == (b is None)
-        if a is not None:
-            for sol in (a, b):
-                for j in range(m):
-                    assert sum(cols[i][j] for i in range(n) if sol[i]) == rhs[j]
+        if rng.random() < 0.5:
+            x = [rng.randint(0, 1) for _ in range(n)]
+            rhs = tuple(sum(c[j] for c, xi in zip(cols, x) if xi)
+                        for j in range(m))
+        else:
+            rhs = tuple(rng.randint(-3, 3) for _ in range(m))
+        expected = any(
+            all(sum(c[j] for i, c in enumerate(cols) if mask >> i & 1) == rhs[j]
+                for j in range(m))
+            for mask in range(1 << n))
+        got = kernels.ilp01_brute(cols, rhs)
+        assert (got is not None) == expected, (cols, rhs)
+        if got is not None:
+            assert len(got) == n and set(got) <= {0, 1}
+            for j in range(m):
+                assert sum(cols[i][j] for i in range(n) if got[i]) == rhs[j]
+
+
+def test_ilp_code_rejects_unreachable_rhs():
+    # row 0 can reach at most 1 in absolute value; -2 would alias to (1, 0)
+    # in base 3, since -2 + 1 * 3 == 1
+    assert kernels.ilp_code(((1, 0),), (-2, 1)) is None
+    codes, goal = kernels.ilp_code(((1, 0), (0, -1)), (1, -1))
+    assert codes == [1, -3] and goal == 1 - 3

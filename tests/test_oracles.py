@@ -161,6 +161,7 @@ def test_knapsack():
 def test_ilp_variants(variant):
     rng = Random(3)
     entries = (0, 1) if variant == "monotone" else (-1, 0, 1)
+    searched = 0
     for _ in range(300):
         m = rng.randint(1, 3)
         n = rng.randint(0, 5)
@@ -174,6 +175,66 @@ def test_ilp_variants(variant):
         assert got.answer == _brute_ilp(inst), inst
         if got.answer:
             assert check_solution(inst, got.solution)
+        if variant == "zero_sum":
+            assert got.method == "observation"
+        else:
+            # small systems go through the encoded subset sum
+            assert got.method in ("dp", "range"), (inst, got)
+            # without DP cells only an empty table stays on the DP path
+            mitm = solve(inst, Budget(max_dp_cells=0))
+            assert mitm.answer == got.answer, inst
+            if mitm.answer:
+                assert check_solution(inst, mitm.solution)
+            if mitm.method == "mitm":
+                searched += 1
+            else:
+                assert mitm.method == got.method, (inst, mitm)
+    assert variant == "zero_sum" or searched >= 80
+
+
+def test_ilp_wide_systems_meet_in_the_middle():
+    rng = Random(12)
+    for i in range(20):
+        n = 9 + i % 6
+        cols = tuple(tuple(rng.choice((-1, 0, 1)) for _ in range(6))
+                     for _ in range(n))
+        x = [rng.randint(0, 1) for _ in range(n)]
+        rhs = [sum(c[j] for c, xi in zip(cols, x) if xi) for j in range(6)]
+        if i % 2:
+            rhs[rng.randrange(6)] += rng.choice((-1, 1))
+        inst = I.IlpInstance(cols, rhs)
+        got = solve(inst)
+        assert got.answer == _brute_ilp(inst), inst
+        if got.answer:
+            assert check_solution(inst, got.solution)
+        if got.method != "range":
+            assert got.method == "mitm", (inst, got)
+    # no room for either path
+    with pytest.raises(ResourceLimitError):
+        solve(inst, Budget(max_dp_cells=0, max_brute_states=1))
+
+
+def test_ilp_repeated_columns_are_bundled():
+    # 60 copies of one column: 2^30 sums per half without bundles
+    col = (1,) * 8
+    yes = I.IlpInstance((col,) * 60, (30,) * 8, "monotone")
+    got = solve(yes)
+    assert got.answer and sum(got.solution) == 30
+    assert check_solution(yes, got.solution)
+    # every choice keeps the rows equal
+    assert not solve(I.IlpInstance((col,) * 60, (30,) * 7 + (29,))).answer
+    mixed = I.IlpInstance(((1, -1),) * 5 + ((0, 1),) * 3, (2, 1))
+    got = solve(mixed)
+    assert got.answer == _brute_ilp(mixed) and check_solution(mixed, got.solution)
+
+
+def test_ilp_rhs_beyond_row_reach_is_no():
+    # in base 3, rhs (-2, 1) has the code of column (1, 0): -2 + 3 == 1
+    inst = I.IlpInstance(((1, 0),), (-2, 1))
+    got = solve(inst)
+    assert not got.answer and got.method == "range"
+    assert not _brute_ilp(inst)
+    assert not solve(I.IlpInstance(((1,), (1,)), (3,), "monotone")).answer
 
 
 def test_group_subset_sum_all_families():
