@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .catalog import REDUCTIONS, get_reduction
 from .certificates import (CertificateScheme, FULL_SS_SCHEME, SCHEMES,
                            UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
-                           cert_full_subset_sum, cert_unbounded_ss, cert_zkk,
                            certificate_scheme_check, certified_solve,
                            minimal_solution_bound_check, nppt_contract_check,
                            zero_sum_premise_check)

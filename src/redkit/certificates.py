@@ -1,25 +1,31 @@
-"""Certificate schemes with short witnesses, plus the generic harnesses that
-machine-check reduction contracts and scheme soundness/completeness.
+"""Certificate schemes with short witnesses, and the sweep that
+machine-checks reduction contracts and scheme soundness/completeness.
 
 Certificates are fixed-width bit strings (``Witness`` values): a count field
 followed by fixed slots, with unused trailing slots required to be zero.  A
 verifier never raises on malformed input; it rejects.
 
-The contract checker covers no-instances either by literal enumeration of all
-``2^L`` witnesses (when small) or by a stratified-exact sweep: every witness
-the reduction itself enumerates as structurally valid, plus random and corner
-probes of the invalid stratum.  Reductions here map every structurally invalid
-witness to a fixed trivial no-instance, so the invalid stratum collapses to a
-handful of distinct targets and the sweep still visits every reachable target
-class.  Reports record which strategy covered each instance; anything not
-covered is listed as skipped, never silently passed.
+One sweep checks both kinds of contract.  A certificate scheme is the case
+of a nondeterministic transformation whose target is decided at once, so
+each entry point only says when a witness is accepted:
+``nppt_contract_check`` applies the reduction and asks the target oracle
+(through a verdict cache), ``certificate_scheme_check`` asks
+``scheme.verify``.  Yes instances must accept the synthesized witness.  No
+instances must accept no witness, covered either by literal enumeration of
+all ``2^L`` witnesses (when small) or by a stratified-exact sweep: every
+witness the reduction or scheme enumerates as structurally valid, plus
+random and corner probes of the invalid stratum.  Reductions here map every
+structurally invalid witness to a fixed trivial no-instance, and verifiers
+reject such certificates outright, so the invalid stratum collapses to a
+handful of outcomes.  Reports record which strategy covered each instance; anything
+not covered is listed as skipped, never silently passed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -173,12 +179,6 @@ UNBOUNDED_SS_SCHEME = CertificateScheme(
 )
 
 
-def cert_unbounded_ss(inst: I.UnboundedSubsetSumInstance) -> CertificateScheme:
-    if inst.kind != "unbounded_subset_sum":
-        raise ValidationError("scheme expects an unbounded subset sum instance")
-    return UNBOUNDED_SS_SCHEME
-
-
 # ---------------------------------------------------------------------------
 # Z_k^k group subset sum: an index subsequence of length < s = ceil(k^2 lg k).
 
@@ -287,11 +287,6 @@ ZKK_SCHEME = CertificateScheme(
 )
 
 
-def cert_zkk(inst: I.GroupSubsetSumInstance) -> CertificateScheme:
-    _zkk_k(inst)
-    return ZKK_SCHEME
-
-
 # ---------------------------------------------------------------------------
 # Baseline scheme: the full selection mask, one bit per item.
 
@@ -322,12 +317,6 @@ FULL_SS_SCHEME = CertificateScheme(
     synthesize=_fss_synthesize,
     valid_certificates=lambda inst: all_witnesses(len(inst.items)),
 )
-
-
-def cert_full_subset_sum(inst: I.SubsetSumInstance) -> CertificateScheme:
-    if inst.kind != "subset_sum":
-        raise ValidationError("scheme expects a subset sum instance")
-    return FULL_SS_SCHEME
 
 
 SCHEMES = {s.name: s for s in (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
@@ -379,60 +368,49 @@ def _corner_witnesses(length, rng, samples):
         yield Witness(rng.getrandbits(length), length)
 
 
-def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
-                        budget: Budget | None = None, *,
-                        exhaustive_cap: int = 4096,
-                        valid_cap: int = 200_000,
-                        invalid_samples: int = 16,
-                        seed: int = 0,
-                        cache: dict | None = None) -> ContractReport:
-    """Check the reduction's yes/no contract against the oracles.
+def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
+           accepts, len_bound, exhaustive_cap, valid_cap, samples, seed):
+    """The contract sweep behind both checkers.
 
-    Yes instances: the synthesized witness must map to a target yes instance.
-    No instances: every witness must map to a target no instance, checked by
-    full enumeration when ``2^L <= exhaustive_cap`` and otherwise by the
-    stratified-exact sweep described in the module docstring.
+    ``accepts(inst, wit)`` returns ``(accepted, extra)``: whether the witness
+    leads to a yes verdict, and fields (such as the target instance) to add
+    to a record about it.  ``noun`` names a witness in records and skip
+    reasons.  Yes instances must accept the synthesized witness; no
+    instances must accept none, covered as the module docstring describes.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
     rng = Random(seed)
-    verdicts = {} if cache is None else cache
-    rep = ContractReport(name=r.name)
+    rep = ContractReport(name=name)
 
-    def target_yes(tgt):
-        hit = verdicts.get(tgt)
-        if hit is None:
-            if len(verdicts) > 1_500_000:
-                verdicts.clear()
-            hit = verdicts[tgt] = solve(tgt, budget).answer
-        return hit
-
-    def sweep(inst, wits):
-        seen = set()
+    def reject_all(inst, wits):
         for wit in wits:
             rep.witnesses_checked += 1
-            tgt = r.apply(inst, wit)
-            if tgt in seen:
-                continue
-            seen.add(tgt)
-            if target_yes(tgt):
-                rep.violations.append({
-                    "kind": "soundness", "instance": inst,
-                    "witness": wit.to_hex(), "target": tgt})
-                return
+            accepted, extra = accepts(inst, wit)
+            if accepted:
+                rep.violations.append({"kind": "soundness", "instance": inst,
+                                       noun: wit.to_hex(), **extra})
+                return False
+        return True
+
     for inst in family:
+        if inst.kind != kind:
+            raise ValidationError(f"{name} expects {kind}, got {inst.kind}")
         rep.checked += 1
+        length = wit_len(inst)
+        if len_bound is not None and length > len_bound(inst):
+            rep.violations.append({
+                "kind": "bit-length-bound", "instance": inst,
+                "cert_len": length, "bound": len_bound(inst)})
         try:
             src = solve(inst, budget)
         except ResourceLimitError as exc:
             rep.skipped.append((inst, f"source oracle: {exc}"))
             continue
-        length = r.witness_len(inst)
         if src.answer:
             rep.yes_instances += 1
             try:
-                wit = r.synthesize(inst, src.solution)
-                tgt = r.apply(inst, wit)
-                accepted = target_yes(tgt)
+                wit = synthesize(inst, src.solution)
+                accepted, extra = accepts(inst, wit)
             except RedkitError as exc:
                 rep.violations.append({
                     "kind": "completeness", "instance": inst,
@@ -442,31 +420,23 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
             if not accepted:
                 rep.violations.append({
                     "kind": "completeness", "instance": inst,
-                    "witness": wit.to_hex(), "target": tgt})
+                    noun: wit.to_hex(), **extra})
             continue
         rep.no_instances += 1
         try:
             if length <= 26 and (1 << length) <= exhaustive_cap:
-                sweep(inst, all_witnesses(length))
+                reject_all(inst, all_witnesses(length))
                 rep.exhaustive += 1
-            elif r.valid_witnesses is not None:
-                before = len(rep.violations)
-                wits = []
-                over = False
-                for i, wit in enumerate(r.valid_witnesses(inst)):
-                    if i >= valid_cap:
-                        over = True
-                        break
-                    wits.append(wit)
-                if over:
-                    rep.skipped.append((inst, "valid witness family too large"))
+            elif valid is not None:
+                wits = list(islice(valid(inst), valid_cap + 1))
+                if len(wits) > valid_cap:
+                    rep.skipped.append((inst, f"valid {noun} family too large"))
                     continue
-                sweep(inst, wits)
-                if len(rep.violations) == before:
-                    sweep(inst, _corner_witnesses(length, rng, invalid_samples))
+                if reject_all(inst, wits):
+                    reject_all(inst, _corner_witnesses(length, rng, samples))
                 rep.stratified += 1
             else:
-                rep.skipped.append((inst, f"witness space 2^{length} too large"))
+                rep.skipped.append((inst, f"{noun} space 2^{length} too large"))
         except ResourceLimitError as exc:
             rep.skipped.append((inst, f"target oracle: {exc}"))
         except RedkitError as exc:
@@ -475,8 +445,36 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     return rep
 
 
-# ---------------------------------------------------------------------------
-# Certificate scheme checking.
+def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
+                        budget: Budget | None = None, *,
+                        exhaustive_cap: int = 4096,
+                        valid_cap: int = 200_000,
+                        invalid_samples: int = 16,
+                        seed: int = 0,
+                        cache: dict | None = None) -> ContractReport:
+    """Check the reduction's yes/no contract against the oracles.
+
+    A witness is accepted when ``r.apply`` maps it to a target yes instance.
+    Target verdicts are kept in ``cache`` (a fresh dict by default), so a
+    target reached again is never solved again.
+    """
+    budget = budget if budget is not None else DEFAULT_BUDGET
+    verdicts = {} if cache is None else cache
+
+    def accepts(inst, wit):
+        tgt = r.apply(inst, wit)
+        hit = verdicts.get(tgt)
+        if hit is None:
+            if len(verdicts) > 1_500_000:
+                verdicts.clear()
+            hit = verdicts[tgt] = solve(tgt, budget).answer
+        return hit, {"target": tgt}
+
+    return _sweep(r.name, r.source_kind, "witness", family, budget,
+                  wit_len=r.witness_len, synthesize=r.synthesize,
+                  valid=r.valid_witnesses, accepts=accepts, len_bound=None,
+                  exhaustive_cap=exhaustive_cap, valid_cap=valid_cap,
+                  samples=invalid_samples, seed=seed)
 
 
 def certificate_scheme_check(scheme: CertificateScheme,
@@ -488,77 +486,20 @@ def certificate_scheme_check(scheme: CertificateScheme,
                              seed: int = 0) -> ContractReport:
     """Soundness/completeness sweep for a certificate scheme.
 
-    No instances must reject every certificate: full enumeration when the bit
-    budget is small, otherwise every certificate the scheme lists as able to
-    reach its accept comparison plus sampled/corner malformed ones.  Yes
-    instances must accept the synthesized certificate, and reported bit
-    budgets must stay within the scheme's numeric bound.
+    A certificate is accepted when ``scheme.verify`` accepts it, and each
+    instance's bit budget ``cert_len`` must stay within ``len_bound``.
     """
-    budget = budget if budget is not None else DEFAULT_BUDGET
-    rng = Random(seed)
-    rep = ContractReport(name=scheme.name)
-    for inst in family:
-        if inst.kind != scheme.problem_kind:
-            raise ValidationError(
-                f"scheme {scheme.name} cannot check kind {inst.kind}")
-        rep.checked += 1
-        length = scheme.cert_len(inst)
-        if scheme.len_bound is not None and length > scheme.len_bound(inst):
-            rep.violations.append({
-                "kind": "bit-length-bound", "instance": inst,
-                "cert_len": length, "bound": scheme.len_bound(inst)})
-        try:
-            src = solve(inst, budget)
-        except ResourceLimitError as exc:
-            rep.skipped.append((inst, f"oracle: {exc}"))
-            continue
-        if src.answer:
-            rep.yes_instances += 1
-            try:
-                cert = scheme.synthesize(inst, src.solution)
-                accepted = scheme.verify(inst, cert)
-            except RedkitError as exc:
-                rep.violations.append({
-                    "kind": "completeness", "instance": inst, "error": str(exc)})
-                continue
-            rep.witnesses_checked += 1
-            if not accepted:
-                rep.violations.append({
-                    "kind": "completeness", "instance": inst,
-                    "certificate": cert.to_hex()})
-            continue
-        rep.no_instances += 1
+    verify = scheme.verify
 
-        def reject_all(certs):
-            for cert in certs:
-                rep.witnesses_checked += 1
-                if scheme.verify(inst, cert):
-                    rep.violations.append({
-                        "kind": "soundness", "instance": inst,
-                        "certificate": cert.to_hex()})
-                    return
-        if length <= 26 and (1 << length) <= exhaustive_cap:
-            reject_all(all_witnesses(length))
-            rep.exhaustive += 1
-        elif scheme.valid_certificates is not None:
-            certs = []
-            over = False
-            for i, cert in enumerate(scheme.valid_certificates(inst)):
-                if i >= valid_cap:
-                    over = True
-                    break
-                certs.append(cert)
-            if over:
-                rep.skipped.append((inst, "valid certificate family too large"))
-                continue
-            before = len(rep.violations)
-            reject_all(certs)
-            if len(rep.violations) == before:
-                reject_all(_corner_witnesses(length, rng, malformed_samples))
-            rep.stratified += 1
-        else:
-            rep.skipped.append((inst, f"certificate space 2^{length} too large"))
-    return rep
+    def accepts(inst, cert):
+        return verify(inst, cert), {}
+
+    return _sweep(scheme.name, scheme.problem_kind, "certificate", family,
+                  budget, wit_len=scheme.cert_len,
+                  synthesize=scheme.synthesize,
+                  valid=scheme.valid_certificates, accepts=accepts,
+                  len_bound=scheme.len_bound, exhaustive_cap=exhaustive_cap,
+                  valid_cap=valid_cap, samples=malformed_samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,8 @@ def _cmd_verify(args) -> int:
     red = get_reduction(args.reduction)
     family = islice(_parse_family(args.family), args.limit)
     rep = nppt_contract_check(red, family)
+    if rep.checked == 0:
+        return _fail("family has no instances", EXIT_USAGE)
     return _report_exit(rep, args.json)
 
 
@@ -270,11 +272,7 @@ def _cmd_cert_check(args) -> int:
         return _fail(f"unknown scheme {args.scheme!r}; known: "
                      f"{', '.join(sorted(SCHEMES))}", EXIT_USAGE)
     scheme = SCHEMES[args.scheme]
-    inst = _load(args.instance)
-    if inst.kind != scheme.problem_kind:
-        return _fail(f"scheme {args.scheme} checks {scheme.problem_kind}, "
-                     f"got {inst.kind}", EXIT_USAGE)
-    rep = certificate_scheme_check(scheme, [inst])
+    rep = certificate_scheme_check(scheme, [_load(args.instance)])
     return _report_exit(rep, args.json)
 
 

@@ -275,10 +275,6 @@ KINDS = ("subset_sum", "knapsack", "ilp", "group_subset_sum", "counter_machine",
          "coloring", "scheduling", "cnf", "and_sat", "unbounded_subset_sum")
 
 
-def kind_of(inst: ProblemInstance) -> str:
-    return inst.kind
-
-
 # ---------------------------------------------------------------------------
 # Validation.
 

@@ -11,12 +11,13 @@ from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
                                  minimal_solution_bound_check,
                                  nppt_contract_check, zero_sum_premise_check,
                                  zkk_bound, _shrink_support)
-from redkit.errors import ResourceLimitError, ValidationError
-from redkit.families import unbounded_instances, zkk_instances
+from redkit.errors import ReductionError, ResourceLimitError, ValidationError
+from redkit.families import (knapsacks, subset_sums, unbounded_instances,
+                             zkk_instances)
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               ProductGroup, SubsetSumInstance,
                               UnboundedSubsetSumInstance)
-from redkit.oracles import solve
+from redkit.oracles import Budget, solve
 from redkit.witness import Witness, all_witnesses, pack_fields
 
 
@@ -148,12 +149,48 @@ def test_full_ss_scheme_round_trip():
     assert not FULL_SS_SCHEME.verify(inst, Witness(7, 3))
 
 
+def _coverage(report):
+    return (report.checked, report.witnesses_checked, report.exhaustive,
+            report.stratified, sorted({why for _, why in report.skipped}),
+            len(report.skipped))
+
+
 def test_scheme_check_unbounded_grid():
     report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
                                       unbounded_instances(2, 5, 12))
     assert report.ok, report.as_dict()
-    assert report.checked == 273
-    assert report.exhaustive == 73 and report.stratified == 27
+    assert _coverage(report) == (273, 299067, 73, 27, [], 0)
+    report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
+                                      unbounded_instances(2, 5, 12),
+                                      exhaustive_cap=16)
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (273, 2108, 25, 75, [], 0)
+    report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
+                                      unbounded_instances(2, 5, 12),
+                                      exhaustive_cap=16, valid_cap=2)
+    assert not report.ok and not report.violations
+    assert _coverage(report) == (
+        273, 956, 25, 30, ["valid certificate family too large"], 45)
+
+
+def test_contract_check_coverage_counts():
+    red = REDUCTIONS["ss-to-monotone"]
+    report = nppt_contract_check(red, subset_sums(3, 4, 10))
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (273, 24779, 94, 20, [], 0)
+    report = nppt_contract_check(red, subset_sums(3, 4, 10),
+                                 exhaustive_cap=16)
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (273, 2285, 48, 66, [], 0)
+    report = nppt_contract_check(red, subset_sums(3, 4, 10),
+                                 exhaustive_cap=16, valid_cap=2)
+    assert not report.ok and not report.violations
+    assert _coverage(report) == (
+        273, 647, 48, 0, ["valid witness family too large"], 66)
+    blind = dataclasses.replace(red, valid_witnesses=None)
+    report = nppt_contract_check(blind, subset_sums(2, 3, 6),
+                                 exhaustive_cap=16)
+    assert {why for _, why in report.skipped} == {"witness space 2^9 too large"}
 
 
 def test_scheme_check_zkk_grid():
@@ -188,6 +225,31 @@ def test_scheme_check_catches_bound_overflow():
     report = certificate_scheme_check(broken, unbounded_instances(1, 3, 6))
     assert not report.ok
     assert any(v["kind"] == "bit-length-bound" for v in report.violations)
+
+
+def test_scheme_check_records_raising_verifier():
+    def verify(inst, cert):
+        raise ReductionError("verifier fault")
+    broken = dataclasses.replace(UNBOUNDED_SS_SCHEME, verify=verify)
+    report = certificate_scheme_check(broken, unbounded_instances(1, 3, 6))
+    assert not report.ok
+    assert any(v["kind"] == "transform-error" and v["error"] == "verifier fault"
+               for v in report.violations)
+
+
+def test_source_oracle_skip_is_reported():
+    starved = Budget(max_dp_cells=0)
+    report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
+                                      unbounded_instances(1, 2, 3), starved)
+    assert report.checked == len(report.skipped) > 0
+    assert all(why.startswith("source oracle: ") for _, why in report.skipped)
+
+
+def test_checkers_reject_a_family_of_the_wrong_kind():
+    with pytest.raises(ValidationError):
+        nppt_contract_check(REDUCTIONS["ss-to-knapsack"], knapsacks(1, 2))
+    with pytest.raises(ValidationError):
+        certificate_scheme_check(ZKK_SCHEME, unbounded_instances(1, 2, 3))
 
 
 def test_zero_sum_premise():
@@ -245,7 +307,6 @@ def test_contract_check_flags_broken_reduction():
         transform=lambda inst, wit: dataclasses.replace(
             base.transform(inst, wit),
             demand=base.transform(inst, wit).demand + 1))
-    from redkit.families import subset_sums
     report = nppt_contract_check(broken, subset_sums(3, 3, 9))
     assert not report.ok
     assert report.violations

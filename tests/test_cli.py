@@ -205,6 +205,23 @@ def test_verify_negative_limit(capsys):
     _usage_error(capsys, "verify", "ss-to-knapsack", "--limit", "-1")
 
 
+@pytest.mark.parametrize("reduction,family", [
+    ("ss-to-knapsack", "knapsack"),
+    ("knapsack-to-ss", "subset-sum"),
+])
+def test_verify_family_of_the_wrong_kind(capsys, reduction, family):
+    _usage_error(capsys, "verify", reduction, "--family", family)
+
+
+@pytest.mark.parametrize("reduction,extra", [
+    ("ss-to-knapsack", ["--family", "subset-sum:n=-1"]),
+    ("zq-to-ss", ["--family", "zq:q=0"]),
+    ("ss-to-knapsack", ["--limit", "0"]),
+])
+def test_verify_empty_family(capsys, reduction, extra):
+    _usage_error(capsys, "verify", reduction, *extra)
+
+
 def test_gen_empty_modulus(capsys):
     _usage_error(capsys, "gen", "zq", "--q", "0")
 
