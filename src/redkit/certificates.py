@@ -3,7 +3,11 @@ machine-checks reduction contracts and scheme soundness/completeness.
 
 Certificates are fixed-width bit strings (``Witness`` values): a count field
 followed by fixed slots, with unused trailing slots required to be zero.  A
-verifier never raises on malformed input; it rejects.
+verifier never raises on malformed input; it rejects.  A scheme's layout
+(length, slot count, field widths and shifts) depends only on the instance,
+so it is computed once per instance and kept in a bounded cache of the last
+``LAYOUT_CACHE`` instances; ``verify`` decodes ``cert.value`` with the
+layout's shifts and masks rather than splitting it into fields.
 
 One sweep checks both kinds of contract.  A certificate scheme is the case
 of a nondeterministic transformation whose target is decided at once, so
@@ -25,17 +29,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations, islice, product
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import instances as I
 from .errors import (ConstructionError, RedkitError, ResourceLimitError,
                      ValidationError)
 from .oracles import DEFAULT_BUDGET, Budget, Verdict, solve
 from .reductions import Reduction
-from .witness import Witness, all_witnesses, field_width, pack_fields, \
-    unpack_fields
+from .witness import Witness, all_witnesses, field_width, pack_fields
+
+
+# Instances whose certificate layout each scheme keeps.  A sweep verifies all
+# certificates of one instance before the next and needs only the last; the
+# rest serve callers that interleave instances.
+LAYOUT_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -68,16 +78,35 @@ class CertificateScheme:
 # tie removes an item.
 
 
-def _uss_shape(inst):
+class _UssLayout(NamedTuple):
+    length: int         # certificate bits
+    pairs: int          # slot count
+    widths: tuple       # count, then (index, multiplicity - 1) per slot
+    body: int           # bits after the count field: count = value >> body
+    slot: int           # bits per slot
+    shifts: tuple       # (index shift, multiplicity shift) per slot
+    index_mask: int
+    mult_mask: int
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _uss_layout(inst) -> _UssLayout:
+    """Certificate layout of one instance, cached for the last 256
+    (``LAYOUT_CACHE``) instances; its size is linear in the slot count."""
     t, n = inst.target, len(inst.items)
     pairs = (t + 1).bit_length() - 1
-    return pairs, field_width(pairs), field_width(max(n - 1, 0)), \
-        field_width(max(t - 1, 0))
+    wc = field_width(pairs)
+    wi, wm = field_width(max(n - 1, 0)), field_width(max(t - 1, 0))
+    slot = wi + wm
+    body = pairs * slot
+    shifts = tuple((body - j * slot - wi, body - (j + 1) * slot)
+                   for j in range(pairs))
+    return _UssLayout(wc + body, pairs, (wc,) + (wi, wm) * pairs, body, slot,
+                      shifts, (1 << wi) - 1, (1 << wm) - 1)
 
 
 def _uss_cert_len(inst):
-    pairs, wc, wi, wm = _uss_shape(inst)
-    return wc + pairs * (wi + wm)
+    return _uss_layout(inst).length
 
 
 def _uss_len_bound(inst):
@@ -86,34 +115,26 @@ def _uss_len_bound(inst):
 
 
 def _uss_verify(inst, cert):
-    pairs, wc, wi, wm = _uss_shape(inst)
-    if cert.length != wc + pairs * (wi + wm):
+    length, pairs, _, body, slot, shifts, imask, mmask = _uss_layout(inst)
+    if cert.length != length:
         return False
-    vals = unpack_fields(cert, [wc] + [wi, wm] * pairs)
-    count = vals[0]
-    if count > pairs:
+    v = cert.value
+    count = v >> body
+    # the unused slots after the first ``count`` are the low bits
+    if count > pairs or v & ((1 << (pairs - count) * slot) - 1):
         return False
-    if any(v for v in vals[1 + 2 * count:]):
-        return False
-    idxs = vals[1:1 + 2 * count:2]
-    mults = [m + 1 for m in vals[2:2 + 2 * count:2]]
-    if any(i >= len(inst.items) for i in idxs):
-        return False
-    if any(a >= b for a, b in zip(idxs, idxs[1:])):
-        return False
-    if any(m > inst.target for m in mults):
-        return False
-    return sum(m * inst.items[i] for i, m in zip(idxs, mults)) == inst.target
-
-
-def _uss_pack(inst, counts):
-    pairs, wc, wi, wm = _uss_shape(inst)
-    idxs = sorted(counts)
-    vals = [len(idxs)]
-    for i in idxs:
-        vals += [i, counts[i] - 1]
-    vals += [0, 0] * (pairs - len(idxs))
-    return pack_fields(vals, [wc] + [wi, wm] * pairs)
+    items, t = inst.items, inst.target
+    n = len(items)
+    prev = -1
+    total = 0
+    for ishift, mshift in shifts[:count]:
+        i = (v >> ishift) & imask
+        m = ((v >> mshift) & mmask) + 1
+        if i >= n or i <= prev or m > t:
+            return False
+        prev = i
+        total += m * items[i]
+    return total == t
 
 
 def _shrink_support(items, counts, cap):
@@ -150,22 +171,32 @@ def _shrink_support(items, counts, cap):
 
 
 def _uss_synthesize(inst, solution):
+    lay = _uss_layout(inst)
     counts = {i: m for i, m in dict(solution).items()
               if m > 0 and inst.items[i] > 0}
-    pairs = (inst.target + 1).bit_length() - 1
-    return _uss_pack(inst, _shrink_support(inst.items, counts, pairs))
+    counts = _shrink_support(inst.items, counts, lay.pairs)
+    vals = [len(counts)]
+    for i in sorted(counts):
+        vals += [i, counts[i] - 1]
+    vals += [0, 0] * (lay.pairs - len(counts))
+    return pack_fields(vals, lay.widths)
 
 
 def _uss_valid(inst):
-    pairs, _, _, _ = _uss_shape(inst)
-    t, n = inst.target, len(inst.items)
-    for c in range(min(pairs, n) + 1):
+    lay = _uss_layout(inst)
+    t, items = inst.target, inst.items
+    n = len(items)
+    for c in range(min(lay.pairs, n) + 1):
+        head = c << lay.body
         for idxs in combinations(range(n), c):
-            # prune: an accepting pair never exceeds the target on its own
-            ranges = [range(1, (t // inst.items[i] if inst.items[i] else t) + 1)
-                      for i in idxs]
-            for mults in product(*ranges):
-                yield _uss_pack(inst, dict(zip(idxs, mults)))
+            choices = []
+            for i, (ishift, mshift) in zip(idxs, lay.shifts):
+                # prune: an accepting pair never exceeds the target on its own
+                top = t // items[i] if items[i] else t
+                choices.append([i << ishift | (m - 1) << mshift
+                                for m in range(1, top + 1)])
+            for parts in product(*choices):
+                yield Witness(head | sum(parts), lay.length)
 
 
 UNBOUNDED_SS_SCHEME = CertificateScheme(
@@ -193,14 +224,33 @@ def _zkk_k(inst):
     return inst.group.k
 
 
-def _zkk_shape(inst):
-    s = zkk_bound(_zkk_k(inst))
-    return s, field_width(s - 1), field_width(max(len(inst.elements) - 1, 0))
+class _ZkkLayout(NamedTuple):
+    length: int         # certificate bits
+    slots: int          # index slots: s - 1
+    widths: tuple       # count, then one index per slot
+    body: int           # bits after the count field: count = value >> body
+    width: int          # bits per index slot
+    shifts: tuple       # index shift per slot
+    k: int
+    zero: tuple
+    target: tuple
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _zkk_layout(inst) -> _ZkkLayout:
+    """Certificate layout of one instance, cached for the last 256
+    (``LAYOUT_CACHE``) instances; its size is linear in the slot count."""
+    k = _zkk_k(inst)
+    slots = zkk_bound(k) - 1
+    wc, wi = field_width(slots), field_width(max(len(inst.elements) - 1, 0))
+    body = slots * wi
+    shifts = tuple(body - (j + 1) * wi for j in range(slots))
+    return _ZkkLayout(wc + body, slots, (wc,) + (wi,) * slots, body, wi,
+                      shifts, k, (0,) * k, tuple(inst.target))
 
 
 def _zkk_cert_len(inst):
-    s, wc, wi = _zkk_shape(inst)
-    return wc + (s - 1) * wi
+    return _zkk_layout(inst).length
 
 
 def _zkk_len_bound(inst):
@@ -209,25 +259,29 @@ def _zkk_len_bound(inst):
 
 
 def _zkk_verify(inst, cert):
-    s, wc, wi = _zkk_shape(inst)
-    if cert.length != wc + (s - 1) * wi:
+    length, slots, _, body, wi, shifts, k, zero, target = _zkk_layout(inst)
+    if cert.length != length:
         return False
-    vals = unpack_fields(cert, [wc] + [wi] * (s - 1))
-    count = vals[0]
-    if count > s - 1:
+    v = cert.value
+    count = v >> body
+    # the unused slots after the first ``count`` are the low bits
+    if count > slots or v & ((1 << (slots - count) * wi) - 1):
         return False
-    idxs = vals[1:1 + count]
-    if any(v for v in vals[1 + count:]):
-        return False
-    if any(i >= len(inst.elements) for i in idxs):
-        return False
-    if any(a >= b for a, b in zip(idxs, idxs[1:])):
-        return False
-    k = _zkk_k(inst)
-    acc = (0,) * k
-    for i in idxs:
-        acc = tuple((a + b) % k for a, b in zip(acc, inst.elements[i]))
-    return acc == tuple(inst.target)
+    elements = inst.elements
+    n = len(elements)
+    imask = (1 << wi) - 1
+    prev = -1
+    chosen = []
+    for shift in shifts[:count]:
+        i = (v >> shift) & imask
+        if i >= n or i <= prev:
+            return False
+        prev = i
+        chosen.append(elements[i])
+    acc = zero
+    for e in chosen:
+        acc = tuple((a + b) % k for a, b in zip(acc, e))
+    return acc == target
 
 
 def find_zero_sum_subsequence(elements, k):
@@ -254,26 +308,28 @@ def find_zero_sum_subsequence(elements, k):
 
 
 def _zkk_synthesize(inst, solution):
-    k = _zkk_k(inst)
-    s, wc, wi = _zkk_shape(inst)
+    lay = _zkk_layout(inst)
     chosen = sorted(solution)
-    while len(chosen) >= s:
-        hit = find_zero_sum_subsequence([inst.elements[i] for i in chosen], k)
+    while len(chosen) > lay.slots:
+        hit = find_zero_sum_subsequence([inst.elements[i] for i in chosen],
+                                        lay.k)
         if hit is None:
             raise ConstructionError("no removable zero-sum subsequence")
         keep = set(range(len(chosen))) - set(hit)
         chosen = [chosen[p] for p in sorted(keep)]
-    vals = [len(chosen)] + chosen + [0] * (s - 1 - len(chosen))
-    return pack_fields(vals, [wc] + [wi] * (s - 1))
+    vals = [len(chosen)] + chosen + [0] * (lay.slots - len(chosen))
+    return pack_fields(vals, lay.widths)
 
 
 def _zkk_valid(inst):
-    s, wc, wi = _zkk_shape(inst)
+    lay = _zkk_layout(inst)
     n = len(inst.elements)
-    for c in range(min(s - 1, n) + 1):
+    for c in range(min(lay.slots, n) + 1):
+        head = c << lay.body
         for idxs in combinations(range(n), c):
-            vals = [c] + list(idxs) + [0] * (s - 1 - c)
-            yield pack_fields(vals, [wc] + [wi] * (s - 1))
+            yield Witness(head | sum(i << shift
+                                     for i, shift in zip(idxs, lay.shifts)),
+                          lay.length)
 
 
 ZKK_SCHEME = CertificateScheme(
@@ -408,9 +464,14 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
             continue
         if src.answer:
             rep.yes_instances += 1
+            step = "synthesize"
             try:
                 wit = synthesize(inst, src.solution)
+                step = "target oracle"
                 accepted, extra = accepts(inst, wit)
+            except ResourceLimitError as exc:
+                rep.skipped.append((inst, f"{step}: {exc}"))
+                continue
             except RedkitError as exc:
                 rep.violations.append({
                     "kind": "completeness", "instance": inst,

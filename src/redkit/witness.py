@@ -79,5 +79,20 @@ def unpack_fields(wit: Witness, widths: Sequence[int]) -> tuple[int, ...]:
 
 
 def all_witnesses(length: int) -> Iterator[Witness]:
+    """Every witness of ``length`` bits, in increasing value order."""
+    if length < 0:
+        raise ValidationError("witness length must be nonnegative")
+    return _all_witnesses(length)
+
+
+def _all_witnesses(length):
+    # Each value of range(1 << length) fits by construction, so the values
+    # skip __post_init__: the fields go straight into the instance dict
+    # (a frozen dataclass blocks setattr, not its __dict__).
+    new = object.__new__
     for v in range(1 << length):
-        yield Witness(v, length)
+        wit = new(Witness)
+        slots = wit.__dict__
+        slots["value"] = v
+        slots["length"] = length
+        yield wit

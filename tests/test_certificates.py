@@ -1,8 +1,10 @@
 """Certificate schemes, contract checkers, and the certified solver."""
 
 import dataclasses
+from itertools import product, repeat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
@@ -18,7 +20,8 @@ from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               ProductGroup, SubsetSumInstance,
                               UnboundedSubsetSumInstance)
 from redkit.oracles import Budget, solve
-from redkit.witness import Witness, all_witnesses, pack_fields
+from redkit.witness import Witness, all_witnesses, field_width, \
+    pack_fields, unpack_fields
 
 
 def test_unbounded_scheme_frozen_example():
@@ -44,14 +47,16 @@ def test_unbounded_scheme_rejects_everything_on_no_instance():
                    for w in all_witnesses(length))
 
 
-def _uss_cert(inst, fields):
+def _uss_widths(inst):
     # layout: count, then (index, multiplicity-1) pairs
     t, n = inst.target, len(inst.items)
     pairs = (t + 1).bit_length() - 1
-    from redkit.witness import field_width
-    widths = [field_width(pairs)] + \
+    return [field_width(pairs)] + \
         [field_width(max(n - 1, 0)), field_width(max(t - 1, 0))] * pairs
-    return pack_fields(fields, widths)
+
+
+def _uss_cert(inst, fields):
+    return pack_fields(fields, _uss_widths(inst))
 
 
 def test_unbounded_scheme_rejects_malformed():
@@ -196,8 +201,12 @@ def test_contract_check_coverage_counts():
 def test_scheme_check_zkk_grid():
     report = certificate_scheme_check(ZKK_SCHEME, zkk_instances(2, 3))
     assert report.ok, report.as_dict()
-    assert report.checked == 340
-    assert report.stratified == 0      # every no-instance fully enumerated
+    # every no-instance fully enumerated
+    assert _coverage(report) == (340, 12838, 78, 0, [], 0)
+    report = certificate_scheme_check(ZKK_SCHEME, zkk_instances(2, 4),
+                                      exhaustive_cap=64)
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (1364, 6488, 33, 138, [], 0)
 
 
 def test_scheme_check_catches_unsound_verifier():
@@ -243,6 +252,30 @@ def test_source_oracle_skip_is_reported():
                                       unbounded_instances(1, 2, 3), starved)
     assert report.checked == len(report.skipped) > 0
     assert all(why.startswith("source oracle: ") for _, why in report.skipped)
+
+
+def test_budget_skip_on_a_yes_instance_is_not_a_violation():
+    # the target oracle runs out of budget on every target: a skip, whether
+    # the instance is a yes instance (synthesized witness) or a no instance
+    big = SubsetSumInstance(tuple(range(1 << 40, (1 << 40) + 60)), 1 << 45)
+    red = dataclasses.replace(REDUCTIONS["ss-to-knapsack"],
+                              transform=lambda inst, wit: big)
+    report = nppt_contract_check(red, subset_sums(2, 3, 6))
+    assert report.violations == []
+    assert len(report.skipped) == report.checked == 49
+    assert {why for _, why in report.skipped} == {
+        "target oracle: subset sum: instance over budget"}
+
+
+def test_budget_skip_in_synthesis_is_not_a_violation():
+    def synthesize(inst, solution):
+        raise ResourceLimitError("support too large to rewrite")
+    broken = dataclasses.replace(UNBOUNDED_SS_SCHEME, synthesize=synthesize)
+    report = certificate_scheme_check(broken, unbounded_instances(1, 3, 6))
+    assert report.violations == [] and report.yes_instances > 0
+    assert len(report.skipped) == report.yes_instances
+    assert {why for _, why in report.skipped} == {
+        "synthesize: support too large to rewrite"}
 
 
 def test_checkers_reject_a_family_of_the_wrong_kind():
@@ -310,3 +343,136 @@ def test_contract_check_flags_broken_reduction():
     report = nppt_contract_check(broken, subset_sums(3, 3, 9))
     assert not report.ok
     assert report.violations
+
+
+# ---------------------------------------------------------------------------
+# The verifiers decode certificates through a per-instance layout; these
+# reference verifiers decode field by field with ``unpack_fields``, as the
+# layout-free verifiers did, and must give the same verdict everywhere.
+
+
+def _ref_uss_verify(inst, cert):
+    widths = _uss_widths(inst)
+    if cert.length != sum(widths):
+        return False
+    return _ref_uss_fields(inst, unpack_fields(cert, widths))
+
+
+def _ref_uss_fields(inst, vals):
+    pairs = (len(vals) - 1) // 2
+    count = vals[0]
+    if count > pairs:
+        return False
+    if any(v for v in vals[1 + 2 * count:]):
+        return False
+    idxs = vals[1:1 + 2 * count:2]
+    mults = [m + 1 for m in vals[2:2 + 2 * count:2]]
+    if any(i >= len(inst.items) for i in idxs):
+        return False
+    if any(a >= b for a, b in zip(idxs, idxs[1:])):
+        return False
+    if any(m > inst.target for m in mults):
+        return False
+    return sum(m * inst.items[i] for i, m in zip(idxs, mults)) == inst.target
+
+
+def _zkk_widths(inst):
+    # layout: count, then s - 1 index slots
+    s = zkk_bound(inst.group.k)
+    return [field_width(s - 1)] + \
+        [field_width(max(len(inst.elements) - 1, 0))] * (s - 1)
+
+
+def _ref_zkk_verify(inst, cert):
+    widths = _zkk_widths(inst)
+    if cert.length != sum(widths):
+        return False
+    return _ref_zkk_fields(inst, unpack_fields(cert, widths))
+
+
+def _ref_zkk_fields(inst, vals):
+    s = len(vals)
+    count = vals[0]
+    if count > s - 1:
+        return False
+    idxs = vals[1:1 + count]
+    if any(v for v in vals[1 + count:]):
+        return False
+    if any(i >= len(inst.elements) for i in idxs):
+        return False
+    if any(a >= b for a, b in zip(idxs, idxs[1:])):
+        return False
+    k = inst.group.k
+    acc = (0,) * k
+    for i in idxs:
+        acc = tuple((a + b) % k for a, b in zip(acc, inst.elements[i]))
+    return acc == tuple(inst.target)
+
+
+@st.composite
+def _certificates(draw, widths, step):
+    """Certificates near the layout: raw values of the right length or one
+    bit off, and field-by-field values (count, slots, zeroed tail); the
+    index fields are every ``step``-th field after the count."""
+    length = sum(widths)
+    if draw(st.booleans()):
+        length = max(length + draw(st.sampled_from((-1, 0, 1))), 0)
+        return Witness(draw(st.integers(0, (1 << length) - 1)), length)
+    fields = [draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    if draw(st.booleans()):
+        fields[1::step] = sorted(fields[1::step])
+    cut = draw(st.integers(1, len(widths)))
+    if draw(st.booleans()):
+        fields[cut:] = [0] * (len(widths) - cut)
+    return pack_fields(fields, widths)
+
+
+@st.composite
+def _uss_cases(draw):
+    items = draw(st.lists(st.integers(0, 12), max_size=5))
+    inst = UnboundedSubsetSumInstance(tuple(items),
+                                      draw(st.integers(0, 150)))
+    return inst, draw(_certificates(_uss_widths(inst), 2))
+
+
+@st.composite
+def _zkk_cases(draw):
+    k = draw(st.integers(1, 3))
+    elem = st.tuples(*[st.integers(0, k - 1)] * k)
+    inst = GroupSubsetSumInstance(ProductGroup(k),
+                                  tuple(draw(st.lists(elem, max_size=9))),
+                                  draw(elem))
+    return inst, draw(_certificates(_zkk_widths(inst), 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_uss_cases())
+def test_unbounded_verify_matches_reference(case):
+    inst, cert = case
+    assert UNBOUNDED_SS_SCHEME.verify(inst, cert) == \
+        _ref_uss_verify(inst, cert)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_zkk_cases())
+def test_zkk_verify_matches_reference(case):
+    inst, cert = case
+    assert ZKK_SCHEME.verify(inst, cert) == _ref_zkk_verify(inst, cert)
+
+
+@pytest.mark.parametrize("scheme, widths, reference, family", [
+    (UNBOUNDED_SS_SCHEME, _uss_widths, _ref_uss_fields,
+     lambda: unbounded_instances(2, 5, 12)),
+    (ZKK_SCHEME, _zkk_widths, _ref_zkk_fields, lambda: zkk_instances(2, 4)),
+], ids=["unbounded", "zkk"])
+def test_verify_matches_reference_on_every_certificate(scheme, widths,
+                                                       reference, family):
+    # the field tuples of all certificates, listed in increasing value order
+    # (most significant field first), pair up with all_witnesses
+    for inst in family():
+        ws = widths(inst)
+        got = list(map(scheme.verify, repeat(inst), all_witnesses(sum(ws))))
+        want = list(map(reference, repeat(inst),
+                        product(*[range(1 << w) for w in ws])))
+        assert got == want, (inst, [v for v, (a, b) in
+                                    enumerate(zip(got, want)) if a != b][:5])

@@ -1,5 +1,7 @@
 """Bit-string witnesses: packing, hex, and bounds."""
 
+import dataclasses
+
 import pytest
 
 from redkit.errors import ValidationError
@@ -65,3 +67,15 @@ def test_all_witnesses_enumeration():
     assert len(seen) == 8
     assert len(set(seen)) == 8
     assert list(all_witnesses(0)) == [Witness(0, 0)]
+
+
+def test_all_witnesses_are_plain_frozen_witnesses():
+    wits = list(all_witnesses(3))
+    assert wits == [Witness(v, 3) for v in range(8)]
+    assert all(type(w) is Witness for w in wits)
+    assert hash(wits[5]) == hash(Witness(5, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        wits[0].value = 1
+    assert list(all_witnesses(0)) == [Witness(0, 0)]
+    with pytest.raises(ValidationError):
+        all_witnesses(-1)
