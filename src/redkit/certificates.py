@@ -32,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations, islice, product
 from random import Random
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import instances as I
@@ -39,13 +40,15 @@ from .errors import (ConstructionError, RedkitError, ResourceLimitError,
                      ValidationError)
 from .oracles import DEFAULT_BUDGET, Budget, Verdict, solve
 from .reductions import Reduction
-from .witness import Witness, all_witnesses, field_width, pack_fields
+from .witness import (LAYOUT_CACHE, Witness, all_witnesses, field_width,
+                      pack_fields)
 
-
-# Instances whose certificate layout each scheme keeps.  A sweep verifies all
-# certificates of one instance before the next and needs only the last; the
-# rest serve callers that interleave instances.
-LAYOUT_CACHE = 256
+# Targets the verdict cache of ``nppt_contract_check`` holds before it is
+# cleared.  An entry costs about 0.63 KB for a cm-to-permss target: the
+# 113k targets of cm_grid(1, 5) and cm_grid(2, 3) raised peak RSS by 70 MB
+# over a sweep whose cache kept nothing.  A full cache of such targets is
+# thus about 0.95 GB; targets of the numeric reductions are smaller.
+VERDICT_CACHE = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -416,6 +419,10 @@ class ContractReport:
         }
 
 
+# The extra record fields of a scheme's verdict: none, shared by every call.
+_NO_FIELDS = MappingProxyType({})
+
+
 def _corner_witnesses(length, rng, samples):
     yield Witness.zero(length)
     if length:
@@ -517,7 +524,8 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
 
     A witness is accepted when ``r.apply`` maps it to a target yes instance.
     Target verdicts are kept in ``cache`` (a fresh dict by default), so a
-    target reached again is never solved again.
+    target reached again is never solved again; past ``VERDICT_CACHE``
+    entries the cache is cleared.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
     verdicts = {} if cache is None else cache
@@ -526,7 +534,7 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
         tgt = r.apply(inst, wit)
         hit = verdicts.get(tgt)
         if hit is None:
-            if len(verdicts) > 1_500_000:
+            if len(verdicts) > VERDICT_CACHE:
                 verdicts.clear()
             hit = verdicts[tgt] = solve(tgt, budget).answer
         return hit, {"target": tgt}
@@ -553,7 +561,7 @@ def certificate_scheme_check(scheme: CertificateScheme,
     verify = scheme.verify
 
     def accepts(inst, cert):
-        return verify(inst, cert), {}
+        return verify(inst, cert), _NO_FIELDS
 
     return _sweep(scheme.name, scheme.problem_kind, "certificate", family,
                   budget, wit_len=scheme.cert_len,

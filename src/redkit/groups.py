@@ -34,10 +34,14 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return self * other, where other acts first."""
-        if other.degree != self.degree:
-            raise ValidationError("degree mismatch in composition")
         img = self.images
-        return Permutation(tuple(img[p] for p in other.images))
+        if len(other.images) != len(img):
+            raise ValidationError("degree mismatch in composition")
+        # a product of permutations is one: skip the check in __post_init__
+        out = object.__new__(Permutation)
+        object.__setattr__(out, "images",
+                           tuple(map(img.__getitem__, other.images)))
+        return out
 
     __mul__ = compose
 
@@ -103,7 +107,10 @@ def block_diagonal(perms: list[Permutation]) -> Permutation:
     for p in perms:
         img.extend(off + q for q in p.images)
         off += p.degree
-    return Permutation(tuple(img))
+    # each block is a permutation of its own points: skip the check
+    out = object.__new__(Permutation)
+    object.__setattr__(out, "images", tuple(img))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +328,8 @@ class RunContext:
             img[p] = gy[t] if t < r else gx[t - r] + r
         return Permutation(tuple(img))
 
+    # three letters for each of the 64 contexts make_run_context keeps
+    @lru_cache(maxsize=192)
     def gamma_hat(self, b: int) -> Permutation:
         return self.chi(gamma(b, self.q))
 

@@ -23,10 +23,12 @@ REQUIRED = "R"
 ILP_VARIANTS = ("standard", "monotone", "zero_sum")
 
 
-def _tuplize(obj, depth: int):
-    if depth == 0:
-        return obj
-    return tuple(_tuplize(x, depth - 1) for x in obj)
+def _tuplize(rows):
+    """``rows`` as a tuple of tuples; returned as it is when it already is
+    one, as in every target a reduction builds."""
+    if type(rows) is tuple and {*map(type, rows)} <= {tuple}:
+        return rows
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ class KnapsackInstance:
     kind = "knapsack"
 
     def __post_init__(self):
-        object.__setattr__(self, "items", _tuplize(self.items, 2))
+        object.__setattr__(self, "items", _tuplize(self.items))
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class IlpInstance:
     kind = "ilp"
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", _tuplize(self.columns, 2))
+        object.__setattr__(self, "columns", _tuplize(self.columns))
         object.__setattr__(self, "rhs", tuple(self.rhs))
 
     @property
@@ -172,8 +174,10 @@ class GroupSubsetSumInstance:
     kind = "group_subset_sum"
 
     def __post_init__(self):
-        elems = tuple(tuple(e) if isinstance(e, list) else e for e in self.elements)
-        object.__setattr__(self, "elements", elems)
+        elems = self.elements
+        if type(elems) is not tuple or list in map(type, elems):
+            elems = tuple(tuple(e) if isinstance(e, list) else e for e in elems)
+            object.__setattr__(self, "elements", elems)
         if isinstance(self.target, list):
             object.__setattr__(self, "target", tuple(self.target))
 
@@ -193,7 +197,7 @@ class CounterMachineInstance:
     kind = "counter_machine"
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _tuplize(self.vectors, 2))
+        object.__setattr__(self, "vectors", _tuplize(self.vectors))
         object.__setattr__(self, "flags", tuple(self.flags))
 
 
@@ -208,8 +212,8 @@ class ColoringInstance:
     kind = "coloring"
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _tuplize(self.edges, 2))
-        object.__setattr__(self, "bags", _tuplize(self.bags, 2))
+        object.__setattr__(self, "edges", _tuplize(self.edges))
+        object.__setattr__(self, "bags", _tuplize(self.bags))
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ class SchedulingInstance:
     kind = "scheduling"
 
     def __post_init__(self):
-        object.__setattr__(self, "jobs", _tuplize(self.jobs, 2))
+        object.__setattr__(self, "jobs", _tuplize(self.jobs))
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,7 @@ class CnfInstance:
     kind = "cnf"
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", _tuplize(self.clauses, 2))
+        object.__setattr__(self, "clauses", _tuplize(self.clauses))
 
 
 @dataclass(frozen=True)
@@ -341,12 +345,15 @@ def validate(inst: ProblemInstance) -> list[str]:
         n = inst.num_vertices
         if n < 0:
             out.append("vertex count must be nonnegative")
-        for u, v in inst.edges:
+        edges = [e for e in inst.edges if len(e) == 2]
+        if len(edges) != len(inst.edges):
+            out.append("edges must be vertex pairs")
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 out.append(f"edge ({u},{v}) out of range")
             if u == v:
                 out.append("self-loops are not allowed")
-        out.extend(pathdecomp.check_path_decomposition(n, inst.edges, inst.bags))
+        out.extend(pathdecomp.check_path_decomposition(n, edges, inst.bags))
     elif k == "scheduling":
         if inst.tardy_budget < 0:
             out.append("tardy budget must be nonnegative")
@@ -368,6 +375,9 @@ def validate(inst: ProblemInstance) -> list[str]:
         if inst.num_vars < 0:
             out.append("variable count must be nonnegative")
         for f in inst.formulas:
+            if not isinstance(f, CnfInstance):
+                out.append("and_sat formulas must be CNF instances")
+                continue
             if f.num_vars > inst.num_vars:
                 out.append("formula uses more variables than the shared bound")
             out.extend(validate(f))
@@ -488,6 +498,25 @@ def _iparse(v, what: str) -> int:
     raise ValidationError(f"{what}: expected an integer or decimal string")
 
 
+def _list(v, what: str, size: int | None = None) -> list:
+    """``v`` checked to be a JSON array, of ``size`` entries when given."""
+    if not isinstance(v, list):
+        raise ValidationError(f"{what}: expected a list")
+    if size is not None and len(v) != size:
+        raise ValidationError(f"{what}: expected {size} entries, got {len(v)}")
+    return v
+
+
+def _ints(v, what: str, size: int | None = None) -> tuple[int, ...]:
+    return tuple(_iparse(x, what) for x in _list(v, what, size))
+
+
+def _str(v, what: str) -> str:
+    if not isinstance(v, str):
+        raise ValidationError(f"{what}: expected a string")
+    return v
+
+
 def _group_to_json(g: GroupKind) -> dict:
     if isinstance(g, CyclicGroup):
         return {"family": "cyclic", "q": _istr(g.q)}
@@ -497,6 +526,8 @@ def _group_to_json(g: GroupKind) -> dict:
 
 
 def _group_from_json(d: dict) -> GroupKind:
+    if not isinstance(d, dict):
+        raise ValidationError("group: expected an object")
     fam = d.get("family")
     if fam == "cyclic":
         return CyclicGroup(_iparse(d["q"], "group order"))
@@ -569,58 +600,58 @@ def from_json(d: dict) -> ProblemInstance:
         if k == "subset_sum":
             mod = d.get("modulus")
             return SubsetSumInstance(
-                tuple(_iparse(p, "item") for p in d["items"]),
-                _iparse(d["target"], "target"),
+                _ints(d["items"], "items"), _iparse(d["target"], "target"),
                 _iparse(mod, "modulus") if mod is not None else None)
         if k == "knapsack":
             return KnapsackInstance(
-                tuple((_iparse(p, "size"), _iparse(w, "weight"))
-                      for p, w in d["items"]),
+                tuple(_ints(it, "knapsack item", 2)
+                      for it in _list(d["items"], "items")),
                 _iparse(d["capacity"], "capacity"), _iparse(d["demand"], "demand"))
         if k == "ilp":
             return IlpInstance(
-                tuple(tuple(_iparse(a, "entry") for a in c) for c in d["columns"]),
-                tuple(_iparse(b, "rhs") for b in d["rhs"]),
-                d.get("variant", "standard"))
+                tuple(_ints(c, "column") for c in _list(d["columns"], "columns")),
+                _ints(d["rhs"], "rhs"),
+                _str(d.get("variant", "standard"), "variant"))
         if k == "group_subset_sum":
             g = _group_from_json(d["group"])
             if isinstance(g, CyclicGroup):
                 dec = lambda v: _iparse(v, "element")
             elif isinstance(g, ProductGroup):
-                dec = lambda v: tuple(_iparse(c, "coordinate") for c in v)
+                dec = lambda v: _ints(v, "element")
             else:
-                dec = lambda v: Permutation(tuple(_iparse(c, "image") for c in v))
+                dec = lambda v: Permutation(_ints(v, "permutation"))
             return GroupSubsetSumInstance(
-                g, tuple(dec(e) for e in d["elements"]), dec(d["target"]))
+                g, tuple(dec(e) for e in _list(d["elements"], "elements")),
+                dec(d["target"]))
         if k == "counter_machine":
             return CounterMachineInstance(
                 _iparse(d["dimension"], "dimension"),
-                tuple(tuple(_iparse(c, "entry") for c in v) for v in d["vectors"]),
-                tuple(d["flags"]))
+                tuple(_ints(v, "vector") for v in _list(d["vectors"], "vectors")),
+                tuple(_str(f, "flag") for f in _list(d["flags"], "flags")))
         if k == "coloring":
             return ColoringInstance(
                 _iparse(d["n"], "n"),
-                tuple(tuple(_iparse(x, "vertex") for x in e) for e in d["edges"]),
-                tuple(tuple(_iparse(x, "vertex") for x in b) for b in d["bags"]))
+                tuple(_ints(e, "edge", 2) for e in _list(d["edges"], "edges")),
+                tuple(_ints(b, "bag") for b in _list(d["bags"], "bags")))
         if k == "scheduling":
             return SchedulingInstance(
-                tuple((_iparse(p, "processing"), _iparse(w, "weight"),
-                       _iparse(t, "due")) for p, w, t in d["jobs"]),
+                tuple(_ints(j, "job", 3) for j in _list(d["jobs"], "jobs")),
                 _iparse(d["tardy_budget"], "tardy budget"))
         if k == "cnf":
             return CnfInstance(
                 _iparse(d["num_vars"], "num_vars"),
-                tuple(tuple(_iparse(l, "literal") for l in c) for c in d["clauses"]),
+                tuple(_ints(c, "clause") for c in _list(d["clauses"], "clauses")),
                 None if d.get("arity_cap") is None
                 else _iparse(d["arity_cap"], "arity cap"))
         if k == "and_sat":
-            return AndSatInstance(
-                _iparse(d["num_vars"], "num_vars"),
-                tuple(from_json(f) for f in d["formulas"]))
+            formulas = tuple(from_json(f)
+                             for f in _list(d["formulas"], "formulas"))
+            if any(f.kind != "cnf" for f in formulas):
+                raise ValidationError("and_sat formulas must be cnf instances")
+            return AndSatInstance(_iparse(d["num_vars"], "num_vars"), formulas)
         if k == "unbounded_subset_sum":
             return UnboundedSubsetSumInstance(
-                tuple(_iparse(p, "item") for p in d["items"]),
-                _iparse(d["target"], "target"))
+                _ints(d["items"], "items"), _iparse(d["target"], "target"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {k or 'instance'} JSON: {exc}") from exc
     raise ValidationError(f"unknown problem kind {k!r}")
@@ -635,4 +666,6 @@ def loads(text: str) -> ProblemInstance:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply") from None
     return from_json(data)

@@ -7,17 +7,33 @@ binary-counter vector sequence the zero-sum construction relies on.
 
 Witness layouts use :mod:`redkit.witness` fixed-width fields; structurally
 invalid witnesses map to fixed trivial no-instances so that exhaustive
-contract checks can cover the invalid stratum with a single probe.
+contract checks can cover the invalid stratum with a single probe.  A
+reduction whose witness has several fields computes the instance's layout
+once (length, widths, shifts and mask, plus the parts of the target that do
+not depend on the witness) and keeps it in a bounded cache of the last
+``LAYOUT_CACHE`` instances; ``transform``, ``witness_len``, ``synthesize``
+and the enumerators read that layout, and ``transform`` decodes
+``wit.value`` with its shifts and masks.  Targets are built from tuples,
+so their constructors keep them as they are.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from operator import lshift, sub
+from typing import NamedTuple
 
 from . import instances as I
 from .errors import ConstructionError, ReductionError
 from .reductions import Reduction
-from .witness import Witness, field_width, pack_fields, unpack_fields
+from .witness import LAYOUT_CACHE, Witness, field_width, pack_fields
+
+# Fixed targets of guard cases and rejected witnesses, built once.
+_SS_YES = I.trivial_instance("subset_sum", True)
+_SS_NO = I.trivial_instance("subset_sum", False)
+_MONOTONE_NO = I.trivial_instance("ilp", False, variant="monotone")
+_STANDARD_NO = I.trivial_instance("ilp", False, variant="standard")
 
 # ---------------------------------------------------------------------------
 # Base-w digit helpers.
@@ -124,80 +140,77 @@ red_ss_to_knapsack = Reduction(
 # Knapsack -> subset sum (two-track base-W encoding, guessed totals).
 
 
-def _kss_case(inst):
-    """Returns ("yes"|"no"|"main", kept original indices, W)."""
+class _KssLayout(NamedTuple):
+    fixed: object       # the target of a guard case, None in the main case
+    length: int         # witness bits: capacity guess, then demand offset
+    widths: tuple
+    shift: int          # capacity guess = value >> shift
+    mask: int           # demand offset = value & mask
+    base: int           # W: size and weight tracks are base-W digits
+    items: tuple        # the target's items, size * W + weight
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _kss_layout(inst) -> _KssLayout:
     t, w = inst.capacity, inst.demand
-    if w == 0:
-        return "yes", (), 0
-    keep = [i for i, (p, wi) in enumerate(inst.items) if p <= t]
-    if any(inst.items[i][1] > w for i in keep):
-        return "yes", (), 0
-    if sum(inst.items[i][1] for i in keep) < w:
-        return "no", (), 0
-    return "main", tuple(keep), len(keep) * w + 1
-
-
-def _kss_widths(inst):
-    _, _, W = _kss_case(inst)
-    return (field_width(inst.capacity), field_width(W - 1 - inst.demand))
-
-
-def _kss_witness_len(inst):
-    case, _, _ = _kss_case(inst)
-    if case != "main":
-        return 0
-    return sum(_kss_widths(inst))
+    kept = [(p, wi) for p, wi in inst.items if p <= t]
+    if w == 0 or any(wi > w for _, wi in kept):
+        return _KssLayout(_SS_YES, 0, (), 0, 0, 0, ())
+    if sum(wi for _, wi in kept) < w:
+        return _KssLayout(_SS_NO, 0, (), 0, 0, 0, ())
+    base = len(kept) * w + 1
+    wt, ww = field_width(t), field_width(base - 1 - w)
+    return _KssLayout(None, wt + ww, (wt, ww), ww, (1 << ww) - 1, base,
+                      tuple(p * base + wi for p, wi in kept))
 
 
 def _kss_transform(inst, wit):
-    case, keep, W = _kss_case(inst)
-    if case == "yes":
-        return I.trivial_instance("subset_sum", True)
-    if case == "no":
-        return I.trivial_instance("subset_sum", False)
-    t_guess, w_off = unpack_fields(wit, _kss_widths(inst))
-    w_guess = inst.demand + w_off
-    if t_guess > inst.capacity or w_guess >= W:
-        return I.trivial_instance("subset_sum", False)
-    items = tuple(inst.items[i][0] * W + inst.items[i][1] for i in keep)
-    return I.SubsetSumInstance(items, t_guess * W + w_guess)
+    lay = _kss_layout(inst)
+    if lay.fixed is not None:
+        return lay.fixed
+    v = wit.value
+    t_guess = v >> lay.shift
+    w_guess = inst.demand + (v & lay.mask)
+    if t_guess > inst.capacity or w_guess >= lay.base:
+        return _SS_NO
+    return I.SubsetSumInstance(lay.items, t_guess * lay.base + w_guess)
 
 
 def _kss_synthesize(inst, sol):
-    case, keep, W = _kss_case(inst)
-    if case == "yes":
+    lay = _kss_layout(inst)
+    if lay.fixed is _SS_YES:
         return Witness.zero(0)
-    if case == "no":
+    if lay.fixed is _SS_NO:
         raise ReductionError("cannot synthesize for a no-instance")
     chosen = set(sol)
     t_sum = sum(inst.items[i][0] for i in chosen)
     w_sum = sum(inst.items[i][1] for i in chosen)
-    return pack_fields((t_sum, w_sum - inst.demand), _kss_widths(inst))
+    return pack_fields((t_sum, w_sum - inst.demand), lay.widths)
 
 
 def _kss_valid(inst):
-    case, _, W = _kss_case(inst)
-    if case != "main":
+    lay = _kss_layout(inst)
+    if lay.fixed is not None:
         yield Witness.zero(0)
         return
-    widths = _kss_widths(inst)
     for t_guess in range(inst.capacity + 1):
-        for w_guess in range(inst.demand, W):
-            yield pack_fields((t_guess, w_guess - inst.demand), widths)
+        head = t_guess << lay.shift
+        for w_off in range(lay.base - inst.demand):
+            yield Witness(head | w_off, lay.length)
 
 
 def _kss_canonical(inst):
-    case, _, W = _kss_case(inst)
-    if case != "main":
+    lay = _kss_layout(inst)
+    if lay.fixed is not None:
         return Witness.zero(0)
-    return pack_fields((inst.capacity, W - 1 - inst.demand), _kss_widths(inst))
+    return pack_fields((inst.capacity, lay.base - 1 - inst.demand), lay.widths)
 
 
 red_knapsack_to_ss = Reduction(
     name="knapsack-to-ss",
     source_kind="knapsack",
     target_kind="subset_sum",
-    witness_len=_kss_witness_len,
+    witness_len=lambda inst: _kss_layout(inst).length,
     transform=_kss_transform,
     synthesize=_kss_synthesize,
     valid_witnesses=_kss_valid,
@@ -209,64 +222,78 @@ red_knapsack_to_ss = Reduction(
 # Subset sum -> monotone ILP (guessed digit sums of the target).
 
 
-def _ssm_rows(inst):
-    return inst.target.bit_length()
+class _SsmLayout(NamedTuple):
+    length: int         # witness bits: one digit sum per row
+    widths: tuple
+    shifts: tuple       # shift of row j's digit sum b_j
+    mask: int
+    columns: tuple      # the binary digits of each item <= t
 
 
-def _ssm_widths(inst):
-    return [field_width(inst.target)] * _ssm_rows(inst)
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _ssm_layout(inst) -> _SsmLayout:
+    t = inst.target
+    k = t.bit_length()
+    width = field_width(t)
+    return _SsmLayout(
+        k * width, (width,) * k,
+        tuple((k - 1 - j) * width for j in range(k)), (1 << width) - 1,
+        tuple(tuple((p >> j) & 1 for j in range(k))
+              for p in inst.items if p <= t))
 
 
 def _ssm_transform(inst, wit):
-    t = inst.target
-    k = _ssm_rows(inst)
-    b = unpack_fields(wit, _ssm_widths(inst)) if k else ()
-    if any(d > t for d in b) or sum(d << j for j, d in enumerate(b)) != t:
-        return I.trivial_instance("ilp", False, variant="monotone")
-    cols = tuple(tuple((p >> j) & 1 for j in range(k))
-                 for p in inst.items if p <= t)
-    return I.IlpInstance(cols, b, "monotone")
+    lay = _ssm_layout(inst)
+    v, mask = wit.value, lay.mask
+    b = tuple([(v >> shift) & mask for shift in lay.shifts])
+    # sum(b_j 2^j) == t also bounds every b_j by t
+    if sum(map(lshift, b, range(len(b)))) != inst.target:
+        return _MONOTONE_NO
+    return I.IlpInstance(lay.columns, b, "monotone")
 
 
 def _ssm_synthesize(inst, sol):
-    k = _ssm_rows(inst)
+    lay = _ssm_layout(inst)
     chosen = [inst.items[i] for i in sol if inst.items[i] != 0]
-    b = tuple(sum((p >> j) & 1 for p in chosen) for j in range(k))
-    return pack_fields(b, _ssm_widths(inst))
+    b = tuple(sum((p >> j) & 1 for p in chosen)
+              for j in range(len(lay.widths)))
+    return pack_fields(b, lay.widths)
 
 
 def _ssm_valid(inst):
     t = inst.target
-    k = _ssm_rows(inst)
-    widths = _ssm_widths(inst)
+    lay = _ssm_layout(inst)
+    shifts = lay.shifts
+    k = len(shifts)
 
-    def rec(j, rem):
-        # digit j contributes b_j * 2^j; higher digits cover the rest
-        if j == k:
-            if rem == 0:
-                yield ()
+    def rec(j, rem, acc):
+        # digit j contributes b_j * 2^j and the higher digits multiples of
+        # 2^(j+1), so b_j has the parity of bit j of rem, and the top digit
+        # takes all that is left (at most t)
+        if j == k - 1:
+            yield Witness(acc | (rem >> j) << shifts[j], lay.length)
             return
         step = 1 << j
-        top = min(t, rem // step)
-        for d in range(top + 1):
-            for rest in rec(j + 1, rem - d * step):
-                yield (d,) + rest
+        for d in range((rem >> j) & 1, min(t, rem // step) + 1, 2):
+            yield from rec(j + 1, rem - d * step, acc | d << shifts[j])
 
-    for b in rec(0, t):
-        yield pack_fields(b, widths)
+    if k:
+        yield from rec(0, t, 0)
+    else:
+        yield Witness.zero(0)
 
 
 def _ssm_canonical(inst):
-    k = _ssm_rows(inst)
-    b = tuple((inst.target >> j) & 1 for j in range(k))
-    return pack_fields(b, _ssm_widths(inst))
+    lay = _ssm_layout(inst)
+    b = tuple((inst.target >> j) & 1 for j in range(len(lay.widths)))
+    return pack_fields(b, lay.widths)
 
 
 red_ss_to_monotone = Reduction(
     name="ss-to-monotone",
     source_kind="subset_sum",
     target_kind="ilp",
-    witness_len=lambda inst: _ssm_rows(inst) * field_width(inst.target),
+    witness_len=lambda inst: _ssm_layout(inst).length,
     transform=_ssm_transform,
     synthesize=_ssm_synthesize,
     valid_witnesses=_ssm_valid,
@@ -283,7 +310,7 @@ def _mss_transform(inst, wit):
         raise ReductionError("monotone-to-ss expects a monotone instance")
     n = len(inst.columns)
     if any(d > n for d in inst.rhs):
-        return I.trivial_instance("subset_sum", False)
+        return _SS_NO
     base = n + 1
     items = tuple(encode_base(col, base) for col in inst.columns)
     return I.SubsetSumInstance(items, encode_base(inst.rhs, base))
@@ -349,10 +376,10 @@ def _zsi_transform(inst, wit):
         raise ReductionError("zerosum-to-ilp expects a zero-sum instance")
     n = len(inst.columns)
     if n == 0:
-        return I.trivial_instance("ilp", False, variant="standard")
-    (i,) = unpack_fields(wit, [_zsi_witness_len(inst)])
+        return _STANDARD_NO
+    i = wit.value       # the witness is one field
     if i >= n:
-        return I.trivial_instance("ilp", False, variant="standard")
+        return _STANDARD_NO
     cols = inst.columns[:i] + inst.columns[i + 1:]
     rhs = tuple(-a for a in inst.columns[i])
     return I.IlpInstance(cols, rhs, "standard")
@@ -390,26 +417,39 @@ red_zerosum_to_ilp = Reduction(
 # Standard ILP -> monotone ILP (guess positive/negative row totals).
 
 
-def _im_widths(inst):
-    n = len(inst.columns)
-    return [field_width(n)] * (2 * inst.num_rows)
+class _ImLayout(NamedTuple):
+    length: int         # witness bits: b_pos per row, then b_neg per row
+    widths: tuple
+    shifts: tuple       # shift of each field
+    mask: int
+    columns: tuple      # each column's +1 indicator, then its -1 indicator
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _im_layout(inst) -> _ImLayout:
+    fields = 2 * inst.num_rows
+    width = field_width(len(inst.columns))
+    return _ImLayout(
+        fields * width, (width,) * fields,
+        tuple((fields - 1 - j) * width for j in range(fields)),
+        (1 << width) - 1,
+        tuple(tuple(1 if a == 1 else 0 for a in col) +
+              tuple(1 if a == -1 else 0 for a in col)
+              for col in inst.columns))
 
 
 def _im_transform(inst, wit):
     if inst.variant != "standard":
         raise ReductionError("ilp-to-monotone expects a standard instance")
-    m = inst.num_rows
-    n = len(inst.columns)
-    fields = unpack_fields(wit, _im_widths(inst)) if m else ()
-    b_pos, b_neg = fields[:m], fields[m:]
-    if any(v > n for v in fields) or \
-            any(bp - bn != b for bp, bn, b in zip(b_pos, b_neg, inst.rhs)):
-        return I.trivial_instance("ilp", False, variant="monotone")
-    cols = tuple(
-        tuple(1 if a == 1 else 0 for a in col) +
-        tuple(1 if a == -1 else 0 for a in col)
-        for col in inst.columns)
-    return I.IlpInstance(cols, tuple(b_pos) + tuple(b_neg), "monotone")
+    lay = _im_layout(inst)
+    v, mask = wit.value, lay.mask
+    fields = tuple([(v >> shift) & mask for shift in lay.shifts])
+    m = len(inst.rhs)
+    # b_pos - b_neg must equal rhs row by row
+    if max(fields, default=0) > len(inst.columns) or \
+            tuple(map(sub, fields[:m], fields[m:])) != inst.rhs:
+        return _MONOTONE_NO
+    return I.IlpInstance(lay.columns, fields, "monotone")
 
 
 def _im_synthesize(inst, sol):
@@ -419,7 +459,7 @@ def _im_synthesize(inst, sol):
                   for j in range(m))
     b_neg = tuple(sum(1 for i in support if inst.columns[i][j] == -1)
                   for j in range(m))
-    return pack_fields(b_pos + b_neg, _im_widths(inst))
+    return pack_fields(b_pos + b_neg, _im_layout(inst).widths)
 
 
 def _im_valid(inst):
@@ -428,32 +468,31 @@ def _im_valid(inst):
     if m == 0:
         yield Witness.zero(0)
         return
+    lay = _im_layout(inst)
+    shifts = lay.shifts
     per_row = []
-    for b in inst.rhs:
-        opts = [(bp, bp - b) for bp in range(n + 1) if 0 <= bp - b <= n]
+    for j, b in enumerate(inst.rhs):
+        opts = [bp << shifts[j] | (bp - b) << shifts[m + j]
+                for bp in range(n + 1) if 0 <= bp - b <= n]
         if not opts:
             return
         per_row.append(opts)
-    widths = _im_widths(inst)
     for combo in product(*per_row):
-        b_pos = tuple(bp for bp, _ in combo)
-        b_neg = tuple(bn for _, bn in combo)
-        yield pack_fields(b_pos + b_neg, widths)
+        yield Witness(sum(combo), lay.length)
 
 
 def _im_canonical(inst):
-    m = inst.num_rows
     n = len(inst.columns)
     b_pos = tuple(min(max(b, 0), n) for b in inst.rhs)
     b_neg = tuple(min(max(-b, 0), n) for b in inst.rhs)
-    return pack_fields(b_pos + b_neg, _im_widths(inst))
+    return pack_fields(b_pos + b_neg, _im_layout(inst).widths)
 
 
 red_ilp_to_monotone = Reduction(
     name="ilp-to-monotone",
     source_kind="ilp",
     target_kind="ilp",
-    witness_len=lambda inst: sum(_im_widths(inst)),
+    witness_len=lambda inst: _im_layout(inst).length,
     transform=_im_transform,
     synthesize=_im_synthesize,
     valid_witnesses=_im_valid,
@@ -516,9 +555,9 @@ def _zqs_witness_len(inst):
 def _zqs_transform(inst, wit):
     q = _zqs_q(inst)
     n = len(inst.elements)
-    (t_int,) = unpack_fields(wit, [_zqs_witness_len(inst)])
+    t_int = wit.value   # the witness is one field
     if t_int > n * q or t_int % q != inst.target % q:
-        return I.trivial_instance("subset_sum", False)
+        return _SS_NO
     return I.SubsetSumInstance(inst.elements, t_int)
 
 

@@ -6,6 +6,13 @@ x in [k] and color c in [3] at index 3(x-1)+(c-1); a switch counter S at
 index 3k; six counters Z_(c,d) for ordered distinct color pairs at
 3k+1+rank(c,d) with pairs ranked lexicographically.  Total dimension
 3k + 7.
+
+cm-to-permss computes an instance's layout once and keeps it in a bounded
+cache of the last ``LAYOUT_CACHE`` instances: the witness length and count
+shifts, the target group and elements, and for each counter the images of
+pi^0 .. pi^n already moved onto that counter's block.  ``transform`` decodes
+``wit.value`` with the shifts and concatenates the chosen blocks into the
+target permutation.
 """
 
 from __future__ import annotations
@@ -13,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import instances as I
 from . import pathdecomp
 from .errors import ReductionError, ValidationError
 from .groups import Permutation, block_diagonal, identity, make_run_context
 from .reductions import Reduction
-from .witness import Witness, field_width, pack_fields, unpack_fields
+from .witness import LAYOUT_CACHE, Witness, field_width, pack_fields
 
 COLOR_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
@@ -157,50 +165,71 @@ def _pi_powers(n: int) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
-def _cm_setup(inst: I.CounterMachineInstance):
-    """(group, elements, f_C, degree); cached because witness loops rebuild
-    targets against the same element list."""
-    n = len(inst.vectors)
-    ell = inst.dimension
+@lru_cache(maxsize=1024)
+def _pi_images(n: int, block: int) -> tuple[tuple[int, ...], ...]:
+    """Images of pi^0 .. pi^n moved onto the ``block``-th block of points,
+    shared by every instance with ``n`` vectors."""
+    pows = _pi_powers(n)
+    off = block * pows[0].degree
+    return tuple(tuple(off + p for p in pw.images) for pw in pows)
+
+
+# Targets of machines with no vectors and of rejected witnesses.
+_PERM_YES = I.trivial_instance("group_subset_sum", True,
+                               group=I.SymmetricGroup(2))
+_PERM_NO = I.trivial_instance("group_subset_sum", False,
+                              group=I.SymmetricGroup(2))
+
+
+class _CpsLayout(NamedTuple):
+    length: int         # witness bits: one count per counter
+    widths: tuple
+    shifts: tuple       # shift of each counter's count
+    mask: int
+    blocks: tuple       # per counter, _pi_images of its block
+    tail: tuple         # images of pi^f_C on the last block
+    group: object
+    elements: tuple
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _cps_layout(inst) -> _CpsLayout:
+    n, ell = len(inst.vectors), inst.dimension
+    if n == 0:
+        return _CpsLayout(0, (), (), 0, (), (), None, ())
+    width = field_width(n)
     ctx = make_run_context(n)
     ident = identity(ctx.domain)
-    f_c = sum(1 for f in inst.flags if f == I.REQUIRED)
-    elements = []
-    for vec, flag in zip(inst.vectors, inst.flags):
-        parts = [ctx.gamma_hat(b) for b in vec]
-        parts.append(ctx.pi if flag == I.REQUIRED else ident)
-        elements.append(block_diagonal(parts))
-    degree = (ell + 1) * ctx.domain
-    return I.SymmetricGroup(degree), tuple(elements), f_c
-
-
-def _cps_witness_len(inst):
-    n = len(inst.vectors)
-    if n == 0:
-        return 0
-    return inst.dimension * field_width(n)
-
-
-def _cps_widths(inst):
-    return [field_width(len(inst.vectors))] * inst.dimension
+    elements = tuple(
+        block_diagonal([ctx.gamma_hat(b) for b in vec] +
+                       [ctx.pi if flag == I.REQUIRED else ident])
+        for vec, flag in zip(inst.vectors, inst.flags))
+    f_c = inst.flags.count(I.REQUIRED)
+    return _CpsLayout(
+        ell * width, (width,) * ell,
+        tuple((ell - 1 - j) * width for j in range(ell)), (1 << width) - 1,
+        tuple(_pi_images(n, j) for j in range(ell)),
+        _pi_images(n, ell)[f_c],
+        I.SymmetricGroup((ell + 1) * ctx.domain), elements)
 
 
 def _cps_transform(inst, wit):
     n = len(inst.vectors)
     if n == 0:
-        return I.trivial_instance("group_subset_sum", True,
-                                  group=I.SymmetricGroup(2))
-    counts = unpack_fields(wit, _cps_widths(inst))
-    if any(c > n for c in counts):
-        return I.trivial_instance("group_subset_sum", False,
-                                  group=I.SymmetricGroup(2))
-    group, elements, f_c = _cm_setup(inst)
-    pows = _pi_powers(n)
-    parts = [pows[c] for c in counts]
-    parts.append(pows[f_c])
-    target = block_diagonal(parts)
-    return I.GroupSubsetSumInstance(group, elements, target)
+        return _PERM_YES
+    lay = _cps_layout(inst)
+    v, mask = wit.value, lay.mask
+    img = []
+    for shift, block in zip(lay.shifts, lay.blocks):
+        c = (v >> shift) & mask
+        if c > n:
+            return _PERM_NO
+        img += block[c]
+    img += lay.tail
+    # blocks of pi-powers on disjoint points: a permutation by construction
+    target = object.__new__(Permutation)
+    object.__setattr__(target, "images", tuple(img))
+    return I.GroupSubsetSumInstance(lay.group, lay.elements, target)
 
 
 def _cps_synthesize(inst, sol):
@@ -211,7 +240,7 @@ def _cps_synthesize(inst, sol):
     counts = tuple(
         sum(1 for i in chosen if inst.vectors[i][j] != 0)
         for j in range(inst.dimension))
-    return pack_fields(counts, _cps_widths(inst))
+    return pack_fields(counts, _cps_layout(inst).widths)
 
 
 def _cps_valid(inst):
@@ -219,16 +248,17 @@ def _cps_valid(inst):
     if n == 0:
         yield Witness.zero(0)
         return
-    widths = _cps_widths(inst)
-    for counts in product(range(n + 1), repeat=inst.dimension):
-        yield pack_fields(counts, widths)
+    lay = _cps_layout(inst)
+    for parts in product(*[[c << shift for c in range(n + 1)]
+                           for shift in lay.shifts]):
+        yield Witness(sum(parts), lay.length)
 
 
 red_cm_to_perm_ss = Reduction(
     name="cm-to-permss",
     source_kind="counter_machine",
     target_kind="group_subset_sum",
-    witness_len=_cps_witness_len,
+    witness_len=lambda inst: _cps_layout(inst).length,
     transform=_cps_transform,
     synthesize=_cps_synthesize,
     valid_witnesses=_cps_valid,

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import ReductionError
-from .witness import Witness
+from .witness import LAYOUT_CACHE, Witness
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,9 @@ def compose(first: Reduction, second: Reduction, name: str | None = None,
         from . import oracles
         solver = oracles.solve
 
+    @lru_cache(maxsize=LAYOUT_CACHE)
     def probe(inst):
+        # the slot sizes depend only on the instance: computed once each
         l1 = first.witness_len(inst)
         mid0 = first.transform(inst, first.probe_witness(inst))
         return l1, second.witness_len(mid0)

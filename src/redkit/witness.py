@@ -4,6 +4,11 @@ A witness is a bit string of a declared length, carried as (value, length)
 with the first field occupying the most significant bits.  Field widths are
 ``(upper + 1).bit_length()`` bits for a value range [0, upper]; decoders must
 treat out-of-range field values as "reject" rather than error.
+
+Reductions and certificate schemes compute the layout of their fields (the
+length, widths, shifts and masks) once per instance and keep it in a
+bounded cache of the last ``LAYOUT_CACHE`` instances, so that a sweep over
+every witness of an instance decodes each one with a few shifts.
 """
 
 from __future__ import annotations
@@ -12,6 +17,11 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
+
+# Instances whose witness or certificate layout each reduction and scheme
+# keeps.  A sweep checks all witnesses of one instance before the next and
+# needs only the last; the rest serve callers that interleave instances.
+LAYOUT_CACHE = 256
 
 
 def field_width(upper: int) -> int:

@@ -196,6 +196,15 @@ def test_contract_check_coverage_counts():
     report = nppt_contract_check(blind, subset_sums(2, 3, 6),
                                  exhaustive_cap=16)
     assert {why for _, why in report.skipped} == {"witness space 2^9 too large"}
+    # a composite: its slot sizes come from probing the intermediate
+    chain = get_reduction("ss-to-knapsack+knapsack-to-ss")
+    report = nppt_contract_check(chain, subset_sums(3, 5, 10))
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (491, 20451, 222, 0, [], 0)
+    report = nppt_contract_check(chain, subset_sums(3, 5, 10),
+                                 exhaustive_cap=8)
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (491, 11416, 134, 88, [], 0)
 
 
 def test_scheme_check_zkk_grid():

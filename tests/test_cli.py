@@ -254,3 +254,24 @@ def test_entry_point_installed():
     got = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert got.returncode == 0
     assert "reduce" in got.stdout
+
+
+@pytest.mark.parametrize("payload", [
+    # a string where a list belongs (was read as the items 1 and 2)
+    {"problem": "subset_sum", "items": "12", "target": 3},
+    {"problem": "group_subset_sum", "group": 5, "elements": [], "target": 0},
+    {"problem": "coloring", "n": 2, "edges": [[0]], "bags": [[0, 1]]},
+    {"problem": "and_sat", "num_vars": 1,
+     "formulas": [{"problem": "subset_sum", "items": [], "target": "0"}]},
+], ids=["string-items", "group-not-object", "edge-not-pair",
+        "formula-not-cnf"])
+def test_solve_rejects_misshapen_instance(tmp_path, capsys, payload):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    _usage_error(capsys, "solve", str(p))
+
+
+def test_solve_rejects_deeply_nested_json(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    _usage_error(capsys, "solve", str(p))

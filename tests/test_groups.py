@@ -38,6 +38,20 @@ def test_block_diagonal():
     assert block_diagonal([]).degree == 0
 
 
+def test_unchecked_products_are_plain_permutations():
+    # compose and block_diagonal skip the permutation check; their results
+    # must still equal, and hash like, checked ones
+    a, b = Permutation((2, 0, 1)), Permutation((0, 2, 1))
+    assert a * b == Permutation((2, 1, 0))
+    assert hash(a * b) == hash(Permutation((2, 1, 0)))
+    assert block_diagonal([a, b]) == Permutation((2, 0, 1, 3, 5, 4))
+    assert type((a * b).images) is tuple
+    with pytest.raises(ValidationError):
+        Permutation((0, 0))
+    with pytest.raises(ValidationError):
+        a * Permutation((1, 0))
+
+
 def test_uq_semidirect_law():
     # z=1 swaps the coordinates of the right factor
     a = UqElement(1, 2, 1, 5)

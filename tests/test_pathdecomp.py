@@ -25,6 +25,16 @@ def test_violations_are_reported():
     assert check_path_decomposition(2, (), ((0, 5),))
 
 
+def test_uncovered_vertices_are_named_up_to_a_cap():
+    # past _NAMED_UNCOVERED they are counted, so no check walks every vertex
+    # of a huge vertex count
+    got = check_path_decomposition(25, (), ((3, 4),))
+    assert got[:3] == ["vertex 0 in no bag", "vertex 1 in no bag",
+                       "vertex 2 in no bag"]
+    assert got[3] == "vertex 5 in no bag"
+    assert got[19:] == ["vertex 21 in no bag", "3 more vertices in no bag"]
+
+
 def test_width():
     assert width(()) == -1
     assert width(((0,),)) == 0
