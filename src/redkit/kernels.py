@@ -26,10 +26,18 @@ Contract:
 - ``ilp_code(columns, rhs)``: the balanced-base integer codes of the columns
   and of rhs, or None when some row's rhs is out of reach of every 0/1
   combination.
+- ``pareto_solve(items, caps, goal, limit)``: (cost, value) items with
+  nonnegative entries; item i may be taken when the cost of the items taken
+  up to and including i is at most ``caps[i]``; returns an ascending index
+  list whose values sum to at least goal, or None.  Stores one
+  non-dominated front per item, each of at most min(max(caps) + 1, goal)
+  pairs, one int each; raises RuntimeError once more than ``limit`` pairs
+  are stored.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isqrt
 
 BACKEND = "pure"
@@ -200,3 +208,69 @@ def _subset_sums(codes):
     for c in codes:
         sums += [s + c for s in sums]
     return sums
+
+
+def pareto_solve(items, caps, goal, limit):
+    """Non-dominated (cost, value) fronts, one per item (Nemhauser and
+    Ullmann, 1969; Lawler and Moore, 1969, for caps that grow).
+
+    A front holds the pairs of the item subsets scanned so far that no other
+    pair beats on both cost and value: sorted by cost, values strictly
+    increasing, one pair per cost.  The next front is the merge of the front
+    with its shift by item i's (p, w), keeping the shifted pairs whose cost
+    is at most ``caps[i]``.  The scan stops at the first item whose shift
+    reaches goal, so every stored value is below goal, and a pair (c, v) is
+    coded as the int c * goal + (goal - 1 - v): ascending ints sort by cost,
+    then by value from high to low, and a shift adds p * goal - w.  Walking
+    back, a pair that is in the previous front means the item was skipped;
+    otherwise the item was taken and the pair came from the previous front's
+    pair minus that shift.
+    """
+    total = 1
+    if total > limit:
+        raise RuntimeError("pareto front limit exceeded")
+    if goal <= 0:
+        return []
+    m = goal
+    front = [m - 1]              # the empty subset: cost 0, value 0
+    layers = []
+    for i, (p, w) in enumerate(items):
+        layers.append(front)
+        k = bisect_left(front, (caps[i] - p + 1) * m)   # pairs that fit
+        if not k:
+            continue
+        if front[k - 1] % m < w:
+            # the cheapest fitting pair with v + w >= goal ends the scan
+            j = 0
+            while front[j] % m >= w:
+                j += 1
+            return _pareto_walk(items, layers, i, front[j], m)
+        shift = p * m - w
+        merged = front + [x + shift for x in front[:k]]
+        merged.sort()
+        front = []
+        low = m                  # goal - 1 - v of the best value kept so far
+        for x in merged:
+            u = x % m
+            if u < low:
+                front.append(x)
+                low = u
+        total += len(front)
+        if total > limit:
+            raise RuntimeError("pareto front limit exceeded")
+    return None
+
+
+def _pareto_walk(items, layers, last, x, m):
+    """Indices taken to reach pair x of front ``layers[last]``, plus last."""
+    chosen = [last]
+    for i in range(last - 1, -1, -1):
+        prev = layers[i]
+        j = bisect_left(prev, x)
+        if j < len(prev) and prev[j] == x:
+            continue
+        p, w = items[i]
+        x -= p * m - w
+        chosen.append(i)
+    chosen.reverse()
+    return chosen

@@ -1,9 +1,12 @@
 """Exact solvers ("oracles") for every instance kind, plus solution checkers.
 
-Each solver tries a dynamic program first and falls back to brute force when
-the table would exceed the budget; if both strategies are out of budget it
-raises ResourceLimitError.  Every yes verdict carries a solution that has
-been re-checked by the standalone checker before being returned.
+Each solver runs the exact method whose memory fits its ``Budget`` gate: a
+bitset dynamic program, a non-dominated front (``kernels.pareto_solve``, for
+knapsack and scheduling, stored pairs gated by ``max_dp_cells``), a frontier
+or reach set, or a brute-force search.  When no method fits it raises
+ResourceLimitError.  The verdict's ``method`` names the one that ran.  Every
+yes verdict carries a solution that has been re-checked by the standalone
+checker before being returned.
 """
 
 from __future__ import annotations
@@ -116,95 +119,18 @@ def _solve_subset_sum_mod(inst, budget):
 # Knapsack.
 
 def solve_knapsack(inst: I.KnapsackInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    t, w = inst.capacity, inst.demand
-    keep = [i for i, (p, _) in enumerate(inst.items) if p <= t]
-    items = [inst.items[i] for i in keep]
-    n = len(items)
-    if n * (t + 1) <= budget.max_dp_cells and t <= w:
-        return _knapsack_dp_size(inst, keep, items, budget)
-    if n * (w + 1) <= budget.max_dp_cells:
-        return _knapsack_dp_weight(inst, keep, items)
-    if n * (t + 1) <= budget.max_dp_cells:
-        return _knapsack_dp_size(inst, keep, items, budget)
-    if n <= budget.max_bruteforce_n:
-        layers = [{0: 0}]  # size -> best weight, one layer per item
-        total = 1
-        for p, wt in items:
-            prev = layers[-1]
-            cur = dict(prev)
-            for s, bw in prev.items():
-                ns = s + p
-                if ns <= t and cur.get(ns, -1) < bw + wt:
-                    cur[ns] = bw + wt
-            total += len(cur)
-            if total > budget.max_brute_states:
-                raise ResourceLimitError("knapsack: reachable sizes over budget")
-            layers.append(cur)
-        s, bw = max(layers[n].items(), key=lambda kv: kv[1])
-        if bw < w:
-            return Verdict(False, method="brute")
-        sol = []
-        for j in range(n, 0, -1):
-            if layers[j - 1].get(s) == bw:
-                continue
-            p, wt = items[j - 1]
-            sol.append(keep[j - 1])
-            s -= p
-            bw -= wt
-        return _yes(inst, tuple(reversed(sol)), "brute")
-    raise ResourceLimitError("knapsack: instance over budget")
-
-
-def _knapsack_dp_size(inst, keep, items, budget):
-    t, w = inst.capacity, inst.demand
-    n = len(items)
-    layers = [[0] * (t + 1)]
-    for p, wt in items:
-        prev = layers[-1]
-        row = list(prev)
-        for s in range(p, t + 1):
-            cand = prev[s - p] + wt
-            if cand > row[s]:
-                row[s] = cand
-        layers.append(row)
-    if layers[n][t] < w:
-        return Verdict(False, method="dp-size")
-    sol = []
-    s = t
-    for j in range(n, 0, -1):
-        if layers[j][s] == layers[j - 1][s]:
-            continue
-        p, wt = items[j - 1]
-        sol.append(keep[j - 1])
-        s -= p
-    return _yes(inst, tuple(reversed(sol)), "dp-size")
-
-
-def _knapsack_dp_weight(inst, keep, items):
-    t, w = inst.capacity, inst.demand
-    n = len(items)
-    INF = float("inf")
-    layers = [[INF] * (w + 1)]
-    layers[0][0] = 0
-    for p, wt in items:
-        prev = layers[-1]
-        row = list(prev)
-        for v in range(w + 1):
-            src = prev[max(0, v - wt)]
-            if src + p < row[v]:
-                row[v] = src + p
-        layers.append(row)
-    if layers[n][w] > t:
-        return Verdict(False, method="dp-weight")
-    sol = []
-    v = w
-    for j in range(n, 0, -1):
-        p, wt = items[j - 1]
-        if layers[j][v] == layers[j - 1][v]:
-            continue
-        sol.append(keep[j - 1])
-        v = max(0, v - wt)
-    return _yes(inst, tuple(reversed(sol)), "dp-weight")
+    """Non-dominated (size, weight) fronts capped at the capacity, stopping
+    at the first front that meets the demand; the fronts stored are gated
+    by ``max_dp_cells`` pairs."""
+    items = inst.items
+    try:
+        got = kernels.pareto_solve(items, [inst.capacity] * len(items),
+                                   inst.demand, budget.max_dp_cells)
+    except RuntimeError as exc:
+        raise ResourceLimitError(f"knapsack: {exc}") from exc
+    if got is None:
+        return Verdict(False, method="pareto")
+    return _yes(inst, tuple(got), "pareto")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +269,6 @@ def cm_masks(inst: I.CounterMachineInstance) -> tuple[list[int], list[int], list
 
 def solve_counter_machine(inst: I.CounterMachineInstance,
                           budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    if inst.dimension > 26:
-        raise ResourceLimitError("counter machine: dimension over stamp-table cap")
     incs, decs, req = cm_masks(inst)
     try:
         got = kernels.counter_machine_solve(incs, decs, req, inst.dimension,
@@ -429,48 +353,32 @@ def _coloring_dp(inst, budget):
 # Scheduling (minimize tardy weight against a budget).
 
 def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    n = len(inst.jobs)
-    dmax = max((d for _, _, d in inst.jobs), default=0)
-    if n * (dmax + 1) <= budget.max_dp_cells:
-        return _scheduling_dp(inst)
-    if n <= budget.max_schedule_perm_n:
-        return _scheduling_brute(inst)
-    raise ResourceLimitError("scheduling: instance over budget")
+    """The on-time set as a knapsack front over the jobs in due-date order.
 
-
-def _scheduling_dp(inst):
-    # max-weight on-time set; on-time jobs can always be run in due-date order
-    n = len(inst.jobs)
-    order = sorted(range(n), key=lambda i: (inst.jobs[i][2], i))
-    dmax = max((d for _, _, d in inst.jobs), default=0)
-    NEG = float("-inf")
-    layers = [[0] + [NEG] * dmax]
-    for idx in order:
-        p, w, d = inst.jobs[idx]
-        prev = layers[-1]
-        row = list(prev)
-        for s in range(min(d, dmax), p - 1, -1):
-            cand = prev[s - p] + w
-            if cand > row[s]:
-                row[s] = cand
-        layers.append(row)
-    best_s = max(range(dmax + 1), key=lambda s: layers[n][s])
-    best = layers[n][best_s]
-    total = sum(w for _, w, _ in inst.jobs)
-    if total - best > inst.tardy_budget:
-        return Verdict(False, method="dp")
-    on_time = []
-    s = best_s
-    for j in range(n, 0, -1):
-        idx = order[j - 1]
-        p, w, d = inst.jobs[idx]
-        if layers[j][s] != layers[j - 1][s]:
-            on_time.append(idx)
-            s -= p
-    on_time.reverse()
-    tardy = [i for i in range(n) if i not in set(on_time)]
-    sched = sorted(on_time, key=lambda i: (inst.jobs[i][2], i)) + tardy
-    return _yes(inst, {"order": tuple(sched), "on_time": tuple(sorted(on_time))}, "dp")
+    A set of jobs can all be on time exactly when running them in due-date
+    order meets every due date (Lawler and Moore, 1969), so the on-time set
+    is a front over (processing, weight) whose cost is capped at each job's
+    due date, and it must reach the total weight minus the tardy budget.
+    When the fronts outgrow ``max_dp_cells`` pairs, instances of at most
+    ``max_schedule_perm_n`` jobs fall back to the permutation search.
+    """
+    jobs = inst.jobs
+    order = sorted(range(len(jobs)), key=lambda i: (jobs[i][2], i))
+    goal = sum(w for _, w, _ in jobs) - inst.tardy_budget
+    try:
+        got = kernels.pareto_solve([jobs[i][:2] for i in order],
+                                   [jobs[i][2] for i in order], goal,
+                                   budget.max_dp_cells)
+    except RuntimeError as exc:
+        if len(jobs) <= budget.max_schedule_perm_n:
+            return _scheduling_brute(inst)
+        raise ResourceLimitError(f"scheduling: {exc}") from exc
+    if got is None:
+        return Verdict(False, method="pareto")
+    on_time = [order[k] for k in got]
+    tardy = sorted(set(range(len(jobs))).difference(on_time))
+    return _yes(inst, {"order": tuple(on_time + tardy),
+                       "on_time": tuple(sorted(on_time))}, "pareto")
 
 
 def _scheduling_brute(inst):

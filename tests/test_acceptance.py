@@ -212,18 +212,22 @@ def test_criterion_07_andsat_scheduling():
     <= 2 clauses each; the scheduling side is solved exactly."""
     total = disagreements = 0
     cross_checked = 0
-    force_dp = Budget(max_schedule_perm_n=0)
+    no_front = Budget(max_dp_cells=0)
     for inst in and_sats(2, 2, 2, 2):
         total += 1
         image = red_andsat_to_scheduling.apply(inst, Witness.zero(0))
         via = solve_scheduling(image)
+        assert via.method == "pareto"
         if via.answer is not solve_and_sat(inst).answer:
             disagreements += 1
         if len(image.jobs) <= 8:
-            # permutation brute force and the weight-capped DP must agree
-            if solve_scheduling(image, force_dp).answer is not via.answer:
+            # the permutation search and the due-date front must agree
+            ref = solve_scheduling(image, no_front)
+            assert ref.method == "brute"
+            if ref.answer is not via.answer:
                 disagreements += 1
             cross_checked += 1
+    assert cross_checked == 68
     _line(7, f"PASS {total} instances, {disagreements} disagreements, "
              f"{cross_checked} schedule cross-checks")
     assert disagreements == 0

@@ -275,3 +275,12 @@ def test_solve_rejects_deeply_nested_json(tmp_path, capsys):
     p = tmp_path / "deep.json"
     p.write_text("[" * 100_000 + "]" * 100_000)
     _usage_error(capsys, "solve", str(p))
+
+
+def test_verify_cnf_to_counter_machine_chain(capsys):
+    # the machines reach dimension 28; only the state count is bounded
+    code, out, _ = run(capsys, "verify", "cnf-to-coloring+coloring-to-cm",
+                       "--family", "cnf:vars=1,clauses=1,arity=2", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ok"] is True and rep["checked"] == 4 and rep["skipped"] == []

@@ -7,6 +7,7 @@ test itself, so the kernels are never their own referee.
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redkit import kernels
 from redkit.kernels import BACKEND
@@ -187,3 +188,64 @@ def test_ilp_code_rejects_unreachable_rhs():
     assert kernels.ilp_code(((1, 0),), (-2, 1)) is None
     codes, goal = kernels.ilp_code(((1, 0), (0, -1)), (1, -1))
     assert codes == [1, -3] and goal == 1 - 3
+
+
+def _pareto_feasible(items, caps, chosen):
+    cost = 0
+    for i in chosen:
+        cost += items[i][0]
+        if cost > caps[i]:
+            return False
+    return True
+
+
+@st.composite
+def _pareto_cases(draw):
+    # zero costs and values, caps of 0, items over their cap, and caps that
+    # are constant (knapsack) or grow (due dates in order)
+    items = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                          max_size=8))
+    if draw(st.booleans()):
+        caps = [draw(st.integers(0, 25))] * len(items)
+    else:
+        caps = sorted(draw(st.lists(st.integers(0, 25), min_size=len(items),
+                                    max_size=len(items))))
+    return items, caps, draw(st.integers(-3, 45))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pareto_cases())
+def test_pareto_matches_brute(case):
+    items, caps, goal = case
+    n = len(items)
+    expected = any(
+        _pareto_feasible(items, caps, chosen) and
+        sum(items[i][1] for i in chosen) >= goal
+        for chosen in ([i for i in range(n) if mask >> i & 1]
+                       for mask in range(1 << n)))
+    got = kernels.pareto_solve(items, caps, goal, 10_000)
+    assert (got is not None) == expected
+    if got is not None:
+        _check_indices(items, got)
+        assert _pareto_feasible(items, caps, got)
+        assert sum(items[i][1] for i in got) >= goal
+
+
+def test_pareto_known_values():
+    assert kernels.pareto_solve([(3, 4), (2, 3)], [5, 5], 7, 100) == [0, 1]
+    assert kernels.pareto_solve([(3, 4), (3, 3)], [5, 5], 7, 100) is None
+    assert kernels.pareto_solve([], [], 0, 100) == []
+    assert kernels.pareto_solve([], [], 1, 100) is None
+    # the later job's cap admits both, the earlier one's only itself
+    assert kernels.pareto_solve([(2, 1), (3, 1)], [2, 5], 2, 100) == [0, 1]
+    assert kernels.pareto_solve([(3, 1), (2, 1)], [2, 5], 2, 100) is None
+
+
+def test_pareto_limit_counts_stored_pairs():
+    # fronts of 1, 2 and 3 pairs before the goal of 10 is known out of reach
+    items, caps = [(1, 1), (1, 1)], [5, 5]
+    assert kernels.pareto_solve(items, caps, 10, 6) is None
+    with pytest.raises(RuntimeError):
+        kernels.pareto_solve(items, caps, 10, 5)
+    with pytest.raises(RuntimeError):
+        kernels.pareto_solve([], [], 0, 0)

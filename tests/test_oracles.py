@@ -153,8 +153,19 @@ def test_knapsack():
         inst = I.KnapsackInstance(items, rng.randint(0, 12), rng.randint(0, 12))
         got = solve(inst)
         assert got.answer == _brute_knapsack(inst), inst
+        assert got.method == "pareto"
         if got.answer:
             assert check_solution(inst, got.solution)
+
+
+def test_knapsack_with_large_values_keeps_a_small_front():
+    # a dense table would need 30 * 1,500,001 cells; the front holds at most
+    # one pair per count of items taken
+    inst = I.KnapsackInstance(((100_000, 100_000),) * 30, 1_500_000, 1_500_000)
+    got = solve(inst)
+    assert got.answer and got.method == "pareto"
+    assert check_solution(inst, got.solution) and len(got.solution) == 15
+    assert not solve(I.KnapsackInstance(inst.items, 1_499_999, 1_500_000)).answer
 
 
 @pytest.mark.parametrize("variant", ["standard", "monotone", "zero_sum"])
@@ -302,12 +313,15 @@ def test_scheduling_dp_and_brute_agree():
                      for _ in range(rng.randint(0, 6)))
         inst = I.SchedulingInstance(jobs, rng.randint(0, 10))
         expected = _brute_scheduling(inst)
-        assert solve_scheduling(inst).answer == expected, inst
-        big = Budget(max_schedule_perm_n=0)  # force the DP path
-        assert solve_scheduling(inst, big).answer == expected, inst
-        got = solve(inst)
+        got = solve_scheduling(inst)
+        assert got.answer == expected and got.method == "pareto", inst
         if got.answer:
             assert check_solution(inst, got.solution)
+        # no room for a front: the permutation search answers alone
+        ref = solve_scheduling(inst, Budget(max_dp_cells=0))
+        assert ref.answer == expected and ref.method == "brute", inst
+        if ref.answer:
+            assert check_solution(inst, ref.solution)
 
 
 def test_cnf_and_andsat():
@@ -354,9 +368,20 @@ def test_budget_limits_raise():
     inst = I.SubsetSumInstance(tuple(range(1, 9)), 20)
     with pytest.raises(ResourceLimitError):
         solve(inst, tight)
-    big_cm = I.CounterMachineInstance(27, ((1,) * 27,), (I.OPTIONAL,))
+    # 27 counters, each raised by its own optional vector: 2^27 states
+    units = tuple(tuple(int(i == j) for j in range(27)) for i in range(27))
+    big_cm = I.CounterMachineInstance(27, units, (I.OPTIONAL,) * 27)
     with pytest.raises(ResourceLimitError):
-        solve(big_cm)
+        solve(big_cm, Budget(max_cm_states=10_000))
+    # the dimension alone is no limit
+    assert solve(I.CounterMachineInstance(27, ((1,) * 27,), (I.OPTIONAL,))).answer
+    starved = Budget(max_dp_cells=0)
+    with pytest.raises(ResourceLimitError):
+        solve(I.KnapsackInstance(((1, 1),), 1, 1), starved)
+    nine = I.SchedulingInstance(((1, 1, 1),) * 9, 8)
+    assert solve(nine).answer
+    with pytest.raises(ResourceLimitError):
+        solve(nine, starved)
 
 
 def test_verdict_truthiness():
