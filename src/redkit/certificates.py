@@ -12,11 +12,13 @@ layout's shifts and masks rather than splitting it into fields.
 One sweep checks both kinds of contract.  A certificate scheme is the case
 of a nondeterministic transformation whose target is decided at once, so
 each entry point only says when a witness is accepted:
-``nppt_contract_check`` applies the reduction and asks the target oracle
+``nppt_contract_check`` transforms the instance and asks the target oracle
 (through a verdict cache), ``certificate_scheme_check`` asks
-``scheme.verify``.  Yes instances must accept the synthesized witness.  No
-instances must accept no witness, covered either by literal enumeration of
-all ``2^L`` witnesses (when small) or by a stratified-exact sweep: every
+``scheme.verify``.  The witness length is taken once per instance, and the
+fields of a violation record are built only when one is made.  Yes
+instances must accept the synthesized witness.  No instances must accept
+no witness, covered either by literal enumeration of all ``2^L`` witnesses
+(when small) or by a stratified-exact sweep: every
 witness the reduction or scheme enumerates as structurally valid, plus
 random and corner probes of the invalid stratum.  Reductions here map every
 structurally invalid witness to a fixed trivial no-instance, and verifiers
@@ -32,12 +34,11 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations, islice, product
 from random import Random
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import instances as I
-from .errors import (ConstructionError, RedkitError, ResourceLimitError,
-                     ValidationError)
+from .errors import (ConstructionError, RedkitError, ReductionError,
+                     ResourceLimitError, ValidationError)
 from .oracles import DEFAULT_BUDGET, Budget, Verdict, solve
 from .reductions import Reduction
 from .witness import (LAYOUT_CACHE, Witness, all_witnesses, field_width,
@@ -419,10 +420,6 @@ class ContractReport:
         }
 
 
-# The extra record fields of a scheme's verdict: none, shared by every call.
-_NO_FIELDS = MappingProxyType({})
-
-
 def _corner_witnesses(length, rng, samples):
     yield Witness.zero(length)
     if length:
@@ -432,12 +429,16 @@ def _corner_witnesses(length, rng, samples):
 
 
 def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
-           accepts, len_bound, exhaustive_cap, valid_cap, samples, seed):
+           accepts, record, len_bound, exhaustive_cap, valid_cap, samples,
+           seed):
     """The contract sweep behind both checkers.
 
-    ``accepts(inst, wit)`` returns ``(accepted, extra)``: whether the witness
-    leads to a yes verdict, and fields (such as the target instance) to add
-    to a record about it.  ``noun`` names a witness in records and skip
+    ``wit_len(inst)`` is called once per instance, before any ``accepts``
+    on it.  ``accepts(inst, wit)`` returns whether the witness leads to a
+    yes verdict.  ``record()`` returns the fields (such as the target
+    instance) to add to a record about the witness last passed to
+    ``accepts``; it is called only when such a record is made, and is None
+    when there are no fields.  ``noun`` names a witness in records and skip
     reasons.  Yes instances must accept the synthesized witness; no
     instances must accept none, covered as the module docstring describes.
     """
@@ -445,13 +446,17 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
     rng = Random(seed)
     rep = ContractReport(name=name)
 
+    def violation(kind, inst, wit):
+        out = {"kind": kind, "instance": inst, noun: wit.to_hex()}
+        if record is not None:
+            out.update(record())
+        return out
+
     def reject_all(inst, wits):
         for wit in wits:
             rep.witnesses_checked += 1
-            accepted, extra = accepts(inst, wit)
-            if accepted:
-                rep.violations.append({"kind": "soundness", "instance": inst,
-                                       noun: wit.to_hex(), **extra})
+            if accepts(inst, wit):
+                rep.violations.append(violation("soundness", inst, wit))
                 return False
         return True
 
@@ -475,7 +480,7 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
             try:
                 wit = synthesize(inst, src.solution)
                 step = "target oracle"
-                accepted, extra = accepts(inst, wit)
+                accepted = accepts(inst, wit)
             except ResourceLimitError as exc:
                 rep.skipped.append((inst, f"{step}: {exc}"))
                 continue
@@ -486,9 +491,7 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
                 continue
             rep.witnesses_checked += 1
             if not accepted:
-                rep.violations.append({
-                    "kind": "completeness", "instance": inst,
-                    noun: wit.to_hex(), **extra})
+                rep.violations.append(violation("completeness", inst, wit))
             continue
         rep.no_instances += 1
         try:
@@ -522,26 +525,41 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                         cache: dict | None = None) -> ContractReport:
     """Check the reduction's yes/no contract against the oracles.
 
-    A witness is accepted when ``r.apply`` maps it to a target yes instance.
+    A witness is accepted when ``r.transform`` maps it to a target yes
+    instance.  The witness length is taken once per instance, and a witness
+    of another length raises ``Reduction.apply``'s ``ReductionError``.
     Target verdicts are kept in ``cache`` (a fresh dict by default), so a
     target reached again is never solved again; past ``VERDICT_CACHE``
     entries the cache is cleared.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
     verdicts = {} if cache is None else cache
+    lookup, transform, witness_len = verdicts.get, r.transform, r.witness_len
+    length = 0
+    target = None
+
+    def wit_len(inst):
+        nonlocal length
+        length = witness_len(inst)
+        return length
 
     def accepts(inst, wit):
-        tgt = r.apply(inst, wit)
-        hit = verdicts.get(tgt)
+        nonlocal target
+        if wit.length != length:
+            raise ReductionError(
+                f"{r.name}: witness length {wit.length}, expected {length}")
+        target = tgt = transform(inst, wit)
+        hit = lookup(tgt)
         if hit is None:
             if len(verdicts) > VERDICT_CACHE:
                 verdicts.clear()
             hit = verdicts[tgt] = solve(tgt, budget).answer
-        return hit, {"target": tgt}
+        return hit
 
     return _sweep(r.name, r.source_kind, "witness", family, budget,
-                  wit_len=r.witness_len, synthesize=r.synthesize,
-                  valid=r.valid_witnesses, accepts=accepts, len_bound=None,
+                  wit_len=wit_len, synthesize=r.synthesize,
+                  valid=r.valid_witnesses, accepts=accepts,
+                  record=lambda: {"target": target}, len_bound=None,
                   exhaustive_cap=exhaustive_cap, valid_cap=valid_cap,
                   samples=invalid_samples, seed=seed)
 
@@ -558,17 +576,13 @@ def certificate_scheme_check(scheme: CertificateScheme,
     A certificate is accepted when ``scheme.verify`` accepts it, and each
     instance's bit budget ``cert_len`` must stay within ``len_bound``.
     """
-    verify = scheme.verify
-
-    def accepts(inst, cert):
-        return verify(inst, cert), _NO_FIELDS
-
     return _sweep(scheme.name, scheme.problem_kind, "certificate", family,
                   budget, wit_len=scheme.cert_len,
                   synthesize=scheme.synthesize,
-                  valid=scheme.valid_certificates, accepts=accepts,
-                  len_bound=scheme.len_bound, exhaustive_cap=exhaustive_cap,
-                  valid_cap=valid_cap, samples=malformed_samples, seed=seed)
+                  valid=scheme.valid_certificates, accepts=scheme.verify,
+                  record=None, len_bound=scheme.len_bound,
+                  exhaustive_cap=exhaustive_cap, valid_cap=valid_cap,
+                  samples=malformed_samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConstructionError, ValidationError
 
@@ -294,15 +294,17 @@ class RunContext:
     def _gpow(self, e: int) -> tuple[int, ...]:
         return _carrier_powers(self.carrier)[e % self.q]
 
-    @property
+    # the generator images are built once per context: pi_exponent and
+    # _pi_powers read them in loops
+    @cached_property
     def pi0(self) -> Permutation:
         return self.chi(UqElement(0, 1, 0, self.q))
 
-    @property
+    @cached_property
     def pi1(self) -> Permutation:
         return self.chi(UqElement(1, 0, 0, self.q))
 
-    @property
+    @cached_property
     def piz(self) -> Permutation:
         return self.chi(UqElement(0, 0, 1, self.q))
 

@@ -25,7 +25,9 @@ Contract:
   half of the n columns.
 - ``ilp_code(columns, rhs)``: the balanced-base integer codes of the columns
   and of rhs, or None when some row's rhs is out of reach of every 0/1
-  combination.
+  combination.  ``ilp_column_codes(columns, rows)`` and
+  ``ilp_rhs_code(rhs, totals, base)`` are its two halves, so a caller may
+  code one set of columns once for many right-hand sides.
 - ``pareto_solve(items, caps, goal, limit)``: (cost, value) items with
   nonnegative entries; item i may be taken when the cost of the items taken
   up to and including i is at most ``caps[i]``; returns an ascending index
@@ -164,14 +166,30 @@ def ilp_code(columns, rhs):
     code of rhs.  Returns (column codes, rhs code), or None when some
     |rhs[j]| exceeds its row's total and no x can solve the system.
     """
-    totals = [0] * len(rhs)
+    totals, base, codes = ilp_column_codes(columns, len(rhs))
+    goal = ilp_rhs_code(rhs, totals, base)
+    if goal is None:
+        return None
+    return codes, goal
+
+
+def ilp_column_codes(columns, rows):
+    """The part of ``ilp_code`` that does not depend on rhs: the row totals
+    of |entries|, the base B and the column codes."""
+    totals = [0] * rows
     for col in columns:
         for j, a in enumerate(col):
             totals[j] += abs(a)
-    if any(abs(b) > r for b, r in zip(rhs, totals)):
-        return None
     base = 2 * max(totals, default=0) + 1
-    return [_code(col, base) for col in columns], _code(rhs, base)
+    return totals, base, [_code(col, base) for col in columns]
+
+
+def ilp_rhs_code(rhs, totals, base):
+    """The code of rhs, or None when some |rhs[j]| exceeds totals[j]."""
+    for b, r in zip(rhs, totals):
+        if b > r or -b > r:
+            return None
+    return _code(rhs, base)
 
 
 def _code(vec, base):

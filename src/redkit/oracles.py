@@ -7,12 +7,28 @@ or reach set, or a brute-force search.  When no method fits it raises
 ResourceLimitError.  The verdict's ``method`` names the one that ran.  Every
 yes verdict carries a solution that has been re-checked by the standalone
 checker before being returned.
+
+Targets of one source often share their shape, so two solvers keep the
+part that depends only on it:
+
+- ``solve_ilp`` keeps the column bundles, row totals, base and column codes
+  per (columns, row count) in an ``lru_cache`` of ``ILP_COLUMNS_CACHE`` =
+  64 entries, a few KB each; an instance then only checks and codes its
+  rhs.  An rhs whose length differs from the columns' is a
+  ``ValidationError``.
+- ``solve_group_ss`` keeps, under the default budget, the reach set of a
+  (group, elements) pair in an ``lru_cache`` of 512 sets of up to
+  ``max_brute_states`` products, and checks first whether the pair is the
+  very objects of the last call (the targets of one cm-to-permss source
+  are).  In a symmetric group the reach set holds image tuples rather than
+  ``Permutation`` objects, so the closure makes and hashes plain tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import instances as I
 from . import kernels, pathdecomp
@@ -121,8 +137,12 @@ def _solve_subset_sum_mod(inst, budget):
 def solve_knapsack(inst: I.KnapsackInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Non-dominated (size, weight) fronts capped at the capacity, stopping
     at the first front that meets the demand; the fronts stored are gated
-    by ``max_dp_cells`` pairs."""
+    by ``max_dp_cells`` pairs.  The kernel's caps bound only the items
+    taken, so a negative capacity, which even the empty set exceeds, is a
+    no here."""
     items = inst.items
+    if inst.capacity < 0:
+        return Verdict(False, method="pareto")
     try:
         got = kernels.pareto_solve(items, [inst.capacity] * len(items),
                                    inst.demand, budget.max_dp_cells)
@@ -136,6 +156,49 @@ def solve_knapsack(inst: I.KnapsackInstance, budget: Budget = DEFAULT_BUDGET) ->
 # ---------------------------------------------------------------------------
 # 0-1 ILP feasibility.
 
+# Column layouts ``solve_ilp`` keeps, one per (columns, row count): the
+# targets of one ilp-to-monotone source share their columns and differ only
+# in rhs, and a sweep solves them one source at a time.  An entry for 6 rows
+# and 9-12 columns costs about 3.4 KB (480 such systems, each a miss, peaked
+# at 30.35 MB RSS with 64 entries and 31.0 MB with 256), so a full cache is
+# about 0.2 MB.
+ILP_COLUMNS_CACHE = 64
+
+
+class _IlpColumns(NamedTuple):
+    bundles: tuple      # column indices in each bundle
+    cols: tuple         # bundled columns: a column times its bundle size
+    totals: tuple       # row totals of |entries| over the bundles
+    base: int
+    items: tuple        # |code| of each bundle with a nonzero code
+    keep: tuple         # those bundles' positions
+    flipped: int        # minus the sum of the negative codes
+    chosen: tuple       # 1 for each bundle with a negative code (y = 1 - x)
+
+
+@lru_cache(maxsize=ILP_COLUMNS_CACHE)
+def _ilp_columns(columns, rows) -> _IlpColumns:
+    if any(len(col) != rows for col in columns):
+        raise ValidationError("ilp: column length differs from rhs length")
+    groups: dict[tuple, list[int]] = {}
+    for i, col in enumerate(columns):
+        groups.setdefault(col, []).append(i)
+    bundles, cols = [], []
+    for col, idx in groups.items():
+        size = 1
+        while idx:
+            bundle, idx = tuple(idx[:size]), idx[size:]
+            bundles.append(bundle)
+            cols.append(tuple(a * len(bundle) for a in col))
+            size <<= 1
+    totals, base, codes = kernels.ilp_column_codes(cols, rows)
+    keep = tuple(b for b, c in enumerate(codes) if c)
+    return _IlpColumns(tuple(bundles), tuple(cols), tuple(totals), base,
+                       tuple(abs(codes[b]) for b in keep), keep,
+                       -sum(c for c in codes if c < 0),
+                       tuple(int(c < 0) for c in codes))
+
+
 def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Standard and monotone 0-1 ILP as one subset sum over column codes.
 
@@ -146,32 +209,23 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     negative codes leaves positive items, and the bitset DP solves that
     plain subset sum when its n * (t+1) table fits ``max_dp_cells``.
     Otherwise a meet-in-the-middle search runs when each half's
-    2^ceil(n/2) sums fit ``max_brute_states``.
+    2^ceil(n/2) sums fit ``max_brute_states``.  The bundles and their codes
+    depend only on the columns and are cached per columns tuple
+    (``ILP_COLUMNS_CACHE``), so each instance only checks and codes its rhs.
     """
     if inst.variant == "zero_sum":
         return _solve_zero_sum(inst, budget)
-    groups: dict[tuple, list[int]] = {}
-    for i, col in enumerate(inst.columns):
-        groups.setdefault(col, []).append(i)
-    bundles, cols = [], []
-    for col, idx in groups.items():
-        size = 1
-        while idx:
-            bundle, idx = idx[:size], idx[size:]
-            bundles.append(bundle)
-            cols.append(tuple(a * len(bundle) for a in col))
-            size <<= 1
-    coded = kernels.ilp_code(cols, inst.rhs)
-    if coded is None:
+    lay = _ilp_columns(inst.columns, len(inst.rhs))
+    goal = kernels.ilp_rhs_code(inst.rhs, lay.totals, lay.base)
+    if goal is None:
         return Verdict(False, method="range")
-    codes, goal = coded
-    keep = [b for b, c in enumerate(codes) if c]
-    target = goal - sum(c for c in codes if c < 0)
+    keep, cols = lay.keep, lay.cols
+    target = goal + lay.flipped
     if len(keep) * (target + 1) <= budget.max_dp_cells:
-        got = kernels.subset_sum_solve([abs(codes[b]) for b in keep], target)
+        got = kernels.subset_sum_solve(lay.items, target)
         if got is None:
             return Verdict(False, method="dp")
-        chosen = [int(c < 0) for c in codes]
+        chosen = list(lay.chosen)
         for k in got:
             chosen[keep[k]] ^= 1
         method = "dp"
@@ -183,7 +237,7 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     else:
         raise ResourceLimitError("ilp: instance over budget")
     x = [0] * len(inst.columns)
-    for bundle, pick in zip(bundles, chosen):
+    for bundle, pick in zip(lay.bundles, chosen):
         if pick:
             for i in bundle:
                 x[i] = 1
@@ -209,7 +263,26 @@ def _solve_zero_sum(inst, budget):
 # Group subset sum.
 
 def _group_reach(group, elements, cap):
-    """Products of index-increasing subsequences, with back pointers."""
+    """Products of index-increasing subsequences, with back pointers.
+
+    In a symmetric group the products are kept as image tuples, each one
+    ``tuple(map(prod.__getitem__, g))`` (``Permutation.compose``'s rule),
+    so the closure hashes plain tuples and builds no ``Permutation``.
+    """
+    if isinstance(group, I.SymmetricGroup):
+        k = group.k
+        reach = {tuple(range(k)): None}
+        for i, e in enumerate(elements):
+            g = e.images
+            if len(g) != k:
+                raise ValidationError("degree mismatch in composition")
+            for prod in list(reach):
+                np = tuple(map(prod.__getitem__, g))
+                if np not in reach:
+                    reach[np] = (i, prod)
+            if len(reach) > cap:
+                raise ResourceLimitError("group subset sum: products over budget")
+        return reach
     reach = {group.identity(): None}
     for i, g in enumerate(elements):
         for prod in list(reach):
@@ -226,6 +299,23 @@ def _group_reach_cached(group, elements):
     return _group_reach(group, elements, DEFAULT_BUDGET.max_brute_states)
 
 
+# The (group, elements, reach) of the last default-budget solve: the targets
+# of one cm-to-permss source share their group and elements objects, so an
+# identity test spares hashing the elements for each of them.  Like the
+# lru_cache behind it, it only remembers a function of its key.
+_last_reach = (None, None, None)
+
+
+def _default_reach(group, elements):
+    global _last_reach
+    last_group, last_elements, reach = _last_reach
+    if group is last_group and elements is last_elements:
+        return reach
+    reach = _group_reach_cached(group, elements)
+    _last_reach = (group, elements, reach)
+    return reach
+
+
 def solve_group_ss(inst: I.GroupSubsetSumInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     g = inst.group
     if isinstance(g, I.CyclicGroup) and g.q <= budget.max_dp_cells:
@@ -236,13 +326,15 @@ def solve_group_ss(inst: I.GroupSubsetSumInstance, budget: Budget = DEFAULT_BUDG
     if len(inst.elements) > budget.max_bruteforce_n:
         raise ResourceLimitError("group subset sum: too many elements")
     if budget is DEFAULT_BUDGET:
-        reach = _group_reach_cached(g, inst.elements)
+        reach = _default_reach(g, inst.elements)
     else:
         reach = _group_reach(g, inst.elements, budget.max_brute_states)
-    if inst.target not in reach:
+    cur = inst.target
+    if isinstance(g, I.SymmetricGroup):
+        cur = cur.images if isinstance(cur, I.Permutation) else None
+    if cur not in reach:
         return Verdict(False, method="reach")
     sol = []
-    cur = inst.target
     while reach[cur] is not None:
         i, cur = reach[cur]
         sol.append(i)

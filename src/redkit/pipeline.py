@@ -10,9 +10,11 @@ index 3k; six counters Z_(c,d) for ordered distinct color pairs at
 cm-to-permss computes an instance's layout once and keeps it in a bounded
 cache of the last ``LAYOUT_CACHE`` instances: the witness length and count
 shifts, the target group and elements, and for each counter the images of
-pi^0 .. pi^n already moved onto that counter's block.  ``transform`` decodes
-``wit.value`` with the shifts and concatenates the chosen blocks into the
-target permutation.
+pi^0 .. pi^n already moved onto that counter's block.  An element is the
+concatenation of per-block images of gamma_hat(b), each block cached across
+instances (``_gamma_images``), followed by pi or the identity.
+``transform`` decodes ``wit.value`` with the shifts and concatenates the
+chosen blocks into the target permutation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 from . import instances as I
 from . import pathdecomp
 from .errors import ReductionError, ValidationError
-from .groups import Permutation, block_diagonal, identity, make_run_context
+from .groups import Permutation, identity, make_run_context
 from .reductions import Reduction
 from .witness import LAYOUT_CACHE, Witness, field_width, pack_fields
 
@@ -174,6 +176,15 @@ def _pi_images(n: int, block: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(off + p for p in pw.images) for pw in pows)
 
 
+@lru_cache(maxsize=3 * 1024)
+def _gamma_images(n: int, block: int, b: int) -> tuple[int, ...]:
+    """Images of gamma_hat(b) moved onto the ``block``-th block of points,
+    shared by every instance with ``n`` vectors."""
+    ctx = make_run_context(n)
+    off = block * ctx.domain
+    return tuple(off + p for p in ctx.gamma_hat(b).images)
+
+
 # Targets of machines with no vectors and of rejected witnesses.
 _PERM_YES = I.trivial_instance("group_subset_sum", True,
                                group=I.SymmetricGroup(2))
@@ -199,18 +210,23 @@ def _cps_layout(inst) -> _CpsLayout:
         return _CpsLayout(0, (), (), 0, (), (), None, ())
     width = field_width(n)
     ctx = make_run_context(n)
-    ident = identity(ctx.domain)
-    elements = tuple(
-        block_diagonal([ctx.gamma_hat(b) for b in vec] +
-                       [ctx.pi if flag == I.REQUIRED else ident])
-        for vec, flag in zip(inst.vectors, inst.flags))
+    tail = _pi_images(n, ell)
+    elements = []
+    for vec, flag in zip(inst.vectors, inst.flags):
+        img = []
+        for block, b in enumerate(vec):
+            img += _gamma_images(n, block, b)
+        img += tail[1] if flag == I.REQUIRED else tail[0]
+        # blocks of permutations on disjoint points: a permutation
+        elem = object.__new__(Permutation)
+        object.__setattr__(elem, "images", tuple(img))
+        elements.append(elem)
     f_c = inst.flags.count(I.REQUIRED)
     return _CpsLayout(
         ell * width, (width,) * ell,
         tuple((ell - 1 - j) * width for j in range(ell)), (1 << width) - 1,
         tuple(_pi_images(n, j) for j in range(ell)),
-        _pi_images(n, ell)[f_c],
-        I.SymmetricGroup((ell + 1) * ctx.domain), elements)
+        tail[f_c], I.SymmetricGroup((ell + 1) * ctx.domain), tuple(elements))
 
 
 def _cps_transform(inst, wit):

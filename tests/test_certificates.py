@@ -14,10 +14,10 @@ from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
                                  nppt_contract_check, zero_sum_premise_check,
                                  zkk_bound, _shrink_support)
 from redkit.errors import ReductionError, ResourceLimitError, ValidationError
-from redkit.families import (knapsacks, subset_sums, unbounded_instances,
-                             zkk_instances)
+from redkit.families import (cm_grid, ilps, knapsacks, subset_sums,
+                             unbounded_instances, zkk_instances)
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
-                              ProductGroup, SubsetSumInstance,
+                              IlpInstance, ProductGroup, SubsetSumInstance,
                               UnboundedSubsetSumInstance)
 from redkit.oracles import Budget, solve
 from redkit.witness import Witness, all_witnesses, field_width, \
@@ -205,6 +205,19 @@ def test_contract_check_coverage_counts():
                                  exhaustive_cap=8)
     assert report.ok, report.as_dict()
     assert _coverage(report) == (491, 11416, 134, 88, [], 0)
+    # the permutation-group link and the ILP link: the target oracle's
+    # reach closure and its per-columns ILP coding
+    report = nppt_contract_check(REDUCTIONS["cm-to-permss"], cm_grid(1, 3))
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (259, 666, 137, 0, [], 0)
+    red = REDUCTIONS["ilp-to-monotone"]
+    report = nppt_contract_check(red, ilps("standard", 2, 2))
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (1247, 251339, 1060, 0, [], 0)
+    report = nppt_contract_check(red, ilps("standard", 2, 2),
+                                 exhaustive_cap=16)
+    assert report.ok, report.as_dict()
+    assert _coverage(report) == (1247, 21823, 84, 976, [], 0)
 
 
 def test_scheme_check_zkk_grid():
@@ -285,6 +298,70 @@ def test_budget_skip_in_synthesis_is_not_a_violation():
     assert len(report.skipped) == report.yes_instances
     assert {why for _, why in report.skipped} == {
         "synthesize: support too large to rewrite"}
+
+
+def test_wrong_length_witness_is_a_transform_error():
+    # the sweep checks lengths against the instance's once-computed length;
+    # a wrong one must still fail as ``Reduction.apply`` fails
+    red = REDUCTIONS["ss-to-monotone"]
+    family = list(subset_sums(2, 3, 6))
+    for delta in (1, -1):
+        off = dataclasses.replace(red, valid_witnesses=lambda inst: iter(
+            [Witness.zero(red.witness_len(inst) + delta)]))
+        report = nppt_contract_check(off, family, exhaustive_cap=1)
+        errors = [v for v in report.violations
+                  if v["kind"] == "transform-error"]
+        assert len(errors) == len(report.violations) == report.no_instances > 0
+        for v in errors:
+            assert v["error"] == _apply_error(red, v["instance"], delta)
+    # a synthesized witness of the wrong length: a completeness violation
+    # that carries the same message
+    grown = dataclasses.replace(
+        red, synthesize=lambda inst, sol: Witness.zero(
+            red.witness_len(inst) + 1))
+    report = nppt_contract_check(grown, family)
+    assert len(report.violations) == report.yes_instances > 0
+    for v in report.violations:
+        assert v["kind"] == "completeness"
+        assert v["error"] == _apply_error(red, v["instance"], 1)
+
+
+def _apply_error(red, inst, delta):
+    with pytest.raises(ReductionError) as exc:
+        red.apply(inst, Witness.zero(red.witness_len(inst) + delta))
+    return str(exc.value)
+
+
+def test_violation_records_carry_the_target_of_their_witness():
+    base = REDUCTIONS["ss-to-monotone"]
+    made = []
+
+    def transform(inst, wit):
+        # a witness with a set low bit leads to a yes-target naming it
+        if wit.value & 1:
+            tgt = IlpInstance(((wit.value,),), (wit.value,), "monotone")
+        else:
+            tgt = base.transform(inst, wit)
+        made.append(tgt)
+        return tgt
+    broken = dataclasses.replace(base, transform=transform)
+    report = nppt_contract_check(broken, subset_sums(2, 3, 6))
+    sound = [v for v in report.violations if v["kind"] == "soundness"]
+    assert len(sound) == len(report.violations) > 0
+    for v in sound:
+        value = int(v["witness"], 16)
+        assert v["target"] == IlpInstance(((value,),), (value,), "monotone")
+        # the very object transform made, not a second transform call
+        assert any(t is v["target"] for t in made)
+    # a completeness record carries the target of the synthesized witness
+    no = dataclasses.replace(base, transform=lambda inst, wit: IlpInstance(
+        (), (wit.length + 1,), "monotone"))
+    report = nppt_contract_check(no, subset_sums(2, 3, 6))
+    assert len(report.violations) == report.yes_instances > 0
+    for v in report.violations:
+        length = base.witness_len(v["instance"])
+        assert v["kind"] == "completeness"
+        assert v["target"] == IlpInstance((), (length + 1,), "monotone")
 
 
 def test_checkers_reject_a_family_of_the_wrong_kind():

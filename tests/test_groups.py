@@ -125,6 +125,9 @@ def test_chi_generator_images():
     assert ctx.chi(UqElement(0, 0, 1, q)) == ctx.piz
     assert ctx.chi(uq_identity(q)).is_identity()
     assert ctx.pi == ctx.pi0
+    # built once per context, not on every access
+    assert ctx.pi is ctx.pi0 is ctx.pi0 and ctx.pi1 is ctx.pi1
+    assert ctx.piz is ctx.piz
 
 
 def test_chi_is_homomorphism_exhaustive_u2():

@@ -8,11 +8,15 @@ from itertools import permutations, product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redkit import instances as I
-from redkit.errors import ResourceLimitError
-from redkit.oracles import (Budget, Verdict, check_solution, solve,
-                            solve_coloring, solve_scheduling)
+from redkit import kernels
+from redkit.errors import ResourceLimitError, ValidationError
+from redkit.groups import Permutation
+from redkit.oracles import (DEFAULT_BUDGET, Budget, Verdict, check_solution,
+                            solve, solve_coloring, solve_group_ss,
+                            solve_ilp, solve_scheduling)
 
 
 def _mask_items(items, mask):
@@ -166,6 +170,16 @@ def test_knapsack_with_large_values_keeps_a_small_front():
     assert got.answer and got.method == "pareto"
     assert check_solution(inst, got.solution) and len(got.solution) == 15
     assert not solve(I.KnapsackInstance(inst.items, 1_499_999, 1_500_000)).answer
+
+
+def test_knapsack_with_negative_capacity_is_no():
+    # even the empty set is over a negative capacity
+    for items in ((), ((1, 1),), ((0, 0), (2, 3))):
+        for demand in (0, -1, 1):
+            inst = I.KnapsackInstance(items, -1, demand)
+            got = solve(inst)
+            assert got == Verdict(False, None, "pareto"), inst
+            assert not _brute_knapsack(inst)
 
 
 @pytest.mark.parametrize("variant", ["standard", "monotone", "zero_sum"])
@@ -387,3 +401,168 @@ def test_budget_limits_raise():
 def test_verdict_truthiness():
     assert bool(Verdict(True, None, "x"))
     assert not bool(Verdict(False, None, "x"))
+
+
+# ---------------------------------------------------------------------------
+# solve_ilp codes each columns tuple once; this reference codes every
+# instance from scratch, as solve_ilp did before the cache.
+
+
+def _ref_solve_ilp(inst, budget=DEFAULT_BUDGET):
+    groups = {}
+    for i, col in enumerate(inst.columns):
+        groups.setdefault(col, []).append(i)
+    bundles, cols = [], []
+    for col, idx in groups.items():
+        size = 1
+        while idx:
+            bundle, idx = idx[:size], idx[size:]
+            bundles.append(bundle)
+            cols.append(tuple(a * len(bundle) for a in col))
+            size <<= 1
+    totals = [0] * len(inst.rhs)
+    for col in cols:
+        for j, a in enumerate(col):
+            totals[j] += abs(a)
+    if any(abs(b) > r for b, r in zip(inst.rhs, totals)):
+        return Verdict(False, method="range")
+    base = 2 * max(totals, default=0) + 1
+
+    def code(vec):
+        acc = 0
+        for d in reversed(vec):
+            acc = acc * base + d
+        return acc
+    codes, goal = [code(col) for col in cols], code(inst.rhs)
+    keep = [b for b, c in enumerate(codes) if c]
+    target = goal - sum(c for c in codes if c < 0)
+    if len(keep) * (target + 1) <= budget.max_dp_cells:
+        got = kernels.subset_sum_solve([abs(codes[b]) for b in keep], target)
+        if got is None:
+            return Verdict(False, method="dp")
+        chosen = [int(c < 0) for c in codes]
+        for k in got:
+            chosen[keep[k]] ^= 1
+        method = "dp"
+    else:
+        chosen = kernels.ilp01_brute(cols, inst.rhs)
+        if chosen is None:
+            return Verdict(False, method="mitm")
+        method = "mitm"
+    x = [0] * len(inst.columns)
+    for bundle, pick in zip(bundles, chosen):
+        if pick:
+            for i in bundle:
+                x[i] = 1
+    return Verdict(True, tuple(x), method)
+
+
+@pytest.mark.parametrize("variant", ["standard", "monotone"])
+def test_ilp_column_cache_matches_per_target_coding(variant):
+    rng = Random(21)
+    entries = (0, 1) if variant == "monotone" else (-1, 0, 1)
+    for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0)):
+        for _ in range(30):
+            m, n = rng.randint(1, 4), rng.randint(0, 7)
+            # repeated columns, so that some bundles hold several copies
+            opts = [tuple(rng.choice(entries) for _ in range(m))
+                    for _ in range(3)]
+            cols = tuple(rng.choice(opts) for _ in range(n))
+            reach = max(n, 1) + 1
+            methods = set()
+            # many rhs on one columns tuple, some beyond every row's reach
+            for rhs in product(range(-reach if variant == "standard" else 0,
+                                     reach + 1), repeat=min(m, 2)):
+                rhs = rhs + tuple(rng.randint(-1, n) for _ in range(m - len(rhs)))
+                inst = I.IlpInstance(cols, rhs, variant)
+                got = solve_ilp(inst, budget)
+                assert got == _ref_solve_ilp(inst, budget), inst
+                assert got.answer == _brute_ilp(inst), inst
+                methods.add(got.method)
+            assert "range" in methods
+            # an rhs of the wrong length is refused, and leaves the cache
+            # of the right length alone
+            if n:
+                for bad in (rhs[:-1], rhs + (0,)):
+                    with pytest.raises(ValidationError):
+                        solve_ilp(I.IlpInstance(cols, bad, variant), budget)
+                assert solve_ilp(inst, budget) == _ref_solve_ilp(inst, budget)
+
+
+# ---------------------------------------------------------------------------
+# Symmetric-group reach runs on image tuples; the reference multiplies
+# Permutation objects over every index subsequence.
+
+
+def _brute_perm_products(group, elements):
+    """Every subsequence product, by index set: {images: first index set}."""
+    out = {}
+    for mask in range(1 << len(elements)):
+        acc = group.identity()
+        idx = tuple(i for i in range(len(elements)) if mask >> i & 1)
+        for i in idx:
+            acc = acc * elements[i]
+        out.setdefault(acc.images, idx)
+    return out
+
+
+_perms = st.integers(1, 6).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.permutations(range(k)), max_size=8),
+        st.permutations(range(k))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perms, st.booleans(), st.booleans())
+def test_symmetric_reach_matches_brute_force(case, hit, default):
+    k, elems, target = case
+    group = I.SymmetricGroup(k)
+    elements = tuple(Permutation(tuple(e)) for e in elems)
+    products = _brute_perm_products(group, elements)
+    if hit and products:
+        # a reachable target, often the identity (the empty product)
+        target = sorted(products)[len(elements) % len(products)]
+    inst = I.GroupSubsetSumInstance(group, elements, Permutation(tuple(target)))
+    budget = DEFAULT_BUDGET if default else Budget(max_brute_states=10 ** 6)
+    got = solve_group_ss(inst, budget)
+    assert got.method == "reach"
+    assert got.answer == (tuple(target) in products), inst
+    if got.answer:
+        acc = group.identity()
+        for i in got.solution:
+            acc = acc * elements[i]
+        assert acc == inst.target
+    # the identity is always reached, by the empty product
+    ident = I.GroupSubsetSumInstance(group, elements, group.identity())
+    assert solve_group_ss(ident, budget) == Verdict(True, (), "reach")
+
+
+def test_symmetric_reach_edges():
+    g3 = I.SymmetricGroup(3)
+    cyc, swap = Permutation((1, 2, 0)), Permutation((1, 0, 2))
+    elements = (cyc, swap, cyc)
+    # consecutive targets sharing (group, elements), then other elements
+    # of equal value, then the first again: every answer from brute force
+    other = tuple(Permutation(e.images) for e in elements)
+    products = _brute_perm_products(g3, elements)
+    for elems in (elements, elements, other, elements):
+        for target in (Permutation(p) for p in
+                       ((0, 1, 2), (2, 0, 1), (0, 2, 1), (2, 1, 0))):
+            got = solve(I.GroupSubsetSumInstance(g3, elems, target))
+            assert got.answer == (target.images in products)
+    assert not solve(I.GroupSubsetSumInstance(g3, (swap,), cyc)).answer
+    # a target of another degree is never reached
+    assert not solve(I.GroupSubsetSumInstance(
+        g3, elements, Permutation((1, 0)))).answer
+    # a budget too small for the products
+    many = tuple(Permutation(p) for p in ((1, 0, 2, 3), (0, 2, 1, 3),
+                                          (0, 1, 3, 2), (1, 2, 3, 0)))
+    with pytest.raises(ResourceLimitError):
+        solve(I.GroupSubsetSumInstance(I.SymmetricGroup(4), many, many[0]),
+              Budget(max_brute_states=3))
+    # an element of another degree is refused under either budget
+    bad = I.GroupSubsetSumInstance(g3, (cyc, Permutation((1, 0))), cyc)
+    for budget in (DEFAULT_BUDGET, Budget(max_brute_states=100)):
+        with pytest.raises(ValidationError):
+            solve(bad, budget)
