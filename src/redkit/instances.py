@@ -51,9 +51,6 @@ class CyclicGroup:
     def contains(self, e) -> bool:
         return isinstance(e, int) and not isinstance(e, bool) and 0 <= e < self.q
 
-    def size(self) -> int:
-        return self.q
-
     def parameter(self) -> int:
         return self.q.bit_length()
 
@@ -77,9 +74,6 @@ class ProductGroup:
         return (isinstance(e, tuple) and len(e) == self.k
                 and all(isinstance(c, int) and 0 <= c < self.k for c in e))
 
-    def size(self) -> int:
-        return self.k ** self.k
-
     def parameter(self) -> int:
         return self.k
 
@@ -100,12 +94,6 @@ class SymmetricGroup:
 
     def contains(self, e) -> bool:
         return isinstance(e, Permutation) and e.degree == self.k
-
-    def size(self) -> int:
-        out = 1
-        for i in range(2, self.k + 1):
-            out *= i
-        return out
 
     def parameter(self) -> int:
         return self.k

@@ -8,6 +8,11 @@ ResourceLimitError.  The verdict's ``method`` names the one that ran.  Every
 yes verdict carries a solution that has been re-checked by the standalone
 checker before being returned.
 
+Subset sum with a modulus q is group subset sum over Z_q
+(``CyclicGroup(q)``) and is solved by the same path.  Past their DP gates,
+plain subset sum and group subset sum run one reach closure (``_reach``):
+the products of index-increasing subsequences, with back pointers.
+
 Targets of one source often share their shape, so two solvers keep the
 part that depends only on it:
 
@@ -16,16 +21,18 @@ part that depends only on it:
   64 entries, a few KB each; an instance then only checks and codes its
   rhs.  An rhs whose length differs from the columns' is a
   ``ValidationError``.
-- ``solve_group_ss`` keeps, under the default budget, the reach set of a
-  (group, elements) pair in an ``lru_cache`` of 512 sets of up to
-  ``max_brute_states`` products, and checks first whether the pair is the
-  very objects of the last call (the targets of one cm-to-permss source
-  are).  In a symmetric group the reach set holds image tuples rather than
-  ``Permutation`` objects, so the closure makes and hashes plain tuples.
+- ``solve_group_ss`` keeps one memo, the reach set of the last
+  (group, elements, cap), checked by identity and used under every budget
+  (the targets of one cm-to-permss source share their group and elements
+  objects).  It holds one reach set of at most ``max_brute_states``
+  products.  In a symmetric group the reach set holds image tuples rather
+  than ``Permutation`` objects, so the closure makes and hashes plain
+  tuples.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -71,8 +78,12 @@ def _yes(inst, solution, method: str) -> Verdict:
 # Subset sum.
 
 def solve_subset_sum(inst: I.SubsetSumInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    """Plain subset sum by the bitset DP, else by the reach closure over the
+    sums up to the target.  With a modulus it is group subset sum over
+    ``CyclicGroup(modulus)``, solved as that group is and re-checked here."""
     if inst.modulus is not None:
-        return _solve_subset_sum_mod(inst, budget)
+        return _solve_group(inst, I.CyclicGroup(inst.modulus), inst.items,
+                            inst.target, budget)
     t = inst.target
     keep = [i for i, p in enumerate(inst.items) if 1 <= p <= t]
     vals = [inst.items[i] for i in keep]
@@ -83,52 +94,12 @@ def solve_subset_sum(inst: I.SubsetSumInstance, budget: Budget = DEFAULT_BUDGET)
             return Verdict(False, method="dp")
         return _yes(inst, tuple(keep[i] for i in got), "dp")
     if n <= budget.max_bruteforce_n:
-        reach = {0: None}
-        for i, p in enumerate(vals):
-            for s in list(reach):
-                ns = s + p
-                if ns <= t and ns not in reach:
-                    reach[ns] = (i, s)
-            if len(reach) > budget.max_brute_states:
-                raise ResourceLimitError("subset sum: reachable sums over budget")
+        reach = _reach(vals, 0, operator.add, budget.max_brute_states,
+                       "subset sum: reachable sums", keep=t.__ge__)
         if t not in reach:
             return Verdict(False, method="brute")
-        sol = []
-        s = t
-        while reach[s] is not None:
-            i, s = reach[s]
-            sol.append(keep[i])
-        return _yes(inst, tuple(reversed(sol)), "brute")
+        return _yes(inst, tuple(keep[i] for i in _walk(reach, t)), "brute")
     raise ResourceLimitError("subset sum: instance over budget")
-
-
-def _solve_subset_sum_mod(inst, budget):
-    q, t = inst.modulus, inst.target
-    if not 0 <= t < q or not all(0 <= p < q for p in inst.items):
-        raise ValidationError("modular instance out of range")
-    if q <= budget.max_dp_cells:
-        got = kernels.subset_sum_mod_solve(list(inst.items), q, t)
-        if got is None:
-            return Verdict(False, method="dp")
-        return _yes(inst, tuple(got), "dp")
-    if len(inst.items) <= budget.max_bruteforce_n:
-        reach = {0: None}
-        for i, p in enumerate(inst.items):
-            for s in list(reach):
-                ns = (s + p) % q
-                if ns not in reach:
-                    reach[ns] = (i, s)
-            if len(reach) > budget.max_brute_states:
-                raise ResourceLimitError("modular subset sum: states over budget")
-        if t not in reach:
-            return Verdict(False, method="brute")
-        sol = []
-        s = t
-        while reach[s] is not None:
-            i, s = reach[s]
-            sol.append(i)
-        return _yes(inst, tuple(reversed(sol)), "brute")
-    raise ResourceLimitError("modular subset sum: instance over budget")
 
 
 # ---------------------------------------------------------------------------
@@ -262,83 +233,88 @@ def _solve_zero_sum(inst, budget):
 # ---------------------------------------------------------------------------
 # Group subset sum.
 
-def _group_reach(group, elements, cap):
-    """Products of index-increasing subsequences, with back pointers.
-
-    In a symmetric group the products are kept as image tuples, each one
-    ``tuple(map(prod.__getitem__, g))`` (``Permutation.compose``'s rule),
-    so the closure hashes plain tuples and builds no ``Permutation``.
-    """
-    if isinstance(group, I.SymmetricGroup):
-        k = group.k
-        reach = {tuple(range(k)): None}
-        for i, e in enumerate(elements):
-            g = e.images
-            if len(g) != k:
-                raise ValidationError("degree mismatch in composition")
-            for prod in list(reach):
-                np = tuple(map(prod.__getitem__, g))
-                if np not in reach:
-                    reach[np] = (i, prod)
-            if len(reach) > cap:
-                raise ResourceLimitError("group subset sum: products over budget")
-        return reach
-    reach = {group.identity(): None}
-    for i, g in enumerate(elements):
+def _reach(elements, start, mul, cap, what, keep=None):
+    """Every product ``start * e_i * e_j * ...`` over index-increasing
+    subsequences, mapped to its back pointer (index of the last element,
+    product before it); ``start`` maps to None.  ``keep``, when given,
+    refuses a product and, with it, every extension of it.  Raises
+    ResourceLimitError once the set holds more than ``cap`` products."""
+    reach = {start: None}
+    for i, e in enumerate(elements):
         for prod in list(reach):
-            np = group.mul(prod, g)
-            if np not in reach:
+            np = mul(prod, e)
+            if np not in reach and (keep is None or keep(np)):
                 reach[np] = (i, prod)
         if len(reach) > cap:
-            raise ResourceLimitError("group subset sum: products over budget")
+            raise ResourceLimitError(f"{what} over budget")
     return reach
 
 
-@lru_cache(maxsize=512)
-def _group_reach_cached(group, elements):
-    return _group_reach(group, elements, DEFAULT_BUDGET.max_brute_states)
-
-
-# The (group, elements, reach) of the last default-budget solve: the targets
-# of one cm-to-permss source share their group and elements objects, so an
-# identity test spares hashing the elements for each of them.  Like the
-# lru_cache behind it, it only remembers a function of its key.
-_last_reach = (None, None, None)
-
-
-def _default_reach(group, elements):
-    global _last_reach
-    last_group, last_elements, reach = _last_reach
-    if group is last_group and elements is last_elements:
-        return reach
-    reach = _group_reach_cached(group, elements)
-    _last_reach = (group, elements, reach)
-    return reach
-
-
-def solve_group_ss(inst: I.GroupSubsetSumInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    g = inst.group
-    if isinstance(g, I.CyclicGroup) and g.q <= budget.max_dp_cells:
-        got = kernels.subset_sum_mod_solve(list(inst.elements), g.q, inst.target % g.q)
-        if got is None:
-            return Verdict(False, method="dp")
-        return _yes(inst, tuple(got), "dp")
-    if len(inst.elements) > budget.max_bruteforce_n:
-        raise ResourceLimitError("group subset sum: too many elements")
-    if budget is DEFAULT_BUDGET:
-        reach = _default_reach(g, inst.elements)
-    else:
-        reach = _group_reach(g, inst.elements, budget.max_brute_states)
-    cur = inst.target
-    if isinstance(g, I.SymmetricGroup):
-        cur = cur.images if isinstance(cur, I.Permutation) else None
-    if cur not in reach:
-        return Verdict(False, method="reach")
+def _walk(reach, cur):
+    """The indices, in increasing order, by which ``reach`` reached ``cur``."""
     sol = []
     while reach[cur] is not None:
         i, cur = reach[cur]
         sol.append(i)
-    return _yes(inst, tuple(reversed(sol)), "reach")
+    return tuple(reversed(sol))
+
+
+# The (group, elements, cap, reach) of the last reach closure: the targets of
+# one cm-to-permss source share their group and elements objects, so an
+# identity test spares both the closure and hashing the elements.  It holds
+# one reach set of at most ``cap`` products.
+_last_reach = (None, None, None, None)
+
+
+def _group_reach(group, elements, cap):
+    """The reach set of ``elements`` in ``group``, from the memo when the
+    group and elements are the very objects of the last call and the cap is
+    the same.  In a symmetric group the products are image tuples, so the
+    closure makes and hashes plain tuples and builds no ``Permutation``."""
+    global _last_reach
+    last_group, last_elements, last_cap, reach = _last_reach
+    if group is last_group and elements is last_elements and cap == last_cap:
+        return reach
+    what = "group subset sum: products"
+    if isinstance(group, I.SymmetricGroup):
+        k = group.k
+        images = [e.images for e in elements]
+        if any(len(g) != k for g in images):
+            raise ValidationError("degree mismatch in composition")
+        # ``Permutation.compose``'s rule on image tuples
+        reach = _reach(images, tuple(range(k)),
+                       lambda a, b: tuple(map(a.__getitem__, b)), cap, what)
+    else:
+        reach = _reach(elements, group.identity(), group.mul, cap, what)
+    _last_reach = (group, elements, cap, reach)
+    return reach
+
+
+def _solve_group(inst, group, elements, target, budget):
+    """Group subset sum, a yes re-checked against ``inst``.  Z_q, which must
+    hold the elements and target, runs the modular bitset DP when its q
+    cells fit ``max_dp_cells``; every other case runs the reach closure."""
+    if isinstance(group, I.CyclicGroup):
+        q = group.q
+        if not 0 <= target < q or not all(0 <= e < q for e in elements):
+            raise ValidationError("modular instance out of range")
+        if q <= budget.max_dp_cells:
+            got = kernels.subset_sum_mod_solve(list(elements), q, target)
+            if got is None:
+                return Verdict(False, method="dp")
+            return _yes(inst, tuple(got), "dp")
+    if len(elements) > budget.max_bruteforce_n:
+        raise ResourceLimitError("group subset sum: too many elements")
+    reach = _group_reach(group, elements, budget.max_brute_states)
+    if isinstance(group, I.SymmetricGroup):
+        target = target.images if isinstance(target, I.Permutation) else None
+    if target not in reach:
+        return Verdict(False, method="reach")
+    return _yes(inst, _walk(reach, target), "reach")
+
+
+def solve_group_ss(inst: I.GroupSubsetSumInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    return _solve_group(inst, inst.group, inst.elements, inst.target, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,10 @@ def identity_reduction(kind: str) -> Reduction:
     )
 
 
-def compose(first: Reduction, second: Reduction, name: str | None = None,
-            solver: Callable | None = None) -> Reduction:
-    """Chain two reductions; synthesis solves the intermediate instance.
+def compose(first: Reduction, second: Reduction,
+            name: str | None = None) -> Reduction:
+    """Chain two reductions; synthesis solves the intermediate instance
+    with ``oracles.solve``.
 
     The composite witness is the first reduction's witness followed by a
     slot sized for the canonical intermediate instance.  When an actual
@@ -80,9 +81,7 @@ def compose(first: Reduction, second: Reduction, name: str | None = None,
         raise ReductionError(
             f"cannot compose {first.name} ({first.target_kind}) "
             f"with {second.name} ({second.source_kind})")
-    if solver is None:
-        from . import oracles
-        solver = oracles.solve
+    from . import oracles
 
     @lru_cache(maxsize=LAYOUT_CACHE)
     def probe(inst):
@@ -116,7 +115,7 @@ def compose(first: Reduction, second: Reduction, name: str | None = None,
     def synthesize(inst, sol):
         w1 = first.synthesize(inst, sol)
         mid = first.transform(inst, w1)
-        got = solver(mid)
+        got = oracles.solve(mid)
         if not got.answer:
             raise ReductionError(
                 f"{first.name}: synthesized witness produced a no-instance")
@@ -167,13 +166,12 @@ def compose(first: Reduction, second: Reduction, name: str | None = None,
     )
 
 
-def chain(*reductions: Reduction, name: str | None = None,
-          solver: Callable | None = None) -> Reduction:
+def chain(*reductions: Reduction, name: str | None = None) -> Reduction:
     if not reductions:
         raise ReductionError("empty chain")
     acc = reductions[0]
     for red in reductions[1:]:
-        acc = compose(acc, red, solver=solver)
+        acc = compose(acc, red)
     if name is not None:
         acc = dataclasses.replace(acc, name=name)
     return acc

@@ -566,3 +566,94 @@ def test_symmetric_reach_edges():
     for budget in (DEFAULT_BUDGET, Budget(max_brute_states=100)):
         with pytest.raises(ValidationError):
             solve(bad, budget)
+
+
+# ---------------------------------------------------------------------------
+# Past the DP gates: plain subset sum runs the reach closure over sums up to
+# the target (method "brute"); modular subset sum is group subset sum over
+# Z_q, and every group kind runs the closure over products (method "reach").
+
+
+def _check_fallback(inst, expected, method):
+    got = solve(inst, Budget(max_dp_cells=0))
+    assert got.method == method, inst
+    assert got.answer == expected, inst
+    if got.answer:
+        assert check_solution(inst, got.solution), inst
+
+
+def test_fallback_paths_match_brute_force():
+    rng = Random(11)
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        # one item in [1, target] keeps the plain instance off the DP
+        items = [rng.randint(1, 9)] + [rng.randint(0, 12) for _ in range(n)]
+        rng.shuffle(items)
+        inst = I.SubsetSumInstance(tuple(items), rng.randint(9, 40))
+        _check_fallback(inst, _brute_subset_sum(inst), "brute")
+        q = rng.randint(1, 12)
+        items = tuple(rng.randrange(q) for _ in range(n))
+        target = rng.randrange(q)
+        mod = I.SubsetSumInstance(items, target, modulus=q)
+        _check_fallback(mod, _brute_subset_sum(mod), "reach")
+        cyc = I.GroupSubsetSumInstance(I.CyclicGroup(q), items, target)
+        _check_fallback(cyc, _brute_group(cyc), "reach")
+        k = rng.randint(1, 3)
+        prod = I.GroupSubsetSumInstance(
+            I.ProductGroup(k),
+            tuple(tuple(rng.randrange(k) for _ in range(k)) for _ in range(n)),
+            tuple(rng.randrange(k) for _ in range(k)))
+        _check_fallback(prod, _brute_group(prod), "reach")
+        k = rng.randint(1, 4)
+        perms = [Permutation(tuple(p)) for p in permutations(range(k))]
+        sym = I.GroupSubsetSumInstance(
+            I.SymmetricGroup(k), tuple(rng.choice(perms) for _ in range(n)),
+            rng.choice(perms))
+        _check_fallback(sym, _brute_group(sym), "reach")
+
+
+def test_plain_reach_keeps_only_sums_up_to_the_target():
+    # sums 0..3 fit a cap of 4 states; all 7 sums of the items would not
+    inst = I.SubsetSumInstance((1, 2, 3), 3)
+    got = solve(inst, Budget(max_dp_cells=0, max_brute_states=4))
+    assert got == Verdict(True, (0, 1), "brute")
+    with pytest.raises(ResourceLimitError, match="reachable sums over budget"):
+        solve(inst, Budget(max_dp_cells=0, max_brute_states=3))
+
+
+def test_cyclic_input_outside_the_group_is_refused():
+    # the DP reduced the target mod q and then refused its own solution
+    cases = [I.GroupSubsetSumInstance(I.CyclicGroup(5), (2,), 7),
+             I.GroupSubsetSumInstance(I.CyclicGroup(5), (2,), -3),
+             I.GroupSubsetSumInstance(I.CyclicGroup(5), (2, 5), 2),
+             I.SubsetSumInstance((2,), 7, modulus=5),
+             I.SubsetSumInstance((2, -1), 2, modulus=5)]
+    for inst in cases:
+        for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0)):
+            with pytest.raises(ValidationError, match="out of range"):
+                solve(inst, budget)
+
+
+def test_group_reach_memo_is_keyed_by_cap():
+    g = I.ProductGroup(3)
+    elements = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
+    target = (2, 1, 1)
+    expected = solve(I.GroupSubsetSumInstance(g, elements, target))
+    assert expected.answer and expected.method == "reach"
+    assert check_solution(I.GroupSubsetSumInstance(g, elements, target),
+                          expected.solution)
+    # the same objects under a cap the products exceed: not the memo's set
+    with pytest.raises(ResourceLimitError):
+        solve(I.GroupSubsetSumInstance(g, elements, target),
+              Budget(max_brute_states=3))
+    assert solve(I.GroupSubsetSumInstance(g, elements, target)) == expected
+    # equal-valued but distinct group and elements objects
+    for group, elems in ((I.ProductGroup(3), elements),
+                         (g, tuple(tuple(e) for e in list(elements))),
+                         (g, elements[:3] + ((1, 1, 0),))):
+        assert elems == elements
+        assert solve(I.GroupSubsetSumInstance(group, elems, target)) == expected
+        assert not solve(I.GroupSubsetSumInstance(group, elems, (2, 2, 2))).answer
+        with pytest.raises(ResourceLimitError):
+            solve(I.GroupSubsetSumInstance(group, elems, target),
+                  Budget(max_brute_states=3))
