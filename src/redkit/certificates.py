@@ -5,8 +5,10 @@ Certificates are fixed-width bit strings (``Witness`` values): a count field
 followed by fixed slots, with unused trailing slots required to be zero.  A
 verifier never raises on malformed input; it rejects.  A scheme's layout
 (length, slot count, field widths and shifts) depends only on the instance,
-so it is computed once per instance and kept in a bounded cache of the last
-``LAYOUT_CACHE`` instances; ``verify`` decodes ``cert.value`` with the
+so it is computed once per instance and kept by ``witness.layout_cache``: a
+bounded cache of the last ``LAYOUT_CACHE`` instances behind a memo of the
+last instance object, so the many ``verify`` calls on one instance find its
+layout without hashing it.  ``verify`` decodes ``cert.value`` with the
 layout's shifts and masks rather than splitting it into fields.
 
 One sweep checks both kinds of contract.  A certificate scheme is the case
@@ -25,14 +27,22 @@ structurally invalid witness to a fixed trivial no-instance, and verifiers
 reject such certificates outright, so the invalid stratum collapses to a
 handful of outcomes.  Reports record which strategy covered each instance; anything
 not covered is listed as skipped, never silently passed.
+
+The witnesses of one instance are checked by one C-level loop, ``filter``
+over ``compress``, that stops at the first accepted witness; the sweep adds
+no Python step per witness.  ``compress`` draws one number from a counter
+for each witness it pulls, so ``witnesses_checked`` is read from that
+counter once the loop ends.  It is exact when a witness is accepted and
+when ``accepts`` or the enumerator raises; a witness whose ``accepts``
+raised is counted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from itertools import combinations, islice, product
+from functools import partial
+from itertools import combinations, compress, count, islice, product
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -41,7 +51,7 @@ from .errors import (ConstructionError, RedkitError, ReductionError,
                      ResourceLimitError, ValidationError)
 from .oracles import DEFAULT_BUDGET, Budget, Verdict, solve
 from .reductions import Reduction
-from .witness import (LAYOUT_CACHE, Witness, all_witnesses, field_width,
+from .witness import (Witness, all_witnesses, field_width, layout_cache,
                       pack_fields)
 
 # Targets the verdict cache of ``nppt_contract_check`` holds before it is
@@ -93,7 +103,7 @@ class _UssLayout(NamedTuple):
     mult_mask: int
 
 
-@lru_cache(maxsize=LAYOUT_CACHE)
+@layout_cache
 def _uss_layout(inst) -> _UssLayout:
     """Certificate layout of one instance, cached for the last 256
     (``LAYOUT_CACHE``) instances; its size is linear in the slot count."""
@@ -240,7 +250,7 @@ class _ZkkLayout(NamedTuple):
     target: tuple
 
 
-@lru_cache(maxsize=LAYOUT_CACHE)
+@layout_cache
 def _zkk_layout(inst) -> _ZkkLayout:
     """Certificate layout of one instance, cached for the last 256
     (``LAYOUT_CACHE``) instances; its size is linear in the slot count."""
@@ -282,10 +292,8 @@ def _zkk_verify(inst, cert):
             return False
         prev = i
         chosen.append(elements[i])
-    acc = zero
-    for e in chosen:
-        acc = tuple((a + b) % k for a, b in zip(acc, e))
-    return acc == target
+    # coordinate sums of the chosen elements, each column led by a zero
+    return tuple(map(k.__rmod__, map(sum, zip(zero, *chosen)))) == target
 
 
 def find_zero_sum_subsequence(elements, k):
@@ -453,12 +461,19 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
         return out
 
     def reject_all(inst, wits):
-        for wit in wits:
-            rep.witnesses_checked += 1
-            if accepts(inst, wit):
-                rep.violations.append(violation("soundness", inst, wit))
-                return False
-        return True
+        # ``compress`` draws one number from ``seen`` per witness it pulls,
+        # so the count is exact however the loop ends, and it includes a
+        # witness whose ``accepts`` raised
+        seen = count(1)
+        try:
+            wit = next(filter(partial(accepts, inst), compress(wits, seen)),
+                       None)
+        finally:
+            rep.witnesses_checked += next(seen) - 1
+        if wit is None:
+            return True
+        rep.violations.append(violation("soundness", inst, wit))
+        return False
 
     for inst in family:
         if inst.kind != kind:

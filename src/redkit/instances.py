@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add
 from typing import Union
 
 from . import pathdecomp
@@ -67,12 +68,17 @@ class ProductGroup:
         return (0,) * self.k
 
     def mul(self, a, b):
-        k = self.k
-        return tuple((a[i] + b[i]) % k for i in range(k))
+        return tuple(map(self.k.__rmod__, map(add, a, b)))
 
     def contains(self, e) -> bool:
-        return (isinstance(e, tuple) and len(e) == self.k
-                and all(isinstance(c, int) and 0 <= c < self.k for c in e))
+        # a plain loop: the oracle asks this of every element it is given
+        k = self.k
+        if not isinstance(e, tuple) or len(e) != k:
+            return False
+        for c in e:
+            if not isinstance(c, int) or not 0 <= c < k:
+                return False
+        return True
 
     def parameter(self) -> int:
         return self.k

@@ -10,8 +10,9 @@ invalid witnesses map to fixed trivial no-instances so that exhaustive
 contract checks can cover the invalid stratum with a single probe.  A
 reduction whose witness has several fields computes the instance's layout
 once (length, widths, shifts and mask, plus the parts of the target that do
-not depend on the witness) and keeps it in a bounded cache of the last
-``LAYOUT_CACHE`` instances; ``transform``, ``witness_len``, ``synthesize``
+not depend on the witness) and keeps it with ``witness.layout_cache`` (the
+last instance object, then a bounded cache of the last ``LAYOUT_CACHE``
+instances); ``transform``, ``witness_len``, ``synthesize``
 and the enumerators read that layout, and ``transform`` decodes
 ``wit.value`` with its shifts and masks.  Targets are built from tuples,
 so their constructors keep them as they are.
@@ -19,7 +20,6 @@ so their constructors keep them as they are.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from operator import lshift, sub
 from typing import NamedTuple
@@ -27,7 +27,7 @@ from typing import NamedTuple
 from . import instances as I
 from .errors import ConstructionError, ReductionError
 from .reductions import Reduction
-from .witness import LAYOUT_CACHE, Witness, field_width, pack_fields
+from .witness import Witness, field_width, layout_cache, pack_fields
 
 # Fixed targets of guard cases and rejected witnesses, built once.
 _SS_YES = I.trivial_instance("subset_sum", True)
@@ -150,7 +150,7 @@ class _KssLayout(NamedTuple):
     items: tuple        # the target's items, size * W + weight
 
 
-@lru_cache(maxsize=LAYOUT_CACHE)
+@layout_cache
 def _kss_layout(inst) -> _KssLayout:
     t, w = inst.capacity, inst.demand
     kept = [(p, wi) for p, wi in inst.items if p <= t]
@@ -230,7 +230,7 @@ class _SsmLayout(NamedTuple):
     columns: tuple      # the binary digits of each item <= t
 
 
-@lru_cache(maxsize=LAYOUT_CACHE)
+@layout_cache
 def _ssm_layout(inst) -> _SsmLayout:
     t = inst.target
     k = t.bit_length()
@@ -425,7 +425,7 @@ class _ImLayout(NamedTuple):
     columns: tuple      # each column's +1 indicator, then its -1 indicator
 
 
-@lru_cache(maxsize=LAYOUT_CACHE)
+@layout_cache
 def _im_layout(inst) -> _ImLayout:
     fields = 2 * inst.num_rows
     width = field_width(len(inst.columns))

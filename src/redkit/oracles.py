@@ -266,14 +266,24 @@ def _walk(reach, cur):
 _last_reach = (None, None, None, None)
 
 
-def _group_reach(group, elements, cap):
+def _group_reach(group, elements, budget):
     """The reach set of ``elements`` in ``group``, from the memo when the
     group and elements are the very objects of the last call and the cap is
-    the same.  In a symmetric group the products are image tuples, so the
-    closure makes and hashes plain tuples and builds no ``Permutation``."""
+    the same.  Z_k^k elements other than the memo's are checked against the
+    group before the element count is held to the budget, so a misshapen
+    input is refused the same way under every budget.  In a symmetric group
+    the products are image tuples, so the closure makes and hashes plain
+    tuples and builds no ``Permutation``."""
     global _last_reach
     last_group, last_elements, last_cap, reach = _last_reach
-    if group is last_group and elements is last_elements and cap == last_cap:
+    known = group is last_group and elements is last_elements
+    if not known and isinstance(group, I.ProductGroup) and \
+            not all(map(group.contains, elements)):
+        raise ValidationError("Z_k^k element out of range")
+    if len(elements) > budget.max_bruteforce_n:
+        raise ResourceLimitError("group subset sum: too many elements")
+    cap = budget.max_brute_states
+    if known and cap == last_cap:
         return reach
     what = "group subset sum: products"
     if isinstance(group, I.SymmetricGroup):
@@ -293,7 +303,9 @@ def _group_reach(group, elements, cap):
 def _solve_group(inst, group, elements, target, budget):
     """Group subset sum, a yes re-checked against ``inst``.  Z_q, which must
     hold the elements and target, runs the modular bitset DP when its q
-    cells fit ``max_dp_cells``; every other case runs the reach closure."""
+    cells fit ``max_dp_cells``; every other case runs the reach closure.
+    Z_k^k must hold the target and, checked on a reach-memo miss, the
+    elements: length-k tuples of residues in [0, k)."""
     if isinstance(group, I.CyclicGroup):
         q = group.q
         if not 0 <= target < q or not all(0 <= e < q for e in elements):
@@ -303,9 +315,9 @@ def _solve_group(inst, group, elements, target, budget):
             if got is None:
                 return Verdict(False, method="dp")
             return _yes(inst, tuple(got), "dp")
-    if len(elements) > budget.max_bruteforce_n:
-        raise ResourceLimitError("group subset sum: too many elements")
-    reach = _group_reach(group, elements, budget.max_brute_states)
+    elif isinstance(group, I.ProductGroup) and not group.contains(target):
+        raise ValidationError("Z_k^k target out of range")
+    reach = _group_reach(group, elements, budget)
     if isinstance(group, I.SymmetricGroup):
         target = target.images if isinstance(target, I.Permutation) else None
     if target not in reach:
@@ -608,9 +620,15 @@ def check_solution(inst: I.ProblemInstance, sol) -> bool:
             idx = list(sol)
             if idx != sorted(set(idx)) or not all(0 <= i < len(inst.elements) for i in idx):
                 return False
-            acc = inst.group.identity()
-            for i in idx:
-                acc = inst.group.mul(acc, inst.elements[i])
+            g = inst.group
+            chosen = [inst.elements[i] for i in idx]
+            # the Z_k^k multiply would truncate a tuple of another length
+            if isinstance(g, I.ProductGroup) and not all(
+                    map(g.contains, chosen + [inst.target])):
+                return False
+            acc = g.identity()
+            for e in chosen:
+                acc = g.mul(acc, e)
             return acc == inst.target
         if k == "counter_machine":
             idx = sorted(set(sol))

@@ -7,8 +7,9 @@ index 3k; six counters Z_(c,d) for ordered distinct color pairs at
 3k+1+rank(c,d) with pairs ranked lexicographically.  Total dimension
 3k + 7.
 
-cm-to-permss computes an instance's layout once and keeps it in a bounded
-cache of the last ``LAYOUT_CACHE`` instances: the witness length and count
+cm-to-permss computes an instance's layout once and keeps it with
+``witness.layout_cache`` (the last instance object, then a bounded cache of
+the last ``LAYOUT_CACHE`` instances): the witness length and count
 shifts, the target group and elements, and for each counter the images of
 pi^0 .. pi^n already moved onto that counter's block.  An element is the
 concatenation of per-block images of gamma_hat(b), each block cached across
@@ -29,7 +30,7 @@ from . import pathdecomp
 from .errors import ReductionError, ValidationError
 from .groups import Permutation, identity, make_run_context
 from .reductions import Reduction
-from .witness import LAYOUT_CACHE, Witness, field_width, pack_fields
+from .witness import Witness, field_width, layout_cache, pack_fields
 
 COLOR_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
@@ -203,7 +204,7 @@ class _CpsLayout(NamedTuple):
     elements: tuple
 
 
-@lru_cache(maxsize=LAYOUT_CACHE)
+@layout_cache
 def _cps_layout(inst) -> _CpsLayout:
     n, ell = len(inst.vectors), inst.dimension
     if n == 0:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import ReductionError
-from .witness import LAYOUT_CACHE, Witness
+from .witness import Witness, layout_cache
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def compose(first: Reduction, second: Reduction,
             f"with {second.name} ({second.source_kind})")
     from . import oracles
 
-    @lru_cache(maxsize=LAYOUT_CACHE)
+    @layout_cache
     def probe(inst):
         # the slot sizes depend only on the instance: computed once each
         l1 = first.witness_len(inst)

@@ -6,15 +6,22 @@ with the first field occupying the most significant bits.  Field widths are
 treat out-of-range field values as "reject" rather than error.
 
 Reductions and certificate schemes compute the layout of their fields (the
-length, widths, shifts and masks) once per instance and keep it in a
-bounded cache of the last ``LAYOUT_CACHE`` instances, so that a sweep over
-every witness of an instance decodes each one with a few shifts.
+length, widths, shifts and masks) once per instance, so that a sweep over
+every witness of an instance decodes each one with a few shifts.  Each
+layout function is wrapped by ``layout_cache``: a one-entry memo keyed by
+the identity of the instance, in front of a bounded cache of the last
+``LAYOUT_CACHE`` instances.  A sweep asks for the layout of the same
+instance object once per witness, so the memo answers with one ``is`` test
+and the bounded cache, which hashes the whole instance, is asked once per
+instance.  Each layout function thus holds one instance and layout more
+than its bounded cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -22,6 +29,27 @@ from .errors import ValidationError
 # keeps.  A sweep checks all witnesses of one instance before the next and
 # needs only the last; the rest serve callers that interleave instances.
 LAYOUT_CACHE = 256
+
+
+def layout_cache(build: Callable) -> Callable:
+    """``build(inst)`` cached for the last ``LAYOUT_CACHE`` instances, with
+    the last (instance, layout) pair kept in front of the cache and reused
+    while the very same instance object is asked for again."""
+    cached = lru_cache(maxsize=LAYOUT_CACHE)(build)
+    # one tuple, rebound in a single store, so the pair never mixes two
+    # calls; it starts with an object no caller holds
+    last = (object(), None)
+
+    @wraps(build)
+    def layout(inst):
+        nonlocal last
+        held, lay = last
+        if inst is held:
+            return lay
+        lay = cached(inst)
+        last = (inst, lay)
+        return lay
+    return layout
 
 
 def field_width(upper: int) -> int:

@@ -531,19 +531,30 @@ def _zkk_cases(draw):
     return inst, draw(_certificates(_zkk_widths(inst), 1))
 
 
-@settings(max_examples=400, deadline=None)
-@given(_uss_cases())
-def test_unbounded_verify_matches_reference(case):
-    inst, cert = case
-    assert UNBOUNDED_SS_SCHEME.verify(inst, cert) == \
-        _ref_uss_verify(inst, cert)
+def _interleaved(a, b):
+    """Two (instance, certificate) cases in the order A, B, A, then an
+    equal but distinct copy of A, then B's instance with A's certificate:
+    each switch of instance misses the layout's identity memo, and the
+    repeats are answered by its bounded cache."""
+    (inst_a, cert_a), (inst_b, _) = a, b
+    return [a, b, a, (dataclasses.replace(inst_a), cert_a), (inst_b, cert_a)]
 
 
 @settings(max_examples=400, deadline=None)
-@given(_zkk_cases())
-def test_zkk_verify_matches_reference(case):
-    inst, cert = case
-    assert ZKK_SCHEME.verify(inst, cert) == _ref_zkk_verify(inst, cert)
+@given(_uss_cases(), _uss_cases())
+def test_unbounded_verify_matches_reference(a, b):
+    for inst, cert in _interleaved(a, b):
+        assert UNBOUNDED_SS_SCHEME.cert_len(inst) == sum(_uss_widths(inst))
+        assert UNBOUNDED_SS_SCHEME.verify(inst, cert) == \
+            _ref_uss_verify(inst, cert)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_zkk_cases(), _zkk_cases())
+def test_zkk_verify_matches_reference(a, b):
+    for inst, cert in _interleaved(a, b):
+        assert ZKK_SCHEME.cert_len(inst) == sum(_zkk_widths(inst))
+        assert ZKK_SCHEME.verify(inst, cert) == _ref_zkk_verify(inst, cert)
 
 
 @pytest.mark.parametrize("scheme, widths, reference, family", [

@@ -634,6 +634,36 @@ def test_cyclic_input_outside_the_group_is_refused():
                 solve(inst, budget)
 
 
+def test_product_input_outside_the_group_is_refused():
+    # the multiply read the first k coordinates, so a longer element was
+    # truncated and its solution passed the re-check; a shorter one raised
+    # IndexError
+    g = I.ProductGroup(2)
+    cases = [I.GroupSubsetSumInstance(g, ((1, 0, 1),), (1, 0)),
+             I.GroupSubsetSumInstance(g, ((1,),), (1, 0)),
+             I.GroupSubsetSumInstance(g, ((2, 1),), (0, 1)),
+             I.GroupSubsetSumInstance(g, ((-1, 0),), (1, 0)),
+             I.GroupSubsetSumInstance(g, (1,), (1, 0)),
+             I.GroupSubsetSumInstance(g, ((1, 0),), (3, 0)),
+             I.GroupSubsetSumInstance(g, ((1, 0),), (1, 0, 0)),
+             I.GroupSubsetSumInstance(g, ((1, 0),), 1)]
+    for inst in cases:
+        assert not check_solution(inst, (0,))
+        for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0),
+                       Budget(max_brute_states=1),
+                       Budget(max_bruteforce_n=0)):
+            with pytest.raises(ValidationError, match="out of range"):
+                solve(inst, budget)
+    # the elements are checked on a memo miss, the target on every call
+    elements = ((1, 0), (0, 1))
+    assert solve(I.GroupSubsetSumInstance(g, elements, (1, 1))).answer
+    with pytest.raises(ValidationError, match="target out of range"):
+        solve(I.GroupSubsetSumInstance(g, elements, (1, 2)))
+    with pytest.raises(ValidationError, match="element out of range"):
+        solve(I.GroupSubsetSumInstance(g, elements + ((0, 2),), (1, 1)))
+    assert solve(I.GroupSubsetSumInstance(g, elements, (1, 1))).answer
+
+
 def test_group_reach_memo_is_keyed_by_cap():
     g = I.ProductGroup(3)
     elements = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))

@@ -6,6 +6,7 @@ did; the layout-based reductions must agree with them on the witness
 length, on the target of every witness, and on the witness enumerations.
 """
 
+import dataclasses
 from functools import lru_cache
 from itertools import islice, product
 
@@ -275,9 +276,7 @@ def test_layout_reduction_matches_reference(name):
     instances, ref_len, ref_transform, ref_valid, ref_canonical = CASES[name]
     red = REDUCTIONS[name]
 
-    @settings(max_examples=150, deadline=None)
-    @given(instances, st.lists(st.integers(0, 1 << 30), max_size=64))
-    def check(inst, values):
+    def agree(inst, values):
         length = red.witness_len(inst)
         assert length == ref_len(inst)
         for wit in _witnesses(length, values):
@@ -290,5 +289,15 @@ def test_layout_reduction_matches_reference(name):
             list(islice(ref_valid(inst), 5000))
         if ref_canonical is not None:
             assert red.canonical_witness(inst) == ref_canonical(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances, instances,
+           st.lists(st.integers(0, 1 << 30), max_size=64))
+    def check(a, b, values):
+        # A, B, A, then an equal but distinct copy of A: each switch of
+        # instance misses the layout's identity memo, and the repeats are
+        # answered by its bounded cache
+        for inst in (a, b, a, dataclasses.replace(a)):
+            agree(inst, values)
 
     check()
