@@ -30,11 +30,13 @@ not covered is listed as skipped, never silently passed.
 
 The witnesses of one instance are checked by one C-level loop, ``filter``
 over ``compress``, that stops at the first accepted witness; the sweep adds
-no Python step per witness.  ``compress`` draws one number from a counter
-for each witness it pulls, so ``witnesses_checked`` is read from that
-counter once the loop ends.  It is exact when a witness is accepted and
-when ``accepts`` or the enumerator raises; a witness whose ``accepts``
-raised is counted.
+no Python step per witness.  Under an exhaustive sweep the witnesses come
+from ``all_witnesses``, which builds each ``Witness`` tuple in C, so no
+Python code runs between two ``accepts`` calls.  ``compress`` draws one
+number from a counter for each witness it pulls, so ``witnesses_checked``
+is read from that counter once the loop ends.  It is exact when a witness
+is accepted and when ``accepts`` or the enumerator raises; a witness whose
+``accepts`` raised is counted.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ numbers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from operator import add
 from typing import Union
@@ -52,6 +53,9 @@ class CyclicGroup:
     def contains(self, e) -> bool:
         return isinstance(e, int) and not isinstance(e, bool) and 0 <= e < self.q
 
+    def order(self) -> int:
+        return self.q
+
     def parameter(self) -> int:
         return self.q.bit_length()
 
@@ -80,6 +84,9 @@ class ProductGroup:
                 return False
         return True
 
+    def order(self) -> int:
+        return self.k ** self.k
+
     def parameter(self) -> int:
         return self.k
 
@@ -100,6 +107,9 @@ class SymmetricGroup:
 
     def contains(self, e) -> bool:
         return isinstance(e, Permutation) and e.degree == self.k
+
+    def order(self) -> int:
+        return math.factorial(self.k)
 
     def parameter(self) -> int:
         return self.k

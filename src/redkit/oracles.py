@@ -11,7 +11,10 @@ checker before being returned.
 Subset sum with a modulus q is group subset sum over Z_q
 (``CyclicGroup(q)``) and is solved by the same path.  Past their DP gates,
 plain subset sum and group subset sum run one reach closure (``_reach``):
-the products of index-increasing subsequences, with back pointers.
+the products of index-increasing subsequences, with back pointers.  A
+group closure stops once it holds the group's ``order()`` products (q for
+Z_q, k^k for Z_k^k, k! for S_k): no later product could be new, so the
+set and its back pointers are those of the full closure.
 
 Targets of one source often share their shape, so two solvers keep the
 part that depends only on it:
@@ -233,12 +236,15 @@ def _solve_zero_sum(inst, budget):
 # ---------------------------------------------------------------------------
 # Group subset sum.
 
-def _reach(elements, start, mul, cap, what, keep=None):
+def _reach(elements, start, mul, cap, what, keep=None, order=None):
     """Every product ``start * e_i * e_j * ...`` over index-increasing
     subsequences, mapped to its back pointer (index of the last element,
     product before it); ``start`` maps to None.  ``keep``, when given,
     refuses a product and, with it, every extension of it.  Raises
-    ResourceLimitError once the set holds more than ``cap`` products."""
+    ResourceLimitError once the set holds more than ``cap`` products.
+    ``order``, when given, is the size of the group the products lie in:
+    once the set holds that many no later product is new, so the closure
+    stops there with the same dict and back pointers as the full one."""
     reach = {start: None}
     for i, e in enumerate(elements):
         for prod in list(reach):
@@ -247,6 +253,8 @@ def _reach(elements, start, mul, cap, what, keep=None):
                 reach[np] = (i, prod)
         if len(reach) > cap:
             raise ResourceLimitError(f"{what} over budget")
+        if len(reach) == order:
+            break
     return reach
 
 
@@ -286,6 +294,7 @@ def _group_reach(group, elements, budget):
     if known and cap == last_cap:
         return reach
     what = "group subset sum: products"
+    order = group.order()
     if isinstance(group, I.SymmetricGroup):
         k = group.k
         images = [e.images for e in elements]
@@ -293,9 +302,11 @@ def _group_reach(group, elements, budget):
             raise ValidationError("degree mismatch in composition")
         # ``Permutation.compose``'s rule on image tuples
         reach = _reach(images, tuple(range(k)),
-                       lambda a, b: tuple(map(a.__getitem__, b)), cap, what)
+                       lambda a, b: tuple(map(a.__getitem__, b)), cap, what,
+                       order=order)
     else:
-        reach = _reach(elements, group.identity(), group.mul, cap, what)
+        reach = _reach(elements, group.identity(), group.mul, cap, what,
+                       order=order)
     _last_reach = (group, elements, cap, reach)
     return reach
 
@@ -308,7 +319,8 @@ def _solve_group(inst, group, elements, target, budget):
     elements: length-k tuples of residues in [0, k)."""
     if isinstance(group, I.CyclicGroup):
         q = group.q
-        if not 0 <= target < q or not all(0 <= e < q for e in elements):
+        if not group.contains(target) or \
+                not all(map(group.contains, elements)):
             raise ValidationError("modular instance out of range")
         if q <= budget.max_dp_cells:
             got = kernels.subset_sum_mod_solve(list(elements), q, target)

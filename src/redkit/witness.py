@@ -1,7 +1,11 @@
 """Fixed-width bit-string witnesses.
 
 A witness is a bit string of a declared length, carried as (value, length)
-with the first field occupying the most significant bits.  Field widths are
+with the first field occupying the most significant bits.  ``Witness`` is
+an immutable tuple subclass of those two fields, so ``all_witnesses`` builds
+every witness of a length in one C-level pipeline (``map`` of
+``tuple.__new__`` over ``zip``) and adds no Python step per witness; the
+sweeps of ``redkit.certificates`` pull them the same way.  Field widths are
 ``(upper + 1).bit_length()`` bits for a value range [0, upper]; decoders must
 treat out-of-range field values as "reject" rather than error.
 
@@ -19,8 +23,10 @@ than its bounded cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError
 from functools import lru_cache, wraps
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -59,16 +65,35 @@ def field_width(upper: int) -> int:
     return max(upper.bit_length(), 1)
 
 
-@dataclass(frozen=True)
-class Witness:
-    value: int
-    length: int
+class Witness(namedtuple("Witness", ("value", "length"))):
+    """A ``length``-bit string whose value is ``value``.
 
-    def __post_init__(self):
-        if self.length < 0:
+    An immutable pair whose fields are read by C-level getters.  Every
+    public constructor (``Witness(...)``, ``zero``, ``from_hex``, ``_make``
+    and ``_replace``) checks that the value fits the length; assigning a
+    field raises ``FrozenInstanceError``.  Being a tuple, a witness equals
+    the plain tuple ``(value, length)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, length: int) -> "Witness":
+        if length < 0:
             raise ValidationError("witness length must be nonnegative")
-        if not 0 <= self.value < (1 << self.length):
+        if not 0 <= value < (1 << length):
             raise ValidationError("witness value out of range for length")
+        return tuple.__new__(cls, (value, length))
+
+    @classmethod
+    def _make(cls, iterable) -> "Witness":
+        # the namedtuple one skips __new__; _replace goes through this one
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def bits(self) -> tuple[int, ...]:
         return tuple((self.value >> (self.length - 1 - i)) & 1
@@ -120,17 +145,8 @@ def all_witnesses(length: int) -> Iterator[Witness]:
     """Every witness of ``length`` bits, in increasing value order."""
     if length < 0:
         raise ValidationError("witness length must be nonnegative")
-    return _all_witnesses(length)
-
-
-def _all_witnesses(length):
-    # Each value of range(1 << length) fits by construction, so the values
-    # skip __post_init__: the fields go straight into the instance dict
-    # (a frozen dataclass blocks setattr, not its __dict__).
-    new = object.__new__
-    for v in range(1 << length):
-        wit = new(Witness)
-        slots = wit.__dict__
-        slots["value"] = v
-        slots["length"] = length
-        yield wit
+    # Each value of range(1 << length) fits by construction, so the pairs
+    # skip the checks in Witness.__new__: tuple.__new__ makes each witness
+    # in C, with no Python step per value.
+    return map(tuple.__new__, repeat(Witness),
+               zip(range(1 << length), repeat(length)))

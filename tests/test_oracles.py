@@ -6,12 +6,13 @@ itself, so the library solvers are never their own referee.
 
 from itertools import permutations, product
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redkit import instances as I
-from redkit import kernels
+from redkit import kernels, oracles
 from redkit.errors import ResourceLimitError, ValidationError
 from redkit.groups import Permutation
 from redkit.oracles import (DEFAULT_BUDGET, Budget, Verdict, check_solution,
@@ -628,6 +629,16 @@ def test_cyclic_input_outside_the_group_is_refused():
              I.GroupSubsetSumInstance(I.CyclicGroup(5), (2, 5), 2),
              I.SubsetSumInstance((2,), 7, modulus=5),
              I.SubsetSumInstance((2, -1), 2, modulus=5)]
+    # residues must be ints: a float raised TypeError in the DP and was
+    # answered by reach past it, and a bool was read as its value under
+    # both budgets
+    cyc = I.CyclicGroup(5)
+    cases += [I.GroupSubsetSumInstance(cyc, (2.0,), 2),
+              I.GroupSubsetSumInstance(cyc, (2,), 2.0),
+              I.GroupSubsetSumInstance(cyc, (True,), 1),
+              I.GroupSubsetSumInstance(cyc, (1,), True),
+              I.SubsetSumInstance((2.0,), 2, modulus=5),
+              I.SubsetSumInstance((True,), 1, modulus=5)]
     for inst in cases:
         for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0)):
             with pytest.raises(ValidationError, match="out of range"):
@@ -687,3 +698,101 @@ def test_group_reach_memo_is_keyed_by_cap():
         with pytest.raises(ResourceLimitError):
             solve(I.GroupSubsetSumInstance(group, elems, target),
                   Budget(max_brute_states=3))
+
+
+# ---------------------------------------------------------------------------
+# A group closure stops once it holds the whole group.  The reference is the
+# closure that runs every element step, whatever the set holds.
+
+
+def _full_reach(elements, start, mul, cap, what, keep=None, order=None):
+    """``oracles._reach`` without the stop: ``order`` is taken and unused."""
+    reach = {start: None}
+    for i, e in enumerate(elements):
+        for prod in list(reach):
+            np = mul(prod, e)
+            if np not in reach and (keep is None or keep(np)):
+                reach[np] = (i, prod)
+        if len(reach) > cap:
+            raise ResourceLimitError(f"{what} over budget")
+    return reach
+
+
+def _saturating_and_full(inst, budget):
+    """``inst``'s verdict from the saturating closure and from the full
+    one, each on a cold reach memo."""
+    with mock.patch.object(oracles, "_last_reach", (None,) * 4):
+        fast = solve_group_ss(inst, budget)
+    with mock.patch.object(oracles, "_last_reach", (None,) * 4), \
+            mock.patch.object(oracles, "_reach", _full_reach):
+        full = solve_group_ss(inst, budget)
+    return fast, full
+
+
+def _product_case(k):
+    cell = st.tuples(*[st.integers(0, k - 1)] * k)
+    return st.tuples(st.just(I.ProductGroup(k)),
+                     st.lists(cell, max_size=12), cell)
+
+
+_closures = st.one_of(
+    _product_case(2), _product_case(3),
+    st.integers(1, 30).flatmap(lambda q: st.tuples(
+        st.just(I.CyclicGroup(q)), st.lists(st.integers(0, q - 1),
+                                            max_size=12),
+        st.integers(0, q - 1))),
+    st.integers(3, 4).flatmap(lambda k: st.tuples(
+        st.just(I.SymmetricGroup(k)),
+        st.lists(st.permutations(range(k)).map(Permutation), max_size=10),
+        st.permutations(range(k)).map(Permutation))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closures)
+def test_saturating_closure_matches_the_full_one(case):
+    group, elements, target = case
+    inst = I.GroupSubsetSumInstance(group, tuple(elements), target)
+    # Z_q reaches the closure only past its DP gate
+    budget = Budget(max_dp_cells=0) if isinstance(group, I.CyclicGroup) \
+        else DEFAULT_BUDGET
+    fast, full = _saturating_and_full(inst, budget)
+    assert fast == full
+    assert fast.method == "reach"
+
+
+class _CountingProductGroup(I.ProductGroup):
+    """Z_k^k that counts the products it is asked for."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.calls = 0
+
+    def mul(self, a, b):
+        self.calls += 1
+        return super().mul(a, b)
+
+
+def test_saturating_closure_makes_fewer_products():
+    # the first two elements generate all four elements of Z_2^2
+    elements = ((1, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 1))
+    calls = {}
+    for name, closure in (("fast", oracles._reach), ("full", _full_reach)):
+        group = _CountingProductGroup(2)
+        with mock.patch.object(oracles, "_last_reach", (None,) * 4), \
+                mock.patch.object(oracles, "_reach", closure):
+            reach = oracles._group_reach(group, elements, DEFAULT_BUDGET)
+        calls[name] = (group.calls, list(reach.items()))
+    # 1 + 2 products, then the set holds the group; the full closure goes
+    # on with 4 products for each of the other four elements, all known
+    assert calls["fast"][0] == 3
+    assert calls["full"][0] == 1 + 2 + 4 * 4
+    assert calls["fast"][1] == calls["full"][1]
+    inst = I.GroupSubsetSumInstance(I.ProductGroup(2), elements, (1, 1))
+    assert _saturating_and_full(inst, DEFAULT_BUDGET) == \
+        (Verdict(True, (0, 1), "reach"),) * 2
+    # the cap is checked before the stop: a cap under the order still
+    # refuses, and a cap of exactly the order suffices
+    with mock.patch.object(oracles, "_last_reach", (None,) * 4):
+        with pytest.raises(ResourceLimitError):
+            solve_group_ss(inst, Budget(max_brute_states=3))
+        assert solve_group_ss(inst, Budget(max_brute_states=4)).answer

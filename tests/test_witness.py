@@ -1,6 +1,8 @@
 """Bit-string witnesses: packing, hex, and bounds."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -70,12 +72,63 @@ def test_all_witnesses_enumeration():
 
 
 def test_all_witnesses_are_plain_frozen_witnesses():
+    for length in range(13):
+        wits = list(all_witnesses(length))
+        assert wits == [Witness(v, length) for v in range(1 << length)]
+        assert all(type(w) is Witness for w in wits)
     wits = list(all_witnesses(3))
-    assert wits == [Witness(v, 3) for v in range(8)]
-    assert all(type(w) is Witness for w in wits)
     assert hash(wits[5]) == hash(Witness(5, 3))
     with pytest.raises(dataclasses.FrozenInstanceError):
         wits[0].value = 1
-    assert list(all_witnesses(0)) == [Witness(0, 0)]
     with pytest.raises(ValidationError):
         all_witnesses(-1)
+
+
+def test_every_constructor_checks_the_range():
+    wit = Witness(5, 3)
+    bad = [lambda: Witness(8, 3), lambda: Witness(-1, 3),
+           lambda: Witness(0, -1), lambda: Witness(value=1, length=0),
+           lambda: Witness.zero(-1), lambda: Witness.from_hex("8", 3),
+           lambda: Witness._make((8, 3)), lambda: Witness._make((0, -1)),
+           lambda: wit._replace(value=8), lambda: wit._replace(length=2)]
+    for make in bad:
+        with pytest.raises(ValidationError):
+            make()
+    assert Witness._make((5, 3)) == wit
+    assert type(Witness._make((5, 3))) is Witness
+    assert wit._replace(value=2) == Witness(2, 3)
+    assert wit._replace(length=4) == Witness(5, 4)
+    assert type(wit._replace(length=4)) is Witness
+
+
+def test_fields_cannot_be_assigned():
+    wit = Witness(5, 3)
+    for name in ("value", "length", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(wit, name, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del wit.value
+    assert wit == Witness(5, 3)
+
+
+def test_repr_hash_and_equality():
+    wit = Witness(5, 3)
+    assert repr(wit) == "Witness(value=5, length=3)"
+    assert repr(Witness(0, 0)) == "Witness(value=0, length=0)"
+    assert hash(wit) == hash((5, 3))
+    assert (wit.value, wit.length) == (5, 3)
+    assert wit.to_hex() == "5" and Witness(5, 9).to_hex() == "005"
+    assert wit.bits() == (1, 0, 1)
+    assert wit == Witness(5, 3) and wit != Witness(5, 4)
+    assert wit != Witness(4, 3)
+    assert len({wit, Witness(5, 3), Witness(5, 4)}) == 2
+    # a witness is a (value, length) tuple, so it equals the plain pair
+    assert wit == (5, 3)
+
+
+def test_pickle_and_copy_round_trips():
+    for wit in (Witness(5, 3), Witness(0, 0), Witness((1 << 70) - 1, 70)):
+        for again in (pickle.loads(pickle.dumps(wit)), copy.copy(wit),
+                      copy.deepcopy(wit)):
+            assert again == wit and type(again) is Witness
+            assert repr(again) == repr(wit)
