@@ -57,10 +57,11 @@ from .witness import (Witness, all_witnesses, field_width, layout_cache,
                       pack_fields)
 
 # Targets the verdict cache of ``nppt_contract_check`` holds before it is
-# cleared.  An entry costs about 0.63 KB for a cm-to-permss target: the
-# 113k targets of cm_grid(1, 5) and cm_grid(2, 3) raised peak RSS by 70 MB
-# over a sweep whose cache kept nothing.  A full cache of such targets is
-# thus about 0.95 GB; targets of the numeric reductions are smaller.
+# cleared.  An entry costs about 0.52 KB for a cm-to-permss target: the
+# 113k targets of cm_grid(1, 5) and cm_grid(2, 3) raised peak RSS by 56 MB
+# over a sweep whose cache kept nothing (19 MB to 75 MB, Python 3.11).  A
+# full cache of such targets is thus about 0.78 GB; targets of the numeric
+# reductions are smaller.
 VERDICT_CACHE = 1_500_000
 
 

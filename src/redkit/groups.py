@@ -3,6 +3,12 @@
 Composition convention, used everywhere in the package: ``(a * b)(v) == a(b(v))``,
 i.e. the right factor acts first.  Products of sequences are always taken in
 increasing index order, ``g_1 * g_2 * ... * g_r``.
+
+A ``Permutation`` is a ``tuple`` subclass holding its images, with no
+``__dict__``: it equals and hashes like its image tuple, and code that
+builds a permutation by construction (a product, or blocks on disjoint
+points) makes it with ``tuple.__new__(Permutation, images)``, skipping the
+check in ``Permutation.__new__``.
 """
 
 from __future__ import annotations
@@ -14,42 +20,46 @@ from functools import cached_property, lru_cache
 from .errors import ConstructionError, ValidationError
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation in one-line notation over 0-based points."""
+class Permutation(tuple):
+    """A permutation in one-line notation over 0-based points: the tuple of
+    its images, so it equals and hashes like that plain tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValidationError(f"not a permutation: {self.images!r}")
+    def __new__(cls, images):
+        self = tuple.__new__(cls, images)
+        if sorted(self) != list(range(len(self))):
+            raise ValidationError(f"not a permutation: {tuple(self)!r}")
+        return self
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={tuple.__repr__(self)})"
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self[point]
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return self * other, where other acts first."""
-        img = self.images
-        if len(other.images) != len(img):
+        if len(other) != len(self):
             raise ValidationError("degree mismatch in composition")
-        # a product of permutations is one: skip the check in __post_init__
-        out = object.__new__(Permutation)
-        object.__setattr__(out, "images",
-                           tuple(map(img.__getitem__, other.images)))
-        return out
+        # a product of permutations is one: skip the check in __new__
+        return tuple.__new__(Permutation, map(self.__getitem__, other))
 
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
-        for i, p in enumerate(self.images):
+        for i, p in enumerate(self):
             inv[p] = i
-        return Permutation(tuple(inv))
+        return Permutation(inv)
 
     def power(self, e: int) -> "Permutation":
         if e < 0:
@@ -72,11 +82,11 @@ class Permutation:
                 continue
             cyc = [start]
             seen[start] = True
-            p = self.images[start]
+            p = self[start]
             while p != start:
                 seen[p] = True
                 cyc.append(p)
-                p = self.images[p]
+                p = self[p]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -85,7 +95,7 @@ class Permutation:
         return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
 
     def is_identity(self) -> bool:
-        return all(i == p for i, p in enumerate(self.images))
+        return all(i == p for i, p in enumerate(self))
 
 
 def identity(degree: int) -> Permutation:
@@ -98,19 +108,6 @@ def from_cycles(degree: int, cycles: list[tuple[int, ...]]) -> Permutation:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             img[a] = b
     return Permutation(tuple(img))
-
-
-def block_diagonal(perms: list[Permutation]) -> Permutation:
-    """Concatenate permutations acting on consecutive disjoint blocks."""
-    img: list[int] = []
-    off = 0
-    for p in perms:
-        img.extend(off + q for q in p.images)
-        off += p.degree
-    # each block is a permutation of its own points: skip the check
-    out = object.__new__(Permutation)
-    object.__setattr__(out, "images", tuple(img))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +325,7 @@ class RunContext:
         for p in range(2 * r):
             t = (p + r) % (2 * r) if e.z else p
             img[p] = gy[t] if t < r else gx[t - r] + r
-        return Permutation(tuple(img))
+        return Permutation(img)
 
     # three letters for each of the 64 contexts make_run_context keeps
     @lru_cache(maxsize=192)
@@ -352,7 +349,7 @@ def _carrier_powers(carrier: Permutation) -> list[tuple[int, ...]]:
     out = [tuple(range(carrier.degree))]
     q = carrier.order()
     for _ in range(q - 1):
-        out.append(tuple(carrier.images[p] for p in out[-1]))
+        out.append(tuple(map(carrier.__getitem__, out[-1])))
     return out
 
 

@@ -28,9 +28,15 @@ part that depends only on it:
   (group, elements, cap), checked by identity and used under every budget
   (the targets of one cm-to-permss source share their group and elements
   objects).  It holds one reach set of at most ``max_brute_states``
-  products.  In a symmetric group the reach set holds image tuples rather
-  than ``Permutation`` objects, so the closure makes and hashes plain
+  products.  Every group runs the same closure with its own ``mul``; a
+  ``Permutation`` is a tuple, and ``SymmetricGroup.mul`` returns the plain
+  image tuple of the product, so an S_k closure makes and hashes plain
   tuples.
+
+Group subset sum refuses, under every budget, a target or element the
+group does not contain (``group.contains``), as ``instances.validate``
+does; and the zero-sum ILP refuses an rhs that is not all zeros, one per
+row.
 """
 
 from __future__ import annotations
@@ -220,6 +226,9 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
 
 def _solve_zero_sum(inst, budget):
     # one standard feasibility call per candidate column forced to 1
+    m = len(inst.rhs)
+    if any(inst.rhs) or any(len(col) != m for col in inst.columns):
+        raise ValidationError("zero_sum: rhs must be zeros, one per row")
     n = len(inst.columns)
     for i in range(n):
         cols = inst.columns[:i] + inst.columns[i + 1:]
@@ -277,61 +286,41 @@ _last_reach = (None, None, None, None)
 def _group_reach(group, elements, budget):
     """The reach set of ``elements`` in ``group``, from the memo when the
     group and elements are the very objects of the last call and the cap is
-    the same.  Z_k^k elements other than the memo's are checked against the
-    group before the element count is held to the budget, so a misshapen
-    input is refused the same way under every budget.  In a symmetric group
-    the products are image tuples, so the closure makes and hashes plain
-    tuples and builds no ``Permutation``."""
+    the same.  Elements other than the memo's are checked against the group
+    before the element count is held to the budget, so an element outside
+    the group is refused the same way under every budget."""
     global _last_reach
     last_group, last_elements, last_cap, reach = _last_reach
     known = group is last_group and elements is last_elements
-    if not known and isinstance(group, I.ProductGroup) and \
-            not all(map(group.contains, elements)):
-        raise ValidationError("Z_k^k element out of range")
+    if not known and not all(map(group.contains, elements)):
+        raise ValidationError(f"{group.family} group: element out of range")
     if len(elements) > budget.max_bruteforce_n:
         raise ResourceLimitError("group subset sum: too many elements")
     cap = budget.max_brute_states
     if known and cap == last_cap:
         return reach
-    what = "group subset sum: products"
-    order = group.order()
-    if isinstance(group, I.SymmetricGroup):
-        k = group.k
-        images = [e.images for e in elements]
-        if any(len(g) != k for g in images):
-            raise ValidationError("degree mismatch in composition")
-        # ``Permutation.compose``'s rule on image tuples
-        reach = _reach(images, tuple(range(k)),
-                       lambda a, b: tuple(map(a.__getitem__, b)), cap, what,
-                       order=order)
-    else:
-        reach = _reach(elements, group.identity(), group.mul, cap, what,
-                       order=order)
+    reach = _reach(elements, group.identity(), group.mul, cap,
+                   "group subset sum: products", order=group.order())
     _last_reach = (group, elements, cap, reach)
     return reach
 
 
 def _solve_group(inst, group, elements, target, budget):
-    """Group subset sum, a yes re-checked against ``inst``.  Z_q, which must
-    hold the elements and target, runs the modular bitset DP when its q
-    cells fit ``max_dp_cells``; every other case runs the reach closure.
-    Z_k^k must hold the target and, checked on a reach-memo miss, the
-    elements: length-k tuples of residues in [0, k)."""
-    if isinstance(group, I.CyclicGroup):
-        q = group.q
-        if not group.contains(target) or \
-                not all(map(group.contains, elements)):
-            raise ValidationError("modular instance out of range")
-        if q <= budget.max_dp_cells:
-            got = kernels.subset_sum_mod_solve(list(elements), q, target)
-            if got is None:
-                return Verdict(False, method="dp")
-            return _yes(inst, tuple(got), "dp")
-    elif isinstance(group, I.ProductGroup) and not group.contains(target):
-        raise ValidationError("Z_k^k target out of range")
+    """Group subset sum, a yes re-checked against ``inst``.  The group must
+    hold the target (checked on every call) and the elements (checked on
+    every call for the DP, on a reach-memo miss for the closure).  Z_q runs
+    the modular bitset DP when its q cells fit ``max_dp_cells``; every other
+    case runs the reach closure."""
+    if not group.contains(target):
+        raise ValidationError(f"{group.family} group: target out of range")
+    if isinstance(group, I.CyclicGroup) and group.q <= budget.max_dp_cells:
+        if not all(map(group.contains, elements)):
+            raise ValidationError("cyclic group: element out of range")
+        got = kernels.subset_sum_mod_solve(list(elements), group.q, target)
+        if got is None:
+            return Verdict(False, method="dp")
+        return _yes(inst, tuple(got), "dp")
     reach = _group_reach(group, elements, budget)
-    if isinstance(group, I.SymmetricGroup):
-        target = target.images if isinstance(target, I.Permutation) else None
     if target not in reach:
         return Verdict(False, method="reach")
     return _yes(inst, _walk(reach, target), "reach")
@@ -634,9 +623,9 @@ def check_solution(inst: I.ProblemInstance, sol) -> bool:
                 return False
             g = inst.group
             chosen = [inst.elements[i] for i in idx]
-            # the Z_k^k multiply would truncate a tuple of another length
-            if isinstance(g, I.ProductGroup) and not all(
-                    map(g.contains, chosen + [inst.target])):
+            # the Z_k^k and S_k multiplies would truncate a tuple of
+            # another length
+            if not all(map(g.contains, chosen + [inst.target])):
                 return False
             acc = g.identity()
             for e in chosen:

@@ -174,7 +174,7 @@ def _pi_images(n: int, block: int) -> tuple[tuple[int, ...], ...]:
     shared by every instance with ``n`` vectors."""
     pows = _pi_powers(n)
     off = block * pows[0].degree
-    return tuple(tuple(off + p for p in pw.images) for pw in pows)
+    return tuple(tuple(off + p for p in pw) for pw in pows)
 
 
 @lru_cache(maxsize=3 * 1024)
@@ -183,7 +183,7 @@ def _gamma_images(n: int, block: int, b: int) -> tuple[int, ...]:
     shared by every instance with ``n`` vectors."""
     ctx = make_run_context(n)
     off = block * ctx.domain
-    return tuple(off + p for p in ctx.gamma_hat(b).images)
+    return tuple(off + p for p in ctx.gamma_hat(b))
 
 
 # Targets of machines with no vectors and of rejected witnesses.
@@ -219,9 +219,7 @@ def _cps_layout(inst) -> _CpsLayout:
             img += _gamma_images(n, block, b)
         img += tail[1] if flag == I.REQUIRED else tail[0]
         # blocks of permutations on disjoint points: a permutation
-        elem = object.__new__(Permutation)
-        object.__setattr__(elem, "images", tuple(img))
-        elements.append(elem)
+        elements.append(tuple.__new__(Permutation, img))
     f_c = inst.flags.count(I.REQUIRED)
     return _CpsLayout(
         ell * width, (width,) * ell,
@@ -244,9 +242,8 @@ def _cps_transform(inst, wit):
         img += block[c]
     img += lay.tail
     # blocks of pi-powers on disjoint points: a permutation by construction
-    target = object.__new__(Permutation)
-    object.__setattr__(target, "images", tuple(img))
-    return I.GroupSubsetSumInstance(lay.group, lay.elements, target)
+    return I.GroupSubsetSumInstance(lay.group, lay.elements,
+                                    tuple.__new__(Permutation, img))
 
 
 def _cps_synthesize(inst, sol):

@@ -129,18 +129,6 @@ def pack_fields(values: Sequence[int], widths: Sequence[int]) -> Witness:
     return Witness(acc, sum(widths))
 
 
-def unpack_fields(wit: Witness, widths: Sequence[int]) -> tuple[int, ...]:
-    if wit.length != sum(widths):
-        raise ValidationError("witness length does not match field widths")
-    out = []
-    rest = wit.value
-    shift = wit.length
-    for w in widths:
-        shift -= w
-        out.append((rest >> shift) & ((1 << w) - 1))
-    return tuple(out)
-
-
 def all_witnesses(length: int) -> Iterator[Witness]:
     """Every witness of ``length`` bits, in increasing value order."""
     if length < 0:

@@ -21,7 +21,9 @@ from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               UnboundedSubsetSumInstance)
 from redkit.oracles import Budget, solve
 from redkit.witness import Witness, all_witnesses, field_width, \
-    pack_fields, unpack_fields
+    pack_fields
+
+from helpers import unpack_fields
 
 
 def test_unbounded_scheme_frozen_example():
@@ -218,6 +220,24 @@ def test_contract_check_coverage_counts():
                                  exhaustive_cap=16)
     assert report.ok, report.as_dict()
     assert _coverage(report) == (1247, 21823, 84, 976, [], 0)
+
+
+def test_zero_sum_target_missing_an_rhs_entry_is_caught():
+    # the zero-sum oracle read only the columns, so a target whose rhs had
+    # lost its last entry was answered as the full one and the planted
+    # fault passed every check
+    red = REDUCTIONS["monotone-to-zerosum"]
+
+    def transform(inst, wit):
+        tgt = red.transform(inst, wit)
+        return dataclasses.replace(tgt, rhs=tgt.rhs[:-1])
+
+    assert nppt_contract_check(red, ilps("monotone", 2, 3)).ok
+    bad = dataclasses.replace(red, transform=transform)
+    report = nppt_contract_check(bad, ilps("monotone", 2, 3))
+    assert report.checked == 457
+    assert len(report.violations) == 328
+    assert all("rhs must be zeros" in v["error"] for v in report.violations)
 
 
 def test_scheme_check_zkk_grid():

@@ -6,8 +6,8 @@ import pytest
 
 from redkit.cli import main
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
-                              SubsetSumInstance, UnboundedSubsetSumInstance,
-                              dumps, loads)
+                              SubsetSumInstance, SymmetricGroup,
+                              UnboundedSubsetSumInstance, dumps, loads)
 
 
 def run(capsys, *argv):
@@ -284,3 +284,41 @@ def test_verify_cnf_to_counter_machine_chain(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["ok"] is True and rep["checked"] == 4 and rep["skipped"] == []
+
+
+def test_permutation_path_round_trip(tmp_path, capsys):
+    # gen cm -> reduce cm-to-permss -> solve: the exit code of solve on the
+    # written target is the library verdict on that target
+    from redkit.oracles import solve
+    cm = tmp_path / "cm.json"
+    assert main(["gen", "cm", "--ell", "1", "--n", "3", "--out", str(cm)]) == 0
+    assert solve(loads(cm.read_text())).answer
+    out = tmp_path / "t.json"
+    runs = [("--synthesize",)] + [("--witness", format(v, "x"))
+                                  for v in range(4)]
+    verdicts = set()
+    for extra in runs:
+        code, _, _ = run(capsys, "reduce", "cm-to-permss", str(cm), *extra,
+                         "--out", str(out))
+        assert code == 0
+        target = loads(out.read_text())
+        assert isinstance(target.group, SymmetricGroup)
+        expected = solve(target).answer
+        verdicts.add(expected)
+        code, text, _ = run(capsys, "solve", str(out))
+        assert code == (0 if expected else 1)
+        assert text.startswith("yes" if expected else "no")
+        if extra == ("--synthesize",):
+            assert expected
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("element", [[0, 0, 1], [1, 0], [1, 0, 2, 3], 1],
+                         ids=["not-a-permutation", "short", "long", "int"])
+def test_solve_rejects_a_non_permutation_element(tmp_path, capsys, element):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({
+        "problem": "group_subset_sum", "group": {"family": "symmetric",
+                                                 "k": 3},
+        "elements": [[1, 2, 0], element], "target": [1, 2, 0]}))
+    _usage_error(capsys, "solve", str(p))

@@ -1,14 +1,19 @@
 """Permutation algebra, U_q arithmetic, and the run-detecting embeddings."""
 
-from itertools import product
+import copy
+import pickle
+from itertools import permutations, product
 
 import pytest
 
 from redkit.errors import ValidationError
-from redkit.groups import (Permutation, UqElement, block_diagonal, degree_bound,
-                           from_cycles, gamma, identity, landau_permutation,
+from redkit.groups import (Permutation, UqElement, degree_bound, from_cycles,
+                           gamma, identity, landau_permutation,
                            make_run_context, run_check_uq, uq_identity,
                            uq_product)
+from redkit.instances import SymmetricGroup
+
+from helpers import block_diagonal
 
 
 def test_permutation_composition_convention():
@@ -39,17 +44,40 @@ def test_block_diagonal():
 
 
 def test_unchecked_products_are_plain_permutations():
-    # compose and block_diagonal skip the permutation check; their results
-    # must still equal, and hash like, checked ones
+    # compose skips the permutation check; its results must still equal,
+    # and hash like, checked ones
     a, b = Permutation((2, 0, 1)), Permutation((0, 2, 1))
     assert a * b == Permutation((2, 1, 0))
     assert hash(a * b) == hash(Permutation((2, 1, 0)))
+    assert type(a * b) is Permutation
     assert block_diagonal([a, b]) == Permutation((2, 0, 1, 3, 5, 4))
     assert type((a * b).images) is tuple
     with pytest.raises(ValidationError):
         Permutation((0, 0))
     with pytest.raises(ValidationError):
         a * Permutation((1, 0))
+    # a permutation is its image tuple: equal, hashed alike, no __dict__,
+    # and printed as before
+    assert a == (2, 0, 1) and (2, 0, 1) == a
+    assert hash(a) == hash((2, 0, 1))
+    assert {(2, 0, 1): "x"}[a] == "x"
+    assert a.images == (2, 0, 1) and a.degree == 3
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.images = (0, 1, 2)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert repr(Permutation((1, 0))) == "Permutation(images=(1, 0))"
+    assert repr(Permutation((0,))) == "Permutation(images=(0,))"
+    assert repr(a * b) == "Permutation(images=(2, 1, 0))"
+    # the symmetric group's multiply is compose's rule on image tuples
+    s3 = SymmetricGroup(3)
+    for x, y in product(map(Permutation, permutations(range(3))), repeat=2):
+        assert s3.mul(x, y) == x * y
+        assert hash(s3.mul(x, y)) == hash(x * y)
+    # pickling and copying go through the check and keep the type
+    for c in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert c == a and type(c) is Permutation
 
 
 def test_uq_semidirect_law():

@@ -218,6 +218,25 @@ def test_ilp_variants(variant):
     assert variant == "zero_sum" or searched >= 80
 
 
+def test_zero_sum_refuses_a_malformed_rhs():
+    # the zero-sum oracle read only the columns: an rhs that was not all
+    # zeros, or not one entry per row, was answered as the zero rhs
+    cols = ((1, -1), (-1, 1))
+    cases = [I.IlpInstance(cols, (0, 1), "zero_sum"),
+             I.IlpInstance(cols, (0,), "zero_sum"),
+             I.IlpInstance(cols, (0, 0, 0), "zero_sum"),
+             I.IlpInstance(((1,), (-1,)), (-1,), "zero_sum"),
+             I.IlpInstance((), (1,), "zero_sum")]
+    for inst in cases:
+        assert I.validate(inst)
+        for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0),
+                       Budget(max_brute_states=0),
+                       Budget(max_dp_cells=0, max_brute_states=0)):
+            with pytest.raises(ValidationError, match="rhs must be zeros"):
+                solve(inst, budget)
+    assert solve(I.IlpInstance(cols, (0, 0), "zero_sum")).answer
+
+
 def test_ilp_wide_systems_meet_in_the_middle():
     rng = Random(12)
     for i in range(20):
@@ -553,20 +572,38 @@ def test_symmetric_reach_edges():
             got = solve(I.GroupSubsetSumInstance(g3, elems, target))
             assert got.answer == (target.images in products)
     assert not solve(I.GroupSubsetSumInstance(g3, (swap,), cyc)).answer
-    # a target of another degree is never reached
-    assert not solve(I.GroupSubsetSumInstance(
-        g3, elements, Permutation((1, 0)))).answer
     # a budget too small for the products
     many = tuple(Permutation(p) for p in ((1, 0, 2, 3), (0, 2, 1, 3),
                                           (0, 1, 3, 2), (1, 2, 3, 0)))
     with pytest.raises(ResourceLimitError):
         solve(I.GroupSubsetSumInstance(I.SymmetricGroup(4), many, many[0]),
               Budget(max_brute_states=3))
-    # an element of another degree is refused under either budget
-    bad = I.GroupSubsetSumInstance(g3, (cyc, Permutation((1, 0))), cyc)
-    for budget in (DEFAULT_BUDGET, Budget(max_brute_states=100)):
-        with pytest.raises(ValidationError):
-            solve(bad, budget)
+    # an element of another degree, an element that is not a Permutation
+    # (a plain image tuple or an int) and a target of another degree are
+    # refused under either budget, as validate refuses them
+    refused = [I.GroupSubsetSumInstance(g3, (cyc, Permutation((1, 0))), cyc),
+               I.GroupSubsetSumInstance(g3, (cyc, (1, 0, 2)), cyc),
+               I.GroupSubsetSumInstance(g3, (cyc, 1), cyc),
+               I.GroupSubsetSumInstance(g3, elements, Permutation((1, 0))),
+               I.GroupSubsetSumInstance(g3, elements, (1, 2, 0))]
+    for bad in refused:
+        assert I.validate(bad)
+        for budget in (DEFAULT_BUDGET, Budget(max_brute_states=100)):
+            with pytest.raises(ValidationError, match="out of range"):
+                solve(bad, budget)
+    # the re-check answers False, and does not raise, when a chosen element
+    # or the target has another degree or is not a Permutation
+    mixed = I.GroupSubsetSumInstance(
+        g3, (cyc, Permutation((1, 0)), Permutation((0, 1, 2, 3))), cyc)
+    for sol in ((1,), (0, 1), (2,), (0, 2)):
+        assert check_solution(mixed, sol) is False
+    assert check_solution(
+        I.GroupSubsetSumInstance(g3, (cyc,), Permutation((1, 0))), (0,)) \
+        is False
+    for elem in (1, (1, 2, 0)):
+        assert check_solution(I.GroupSubsetSumInstance(g3, (cyc, elem), cyc),
+                              (0, 1)) is False
+    assert check_solution(I.GroupSubsetSumInstance(g3, (cyc,), cyc), (0,))
 
 
 # ---------------------------------------------------------------------------

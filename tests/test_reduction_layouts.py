@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 from redkit import instances as I
 from redkit.catalog import REDUCTIONS
 from redkit.errors import ReductionError
-from redkit.groups import block_diagonal, identity, make_run_context
+from redkit.groups import identity, make_run_context
 from redkit.pipeline import _pi_powers
-from redkit.witness import Witness, all_witnesses, field_width, \
-    pack_fields, unpack_fields
+from redkit.witness import Witness, all_witnesses, field_width, pack_fields
+
+from helpers import block_diagonal, unpack_fields
 
 # ---------------------------------------------------------------------------
 # knapsack -> subset sum

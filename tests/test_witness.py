@@ -7,8 +7,9 @@ import pickle
 import pytest
 
 from redkit.errors import ValidationError
-from redkit.witness import Witness, all_witnesses, field_width, pack_fields, \
-    unpack_fields
+from redkit.witness import Witness, all_witnesses, field_width, pack_fields
+
+from helpers import unpack_fields
 
 
 def test_field_width():
