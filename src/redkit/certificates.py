@@ -15,17 +15,18 @@ One sweep checks both kinds of contract.  A certificate scheme is the case
 of a nondeterministic transformation whose target is decided at once, so
 each entry point only says when a witness is accepted:
 ``nppt_contract_check`` transforms the instance and asks the target oracle
-(through a verdict cache), ``certificate_scheme_check`` asks
-``scheme.verify``.  The witness length is taken once per instance, and the
-fields of a violation record are built only when one is made.  Yes
-instances must accept the synthesized witness.  No instances must accept
-no witness, covered either by literal enumeration of all ``2^L`` witnesses
-(when small) or by a stratified-exact sweep: every
-witness the reduction or scheme enumerates as structurally valid, plus
-random and corner probes of the invalid stratum.  Reductions here map every
-structurally invalid witness to a fixed trivial no-instance, and verifiers
-reject such certificates outright, so the invalid stratum collapses to a
-handful of outcomes.  Reports record which strategy covered each instance; anything
+(unless the target is the very object it solved last),
+``certificate_scheme_check`` asks ``scheme.verify``.  The witness length
+is taken once per instance, and the fields of a violation record are built
+only when one is made.  Yes instances must accept the synthesized
+witness.  No instances must accept no witness, covered either by literal
+enumeration of all ``2^L`` witnesses (when small) or by a stratified-exact
+sweep: every witness the reduction or scheme enumerates as structurally
+valid, plus random and corner probes of the invalid stratum.  Reductions
+here map every structurally invalid witness to a fixed trivial
+no-instance, so a run of them is solved once, and verifiers reject such
+certificates outright: the invalid stratum collapses to a handful of
+outcomes.  Reports record which strategy covered each instance; anything
 not covered is listed as skipped, never silently passed.
 
 The witnesses of one instance are checked by one C-level loop, ``filter``
@@ -55,14 +56,6 @@ from .oracles import DEFAULT_BUDGET, Budget, Verdict, solve
 from .reductions import Reduction
 from .witness import (Witness, all_witnesses, field_width, layout_cache,
                       pack_fields)
-
-# Targets the verdict cache of ``nppt_contract_check`` holds before it is
-# cleared.  An entry costs about 0.52 KB for a cm-to-permss target: the
-# 113k targets of cm_grid(1, 5) and cm_grid(2, 3) raised peak RSS by 56 MB
-# over a sweep whose cache kept nothing (19 MB to 75 MB, Python 3.11).  A
-# full cache of such targets is thus about 0.78 GB; targets of the numeric
-# reductions are smaller.
-VERDICT_CACHE = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -546,15 +539,19 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     A witness is accepted when ``r.transform`` maps it to a target yes
     instance.  The witness length is taken once per instance, and a witness
     of another length raises ``Reduction.apply``'s ``ReductionError``.
-    Target verdicts are kept in ``cache`` (a fresh dict by default), so a
-    target reached again is never solved again; past ``VERDICT_CACHE``
-    entries the cache is cleared.
+
+    The sweep keeps one target: the last one solved, with its answer.  When
+    ``transform`` returns that very object again (a run of rejected
+    witnesses all map to the reduction's one trivial no-instance), the
+    answer is reused; any other target is solved.  The pair is replaced only
+    once ``solve`` returns, so a solve that raises leaves no stale answer.
+    A caller that wants more reuse passes a dict as ``cache``; it is looked
+    up and filled on memo misses only, and the caller bounds its size.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
-    verdicts = {} if cache is None else cache
-    lookup, transform, witness_len = verdicts.get, r.transform, r.witness_len
+    transform, witness_len = r.transform, r.witness_len
     length = 0
-    target = None
+    solved, answer = object(), False    # nothing solved yet
 
     def wit_len(inst):
         nonlocal length
@@ -562,22 +559,28 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
         return length
 
     def accepts(inst, wit):
-        nonlocal target
+        nonlocal solved, answer
         if wit.length != length:
             raise ReductionError(
                 f"{r.name}: witness length {wit.length}, expected {length}")
-        target = tgt = transform(inst, wit)
-        hit = lookup(tgt)
-        if hit is None:
-            if len(verdicts) > VERDICT_CACHE:
-                verdicts.clear()
-            hit = verdicts[tgt] = solve(tgt, budget).answer
+        tgt = transform(inst, wit)
+        if tgt is solved:
+            return answer
+        if cache is None:
+            hit = solve(tgt, budget).answer
+        else:
+            hit = cache.get(tgt)
+            if hit is None:
+                hit = cache[tgt] = solve(tgt, budget).answer
+        solved, answer = tgt, hit
         return hit
 
+    # a record is made only about a witness whose ``accepts`` returned, so
+    # its target is the one last solved
     return _sweep(r.name, r.source_kind, "witness", family, budget,
                   wit_len=wit_len, synthesize=r.synthesize,
                   valid=r.valid_witnesses, accepts=accepts,
-                  record=lambda: {"target": target}, len_bound=None,
+                  record=lambda: {"target": solved}, len_bound=None,
                   exhaustive_cap=exhaustive_cap, valid_cap=valid_cap,
                   samples=invalid_samples, seed=seed)
 

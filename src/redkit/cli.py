@@ -66,14 +66,16 @@ def _jsonable(x):
 # gen
 
 
-# smallest value each numeric gen option accepts
-_GEN_MINIMUMS = {"n": 0, "m": 1, "max": 1, "q": 1, "ell": 1, "vars": 1,
-                 "clauses": 0, "arity": 1}
+# smallest value each numeric gen option, and each family parameter of the
+# same name, accepts
+_MINIMUMS = {"n": 0, "m": 1, "max": 1, "tmax": 0, "q": 1, "k": 1, "ell": 1,
+             "vars": 1, "clauses": 0, "arity": 1, "formulas": 0}
 
 
 def _cmd_gen(args) -> int:
-    for name, low in _GEN_MINIMUMS.items():
-        if getattr(args, name) < low:
+    for name, low in _MINIMUMS.items():
+        # gen has no --tmax, --k or --formulas
+        if getattr(args, name, low) < low:
             return _fail(f"--{name} must be at least {low}", EXIT_USAGE)
     rng = Random(args.seed)
     kind = args.kind
@@ -215,6 +217,9 @@ def _parse_family(spec: str):
         except ValueError:
             raise ValidationError(
                 f"family parameter {key!r}: not an integer: {val!r}") from None
+        if params[key] < _MINIMUMS[key]:
+            raise ValidationError(
+                f"family parameter {key!r} must be at least {_MINIMUMS[key]}")
     p = params
     if name == "subset-sum":
         return F.subset_sums(p["n"], p["max"], p["tmax"])

@@ -1,10 +1,14 @@
-"""Reference decoders and builders the tests check the library against.
+"""Reference decoders and builders the tests check the library against,
+and Hypothesis strategies for instances and instance-shaped JSON.
 
 The library decodes witness fields with shifts and masks from a cached
 layout and builds permutations in place; these are the plain versions it
 replaced, kept here as references.
 """
 
+from hypothesis import strategies as st
+
+from redkit import instances as I
 from redkit.errors import ValidationError
 from redkit.groups import Permutation
 
@@ -30,3 +34,120 @@ def block_diagonal(perms):
         img.extend(off + q for q in p)
         off += p.degree
     return Permutation(img)
+
+
+# ---------------------------------------------------------------------------
+# Outside input: random JSON, and dicts naming a kind whose fields hold
+# values of the right shape or random JSON.
+
+# integers stay within 10^4 so that a vertex count costs little to check
+_INT = st.integers(-10 ** 4, 10 ** 4) | st.integers(0, 99).map(str)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _INT | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) |
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+_INT_LIST = st.lists(_INT, max_size=4)
+_INT_ROWS = st.lists(_INT_LIST, max_size=3)
+_SHAPES = {
+    "subset_sum": {"items": _INT_LIST, "target": _INT, "modulus": _INT},
+    "knapsack": {"items": _INT_ROWS, "capacity": _INT, "demand": _INT},
+    "ilp": {"columns": _INT_ROWS, "rhs": _INT_LIST,
+            "variant": st.sampled_from(I.ILP_VARIANTS)},
+    "group_subset_sum": {
+        "group": st.fixed_dictionaries({
+            "family": st.sampled_from(("cyclic", "product", "symmetric")),
+            "q": _INT, "k": _INT}),
+        "elements": _INT_ROWS | _INT_LIST, "target": _INT_LIST | _INT},
+    "counter_machine": {"dimension": _INT, "vectors": _INT_ROWS,
+                        "flags": st.lists(st.sampled_from("OR"), max_size=3)},
+    "coloring": {"n": _INT, "edges": _INT_ROWS, "bags": _INT_ROWS},
+    "scheduling": {"jobs": _INT_ROWS, "tardy_budget": _INT},
+    "cnf": {"num_vars": _INT, "clauses": _INT_ROWS, "arity_cap": _INT},
+    "and_sat": {"num_vars": _INT,
+                "formulas": st.lists(st.deferred(lambda: SHAPED_INSTANCES),
+                                     max_size=2)},
+    "unbounded_subset_sum": {"items": _INT_LIST, "target": _INT},
+}
+
+
+@st.composite
+def _instance_shaped(draw):
+    """A dict naming a kind, each of its fields (or a few left out) holding
+    a value of the right shape or random JSON."""
+    kind = draw(st.sampled_from(I.KINDS))
+    out = {"problem": kind}
+    for key, shaped in _SHAPES[kind].items():
+        if draw(st.integers(0, 9)):
+            out[key] = draw(shaped | JSON_VALUES)
+    return out
+
+
+SHAPED_INSTANCES = _instance_shaped()
+
+
+# ---------------------------------------------------------------------------
+# Well-formed instances of every kind, keyed by kind.
+
+
+def _ints(lo, hi, size=None):
+    if size is not None:
+        return st.tuples(*[st.integers(lo, hi)] * size)
+    return st.lists(st.integers(lo, hi), max_size=4).map(tuple)
+
+
+_BIG = st.integers(0, 1 << 70)
+
+
+@st.composite
+def _group_instance(draw):
+    family = draw(st.sampled_from(("cyclic", "product", "symmetric")))
+    if family == "cyclic":
+        q = draw(st.integers(1, 1 << 70))
+        elem = st.integers(0, q - 1)
+        group = I.CyclicGroup(q)
+    elif family == "product":
+        k = draw(st.integers(1, 4))
+        elem = _ints(0, k - 1, k)
+        group = I.ProductGroup(k)
+    else:
+        k = draw(st.integers(1, 5))
+        elem = st.permutations(range(k)).map(lambda p: Permutation(tuple(p)))
+        group = I.SymmetricGroup(k)
+    return I.GroupSubsetSumInstance(
+        group, tuple(draw(st.lists(elem, max_size=4))), draw(elem))
+
+
+_CNF = st.builds(I.CnfInstance, st.integers(0, 5),
+                 st.lists(_ints(-5, 5), max_size=3).map(tuple),
+                 st.none() | st.integers(0, 4))
+
+INSTANCES = {
+    "subset_sum": st.builds(I.SubsetSumInstance,
+                            st.lists(_BIG, max_size=4).map(tuple), _BIG,
+                            st.none() | _BIG),
+    "knapsack": st.builds(I.KnapsackInstance,
+                          st.lists(st.tuples(_BIG, _BIG),
+                                   max_size=3).map(tuple), _BIG, _BIG),
+    "ilp": st.builds(I.IlpInstance, st.lists(_ints(-1, 1), max_size=3).map(
+        tuple), _ints(-3, 3), st.sampled_from(I.ILP_VARIANTS)),
+    "group_subset_sum": _group_instance(),
+    "counter_machine": st.builds(
+        I.CounterMachineInstance, st.integers(1, 3),
+        st.lists(_ints(-1, 1), max_size=3).map(tuple),
+        st.lists(st.sampled_from((I.OPTIONAL, I.REQUIRED)),
+                 max_size=3).map(tuple)),
+    "coloring": st.builds(I.ColoringInstance, st.integers(0, 6),
+                          st.lists(_ints(0, 6, 2), max_size=4).map(tuple),
+                          st.lists(_ints(0, 6), max_size=3).map(tuple)),
+    "scheduling": st.builds(I.SchedulingInstance,
+                            st.lists(st.tuples(_BIG, _BIG, _BIG),
+                                     max_size=3).map(tuple), _BIG),
+    "cnf": _CNF,
+    "and_sat": st.builds(I.AndSatInstance, st.integers(0, 5),
+                         st.lists(_CNF, max_size=2).map(tuple)),
+    "unbounded_subset_sum": st.builds(I.UnboundedSubsetSumInstance,
+                                      st.lists(_BIG, max_size=4).map(tuple),
+                                      _BIG),
+}

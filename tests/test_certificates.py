@@ -452,6 +452,120 @@ def test_contract_check_flags_broken_reduction():
 
 
 # ---------------------------------------------------------------------------
+# The contract sweep keeps one target, the last it solved, with its answer.
+
+# a no-instance with 9 witness bits, all 512 checked exhaustively
+NO_SOURCE = SubsetSumInstance((3, 5), 4)
+NO_A = IlpInstance((), (1,), "monotone")
+NO_B = IlpInstance((), (2,), "monotone")
+
+
+def _counting_solve(monkeypatch, fail_once=None):
+    """Patch the sweep's oracle; return the list of target instances it is
+    asked to solve.  ``fail_once`` is a target whose first solve raises."""
+    import redkit.certificates as certificates
+    real = certificates.solve
+    asked = []
+
+    def counting(inst, budget=None):
+        if inst.kind == "ilp":
+            asked.append(inst)
+            if inst is fail_once and asked.count(inst) == 1:
+                raise ResourceLimitError("planted limit")
+        return real(inst, budget)
+    monkeypatch.setattr(certificates, "solve", counting)
+    return asked
+
+
+def _runs_of_four(inst, wit):
+    # witnesses 0-3 map to NO_A, 4-7 to NO_B, 8-11 to NO_A again, ...
+    return NO_B if wit.value >> 2 & 1 else NO_A
+
+
+def test_contract_memo_solves_a_run_of_one_target_once(monkeypatch):
+    asked = _counting_solve(monkeypatch)
+    red = dataclasses.replace(REDUCTIONS["ss-to-monotone"],
+                              transform=_runs_of_four)
+    report = nppt_contract_check(red, [NO_SOURCE])
+    assert report.ok and report.witnesses_checked == 512
+    # one solve per run of four, though only two objects ever come back
+    assert len(asked) == 128
+    assert all(t is (NO_B if i % 2 else NO_A) for i, t in enumerate(asked))
+
+
+def test_contract_memo_solves_equal_but_distinct_targets(monkeypatch):
+    asked = _counting_solve(monkeypatch)
+    red = dataclasses.replace(
+        REDUCTIONS["ss-to-monotone"],
+        transform=lambda inst, wit: IlpInstance((), (1,), "monotone"))
+    report = nppt_contract_check(red, [NO_SOURCE])
+    assert report.ok and report.witnesses_checked == 512
+    assert len(asked) == 512 and len(set(map(id, asked))) > 1
+
+
+def test_contract_memo_keeps_no_answer_from_a_raising_solve(monkeypatch):
+    asked = _counting_solve(monkeypatch, fail_once=NO_A)
+    red = dataclasses.replace(REDUCTIONS["ss-to-monotone"],
+                              transform=lambda inst, wit: NO_A)
+    report = nppt_contract_check(red, [NO_SOURCE, NO_SOURCE])
+    # the first instance is skipped at its first witness; the second
+    # solves the same object again, then reuses that answer
+    assert report.skipped == [(NO_SOURCE, "target oracle: planted limit")]
+    assert not report.violations and report.stratified == 0
+    assert report.exhaustive == 1 and report.witnesses_checked == 513
+    assert asked == [NO_A, NO_A]
+
+
+def test_contract_cache_is_consulted_on_memo_misses_only(monkeypatch):
+    class Counting(dict):
+        gets = sets = 0
+
+        def get(self, key, default=None):
+            Counting.gets += 1
+            return super().get(key, default)
+
+        def __setitem__(self, key, value):
+            Counting.sets += 1
+            super().__setitem__(key, value)
+
+    asked = _counting_solve(monkeypatch)
+    red = dataclasses.replace(REDUCTIONS["ss-to-monotone"],
+                              transform=_runs_of_four)
+    cache = Counting()
+    report = nppt_contract_check(red, [NO_SOURCE], cache=cache)
+    assert report.ok and report.witnesses_checked == 512
+    assert Counting.gets == 128 and Counting.sets == 2
+    assert asked == [NO_A, NO_B]
+    assert cache == {NO_A: False, NO_B: False}
+
+
+def test_contract_sweep_keeps_one_target_alive():
+    import gc
+    import weakref
+
+    from redkit.pipeline import _PERM_NO, _PERM_YES, red_cm_to_perm_ss
+    made = []
+    most = 0
+
+    def transform(inst, wit):
+        nonlocal most
+        most = max(most, sum(ref() is not None for ref in made))
+        tgt = red_cm_to_perm_ss.transform(inst, wit)
+        if tgt is not _PERM_NO and tgt is not _PERM_YES:
+            # a target built for this witness, not a shared constant
+            made.append(weakref.ref(tgt))
+        return tgt
+    red = dataclasses.replace(red_cm_to_perm_ss, transform=transform)
+    report = nppt_contract_check(red, cm_grid(1, 3))
+    assert report.ok, report.as_dict()
+    assert len(made) > 100
+    # only the memo's target, which is also the one ``record()`` names
+    assert most <= 1
+    gc.collect()
+    assert not any(ref() is not None for ref in made)
+
+
+# ---------------------------------------------------------------------------
 # The verifiers decode certificates through a per-instance layout; these
 # reference verifiers decode field by field with ``unpack_fields``, as the
 # layout-free verifiers did, and must give the same verdict everywhere.

@@ -3,11 +3,16 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from redkit.cli import main
+from redkit import instances as I
+from redkit.catalog import REDUCTIONS
+from redkit.cli import _FAMILY_DEFAULTS, main
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               SubsetSumInstance, SymmetricGroup,
                               UnboundedSubsetSumInstance, dumps, loads)
+
+from helpers import INSTANCES, JSON_VALUES, SHAPED_INSTANCES
 
 
 def run(capsys, *argv):
@@ -222,6 +227,19 @@ def test_verify_empty_family(capsys, reduction, extra):
     _usage_error(capsys, "verify", reduction, *extra)
 
 
+@pytest.mark.parametrize("reduction,family", [
+    ("zq-to-ss", "zkk:k=-1"),
+    ("identity-group-subset-sum", "zkk:k=0"),
+    ("cm-to-permss", "cm:ell=-1"),
+    ("cm-to-permss", "cm:ell=0"),
+    ("tsat-to-ss", "cnf:vars=-3"),
+    ("andsat-to-scheduling", "andsat:vars=-1"),
+])
+def test_verify_family_parameter_below_its_minimum(capsys, reduction, family):
+    # these built no family (a ValueError) or a family of malformed instances
+    _usage_error(capsys, "verify", reduction, "--family", family)
+
+
 def test_gen_empty_modulus(capsys):
     _usage_error(capsys, "gen", "zq", "--q", "0")
 
@@ -322,3 +340,54 @@ def test_solve_rejects_a_non_permutation_element(tmp_path, capsys, element):
                                                  "k": 3},
         "elements": [[1, 2, 0], element], "target": [1, 2, 0]}))
     _usage_error(capsys, "solve", str(p))
+
+
+# ---------------------------------------------------------------------------
+# Whatever it is fed, the CLI ends with an exit code in 0-4, never in a
+# traceback.
+
+_VALID_JSON = st.sampled_from(I.KINDS).flatmap(INSTANCES.get).map(I.to_json)
+
+
+@st.composite
+def _family_spec(draw):
+    """A ``--family`` spec: a known or made-up name, some of its parameters
+    set to small integers (small, so that every family is cheap to start),
+    and at times a piece that is not an integer parameter of the family."""
+    name = draw(st.sampled_from(sorted(_FAMILY_DEFAULTS) + ["", "ilp-", "x"]))
+    pieces = [f"{key}={draw(st.integers(-3, 3))}"
+              for key in _FAMILY_DEFAULTS.get(name, ()) if draw(st.booleans())]
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(
+            ["zz=1", "n", "n=", "n=x", "n=1.5", "n= 2", "n=0x3", "=1", ""])))
+    if pieces or draw(st.booleans()):
+        return f"{name}:{','.join(pieces)}"
+    return name
+
+
+def _exit_code(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        code = exc.code
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=JSON_VALUES | SHAPED_INSTANCES | _VALID_JSON)
+def test_solve_exit_code_on_any_instance_json(tmp_path, capsys, data):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(data))
+    assert _exit_code(capsys, ["solve", str(p)]) in range(5)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reduction=st.sampled_from(sorted(REDUCTIONS)), family=_family_spec(),
+       limit=st.integers(-1, 3))
+def test_verify_exit_code_on_any_family_spec(capsys, reduction, family,
+                                             limit):
+    argv = ["verify", reduction, "--family", family, "--limit", str(limit)]
+    assert _exit_code(capsys, argv) in range(5)

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from redkit import instances as I
 from redkit.errors import ValidationError
-from redkit.groups import Permutation
 from redkit.oracles import solve
+
+from helpers import INSTANCES, JSON_VALUES, SHAPED_INSTANCES
 
 
 def _one_of_each():
@@ -101,55 +102,9 @@ def test_parameter_is_positive():
 # instance or raises ValidationError, and validate() then lists problems
 # rather than raising.
 
-# integers stay within 10^4 so that a vertex count costs little to check
-_INT = st.integers(-10 ** 4, 10 ** 4) | st.integers(0, 99).map(str)
-_JSON = st.recursive(
-    st.none() | st.booleans() | _INT | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) |
-    st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=12)
-
-_INT_LIST = st.lists(_INT, max_size=4)
-_INT_ROWS = st.lists(_INT_LIST, max_size=3)
-_SHAPES = {
-    "subset_sum": {"items": _INT_LIST, "target": _INT, "modulus": _INT},
-    "knapsack": {"items": _INT_ROWS, "capacity": _INT, "demand": _INT},
-    "ilp": {"columns": _INT_ROWS, "rhs": _INT_LIST,
-            "variant": st.sampled_from(I.ILP_VARIANTS)},
-    "group_subset_sum": {
-        "group": st.fixed_dictionaries({
-            "family": st.sampled_from(("cyclic", "product", "symmetric")),
-            "q": _INT, "k": _INT}),
-        "elements": _INT_ROWS | _INT_LIST, "target": _INT_LIST | _INT},
-    "counter_machine": {"dimension": _INT, "vectors": _INT_ROWS,
-                        "flags": st.lists(st.sampled_from("OR"), max_size=3)},
-    "coloring": {"n": _INT, "edges": _INT_ROWS, "bags": _INT_ROWS},
-    "scheduling": {"jobs": _INT_ROWS, "tardy_budget": _INT},
-    "cnf": {"num_vars": _INT, "clauses": _INT_ROWS, "arity_cap": _INT},
-    "and_sat": {"num_vars": _INT,
-                "formulas": st.lists(st.deferred(lambda: _SHAPED),
-                                     max_size=2)},
-    "unbounded_subset_sum": {"items": _INT_LIST, "target": _INT},
-}
-
-
-@st.composite
-def _instance_shaped(draw):
-    """A dict naming a kind, each of its fields (or a few left out) holding
-    a value of the right shape or random JSON."""
-    kind = draw(st.sampled_from(I.KINDS))
-    out = {"problem": kind}
-    for key, shaped in _SHAPES[kind].items():
-        if draw(st.integers(0, 9)):
-            out[key] = draw(shaped | _JSON)
-    return out
-
-
-_SHAPED = _instance_shaped()
-
 
 @settings(max_examples=1000, deadline=None)
-@given(_JSON | _SHAPED)
+@given(JSON_VALUES | SHAPED_INSTANCES)
 def test_from_json_raises_only_validation_errors(data):
     try:
         inst = I.from_json(data)
@@ -158,74 +113,12 @@ def test_from_json_raises_only_validation_errors(data):
     assert isinstance(I.validate(inst), list)
 
 
-def _ints(lo, hi, size=None):
-    if size is not None:
-        return st.tuples(*[st.integers(lo, hi)] * size)
-    return st.lists(st.integers(lo, hi), max_size=4).map(tuple)
-
-
-_BIG = st.integers(0, 1 << 70)
-
-
-@st.composite
-def _group_instance(draw):
-    family = draw(st.sampled_from(("cyclic", "product", "symmetric")))
-    if family == "cyclic":
-        q = draw(st.integers(1, 1 << 70))
-        elem = st.integers(0, q - 1)
-        group = I.CyclicGroup(q)
-    elif family == "product":
-        k = draw(st.integers(1, 4))
-        elem = _ints(0, k - 1, k)
-        group = I.ProductGroup(k)
-    else:
-        k = draw(st.integers(1, 5))
-        elem = st.permutations(range(k)).map(lambda p: Permutation(tuple(p)))
-        group = I.SymmetricGroup(k)
-    return I.GroupSubsetSumInstance(
-        group, tuple(draw(st.lists(elem, max_size=4))), draw(elem))
-
-
-_CNF = st.builds(I.CnfInstance, st.integers(0, 5),
-                 st.lists(_ints(-5, 5), max_size=3).map(tuple),
-                 st.none() | st.integers(0, 4))
-
-_INSTANCES = {
-    "subset_sum": st.builds(I.SubsetSumInstance,
-                            st.lists(_BIG, max_size=4).map(tuple), _BIG,
-                            st.none() | _BIG),
-    "knapsack": st.builds(I.KnapsackInstance,
-                          st.lists(st.tuples(_BIG, _BIG),
-                                   max_size=3).map(tuple), _BIG, _BIG),
-    "ilp": st.builds(I.IlpInstance, st.lists(_ints(-1, 1), max_size=3).map(
-        tuple), _ints(-3, 3), st.sampled_from(I.ILP_VARIANTS)),
-    "group_subset_sum": _group_instance(),
-    "counter_machine": st.builds(
-        I.CounterMachineInstance, st.integers(1, 3),
-        st.lists(_ints(-1, 1), max_size=3).map(tuple),
-        st.lists(st.sampled_from((I.OPTIONAL, I.REQUIRED)),
-                 max_size=3).map(tuple)),
-    "coloring": st.builds(I.ColoringInstance, st.integers(0, 6),
-                          st.lists(_ints(0, 6, 2), max_size=4).map(tuple),
-                          st.lists(_ints(0, 6), max_size=3).map(tuple)),
-    "scheduling": st.builds(I.SchedulingInstance,
-                            st.lists(st.tuples(_BIG, _BIG, _BIG),
-                                     max_size=3).map(tuple), _BIG),
-    "cnf": _CNF,
-    "and_sat": st.builds(I.AndSatInstance, st.integers(0, 5),
-                         st.lists(_CNF, max_size=2).map(tuple)),
-    "unbounded_subset_sum": st.builds(I.UnboundedSubsetSumInstance,
-                                      st.lists(_BIG, max_size=4).map(tuple),
-                                      _BIG),
-}
-
-
 def test_instance_strategies_cover_every_kind():
-    assert sorted(_INSTANCES) == sorted(I.KINDS)
+    assert sorted(INSTANCES) == sorted(I.KINDS)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(I.KINDS).flatmap(_INSTANCES.get))
+@given(st.sampled_from(I.KINDS).flatmap(INSTANCES.get))
 def test_json_round_trip_generated(inst):
     assert I.from_json(I.to_json(inst)) == inst
     assert I.loads(I.dumps(inst)) == inst
