@@ -174,10 +174,19 @@ def cnfs(max_vars: int = 2, max_clauses: int = 2,
 
 def and_sats(max_formulas: int = 2, max_vars: int = 2,
              max_clauses: int = 2, arity: int = 2) -> Iterator[I.AndSatInstance]:
-    pool = list(cnfs(max_vars, max_clauses, arity))
-    for count in range(max_formulas + 1):
-        for formulas in combinations_with_replacement(range(len(pool)), count):
-            yield I.AndSatInstance(max_vars, tuple(pool[i] for i in formulas))
+    """Multisets of up to ``max_formulas`` CNFs from ``cnfs``, by count.
+    The members of one formula or none stream from ``cnfs``; the list of
+    every CNF is built only for two formulas or more."""
+    if max_formulas >= 0:
+        yield I.AndSatInstance(max_vars, ())
+    if max_formulas >= 1:
+        for f in cnfs(max_vars, max_clauses, arity):
+            yield I.AndSatInstance(max_vars, (f,))
+    if max_formulas >= 2:
+        pool = list(cnfs(max_vars, max_clauses, arity))
+        for count in range(2, max_formulas + 1):
+            for formulas in combinations_with_replacement(pool, count):
+                yield I.AndSatInstance(max_vars, formulas)
 
 
 def random_3cnf(rng: Random, num_vars: int = 3,

@@ -6,9 +6,9 @@ increasing index order, ``g_1 * g_2 * ... * g_r``.
 
 A ``Permutation`` is a ``tuple`` subclass holding its images, with no
 ``__dict__``: it equals and hashes like its image tuple, and code that
-builds a permutation by construction (a product, or blocks on disjoint
-points) makes it with ``tuple.__new__(Permutation, images)``, skipping the
-check in ``Permutation.__new__``.
+builds a permutation by construction (a product, the identity, or blocks
+on disjoint points) makes it with ``tuple.__new__(Permutation, images)``,
+skipping the check in ``Permutation.__new__``.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class Permutation(tuple):
 
 
 def identity(degree: int) -> Permutation:
-    return Permutation(tuple(range(degree)))
+    # a permutation by construction: skip the check in __new__
+    return tuple.__new__(Permutation, range(degree))
 
 
 def from_cycles(degree: int, cycles: list[tuple[int, ...]]) -> Permutation:

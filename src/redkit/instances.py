@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
 from typing import Union
 
 from . import pathdecomp
@@ -50,6 +50,11 @@ class CyclicGroup:
     def mul(self, a, b):
         return (a + b) % self.q
 
+    def times(self, e):
+        """The map a -> a * e as one callable, as the reach closure asks."""
+        q = self.q
+        return lambda a: (a + e) % q
+
     def contains(self, e) -> bool:
         return isinstance(e, int) and not isinstance(e, bool) and 0 <= e < self.q
 
@@ -73,6 +78,11 @@ class ProductGroup:
 
     def mul(self, a, b):
         return tuple(map(self.k.__rmod__, map(add, a, b)))
+
+    def times(self, e):
+        """The map a -> a * e as one callable, as the reach closure asks."""
+        k = self.k
+        return lambda a: tuple(map(k.__rmod__, map(add, a, e)))
 
     def contains(self, e) -> bool:
         # a plain loop: the oracle asks this of every element it is given
@@ -108,6 +118,15 @@ class SymmetricGroup:
         # ``Permutation`` with ``tuple.__new__`` copies it, about 5% slower
         # per product at degree 300
         return tuple(map(a.__getitem__, b))
+
+    def times(self, e):
+        """The map a -> a * e as one callable, as the reach closure asks:
+        ``mul``'s rule, a * e = (a[e[0]], a[e[1]], ...).  ``itemgetter(*e)``
+        gathers those images in one C call; it returns a tuple only for two
+        or more, so degrees 0 and 1 call ``mul``."""
+        if len(e) > 1:
+            return itemgetter(*e)
+        return lambda a: self.mul(a, e)
 
     def contains(self, e) -> bool:
         return isinstance(e, Permutation) and len(e) == self.k
@@ -182,10 +201,11 @@ class GroupSubsetSumInstance:
     kind = "group_subset_sum"
 
     def __post_init__(self):
-        elems = self.elements
-        if type(elems) is not tuple or list in map(type, elems):
-            elems = tuple(tuple(e) if isinstance(e, list) else e for e in elems)
-            object.__setattr__(self, "elements", elems)
+        # a tuple is kept as it is, unscanned: the targets of one
+        # cm-to-permss source share one elements tuple
+        if type(self.elements) is not tuple:
+            object.__setattr__(self, "elements", tuple(
+                tuple(e) if isinstance(e, list) else e for e in self.elements))
         if isinstance(self.target, list):
             object.__setattr__(self, "target", tuple(self.target))
 

@@ -16,9 +16,10 @@ Contract:
 - Both hold about ``2 * sqrt(n)`` bitsets of ``target + 1`` (or q) bits
   at once for n items: every isqrt(n)+1-th prefix, plus one block of
   prefixes recomputed during the walk back (see ``_scan``).
-- ``counter_machine_solve(incs, decs, required, dimension, limit)``: masks
-  of +1/-1 coordinates per vector; returns the chosen ascending index list,
-  or None; raises RuntimeError once more than ``limit`` states are stored.
+- ``counter_machine_solve(incs, decs, required, dimension, limit)``: disjoint
+  masks of +1/-1 coordinates per vector; returns the chosen ascending index
+  list, or None; raises RuntimeError once more than ``limit`` states are
+  stored.
 - ``ilp01_brute(columns, rhs)``: exact 0-1 search for A x = rhs by meet in
   the middle over the columns' integer codes (``ilp_code``); returns a 0/1
   assignment list, or None.  Stores the 2^ceil(n/2) subset sums of each
@@ -116,19 +117,23 @@ def counter_machine_solve(incs, decs, required, dimension, limit):
     """Frontier reachability over counter states encoded as bitmasks.
 
     A vector applies to state s when its +1 coordinates are clear and its -1
-    coordinates are set.  Stores each layer's frontier for the backward walk;
-    raises RuntimeError when the stored states exceed ``limit``.
+    coordinates are set.  Its two masks are disjoint, so with
+    ``flip = inc | dec`` it applies when ``s & flip == dec`` and leads to
+    ``s ^ flip``, and state s was reached from ``s ^ flip`` when
+    ``s & flip == inc``.  Stores each layer's frontier for the backward
+    walk; raises RuntimeError when the stored states exceed ``limit``.
     """
     n = len(incs)
     cur = {0}
     layers = [cur]
     total = 1
     for i in range(n):
-        inc, dec = incs[i], decs[i]
+        dec = decs[i]
+        flip = incs[i] | dec
         nxt = set() if required[i] else set(cur)
         for s in cur:
-            if not s & inc and s & dec == dec:
-                nxt.add((s | inc) & ~dec)
+            if s & flip == dec:
+                nxt.add(s ^ flip)
         total += len(nxt)
         if total > limit:
             raise RuntimeError("counter machine state limit exceeded")
@@ -143,9 +148,10 @@ def counter_machine_solve(incs, decs, required, dimension, limit):
     for i in range(n - 1, -1, -1):
         if not required[i] and s in layers[i]:
             continue
-        inc, dec = incs[i], decs[i]
-        if s & inc == inc and not s & dec:
-            prev = (s & ~inc) | dec
+        inc = incs[i]
+        flip = inc | decs[i]
+        if s & flip == inc:
+            prev = s ^ flip
             if prev in layers[i]:
                 chosen.append(i)
                 s = prev

@@ -28,22 +28,24 @@ part that depends only on it:
   (group, elements, cap), checked by identity and used under every budget
   (the targets of one cm-to-permss source share their group and elements
   objects).  It holds one reach set of at most ``max_brute_states``
-  products.  Every group runs the same closure with its own ``mul``; a
-  ``Permutation`` is a tuple, and ``SymmetricGroup.mul`` returns the plain
-  image tuple of the product, so an S_k closure makes and hashes plain
-  tuples.
+  products.  Every group runs the same closure with its ``times``: the map
+  a -> a * e as one callable, taken once per element, so a product is one
+  call from the closure's loop (for S_k, ``operator.itemgetter(*e)``, one
+  C call).  A ``Permutation`` is a tuple, and an S_k product is the plain
+  image tuple, so an S_k closure makes and hashes plain tuples.
 
 Group subset sum refuses, under every budget, a target or element the
 group does not contain (``group.contains``), as ``instances.validate``
-does; and the zero-sum ILP refuses an rhs that is not all zeros, one per
-row.
+does; the counter-machine oracle refuses a machine ``validate`` rejects;
+and the zero-sum ILP refuses an rhs that is not all zeros, one per row.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import instances as I
@@ -76,6 +78,13 @@ class Verdict:
         return self.answer
 
 
+# A no verdict holds nothing but its method, and a Verdict is frozen, so
+# each method's no verdict is built once and shared.
+_NO = {m: Verdict(False, method=m) for m in (
+    "dp", "brute", "pareto", "range", "mitm", "observation", "reach",
+    "frontier", "per-formula")}
+
+
 def _yes(inst, solution, method: str) -> Verdict:
     if not check_solution(inst, solution):
         raise ConstructionError(
@@ -100,13 +109,15 @@ def solve_subset_sum(inst: I.SubsetSumInstance, budget: Budget = DEFAULT_BUDGET)
     if n * (t + 1) <= budget.max_dp_cells:
         got = kernels.subset_sum_solve(vals, t)
         if got is None:
-            return Verdict(False, method="dp")
+            return _NO["dp"]
         return _yes(inst, tuple(keep[i] for i in got), "dp")
     if n <= budget.max_bruteforce_n:
-        reach = _reach(vals, 0, operator.add, budget.max_brute_states,
-                       "subset sum: reachable sums", keep=t.__ge__)
+        # times(e) is e.__add__
+        reach = _reach(vals, 0, attrgetter("__add__"),
+                       budget.max_brute_states, "subset sum: reachable sums",
+                       keep=t.__ge__)
         if t not in reach:
-            return Verdict(False, method="brute")
+            return _NO["brute"]
         return _yes(inst, tuple(keep[i] for i in _walk(reach, t)), "brute")
     raise ResourceLimitError("subset sum: instance over budget")
 
@@ -122,14 +133,14 @@ def solve_knapsack(inst: I.KnapsackInstance, budget: Budget = DEFAULT_BUDGET) ->
     no here."""
     items = inst.items
     if inst.capacity < 0:
-        return Verdict(False, method="pareto")
+        return _NO["pareto"]
     try:
         got = kernels.pareto_solve(items, [inst.capacity] * len(items),
                                    inst.demand, budget.max_dp_cells)
     except RuntimeError as exc:
         raise ResourceLimitError(f"knapsack: {exc}") from exc
     if got is None:
-        return Verdict(False, method="pareto")
+        return _NO["pareto"]
     return _yes(inst, tuple(got), "pareto")
 
 
@@ -198,13 +209,13 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     lay = _ilp_columns(inst.columns, len(inst.rhs))
     goal = kernels.ilp_rhs_code(inst.rhs, lay.totals, lay.base)
     if goal is None:
-        return Verdict(False, method="range")
+        return _NO["range"]
     keep, cols = lay.keep, lay.cols
     target = goal + lay.flipped
     if len(keep) * (target + 1) <= budget.max_dp_cells:
         got = kernels.subset_sum_solve(lay.items, target)
         if got is None:
-            return Verdict(False, method="dp")
+            return _NO["dp"]
         chosen = list(lay.chosen)
         for k in got:
             chosen[keep[k]] ^= 1
@@ -212,7 +223,7 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     elif 1 << (len(cols) - len(cols) // 2) <= budget.max_brute_states:
         chosen = kernels.ilp01_brute(cols, inst.rhs)
         if chosen is None:
-            return Verdict(False, method="mitm")
+            return _NO["mitm"]
         method = "mitm"
     else:
         raise ResourceLimitError("ilp: instance over budget")
@@ -239,16 +250,17 @@ def _solve_zero_sum(inst, budget):
             x = list(got.solution)
             x.insert(i, 1)
             return _yes(inst, tuple(x), "observation")
-    return Verdict(False, method="observation")
+    return _NO["observation"]
 
 
 # ---------------------------------------------------------------------------
 # Group subset sum.
 
-def _reach(elements, start, mul, cap, what, keep=None, order=None):
+def _reach(elements, start, times, cap, what, keep=None, order=None):
     """Every product ``start * e_i * e_j * ...`` over index-increasing
     subsequences, mapped to its back pointer (index of the last element,
-    product before it); ``start`` maps to None.  ``keep``, when given,
+    product before it); ``start`` maps to None.  ``times(e)`` is the map
+    a -> a * e, taken once per element.  ``keep``, when given,
     refuses a product and, with it, every extension of it.  Raises
     ResourceLimitError once the set holds more than ``cap`` products.
     ``order``, when given, is the size of the group the products lie in:
@@ -256,8 +268,9 @@ def _reach(elements, start, mul, cap, what, keep=None, order=None):
     stops there with the same dict and back pointers as the full one."""
     reach = {start: None}
     for i, e in enumerate(elements):
+        step = times(e)
         for prod in list(reach):
-            np = mul(prod, e)
+            np = step(prod)
             if np not in reach and (keep is None or keep(np)):
                 reach[np] = (i, prod)
         if len(reach) > cap:
@@ -299,7 +312,7 @@ def _group_reach(group, elements, budget):
     cap = budget.max_brute_states
     if known and cap == last_cap:
         return reach
-    reach = _reach(elements, group.identity(), group.mul, cap,
+    reach = _reach(elements, group.identity(), group.times, cap,
                    "group subset sum: products", order=group.order())
     _last_reach = (group, elements, cap, reach)
     return reach
@@ -318,11 +331,11 @@ def _solve_group(inst, group, elements, target, budget):
             raise ValidationError("cyclic group: element out of range")
         got = kernels.subset_sum_mod_solve(list(elements), group.q, target)
         if got is None:
-            return Verdict(False, method="dp")
+            return _NO["dp"]
         return _yes(inst, tuple(got), "dp")
     reach = _group_reach(group, elements, budget)
     if target not in reach:
-        return Verdict(False, method="reach")
+        return _NO["reach"]
     return _yes(inst, _walk(reach, target), "reach")
 
 
@@ -334,17 +347,40 @@ def solve_group_ss(inst: I.GroupSubsetSumInstance, budget: Budget = DEFAULT_BUDG
 # Counter machines.
 
 def cm_masks(inst: I.CounterMachineInstance) -> tuple[list[int], list[int], list[int]]:
+    """The +1 mask, the -1 mask and the required bit of each vector.  A
+    machine ``instances.validate`` rejects (a dimension below 1, flags that
+    do not line up with the vectors, a vector of another length, an entry
+    outside {-1, 0, 1}, a flag other than O or R) is a ValidationError."""
+    dim = inst.dimension
+    if dim < 1:
+        raise ValidationError("counter machine: dimension must be at least 1")
+    if len(inst.flags) != len(inst.vectors):
+        raise ValidationError("counter machine: flags and vectors must align")
     incs, decs, req = [], [], []
     for v, f in zip(inst.vectors, inst.flags):
+        if len(v) != dim:
+            raise ValidationError(
+                "counter machine: vector length differs from dimension")
         inc = dec = 0
         for j, c in enumerate(v):
+            # most entries are 0: one comparison each
+            if c == 0:
+                continue
             if c == 1:
                 inc |= 1 << j
             elif c == -1:
                 dec |= 1 << j
+            else:
+                raise ValidationError(
+                    "counter machine: vector entries must be in {-1,0,1}")
+        if f == I.REQUIRED:
+            req.append(1)
+        elif f == I.OPTIONAL:
+            req.append(0)
+        else:
+            raise ValidationError("counter machine: flags must be 'O' or 'R'")
         incs.append(inc)
         decs.append(dec)
-        req.append(1 if f == I.REQUIRED else 0)
     return incs, decs, req
 
 
@@ -357,7 +393,7 @@ def solve_counter_machine(inst: I.CounterMachineInstance,
     except RuntimeError as exc:
         raise ResourceLimitError(str(exc)) from exc
     if got is None:
-        return Verdict(False, method="frontier")
+        return _NO["frontier"]
     return _yes(inst, tuple(got), "frontier")
 
 
@@ -384,7 +420,7 @@ def _coloring_brute(inst):
             c //= 3
         if all(colors[u] != colors[v] for u, v in inst.edges):
             return _yes(inst, tuple(colors), "brute")
-    return Verdict(False, method="brute")
+    return _NO["brute"]
 
 
 def _coloring_dp(inst, budget):
@@ -417,9 +453,9 @@ def _coloring_dp(inst, budget):
             raise ResourceLimitError("coloring: bag states over budget")
         layers.append(cur)
         if not cur:
-            return Verdict(False, method="dp")
+            return _NO["dp"]
     if () not in layers[-1]:
-        return Verdict(False, method="dp")
+        return _NO["dp"]
     assign = {}
     key = ()
     for j in range(len(layers) - 1, 0, -1):
@@ -455,7 +491,7 @@ def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET
             return _scheduling_brute(inst)
         raise ResourceLimitError(f"scheduling: {exc}") from exc
     if got is None:
-        return Verdict(False, method="pareto")
+        return _NO["pareto"]
     on_time = [order[k] for k in got]
     tardy = sorted(set(range(len(jobs))).difference(on_time))
     return _yes(inst, {"order": tuple(on_time + tardy),
@@ -487,7 +523,7 @@ def _scheduling_brute(inst):
 
     dfs(set(range(n)), 0, 0, [])
     if best is None:
-        return Verdict(False, method="brute")
+        return _NO["brute"]
     time = 0
     on_time = []
     for i in best:
@@ -520,7 +556,7 @@ def solve_cnf(inst: I.CnfInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     for a in range(1 << k):
         if all(a & pm or ~a & full & nm for pm, nm in zip(pos, neg)):
             return _yes(inst, tuple(bool(a >> i & 1) for i in range(k)), "brute")
-    return Verdict(False, method="brute")
+    return _NO["brute"]
 
 
 def solve_and_sat(inst: I.AndSatInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
@@ -528,7 +564,7 @@ def solve_and_sat(inst: I.AndSatInstance, budget: Budget = DEFAULT_BUDGET) -> Ve
     for f in inst.formulas:
         got = solve_cnf(f, budget)
         if not got.answer:
-            return Verdict(False, method="per-formula")
+            return _NO["per-formula"]
         sols.append(got.solution)
     return _yes(inst, tuple(sols), "per-formula")
 
@@ -556,7 +592,7 @@ def solve_unbounded_ss(inst: I.UnboundedSubsetSumInstance,
             copies <<= 1
     got = kernels.subset_sum_solve(doubles, t)
     if got is None:
-        return Verdict(False, method="dp")
+        return _NO["dp"]
     counts: dict[int, int] = {}
     for k in got:
         i, copies = owner[k]
@@ -635,17 +671,17 @@ def check_solution(inst: I.ProblemInstance, sol) -> bool:
             idx = sorted(set(sol))
             if list(sol) != idx or not all(0 <= i < len(inst.vectors) for i in idx):
                 return False
-            chosen = set(idx)
             required = {i for i, f in enumerate(inst.flags) if f == I.REQUIRED}
-            if not required <= chosen:
+            if not required <= set(idx):
                 return False
-            state = [0] * inst.dimension
-            for i in idx:
-                for j, c in enumerate(inst.vectors[i]):
-                    state[j] += c
-                    if state[j] not in (0, 1):
-                        return False
-            return all(c == 0 for c in state)
+            rows = [inst.vectors[i] for i in idx]
+            if any(len(v) != inst.dimension for v in rows):
+                return False
+            # each counter's running values stay in {0, 1} and end at 0
+            for col in zip(*rows):
+                if sum(col) or not {0, 1}.issuperset(accumulate(col)):
+                    return False
+            return True
         if k == "coloring":
             cols = list(sol)
             if len(cols) != inst.num_vertices or any(c not in (0, 1, 2) for c in cols):

@@ -56,6 +56,24 @@ def test_validation_catches_malformed():
         assert I.validate(inst), inst
 
 
+def test_group_elements_from_a_list_and_from_a_tuple():
+    g = I.ProductGroup(2)
+    # a list, and list members in it, become tuples
+    inst = I.GroupSubsetSumInstance(g, [[1, 0], (0, 1)], [1, 1])
+    assert inst.elements == ((1, 0), (0, 1))
+    assert list(map(type, inst.elements)) == [tuple, tuple]
+    assert type(inst.target) is tuple
+    assert solve(inst).answer
+    # a tuple is kept as the very object, members unscanned: a list member
+    # stays a list, which the group does not contain
+    for elements in (((1, 0), (0, 1)), ([1, 0], (0, 1))):
+        inst = I.GroupSubsetSumInstance(g, elements, (1, 1))
+        assert inst.elements is elements
+    assert I.validate(inst)
+    with pytest.raises(ValidationError, match="out of range"):
+        solve(inst)
+
+
 @pytest.mark.parametrize("kind", I.KINDS)
 @pytest.mark.parametrize("answer", [True, False])
 def test_trivial_instance_verdicts(kind, answer):

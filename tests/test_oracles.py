@@ -5,11 +5,12 @@ itself, so the library solvers are never their own referee.
 """
 
 from itertools import permutations, product
+from operator import add, attrgetter
 from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redkit import instances as I
 from redkit import kernels, oracles
@@ -395,6 +396,11 @@ def test_check_solution_rejects_corruption():
     assert check_solution(cm, [0, 1])
     assert not check_solution(cm, [1])     # counter dips below zero
     assert not check_solution(cm, [0])     # omits the required vector
+    # a chosen vector shorter or longer than the dimension
+    for short_or_long in ((-1,), (-1, 0, 0)):
+        cm = I.CounterMachineInstance(2, ((1, 0), short_or_long),
+                                      (I.OPTIONAL,) * 2)
+        assert not check_solution(cm, [0, 1])
 
 
 def test_budget_limits_raise():
@@ -416,6 +422,24 @@ def test_budget_limits_raise():
     assert solve(nine).answer
     with pytest.raises(ResourceLimitError):
         solve(nine, starved)
+
+
+def test_counter_machine_oracle_refuses_malformed_input():
+    # each was answered (or, for the entry 2, raised ConstructionError)
+    # though validate rejects it
+    cases = [I.CounterMachineInstance(2, ((1,), (-1,)), (I.REQUIRED,) * 2),
+             I.CounterMachineInstance(1, ((1, 0),), (I.OPTIONAL,)),
+             I.CounterMachineInstance(1, ((1,), (-1,)), (I.REQUIRED,)),
+             I.CounterMachineInstance(1, ((1,), (-1,)), (I.OPTIONAL,) * 3),
+             I.CounterMachineInstance(1, ((0,),), ("X",)),
+             I.CounterMachineInstance(1, ((2,),), (I.REQUIRED,)),
+             I.CounterMachineInstance(1, ((None,),), (I.OPTIONAL,)),
+             I.CounterMachineInstance(0, ((),), (I.OPTIONAL,))]
+    for inst in cases:
+        assert I.validate(inst), inst
+        for budget in (DEFAULT_BUDGET, Budget(max_cm_states=1)):
+            with pytest.raises(ValidationError, match="counter machine"):
+                solve(inst, budget)
 
 
 def test_verdict_truthiness():
@@ -742,8 +766,8 @@ def test_group_reach_memo_is_keyed_by_cap():
 # closure that runs every element step, whatever the set holds.
 
 
-def _full_reach(elements, start, mul, cap, what, keep=None, order=None):
-    """``oracles._reach`` without the stop: ``order`` is taken and unused."""
+def _reach_on_mul(elements, start, mul, cap, what, keep=None, order=None):
+    """The reach closure on a two-argument multiply, one call per product."""
     reach = {start: None}
     for i, e in enumerate(elements):
         for prod in list(reach):
@@ -752,7 +776,15 @@ def _full_reach(elements, start, mul, cap, what, keep=None, order=None):
                 reach[np] = (i, prod)
         if len(reach) > cap:
             raise ResourceLimitError(f"{what} over budget")
+        if len(reach) == order:
+            break
     return reach
+
+
+def _full_reach(elements, start, times, cap, what, keep=None, order=None):
+    """``oracles._reach`` without the stop: ``order`` is taken and unused."""
+    return _reach_on_mul(elements, start, lambda a, e: times(e)(a), cap,
+                         what, keep)
 
 
 def _saturating_and_full(inst, budget):
@@ -804,9 +836,13 @@ class _CountingProductGroup(I.ProductGroup):
         super().__init__(k)
         self.calls = 0
 
-    def mul(self, a, b):
-        self.calls += 1
-        return super().mul(a, b)
+    def times(self, e):
+        step = super().times(e)
+
+        def counted(a):
+            self.calls += 1
+            return step(a)
+        return counted
 
 
 def test_saturating_closure_makes_fewer_products():
@@ -833,3 +869,109 @@ def test_saturating_closure_makes_fewer_products():
         with pytest.raises(ResourceLimitError):
             solve_group_ss(inst, Budget(max_brute_states=3))
         assert solve_group_ss(inst, Budget(max_brute_states=4)).answer
+
+
+# ---------------------------------------------------------------------------
+# ``times(e)`` is the map a -> a * e, taken once per element by the reach
+# closure.  The references below write each group's multiply out.
+
+
+def _rule(group, a, e):
+    """a * e by the group's definition."""
+    if isinstance(group, I.CyclicGroup):
+        return (a + e) % group.q
+    if isinstance(group, I.ProductGroup):
+        return tuple((x + y) % group.k for x, y in zip(a, e))
+    # (a * e)(v) = a(e(v))
+    return tuple(a[e[v]] for v in range(group.k))
+
+
+def _perm(k):
+    return st.permutations(range(k)).map(Permutation)
+
+
+_factors = st.one_of(
+    st.integers(1, 40).flatmap(lambda q: st.tuples(
+        st.just(I.CyclicGroup(q)), st.integers(0, q - 1),
+        st.integers(0, q - 1))),
+    st.integers(1, 4).flatmap(lambda k: st.tuples(
+        st.just(I.ProductGroup(k)),
+        *[st.tuples(*[st.integers(0, k - 1)] * k)] * 2)),
+    st.integers(0, 6).flatmap(lambda k: st.tuples(
+        st.just(I.SymmetricGroup(k)), _perm(k), _perm(k))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factors)
+@example((I.SymmetricGroup(0), Permutation(()), Permutation(())))
+@example((I.SymmetricGroup(1), Permutation((0,)), Permutation((0,))))
+def test_times_is_the_group_multiply(case):
+    group, a, e = case
+    want = _rule(group, a, e)
+    got = group.times(e)(a)
+    assert got == group.mul(a, e) == want
+    assert hash(got) == hash(want)
+    if isinstance(group, I.SymmetricGroup):
+        # a closure's products are plain image tuples, and so is a * e
+        assert type(got) is tuple and got == a * e
+        assert group.times(e)(tuple(a)) == want
+
+
+_small_symmetric = st.integers(0, 2).flatmap(lambda k: st.tuples(
+    st.just(I.SymmetricGroup(k)), st.lists(_perm(k), max_size=6), _perm(k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_closures, _small_symmetric))
+def test_reach_on_times_matches_the_reach_on_mul(case):
+    group, elements, _ = case
+    start, order = group.identity(), group.order()
+    got = oracles._reach(elements, start, group.times, 10 ** 6, "x",
+                         order=order)
+    want = _reach_on_mul(elements, start, group.mul, 10 ** 6, "x",
+                         order=order)
+    # the same products, in the same order, with the same back pointers
+    assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=10), st.integers(0, 40))
+def test_plain_reach_matches_the_reach_on_add(items, t):
+    got = oracles._reach(items, 0, attrgetter("__add__"), 10 ** 6, "x",
+                         keep=t.__ge__)
+    want = _reach_on_mul(items, 0, add, 10 ** 6, "x", keep=t.__ge__)
+    assert list(got.items()) == list(want.items())
+
+
+def test_no_verdicts_are_shared_and_equal_fresh_ones():
+    from redkit.families import named_graph
+    no_cnf = I.CnfInstance(1, ((1,), (-1,)))
+    starved = Budget(max_dp_cells=0)
+    cases = [
+        (I.SubsetSumInstance((2, 4), 3), DEFAULT_BUDGET, "dp"),
+        (I.SubsetSumInstance((2, 4), 3), starved, "brute"),
+        (I.SubsetSumInstance((2, 4), 1, modulus=6), DEFAULT_BUDGET, "dp"),
+        (I.SubsetSumInstance((2, 4), 1, modulus=6), starved, "reach"),
+        (I.KnapsackInstance(((2, 1),), 1, 1), DEFAULT_BUDGET, "pareto"),
+        (I.IlpInstance(((1,),), (2,)), DEFAULT_BUDGET, "range"),
+        (I.IlpInstance(((1, 1), (1, -1)), (1, 0)), DEFAULT_BUDGET, "dp"),
+        (I.IlpInstance(((1, 1), (1, -1)), (1, 0)), starved, "mitm"),
+        (I.IlpInstance(((1,),), (0,), "zero_sum"), DEFAULT_BUDGET,
+         "observation"),
+        (I.GroupSubsetSumInstance(I.ProductGroup(2), ((1, 0),), (0, 1)),
+         DEFAULT_BUDGET, "reach"),
+        (I.CounterMachineInstance(1, ((1,),), (I.REQUIRED,)), DEFAULT_BUDGET,
+         "frontier"),
+        (named_graph("k4"), DEFAULT_BUDGET, "brute"),
+        (I.SchedulingInstance(((2, 1, 1),), 0), DEFAULT_BUDGET, "pareto"),
+        (no_cnf, DEFAULT_BUDGET, "brute"),
+        (I.AndSatInstance(1, (no_cnf,)), DEFAULT_BUDGET, "per-formula"),
+        (I.UnboundedSubsetSumInstance((2,), 3), DEFAULT_BUDGET, "dp"),
+    ]
+    for inst, budget, method in cases:
+        got = solve(inst, budget)
+        assert got == Verdict(False, method=method), inst
+        assert got.solution is None and not got
+        assert solve(inst, budget) is got
+    dp = solve_coloring(named_graph("k4"), method="dp")
+    assert dp == Verdict(False, method="dp")

@@ -1,9 +1,12 @@
 """Satisfiability reductions: frozen vectors and verdict preservation."""
 
+from itertools import combinations_with_replacement
 from random import Random
+from unittest import mock
 
 import pytest
 
+from redkit import families
 from redkit.errors import ValidationError
 from redkit.families import cnfs, random_3cnf
 from redkit.instances import AndSatInstance, CnfInstance, trivial_instance
@@ -116,3 +119,32 @@ def test_cnf_to_coloring_preserves_verdicts():
     for f in insts:
         out = _apply(red_cnf_to_coloring, f)
         assert solve(out).answer is solve(f).answer, f
+
+
+def test_and_sats_member_order():
+    pool = list(cnfs(2, 2, 2))
+    expected = [AndSatInstance(2, tuple(pool[i] for i in idx))
+                for count in range(3)
+                for idx in combinations_with_replacement(range(len(pool)),
+                                                         count)]
+    assert list(families.and_sats(2, 2, 2, 2)) == expected
+    assert list(families.and_sats(1, 2, 2, 2)) == expected[:1 + len(pool)]
+    assert list(families.and_sats(0, 2, 2, 2)) == expected[:1]
+
+
+def test_and_sats_first_members_build_no_pool():
+    # vars=3, clauses=5, arity=3 has millions of CNFs: listing them all took
+    # seconds and hundreds of MB before the first member
+    pulled = []
+    stream = families.cnfs
+
+    def counted(*args):
+        for f in stream(*args):
+            pulled.append(f)
+            yield f
+    with mock.patch.object(families, "cnfs", counted):
+        members = families.and_sats(2, 3, 5, 3)
+        assert next(members) == AndSatInstance(3, ())
+        assert pulled == []
+        assert next(members) == AndSatInstance(3, (pulled[0],))
+        assert len(pulled) == 1
