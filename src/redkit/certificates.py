@@ -5,11 +5,10 @@ Certificates are fixed-width bit strings (``Witness`` values): a count field
 followed by fixed slots, with unused trailing slots required to be zero.  A
 verifier never raises on malformed input; it rejects.  A scheme's layout
 (length, slot count, field widths and shifts) depends only on the instance,
-so it is computed once per instance and kept by ``witness.layout_cache``: a
-bounded cache of the last ``LAYOUT_CACHE`` instances behind a memo of the
-last instance object, so the many ``verify`` calls on one instance find its
-layout without hashing it.  ``verify`` decodes ``cert.value`` with the
-layout's shifts and masks rather than splitting it into fields.
+so it is computed once per instance and kept by ``witness.layout_cache``
+(which says what it holds), so the many ``verify`` calls on one instance
+find its layout without hashing it.  ``verify`` decodes ``cert.value`` with
+the layout's shifts and masks rather than splitting it into fields.
 
 One sweep checks both kinds of contract.  A certificate scheme is the case
 of a nondeterministic transformation whose target is decided at once, so
@@ -22,12 +21,13 @@ only when one is made.  Yes instances must accept the synthesized
 witness.  No instances must accept no witness, covered either by literal
 enumeration of all ``2^L`` witnesses (when small) or by a stratified-exact
 sweep: every witness the reduction or scheme enumerates as structurally
-valid, plus random and corner probes of the invalid stratum.  Reductions
-here map every structurally invalid witness to a fixed trivial
-no-instance, so a run of them is solved once, and verifiers reject such
-certificates outright: the invalid stratum collapses to a handful of
-outcomes.  Reports record which strategy covered each instance; anything
-not covered is listed as skipped, never silently passed.
+valid, plus the all-zero, all-one and ``INVALID_SAMPLES`` random probes of
+the invalid stratum.  Reductions here map every structurally invalid
+witness to a fixed trivial no-instance, so a run of them is solved once,
+and verifiers reject such certificates outright: the invalid stratum
+collapses to a handful of outcomes.  Reports record which strategy covered
+each instance; anything not covered is listed as skipped, never silently
+passed.
 
 The witnesses of one instance are checked by one C-level loop, ``filter``
 over ``compress``, that stops at the first accepted witness; the sweep adds
@@ -101,8 +101,8 @@ class _UssLayout(NamedTuple):
 
 @layout_cache
 def _uss_layout(inst) -> _UssLayout:
-    """Certificate layout of one instance, cached for the last 256
-    (``LAYOUT_CACHE``) instances; its size is linear in the slot count."""
+    """Certificate layout of one instance; its size is linear in the slot
+    count."""
     t, n = inst.target, len(inst.items)
     pairs = (t + 1).bit_length() - 1
     wc = field_width(pairs)
@@ -248,8 +248,8 @@ class _ZkkLayout(NamedTuple):
 
 @layout_cache
 def _zkk_layout(inst) -> _ZkkLayout:
-    """Certificate layout of one instance, cached for the last 256
-    (``LAYOUT_CACHE``) instances; its size is linear in the slot count."""
+    """Certificate layout of one instance; its size is linear in the slot
+    count."""
     k = _zkk_k(inst)
     slots = zkk_bound(k) - 1
     wc, wi = field_width(slots), field_width(max(len(inst.elements) - 1, 0))
@@ -424,17 +424,21 @@ class ContractReport:
         }
 
 
-def _corner_witnesses(length, rng, samples):
+# Random probes of the invalid stratum per stratified no-instance, after the
+# all-zero and all-one witnesses.
+INVALID_SAMPLES = 16
+
+
+def _corner_witnesses(length, rng):
     yield Witness.zero(length)
     if length:
         yield Witness((1 << length) - 1, length)
-    for _ in range(samples):
+    for _ in range(INVALID_SAMPLES):
         yield Witness(rng.getrandbits(length), length)
 
 
 def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
-           accepts, record, len_bound, exhaustive_cap, valid_cap, samples,
-           seed):
+           accepts, record, len_bound, exhaustive_cap, valid_cap, seed):
     """The contract sweep behind both checkers.
 
     ``wit_len(inst)`` is called once per instance, before any ``accepts``
@@ -515,7 +519,7 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
                     rep.skipped.append((inst, f"valid {noun} family too large"))
                     continue
                 if reject_all(inst, wits):
-                    reject_all(inst, _corner_witnesses(length, rng, samples))
+                    reject_all(inst, _corner_witnesses(length, rng))
                 rep.stratified += 1
             else:
                 rep.skipped.append((inst, f"{noun} space 2^{length} too large"))
@@ -531,7 +535,6 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                         budget: Budget | None = None, *,
                         exhaustive_cap: int = 4096,
                         valid_cap: int = 200_000,
-                        invalid_samples: int = 16,
                         seed: int = 0,
                         cache: dict | None = None) -> ContractReport:
     """Check the reduction's yes/no contract against the oracles.
@@ -582,7 +585,7 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                   valid=r.valid_witnesses, accepts=accepts,
                   record=lambda: {"target": solved}, len_bound=None,
                   exhaustive_cap=exhaustive_cap, valid_cap=valid_cap,
-                  samples=invalid_samples, seed=seed)
+                  seed=seed)
 
 
 def certificate_scheme_check(scheme: CertificateScheme,
@@ -590,7 +593,6 @@ def certificate_scheme_check(scheme: CertificateScheme,
                              budget: Budget | None = None, *,
                              exhaustive_cap: int = 65536,
                              valid_cap: int = 200_000,
-                             malformed_samples: int = 16,
                              seed: int = 0) -> ContractReport:
     """Soundness/completeness sweep for a certificate scheme.
 
@@ -603,7 +605,7 @@ def certificate_scheme_check(scheme: CertificateScheme,
                   valid=scheme.valid_certificates, accepts=scheme.verify,
                   record=None, len_bound=scheme.len_bound,
                   exhaustive_cap=exhaustive_cap, valid_cap=valid_cap,
-                  samples=malformed_samples, seed=seed)
+                  seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ invalid witnesses map to fixed trivial no-instances so that exhaustive
 contract checks can cover the invalid stratum with a single probe.  A
 reduction whose witness has several fields computes the instance's layout
 once (length, widths, shifts and mask, plus the parts of the target that do
-not depend on the witness) and keeps it with ``witness.layout_cache`` (the
-last instance object, then a bounded cache of the last ``LAYOUT_CACHE``
-instances); ``transform``, ``witness_len``, ``synthesize``
-and the enumerators read that layout, and ``transform`` decodes
-``wit.value`` with its shifts and masks.  Targets are built from tuples,
-so their constructors keep them as they are.
+not depend on the witness) and keeps it with ``witness.layout_cache`` (which
+says what it holds); ``transform``, ``witness_len``, ``synthesize`` and the
+enumerators read that layout, and ``transform`` decodes ``wit.value`` with
+its shifts and masks.  Targets are built from tuples, so their constructors
+keep them as they are.
 """
 
 from __future__ import annotations

@@ -36,8 +36,9 @@ part that depends only on it:
 
 Group subset sum refuses, under every budget, a target or element the
 group does not contain (``group.contains``), as ``instances.validate``
-does; the counter-machine oracle refuses a machine ``validate`` rejects;
-and the zero-sum ILP refuses an rhs that is not all zeros, one per row.
+does; the counter-machine, coloring, scheduling, CNF and AND-SAT oracles
+refuse an instance ``validate`` rejects; and the zero-sum ILP refuses an
+rhs that is not all zeros, one per row.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ class Verdict:
 _NO = {m: Verdict(False, method=m) for m in (
     "dp", "brute", "pareto", "range", "mitm", "observation", "reach",
     "frontier", "per-formula")}
+
+
+def _refuse_invalid(inst) -> None:
+    """Raise ValidationError for an instance ``instances.validate`` rejects."""
+    problems = I.validate(inst)
+    if problems:
+        raise ValidationError(f"{inst.kind}: {'; '.join(problems)}")
 
 
 def _yes(inst, solution, method: str) -> Verdict:
@@ -402,6 +410,7 @@ def solve_counter_machine(inst: I.CounterMachineInstance,
 
 def solve_coloring(inst: I.ColoringInstance, budget: Budget = DEFAULT_BUDGET,
                    method: str = "auto") -> Verdict:
+    _refuse_invalid(inst)
     n = inst.num_vertices
     m = len(inst.edges)
     brute_ok = n <= 12 and 3 ** n * (m + 1) <= budget.max_coloring_brute_ops
@@ -479,6 +488,7 @@ def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET
     When the fronts outgrow ``max_dp_cells`` pairs, instances of at most
     ``max_schedule_perm_n`` jobs fall back to the permutation search.
     """
+    _refuse_invalid(inst)
     jobs = inst.jobs
     order = sorted(range(len(jobs)), key=lambda i: (jobs[i][2], i))
     goal = sum(w for _, w, _ in jobs) - inst.tardy_budget
@@ -538,6 +548,7 @@ def _scheduling_brute(inst):
 # CNF satisfiability and AND-SAT.
 
 def solve_cnf(inst: I.CnfInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    _refuse_invalid(inst)
     k = inst.num_vars
     if k > budget.max_bruteforce_n or \
             (1 << k) * (len(inst.clauses) + 1) > budget.max_sat_ops:
@@ -560,6 +571,7 @@ def solve_cnf(inst: I.CnfInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
 
 
 def solve_and_sat(inst: I.AndSatInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    _refuse_invalid(inst)
     sols = []
     for f in inst.formulas:
         got = solve_cnf(f, budget)

@@ -8,12 +8,11 @@ index 3k; six counters Z_(c,d) for ordered distinct color pairs at
 3k + 7.
 
 cm-to-permss computes an instance's layout once and keeps it with
-``witness.layout_cache`` (the last instance object, then a bounded cache of
-the last ``LAYOUT_CACHE`` instances): the witness length and count
-shifts, the target group and elements, and for each counter the images of
-pi^0 .. pi^n already moved onto that counter's block.  An element is the
-concatenation of per-block images of gamma_hat(b), each block cached across
-instances (``_gamma_images``), followed by pi or the identity.
+``witness.layout_cache`` (which says what it holds): the witness length and
+count shifts, the target group and elements, and for each counter the
+images of pi^0 .. pi^n already moved onto that counter's block.  An element
+is the concatenation of per-block images of gamma_hat(b), each block cached
+across instances (``_gamma_images``), followed by pi or the identity.
 ``transform`` decodes ``wit.value`` with the shifts and concatenates the
 chosen blocks into the target permutation.
 """

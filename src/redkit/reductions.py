@@ -75,6 +75,16 @@ def compose(first: Reduction, second: Reduction,
     intermediate wants a shorter witness the low-order bits are used; when
     it wants a longer one the zero witness is substituted, which is sound
     because a no-intermediate maps to a no-instance under every witness.
+
+    The composite keeps one intermediate: the instance, first-link witness
+    and ``first.transform`` result of its last call, rebound only once that
+    call returns.  Every use of ``first.transform`` (the slot sizes,
+    ``transform``, ``synthesize``, the witness enumeration and the
+    canonical witness) goes through it, and it is reused while the very
+    same instance object comes with an equal first-link witness.  A sweep
+    in increasing value order thus builds each intermediate once per run of
+    2^l2 tails, and the next link's ``witness.layout_cache`` sees that same
+    object again.
     """
     if first.target_kind != second.source_kind:
         raise ReductionError(
@@ -82,38 +92,48 @@ def compose(first: Reduction, second: Reduction,
             f"with {second.name} ({second.source_kind})")
     from . import oracles
 
+    # one tuple, rebound in a single store; it starts with an object no
+    # caller holds
+    last = (object(), None, None)
+
+    def intermediate(inst, w1):
+        nonlocal last
+        held, held_w1, mid = last
+        if inst is held and w1 == held_w1:
+            return mid
+        mid = first.transform(inst, w1)
+        last = (inst, w1, mid)
+        return mid
+
     @layout_cache
     def probe(inst):
         # the slot sizes depend only on the instance: computed once each
         l1 = first.witness_len(inst)
-        mid0 = first.transform(inst, first.probe_witness(inst))
+        mid0 = intermediate(inst, first.probe_witness(inst))
         return l1, second.witness_len(mid0)
 
     def witness_len(inst):
         l1, l2 = probe(inst)
         return l1 + l2
 
-    def split(inst, wit):
+    def transform(inst, wit):
         l1, l2 = probe(inst)
         if wit.length != l1 + l2:
             raise ReductionError("composite witness length mismatch")
-        w1 = Witness(wit.value >> l2, l1)
-        tail = wit.value & ((1 << l2) - 1)
-        return w1, tail, l2
-
-    def transform(inst, wit):
-        w1, tail, l2 = split(inst, wit)
-        mid = first.transform(inst, w1)
+        v = wit.value
+        # both parts fit their lengths, since ``wit`` fits l1 + l2 bits, so
+        # they skip Witness's range checks
+        mid = intermediate(inst, tuple.__new__(Witness, (v >> l2, l1)))
         l2p = second.witness_len(mid)
         if l2p <= l2:
-            w2 = Witness(tail & ((1 << l2p) - 1), l2p)
+            w2 = tuple.__new__(Witness, (v & ((1 << l2p) - 1), l2p))
         else:
             w2 = Witness.zero(l2p)
         return second.transform(mid, w2)
 
     def synthesize(inst, sol):
         w1 = first.synthesize(inst, sol)
-        mid = first.transform(inst, w1)
+        mid = intermediate(inst, w1)
         got = oracles.solve(mid)
         if not got.answer:
             raise ReductionError(
@@ -130,7 +150,7 @@ def compose(first: Reduction, second: Reduction,
             raise ReductionError("composite has no witness enumeration")
         _, l2 = probe(inst)
         for w1 in first.valid_witnesses(inst):
-            mid = first.transform(inst, w1)
+            mid = intermediate(inst, w1)
             l2p = second.witness_len(mid)
             if l2p > l2:
                 continue
@@ -145,7 +165,7 @@ def compose(first: Reduction, second: Reduction,
 
     def canonical(inst):
         w1 = first.probe_witness(inst)
-        mid = first.transform(inst, w1)
+        mid = intermediate(inst, w1)
         w2 = second.probe_witness(mid)
         _, l2 = probe(inst)
         if w2.length > l2:

@@ -12,36 +12,33 @@ treat out-of-range field values as "reject" rather than error.
 Reductions and certificate schemes compute the layout of their fields (the
 length, widths, shifts and masks) once per instance, so that a sweep over
 every witness of an instance decodes each one with a few shifts.  Each
-layout function is wrapped by ``layout_cache``: a one-entry memo keyed by
-the identity of the instance, in front of a bounded cache of the last
-``LAYOUT_CACHE`` instances.  A sweep asks for the layout of the same
-instance object once per witness, so the memo answers with one ``is`` test
-and the bounded cache, which hashes the whole instance, is asked once per
-instance.  Each layout function thus holds one instance and layout more
-than its bounded cache.
+layout function is wrapped by ``layout_cache``, which holds one instance and
+its layout; its docstring says why one is enough.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import FrozenInstanceError
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .errors import ValidationError
 
-# Instances whose witness or certificate layout each reduction and scheme
-# keeps.  A sweep checks all witnesses of one instance before the next and
-# needs only the last; the rest serve callers that interleave instances.
-LAYOUT_CACHE = 256
-
 
 def layout_cache(build: Callable) -> Callable:
-    """``build(inst)`` cached for the last ``LAYOUT_CACHE`` instances, with
-    the last (instance, layout) pair kept in front of the cache and reused
-    while the very same instance object is asked for again."""
-    cached = lru_cache(maxsize=LAYOUT_CACHE)(build)
+    """``build(inst)``, kept for the last instance object asked for.
+
+    The memo holds exactly one instance and its layout, and reuses the
+    layout while the very same object (``is``) is asked for again, so a hit
+    costs one identity test and never hashes the instance.  A sweep checks
+    every witness of one instance before the next, and a chain of
+    reductions (``reductions.compose``) hands the next link one
+    intermediate object per run of witnesses, so one entry is all either
+    needs.  A caller that interleaves instances rebuilds the layout on each
+    switch; nothing is kept past the last instance.
+    """
     # one tuple, rebound in a single store, so the pair never mixes two
     # calls; it starts with an object no caller holds
     last = (object(), None)
@@ -52,7 +49,7 @@ def layout_cache(build: Callable) -> Callable:
         held, lay = last
         if inst is held:
             return lay
-        lay = cached(inst)
+        lay = build(inst)
         last = (inst, lay)
         return lay
     return layout

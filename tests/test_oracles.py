@@ -442,6 +442,33 @@ def test_counter_machine_oracle_refuses_malformed_input():
                 solve(inst, budget)
 
 
+_PATH = ((0, 1),)    # one bag holding both vertices of a 2-vertex graph
+
+
+@pytest.mark.parametrize("inst", [
+    I.ColoringInstance(2, ((0, 5),), _PATH),
+    I.ColoringInstance(2, ((1, 1),), _PATH),
+    I.CnfInstance(1, ((0,),)),
+    I.CnfInstance(1, ((2,),)),
+    I.CnfInstance(2, ((),)),
+    I.CnfInstance(2, ((1, 2),), arity_cap=1),
+    I.AndSatInstance(1, (I.CnfInstance(2, ((1, 2),)),)),
+    I.SchedulingInstance(((0, 1, 1),), 0),
+    I.SchedulingInstance(((1, 1, 1),), -1),
+], ids=["edge-out-of-range", "self-loop", "literal-zero", "literal-past-vars",
+        "empty-clause", "over-arity-cap", "and-sat-over-vars",
+        "processing-zero", "negative-tardy-budget"])
+def test_oracles_refuse_what_validate_rejects(inst):
+    # each was answered, or ended in a bare IndexError or ValueError, though
+    # validate rejects it
+    assert I.validate(inst)
+    starved = Budget(max_dp_cells=0, max_schedule_perm_n=0,
+                     max_coloring_brute_ops=0, max_sat_ops=0)
+    for budget in (DEFAULT_BUDGET, starved):
+        with pytest.raises(ValidationError, match=inst.kind):
+            solve(inst, budget)
+
+
 def test_verdict_truthiness():
     assert bool(Verdict(True, None, "x"))
     assert not bool(Verdict(False, None, "x"))

@@ -7,6 +7,8 @@ length, on the target of every witness, and on the witness enumerations.
 """
 
 import dataclasses
+import gc
+import weakref
 from functools import lru_cache
 from itertools import islice, product
 
@@ -15,9 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from redkit import instances as I
 from redkit.catalog import REDUCTIONS
+from redkit.certificates import nppt_contract_check
 from redkit.errors import ReductionError
+from redkit.families import cm_grid, subset_sums
 from redkit.groups import identity, make_run_context
 from redkit.pipeline import _pi_powers
+from redkit.reductions import chain
 from redkit.witness import Witness, all_witnesses, field_width, pack_fields
 
 from helpers import block_diagonal, unpack_fields
@@ -296,9 +301,69 @@ def test_layout_reduction_matches_reference(name):
            st.lists(st.integers(0, 1 << 30), max_size=64))
     def check(a, b, values):
         # A, B, A, then an equal but distinct copy of A: each switch of
-        # instance misses the layout's identity memo, and the repeats are
-        # answered by its bounded cache
+        # instance misses the layout's one-instance memo and rebuilds it
         for inst in (a, b, a, dataclasses.replace(a)):
             agree(inst, values)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# What the per-instance memos hold: one instance per layout function, and
+# one intermediate per chain link.
+
+
+def test_chain_builds_each_intermediate_once_per_first_link_witness():
+    calls = 0
+    first = REDUCTIONS["ss-to-knapsack"]
+    transform = first.transform
+
+    def counting(inst, wit):
+        nonlocal calls
+        calls += 1
+        return transform(inst, wit)
+
+    red = chain(dataclasses.replace(first, transform=counting),
+                REDUCTIONS["knapsack-to-ss"])
+    rep = nppt_contract_check(red, subset_sums(3, 5, 10), exhaustive_cap=8)
+    assert (rep.checked, rep.witnesses_checked) == (491, 11416)
+    # ss-to-knapsack has no witness bits, so every witness of a source,
+    # and its slot sizes, share one intermediate
+    assert calls == rep.checked
+
+
+def test_chain_matches_its_links_on_interleaved_instances():
+    # witnesses in decreasing order, and instances switched (to an equal
+    # but distinct copy too), so the intermediate memo misses between runs
+    first, second = REDUCTIONS["ss-to-monotone"], REDUCTIONS["monotone-to-ss"]
+    red = chain(first, second)
+
+    def ref(inst, wit):
+        l1 = first.witness_len(inst)
+        l2 = red.witness_len(inst) - l1
+        mid = first.apply(inst, Witness(wit.value >> l2, l1))
+        l2p = second.witness_len(mid)
+        if l2p > l2:
+            return second.apply(mid, Witness.zero(l2p))
+        return second.apply(mid, Witness(wit.value & ((1 << l2p) - 1), l2p))
+
+    a, b = I.SubsetSumInstance((1, 2), 3), I.SubsetSumInstance((2, 3), 5)
+    for inst in (a, b, a, dataclasses.replace(a)):
+        wits = list(all_witnesses(red.witness_len(inst)))
+        assert 1 < len(wits) <= 1 << 12
+        for wit in reversed(wits):
+            assert red.apply(inst, wit) == ref(inst, wit), wit
+
+
+def test_layout_memo_keeps_only_the_last_source_alive():
+    refs = []
+
+    def family():
+        for inst in cm_grid(1, 3):
+            refs.append(weakref.ref(inst))
+            yield inst
+
+    rep = nppt_contract_check(REDUCTIONS["cm-to-permss"], family())
+    assert rep.ok and rep.checked == len(refs) == 259
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * 258 + [False]

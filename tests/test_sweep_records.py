@@ -3,7 +3,7 @@
 Witness counts and violation records of a sweep in which one witness is
 accepted, or raises, at a known place in each coverage phase; and the
 sha256 of whole reports for small sweeps of both certificate schemes and of
-three reductions, each also with a planted fault.
+three reductions, each also with a planted fault, and of two more chains.
 """
 
 import dataclasses
@@ -205,10 +205,19 @@ DIGEST_CASES = {
     "ss-ks-ss/fault": lambda: nppt_contract_check(
         _reduction_fault(get_reduction("ss-to-knapsack+knapsack-to-ss")),
         subset_sums(3, 5, 10), exhaustive_cap=8),
+    # a chain whose first link has witness bits, and one of three links
+    "ss-ms-ss": lambda: nppt_contract_check(
+        get_reduction("ss-to-monotone+monotone-to-ss"),
+        subset_sums(3, 4, 10), exhaustive_cap=16),
+    "ss-ks-ss-zq": lambda: nppt_contract_check(
+        get_reduction("ss-to-knapsack+knapsack-to-ss+ss-to-zq"),
+        subset_sums(3, 5, 10), exhaustive_cap=8),
 }
 
 # Recorded with the Python reject loop and the plain layout caches, before
-# the loop moved into C and the identity memos went in front of the caches.
+# the loop moved into C and the identity memos went in front of the caches;
+# the two ss-ms-ss and ss-ks-ss-zq chains were recorded later, with the
+# 256-instance layout caches, before a chain kept its intermediate.
 DIGESTS = {
     "cm-to-permss":
         "4209ebc77d4b9d00b24b859bee3d2989c9da1abe20bbe2af4c65ae7ba2d5e550",
@@ -218,6 +227,10 @@ DIGESTS = {
         "58a51a5209399e63663859828656207cd52cb0c2b72586e6586b9622f6e65816",
     "ss-ks-ss/fault":
         "33f293a781223e085a946a79fb2d12ffba3597f5f93cbf91dca5bd0c6fc5c926",
+    "ss-ks-ss-zq":
+        "c9dcbf740a23e6468fa8aded8ad6d4a2ba96a62cc7dce10b75dbace210bb7c6e",
+    "ss-ms-ss":
+        "4d1c487f578e8a3db68945ef8d1a1f42b7b7976630fc7572264a06c4800f494a",
     "ss-to-monotone":
         "62435666bc0d699aef7a4bf6417ca1242b6434787d6ae9d878d68bdac60d54d7",
     "ss-to-monotone/fault":
