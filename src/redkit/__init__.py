@@ -22,7 +22,8 @@ from .numeric import NUMERIC_REDUCTIONS, graver_check, graver_sequence
 from .oracles import Budget, DEFAULT_BUDGET, Verdict, check_solution, solve
 from .pipeline import PIPELINE_REDUCTIONS, red_cm_to_perm_ss, \
     red_coloring_to_cm
-from .reductions import Reduction, chain, compose, identity_reduction
+from .reductions import (Reduction, chain, compose, deterministic,
+                         identity_reduction)
 from .satred import (SAT_REDUCTIONS, red_3sat_to_ss,
                      red_andsat_to_scheduling, red_cnf_to_coloring)
 from .witness import Witness, field_width

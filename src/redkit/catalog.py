@@ -10,11 +10,9 @@ from .reductions import Reduction, chain, identity_reduction
 from .satred import SAT_REDUCTIONS
 
 REDUCTIONS: dict[str, Reduction] = {
-    r.name: r for r in NUMERIC_REDUCTIONS + PIPELINE_REDUCTIONS + SAT_REDUCTIONS
+    r.name: r for r in NUMERIC_REDUCTIONS + PIPELINE_REDUCTIONS +
+    SAT_REDUCTIONS + tuple(map(identity_reduction, I.KINDS))
 }
-for _kind in I.KINDS:
-    _r = identity_reduction(_kind)
-    REDUCTIONS[f"identity-{_kind.replace('_', '-')}"] = _r
 
 
 def get_reduction(spec: str) -> Reduction:

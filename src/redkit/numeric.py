@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import instances as I
 from .errors import ConstructionError, ReductionError
-from .reductions import Reduction
+from .reductions import Reduction, deterministic
 from .witness import Witness, field_width, layout_cache, pack_fields
 
 # Fixed targets of guard cases and rejected witnesses, built once.
@@ -35,7 +35,7 @@ _MONOTONE_NO = I.trivial_instance("ilp", False, variant="monotone")
 _STANDARD_NO = I.trivial_instance("ilp", False, variant="standard")
 
 # ---------------------------------------------------------------------------
-# Base-w digit helpers.
+# Base-w digit encoding.
 
 
 def encode_base(digits, base: int) -> int:
@@ -46,18 +46,6 @@ def encode_base(digits, base: int) -> int:
             raise ConstructionError(f"digit {d} out of range for base {base}")
         acc = acc * base + d
     return acc
-
-
-def decode_base(value: int, base: int, length: int) -> tuple[int, ...]:
-    if value < 0:
-        raise ConstructionError("cannot decode negative value")
-    out = []
-    for _ in range(length):
-        out.append(value % base)
-        value //= base
-    if value:
-        raise ConstructionError("value does not fit in the given digit count")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +108,8 @@ def _ssk_transform(inst, wit):
     return I.KnapsackInstance(items, inst.target, inst.target)
 
 
-def _ssk_synthesize(inst, sol):
-    return Witness.zero(0)
-
-
-red_ss_to_knapsack = Reduction(
-    name="ss-to-knapsack",
-    source_kind="subset_sum",
-    target_kind="knapsack",
-    witness_len=lambda inst: 0,
-    transform=_ssk_transform,
-    synthesize=_ssk_synthesize,
-    valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-)
+red_ss_to_knapsack = deterministic(
+    "ss-to-knapsack", "subset_sum", "knapsack", _ssk_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +292,8 @@ def _mss_transform(inst, wit):
     return I.SubsetSumInstance(items, encode_base(inst.rhs, base))
 
 
-red_monotone_to_ss = Reduction(
-    name="monotone-to-ss",
-    source_kind="ilp",
-    target_kind="subset_sum",
-    witness_len=lambda inst: 0,
-    transform=_mss_transform,
-    synthesize=lambda inst, sol: Witness.zero(0),
-    valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-)
+red_monotone_to_ss = deterministic(
+    "monotone-to-ss", "ilp", "subset_sum", _mss_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +320,8 @@ def _mzs_transform(inst, wit):
     return I.IlpInstance(tuple(new_cols), tuple([0] * (m + kp)), "zero_sum")
 
 
-red_monotone_to_zerosum = Reduction(
-    name="monotone-to-zerosum",
-    source_kind="ilp",
-    target_kind="ilp",
-    witness_len=lambda inst: 0,
-    transform=_mzs_transform,
-    synthesize=lambda inst, sol: Witness.zero(0),
-    valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-)
+red_monotone_to_zerosum = deterministic(
+    "monotone-to-zerosum", "ilp", "ilp", _mzs_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +489,8 @@ def _szq_transform(inst, wit):
         I.CyclicGroup(q), tuple(inst.items[i] for i in keep), t)
 
 
-red_ss_to_zq = Reduction(
-    name="ss-to-zq",
-    source_kind="subset_sum",
-    target_kind="group_subset_sum",
-    witness_len=lambda inst: 0,
-    transform=_szq_transform,
-    synthesize=lambda inst, sol: Witness.zero(0),
-    valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-)
+red_ss_to_zq = deterministic(
+    "ss-to-zq", "subset_sum", "group_subset_sum", _szq_transform)
 
 
 # ---------------------------------------------------------------------------

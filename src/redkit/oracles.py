@@ -22,8 +22,9 @@ part that depends only on it:
 - ``solve_ilp`` keeps the column bundles, row totals, base and column codes
   per (columns, row count) in an ``lru_cache`` of ``ILP_COLUMNS_CACHE`` =
   64 entries, a few KB each; an instance then only checks and codes its
-  rhs.  An rhs whose length differs from the columns' is a
-  ``ValidationError``.
+  rhs.  A column whose length differs from the rhs's, or with an entry
+  outside {-1, 0, 1}, is a ``ValidationError``, checked once per cache
+  miss.
 - ``solve_group_ss`` keeps one memo, the reach set of the last
   (group, elements, cap), checked by identity and used under every budget
   (the targets of one cm-to-permss source share their group and elements
@@ -36,9 +37,10 @@ part that depends only on it:
 
 Group subset sum refuses, under every budget, a target or element the
 group does not contain (``group.contains``), as ``instances.validate``
-does; the counter-machine, coloring, scheduling, CNF and AND-SAT oracles
-refuse an instance ``validate`` rejects; and the zero-sum ILP refuses an
-rhs that is not all zeros, one per row.
+does; the knapsack, unbounded subset sum, counter-machine, coloring,
+scheduling, CNF and AND-SAT oracles refuse an instance ``validate``
+rejects; and the zero-sum ILP refuses an rhs that is not all zeros, one
+per row.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class Budget:
     max_dp_cells: int = 4_000_000
     max_bruteforce_n: int = 25
     max_brute_states: int = 2_000_000
-    max_schedule_perm_n: int = 8
     max_cm_states: int = 4_000_000
     max_coloring_brute_ops: int = 600_000
     max_coloring_states: int = 500_000
@@ -136,12 +137,9 @@ def solve_subset_sum(inst: I.SubsetSumInstance, budget: Budget = DEFAULT_BUDGET)
 def solve_knapsack(inst: I.KnapsackInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Non-dominated (size, weight) fronts capped at the capacity, stopping
     at the first front that meets the demand; the fronts stored are gated
-    by ``max_dp_cells`` pairs.  The kernel's caps bound only the items
-    taken, so a negative capacity, which even the empty set exceeds, is a
-    no here."""
+    by ``max_dp_cells`` pairs."""
+    _refuse_invalid(inst)
     items = inst.items
-    if inst.capacity < 0:
-        return _NO["pareto"]
     try:
         got = kernels.pareto_solve(items, [inst.capacity] * len(items),
                                    inst.demand, budget.max_dp_cells)
@@ -177,8 +175,11 @@ class _IlpColumns(NamedTuple):
 
 @lru_cache(maxsize=ILP_COLUMNS_CACHE)
 def _ilp_columns(columns, rows) -> _IlpColumns:
-    if any(len(col) != rows for col in columns):
-        raise ValidationError("ilp: column length differs from rhs length")
+    for col in columns:
+        if len(col) != rows:
+            raise ValidationError("ilp: column length differs from rhs length")
+        if not {-1, 0, 1}.issuperset(col):
+            raise ValidationError("ilp: column entries must be in {-1,0,1}")
     groups: dict[tuple, list[int]] = {}
     for i, col in enumerate(columns):
         groups.setdefault(col, []).append(i)
@@ -408,13 +409,15 @@ def solve_counter_machine(inst: I.CounterMachineInstance,
 # ---------------------------------------------------------------------------
 # 3-coloring.
 
-def solve_coloring(inst: I.ColoringInstance, budget: Budget = DEFAULT_BUDGET,
-                   method: str = "auto") -> Verdict:
+def solve_coloring(inst: I.ColoringInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    """The brute search over 3^n colorings when its work fits
+    ``max_coloring_brute_ops``, else the DP over the path decomposition's
+    bags.  Each wins on some inputs: the brute search stops at the first
+    proper coloring, the DP empties its layer at the first uncolorable bag."""
     _refuse_invalid(inst)
     n = inst.num_vertices
     m = len(inst.edges)
-    brute_ok = n <= 12 and 3 ** n * (m + 1) <= budget.max_coloring_brute_ops
-    if method == "brute" or (method == "auto" and brute_ok):
+    if n <= 12 and 3 ** n * (m + 1) <= budget.max_coloring_brute_ops:
         return _coloring_brute(inst)
     return _coloring_dp(inst, budget)
 
@@ -485,8 +488,7 @@ def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET
     order meets every due date (Lawler and Moore, 1969), so the on-time set
     is a front over (processing, weight) whose cost is capped at each job's
     due date, and it must reach the total weight minus the tardy budget.
-    When the fronts outgrow ``max_dp_cells`` pairs, instances of at most
-    ``max_schedule_perm_n`` jobs fall back to the permutation search.
+    The fronts stored are gated by ``max_dp_cells`` pairs.
     """
     _refuse_invalid(inst)
     jobs = inst.jobs
@@ -497,8 +499,6 @@ def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET
                                    [jobs[i][2] for i in order], goal,
                                    budget.max_dp_cells)
     except RuntimeError as exc:
-        if len(jobs) <= budget.max_schedule_perm_n:
-            return _scheduling_brute(inst)
         raise ResourceLimitError(f"scheduling: {exc}") from exc
     if got is None:
         return _NO["pareto"]
@@ -506,42 +506,6 @@ def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET
     tardy = sorted(set(range(len(jobs))).difference(on_time))
     return _yes(inst, {"order": tuple(on_time + tardy),
                        "on_time": tuple(sorted(on_time))}, "pareto")
-
-
-def _scheduling_brute(inst):
-    n = len(inst.jobs)
-    jobs = inst.jobs
-    budget = inst.tardy_budget
-    best = None
-
-    def dfs(remaining, time, tardy_w, prefix):
-        nonlocal best
-        if best is not None:
-            return
-        if tardy_w > budget:
-            return
-        if not remaining:
-            best = list(prefix)
-            return
-        for i in list(remaining):
-            p, w, d = jobs[i]
-            remaining.remove(i)
-            prefix.append(i)
-            dfs(remaining, time + p, tardy_w + (w if time + p > d else 0), prefix)
-            prefix.pop()
-            remaining.add(i)
-
-    dfs(set(range(n)), 0, 0, [])
-    if best is None:
-        return _NO["brute"]
-    time = 0
-    on_time = []
-    for i in best:
-        p, w, d = jobs[i]
-        time += p
-        if time <= d:
-            on_time.append(i)
-    return _yes(inst, {"order": tuple(best), "on_time": tuple(sorted(on_time))}, "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +555,7 @@ def solve_unbounded_ss(inst: I.UnboundedSubsetSumInstance,
     After k of item p's doubles any count of p below 2^k is reachable, and
     2^k > t/p covers every count that fits.
     """
+    _refuse_invalid(inst)
     t = inst.target
     n = len(inst.items)
     if (t + 1) * max(n, 1) > budget.max_dp_cells:

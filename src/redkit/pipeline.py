@@ -28,7 +28,7 @@ from . import instances as I
 from . import pathdecomp
 from .errors import ReductionError, ValidationError
 from .groups import Permutation, identity, make_run_context
-from .reductions import Reduction
+from .reductions import Reduction, deterministic
 from .witness import Witness, field_width, layout_cache, pack_fields
 
 COLOR_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
@@ -143,15 +143,8 @@ def _ccm_transform(inst, wit):
     return got
 
 
-red_coloring_to_cm = Reduction(
-    name="coloring-to-cm",
-    source_kind="coloring",
-    target_kind="counter_machine",
-    witness_len=lambda inst: 0,
-    transform=_ccm_transform,
-    synthesize=lambda inst, sol: Witness.zero(0),
-    valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-)
+red_coloring_to_cm = deterministic(
+    "coloring-to-cm", "coloring", "counter_machine", _ccm_transform)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ yes-instance.  ``valid_witnesses`` optionally enumerates the witnesses that
 decode structurally (used to stratify exhaustive checks), and
 ``canonical_witness`` names one witness whose image has the generic shape
 (used to size composite witnesses).
+
+A reduction that reads no witness is declared with ``deterministic``, which
+takes its name, kinds and transform (plus any further ``Reduction`` field)
+and fills in the rest: a 0-bit witness length, and one shared 0-bit witness
+as both the synthesized witness and the only valid one.  The identities
+(``identity_reduction``) are built the same way.
 """
 
 from __future__ import annotations
@@ -52,17 +58,30 @@ class Reduction:
         return self.transform(inst, wit)
 
 
-def identity_reduction(kind: str) -> Reduction:
+def deterministic(name: str, source_kind: str, target_kind: str,
+                  transform: Callable, **fields) -> Reduction:
+    """A reduction that reads no witness: its witness has 0 bits, and the
+    one 0-bit witness is both the synthesized witness and the only valid
+    one.  ``transform(inst, wit)`` ignores ``wit``; ``fields`` are further
+    ``Reduction`` fields (``param_bound``, ``canonical_witness``)."""
+    zero = Witness.zero(0)
     return Reduction(
-        name=f"identity-{kind}",
-        source_kind=kind,
-        target_kind=kind,
+        name=name,
+        source_kind=source_kind,
+        target_kind=target_kind,
         witness_len=lambda inst: 0,
-        transform=lambda inst, wit: inst,
-        synthesize=lambda inst, sol: Witness.zero(0),
-        valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-        param_bound=lambda p: p,
+        transform=transform,
+        synthesize=lambda inst, sol: zero,
+        valid_witnesses=lambda inst: iter((zero,)),
+        **fields,
     )
+
+
+def identity_reduction(kind: str) -> Reduction:
+    """The identity on ``kind``, named ``identity-`` and the kind with
+    dashes, as the catalog lists it."""
+    return deterministic(f"identity-{kind.replace('_', '-')}", kind, kind,
+                         lambda inst, wit: inst, param_bound=lambda p: p)
 
 
 def compose(first: Reduction, second: Reduction,

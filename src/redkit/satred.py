@@ -7,8 +7,7 @@ from __future__ import annotations
 from . import instances as I
 from . import oracles
 from .errors import ReductionError, ValidationError
-from .reductions import Reduction
-from .witness import Witness
+from .reductions import deterministic
 
 # ---------------------------------------------------------------------------
 # 3-CNF -> subset sum (base-10 digit construction).
@@ -36,15 +35,9 @@ def tsat_to_ss_instance(inst: I.CnfInstance) -> I.SubsetSumInstance:
     return I.SubsetSumInstance(tuple(items), target)
 
 
-red_3sat_to_ss = Reduction(
-    name="tsat-to-ss",
-    source_kind="cnf",
-    target_kind="subset_sum",
-    witness_len=lambda inst: 0,
-    transform=lambda inst, wit: tsat_to_ss_instance(inst),
-    synthesize=lambda inst, sol: Witness.zero(0),
-    valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-)
+red_3sat_to_ss = deterministic(
+    "tsat-to-ss", "cnf", "subset_sum",
+    lambda inst, wit: tsat_to_ss_instance(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -75,15 +68,8 @@ def _as_transform(inst, wit):
     return I.SchedulingInstance(tuple(jobs), total_w - demand)
 
 
-red_andsat_to_scheduling = Reduction(
-    name="andsat-to-scheduling",
-    source_kind="and_sat",
-    target_kind="scheduling",
-    witness_len=lambda inst: 0,
-    transform=_as_transform,
-    synthesize=lambda inst, sol: Witness.zero(0),
-    valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-)
+red_andsat_to_scheduling = deterministic(
+    "andsat-to-scheduling", "and_sat", "scheduling", _as_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +119,7 @@ def _cc_transform(inst, wit):
     return I.ColoringInstance(num, edges, bags)
 
 
-red_cnf_to_coloring = Reduction(
-    name="cnf-to-coloring",
-    source_kind="cnf",
-    target_kind="coloring",
-    witness_len=lambda inst: 0,
-    transform=_cc_transform,
-    synthesize=lambda inst, sol: Witness.zero(0),
-    valid_witnesses=lambda inst: iter([Witness.zero(0)]),
-)
+red_cnf_to_coloring = deterministic(
+    "cnf-to-coloring", "cnf", "coloring", _cc_transform)
 
 SAT_REDUCTIONS = (red_3sat_to_ss, red_andsat_to_scheduling, red_cnf_to_coloring)

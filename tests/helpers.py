@@ -1,10 +1,14 @@
-"""Reference decoders and builders the tests check the library against,
-and Hypothesis strategies for instances and instance-shaped JSON.
+"""Reference decoders, builders and solvers the tests check the library
+against, and Hypothesis strategies for instances and instance-shaped JSON.
 
 The library decodes witness fields with shifts and masks from a cached
 layout and builds permutations in place; these are the plain versions it
-replaced, kept here as references.
+replaced, kept here as references.  ``brute_scheduling`` tries every job
+order, with no appeal to the due-date argument the scheduling oracle
+rests on.
 """
+
+from itertools import permutations
 
 from hypothesis import strategies as st
 
@@ -34,6 +38,22 @@ def block_diagonal(perms):
         img.extend(off + q for q in p)
         off += p.degree
     return Permutation(img)
+
+
+def brute_scheduling(inst):
+    """Whether some order of the jobs keeps the tardy weight within budget."""
+    jobs = inst.jobs
+    for order in permutations(range(len(jobs))):
+        clock = 0
+        tardy = 0
+        for i in order:
+            p, w, d = jobs[i]
+            clock += p
+            if clock > d:
+                tardy += w
+        if tardy <= inst.tardy_budget:
+            return True
+    return not jobs and inst.tardy_budget >= 0
 
 
 # ---------------------------------------------------------------------------

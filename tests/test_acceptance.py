@@ -32,13 +32,15 @@ from redkit.groups import (UqElement, RunContext, from_cycles, identity,
                            landau_permutation, make_run_context, run_check_uq,
                            uq_identity)
 from redkit.numeric import graver_check, graver_sequence
-from redkit.oracles import (DEFAULT_BUDGET, Budget, solve, solve_and_sat,
+from redkit.oracles import (DEFAULT_BUDGET, solve, solve_and_sat,
                             solve_coloring, solve_scheduling)
 from redkit.pathdecomp import check_path_decomposition
 from redkit.pipeline import red_cm_to_perm_ss, red_coloring_to_cm
 from redkit.reductions import chain
 from redkit.satred import red_andsat_to_scheduling, red_cnf_to_coloring
 from redkit.witness import Witness
+
+from helpers import brute_scheduling
 
 
 def _line(num, detail):
@@ -212,7 +214,6 @@ def test_criterion_07_andsat_scheduling():
     <= 2 clauses each; the scheduling side is solved exactly."""
     total = disagreements = 0
     cross_checked = 0
-    no_front = Budget(max_dp_cells=0)
     for inst in and_sats(2, 2, 2, 2):
         total += 1
         image = red_andsat_to_scheduling.apply(inst, Witness.zero(0))
@@ -222,9 +223,7 @@ def test_criterion_07_andsat_scheduling():
             disagreements += 1
         if len(image.jobs) <= 8:
             # the permutation search and the due-date front must agree
-            ref = solve_scheduling(image, no_front)
-            assert ref.method == "brute"
-            if ref.answer is not via.answer:
+            if brute_scheduling(image) is not via.answer:
                 disagreements += 1
             cross_checked += 1
     assert cross_checked == 68

@@ -359,7 +359,7 @@ def test_violation_records_carry_the_target_of_their_witness():
     def transform(inst, wit):
         # a witness with a set low bit leads to a yes-target naming it
         if wit.value & 1:
-            tgt = IlpInstance(((wit.value,),), (wit.value,), "monotone")
+            tgt = IlpInstance(((1,),) * wit.value, (wit.value,), "monotone")
         else:
             tgt = base.transform(inst, wit)
         made.append(tgt)
@@ -370,7 +370,8 @@ def test_violation_records_carry_the_target_of_their_witness():
     assert len(sound) == len(report.violations) > 0
     for v in sound:
         value = int(v["witness"], 16)
-        assert v["target"] == IlpInstance(((value,),), (value,), "monotone")
+        assert v["target"] == IlpInstance(((1,),) * value, (value,),
+                                          "monotone")
         # the very object transform made, not a second transform call
         assert any(t is v["target"] for t in made)
     # a completeness record carries the target of the synthesized witness

@@ -166,6 +166,13 @@ def test_verify_identity_passes(capsys):
                        "--family", "subset-sum:n=2,max=3,tmax=7")
     assert code == 0
     assert "0 violations" in out
+    # the report names the reduction as the catalog does
+    assert out.startswith("identity-subset-sum: ")
+
+
+def test_catalog_keys_are_reduction_names():
+    for key, red in REDUCTIONS.items():
+        assert red.name == key
 
 
 def test_verify_chain(capsys):

@@ -20,6 +20,8 @@ from redkit.oracles import (DEFAULT_BUDGET, Budget, Verdict, check_solution,
                             solve, solve_coloring, solve_group_ss,
                             solve_ilp, solve_scheduling)
 
+from helpers import brute_scheduling
+
 
 def _mask_items(items, mask):
     return [items[i] for i in range(len(items)) if mask >> i & 1]
@@ -96,21 +98,6 @@ def _brute_coloring(inst):
     return False
 
 
-def _brute_scheduling(inst):
-    jobs = inst.jobs
-    for order in permutations(range(len(jobs))):
-        clock = 0
-        tardy = 0
-        for i in order:
-            p, w, d = jobs[i]
-            clock += p
-            if clock > d:
-                tardy += w
-        if tardy <= inst.tardy_budget:
-            return True
-    return not jobs and inst.tardy_budget >= 0
-
-
 def _brute_cnf(inst):
     for bits in range(1 << inst.num_vars):
         def val(lit):
@@ -174,14 +161,15 @@ def test_knapsack_with_large_values_keeps_a_small_front():
     assert not solve(I.KnapsackInstance(inst.items, 1_499_999, 1_500_000)).answer
 
 
-def test_knapsack_with_negative_capacity_is_no():
-    # even the empty set is over a negative capacity
-    for items in ((), ((1, 1),), ((0, 0), (2, 3))):
-        for demand in (0, -1, 1):
+def test_knapsack_with_negative_capacity_is_refused():
+    # validate rejects a negative capacity; this was answered no
+    for items in ((), ((1, 1),), ((1, 2), (2, 3))):
+        for demand in (0, 1):
             inst = I.KnapsackInstance(items, -1, demand)
-            got = solve(inst)
-            assert got == Verdict(False, None, "pareto"), inst
-            assert not _brute_knapsack(inst)
+            assert I.validate(inst), inst
+            for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0)):
+                with pytest.raises(ValidationError, match="knapsack"):
+                    solve(inst, budget)
 
 
 @pytest.mark.parametrize("variant", ["standard", "monotone", "zero_sum"])
@@ -333,12 +321,13 @@ def test_coloring_brute_and_dp_agree():
     for _ in range(120):
         inst = random_coloring(rng, rng.randint(0, 5))
         expected = _brute_coloring(inst)
-        assert solve_coloring(inst, method="brute").answer == expected
-        assert solve_coloring(inst, method="dp").answer == expected
-        got = solve(inst)
-        assert got.answer == expected
-        if got.answer:
-            assert check_solution(inst, got.solution)
+        # the Budget alone picks the path: no brute work forces the DP
+        for budget, method in ((DEFAULT_BUDGET, "brute"),
+                               (Budget(max_coloring_brute_ops=0), "dp")):
+            got = solve_coloring(inst, budget)
+            assert got.answer == expected and got.method == method, inst
+            if got.answer:
+                assert check_solution(inst, got.solution)
 
 
 def test_scheduling_dp_and_brute_agree():
@@ -347,16 +336,11 @@ def test_scheduling_dp_and_brute_agree():
         jobs = tuple((rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 9))
                      for _ in range(rng.randint(0, 6)))
         inst = I.SchedulingInstance(jobs, rng.randint(0, 10))
-        expected = _brute_scheduling(inst)
+        expected = brute_scheduling(inst)
         got = solve_scheduling(inst)
         assert got.answer == expected and got.method == "pareto", inst
         if got.answer:
             assert check_solution(inst, got.solution)
-        # no room for a front: the permutation search answers alone
-        ref = solve_scheduling(inst, Budget(max_dp_cells=0))
-        assert ref.answer == expected and ref.method == "brute", inst
-        if ref.answer:
-            assert check_solution(inst, ref.solution)
 
 
 def test_cnf_and_andsat():
@@ -418,10 +402,12 @@ def test_budget_limits_raise():
     starved = Budget(max_dp_cells=0)
     with pytest.raises(ResourceLimitError):
         solve(I.KnapsackInstance(((1, 1),), 1, 1), starved)
-    nine = I.SchedulingInstance(((1, 1, 1),) * 9, 8)
-    assert solve(nine).answer
-    with pytest.raises(ResourceLimitError):
-        solve(nine, starved)
+    # no room for a front is a refusal at every job count
+    for n in (1, 8, 9):
+        jobs = I.SchedulingInstance(((1, 1, 1),) * n, n - 1)
+        assert solve(jobs).answer
+        with pytest.raises(ResourceLimitError):
+            solve(jobs, starved)
 
 
 def test_counter_machine_oracle_refuses_malformed_input():
@@ -455,15 +441,23 @@ _PATH = ((0, 1),)    # one bag holding both vertices of a 2-vertex graph
     I.AndSatInstance(1, (I.CnfInstance(2, ((1, 2),)),)),
     I.SchedulingInstance(((0, 1, 1),), 0),
     I.SchedulingInstance(((1, 1, 1),), -1),
+    I.KnapsackInstance(((0, 1),), 2, 2),
+    I.KnapsackInstance(((1, 1),), 1, -1),
+    I.IlpInstance(((2, 0),), (0, 0)),
+    I.IlpInstance(((1,), (-2,)), (1,), "monotone"),
+    I.UnboundedSubsetSumInstance((2,), -1),
+    I.UnboundedSubsetSumInstance((-1, 3), 2),
 ], ids=["edge-out-of-range", "self-loop", "literal-zero", "literal-past-vars",
         "empty-clause", "over-arity-cap", "and-sat-over-vars",
-        "processing-zero", "negative-tardy-budget"])
+        "processing-zero", "negative-tardy-budget", "knapsack-size-zero",
+        "knapsack-negative-demand", "ilp-entry-two", "ilp-entry-minus-two",
+        "unbounded-negative-target", "unbounded-negative-item"])
 def test_oracles_refuse_what_validate_rejects(inst):
     # each was answered, or ended in a bare IndexError or ValueError, though
     # validate rejects it
     assert I.validate(inst)
-    starved = Budget(max_dp_cells=0, max_schedule_perm_n=0,
-                     max_coloring_brute_ops=0, max_sat_ops=0)
+    starved = Budget(max_dp_cells=0, max_coloring_brute_ops=0,
+                     max_sat_ops=0)
     for budget in (DEFAULT_BUDGET, starved):
         with pytest.raises(ValidationError, match=inst.kind):
             solve(inst, budget)
@@ -1000,5 +994,5 @@ def test_no_verdicts_are_shared_and_equal_fresh_ones():
         assert got == Verdict(False, method=method), inst
         assert got.solution is None and not got
         assert solve(inst, budget) is got
-    dp = solve_coloring(named_graph("k4"), method="dp")
+    dp = solve_coloring(named_graph("k4"), Budget(max_coloring_brute_ops=0))
     assert dp == Verdict(False, method="dp")
