@@ -9,6 +9,12 @@ A ``Permutation`` is a ``tuple`` subclass holding its images, with no
 builds a permutation by construction (a product, the identity, or blocks
 on disjoint points) makes it with ``tuple.__new__(Permutation, images)``,
 skipping the check in ``Permutation.__new__``.
+
+Two caches live here: ``_landau_table``, the one table of minimal-degree
+permutations of large order, and ``make_run_context``, the run contexts of
+the last 64 sequence lengths.  A context builds its generator images and
+its three letters gamma_hat(-1), gamma_hat(0), gamma_hat(1) once, on first
+use.
 """
 
 from __future__ import annotations
@@ -220,32 +226,18 @@ def _landau_table() -> list[tuple[int, tuple[int, ...]]]:
     return best
 
 
-def landau_permutation(n: int, method: str = "dp") -> tuple[Permutation, int]:
-    """A permutation of order > n with small degree; returns (perm, degree).
-
-    ``method="dp"`` picks the minimal degree via the Landau-function table.
-    ``method="primes"`` uses the simpler recipe (all primes below sqrt(k),
-    padded with fixed points), kept around for fidelity comparisons.
-    """
+def landau_permutation(n: int) -> tuple[Permutation, int]:
+    """A permutation of order > n of minimal degree, picked from the
+    Landau-function table; returns (perm, degree)."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    if method == "dp":
-        table = _landau_table()
-        for r in range(1, _DEGREE_CAP + 1):
-            order, parts = table[r]
-            if order > n:
-                deg = sum(parts) if parts else 1
-                perm = _consecutive_cycles(deg, parts)
-                return perm, deg
-        raise ConstructionError(f"degree cap {_DEGREE_CAP} too small for n={n}")
-    if method == "primes":
-        for k in range(2, _DEGREE_CAP + 1):
-            ps = [p for p in range(2, int(math.isqrt(k)) + 1)
-                  if all(p % d for d in range(2, p))]
-            if math.prod(ps) > n and sum(ps) <= k:
-                return _consecutive_cycles(k, tuple(ps)), k
-        raise ConstructionError(f"degree cap {_DEGREE_CAP} too small for n={n}")
-    raise ValidationError(f"unknown method {method!r}")
+    table = _landau_table()
+    for r in range(1, _DEGREE_CAP + 1):
+        order, parts = table[r]
+        if order > n:
+            deg = sum(parts) if parts else 1
+            return _consecutive_cycles(deg, parts), deg
+    raise ConstructionError(f"degree cap {_DEGREE_CAP} too small for n={n}")
 
 
 def _consecutive_cycles(degree: int, lengths: tuple[int, ...]) -> Permutation:
@@ -289,11 +281,8 @@ class RunContext:
     def domain(self) -> int:
         return 2 * self.carrier.degree
 
-    def _gpow(self, e: int) -> tuple[int, ...]:
-        return _carrier_powers(self.carrier)[e % self.q]
-
-    # the generator images are built once per context: pi_exponent and
-    # _pi_powers read them in loops
+    # the generator images and the three letters are built once per
+    # context: pi_exponent and pipeline._block_images read them
     @cached_property
     def pi0(self) -> Permutation:
         return self.chi(UqElement(0, 1, 0, self.q))
@@ -305,6 +294,10 @@ class RunContext:
     @cached_property
     def piz(self) -> Permutation:
         return self.chi(UqElement(0, 0, 1, self.q))
+
+    @cached_property
+    def _letters(self) -> dict[int, Permutation]:
+        return {b: self.chi(gamma(b, self.q)) for b in (-1, 0, 1)}
 
     @property
     def pi(self) -> Permutation:
@@ -320,38 +313,28 @@ class RunContext:
         if e.q != self.q:
             raise ValidationError("element modulus differs from context")
         r = self.r
-        gx = self._gpow(e.x)
-        gy = self._gpow(e.y)
+        gx = self.carrier.power(e.x)
+        gy = self.carrier.power(e.y)
         img = [0] * (2 * r)
         for p in range(2 * r):
             t = (p + r) % (2 * r) if e.z else p
             img[p] = gy[t] if t < r else gx[t - r] + r
         return Permutation(img)
 
-    # three letters for each of the 64 contexts make_run_context keeps
-    @lru_cache(maxsize=192)
     def gamma_hat(self, b: int) -> Permutation:
-        return self.chi(gamma(b, self.q))
+        """chi(gamma(b)); a letter outside {-1, 0, 1} is a ValidationError."""
+        letter = self._letters.get(b)
+        return letter if letter is not None else self.chi(gamma(b, self.q))
 
-    def pi_exponent(self, perm: Permutation, max_exp: int | None = None) -> int | None:
-        """The n' in [0, bound] with perm == pi^n', or None."""
-        bound = self.n_bound if max_exp is None else max_exp
+    def pi_exponent(self, perm: Permutation) -> int | None:
+        """The n' in [0, n_bound] with perm == pi^n', or None."""
         acc = identity(self.domain)
         pi = self.pi
-        for e in range(bound + 1):
+        for e in range(self.n_bound + 1):
             if acc == perm:
                 return e
             acc = pi * acc
         return None
-
-
-@lru_cache(maxsize=64)
-def _carrier_powers(carrier: Permutation) -> list[tuple[int, ...]]:
-    out = [tuple(range(carrier.degree))]
-    q = carrier.order()
-    for _ in range(q - 1):
-        out.append(tuple(map(carrier.__getitem__, out[-1])))
-    return out
 
 
 @lru_cache(maxsize=64)

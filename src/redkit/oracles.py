@@ -24,7 +24,8 @@ part that depends only on it:
   64 entries, a few KB each; an instance then only checks and codes its
   rhs.  A column whose length differs from the rhs's, or with an entry
   outside {-1, 0, 1}, is a ``ValidationError``, checked once per cache
-  miss.
+  miss; the entry also notes whether some entry is -1, so a monotone
+  system with one is refused with no scan per instance.
 - ``solve_group_ss`` keeps one memo, the reach set of the last
   (group, elements, cap), checked by identity and used under every budget
   (the targets of one cm-to-permss source share their group and elements
@@ -39,8 +40,10 @@ Group subset sum refuses, under every budget, a target or element the
 group does not contain (``group.contains``), as ``instances.validate``
 does; the knapsack, unbounded subset sum, counter-machine, coloring,
 scheduling, CNF and AND-SAT oracles refuse an instance ``validate``
-rejects; and the zero-sum ILP refuses an rhs that is not all zeros, one
-per row.
+rejects; plain subset sum refuses a negative target or item; the 0-1 ILP
+refuses a variant other than standard, monotone and zero-sum, and a
+monotone system with an entry -1; and the zero-sum ILP refuses an rhs
+that is not all zeros, one per row.
 """
 
 from __future__ import annotations
@@ -105,17 +108,22 @@ def _yes(inst, solution, method: str) -> Verdict:
 # Subset sum.
 
 def solve_subset_sum(inst: I.SubsetSumInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """Plain subset sum by the bitset DP, else by the reach closure over the
-    sums up to the target.  With a modulus it is group subset sum over
-    ``CyclicGroup(modulus)``, solved as that group is and re-checked here."""
+    """Plain subset sum by the bitset DP when its max(n, 1) * (t+1) table
+    fits ``max_dp_cells`` (n items in [1, t]), else by the reach closure
+    over the sums up to the target.  With a modulus it is group subset sum
+    over ``CyclicGroup(modulus)``, solved as that group is and re-checked
+    here."""
     if inst.modulus is not None:
         return _solve_group(inst, I.CyclicGroup(inst.modulus), inst.items,
                             inst.target, budget)
     t = inst.target
+    if t < 0 or min(inst.items, default=0) < 0:
+        _refuse_invalid(inst)
     keep = [i for i, p in enumerate(inst.items) if 1 <= p <= t]
     vals = [inst.items[i] for i in keep]
     n = len(vals)
-    if n * (t + 1) <= budget.max_dp_cells:
+    # the table has t + 1 bits even when no item fits
+    if max(n, 1) * (t + 1) <= budget.max_dp_cells:
         got = kernels.subset_sum_solve(vals, t)
         if got is None:
             return _NO["dp"]
@@ -171,6 +179,7 @@ class _IlpColumns(NamedTuple):
     keep: tuple         # those bundles' positions
     flipped: int        # minus the sum of the negative codes
     chosen: tuple       # 1 for each bundle with a negative code (y = 1 - x)
+    negative: bool      # some entry is -1, which the monotone variant refuses
 
 
 @lru_cache(maxsize=ILP_COLUMNS_CACHE)
@@ -196,7 +205,8 @@ def _ilp_columns(columns, rows) -> _IlpColumns:
     return _IlpColumns(tuple(bundles), tuple(cols), tuple(totals), base,
                        tuple(abs(codes[b]) for b in keep), keep,
                        -sum(c for c in codes if c < 0),
-                       tuple(int(c < 0) for c in codes))
+                       tuple(int(c < 0) for c in codes),
+                       any(-1 in col for col in columns))
 
 
 def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
@@ -216,6 +226,9 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     if inst.variant == "zero_sum":
         return _solve_zero_sum(inst, budget)
     lay = _ilp_columns(inst.columns, len(inst.rhs))
+    variant = inst.variant
+    if variant != "standard" and (variant != "monotone" or lay.negative):
+        _refuse_invalid(inst)
     goal = kernels.ilp_rhs_code(inst.rhs, lay.totals, lay.base)
     if goal is None:
         return _NO["range"]

@@ -11,8 +11,10 @@ cm-to-permss computes an instance's layout once and keeps it with
 ``witness.layout_cache`` (which says what it holds): the witness length and
 count shifts, the target group and elements, and for each counter the
 images of pi^0 .. pi^n already moved onto that counter's block.  An element
-is the concatenation of per-block images of gamma_hat(b), each block cached
-across instances (``_gamma_images``), followed by pi or the identity.
+is the concatenation of per-block images of gamma_hat(b), followed by pi or
+the identity.  One ``lru_cache``, ``_block_images(n, block)``, keeps each
+block's images of the powers of pi and of the three letters across
+instances with n vectors; the layout fetches its dimension + 1 blocks once.
 ``transform`` decodes ``wit.value`` with the shifts and concatenates the
 chosen blocks into the target permutation.
 """
@@ -151,31 +153,25 @@ red_coloring_to_cm = deterministic(
 # Counter machine -> symmetric group subset sum.
 
 
-@lru_cache(maxsize=64)
-def _pi_powers(n: int) -> tuple[Permutation, ...]:
-    ctx = make_run_context(n)
-    out = [identity(ctx.domain)]
-    for _ in range(n):
-        out.append(out[-1] * ctx.pi)
-    return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _pi_images(n: int, block: int) -> tuple[tuple[int, ...], ...]:
-    """Images of pi^0 .. pi^n moved onto the ``block``-th block of points,
-    shared by every instance with ``n`` vectors."""
-    pows = _pi_powers(n)
-    off = block * pows[0].degree
-    return tuple(tuple(off + p for p in pw) for pw in pows)
-
-
-@lru_cache(maxsize=3 * 1024)
-def _gamma_images(n: int, block: int, b: int) -> tuple[int, ...]:
-    """Images of gamma_hat(b) moved onto the ``block``-th block of points,
-    shared by every instance with ``n`` vectors."""
+# One entry per (vector count n, block): n + 4 image tuples of 2r points,
+# at most 1.8 KB at n = 5, 33 KB at n = 32 and 159 KB at n = 128 (measured
+# on block 19; lower blocks share more small ints), so the 32 entries hold
+# at most about 1.1 MB while n <= 32 and 5.1 MB while n <= 128, where a K4
+# machine's 20 blocks fit.
+@lru_cache(maxsize=32)
+def _block_images(n: int, block: int) -> tuple[tuple, dict]:
+    """Images of pi^0 .. pi^n (indexed by the exponent) and of the three
+    letters gamma_hat(b) (keyed by b), moved onto the ``block``-th block of
+    points; shared by every machine with ``n`` vectors."""
     ctx = make_run_context(n)
     off = block * ctx.domain
-    return tuple(off + p for p in ctx.gamma_hat(b))
+    powers, acc = [], identity(ctx.domain)
+    for _ in range(n + 1):
+        powers.append(tuple(off + p for p in acc))
+        acc = acc * ctx.pi
+    letters = {b: tuple(off + p for p in ctx.gamma_hat(b))
+               for b in (-1, 0, 1)}
+    return tuple(powers), letters
 
 
 # Targets of machines with no vectors and of rejected witnesses.
@@ -190,7 +186,7 @@ class _CpsLayout(NamedTuple):
     widths: tuple
     shifts: tuple       # shift of each counter's count
     mask: int
-    blocks: tuple       # per counter, _pi_images of its block
+    blocks: tuple       # per counter, the pi-power images of its block
     tail: tuple         # images of pi^f_C on the last block
     group: object
     elements: tuple
@@ -202,13 +198,16 @@ def _cps_layout(inst) -> _CpsLayout:
     if n == 0:
         return _CpsLayout(0, (), (), 0, (), (), None, ())
     width = field_width(n)
-    ctx = make_run_context(n)
-    tail = _pi_images(n, ell)
+    blocks = [_block_images(n, j) for j in range(ell + 1)]
+    tail = blocks[ell][0]
     elements = []
     for vec, flag in zip(inst.vectors, inst.flags):
         img = []
-        for block, b in enumerate(vec):
-            img += _gamma_images(n, block, b)
+        for b, (_, letters) in zip(vec, blocks):
+            if b not in letters:
+                raise ValidationError(
+                    f"counter machine: entry {b!r} not in {{-1,0,1}}")
+            img += letters[b]
         img += tail[1] if flag == I.REQUIRED else tail[0]
         # blocks of permutations on disjoint points: a permutation
         elements.append(tuple.__new__(Permutation, img))
@@ -216,8 +215,8 @@ def _cps_layout(inst) -> _CpsLayout:
     return _CpsLayout(
         ell * width, (width,) * ell,
         tuple((ell - 1 - j) * width for j in range(ell)), (1 << width) - 1,
-        tuple(_pi_images(n, j) for j in range(ell)),
-        tail[f_c], I.SymmetricGroup((ell + 1) * ctx.domain), tuple(elements))
+        tuple(powers for powers, _ in blocks[:ell]), tail[f_c],
+        I.SymmetricGroup((ell + 1) * len(tail[0])), tuple(elements))
 
 
 def _cps_transform(inst, wit):

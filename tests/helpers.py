@@ -5,16 +5,18 @@ The library decodes witness fields with shifts and masks from a cached
 layout and builds permutations in place; these are the plain versions it
 replaced, kept here as references.  ``brute_scheduling`` tries every job
 order, with no appeal to the due-date argument the scheduling oracle
-rests on.
+rests on.  ``primes_landau`` is the plain large-order recipe that the
+Landau-function table of ``groups.landau_permutation`` must never lose to.
 """
 
+import math
 from itertools import permutations
 
 from hypothesis import strategies as st
 
 from redkit import instances as I
 from redkit.errors import ValidationError
-from redkit.groups import Permutation
+from redkit.groups import Permutation, from_cycles
 
 
 def unpack_fields(wit, widths):
@@ -38,6 +40,20 @@ def block_diagonal(perms):
         img.extend(off + q for q in p)
         off += p.degree
     return Permutation(img)
+
+
+def primes_landau(n):
+    """(perm, k): one cycle for each prime up to sqrt(k), on consecutive
+    points of a degree-k permutation, for the least k up to 128 whose
+    primes multiply past n, so the order exceeds n."""
+    for k in range(2, 129):
+        primes = [p for p in range(2, math.isqrt(k) + 1)
+                  if all(p % d for d in range(2, p))]
+        if math.prod(primes) > n and sum(primes) <= k:
+            starts = [sum(primes[:i]) for i in range(len(primes))]
+            return from_cycles(k, [tuple(range(s, s + p))
+                                   for s, p in zip(starts, primes)]), k
+    raise ValueError(f"no degree up to 128 has order above {n}")
 
 
 def brute_scheduling(inst):

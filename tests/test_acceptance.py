@@ -19,7 +19,7 @@ import time
 from itertools import product
 from random import Random
 
-from redkit.catalog import REDUCTIONS
+from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
                                  certificate_scheme_check,
                                  nppt_contract_check,
@@ -36,7 +36,6 @@ from redkit.oracles import (DEFAULT_BUDGET, solve, solve_and_sat,
                             solve_coloring, solve_scheduling)
 from redkit.pathdecomp import check_path_decomposition
 from redkit.pipeline import red_cm_to_perm_ss, red_coloring_to_cm
-from redkit.reductions import chain
 from redkit.satred import red_andsat_to_scheduling, red_cnf_to_coloring
 from redkit.witness import Witness
 
@@ -75,38 +74,20 @@ def test_criterion_01_numeric_reduction_grids():
 
 
 def test_criterion_02_composed_reductions_preserve_verdicts():
-    """Three round-trip compositions preserve oracle verdicts on 500
+    """Three round-trip compositions uphold the witness contract on 500
     random instances each (n <= 6, values <= 30)."""
-    compositions = [
-        chain(REDUCTIONS["ss-to-knapsack"], REDUCTIONS["knapsack-to-ss"]),
-        chain(REDUCTIONS["ss-to-monotone"], REDUCTIONS["monotone-to-ss"]),
-        chain(REDUCTIONS["ss-to-zq"], REDUCTIONS["zq-to-ss"]),
-    ]
     budget = dataclasses.replace(DEFAULT_BUDGET, max_dp_cells=64_000_000)
-    total = violations = 0
-    for comp in compositions:
-        inst_rng, wit_rng = Random(97), Random(131)
-        for _ in range(500):
-            inst = random_subset_sum(inst_rng, 6, 30)
-            total += 1
-            src = solve(inst)
-            length = comp.witness_len(inst)
-            if src.answer:
-                wit = comp.synthesize(inst, src.solution)
-                if not solve(comp.apply(inst, wit), budget).answer:
-                    violations += 1
-            else:
-                probes = {comp.probe_witness(inst).value, 0,
-                          (1 << length) - 1 if length else 0}
-                probes |= {wit_rng.getrandbits(length)
-                           for _ in range(16)} if length else set()
-                for value in probes:
-                    target = comp.apply(inst, Witness(value, length))
-                    if solve(target, budget).answer:
-                        violations += 1
-                        break
-    _line(2, f"PASS {total} composed instances, {violations} violations")
-    assert violations == 0
+    checked = witnesses = 0
+    for spec in ("ss-to-knapsack+knapsack-to-ss",
+                 "ss-to-monotone+monotone-to-ss", "ss-to-zq+zq-to-ss"):
+        rng = Random(97)
+        family = [random_subset_sum(rng, 6, 30) for _ in range(500)]
+        report = nppt_contract_check(get_reduction(spec), family, budget)
+        assert report.ok, (spec, report.violations[:3], report.skipped[:3])
+        checked += report.checked
+        witnesses += report.witnesses_checked
+    _line(2, f"PASS {checked} composed instances, {witnesses} witnesses, "
+             f"0 violations")
 
 
 def test_criterion_03_graver_sequences():

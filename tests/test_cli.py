@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from redkit import instances as I
 from redkit.catalog import REDUCTIONS
+from redkit.certificates import SCHEMES
 from redkit.cli import _FAMILY_DEFAULTS, main
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               SubsetSumInstance, SymmetricGroup,
@@ -397,4 +398,59 @@ def test_solve_exit_code_on_any_instance_json(tmp_path, capsys, data):
 def test_verify_exit_code_on_any_family_spec(capsys, reduction, family,
                                              limit):
     argv = ["verify", reduction, "--family", family, "--limit", str(limit)]
+    assert _exit_code(capsys, argv) in range(5)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reduction=st.sampled_from(sorted(REDUCTIONS)),
+       data=JSON_VALUES | SHAPED_INSTANCES | _VALID_JSON,
+       extra=st.sampled_from([[], ["--synthesize"]]) |
+       st.text(max_size=6).map(lambda text: ["--witness", text]))
+def test_reduce_exit_code_on_any_instance_json(tmp_path, capsys, reduction,
+                                               data, extra):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(data))
+    argv = ["reduce", reduction, str(p)] + extra
+    assert _exit_code(capsys, argv) in range(5)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from(sorted(SCHEMES) + ["no-such-scheme"]),
+       data=JSON_VALUES | SHAPED_INSTANCES | _VALID_JSON)
+def test_cert_check_exit_code_on_any_instance_json(tmp_path, capsys, scheme,
+                                                   data):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(data))
+    assert _exit_code(capsys, ["cert-check", scheme, str(p)]) in range(5)
+
+
+_GEN_KINDS = ["subset-sum", "knapsack", "ilp", "cnf", "unbounded", "zq",
+              "coloring", "cm"]
+_GEN_NUMBERS = ["--n", "--m", "--max", "--q", "--ell", "--vars", "--clauses",
+                "--arity", "--target", "--seed"]
+_GRAPHS = ["k3", "k4", "c5", "p4"]
+
+
+@st.composite
+def _gen_argv(draw):
+    """``gen`` with a known or made-up kind, some numeric options in
+    [-3, 40], and at times ``--graph``, ``--from-coloring`` or
+    ``--variant``."""
+    argv = ["gen", draw(st.sampled_from(_GEN_KINDS + ["nope"]))]
+    for flag in _GEN_NUMBERS:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-3, 40)))]
+    for flag, values in (("--graph", _GRAPHS), ("--from-coloring", _GRAPHS),
+                         ("--variant", ["standard", "monotone", "zero_sum"])):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_gen_argv())
+def test_gen_exit_code_on_any_options(capsys, argv):
     assert _exit_code(capsys, argv) in range(5)

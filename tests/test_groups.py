@@ -13,7 +13,7 @@ from redkit.groups import (Permutation, UqElement, degree_bound, from_cycles,
                            uq_product)
 from redkit.instances import SymmetricGroup
 
-from helpers import block_diagonal
+from helpers import block_diagonal, primes_landau
 
 
 def test_permutation_composition_convention():
@@ -140,7 +140,8 @@ def test_landau_permutation(n):
     assert perm.degree == deg
     assert perm.order() > n
     assert deg <= degree_bound(n)
-    perm2, deg2 = landau_permutation(n, method="primes")
+    perm2, deg2 = primes_landau(n)
+    assert perm2.degree == deg2
     assert perm2.order() > n
     assert deg2 >= deg  # the table method is at least as tight
 

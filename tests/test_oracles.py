@@ -447,11 +447,19 @@ _PATH = ((0, 1),)    # one bag holding both vertices of a 2-vertex graph
     I.IlpInstance(((1,), (-2,)), (1,), "monotone"),
     I.UnboundedSubsetSumInstance((2,), -1),
     I.UnboundedSubsetSumInstance((-1, 3), 2),
+    I.SubsetSumInstance((3, -1), 2),
+    I.SubsetSumInstance((1,), -1),
+    I.IlpInstance(((1,), (-1,)), (0,), "monotone"),
+    I.IlpInstance(((-1,),), (-1,), "monotone"),
+    I.IlpInstance(((1,),), (1,), "bogus"),
 ], ids=["edge-out-of-range", "self-loop", "literal-zero", "literal-past-vars",
         "empty-clause", "over-arity-cap", "and-sat-over-vars",
         "processing-zero", "negative-tardy-budget", "knapsack-size-zero",
         "knapsack-negative-demand", "ilp-entry-two", "ilp-entry-minus-two",
-        "unbounded-negative-target", "unbounded-negative-item"])
+        "unbounded-negative-target", "unbounded-negative-item",
+        "subset-sum-negative-item", "subset-sum-negative-target",
+        "monotone-entry-minus-one", "monotone-minus-one-rhs",
+        "ilp-unknown-variant"])
 def test_oracles_refuse_what_validate_rejects(inst):
     # each was answered, or ended in a bare IndexError or ValueError, though
     # validate rejects it
@@ -702,6 +710,17 @@ def test_plain_reach_keeps_only_sums_up_to_the_target():
     assert got == Verdict(True, (0, 1), "brute")
     with pytest.raises(ResourceLimitError, match="reachable sums over budget"):
         solve(inst, Budget(max_dp_cells=0, max_brute_states=3))
+
+
+def test_subset_sum_dp_gate_counts_a_table_when_no_item_fits():
+    # with no item in [1, t] the gate read 0 * (t+1) cells, and the DP
+    # built its (t+1)-bit table past every budget
+    small = Budget(max_dp_cells=10)
+    for inst in (I.SubsetSumInstance((), 100),
+                 I.SubsetSumInstance((200,), 100)):
+        assert solve(inst, small) == Verdict(False, method="brute")
+    assert solve(I.SubsetSumInstance((), 10 ** 15)) == \
+        Verdict(False, method="brute")
 
 
 def test_cyclic_input_outside_the_group_is_refused():

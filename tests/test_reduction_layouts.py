@@ -21,7 +21,6 @@ from redkit.certificates import nppt_contract_check
 from redkit.errors import ReductionError
 from redkit.families import cm_grid, subset_sums
 from redkit.groups import identity, make_run_context
-from redkit.pipeline import _pi_powers
 from redkit.reductions import chain
 from redkit.witness import Witness, all_witnesses, field_width, pack_fields
 
@@ -207,9 +206,9 @@ def _ref_cps_transform(inst, wit):
         return I.trivial_instance("group_subset_sum", False,
                                   group=I.SymmetricGroup(2))
     group, elements, f_c = _cm_setup(inst)
-    pows = _pi_powers(n)
-    parts = [pows[c] for c in counts]
-    parts.append(pows[f_c])
+    pi = make_run_context(n).pi
+    parts = [pi.power(c) for c in counts]
+    parts.append(pi.power(f_c))
     return I.GroupSubsetSumInstance(group, elements, block_diagonal(parts))
 
 
