@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 from .catalog import REDUCTIONS, get_reduction
 from .certificates import (CertificateScheme, FULL_SS_SCHEME, SCHEMES,
                            UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
-                           certificate_scheme_check, certified_solve,
+                           certificate_scheme_check,
                            minimal_solution_bound_check, nppt_contract_check,
-                           zero_sum_premise_check)
+                           transfer, zero_sum_premise_check)
 from .errors import (ConstructionError, RedkitError, ReductionError,
                      ResourceLimitError, ValidationError)
 from .instances import (AndSatInstance, CnfInstance, ColoringInstance,

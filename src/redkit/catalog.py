@@ -26,9 +26,5 @@ def get_reduction(spec: str) -> Reduction:
             raise ValidationError(
                 f"unknown reduction {part!r}; known: {', '.join(sorted(REDUCTIONS))}")
         picked.append(REDUCTIONS[part])
-    for a, b in zip(picked, picked[1:]):
-        if a.target_kind != b.source_kind:
-            raise ValidationError(
-                f"cannot chain {a.name} ({a.target_kind}) into "
-                f"{b.name} ({b.source_kind})")
+    # ``compose`` refuses a link whose kinds do not meet
     return picked[0] if len(picked) == 1 else chain(*picked, name=spec)

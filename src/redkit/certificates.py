@@ -1,5 +1,6 @@
-"""Certificate schemes with short witnesses, and the sweep that
-machine-checks reduction contracts and scheme soundness/completeness.
+"""Certificate schemes with short witnesses, the sweep that machine-checks
+reduction contracts and scheme soundness/completeness, and ``transfer``,
+which carries a scheme back along a reduction chain.
 
 Certificates are fixed-width bit strings (``Witness`` values): a count field
 followed by fixed slots, with unused trailing slots required to be zero.  A
@@ -52,8 +53,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import instances as I
 from .errors import (ConstructionError, RedkitError, ReductionError,
                      ResourceLimitError, ValidationError)
-from .oracles import DEFAULT_BUDGET, Budget, Verdict, solve
-from .reductions import Reduction
+from .oracles import DEFAULT_BUDGET, Budget, check_solution, solve
+from .reductions import Reduction, compose
 from .witness import (Witness, all_witnesses, field_width, layout_cache,
                       pack_fields)
 
@@ -356,13 +357,8 @@ ZKK_SCHEME = CertificateScheme(
 
 
 def _fss_verify(inst, cert):
-    n = len(inst.items)
-    if cert.length != n:
-        return False
-    total = sum(p for p, b in zip(inst.items, cert.bits()) if b)
-    if inst.modulus is not None:
-        return total % inst.modulus == inst.target % inst.modulus
-    return total == inst.target
+    return cert.length == len(inst.items) and check_solution(
+        inst, [i for i, b in enumerate(cert.bits()) if b])
 
 
 def _fss_synthesize(inst, solution):
@@ -711,25 +707,26 @@ def minimal_solution_bound_check(k: int,
 # Certificate transfer along a reduction chain.
 
 
-def certified_solve(inst: I.ProblemInstance, chain: Reduction,
-                    scheme: CertificateScheme,
-                    max_ops: int = 1 << 22) -> Verdict:
-    """Decide ``inst`` by enumerating (chain witness, certificate) pairs."""
-    if chain.source_kind != inst.kind:
-        raise ValidationError("chain does not start at the instance kind")
-    length = chain.witness_len(inst)
-    if length > 26 or (1 << length) > max_ops:
-        raise ResourceLimitError("chain witness space exceeds the budget")
-    ops = 0
-    for wit in all_witnesses(length):
-        tgt = chain.apply(inst, wit)
-        if tgt.kind != scheme.problem_kind:
-            raise ValidationError("chain target kind does not match scheme")
-        bits = scheme.cert_len(tgt)
-        ops += 1 << min(bits, 60)
-        if bits > 26 or ops > max_ops:
-            raise ResourceLimitError("certificate enumeration exceeds budget")
-        for cert in all_witnesses(bits):
-            if scheme.verify(tgt, cert):
-                return Verdict(True, (wit, cert), "certified")
-    return Verdict(False, None, "certified")
+def transfer(chain: Reduction, scheme: CertificateScheme) -> Reduction:
+    """``chain`` followed by ``scheme``, as one reduction into a target that
+    is decided at once.
+
+    The last link maps an instance of ``scheme.problem_kind`` to the
+    trivial yes instance of that kind when ``scheme.verify`` accepts its
+    witness, the certificate, and to the trivial no instance otherwise.  A
+    witness of the composite is thus the chain's witness followed by a
+    certificate slot that ``compose`` sizes from the canonical
+    intermediate, and ``nppt_contract_check`` checks the transferred
+    certificates.  The two trivial instances are built once here, so the
+    sweep's one-target memo solves each of them once per run.
+    """
+    kind, verify = scheme.problem_kind, scheme.verify
+    yes = I.trivial_instance(kind, True)
+    no = I.trivial_instance(kind, False)
+    last = Reduction(
+        name=scheme.name, source_kind=kind, target_kind=kind,
+        witness_len=scheme.cert_len,
+        transform=lambda inst, cert: yes if verify(inst, cert) else no,
+        synthesize=scheme.synthesize,
+        valid_witnesses=scheme.valid_certificates)
+    return compose(chain, last)

@@ -353,6 +353,10 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_RESOURCE)
     except (RedkitError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except (MemoryError, RecursionError) as exc:
+        # a MemoryError carries no text, so the line names the exception
+        name = type(exc).__name__
+        return _fail(f"{name}: {exc}" if str(exc) else name, EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

@@ -91,13 +91,10 @@ def coloring_blocks(inst: I.ColoringInstance):
 
     Returns (layout, list of (command, [(vector, flag), ...])).
     """
-    bad = pathdecomp.check_path_decomposition(
-        inst.num_vertices, inst.edges, inst.bags)
-    if bad:
-        raise ValidationError("; ".join(bad))
+    # ``make_nice`` checks the decomposition and raises ``ValidationError``
+    _, commands = pathdecomp.make_nice(inst.num_vertices, inst.edges, inst.bags)
     width = pathdecomp.width(inst.bags)
     k = width + 1
-    _, commands = pathdecomp.make_nice(inst.num_vertices, inst.edges, inst.bags)
     labels = pathdecomp.greedy_labels(commands, width)
     lay = CounterLayout(k)
     blocks = []

@@ -20,9 +20,9 @@ from itertools import product
 from random import Random
 
 from redkit.catalog import REDUCTIONS, get_reduction
-from redkit.certificates import (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
-                                 certificate_scheme_check,
-                                 nppt_contract_check,
+from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
+                                 ZKK_SCHEME, certificate_scheme_check,
+                                 nppt_contract_check, transfer,
                                  zero_sum_premise_check)
 from redkit.families import (and_sats, cm_contract_family, cnfs, graphs_upto,
                              ilps, knapsacks, named_graph, random_3cnf,
@@ -277,3 +277,48 @@ def test_criterion_11_landau_permutations():
         worst_degree = max(worst_degree, degree)
     _line(11, f"PASS n in 1..1000, max degree {worst_degree}")
     assert worst_degree <= 60
+
+
+def test_criterion_12_certificate_transfer():
+    """Full-mask subset-sum certificates transfer back along the five
+    chains into subset sum: each transferred composite upholds the witness
+    contract with every no-instance covered exhaustively, and a verifier
+    that also accepts the all-ones certificate is caught on every chain, on
+    each no-instance whose certificate slot is nonempty."""
+    started = time.time()
+    # (chain, family, (instances, no-instances, witnesses), caught)
+    jobs = [
+        ("knapsack-to-ss", lambda: knapsacks(2, 4), (3825, 1702, 20257), 112),
+        ("monotone-to-ss", lambda: ilps("monotone", 2, 3), (457, 318, 2363),
+         318),
+        ("zq-to-ss", lambda: zq_instances(5, 3), (504, 152, 11660), 142),
+        ("tsat-to-ss", lambda: cnfs(2, 3, 2), (286, 30, 29440), 30),
+        ("ilp-to-monotone+monotone-to-ss", lambda: ilps("standard", 1, 3),
+         (110, 60, 6226), 60),
+    ]
+
+    def ones_too(inst, cert):
+        return FULL_SS_SCHEME.verify(inst, cert) or \
+            0 < cert.length and cert.value == (1 << cert.length) - 1
+
+    faulty = dataclasses.replace(FULL_SS_SCHEME, verify=ones_too)
+    checked = no = witnesses = 0
+    for spec, family, counts, caught in jobs:
+        chain = get_reduction(spec)
+        report = nppt_contract_check(transfer(chain, FULL_SS_SCHEME),
+                                     family())
+        assert report.ok, (spec, report.violations[:3], report.skipped[:3])
+        assert report.exhaustive == report.no_instances, spec
+        assert (report.checked, report.no_instances,
+                report.witnesses_checked) == counts, spec
+        checked += report.checked
+        no += report.no_instances
+        witnesses += report.witnesses_checked
+        planted = nppt_contract_check(transfer(chain, faulty), family())
+        assert not planted.ok, spec
+        assert {v["kind"] for v in planted.violations} == {"soundness"}, spec
+        assert len(planted.violations) == caught, spec
+    elapsed = time.time() - started
+    _line(12, f"PASS {checked} instances ({no} no, all exhaustive), "
+              f"{witnesses} witnesses, 0 violations; the all-ones fault is "
+              f"caught on all {len(jobs)} chains ({elapsed:.0f}s)")

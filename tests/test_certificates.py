@@ -1,4 +1,4 @@
-"""Certificate schemes, contract checkers, and the certified solver."""
+"""Certificate schemes, contract checkers, and certificate transfer."""
 
 import dataclasses
 from itertools import product, repeat
@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
                                  ZKK_SCHEME, certificate_scheme_check,
-                                 certified_solve, find_zero_sum_subsequence,
+                                 find_zero_sum_subsequence,
                                  minimal_solution_bound_check,
-                                 nppt_contract_check, zero_sum_premise_check,
-                                 zkk_bound, _shrink_support)
+                                 nppt_contract_check, transfer,
+                                 zero_sum_premise_check, zkk_bound,
+                                 _shrink_support)
 from redkit.errors import ReductionError, ResourceLimitError, ValidationError
 from redkit.families import (cm_grid, ilps, knapsacks, subset_sums,
                              unbounded_instances, zkk_instances)
@@ -154,6 +155,10 @@ def test_full_ss_scheme_round_trip():
     assert cert.bits() == (1, 1, 0)
     assert FULL_SS_SCHEME.verify(inst, cert)
     assert not FULL_SS_SCHEME.verify(inst, Witness(7, 3))
+    modular = SubsetSumInstance((3, 5, 7), 1, modulus=4)
+    assert FULL_SS_SCHEME.verify(modular, Witness(0b010, 3))
+    assert not FULL_SS_SCHEME.verify(modular, Witness(0b100, 3))
+    assert not FULL_SS_SCHEME.verify(modular, Witness(0b10, 2))
 
 
 def _coverage(report):
@@ -410,34 +415,28 @@ def test_minimal_solution_bound_report():
 
 def test_certified_solve_through_reduction():
     inst = GroupSubsetSumInstance(CyclicGroup(4), (1, 2), 3)
-    verdict = certified_solve(inst, REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME)
-    assert verdict.answer and verdict.method == "certified"
-    wit, cert = verdict.solution
-    assert (wit.value, wit.length) == (3, 4)
-    assert (cert.value, cert.length) == (3, 2)
-
-
-def test_certified_solve_identity_matches_direct():
-    inst = SubsetSumInstance((3, 5, 7), 8)
-    verdict = certified_solve(inst, get_reduction("identity-subset-sum"),
-                              FULL_SS_SCHEME)
-    assert verdict.answer is solve(inst).answer is True
-    no = SubsetSumInstance((3, 5, 7), 2)
-    assert not certified_solve(no, get_reduction("identity-subset-sum"),
-                               FULL_SS_SCHEME).answer
-
-
-def test_certified_solve_budget():
-    inst = GroupSubsetSumInstance(CyclicGroup(4), (1, 2), 3)
-    with pytest.raises(ResourceLimitError):
-        certified_solve(inst, REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME,
-                        max_ops=2)
+    composite = transfer(REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME)
+    assert (composite.source_kind, composite.target_kind) == \
+        ("group_subset_sum", "subset_sum")
+    # the chain witness 3 in 4 bits, then the certificate 3 in 2 bits
+    wit = composite.synthesize(inst, solve(inst).solution)
+    assert (wit.value, wit.length) == (15, 6)
+    assert solve(composite.apply(inst, wit)).answer
+    assert not solve(composite.apply(inst, Witness(12, 6))).answer
 
 
 def test_certified_solve_kind_mismatch():
-    inst = SubsetSumInstance((1,), 1)
-    with pytest.raises(ValidationError):
-        certified_solve(inst, REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME)
+    with pytest.raises(ReductionError, match="cannot compose"):
+        transfer(REDUCTIONS["ss-to-zq"], FULL_SS_SCHEME)
+
+
+def test_transfer_identity_sweep():
+    rep = nppt_contract_check(
+        transfer(get_reduction("identity-subset-sum"), FULL_SS_SCHEME),
+        subset_sums(3, 5, 10))
+    assert rep.ok
+    assert (rep.checked, rep.no_instances, rep.exhaustive,
+            rep.witnesses_checked) == (491, 222, 222, 1692)
 
 
 def test_contract_check_flags_broken_reduction():

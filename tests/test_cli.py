@@ -184,6 +184,13 @@ def test_verify_chain(capsys):
     assert rep["ok"] is True and rep["violations"] == []
 
 
+def test_verify_chain_whose_kinds_do_not_meet(capsys):
+    code, _, err = run(capsys, "verify", "ss-to-knapsack+ss-to-zq")
+    assert code == 2
+    assert err == ("error: cannot compose ss-to-knapsack (knapsack) "
+                   "with ss-to-zq (subset_sum)\n")
+
+
 def test_verify_unknown_reduction(capsys):
     code, _, err = run(capsys, "verify", "no-such-reduction")
     assert code == 2
@@ -295,6 +302,23 @@ def test_solve_rejects_misshapen_instance(tmp_path, capsys, payload):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(payload))
     _usage_error(capsys, "solve", str(p))
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: MemoryError\n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError: maximum recursion depth exceeded\n"),
+], ids=["memory", "recursion"])
+def test_solve_out_of_memory_or_stack_is_a_resource_limit(
+        tmp_path, capsys, monkeypatch, exc, line):
+    def exhausted(inst):
+        raise exc
+
+    monkeypatch.setattr("redkit.cli.solve", exhausted)
+    p = _write(tmp_path / "i.json", SubsetSumInstance((3, 5), 8))
+    code, _, err = run(capsys, "solve", p)
+    assert code == 3
+    assert err == line
 
 
 def test_solve_rejects_deeply_nested_json(tmp_path, capsys):
