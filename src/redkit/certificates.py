@@ -22,12 +22,13 @@ only when one is made.  Yes instances must accept the synthesized
 witness.  No instances must accept no witness, covered either by literal
 enumeration of all ``2^L`` witnesses (when small) or by a stratified-exact
 sweep: every witness the reduction or scheme enumerates as structurally
-valid, plus the all-zero, all-one and ``INVALID_SAMPLES`` random probes of
-the invalid stratum.  Reductions here map every structurally invalid
-witness to a fixed trivial no-instance, so a run of them is solved once,
-and verifiers reject such certificates outright: the invalid stratum
-collapses to a handful of outcomes.  Reports record which strategy covered
-each instance; anything not covered is listed as skipped, never silently
+valid (an instance with more than ``VALID_CAP`` of them is skipped), plus
+the all-zero, all-one and ``INVALID_SAMPLES`` random probes of the invalid
+stratum.  Reductions here map every structurally invalid witness to a
+fixed trivial no-instance, so a run of them is solved once, and verifiers
+reject such certificates outright: the invalid stratum collapses to a
+handful of outcomes.  Reports record which strategy covered each
+instance; anything not covered is listed as skipped, never silently
 passed.
 
 The witnesses of one instance are checked by one C-level loop, ``filter``
@@ -423,6 +424,9 @@ class ContractReport:
 # Random probes of the invalid stratum per stratified no-instance, after the
 # all-zero and all-one witnesses.
 INVALID_SAMPLES = 16
+# Most valid witnesses enumerated per stratified no-instance; one with more
+# is skipped.
+VALID_CAP = 200_000
 
 
 def _corner_witnesses(length, rng):
@@ -434,7 +438,7 @@ def _corner_witnesses(length, rng):
 
 
 def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
-           accepts, record, len_bound, exhaustive_cap, valid_cap, seed):
+           accepts, record, len_bound, exhaustive_cap, seed):
     """The contract sweep behind both checkers.
 
     ``wit_len(inst)`` is called once per instance, before any ``accepts``
@@ -510,8 +514,8 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
                 reject_all(inst, all_witnesses(length))
                 rep.exhaustive += 1
             elif valid is not None:
-                wits = list(islice(valid(inst), valid_cap + 1))
-                if len(wits) > valid_cap:
+                wits = list(islice(valid(inst), VALID_CAP + 1))
+                if len(wits) > VALID_CAP:
                     rep.skipped.append((inst, f"valid {noun} family too large"))
                     continue
                 if reject_all(inst, wits):
@@ -530,7 +534,6 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
 def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                         budget: Budget | None = None, *,
                         exhaustive_cap: int = 4096,
-                        valid_cap: int = 200_000,
                         seed: int = 0,
                         cache: dict | None = None) -> ContractReport:
     """Check the reduction's yes/no contract against the oracles.
@@ -580,15 +583,13 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                   wit_len=wit_len, synthesize=r.synthesize,
                   valid=r.valid_witnesses, accepts=accepts,
                   record=lambda: {"target": solved}, len_bound=None,
-                  exhaustive_cap=exhaustive_cap, valid_cap=valid_cap,
-                  seed=seed)
+                  exhaustive_cap=exhaustive_cap, seed=seed)
 
 
 def certificate_scheme_check(scheme: CertificateScheme,
                              family: Iterable[I.ProblemInstance],
                              budget: Budget | None = None, *,
                              exhaustive_cap: int = 65536,
-                             valid_cap: int = 200_000,
                              seed: int = 0) -> ContractReport:
     """Soundness/completeness sweep for a certificate scheme.
 
@@ -600,41 +601,14 @@ def certificate_scheme_check(scheme: CertificateScheme,
                   synthesize=scheme.synthesize,
                   valid=scheme.valid_certificates, accepts=scheme.verify,
                   record=None, len_bound=scheme.len_bound,
-                  exhaustive_cap=exhaustive_cap, valid_cap=valid_cap,
-                  seed=seed)
+                  exhaustive_cap=exhaustive_cap, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# Minimal-solution length bound and the zero-sum premise behind it.
-
-
-@dataclass
-class MinBoundReport:
-    k: int
-    s: int
-    checked: int = 0
-    solvable: int = 0
-    max_min_length: int = 0
-    sequences_checked: int = 0
-    violations: list = dc_field(default_factory=list)
-    skipped: list = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.skipped
-
-
-def _min_solution_length(inst, k):
-    n = len(inst.elements)
-    target = tuple(inst.target)
-    for size in range(n + 1):
-        for idxs in combinations(range(n), size):
-            acc = (0,) * k
-            for i in idxs:
-                acc = tuple((a + b) % k for a, b in zip(acc, inst.elements[i]))
-            if acc == target:
-                return size
-    return None
+# The zero-sum premise behind the Z_k^k bound.  With it, a solution of s or
+# more elements drops a zero-sum subsequence, so every yes instance has one
+# of fewer than s; ``certificate_scheme_check(ZKK_SCHEME, ...)`` checks that
+# on a family, since a synthesized certificate holds at most s - 1 indices.
 
 
 def zero_sum_premise_check(k: int, *, samples: int = 200,
@@ -660,47 +634,6 @@ def zero_sum_premise_check(k: int, *, samples: int = 200,
             if find_zero_sum_subsequence(seq, k) is None:
                 violations.append(seq)
     return checked, violations
-
-
-def minimal_solution_bound_check(k: int,
-                                 family: Iterable[I.GroupSubsetSumInstance],
-                                 budget: Budget | None = None, *,
-                                 samples: int = 200,
-                                 seed: int = 0) -> MinBoundReport:
-    if k > 3:
-        raise ValidationError("brute-force regime is limited to k <= 3")
-    budget = budget if budget is not None else DEFAULT_BUDGET
-    s = zkk_bound(k)
-    rep = MinBoundReport(k=k, s=s)
-    for inst in family:
-        if _zkk_k(inst) != k:
-            raise ValidationError("family instance has a different k")
-        rep.checked += 1
-        if len(inst.elements) > 16:
-            rep.skipped.append((inst, "too many elements for brute force"))
-            continue
-        try:
-            src = solve(inst, budget)
-        except ResourceLimitError as exc:
-            rep.skipped.append((inst, f"oracle: {exc}"))
-            continue
-        if not src.answer:
-            continue
-        rep.solvable += 1
-        best = _min_solution_length(inst, k)
-        if best is None:
-            rep.violations.append({"kind": "oracle-disagreement",
-                                   "instance": inst})
-            continue
-        rep.max_min_length = max(rep.max_min_length, best)
-        if best >= s:
-            rep.violations.append({"kind": "minimal-length", "instance": inst,
-                                   "min_length": best, "bound": s})
-    checked, bad = zero_sum_premise_check(k, samples=samples, seed=seed)
-    rep.sequences_checked = checked
-    for seq in bad:
-        rep.violations.append({"kind": "zero-sum-premise", "sequence": seq})
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from itertools import islice
 from random import Random
 
@@ -186,28 +187,32 @@ def _cmd_reduce(args) -> int:
 # verify / cert-check
 
 
-_FAMILY_DEFAULTS = {
-    "subset-sum": {"n": 3, "max": 5, "tmax": 12},
-    "knapsack": {"n": 2, "max": 4},
-    "ilp-standard": {"m": 2, "n": 3},
-    "ilp-monotone": {"m": 2, "n": 3},
-    "ilp-zero-sum": {"m": 2, "n": 3},
-    "zq": {"q": 6, "n": 3},
-    "zkk": {"k": 2, "n": 4},
-    "cm": {"ell": 1, "n": 3},
-    "unbounded": {"n": 2, "max": 6, "tmax": 12},
-    "graphs": {"n": 4},
-    "cnf": {"vars": 2, "clauses": 2, "arity": 2},
-    "andsat": {"formulas": 2, "vars": 2, "clauses": 1, "arity": 2},
+# each --family name: its generator, and its parameters' defaults in the
+# generator's argument order
+_FAMILIES = {
+    "subset-sum": (F.subset_sums, {"n": 3, "max": 5, "tmax": 12}),
+    "knapsack": (F.knapsacks, {"n": 2, "max": 4}),
+    "ilp-standard": (partial(F.ilps, "standard"), {"m": 2, "n": 3}),
+    "ilp-monotone": (partial(F.ilps, "monotone"), {"m": 2, "n": 3}),
+    "ilp-zero-sum": (partial(F.ilps, "zero_sum"), {"m": 2, "n": 3}),
+    "zq": (F.zq_instances, {"q": 6, "n": 3}),
+    "zkk": (F.zkk_instances, {"k": 2, "n": 4}),
+    "cm": (F.cm_grid, {"ell": 1, "n": 3}),
+    "unbounded": (F.unbounded_instances, {"n": 2, "max": 6, "tmax": 12}),
+    "graphs": (F.graphs_upto, {"n": 4}),
+    "cnf": (F.cnfs, {"vars": 2, "clauses": 2, "arity": 2}),
+    "andsat": (F.and_sats,
+               {"formulas": 2, "vars": 2, "clauses": 1, "arity": 2}),
 }
 
 
 def _parse_family(spec: str):
     name, _, rest = spec.partition(":")
-    if name not in _FAMILY_DEFAULTS:
+    if name not in _FAMILIES:
         raise ValidationError(
-            f"unknown family {name!r}; known: {', '.join(sorted(_FAMILY_DEFAULTS))}")
-    params = dict(_FAMILY_DEFAULTS[name])
+            f"unknown family {name!r}; known: {', '.join(sorted(_FAMILIES))}")
+    make, defaults = _FAMILIES[name]
+    params = dict(defaults)
     for piece in filter(None, rest.split(",")):
         key, _, val = piece.partition("=")
         if key not in params:
@@ -220,26 +225,7 @@ def _parse_family(spec: str):
         if params[key] < _MINIMUMS[key]:
             raise ValidationError(
                 f"family parameter {key!r} must be at least {_MINIMUMS[key]}")
-    p = params
-    if name == "subset-sum":
-        return F.subset_sums(p["n"], p["max"], p["tmax"])
-    if name == "knapsack":
-        return F.knapsacks(p["n"], p["max"])
-    if name.startswith("ilp-"):
-        return F.ilps(name[4:].replace("-", "_"), p["m"], p["n"])
-    if name == "zq":
-        return F.zq_instances(p["q"], p["n"])
-    if name == "zkk":
-        return F.zkk_instances(p["k"], p["n"])
-    if name == "cm":
-        return F.cm_grid(p["ell"], p["n"])
-    if name == "unbounded":
-        return F.unbounded_instances(p["n"], p["max"], p["tmax"])
-    if name == "graphs":
-        return F.graphs_upto(p["n"])
-    if name == "cnf":
-        return F.cnfs(p["vars"], p["clauses"], p["arity"])
-    return F.and_sats(p["formulas"], p["vars"], p["clauses"], p["arity"])
+    return make(*params.values())
 
 
 def _report_exit(rep, as_json: bool) -> int:

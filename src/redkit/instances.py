@@ -425,7 +425,7 @@ def validate(inst: ProblemInstance) -> list[str]:
 def trivial_instance(kind: str, answer: bool, **params) -> ProblemInstance:
     """Smallest well-formed instance of the kind with the requested verdict."""
     if kind == "subset_sum":
-        return SubsetSumInstance((), 0 if answer else 1, params.get("modulus"))
+        return SubsetSumInstance((), 0 if answer else 1)
     if kind == "knapsack":
         return KnapsackInstance((), 0, 0 if answer else 1)
     if kind == "ilp":
@@ -441,11 +441,9 @@ def trivial_instance(kind: str, answer: bool, **params) -> ProblemInstance:
         target = _non_identity(group)
         return GroupSubsetSumInstance(group, (), target)
     if kind == "counter_machine":
-        dim = params.get("dimension", 1)
         if answer:
-            return CounterMachineInstance(dim, (), ())
-        vec = (1,) + (0,) * (dim - 1)
-        return CounterMachineInstance(dim, (vec,), (REQUIRED,))
+            return CounterMachineInstance(1, (), ())
+        return CounterMachineInstance(1, ((1,),), (REQUIRED,))
     if kind == "coloring":
         if answer:
             return ColoringInstance(1, (), ((0,),))

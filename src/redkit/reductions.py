@@ -51,6 +51,10 @@ class Reduction:
         return Witness.zero(self.witness_len(inst))
 
     def apply(self, inst, wit: Witness):
+        # before ``witness_len``, which may read fields of the source kind
+        if inst.kind != self.source_kind:
+            raise ReductionError(
+                f"{self.name} expects {self.source_kind}, got {inst.kind}")
         if wit.length != self.witness_len(inst):
             raise ReductionError(
                 f"{self.name}: witness length {wit.length}, "
@@ -165,8 +169,6 @@ def compose(first: Reduction, second: Reduction,
         return Witness((w1.value << l2) | w2.value, w1.length + l2)
 
     def valid(inst):
-        if first.valid_witnesses is None or second.valid_witnesses is None:
-            raise ReductionError("composite has no witness enumeration")
         _, l2 = probe(inst)
         for w1 in first.valid_witnesses(inst):
             mid = intermediate(inst, w1)

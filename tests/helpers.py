@@ -5,12 +5,14 @@ The library decodes witness fields with shifts and masks from a cached
 layout and builds permutations in place; these are the plain versions it
 replaced, kept here as references.  ``brute_scheduling`` tries every job
 order, with no appeal to the due-date argument the scheduling oracle
-rests on.  ``primes_landau`` is the plain large-order recipe that the
-Landau-function table of ``groups.landau_permutation`` must never lose to.
+rests on.  ``min_solution_length`` tries every index subsequence of a
+Z_k^k instance, shortest first.  ``primes_landau`` is the plain
+large-order recipe that the Landau-function table of
+``groups.landau_permutation`` must never lose to.
 """
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -54,6 +56,21 @@ def primes_landau(n):
             return from_cycles(k, [tuple(range(s, s + p))
                                    for s, p in zip(starts, primes)]), k
     raise ValueError(f"no degree up to 128 has order above {n}")
+
+
+def min_solution_length(inst):
+    """The fewest elements of a Z_k^k instance that sum to its target, or
+    None when no subsequence does."""
+    k, n = inst.group.k, len(inst.elements)
+    target = tuple(inst.target)
+    for size in range(n + 1):
+        for idxs in combinations(range(n), size):
+            acc = (0,) * k
+            for i in idxs:
+                acc = tuple((a + b) % k for a, b in zip(acc, inst.elements[i]))
+            if acc == target:
+                return size
+    return None
 
 
 def brute_scheduling(inst):

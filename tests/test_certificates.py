@@ -1,16 +1,17 @@
 """Certificate schemes, contract checkers, and certificate transfer."""
 
 import dataclasses
+import re
 from itertools import product, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redkit import certificates, instances as I
 from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
                                  ZKK_SCHEME, certificate_scheme_check,
                                  find_zero_sum_subsequence,
-                                 minimal_solution_bound_check,
                                  nppt_contract_check, transfer,
                                  zero_sum_premise_check, zkk_bound,
                                  _shrink_support)
@@ -24,7 +25,7 @@ from redkit.oracles import Budget, solve
 from redkit.witness import Witness, all_witnesses, field_width, \
     pack_fields
 
-from helpers import unpack_fields
+from helpers import min_solution_length, unpack_fields
 
 
 def test_unbounded_scheme_frozen_example():
@@ -167,7 +168,7 @@ def _coverage(report):
             len(report.skipped))
 
 
-def test_scheme_check_unbounded_grid():
+def test_scheme_check_unbounded_grid(monkeypatch):
     report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
                                       unbounded_instances(2, 5, 12))
     assert report.ok, report.as_dict()
@@ -177,15 +178,16 @@ def test_scheme_check_unbounded_grid():
                                       exhaustive_cap=16)
     assert report.ok, report.as_dict()
     assert _coverage(report) == (273, 2108, 25, 75, [], 0)
+    monkeypatch.setattr(certificates, "VALID_CAP", 2)
     report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
                                       unbounded_instances(2, 5, 12),
-                                      exhaustive_cap=16, valid_cap=2)
+                                      exhaustive_cap=16)
     assert not report.ok and not report.violations
     assert _coverage(report) == (
         273, 956, 25, 30, ["valid certificate family too large"], 45)
 
 
-def test_contract_check_coverage_counts():
+def test_contract_check_coverage_counts(monkeypatch):
     red = REDUCTIONS["ss-to-monotone"]
     report = nppt_contract_check(red, subset_sums(3, 4, 10))
     assert report.ok, report.as_dict()
@@ -194,8 +196,10 @@ def test_contract_check_coverage_counts():
                                  exhaustive_cap=16)
     assert report.ok, report.as_dict()
     assert _coverage(report) == (273, 2285, 48, 66, [], 0)
-    report = nppt_contract_check(red, subset_sums(3, 4, 10),
-                                 exhaustive_cap=16, valid_cap=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(certificates, "VALID_CAP", 2)
+        report = nppt_contract_check(red, subset_sums(3, 4, 10),
+                                     exhaustive_cap=16)
     assert not report.ok and not report.violations
     assert _coverage(report) == (
         273, 647, 48, 0, ["valid witness family too large"], 66)
@@ -405,12 +409,15 @@ def test_zero_sum_premise():
 
 
 def test_minimal_solution_bound_report():
-    rep = minimal_solution_bound_check(2, zkk_instances(2, 4))
-    assert rep.ok
-    assert (rep.k, rep.s) == (2, 4)
-    assert (rep.checked, rep.solvable) == (1364, 1193)
-    assert rep.max_min_length == 2
-    assert rep.sequences_checked == 256
+    # a synthesized certificate holds at most s - 1 indices, so the sweep's
+    # completeness check fails on any yes instance that needs s elements
+    rep = certificate_scheme_check(ZKK_SCHEME, zkk_instances(2, 4))
+    assert rep.ok, rep.as_dict()
+    assert (rep.checked, rep.yes_instances) == (1364, 1193)
+    assert zkk_bound(2) == 4
+    lengths = [min_solution_length(inst) for inst in zkk_instances(2, 4)]
+    assert sum(m is not None for m in lengths) == 1193
+    assert max(m for m in lengths if m is not None) == 2
 
 
 def test_certified_solve_through_reduction():
@@ -428,6 +435,17 @@ def test_certified_solve_through_reduction():
 def test_certified_solve_kind_mismatch():
     with pytest.raises(ReductionError, match="cannot compose"):
         transfer(REDUCTIONS["ss-to-zq"], FULL_SS_SCHEME)
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIONS) + ["transfer"])
+def test_apply_refuses_an_instance_of_another_kind(name):
+    red = transfer(REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME) \
+        if name == "transfer" else REDUCTIONS[name]
+    expects = f"{red.name} expects {red.source_kind}, got "
+    for kind in I.KINDS:
+        if kind != red.source_kind:
+            with pytest.raises(ReductionError, match=re.escape(expects + kind)):
+                red.apply(I.trivial_instance(kind, True), Witness(0, 6))
 
 
 def test_transfer_identity_sweep():
@@ -463,7 +481,6 @@ NO_B = IlpInstance((), (2,), "monotone")
 def _counting_solve(monkeypatch, fail_once=None):
     """Patch the sweep's oracle; return the list of target instances it is
     asked to solve.  ``fail_once`` is a target whose first solve raises."""
-    import redkit.certificates as certificates
     real = certificates.solve
     asked = []
 

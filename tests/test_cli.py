@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from redkit import instances as I
 from redkit.catalog import REDUCTIONS
 from redkit.certificates import SCHEMES
-from redkit.cli import _FAMILY_DEFAULTS, main
+from redkit.cli import _FAMILIES, main
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               SubsetSumInstance, SymmetricGroup,
                               UnboundedSubsetSumInstance, dumps, loads)
@@ -386,9 +386,10 @@ def _family_spec(draw):
     """A ``--family`` spec: a known or made-up name, some of its parameters
     set to small integers (small, so that every family is cheap to start),
     and at times a piece that is not an integer parameter of the family."""
-    name = draw(st.sampled_from(sorted(_FAMILY_DEFAULTS) + ["", "ilp-", "x"]))
+    name = draw(st.sampled_from(sorted(_FAMILIES) + ["", "ilp-", "x"]))
     pieces = [f"{key}={draw(st.integers(-3, 3))}"
-              for key in _FAMILY_DEFAULTS.get(name, ()) if draw(st.booleans())]
+              for key in _FAMILIES.get(name, (None, {}))[1]
+              if draw(st.booleans())]
     if draw(st.booleans()):
         pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(
             ["zz=1", "n", "n=", "n=x", "n=1.5", "n= 2", "n=0x3", "=1", ""])))
