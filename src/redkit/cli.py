@@ -11,7 +11,7 @@ import hashlib
 import json
 import sys
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from random import Random
 
 from . import families as F
@@ -149,9 +149,7 @@ def _cmd_solve(args) -> int:
 def _cmd_reduce(args) -> int:
     red = get_reduction(args.reduction)
     inst = _load(args.instance)
-    if red.source_kind != inst.kind:
-        return _fail(f"reduction {red.name} expects {red.source_kind}, "
-                     f"got {inst.kind}", EXIT_USAGE)
+    red.check_source(inst)
     length = red.witness_len(inst)
     if args.synthesize:
         try:
@@ -251,8 +249,14 @@ def _cmd_verify(args) -> int:
     if args.limit is not None and args.limit < 0:
         return _fail("--limit must be nonnegative", EXIT_USAGE)
     red = get_reduction(args.reduction)
-    family = islice(_parse_family(args.family), args.limit)
-    rep = nppt_contract_check(red, family)
+    family = iter(_parse_family(args.family))
+    first = next(family, None)
+    if first is not None:
+        # a family of another kind or ILP variant is a usage error, which
+        # the sweep would report as violations
+        red.check_source(first)
+        family = chain((first,), family)
+    rep = nppt_contract_check(red, islice(family, args.limit))
     if rep.checked == 0:
         return _fail("family has no instances", EXIT_USAGE)
     return _report_exit(rep, args.json)

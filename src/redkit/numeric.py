@@ -274,6 +274,7 @@ red_ss_to_monotone = Reduction(
     synthesize=_ssm_synthesize,
     valid_witnesses=_ssm_valid,
     canonical_witness=_ssm_canonical,
+    target_variant="monotone",
 )
 
 
@@ -293,7 +294,8 @@ def _mss_transform(inst, wit):
 
 
 red_monotone_to_ss = deterministic(
-    "monotone-to-ss", "ilp", "subset_sum", _mss_transform)
+    "monotone-to-ss", "ilp", "subset_sum", _mss_transform,
+    source_variant="monotone")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +323,8 @@ def _mzs_transform(inst, wit):
 
 
 red_monotone_to_zerosum = deterministic(
-    "monotone-to-zerosum", "ilp", "ilp", _mzs_transform)
+    "monotone-to-zerosum", "ilp", "ilp", _mzs_transform,
+    source_variant="monotone", target_variant="zero_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +375,8 @@ red_zerosum_to_ilp = Reduction(
     transform=_zsi_transform,
     synthesize=_zsi_synthesize,
     valid_witnesses=_zsi_valid,
+    source_variant="zero_sum",
+    target_variant="standard",
 )
 
 
@@ -459,6 +464,8 @@ red_ilp_to_monotone = Reduction(
     synthesize=_im_synthesize,
     valid_witnesses=_im_valid,
     canonical_witness=_im_canonical,
+    source_variant="standard",
+    target_variant="monotone",
 )
 
 

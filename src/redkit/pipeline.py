@@ -7,6 +7,12 @@ index 3k; six counters Z_(c,d) for ordered distinct color pairs at
 3k+1+rank(c,d) with pairs ranked lexicographically.  Total dimension
 3k + 7.
 
+coloring-to-cm builds each command's block of (vector, flag) pairs once:
+one ``lru_cache``, ``_block(k, cmd)``, keys it by k and the command over
+labels (``("introduce", x)``, ``("forget", x)`` or ``("edge", x, y)``), so
+every machine with k labels points at the same vector tuples and holds one
+pointer per vector.
+
 cm-to-permss computes an instance's layout once and keeps it with
 ``witness.layout_cache`` (which says what it holds): the witness length and
 count shifts, the target group and elements, and for each counter the
@@ -28,7 +34,7 @@ from typing import NamedTuple
 
 from . import instances as I
 from . import pathdecomp
-from .errors import ReductionError, ValidationError
+from .errors import ValidationError
 from .groups import Permutation, identity, make_run_context
 from .reductions import Reduction, deterministic
 from .witness import Witness, field_width, layout_cache, pack_fields
@@ -86,60 +92,69 @@ def is_run(vectors) -> bool:
 # 3-coloring -> counter machine.
 
 
+# One entry per (k, command): at most 16 (vector, flag) pairs of 3k + 7
+# entries each, at most 4.6 KB at k = 4, 6.9 KB at k = 10 and 15 KB at
+# k = 32 (measured on an edge block; introduce and forget blocks take about
+# a third), so the 128 entries hold at most about 0.9 MB while k <= 10 and
+# 2 MB while k <= 32.  A machine with k labels uses at most k(k + 1)
+# entries, 110 at k = 10.
+@lru_cache(maxsize=128)
+def _block(k: int, cmd: tuple) -> tuple:
+    """The (vector, flag) pairs of one command of a machine with ``k``
+    labels; ``cmd`` is ``("introduce", x)``, ``("forget", x)`` or
+    ``("edge", x, y)`` over labels.  Shared by every machine with ``k``
+    labels, which holds one pointer per vector."""
+    lay = CounterLayout(k)
+    block = []
+    if cmd[0] == "introduce":
+        x = cmd[1]
+        for c in (1, 2, 3):
+            block.append((lay.vector(ups=[lay.x(x, c), lay.s]), I.OPTIONAL))
+        block.append((lay.vector(downs=[lay.s]), I.REQUIRED))
+    elif cmd[0] == "forget":
+        x = cmd[1]
+        for c in (1, 2, 3):
+            block.append((lay.vector(ups=[lay.s], downs=[lay.x(x, c)]),
+                          I.OPTIONAL))
+        block.append((lay.vector(downs=[lay.s]), I.REQUIRED))
+    else:
+        x, y = cmd[1], cmd[2]
+        for c, d in COLOR_PAIRS:
+            block.append((lay.vector(ups=[lay.z(c, d), lay.s],
+                                     downs=[lay.x(x, c), lay.x(y, d)]),
+                          I.OPTIONAL))
+        block.append((lay.vector(downs=[lay.s]), I.REQUIRED))
+        block.append((lay.vector(ups=[lay.s]), I.REQUIRED))
+        for c, d in COLOR_PAIRS:
+            block.append((lay.vector(ups=[lay.x(x, c), lay.x(y, d)],
+                                     downs=[lay.z(c, d), lay.s]),
+                          I.OPTIONAL))
+        block.append((lay.vector(ups=[lay.s]), I.REQUIRED))
+        block.append((lay.vector(downs=[lay.s]), I.REQUIRED))
+    return tuple(block)
+
+
 def coloring_blocks(inst: I.ColoringInstance):
     """Per-command vector blocks, for auditing the emitted structure.
 
-    Returns (layout, list of (command, [(vector, flag), ...])).
+    Returns (layout, list of (command, ((vector, flag), ...))).
     """
     # ``make_nice`` checks the decomposition and raises ``ValidationError``
     _, commands = pathdecomp.make_nice(inst.num_vertices, inst.edges, inst.bags)
     width = pathdecomp.width(inst.bags)
     k = width + 1
     labels = pathdecomp.greedy_labels(commands, width)
-    lay = CounterLayout(k)
-    blocks = []
-    for cmd in commands:
-        block = []
-        if cmd[0] == "introduce":
-            x = labels[cmd[1]]
-            for c in (1, 2, 3):
-                block.append((lay.vector(ups=[lay.x(x, c), lay.s]), I.OPTIONAL))
-            block.append((lay.vector(downs=[lay.s]), I.REQUIRED))
-        elif cmd[0] == "forget":
-            x = labels[cmd[1]]
-            for c in (1, 2, 3):
-                block.append((lay.vector(ups=[lay.s], downs=[lay.x(x, c)]),
-                              I.OPTIONAL))
-            block.append((lay.vector(downs=[lay.s]), I.REQUIRED))
-        else:
-            x, y = labels[cmd[1]], labels[cmd[2]]
-            for c, d in COLOR_PAIRS:
-                block.append((lay.vector(ups=[lay.z(c, d), lay.s],
-                                         downs=[lay.x(x, c), lay.x(y, d)]),
-                              I.OPTIONAL))
-            block.append((lay.vector(downs=[lay.s]), I.REQUIRED))
-            block.append((lay.vector(ups=[lay.s]), I.REQUIRED))
-            for c, d in COLOR_PAIRS:
-                block.append((lay.vector(ups=[lay.x(x, c), lay.x(y, d)],
-                                         downs=[lay.z(c, d), lay.s]),
-                              I.OPTIONAL))
-            block.append((lay.vector(ups=[lay.s]), I.REQUIRED))
-            block.append((lay.vector(downs=[lay.s]), I.REQUIRED))
-        blocks.append((cmd, block))
-    return lay, blocks
+    return CounterLayout(k), [
+        (cmd, _block(k, (cmd[0], *(labels[v] for v in cmd[1:]))))
+        for cmd in commands]
 
 
 def _ccm_transform(inst, wit):
     lay, blocks = coloring_blocks(inst)
-    vectors, flags = [], []
-    for _, block in blocks:
-        for vec, flag in block:
-            vectors.append(vec)
-            flags.append(flag)
-    got = I.CounterMachineInstance(lay.dimension, tuple(vectors), tuple(flags))
-    if got.dimension != 3 * lay.k + 7:
-        raise ReductionError("dimension drifted from 3k+7")
-    return got
+    pairs = [pair for _, block in blocks for pair in block]
+    return I.CounterMachineInstance(lay.dimension,
+                                    tuple(vec for vec, _ in pairs),
+                                    tuple(flag for _, flag in pairs))
 
 
 red_coloring_to_cm = deterministic(

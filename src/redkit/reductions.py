@@ -16,6 +16,11 @@ decode structurally (used to stratify exhaustive checks), and
 ``canonical_witness`` names one witness whose image has the generic shape
 (used to size composite witnesses).
 
+For the ``ilp`` kind, ``source_variant`` and ``target_variant`` name the
+variant a reduction reads and writes (None: any).  ``check_source``, which
+``apply`` calls, refuses a source of another kind or variant; ``compose``
+refuses links whose variants do not meet and chains the two fields.
+
 A reduction that reads no witness is declared with ``deterministic``, which
 takes its name, kinds and transform (plus any further ``Reduction`` field)
 and fills in the rest: a 0-bit witness length, and one shared 0-bit witness
@@ -44,17 +49,29 @@ class Reduction:
     valid_witnesses: Optional[Callable] = None
     canonical_witness: Optional[Callable] = None
     param_bound: Optional[Callable] = None
+    source_variant: Optional[str] = None
+    target_variant: Optional[str] = None
 
     def probe_witness(self, inst) -> Witness:
         if self.canonical_witness is not None:
             return self.canonical_witness(inst)
         return Witness.zero(self.witness_len(inst))
 
-    def apply(self, inst, wit: Witness):
-        # before ``witness_len``, which may read fields of the source kind
+    def check_source(self, inst) -> None:
+        """Raise ``ReductionError`` unless ``inst`` has the source kind and,
+        when one is named, the source variant."""
         if inst.kind != self.source_kind:
             raise ReductionError(
                 f"{self.name} expects {self.source_kind}, got {inst.kind}")
+        if self.source_variant is not None and \
+                inst.variant != self.source_variant:
+            raise ReductionError(
+                f"{self.name} expects a {self.source_variant} instance, "
+                f"got {inst.variant}")
+
+    def apply(self, inst, wit: Witness):
+        # before ``witness_len``, which may read fields of the source kind
+        self.check_source(inst)
         if wit.length != self.witness_len(inst):
             raise ReductionError(
                 f"{self.name}: witness length {wit.length}, "
@@ -67,7 +84,8 @@ def deterministic(name: str, source_kind: str, target_kind: str,
     """A reduction that reads no witness: its witness has 0 bits, and the
     one 0-bit witness is both the synthesized witness and the only valid
     one.  ``transform(inst, wit)`` ignores ``wit``; ``fields`` are further
-    ``Reduction`` fields (``param_bound``, ``canonical_witness``)."""
+    ``Reduction`` fields (``param_bound``, ``canonical_witness``, the
+    variants)."""
     zero = Witness.zero(0)
     return Reduction(
         name=name,
@@ -113,6 +131,11 @@ def compose(first: Reduction, second: Reduction,
         raise ReductionError(
             f"cannot compose {first.name} ({first.target_kind}) "
             f"with {second.name} ({second.source_kind})")
+    if None not in (first.target_variant, second.source_variant) and \
+            first.target_variant != second.source_variant:
+        raise ReductionError(
+            f"cannot compose {first.name} ({first.target_variant}) "
+            f"with {second.name} ({second.source_variant})")
     from . import oracles
 
     # one tuple, rebound in a single store; it starts with an object no
@@ -203,6 +226,8 @@ def compose(first: Reduction, second: Reduction,
         valid_witnesses=valid if has_valid else None,
         canonical_witness=canonical,
         param_bound=bound,
+        source_variant=first.source_variant,
+        target_variant=second.target_variant,
     )
 
 

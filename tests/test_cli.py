@@ -228,9 +228,24 @@ def test_verify_negative_limit(capsys):
 @pytest.mark.parametrize("reduction,family", [
     ("ss-to-knapsack", "knapsack"),
     ("knapsack-to-ss", "subset-sum"),
+    # the right kind but the wrong ILP variant
+    ("monotone-to-ss", "ilp-standard:m=1,n=2"),
+    ("ilp-to-monotone", "ilp-monotone:m=1,n=2"),
 ])
 def test_verify_family_of_the_wrong_kind(capsys, reduction, family):
     _usage_error(capsys, "verify", reduction, "--family", family)
+
+
+def test_verify_chain_whose_variants_do_not_meet(capsys):
+    code, _, err = run(capsys, "verify", "ss-to-monotone+zerosum-to-ilp")
+    assert code == 2
+    assert err == ("error: cannot compose ss-to-monotone (monotone) "
+                   "with zerosum-to-ilp (zero_sum)\n")
+
+
+def test_reduce_variant_mismatch(tmp_path, capsys):
+    src = _write(tmp_path / "src.json", I.IlpInstance(((1,),), (1,)))
+    _usage_error(capsys, "reduce", "monotone-to-ss", src, "--synthesize")
 
 
 @pytest.mark.parametrize("reduction,extra", [

@@ -4,6 +4,9 @@ Golden vectors were produced by running the transforms and cross-checking
 verdicts with the brute-force solvers.
 """
 
+import hashlib
+from random import Random
+
 import pytest
 
 from redkit.errors import ValidationError
@@ -11,8 +14,8 @@ from redkit.families import graphs_upto, named_graph
 from redkit.instances import (REQUIRED, ColoringInstance,
                               CounterMachineInstance)
 from redkit.oracles import solve, solve_coloring, solve_counter_machine
-from redkit.pipeline import (coloring_blocks, is_run, red_cm_to_perm_ss,
-                             red_coloring_to_cm)
+from redkit.pipeline import (_block, coloring_blocks, is_run,
+                             red_cm_to_perm_ss, red_coloring_to_cm)
 from redkit.witness import Witness, all_witnesses
 
 
@@ -86,6 +89,32 @@ def test_named_graph_machines(name, dim, count, answer):
 def test_all_small_graphs_agree():
     for graph in graphs_upto(4):
         assert solve(_to_cm(graph)).answer is solve(graph).answer, graph
+
+
+def test_coloring_to_cm_output_pinned():
+    digest = hashlib.sha256()
+    graphs = [named_graph(n) for n in ("k3", "k4", "c5", "p4")]
+    for graph in graphs + list(graphs_upto(4)):
+        digest.update(repr(_to_cm(graph)).encode())
+    assert digest.hexdigest() == \
+        "9bc1a4a6e3716fb1b57ee7674395b980bc5f3d11f196d8136d203f97b9cd9f7e"
+
+
+def test_machines_share_block_vectors():
+    k4, rng = named_graph("k4"), Random(7)
+    machines = []
+    for _ in range(100):
+        perm = list(range(k4.num_vertices))
+        rng.shuffle(perm)
+        machines.append(_to_cm(ColoringInstance(
+            k4.num_vertices,
+            tuple((perm[a], perm[b]) for a, b in k4.edges),
+            tuple(tuple(sorted(perm[v] for v in bag)) for bag in k4.bags))))
+    slots = [vec for cm in machines for vec in cm.vectors]
+    assert len(slots) == 12_800
+    assert len({id(vec) for vec in slots}) <= 128
+    info = _block.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_rejects_broken_decomposition():
