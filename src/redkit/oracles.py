@@ -16,7 +16,7 @@ group closure stops once it holds the group's ``order()`` products (q for
 Z_q, k^k for Z_k^k, k! for S_k): no later product could be new, so the
 set and its back pointers are those of the full closure.
 
-Targets of one source often share their shape, so two solvers keep the
+Targets of one source often share their shape, so three solvers keep the
 part that depends only on it:
 
 - ``solve_ilp`` keeps the column bundles, row totals, base and column codes
@@ -35,6 +35,14 @@ part that depends only on it:
   call from the closure's loop (for S_k, ``operator.itemgetter(*e)``, one
   C call).  A ``Permutation`` is a tuple, and an S_k product is the plain
   image tuple, so an S_k closure makes and hashes plain tuples.
+- ``solve_counter_machine`` keeps each distinct vector's +1 and -1 masks
+  in an ``lru_cache`` of ``CM_MASKS_CACHE`` = 1,024 entries, keyed by the
+  vector and the dimension: at most 0.8 MB while the dimension is at most
+  49 (the machines coloring-to-cm builds share their vectors).  A vector of
+  another length, with an entry outside {-1, 0, 1} or with one that cannot
+  be hashed is a ``ValidationError`` and is never kept.  Only the kernel's
+  state limit is a ``ResourceLimitError``; a walk back that finds no
+  predecessor is a bug and its ``RuntimeError`` goes up as it is.
 
 Group subset sum refuses, under every budget, a target or element the
 group does not contain (``group.contains``), as ``instances.validate``
@@ -50,8 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import attrgetter
+from itertools import accumulate, compress, count, repeat
+from operator import and_, attrgetter, eq, ne, not_
 from typing import NamedTuple
 
 from . import instances as I
@@ -368,42 +376,63 @@ def solve_group_ss(inst: I.GroupSubsetSumInstance, budget: Budget = DEFAULT_BUDG
 # ---------------------------------------------------------------------------
 # Counter machines.
 
-def cm_masks(inst: I.CounterMachineInstance) -> tuple[list[int], list[int], list[int]]:
+# One entry per distinct vector: the key the cache keeps alive (the vector
+# and its dimension), the two masks and the cache's own slots.  Measured
+# with tracemalloc on vectors of small ints, a full cache takes about
+# 0.5 KB per entry at dimension 19 and 0.75 KB at dimension 49 (the
+# coloring-to-cm dimension at k = 14), so the 1,024 entries hold at most
+# 0.8 MB while the dimension is at most 49.
+CM_MASKS_CACHE = 1024
+# the text of the kernel's RuntimeError once its states exceed the limit
+_CM_STATE_LIMIT = "counter machine state limit exceeded"
+
+
+@lru_cache(maxsize=CM_MASKS_CACHE)
+def _vector_masks(v: tuple, dim: int) -> tuple[int, int]:
+    """The +1 mask and the -1 mask of one vector of length ``dim``.  A
+    vector of another length or with an entry outside {-1, 0, 1} is a
+    ValidationError, which the cache does not keep."""
+    if len(v) != dim:
+        raise ValidationError(
+            "counter machine: vector length differs from dimension")
+    inc = dec = 0
+    for j, c in enumerate(v):
+        # most entries are 0: one comparison each
+        if c == 0:
+            continue
+        if c == 1:
+            inc |= 1 << j
+        elif c == -1:
+            dec |= 1 << j
+        else:
+            raise ValidationError(
+                "counter machine: vector entries must be in {-1,0,1}")
+    return inc, dec
+
+
+def cm_masks(inst: I.CounterMachineInstance) -> tuple[tuple, tuple, list[bool]]:
     """The +1 mask, the -1 mask and the required bit of each vector.  A
     machine ``instances.validate`` rejects (a dimension below 1, flags that
     do not line up with the vectors, a vector of another length, an entry
-    outside {-1, 0, 1}, a flag other than O or R) is a ValidationError."""
-    dim = inst.dimension
+    outside {-1, 0, 1} or one that cannot be hashed, a flag other than O or
+    R) is a ValidationError.  Each distinct vector's masks are computed
+    once (``_vector_masks``); the machines coloring-to-cm builds share
+    their vectors."""
+    dim, vectors, flags = inst.dimension, inst.vectors, inst.flags
     if dim < 1:
         raise ValidationError("counter machine: dimension must be at least 1")
-    if len(inst.flags) != len(inst.vectors):
+    if len(flags) != len(vectors):
         raise ValidationError("counter machine: flags and vectors must align")
-    incs, decs, req = [], [], []
-    for v, f in zip(inst.vectors, inst.flags):
-        if len(v) != dim:
-            raise ValidationError(
-                "counter machine: vector length differs from dimension")
-        inc = dec = 0
-        for j, c in enumerate(v):
-            # most entries are 0: one comparison each
-            if c == 0:
-                continue
-            if c == 1:
-                inc |= 1 << j
-            elif c == -1:
-                dec |= 1 << j
-            else:
-                raise ValidationError(
-                    "counter machine: vector entries must be in {-1,0,1}")
-        if f == I.REQUIRED:
-            req.append(1)
-        elif f == I.OPTIONAL:
-            req.append(0)
-        else:
-            raise ValidationError("counter machine: flags must be 'O' or 'R'")
-        incs.append(inc)
-        decs.append(dec)
-    return incs, decs, req
+    try:
+        masks = tuple(zip(*map(_vector_masks, vectors, repeat(dim))))
+    except TypeError:
+        # an unhashable entry makes the vector unhashable
+        raise ValidationError(
+            "counter machine: vector entries must be in {-1,0,1}") from None
+    if flags.count(I.REQUIRED) + flags.count(I.OPTIONAL) != len(flags):
+        raise ValidationError("counter machine: flags must be 'O' or 'R'")
+    incs, decs = masks or ((), ())
+    return incs, decs, [*map(eq, flags, repeat(I.REQUIRED))]
 
 
 def solve_counter_machine(inst: I.CounterMachineInstance,
@@ -413,6 +442,9 @@ def solve_counter_machine(inst: I.CounterMachineInstance,
         got = kernels.counter_machine_solve(incs, decs, req, inst.dimension,
                                             budget.max_cm_states)
     except RuntimeError as exc:
+        # only the state limit is a refusal; a failed walk back is a bug
+        if str(exc) != _CM_STATE_LIMIT:
+            raise
         raise ResourceLimitError(str(exc)) from exc
     if got is None:
         return _NO["frontier"]
@@ -658,20 +690,28 @@ def check_solution(inst: I.ProblemInstance, sol) -> bool:
                 acc = g.mul(acc, e)
             return acc == inst.target
         if k == "counter_machine":
+            # idx is sorted, so its ends bound the range
             idx = sorted(set(sol))
-            if list(sol) != idx or not all(0 <= i < len(inst.vectors) for i in idx):
+            vectors = inst.vectors
+            if list(sol) != idx or idx and not (0 <= idx[0] and idx[-1] < len(vectors)):
                 return False
-            required = {i for i, f in enumerate(inst.flags) if f == I.REQUIRED}
-            if not required <= set(idx):
+            required = compress(count(), map(eq, inst.flags, repeat(I.REQUIRED)))
+            if not set(idx).issuperset(required):
                 return False
-            rows = [inst.vectors[i] for i in idx]
-            if any(len(v) != inst.dimension for v in rows):
+            rows = list(map(vectors.__getitem__, idx))
+            if any(map(ne, map(len, rows), repeat(inst.dimension))):
                 return False
-            # each counter's running values stay in {0, 1} and end at 0
-            for col in zip(*rows):
-                if sum(col) or not {0, 1}.issuperset(accumulate(col)):
-                    return False
-            return True
+            # each counter's running values stay in {0, 1} and end at 0,
+            # checked column by column in the order of a plain loop.  The
+            # sum reads the whole column, so an entry such as None or "" is
+            # a TypeError (False) before ``filter`` could drop it; the
+            # entries ``filter`` drops are zeros, which change no running
+            # value.
+            cols = list(zip(*rows))
+            ends_at_zero = map(not_, map(sum, cols))
+            stays_01 = map({0, 1}.issuperset,
+                           map(accumulate, map(filter, repeat(None), cols)))
+            return all(map(and_, ends_at_zero, stays_01))
         if k == "coloring":
             cols = list(sol)
             if len(cols) != inst.num_vertices or any(c not in (0, 1, 2) for c in cols):

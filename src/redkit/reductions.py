@@ -19,7 +19,9 @@ decode structurally (used to stratify exhaustive checks), and
 For the ``ilp`` kind, ``source_variant`` and ``target_variant`` name the
 variant a reduction reads and writes (None: any).  ``check_source``, which
 ``apply`` calls, refuses a source of another kind or variant; ``compose``
-refuses links whose variants do not meet and chains the two fields.
+refuses links whose variants do not meet and chains the two fields.  A
+link that keeps its kind and names no variant (an identity) passes the
+other link's variant through.
 
 A reduction that reads no witness is declared with ``deterministic``, which
 takes its name, kinds and transform (plus any further ``Reduction`` field)
@@ -216,6 +218,11 @@ def compose(first: Reduction, second: Reduction,
             raise ReductionError("canonical witness overflow in composition")
         return Witness((w1.value << l2) | w2.value, w1.length + l2)
 
+    source_variant, target_variant = first.source_variant, second.target_variant
+    if _passes_variant(first):
+        source_variant = second.source_variant
+    if _passes_variant(second):
+        target_variant = first.target_variant
     return Reduction(
         name=name or f"{first.name}+{second.name}",
         source_kind=first.source_kind,
@@ -226,9 +233,14 @@ def compose(first: Reduction, second: Reduction,
         valid_witnesses=valid if has_valid else None,
         canonical_witness=canonical,
         param_bound=bound,
-        source_variant=first.source_variant,
-        target_variant=second.target_variant,
+        source_variant=source_variant,
+        target_variant=target_variant,
     )
+
+
+def _passes_variant(r: Reduction) -> bool:
+    return r.source_kind == r.target_kind and \
+        r.source_variant is None and r.target_variant is None
 
 
 def chain(*reductions: Reduction, name: str | None = None) -> Reduction:

@@ -22,6 +22,7 @@ from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               IlpInstance, ProductGroup, SubsetSumInstance,
                               UnboundedSubsetSumInstance)
 from redkit.oracles import Budget, solve
+from redkit.reductions import chain
 from redkit.witness import Witness, all_witnesses, field_width, \
     pack_fields
 
@@ -435,6 +436,26 @@ def test_certified_solve_through_reduction():
 def test_certified_solve_kind_mismatch():
     with pytest.raises(ReductionError, match="cannot compose"):
         transfer(REDUCTIONS["ss-to-zq"], FULL_SS_SCHEME)
+
+
+def test_an_identity_link_passes_the_variant_through():
+    ident = REDUCTIONS["identity-ilp"]
+    before = chain(REDUCTIONS["ss-to-monotone"], ident)
+    after = chain(ident, REDUCTIONS["monotone-to-zerosum"])
+    assert (before.source_variant, before.target_variant) == (None, "monotone")
+    assert (after.source_variant, after.target_variant) == \
+        ("monotone", "zero_sum")
+    assert chain(ident, ident).target_variant is None
+    for first, second in ((before, REDUCTIONS["zerosum-to-ilp"]),
+                          (REDUCTIONS["zerosum-to-ilp"], after),
+                          (REDUCTIONS["ss-to-monotone"],
+                           chain(ident, REDUCTIONS["zerosum-to-ilp"]))):
+        with pytest.raises(ReductionError, match="cannot compose"):
+            chain(first, second)
+    # a monotone ILP is refused where the chain reads one of another variant
+    with pytest.raises(ReductionError, match="expects a standard instance"):
+        chain(ident, REDUCTIONS["ilp-to-monotone"]).apply(
+            I.IlpInstance(((1,),), (1,), "monotone"), Witness(0, 0))
 
 
 @pytest.mark.parametrize("name", sorted(REDUCTIONS) + ["transfer"])

@@ -243,6 +243,16 @@ def test_verify_chain_whose_variants_do_not_meet(capsys):
                    "with zerosum-to-ilp (zero_sum)\n")
 
 
+def test_verify_chain_through_an_identity_keeps_the_variant(capsys):
+    # identity-ilp names no variant; the chain still reads monotone there
+    code, _, err = run(capsys, "verify",
+                       "ss-to-monotone+identity-ilp+zerosum-to-ilp",
+                       "--family", "subset-sum:n=2,max=3,tmax=4")
+    assert code == 2
+    assert err == ("error: cannot compose ss-to-monotone+identity-ilp "
+                   "(monotone) with zerosum-to-ilp (zero_sum)\n")
+
+
 def test_reduce_variant_mismatch(tmp_path, capsys):
     src = _write(tmp_path / "src.json", I.IlpInstance(((1,),), (1,)))
     _usage_error(capsys, "reduce", "monotone-to-ss", src, "--synthesize")
@@ -334,6 +344,19 @@ def test_solve_out_of_memory_or_stack_is_a_resource_limit(
     code, _, err = run(capsys, "solve", p)
     assert code == 3
     assert err == line
+
+
+def test_solve_counter_machine_walk_back_failure_is_a_bug(
+        tmp_path, capsys, monkeypatch):
+    # masks whose -1 and +1 coordinates overlap: the forward search reaches
+    # 0, and the walk back then finds no predecessor.  That can only be a
+    # solver bug, so it ends in a traceback (exit 1), not in exit 3.
+    monkeypatch.setattr("redkit.oracles.cm_masks",
+                        lambda inst: ([1, 1], [0, 1], [True, True]))
+    p = _write(tmp_path / "m.json", I.CounterMachineInstance(
+        1, ((1,), (-1,)), (I.REQUIRED,) * 2))
+    with pytest.raises(RuntimeError, match="reconstruction failed"):
+        main(["solve", p])
 
 
 def test_solve_rejects_deeply_nested_json(tmp_path, capsys):

@@ -4,7 +4,9 @@ Every expected value here is recomputed by a brute force written in the test
 itself, so the library solvers are never their own referee.
 """
 
-from itertools import permutations, product
+import gc
+import tracemalloc
+from itertools import accumulate, permutations, product
 from operator import add, attrgetter
 from random import Random
 from unittest import mock
@@ -426,6 +428,197 @@ def test_counter_machine_oracle_refuses_malformed_input():
         for budget in (DEFAULT_BUDGET, Budget(max_cm_states=1)):
             with pytest.raises(ValidationError, match="counter machine"):
                 solve(inst, budget)
+
+
+def _ref_cm_masks(inst):
+    """The per-entry loop ``cm_masks`` ran before its mask cache: the
+    reference for the masks and the required bits."""
+    incs, decs, req = [], [], []
+    for v, f in zip(inst.vectors, inst.flags):
+        inc = dec = 0
+        for j, c in enumerate(v):
+            if c == 1:
+                inc |= 1 << j
+            elif c == -1:
+                dec |= 1 << j
+            elif c != 0:
+                raise ValidationError("entry")
+        if f not in (I.OPTIONAL, I.REQUIRED):
+            raise ValidationError("flag")
+        incs.append(inc)
+        decs.append(dec)
+        req.append(f == I.REQUIRED)
+    return incs, decs, req
+
+
+# entries equal to -1, 0 or 1 of every type a machine may hold; equal
+# vectors of different types share one cache entry
+_CM_ENTRIES = st.sampled_from((-1, 0, 1, True, False, 1.0, -1.0, 0.0, -0.0))
+
+
+@st.composite
+def _cm_machines(draw, entries=_CM_ENTRIES, max_dim=4):
+    dim = draw(st.integers(1, max_dim))
+    vectors = draw(st.lists(st.tuples(*[entries] * dim), max_size=7))
+    flags = draw(st.lists(st.sampled_from((I.OPTIONAL, I.REQUIRED)),
+                          min_size=len(vectors), max_size=len(vectors)))
+    return I.CounterMachineInstance(dim, tuple(vectors), tuple(flags))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cm_machines())
+def test_cm_masks_match_the_per_entry_loop(inst):
+    want = _ref_cm_masks(inst)
+    assert list(map(list, oracles.cm_masks(inst))) == list(want)
+    # a second call reads every vector from the cache
+    assert list(map(list, oracles.cm_masks(inst))) == list(want)
+
+
+def _distinct_vectors(dim, count, seed):
+    rng = Random(seed)
+    seen = set()
+    while len(seen) < count:
+        seen.add(tuple(rng.choice((-1, 0, 1)) for _ in range(dim)))
+    return list(seen)
+
+
+def test_cm_masks_refusals_hold_on_a_warm_and_an_evicted_cache():
+    def refused():
+        for bad in (2, None, "a", [1]):
+            # the vector differs from a cached one in one entry only
+            inst = I.CounterMachineInstance(
+                2, ((1, 0), (bad, -1)), (I.OPTIONAL,) * 2)
+            for budget in (DEFAULT_BUDGET, Budget(max_cm_states=1)):
+                with pytest.raises(ValidationError, match="counter machine"):
+                    solve(inst, budget)
+
+    warm = I.CounterMachineInstance(2, ((1, 0), (-1, 0), (0, -1)),
+                                    (I.OPTIONAL,) * 3)
+    assert solve(warm).answer
+    refused()
+    for v in _distinct_vectors(12, oracles.CM_MASKS_CACHE + 100, 0):
+        oracles.cm_masks(I.CounterMachineInstance(12, (v,), (I.OPTIONAL,)))
+    info = oracles._vector_masks.cache_info()
+    assert info.currsize == info.maxsize == oracles.CM_MASKS_CACHE
+    refused()
+    assert solve(warm).answer
+
+
+def test_cm_mask_cache_stays_within_its_stated_bytes():
+    # the bound stated beside CM_MASKS_CACHE: 0.8 MB while the dimension is
+    # at most 49, counting the vectors the cache keeps alive
+    vectors = _distinct_vectors(49, 2 * oracles.CM_MASKS_CACHE, 1)
+    oracles._vector_masks.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        while vectors:
+            # only the cache holds a vector once it is popped
+            oracles._vector_masks(vectors.pop(), 49)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert oracles._vector_masks.cache_info().currsize == oracles.CM_MASKS_CACHE
+    assert held <= 800_000, held
+
+
+def test_counter_machine_walk_back_failure_is_not_a_resource_limit(monkeypatch):
+    inst = I.CounterMachineInstance(1, ((1,), (-1,)), (I.REQUIRED,) * 2)
+    # the -1 and +1 coordinates of the second vector overlap, so the walk
+    # back from state 0 finds no predecessor
+    monkeypatch.setattr(oracles, "cm_masks",
+                        lambda inst: ([1, 1], [0, 1], [True, True]))
+    for budget in (DEFAULT_BUDGET, Budget(max_cm_states=3)):
+        with pytest.raises(RuntimeError, match="reconstruction failed") as got:
+            solve(inst, budget)
+        assert not isinstance(got.value, ResourceLimitError)
+    # the state limit is still a refusal
+    with pytest.raises(ResourceLimitError, match="state limit"):
+        solve(inst, Budget(max_cm_states=2))
+
+
+def _ref_cm_check(inst, sol):
+    """The counter-machine rule ``check_solution`` ran before its
+    column-wise passes: the reference it must agree with."""
+    try:
+        idx = sorted(set(sol))
+        if list(sol) != idx or not all(0 <= i < len(inst.vectors) for i in idx):
+            return False
+        required = {i for i, f in enumerate(inst.flags) if f == I.REQUIRED}
+        if not required <= set(idx):
+            return False
+        rows = [inst.vectors[i] for i in idx]
+        if any(len(v) != inst.dimension for v in rows):
+            return False
+        for col in zip(*rows):
+            if sum(col) or not {0, 1}.issuperset(accumulate(col)):
+                return False
+        return True
+    except (TypeError, KeyError, IndexError, AttributeError):
+        return False
+
+
+# mostly -1, 0 and 1, so that many index lists are solutions; the rest are
+# entries a malformed machine may hold
+_CHECK_ENTRIES = st.one_of(
+    st.sampled_from((-1, 0, 1)),
+    st.sampled_from((True, False, 1.0, -0.0, 2, -2, 0.5, None, "")))
+
+
+@st.composite
+def _cm_checks(draw):
+    inst = draw(_cm_machines(_CHECK_ENTRIES))
+    if draw(st.booleans()):
+        # vectors of another length, flags that do not line up
+        vectors = inst.vectors + (draw(st.tuples(*[_CHECK_ENTRIES] *
+                                                 draw(st.integers(0, 5)))),)
+        flags = inst.flags + tuple(draw(st.lists(
+            st.sampled_from((I.OPTIONAL, I.REQUIRED, "X")), max_size=2)))
+        inst = I.CounterMachineInstance(inst.dimension, vectors, flags)
+    n = len(inst.vectors)
+    sol = draw(st.one_of(
+        st.lists(st.integers(0, max(n - 1, 0)), unique=True).map(sorted),
+        st.lists(st.integers(-2, n + 1), max_size=8),
+        st.lists(st.sampled_from((0.0, 1.0, 0.5)), max_size=3),
+        st.just(oracles.solve(inst).solution or ())
+        if not I.validate(inst) else st.just(())))
+    return inst, sol
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cm_checks())
+@example((I.CounterMachineInstance(1, ((None,),), (I.OPTIONAL,)), [0]))
+@example((I.CounterMachineInstance(1, (("",),), (I.OPTIONAL,)), [0]))
+@example((I.CounterMachineInstance(1, ((1,), (None,), (-1,)),
+                                   (I.OPTIONAL,) * 3), [0, 1, 2]))
+@example((I.CounterMachineInstance(2, ((1, 0), (0, "")), (I.OPTIONAL,) * 2),
+          [0, 1]))
+def test_counter_machine_check_matches_the_accumulate_rule(case):
+    inst, sol = case
+    assert check_solution(inst, sol) is _ref_cm_check(inst, sol)
+
+
+def test_counter_machine_check_cases():
+    inst = I.CounterMachineInstance(
+        2, ((1, 0), (0, 1), (-1, 0), (0, -1)),
+        (I.REQUIRED, I.OPTIONAL, I.OPTIONAL, I.OPTIONAL))
+    for sol, want in (([0, 2], True), ([0, 1, 2, 3], True),
+                      ((0, 2), True), ([2, 0], False), ([0, 0, 2], False),
+                      ([0, 2, 4], False), ([-1, 0, 2], False),
+                      ([0.0, 2.0], False), ([1, 3], False),
+                      ([0, 3], False), ([], False)):
+        assert check_solution(inst, sol) is want, sol
+        assert _ref_cm_check(inst, sol) is want, sol
+    # an index below 0 would pick the zero vector from the end; a row of
+    # another length would leave a column out of ``zip``
+    for inst, sol in (
+            (I.CounterMachineInstance(1, ((0,),), (I.OPTIONAL,)), [-1]),
+            (I.CounterMachineInstance(2, ((1, 0), (-1,)), (I.OPTIONAL,) * 2),
+             [0, 1])):
+        assert not check_solution(inst, sol), (inst, sol)
+        assert not _ref_cm_check(inst, sol), (inst, sol)
 
 
 _PATH = ((0, 1),)    # one bag holding both vertices of a 2-vertex graph
