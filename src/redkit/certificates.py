@@ -49,15 +49,17 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import combinations, compress, count, islice, product
 from random import Random
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import instances as I
 from .errors import (ConstructionError, RedkitError, ReductionError,
                      ResourceLimitError, ValidationError)
 from .oracles import DEFAULT_BUDGET, Budget, check_solution, solve
-from .reductions import Reduction, compose
 from .witness import (Witness, all_witnesses, field_width, layout_cache,
                       pack_fields)
+
+if TYPE_CHECKING:
+    from .reductions import Reduction
 
 
 @dataclass(frozen=True)
@@ -653,6 +655,8 @@ def transfer(chain: Reduction, scheme: CertificateScheme) -> Reduction:
     certificates.  The two trivial instances are built once here, so the
     sweep's one-target memo solves each of them once per run.
     """
+    # a certificate sweep runs no reduction, so it never loads this module
+    from .reductions import Reduction, compose
     kind, verify = scheme.problem_kind, scheme.verify
     yes = I.trivial_instance(kind, True)
     no = I.trivial_instance(kind, False)

@@ -2,27 +2,25 @@
 
 Exit codes: 0 yes/pass, 1 no/fail, 2 usage, 3 resource limit, 4 partial
 (skipped work in a report).  Outputs are byte-stable for a fixed seed.
+
+Each subcommand imports what it runs.  This module loads only the
+instances, the oracles and their kernels, so ``solve`` loads no reduction,
+certificate scheme or family generator; ``reduce`` and ``verify`` load the
+catalog of reductions, ``verify`` and ``cert-check`` the certificate module,
+and ``gen`` and ``verify`` the families.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from functools import partial
 from itertools import chain, islice
-from random import Random
 
-from . import families as F
 from . import instances as I
-from .catalog import get_reduction
-from .certificates import SCHEMES, certificate_scheme_check, \
-    nppt_contract_check
 from .errors import RedkitError, ResourceLimitError, ValidationError
 from .kernels import BACKEND
 from .oracles import solve
-from .witness import Witness
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -74,6 +72,9 @@ _MINIMUMS = {"n": 0, "m": 1, "max": 1, "tmax": 0, "q": 1, "k": 1, "ell": 1,
 
 
 def _cmd_gen(args) -> int:
+    from random import Random
+
+    from . import families as F
     for name, low in _MINIMUMS.items():
         # gen has no --tmax, --k or --formulas
         if getattr(args, name, low) < low:
@@ -105,8 +106,10 @@ def _cmd_gen(args) -> int:
             F.random_coloring(rng, args.n)
     elif kind == "cm":
         if args.from_coloring:
+            from .pipeline import red_coloring_to_cm
+            from .witness import Witness
             src = F.named_graph(args.from_coloring)
-            inst = get_reduction("coloring-to-cm").apply(src, Witness.zero(0))
+            inst = red_coloring_to_cm.apply(src, Witness.zero(0))
         else:
             inst = next(F.cm_samples(args.ell, args.n, 1, seed=args.seed))
     else:
@@ -147,6 +150,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .catalog import get_reduction
+    from .witness import Witness
     red = get_reduction(args.reduction)
     inst = _load(args.instance)
     red.check_source(inst)
@@ -167,6 +172,7 @@ def _cmd_reduce(args) -> int:
     target = red.apply(inst, wit)
     _emit(I.dumps(target), args.out)
     if args.out:
+        import hashlib
         with open(args.instance, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         meta = {
@@ -185,21 +191,31 @@ def _cmd_reduce(args) -> int:
 # verify / cert-check
 
 
+def _family(function: str, *lead):
+    """``families.<function>`` with its leading arguments ``lead``, loaded
+    when a family is made."""
+    def make(*args):
+        from . import families
+        return getattr(families, function)(*lead, *args)
+    return make
+
+
 # each --family name: its generator, and its parameters' defaults in the
 # generator's argument order
 _FAMILIES = {
-    "subset-sum": (F.subset_sums, {"n": 3, "max": 5, "tmax": 12}),
-    "knapsack": (F.knapsacks, {"n": 2, "max": 4}),
-    "ilp-standard": (partial(F.ilps, "standard"), {"m": 2, "n": 3}),
-    "ilp-monotone": (partial(F.ilps, "monotone"), {"m": 2, "n": 3}),
-    "ilp-zero-sum": (partial(F.ilps, "zero_sum"), {"m": 2, "n": 3}),
-    "zq": (F.zq_instances, {"q": 6, "n": 3}),
-    "zkk": (F.zkk_instances, {"k": 2, "n": 4}),
-    "cm": (F.cm_grid, {"ell": 1, "n": 3}),
-    "unbounded": (F.unbounded_instances, {"n": 2, "max": 6, "tmax": 12}),
-    "graphs": (F.graphs_upto, {"n": 4}),
-    "cnf": (F.cnfs, {"vars": 2, "clauses": 2, "arity": 2}),
-    "andsat": (F.and_sats,
+    "subset-sum": (_family("subset_sums"), {"n": 3, "max": 5, "tmax": 12}),
+    "knapsack": (_family("knapsacks"), {"n": 2, "max": 4}),
+    "ilp-standard": (_family("ilps", "standard"), {"m": 2, "n": 3}),
+    "ilp-monotone": (_family("ilps", "monotone"), {"m": 2, "n": 3}),
+    "ilp-zero-sum": (_family("ilps", "zero_sum"), {"m": 2, "n": 3}),
+    "zq": (_family("zq_instances"), {"q": 6, "n": 3}),
+    "zkk": (_family("zkk_instances"), {"k": 2, "n": 4}),
+    "cm": (_family("cm_grid"), {"ell": 1, "n": 3}),
+    "unbounded": (_family("unbounded_instances"),
+                  {"n": 2, "max": 6, "tmax": 12}),
+    "graphs": (_family("graphs_upto"), {"n": 4}),
+    "cnf": (_family("cnfs"), {"vars": 2, "clauses": 2, "arity": 2}),
+    "andsat": (_family("and_sats"),
                {"formulas": 2, "vars": 2, "clauses": 1, "arity": 2}),
 }
 
@@ -246,6 +262,8 @@ def _report_exit(rep, as_json: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .catalog import get_reduction
+    from .certificates import nppt_contract_check
     if args.limit is not None and args.limit < 0:
         return _fail("--limit must be nonnegative", EXIT_USAGE)
     red = get_reduction(args.reduction)
@@ -263,6 +281,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cert_check(args) -> int:
+    from .certificates import SCHEMES, certificate_scheme_check
     if args.scheme not in SCHEMES:
         return _fail(f"unknown scheme {args.scheme!r}; known: "
                      f"{', '.join(sorted(SCHEMES))}", EXIT_USAGE)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Union
 
-from . import pathdecomp
 from .errors import ValidationError
 from .groups import Permutation, identity as perm_identity
 
@@ -381,7 +380,8 @@ def validate(inst: ProblemInstance) -> list[str]:
                 out.append(f"edge ({u},{v}) out of range")
             if u == v:
                 out.append("self-loops are not allowed")
-        out.extend(pathdecomp.check_path_decomposition(n, edges, inst.bags))
+        from .pathdecomp import check_path_decomposition
+        out.extend(check_path_decomposition(n, edges, inst.bags))
     elif k == "scheduling":
         if inst.tardy_budget < 0:
             out.append("tardy budget must be nonnegative")
@@ -492,7 +492,8 @@ def parameter(inst: ProblemInstance) -> int:
     if k == "counter_machine":
         return inst.dimension
     if k == "coloring":
-        return pathdecomp.width(inst.bags) + 1
+        from .pathdecomp import width
+        return width(inst.bags) + 1
     if k == "scheduling":
         dmax = max((d for _, _, d in inst.jobs), default=0)
         wmax = max((w for _, w, _ in inst.jobs), default=0)

@@ -20,15 +20,15 @@ Contract:
   masks of +1/-1 coordinates per vector; returns the chosen ascending index
   list, or None; raises RuntimeError once more than ``limit`` states are
   stored.
-- ``ilp01_brute(columns, rhs)``: exact 0-1 search for A x = rhs by meet in
-  the middle over the columns' integer codes (``ilp_code``); returns a 0/1
-  assignment list, or None.  Stores the 2^ceil(n/2) subset sums of each
-  half of the n columns.
-- ``ilp_code(columns, rhs)``: the balanced-base integer codes of the columns
-  and of rhs, or None when some row's rhs is out of reach of every 0/1
-  combination.  ``ilp_column_codes(columns, rows)`` and
-  ``ilp_rhs_code(rhs, totals, base)`` are its two halves, so a caller may
-  code one set of columns once for many right-hand sides.
+- ``ilp_column_codes(columns, rows)``: the row totals of |entries|, the
+  base B and the balanced-base integer codes of the columns;
+  ``ilp_rhs_code(rhs, totals, base)``: the code of rhs, or None when some
+  row's rhs is out of reach of every 0/1 combination.  A caller codes one
+  set of columns once for many right-hand sides.
+- ``ilp01_brute(codes, rhs, base)``: exact 0-1 search for A x = rhs by meet
+  in the middle over the column codes in base B, for an rhs that
+  ``ilp_rhs_code`` accepts; returns a 0/1 assignment list, or None.  Stores
+  the 2^ceil(n/2) subset sums of each half of the n codes.
 - ``pareto_solve(items, caps, goal, limit)``: (cost, value) items with
   nonnegative entries; item i may be taken when the cost of the items taken
   up to and including i is at most ``caps[i]``; returns an ascending index
@@ -161,27 +161,17 @@ def counter_machine_solve(incs, decs, required, dimension, limit):
     return chosen
 
 
-def ilp_code(columns, rhs):
+def ilp_column_codes(columns, rows):
     """Integer codes that turn A x = rhs into one equation over ints.
 
     A vector v is coded as sum(v[j] * B**j) with B = 2R + 1, where R is the
     largest row total of |entries|.  The code is linear, and one-to-one on
     vectors whose entries all lie in [-R, R]; every 0/1 combination of the
     columns has its row sums there.  So when each |rhs[j]| is at most its
-    row's total, x solves A x = rhs exactly when the chosen codes sum to the
-    code of rhs.  Returns (column codes, rhs code), or None when some
-    |rhs[j]| exceeds its row's total and no x can solve the system.
+    row's total (``ilp_rhs_code``), x solves A x = rhs exactly when the
+    chosen codes sum to the code of rhs.  Returns the row totals of
+    |entries|, the base B and the column codes.
     """
-    totals, base, codes = ilp_column_codes(columns, len(rhs))
-    goal = ilp_rhs_code(rhs, totals, base)
-    if goal is None:
-        return None
-    return codes, goal
-
-
-def ilp_column_codes(columns, rows):
-    """The part of ``ilp_code`` that does not depend on rhs: the row totals
-    of |entries|, the base B and the column codes."""
     totals = [0] * rows
     for col in columns:
         for j, a in enumerate(col):
@@ -205,17 +195,15 @@ def _code(vec, base):
     return acc
 
 
-def ilp01_brute(columns, rhs):
+def ilp01_brute(codes, rhs, base):
     """Meet-in-the-middle 0-1 search for A x = rhs (Horowitz and Sahni, 1974).
 
-    Lists the code sums of every subset of each half of the columns, then
-    looks up, for each right-half sum, the left-half sum that completes the
-    code of rhs.
+    ``codes`` are the column codes in base ``base`` (``ilp_column_codes``),
+    and every |rhs[j]| is at most its row's total.  Lists the code sums of
+    every subset of each half of the codes, then looks up, for each
+    right-half sum, the left-half sum that completes the code of rhs.
     """
-    coded = ilp_code(columns, rhs)
-    if coded is None:
-        return None
-    codes, goal = coded
+    goal = _code(rhs, base)
     half = len(codes) // 2
     left = {s: mask for mask, s in enumerate(_subset_sums(codes[:half]))}
     for mask, s in enumerate(_subset_sums(codes[half:])):

@@ -63,7 +63,7 @@ from operator import and_, attrgetter, eq, ne, not_
 from typing import NamedTuple
 
 from . import instances as I
-from . import kernels, pathdecomp
+from . import kernels
 from .errors import ConstructionError, ResourceLimitError, ValidationError
 
 
@@ -172,15 +172,15 @@ def solve_knapsack(inst: I.KnapsackInstance, budget: Budget = DEFAULT_BUDGET) ->
 # Column layouts ``solve_ilp`` keeps, one per (columns, row count): the
 # targets of one ilp-to-monotone source share their columns and differ only
 # in rhs, and a sweep solves them one source at a time.  An entry for 6 rows
-# and 9-12 columns costs about 3.4 KB (480 such systems, each a miss, peaked
-# at 30.35 MB RSS with 64 entries and 31.0 MB with 256), so a full cache is
-# about 0.2 MB.
+# and 9-12 columns costs about 3.1 KB with the columns tuple it keeps alive
+# (tracemalloc over 64 such systems), so a full cache is about 0.2 MB.
 ILP_COLUMNS_CACHE = 64
 
 
 class _IlpColumns(NamedTuple):
     bundles: tuple      # column indices in each bundle
-    cols: tuple         # bundled columns: a column times its bundle size
+    codes: tuple        # code of each bundled column (a column times its
+                        # bundle size)
     totals: tuple       # row totals of |entries| over the bundles
     base: int
     items: tuple        # |code| of each bundle with a nonzero code
@@ -210,7 +210,7 @@ def _ilp_columns(columns, rows) -> _IlpColumns:
             size <<= 1
     totals, base, codes = kernels.ilp_column_codes(cols, rows)
     keep = tuple(b for b, c in enumerate(codes) if c)
-    return _IlpColumns(tuple(bundles), tuple(cols), tuple(totals), base,
+    return _IlpColumns(tuple(bundles), tuple(codes), tuple(totals), base,
                        tuple(abs(codes[b]) for b in keep), keep,
                        -sum(c for c in codes if c < 0),
                        tuple(int(c < 0) for c in codes),
@@ -222,13 +222,13 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
 
     Identical columns are first grouped into bundles of 1, 2, 4, ...
     copies, so k copies cost about log2(k) items and every count from 0 to
-    k stays reachable.  ``kernels.ilp_code`` makes A x = rhs one integer
-    equation over the bundles; setting y = 1 - x on the bundles with
-    negative codes leaves positive items, and the bitset DP solves that
-    plain subset sum when its n * (t+1) table fits ``max_dp_cells``.
-    Otherwise a meet-in-the-middle search runs when each half's
-    2^ceil(n/2) sums fit ``max_brute_states``.  The bundles and their codes
-    depend only on the columns and are cached per columns tuple
+    k stays reachable.  ``kernels.ilp_column_codes`` makes A x = rhs one
+    integer equation over the bundles; setting y = 1 - x on the bundles
+    with negative codes leaves positive items, and the bitset DP solves
+    that plain subset sum when its n * (t+1) table fits ``max_dp_cells``.
+    Otherwise a meet-in-the-middle search over the same codes runs when
+    each half's 2^ceil(n/2) sums fit ``max_brute_states``.  The bundles and
+    their codes depend only on the columns and are cached per columns tuple
     (``ILP_COLUMNS_CACHE``), so each instance only checks and codes its rhs.
     """
     if inst.variant == "zero_sum":
@@ -240,7 +240,7 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     goal = kernels.ilp_rhs_code(inst.rhs, lay.totals, lay.base)
     if goal is None:
         return _NO["range"]
-    keep, cols = lay.keep, lay.cols
+    keep, codes = lay.keep, lay.codes
     target = goal + lay.flipped
     if len(keep) * (target + 1) <= budget.max_dp_cells:
         got = kernels.subset_sum_solve(lay.items, target)
@@ -250,8 +250,8 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
         for k in got:
             chosen[keep[k]] ^= 1
         method = "dp"
-    elif 1 << (len(cols) - len(cols) // 2) <= budget.max_brute_states:
-        chosen = kernels.ilp01_brute(cols, inst.rhs)
+    elif 1 << (len(codes) - len(codes) // 2) <= budget.max_brute_states:
+        chosen = kernels.ilp01_brute(codes, inst.rhs, lay.base)
         if chosen is None:
             return _NO["mitm"]
         method = "mitm"
@@ -481,7 +481,8 @@ def _coloring_brute(inst):
 
 
 def _coloring_dp(inst, budget):
-    _, commands = pathdecomp.make_nice(inst.num_vertices, inst.edges, inst.bags)
+    from .pathdecomp import make_nice
+    _, commands = make_nice(inst.num_vertices, inst.edges, inst.bags)
     layers = [{(): None}]
     total = 1
     for cmd in commands:

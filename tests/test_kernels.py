@@ -56,11 +56,23 @@ def test_pure_cm_known_values():
         kernels.counter_machine_solve([1, 0], [0, 1], [False, False], 1, 1)
 
 
+def _ilp_mitm(cols, rhs):
+    """The meet-in-the-middle search on the columns' codes, or None when rhs
+    is out of every row's reach, as ``solve_ilp`` calls it."""
+    totals, base, codes = kernels.ilp_column_codes(cols, len(rhs))
+    if kernels.ilp_rhs_code(rhs, totals, base) is None:
+        return None
+    return kernels.ilp01_brute(codes, rhs, base)
+
+
 def test_pure_ilp_brute_known_values():
-    assert kernels.ilp01_brute(((1, 0), (0, 1)), (1, 1)) == [1, 1]
-    assert kernels.ilp01_brute(((1, 0),), (0, 1)) is None
-    assert kernels.ilp01_brute((), (0,)) == [0] * 0
-    assert len(kernels.ilp01_brute(((), ()), ())) == 2   # no rows: any x
+    # base 3: codes 1 and 3, rhs code 4
+    assert kernels.ilp01_brute([1, 3], (1, 1), 3) == [1, 1]
+    # base 5: codes 6 and -4 make the sums 0, 6, -4 and 2, never 1
+    assert kernels.ilp01_brute([6, -4], (1, 0), 5) is None
+    assert kernels.ilp01_brute([], (0,), 1) == [0] * 0
+    assert len(kernels.ilp01_brute([0, 0], (), 1)) == 2   # no rows: any x
+    assert _ilp_mitm(((1, 0),), (0, 1)) is None           # row 1 out of reach
 
 
 def test_subset_sum_matches_brute():
@@ -174,7 +186,7 @@ def test_ilp_brute_matches_brute():
             all(sum(c[j] for i, c in enumerate(cols) if mask >> i & 1) == rhs[j]
                 for j in range(m))
             for mask in range(1 << n))
-        got = kernels.ilp01_brute(cols, rhs)
+        got = _ilp_mitm(cols, rhs)
         assert (got is not None) == expected, (cols, rhs)
         if got is not None:
             assert len(got) == n and set(got) <= {0, 1}
@@ -185,9 +197,11 @@ def test_ilp_brute_matches_brute():
 def test_ilp_code_rejects_unreachable_rhs():
     # row 0 can reach at most 1 in absolute value; -2 would alias to (1, 0)
     # in base 3, since -2 + 1 * 3 == 1
-    assert kernels.ilp_code(((1, 0),), (-2, 1)) is None
-    codes, goal = kernels.ilp_code(((1, 0), (0, -1)), (1, -1))
-    assert codes == [1, -3] and goal == 1 - 3
+    totals, base, _ = kernels.ilp_column_codes(((1, 0),), 2)
+    assert kernels.ilp_rhs_code((-2, 1), totals, base) is None
+    totals, base, codes = kernels.ilp_column_codes(((1, 0), (0, -1)), 2)
+    assert codes == [1, -3]
+    assert kernels.ilp_rhs_code((1, -1), totals, base) == 1 - 3
 
 
 def _pareto_feasible(items, caps, chosen):

@@ -250,6 +250,24 @@ def test_ilp_wide_systems_meet_in_the_middle():
         solve(inst, Budget(max_dp_cells=0, max_brute_states=1))
 
 
+def test_ilp_meet_in_the_middle_codes_the_columns_once(monkeypatch):
+    coded = []
+    column_codes = kernels.ilp_column_codes
+    monkeypatch.setattr(kernels, "ilp_column_codes",
+                        lambda *a: coded.append(a) or column_codes(*a))
+    # columns no other test uses, so the first solve is a cache miss
+    row = (1, -1, 0, 1, 0, -1, 0, 1)
+    cols = tuple(row[i:] + row[:i] for i in range(8)) + \
+        ((1, 1, 1, 1, -1, -1, -1, -1),)
+    brute = Budget(max_dp_cells=0)
+    for x in ((1,) * 9, (0, 1) * 4 + (1,), (1, 0) * 4 + (0,)):
+        inst = I.IlpInstance(cols, tuple(
+            sum(c[j] for c, xi in zip(cols, x) if xi) for j in range(8)))
+        got = solve(inst, brute)
+        assert got.method == "mitm" and check_solution(inst, got.solution)
+    assert len(coded) == 1
+
+
 def test_ilp_repeated_columns_are_bundled():
     # 60 copies of one column: 2^30 sums per half without bundles
     col = (1,) * 8
@@ -711,7 +729,7 @@ def _ref_solve_ilp(inst, budget=DEFAULT_BUDGET):
             chosen[keep[k]] ^= 1
         method = "dp"
     else:
-        chosen = kernels.ilp01_brute(cols, inst.rhs)
+        chosen = kernels.ilp01_brute(codes, inst.rhs, base)
         if chosen is None:
             return Verdict(False, method="mitm")
         method = "mitm"
