@@ -19,7 +19,7 @@ _EXPORTS = {
     "certificates": ("CertificateScheme", "FULL_SS_SCHEME", "SCHEMES",
                      "UNBOUNDED_SS_SCHEME", "ZKK_SCHEME",
                      "certificate_scheme_check", "nppt_contract_check",
-                     "transfer", "zero_sum_premise_check"),
+                     "zero_sum_premise_check"),
     "errors": ("ConstructionError", "RedkitError", "ReductionError",
                "ResourceLimitError", "ValidationError"),
     "groups": (),

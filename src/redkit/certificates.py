@@ -1,53 +1,46 @@
-"""Certificate schemes with short witnesses, the sweep that machine-checks
-reduction contracts and scheme soundness/completeness, and ``transfer``,
-which carries a scheme back along a reduction chain.
+"""Certificate schemes with short witnesses, and the sweep that
+machine-checks reduction contracts.
 
 Certificates are fixed-width bit strings (``Witness`` values): a count field
 followed by fixed slots, with unused trailing slots required to be zero.  A
 verifier never raises on malformed input; it rejects.  A scheme's layout
-(length, slot count, field widths and shifts) depends only on the instance,
-so it is computed once per instance and kept by ``witness.layout_cache``
-(which says what it holds), so the many ``verify`` calls on one instance
-find its layout without hashing it.  ``verify`` decodes ``cert.value`` with
-the layout's shifts and masks rather than splitting it into fields.
+(length, widths, shifts and masks) depends only on the instance, so it is
+computed once per instance and kept by ``witness.layout_cache``; each
+verifier reads the kept pair inline, so its many calls on one instance
+neither hash the instance nor call the layout function.
 
-One sweep checks both kinds of contract.  A certificate scheme is the case
-of a nondeterministic transformation whose target is decided at once, so
-each entry point only says when a witness is accepted:
-``nppt_contract_check`` transforms the instance and asks the target oracle
-(unless the target is the very object it solved last),
-``certificate_scheme_check`` asks ``scheme.verify``.  The witness length
-is taken once per instance, and the fields of a violation record are built
-only when one is made.  Yes instances must accept the synthesized
-witness.  No instances must accept no witness, covered either by literal
-enumeration of all ``2^L`` witnesses (when small) or by a stratified-exact
-sweep: every witness the reduction or scheme enumerates as structurally
-valid (an instance with more than ``VALID_CAP`` of them is skipped), plus
-the all-zero, all-one and ``INVALID_SAMPLES`` random probes of the invalid
-stratum.  Reductions here map every structurally invalid witness to a
-fixed trivial no-instance, so a run of them is solved once, and verifiers
-reject such certificates outright: the invalid stratum collapses to a
-handful of outcomes.  Reports record which strategy covered each
-instance; anything not covered is listed as skipped, never silently
-passed.
+A certificate scheme is a nondeterministic transformation whose target is
+decided at once: ``CertificateScheme.reduction()`` maps a certificate to
+the kind's trivial yes instance when ``verify`` accepts it and to the
+trivial no instance otherwise.  So ``nppt_contract_check`` is the one sweep
+for reductions and schemes alike (``certificate_scheme_check`` sweeps
+``scheme.reduction()``), and ``compose(chain, scheme.reduction())`` carries
+a scheme back along a reduction chain.  Yes instances must accept the
+synthesized witness.  No instances must accept none, covered either by
+enumerating all ``2^L`` witnesses (when small) or by a stratified-exact
+sweep: every witness the reduction enumerates as structurally valid (an
+instance with more than ``VALID_CAP`` is skipped), plus the all-zero,
+all-one and ``INVALID_SAMPLES`` random probes of the invalid stratum, which
+the transforms collapse to a fixed trivial no-instance.  Reports record
+which strategy covered each instance; anything not covered is listed as
+skipped, never silently passed.
 
-The witnesses of one instance are checked by one C-level loop, ``filter``
-over ``compress``, that stops at the first accepted witness; the sweep adds
-no Python step per witness.  Under an exhaustive sweep the witnesses come
-from ``all_witnesses``, which builds each ``Witness`` tuple in C, so no
-Python code runs between two ``accepts`` calls.  ``compress`` draws one
-number from a counter for each witness it pulls, so ``witnesses_checked``
-is read from that counter once the loop ends.  It is exact when a witness
-is accepted and when ``accepts`` or the enumerator raises; a witness whose
-``accepts`` raised is counted.
+One C-level pipeline, ``map`` of ``transform`` over ``compress``, transforms
+the witnesses of an instance, and while the last target solved answered
+no, ``filter`` drops the run of targets that are that very object: Python
+runs only on another target.  ``compress`` draws one number from a counter
+per witness pulled, so ``witnesses_checked`` is exact however the loop ends;
+a witness whose ``transform`` raised is counted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
-from itertools import combinations, compress, count, islice, product
+from functools import lru_cache, partial
+from itertools import (chain, combinations, compress, count, islice, product,
+                       repeat)
+from operator import is_not, itemgetter, ne
 from random import Random
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -82,6 +75,24 @@ class CertificateScheme:
     valid_certificates: Callable[[I.ProblemInstance], Iterator[Witness]] | None = None
     len_bound: Callable[[I.ProblemInstance], int] | None = None
 
+    def reduction(self) -> Reduction:
+        """The scheme as a reduction from its kind to itself: a witness is
+        a certificate, and its target is the kind's trivial yes instance
+        when ``verify`` accepts it, the trivial no instance otherwise, each
+        built once here.  ``len_bound`` is its ``wit_bound``."""
+        # a certificate sweep loads no reduction module but this one
+        from .reductions import Reduction
+        kind, verify = self.problem_kind, self.verify
+        yes = I.trivial_instance(kind, True)
+        no = I.trivial_instance(kind, False)
+        return Reduction(
+            name=self.name, source_kind=kind, target_kind=kind,
+            witness_len=self.cert_len,
+            transform=lambda inst, cert: yes if verify(inst, cert) else no,
+            synthesize=self.synthesize,
+            valid_witnesses=self.valid_certificates,
+            wit_bound=self.len_bound)
+
 
 # ---------------------------------------------------------------------------
 # Unbounded subset sum: at most floor(log2(t+1)) (index, multiplicity) pairs.
@@ -92,12 +103,21 @@ class CertificateScheme:
 # tie removes an item.
 
 
+@lru_cache(maxsize=256)      # a family has few; each holds <= 2 * slots + 2
+def _tail_masks(count_width, slots, slot, length):
+    """Per count field value c, the bits that must be zero: the unused slots
+    after the first c (the low bits), or every bit once c > ``slots``."""
+    full = (1 << length) - 1
+    return tuple((1 << (slots - c) * slot) - 1 if c <= slots else full
+                 for c in range(1 << count_width))
+
+
 class _UssLayout(NamedTuple):
     length: int         # certificate bits
     pairs: int          # slot count
     widths: tuple       # count, then (index, multiplicity - 1) per slot
     body: int           # bits after the count field: count = value >> body
-    slot: int           # bits per slot
+    tails: tuple        # _tail_masks, indexed by the count
     shifts: tuple       # (index shift, multiplicity shift) per slot
     index_mask: int
     mult_mask: int
@@ -115,8 +135,10 @@ def _uss_layout(inst) -> _UssLayout:
     body = pairs * slot
     shifts = tuple((body - j * slot - wi, body - (j + 1) * slot)
                    for j in range(pairs))
-    return _UssLayout(wc + body, pairs, (wc,) + (wi, wm) * pairs, body, slot,
-                      shifts, (1 << wi) - 1, (1 << wm) - 1)
+    length = wc + body
+    return _UssLayout(length, pairs, (wc,) + (wi, wm) * pairs, body,
+                      _tail_masks(wc, pairs, slot, length), shifts,
+                      (1 << wi) - 1, (1 << wm) - 1)
 
 
 def _uss_cert_len(inst):
@@ -128,14 +150,19 @@ def _uss_len_bound(inst):
     return (t.bit_length() + 1) * (n.bit_length() + t.bit_length() + 1)
 
 
+_USS_LAST = _uss_layout.last
+
+
 def _uss_verify(inst, cert):
-    length, pairs, _, body, slot, shifts, imask, mmask = _uss_layout(inst)
+    held, lay = _USS_LAST[0]
+    if inst is not held:
+        lay = _uss_layout(inst)
+    length, _, _, body, tails, shifts, imask, mmask = lay
     if cert.length != length:
         return False
     v = cert.value
     count = v >> body
-    # the unused slots after the first ``count`` are the low bits
-    if count > pairs or v & ((1 << (pairs - count) * slot) - 1):
+    if v & tails[count]:
         return False
     items, t = inst.items, inst.target
     n = len(items)
@@ -243,8 +270,9 @@ class _ZkkLayout(NamedTuple):
     slots: int          # index slots: s - 1
     widths: tuple       # count, then one index per slot
     body: int           # bits after the count field: count = value >> body
-    width: int          # bits per index slot
+    tails: tuple        # _tail_masks, indexed by the count
     shifts: tuple       # index shift per slot
+    index_mask: int
     k: int
     zero: tuple
     target: tuple
@@ -259,8 +287,10 @@ def _zkk_layout(inst) -> _ZkkLayout:
     wc, wi = field_width(slots), field_width(max(len(inst.elements) - 1, 0))
     body = slots * wi
     shifts = tuple(body - (j + 1) * wi for j in range(slots))
-    return _ZkkLayout(wc + body, slots, (wc,) + (wi,) * slots, body, wi,
-                      shifts, k, (0,) * k, tuple(inst.target))
+    length = wc + body
+    return _ZkkLayout(length, slots, (wc,) + (wi,) * slots, body,
+                      _tail_masks(wc, slots, wi, length), shifts,
+                      (1 << wi) - 1, k, (0,) * k, tuple(inst.target))
 
 
 def _zkk_cert_len(inst):
@@ -272,18 +302,22 @@ def _zkk_len_bound(inst):
     return max(k ** 3 * ((k - 1).bit_length() + 1) ** 2, 1)
 
 
+_ZKK_LAST = _zkk_layout.last
+
+
 def _zkk_verify(inst, cert):
-    length, slots, _, body, wi, shifts, k, zero, target = _zkk_layout(inst)
+    held, lay = _ZKK_LAST[0]
+    if inst is not held:
+        lay = _zkk_layout(inst)
+    length, _, _, body, tails, shifts, imask, k, zero, target = lay
     if cert.length != length:
         return False
     v = cert.value
     count = v >> body
-    # the unused slots after the first ``count`` are the low bits
-    if count > slots or v & ((1 << (slots - count) * wi) - 1):
+    if v & tails[count]:
         return False
     elements = inst.elements
     n = len(elements)
-    imask = (1 << wi) - 1
     prev = -1
     chosen = []
     for shift in shifts[:count]:
@@ -431,61 +465,99 @@ INVALID_SAMPLES = 16
 VALID_CAP = 200_000
 
 
-def _corner_witnesses(length, rng):
-    yield Witness.zero(length)
-    if length:
-        yield Witness((1 << length) - 1, length)
-    for _ in range(INVALID_SAMPLES):
-        yield Witness(rng.getrandbits(length), length)
+def _corner_witnesses(length, rng, drawn):
+    """The all-zero and all-one witnesses, then ``INVALID_SAMPLES`` random
+    ones drawn as they are pulled, each also appended to ``drawn``."""
+    values = chain((0, (1 << length) - 1) if length else (0,),
+                   map(rng.getrandbits, repeat(length, INVALID_SAMPLES)))
+    for value in values:
+        wit = Witness(value, length)
+        drawn.append(wit)
+        yield wit
 
 
-def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
-           accepts, record, len_bound, exhaustive_cap, seed):
-    """The contract sweep behind both checkers.
+def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
+                        budget: Budget | None = None, *,
+                        exhaustive_cap: int = 4096,
+                        seed: int = 0,
+                        cache: dict | None = None) -> ContractReport:
+    """Check the reduction's yes/no contract against the oracles.
 
-    ``wit_len(inst)`` is called once per instance, before any ``accepts``
-    on it.  ``accepts(inst, wit)`` returns whether the witness leads to a
-    yes verdict.  ``record()`` returns the fields (such as the target
-    instance) to add to a record about the witness last passed to
-    ``accepts``; it is called only when such a record is made, and is None
-    when there are no fields.  ``noun`` names a witness in records and skip
-    reasons.  Yes instances must accept the synthesized witness; no
-    instances must accept none, covered as the module docstring describes.
+    A witness is accepted when ``r.transform`` maps it to a target yes
+    instance.  The witness length is taken once per instance and checked
+    against ``r.wit_bound`` when the reduction declares one; a synthesized
+    or valid witness of another length is a ``ReductionError``.
+
+    The sweep keeps one target: the last one solved, with its answer.  When
+    ``transform`` returns that very object again (a run of rejected
+    witnesses all map to the reduction's one trivial no-instance), the
+    answer is reused; any other target is solved.  The pair is replaced only
+    once ``solve`` returns, so a solve that raises leaves no stale answer.
+    A caller that wants more reuse passes a dict as ``cache``; it is looked
+    up and filled on memo misses only, and the caller bounds its size.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
+    name, kind = r.name, r.source_kind
+    transform, witness_len, wit_bound = r.transform, r.witness_len, r.wit_bound
+    synthesize, valid = r.synthesize, r.valid_witnesses
     rng = Random(seed)
     rep = ContractReport(name=name)
+    solved, answer = object(), False    # nothing solved yet
+    end = object()                      # no target: the witnesses ran out
 
+    def decide(tgt):
+        nonlocal solved, answer
+        if tgt is solved:
+            return answer
+        if cache is None:
+            hit = solve(tgt, budget).answer
+        else:
+            hit = cache.get(tgt)
+            if hit is None:
+                hit = cache[tgt] = solve(tgt, budget).answer
+        solved, answer = tgt, hit
+        return hit
+
+    # a record is made only about a witness whose target was decided, so
+    # that target is the one last solved
     def violation(kind, inst, wit):
-        out = {"kind": kind, "instance": inst, noun: wit.to_hex()}
-        if record is not None:
-            out.update(record())
-        return out
+        return {"kind": kind, "instance": inst, "witness": wit.to_hex(),
+                "target": solved}
 
-    def reject_all(inst, wits):
-        # ``compress`` draws one number from ``seen`` per witness it pulls,
-        # so the count is exact however the loop ends, and it includes a
-        # witness whose ``accepts`` raised
+    def reject_all(inst, wits, at):
+        # ``at(i)`` is the i-th witness of ``wits``, for the record
         seen = count(1)
+        tgts = map(partial(transform, inst), compress(wits, seen))
         try:
-            wit = next(filter(partial(accepts, inst), compress(wits, seen)),
-                       None)
+            tgt = next(tgts, end)
+            while tgt is not end and not decide(tgt):
+                # skip in C the run of targets that are the memo's no again
+                tgt = next(tgts, end)
+                if tgt is solved:
+                    tgt = next(filter(partial(is_not, solved), tgts), end)
         finally:
-            rep.witnesses_checked += next(seen) - 1
-        if wit is None:
+            pulled = next(seen) - 1
+            rep.witnesses_checked += pulled
+        if tgt is end:
             return True
-        rep.violations.append(violation("soundness", inst, wit))
+        rep.violations.append(violation("soundness", inst, at(pulled - 1)))
         return False
+
+    def wrong_length(got, length):
+        return ReductionError(
+            f"{name}: witness length {got}, expected {length}")
 
     for inst in family:
         if inst.kind != kind:
             raise ValidationError(f"{name} expects {kind}, got {inst.kind}")
         rep.checked += 1
-        length = wit_len(inst)
-        if len_bound is not None and length > len_bound(inst):
-            rep.violations.append({
-                "kind": "bit-length-bound", "instance": inst,
-                "cert_len": length, "bound": len_bound(inst)})
+        length = witness_len(inst)
+        if wit_bound is not None:
+            bound = wit_bound(inst)
+            if length > bound:
+                rep.violations.append({
+                    "kind": "bit-length-bound", "instance": inst,
+                    "witness_len": length, "bound": bound})
         try:
             src = solve(inst, budget)
         except ResourceLimitError as exc:
@@ -497,7 +569,9 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
             try:
                 wit = synthesize(inst, src.solution)
                 step = "target oracle"
-                accepted = accepts(inst, wit)
+                if wit.length != length:
+                    raise wrong_length(wit.length, length)
+                accepted = decide(transform(inst, wit))
             except ResourceLimitError as exc:
                 rep.skipped.append((inst, f"{step}: {exc}"))
                 continue
@@ -513,18 +587,26 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
         rep.no_instances += 1
         try:
             if length <= 26 and (1 << length) <= exhaustive_cap:
-                reject_all(inst, all_witnesses(length))
+                # in increasing value order: the i-th witness has value i
+                reject_all(inst, all_witnesses(length),
+                           partial(Witness, length=length))
                 rep.exhaustive += 1
             elif valid is not None:
                 wits = list(islice(valid(inst), VALID_CAP + 1))
                 if len(wits) > VALID_CAP:
-                    rep.skipped.append((inst, f"valid {noun} family too large"))
+                    rep.skipped.append((inst, "valid witness family too large"))
                     continue
-                if reject_all(inst, wits):
-                    reject_all(inst, _corner_witnesses(length, rng))
+                odd = next(filter(partial(ne, length),
+                                  map(itemgetter(1), wits)), length)
+                if odd != length:
+                    raise wrong_length(odd, length)
+                if reject_all(inst, wits, wits.__getitem__):
+                    drawn = []
+                    reject_all(inst, _corner_witnesses(length, rng, drawn),
+                               drawn.__getitem__)
                 rep.stratified += 1
             else:
-                rep.skipped.append((inst, f"{noun} space 2^{length} too large"))
+                rep.skipped.append((inst, f"witness space 2^{length} too large"))
         except ResourceLimitError as exc:
             rep.skipped.append((inst, f"target oracle: {exc}"))
         except RedkitError as exc:
@@ -533,77 +615,14 @@ def _sweep(name, kind, noun, family, budget, *, wit_len, synthesize, valid,
     return rep
 
 
-def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
-                        budget: Budget | None = None, *,
-                        exhaustive_cap: int = 4096,
-                        seed: int = 0,
-                        cache: dict | None = None) -> ContractReport:
-    """Check the reduction's yes/no contract against the oracles.
-
-    A witness is accepted when ``r.transform`` maps it to a target yes
-    instance.  The witness length is taken once per instance, and a witness
-    of another length raises ``Reduction.apply``'s ``ReductionError``.
-
-    The sweep keeps one target: the last one solved, with its answer.  When
-    ``transform`` returns that very object again (a run of rejected
-    witnesses all map to the reduction's one trivial no-instance), the
-    answer is reused; any other target is solved.  The pair is replaced only
-    once ``solve`` returns, so a solve that raises leaves no stale answer.
-    A caller that wants more reuse passes a dict as ``cache``; it is looked
-    up and filled on memo misses only, and the caller bounds its size.
-    """
-    budget = budget if budget is not None else DEFAULT_BUDGET
-    transform, witness_len = r.transform, r.witness_len
-    length = 0
-    solved, answer = object(), False    # nothing solved yet
-
-    def wit_len(inst):
-        nonlocal length
-        length = witness_len(inst)
-        return length
-
-    def accepts(inst, wit):
-        nonlocal solved, answer
-        if wit.length != length:
-            raise ReductionError(
-                f"{r.name}: witness length {wit.length}, expected {length}")
-        tgt = transform(inst, wit)
-        if tgt is solved:
-            return answer
-        if cache is None:
-            hit = solve(tgt, budget).answer
-        else:
-            hit = cache.get(tgt)
-            if hit is None:
-                hit = cache[tgt] = solve(tgt, budget).answer
-        solved, answer = tgt, hit
-        return hit
-
-    # a record is made only about a witness whose ``accepts`` returned, so
-    # its target is the one last solved
-    return _sweep(r.name, r.source_kind, "witness", family, budget,
-                  wit_len=wit_len, synthesize=r.synthesize,
-                  valid=r.valid_witnesses, accepts=accepts,
-                  record=lambda: {"target": solved}, len_bound=None,
-                  exhaustive_cap=exhaustive_cap, seed=seed)
-
-
 def certificate_scheme_check(scheme: CertificateScheme,
                              family: Iterable[I.ProblemInstance],
                              budget: Budget | None = None, *,
                              exhaustive_cap: int = 65536,
                              seed: int = 0) -> ContractReport:
-    """Soundness/completeness sweep for a certificate scheme.
-
-    A certificate is accepted when ``scheme.verify`` accepts it, and each
-    instance's bit budget ``cert_len`` must stay within ``len_bound``.
-    """
-    return _sweep(scheme.name, scheme.problem_kind, "certificate", family,
-                  budget, wit_len=scheme.cert_len,
-                  synthesize=scheme.synthesize,
-                  valid=scheme.valid_certificates, accepts=scheme.verify,
-                  record=None, len_bound=scheme.len_bound,
-                  exhaustive_cap=exhaustive_cap, seed=seed)
+    """``nppt_contract_check`` of ``scheme.reduction()``."""
+    return nppt_contract_check(scheme.reduction(), family, budget,
+                               exhaustive_cap=exhaustive_cap, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -636,34 +655,3 @@ def zero_sum_premise_check(k: int, *, samples: int = 200,
             if find_zero_sum_subsequence(seq, k) is None:
                 violations.append(seq)
     return checked, violations
-
-
-# ---------------------------------------------------------------------------
-# Certificate transfer along a reduction chain.
-
-
-def transfer(chain: Reduction, scheme: CertificateScheme) -> Reduction:
-    """``chain`` followed by ``scheme``, as one reduction into a target that
-    is decided at once.
-
-    The last link maps an instance of ``scheme.problem_kind`` to the
-    trivial yes instance of that kind when ``scheme.verify`` accepts its
-    witness, the certificate, and to the trivial no instance otherwise.  A
-    witness of the composite is thus the chain's witness followed by a
-    certificate slot that ``compose`` sizes from the canonical
-    intermediate, and ``nppt_contract_check`` checks the transferred
-    certificates.  The two trivial instances are built once here, so the
-    sweep's one-target memo solves each of them once per run.
-    """
-    # a certificate sweep runs no reduction, so it never loads this module
-    from .reductions import Reduction, compose
-    kind, verify = scheme.problem_kind, scheme.verify
-    yes = I.trivial_instance(kind, True)
-    no = I.trivial_instance(kind, False)
-    last = Reduction(
-        name=scheme.name, source_kind=kind, target_kind=kind,
-        witness_len=scheme.cert_len,
-        transform=lambda inst, cert: yes if verify(inst, cert) else no,
-        synthesize=scheme.synthesize,
-        valid_witnesses=scheme.valid_certificates)
-    return compose(chain, last)

@@ -14,7 +14,10 @@ no-instance; if it is a yes-instance, the synthesized witness yields a
 yes-instance.  ``valid_witnesses`` optionally enumerates the witnesses that
 decode structurally (used to stratify exhaustive checks), and
 ``canonical_witness`` names one witness whose image has the generic shape
-(used to size composite witnesses).
+(used to size composite witnesses).  ``wit_bound(inst)``, when declared, is
+the most witness bits the reduction may use on ``inst``; the contract sweep
+records a ``bit-length-bound`` violation on an instance whose
+``witness_len`` exceeds it.  ``compose`` declares none.
 
 For the ``ilp`` kind, ``source_variant`` and ``target_variant`` name the
 variant a reduction reads and writes (None: any).  ``check_source``, which
@@ -51,6 +54,7 @@ class Reduction:
     valid_witnesses: Optional[Callable] = None
     canonical_witness: Optional[Callable] = None
     param_bound: Optional[Callable] = None
+    wit_bound: Optional[Callable] = None
     source_variant: Optional[str] = None
     target_variant: Optional[str] = None
 

@@ -37,21 +37,22 @@ def layout_cache(build: Callable) -> Callable:
     reductions (``reductions.compose``) hands the next link one
     intermediate object per run of witnesses, so one entry is all either
     needs.  A caller that interleaves instances rebuilds the layout on each
-    switch; nothing is kept past the last instance.
+    switch; nothing is kept past the last instance.  The pair is the item
+    of the list ``layout.last``, so a verifier can test it without a call.
     """
-    # one tuple, rebound in a single store, so the pair never mixes two
+    # one tuple, stored in a single store, so the pair never mixes two
     # calls; it starts with an object no caller holds
-    last = (object(), None)
+    last = [(object(), None)]
 
     @wraps(build)
     def layout(inst):
-        nonlocal last
-        held, lay = last
+        held, lay = last[0]
         if inst is held:
             return lay
         lay = build(inst)
-        last = (inst, lay)
+        last[0] = (inst, lay)
         return lay
+    layout.last = last
     return layout
 
 

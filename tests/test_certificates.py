@@ -12,7 +12,7 @@ from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
                                  ZKK_SCHEME, certificate_scheme_check,
                                  find_zero_sum_subsequence,
-                                 nppt_contract_check, transfer,
+                                 nppt_contract_check,
                                  zero_sum_premise_check, zkk_bound,
                                  _shrink_support)
 from redkit.errors import ReductionError, ResourceLimitError, ValidationError
@@ -22,7 +22,7 @@ from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               IlpInstance, ProductGroup, SubsetSumInstance,
                               UnboundedSubsetSumInstance)
 from redkit.oracles import Budget, solve
-from redkit.reductions import chain
+from redkit.reductions import chain, compose
 from redkit.witness import Witness, all_witnesses, field_width, \
     pack_fields
 
@@ -185,7 +185,7 @@ def test_scheme_check_unbounded_grid(monkeypatch):
                                       exhaustive_cap=16)
     assert not report.ok and not report.violations
     assert _coverage(report) == (
-        273, 956, 25, 30, ["valid certificate family too large"], 45)
+        273, 956, 25, 30, ["valid witness family too large"], 45)
 
 
 def test_contract_check_coverage_counts(monkeypatch):
@@ -285,7 +285,28 @@ def test_scheme_check_catches_bound_overflow():
         len_bound=lambda inst: UNBOUNDED_SS_SCHEME.cert_len(inst) - 1)
     report = certificate_scheme_check(broken, unbounded_instances(1, 3, 6))
     assert not report.ok
-    assert any(v["kind"] == "bit-length-bound" for v in report.violations)
+    # one record per instance checked, and nothing else
+    family = list(unbounded_instances(1, 3, 6))
+    length = UNBOUNDED_SS_SCHEME.cert_len
+    assert report.violations == [
+        {"kind": "bit-length-bound", "instance": inst,
+         "witness_len": length(inst), "bound": length(inst) - 1}
+        for inst in family]
+
+
+def test_contract_check_catches_a_reduction_bound_overflow():
+    red = REDUCTIONS["ss-to-monotone"]
+    assert red.wit_bound is None
+    assert nppt_contract_check(red, subset_sums(2, 3, 6)).ok
+    broken = dataclasses.replace(
+        red, wit_bound=lambda inst: red.witness_len(inst) - 1)
+    report = nppt_contract_check(broken, subset_sums(2, 3, 6))
+    assert not report.ok and report.checked > 0
+    assert report.violations == [
+        {"kind": "bit-length-bound", "instance": inst,
+         "witness_len": red.witness_len(inst),
+         "bound": red.witness_len(inst) - 1}
+        for inst in subset_sums(2, 3, 6)]
 
 
 def test_scheme_check_records_raising_verifier():
@@ -423,7 +444,7 @@ def test_minimal_solution_bound_report():
 
 def test_certified_solve_through_reduction():
     inst = GroupSubsetSumInstance(CyclicGroup(4), (1, 2), 3)
-    composite = transfer(REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME)
+    composite = compose(REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME.reduction())
     assert (composite.source_kind, composite.target_kind) == \
         ("group_subset_sum", "subset_sum")
     # the chain witness 3 in 4 bits, then the certificate 3 in 2 bits
@@ -435,7 +456,7 @@ def test_certified_solve_through_reduction():
 
 def test_certified_solve_kind_mismatch():
     with pytest.raises(ReductionError, match="cannot compose"):
-        transfer(REDUCTIONS["ss-to-zq"], FULL_SS_SCHEME)
+        compose(REDUCTIONS["ss-to-zq"], FULL_SS_SCHEME.reduction())
 
 
 def test_an_identity_link_passes_the_variant_through():
@@ -460,7 +481,7 @@ def test_an_identity_link_passes_the_variant_through():
 
 @pytest.mark.parametrize("name", sorted(REDUCTIONS) + ["transfer"])
 def test_apply_refuses_an_instance_of_another_kind(name):
-    red = transfer(REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME) \
+    red = compose(REDUCTIONS["zq-to-ss"], FULL_SS_SCHEME.reduction()) \
         if name == "transfer" else REDUCTIONS[name]
     expects = f"{red.name} expects {red.source_kind}, got "
     for kind in I.KINDS:
@@ -471,7 +492,8 @@ def test_apply_refuses_an_instance_of_another_kind(name):
 
 def test_transfer_identity_sweep():
     rep = nppt_contract_check(
-        transfer(get_reduction("identity-subset-sum"), FULL_SS_SCHEME),
+        compose(get_reduction("identity-subset-sum"),
+                FULL_SS_SCHEME.reduction()),
         subset_sums(3, 5, 10))
     assert rep.ok
     assert (rep.checked, rep.no_instances, rep.exhaustive,
@@ -513,6 +535,48 @@ def _counting_solve(monkeypatch, fail_once=None):
         return real(inst, budget)
     monkeypatch.setattr(certificates, "solve", counting)
     return asked
+
+
+def test_scheme_sweep_pulls_exhaustive_certificates_through_all_witnesses(
+        monkeypatch):
+    # a tracer counts enumerated witnesses by rebinding the module's
+    # ``all_witnesses``; the sweep must look it up at call time
+    real, pulled = certificates.all_witnesses, []
+
+    def counting(length):
+        for wit in real(length):
+            pulled.append(wit)
+            yield wit
+    monkeypatch.setattr(certificates, "all_witnesses", counting)
+    no = [UnboundedSubsetSumInstance((2,), 3),
+          UnboundedSubsetSumInstance((2, 4), 7)]
+    rep = certificate_scheme_check(UNBOUNDED_SS_SCHEME, no)
+    assert rep.ok and rep.exhaustive == 2
+    assert len(pulled) == rep.witnesses_checked == (1 << 8) + (1 << 14)
+
+
+def test_a_scheme_is_a_reduction_to_its_kind():
+    scheme = UNBOUNDED_SS_SCHEME
+    red = scheme.reduction()
+    kind = scheme.problem_kind
+    assert (red.name, red.source_kind, red.target_kind) == \
+        (scheme.name, kind, kind)
+    assert red.witness_len is scheme.cert_len
+    assert red.synthesize is scheme.synthesize
+    assert red.valid_witnesses is scheme.valid_certificates
+    assert red.wit_bound is scheme.len_bound
+    inst = UnboundedSubsetSumInstance((2, 3), 7)
+    cert = scheme.synthesize(inst, solve(inst).solution)
+    yes = red.apply(inst, cert)
+    no = red.apply(inst, Witness.zero(cert.length))
+    assert yes == I.trivial_instance(kind, True)
+    assert no == I.trivial_instance(kind, False)
+    # the same two objects for every certificate
+    assert red.apply(inst, cert) is yes and red.apply(inst, Witness(
+        (1 << cert.length) - 1, cert.length)) is no
+    # a chain ending in a scheme declares no witness bound
+    ident = get_reduction("identity-unbounded-subset-sum")
+    assert compose(ident, red).wit_bound is None
 
 
 def _runs_of_four(inst, wit):

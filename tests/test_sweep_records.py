@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from redkit import certificates
 from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
                                  certificate_scheme_check,
@@ -20,12 +21,14 @@ from redkit.errors import ReductionError
 from redkit.families import (cm_grid, subset_sums, unbounded_instances,
                              zkk_instances)
 from redkit.instances import (IlpInstance, SubsetSumInstance,
-                              UnboundedSubsetSumInstance)
+                              UnboundedSubsetSumInstance, trivial_instance)
 from redkit.oracles import solve
 
 # no-instances: 8 and 14 certificate bits
 SMALL = UnboundedSubsetSumInstance((2,), 3)
 WIDE = UnboundedSubsetSumInstance((2, 4), 7)
+# the target of an accepted unbounded-SS certificate
+YES_USS = trivial_instance("unbounded_subset_sum", True)
 
 
 def _accepting(value, on=None):
@@ -67,7 +70,8 @@ def test_accepting_witness_in_the_exhaustive_phase():
     assert (rep.witnesses_checked, rep.exhaustive, rep.stratified) == \
         (101 + 1024, 2, 0)
     assert rep.violations == [
-        {"kind": "soundness", "instance": SMALL, "certificate": "64"}]
+        {"kind": "soundness", "instance": SMALL, "witness": "64",
+         "target": YES_USS}]
 
 
 def test_accepting_witness_in_the_stratified_phase():
@@ -77,7 +81,8 @@ def test_accepting_witness_in_the_stratified_phase():
     assert (rep.witnesses_checked, rep.exhaustive, rep.stratified) == \
         (4, 0, 1)
     assert rep.violations == [
-        {"kind": "soundness", "instance": WIDE, "certificate": "1200"}]
+        {"kind": "soundness", "instance": WIDE, "witness": "1200",
+         "target": YES_USS}]
 
 
 def test_accepting_witness_in_the_corner_probe_phase():
@@ -87,11 +92,33 @@ def test_accepting_witness_in_the_corner_probe_phase():
     assert (rep.witnesses_checked, rep.exhaustive, rep.stratified) == \
         (8 + 2, 0, 1)
     assert rep.violations == [
-        {"kind": "soundness", "instance": WIDE, "certificate": "3fff"}]
+        {"kind": "soundness", "instance": WIDE, "witness": "3fff",
+         "target": YES_USS}]
     # nothing accepted: 8 valid certificates and 2 + 16 probes
     rep = certificate_scheme_check(UNBOUNDED_SS_SCHEME, [WIDE],
                                    exhaustive_cap=16)
     assert rep.ok and rep.witnesses_checked == 8 + 18
+
+
+def test_accepted_witness_whose_target_the_memo_holds(monkeypatch):
+    # the yes-instance's certificate leads to the trivial yes target, which
+    # the memo then holds; the no-instance's first certificate leads to that
+    # very object, so it is caught from the memo without a solve
+    yes = UnboundedSubsetSumInstance((2,), 4)
+    assert solve(yes).answer
+    real, asked = certificates.solve, []
+
+    def counting(inst, budget=None):
+        if inst is not yes and inst is not SMALL:
+            asked.append(inst)
+        return real(inst, budget)
+    monkeypatch.setattr(certificates, "solve", counting)
+    rep = certificate_scheme_check(_accepting(0), [yes, SMALL])
+    assert rep.witnesses_checked == 2 and rep.exhaustive == 1
+    assert rep.violations == [
+        {"kind": "soundness", "instance": SMALL, "witness": "00",
+         "target": YES_USS}]
+    assert asked == [YES_USS]
 
 
 @pytest.mark.parametrize("value, cap, counted, exhaustive", [
@@ -217,7 +244,10 @@ DIGEST_CASES = {
 # Recorded with the Python reject loop and the plain layout caches, before
 # the loop moved into C and the identity memos went in front of the caches;
 # the two ss-ms-ss and ss-ks-ss-zq chains were recorded later, with the
-# 256-instance layout caches, before a chain kept its intermediate.
+# 256-instance layout caches, before a chain kept its intermediate.  The two
+# scheme fault pins were re-recorded when a scheme came to be swept as its
+# reduction: each record names a ``witness`` and its ``target`` where it
+# named a ``certificate``, and every count stayed the same.
 DIGESTS = {
     "cm-to-permss":
         "4209ebc77d4b9d00b24b859bee3d2989c9da1abe20bbe2af4c65ae7ba2d5e550",
@@ -238,13 +268,13 @@ DIGESTS = {
     "unbounded-ss":
         "862645ee1842eac1c977747b5a1ab5c3317feabc2463ad9c7f7a4e3b19bfec36",
     "unbounded-ss/fault":
-        "1f1433a369dc615eb4c8c3551865f92f23723ab23910d266b2f85309e4dc711f",
+        "339f912e741db69b458765156d95cdd391efd1ab2e5789ca3c06b938244ef8b3",
     "unbounded-ss/stratified":
         "bd42b941c60abd718f8bd2c860f7b5f3f163af72b68c88d47c458e8b1392549d",
     "zkk":
         "707bb2b04d9742c38de4d682573ee4d36f2e07f3c2456845bcc004262d4a8a32",
     "zkk/fault":
-        "7946ef8795a049a24c8a4233c218928a7788c69c287cac22cdf86034d217b3f8",
+        "5e6c8bb74f23b5ccf27edb3e7d9b7948c2ec90439a64d1b7ba5b945db5088eaa",
     "zkk/stratified":
         "531b278ed117639bbeacb9a1b31b7e993ceb80bf431be03f6848e79e84c27054",
 }
