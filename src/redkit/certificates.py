@@ -484,9 +484,12 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     """Check the reduction's yes/no contract against the oracles.
 
     A witness is accepted when ``r.transform`` maps it to a target yes
-    instance.  The witness length is taken once per instance and checked
-    against ``r.wit_bound`` when the reduction declares one; a synthesized
-    or valid witness of another length is a ``ReductionError``.
+    instance.  A source that ``r.check_source`` refuses (another kind, or
+    another ILP variant than ``r.source_variant``) raises
+    ``ValidationError`` with its message.  The witness length is taken once
+    per instance and checked against ``r.wit_bound`` when the reduction
+    declares one; a synthesized or valid witness of another length is a
+    ``ReductionError``.
 
     The sweep keeps one target: the last one solved, with its answer.  When
     ``transform`` returns that very object again (a run of rejected
@@ -497,7 +500,7 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     up and filled on memo misses only, and the caller bounds its size.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
-    name, kind = r.name, r.source_kind
+    name = r.name
     transform, witness_len, wit_bound = r.transform, r.witness_len, r.wit_bound
     synthesize, valid = r.synthesize, r.valid_witnesses
     rng = Random(seed)
@@ -548,8 +551,10 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
             f"{name}: witness length {got}, expected {length}")
 
     for inst in family:
-        if inst.kind != kind:
-            raise ValidationError(f"{name} expects {kind}, got {inst.kind}")
+        try:
+            r.check_source(inst)
+        except ReductionError as exc:
+            raise ValidationError(str(exc)) from None
         rep.checked += 1
         length = witness_len(inst)
         if wit_bound is not None:

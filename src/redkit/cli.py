@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, islice
+from itertools import islice
 
 from . import instances as I
 from .errors import RedkitError, ResourceLimitError, ValidationError
@@ -266,15 +266,9 @@ def _cmd_verify(args) -> int:
     from .certificates import nppt_contract_check
     if args.limit is not None and args.limit < 0:
         return _fail("--limit must be nonnegative", EXIT_USAGE)
-    red = get_reduction(args.reduction)
-    family = iter(_parse_family(args.family))
-    first = next(family, None)
-    if first is not None:
-        # a family of another kind or ILP variant is a usage error, which
-        # the sweep would report as violations
-        red.check_source(first)
-        family = chain((first,), family)
-    rep = nppt_contract_check(red, islice(family, args.limit))
+    # a family of another kind or ILP variant raises ValidationError: exit 2
+    rep = nppt_contract_check(get_reduction(args.reduction),
+                              islice(_parse_family(args.family), args.limit))
     if rep.checked == 0:
         return _fail("family has no instances", EXIT_USAGE)
     return _report_exit(rep, args.json)

@@ -15,6 +15,21 @@ says what it holds); ``transform``, ``witness_len``, ``synthesize`` and the
 enumerators read that layout, and ``transform`` decodes ``wit.value`` with
 its shifts and masks.  Targets are built from tuples, so their constructors
 keep them as they are.
+
+The two reductions that guess per-row totals reject most witnesses of a
+no-instance, so each first tests one identity on the packed value ``v``
+that every accepted witness satisfies, and returns its fixed no-instance
+without decoding a field when it fails; a witness that passes is decoded
+and checked field by field, so the test changes no target.  With ``m``
+rows, ``k = t.bit_length()`` digits and field width ``w``:
+
+* ilp-to-monotone: ``(v >> m*w) - (v & ((1 << m*w) - 1))`` (the b_pos half
+  minus the b_neg half) equals ``sum(rhs_j << (m-1-j)*w)`` whenever
+  b_pos - b_neg = rhs row by row;
+* ss-to-monotone: with ``M = 2^(w+1) - 1``, ``2^(w+1) = 1 (mod M)`` makes
+  digit sum b_j, at bit ``(k-1-j)*w``, count as ``b_j 2^(j+1-k)``, so
+  ``(v << (k-1)) % M == sum(b_j 2^j) % M``, and ``v % M`` is
+  ``t * 2^(1-k) mod M`` whenever sum(b_j 2^j) = t.
 """
 
 from __future__ import annotations
@@ -203,6 +218,8 @@ class _SsmLayout(NamedTuple):
     widths: tuple
     shifts: tuple       # shift of row j's digit sum b_j
     mask: int
+    modulus: int        # M = 2^(width+1) - 1
+    residue: int        # t * 2^(1-k) mod M: value % M on every accepted witness
     columns: tuple      # the binary digits of each item <= t
 
 
@@ -211,16 +228,22 @@ def _ssm_layout(inst) -> _SsmLayout:
     t = inst.target
     k = t.bit_length()
     width = field_width(t)
+    modulus = (2 << width) - 1
     return _SsmLayout(
         k * width, (width,) * k,
         tuple((k - 1 - j) * width for j in range(k)), (1 << width) - 1,
+        modulus, t * pow(2, 1 - k, modulus) % modulus,
         tuple(tuple((p >> j) & 1 for j in range(k))
               for p in inst.items if p <= t))
 
 
 def _ssm_transform(inst, wit):
     lay = _ssm_layout(inst)
-    v, mask = wit.value, lay.mask
+    v = wit.value
+    # the packed test of the module docstring: sum(b_j 2^j) == t implies it
+    if v % lay.modulus != lay.residue:
+        return _MONOTONE_NO
+    mask = lay.mask
     b = tuple([(v >> shift) & mask for shift in lay.shifts])
     # sum(b_j 2^j) == t also bounds every b_j by t
     if sum(map(lshift, b, range(len(b)))) != inst.target:
@@ -389,17 +412,23 @@ class _ImLayout(NamedTuple):
     widths: tuple
     shifts: tuple       # shift of each field
     mask: int
+    half: int           # bits of the b_neg half: b_pos half = value >> half
+    low: int            # b_neg half = value & low
+    code: int           # sum(rhs_j << (m-1-j)*width): b_pos half - b_neg half
     columns: tuple      # each column's +1 indicator, then its -1 indicator
 
 
 @layout_cache
 def _im_layout(inst) -> _ImLayout:
-    fields = 2 * inst.num_rows
+    m = inst.num_rows
+    fields = 2 * m
     width = field_width(len(inst.columns))
+    half = m * width
     return _ImLayout(
         fields * width, (width,) * fields,
         tuple((fields - 1 - j) * width for j in range(fields)),
-        (1 << width) - 1,
+        (1 << width) - 1, half, (1 << half) - 1,
+        sum(b << (m - 1 - j) * width for j, b in enumerate(inst.rhs)),
         tuple(tuple(1 if a == 1 else 0 for a in col) +
               tuple(1 if a == -1 else 0 for a in col)
               for col in inst.columns))
@@ -409,7 +438,11 @@ def _im_transform(inst, wit):
     if inst.variant != "standard":
         raise ReductionError("ilp-to-monotone expects a standard instance")
     lay = _im_layout(inst)
-    v, mask = wit.value, lay.mask
+    v = wit.value
+    # the packed test of the module docstring: b_pos - b_neg == rhs implies it
+    if (v >> lay.half) - (v & lay.low) != lay.code:
+        return _MONOTONE_NO
+    mask = lay.mask
     fields = tuple([(v >> shift) & mask for shift in lay.shifts])
     m = len(inst.rhs)
     # b_pos - b_neg must equal rhs row by row

@@ -62,15 +62,18 @@ def test_criterion_01_numeric_reduction_grids():
         ("zq-to-ss", zq_instances(8, 4), 4096),
     ]
     checked = witnesses = 0
+    seconds = []
     for name, family, cap in jobs:
+        job_started = time.time()
         report = nppt_contract_check(REDUCTIONS[name], family,
                                      exhaustive_cap=cap)
+        seconds.append(f"{name} {time.time() - job_started:.2f}s")
         assert report.ok, (name, report.violations[:3], report.skipped[:3])
         checked += report.checked
         witnesses += report.witnesses_checked
     elapsed = time.time() - started
     _line(1, f"PASS {checked} instances, {witnesses} witnesses, "
-             f"0 violations ({elapsed:.0f}s)")
+             f"0 violations ({elapsed:.1f}s: {', '.join(seconds)})")
     assert elapsed <= 300.0
 
 

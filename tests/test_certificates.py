@@ -423,6 +423,21 @@ def test_checkers_reject_a_family_of_the_wrong_kind():
         certificate_scheme_check(ZKK_SCHEME, unbounded_instances(1, 2, 3))
 
 
+@pytest.mark.parametrize("name,variant", [
+    # these sweeps once reported 14 violations on 14 instances and 40 on 40
+    ("ilp-to-monotone", "monotone"),
+    ("monotone-to-ss", "standard"),
+])
+def test_sweep_refuses_a_source_of_another_ilp_variant(name, variant):
+    red = REDUCTIONS[name]
+    expects = f"{name} expects a {red.source_variant} instance, got {variant}"
+    with pytest.raises(ValidationError, match=re.escape(expects)):
+        nppt_contract_check(red, ilps(variant, 1, 2))
+    # the message is the one check_source gives apply
+    with pytest.raises(ReductionError, match=re.escape(expects)):
+        red.check_source(next(ilps(variant, 1, 2)))
+
+
 def test_zero_sum_premise():
     checked, failures = zero_sum_premise_check(2)
     assert (checked, failures) == (256, [])

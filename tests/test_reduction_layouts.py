@@ -21,6 +21,7 @@ from redkit.certificates import nppt_contract_check
 from redkit.errors import ReductionError
 from redkit.families import cm_grid, subset_sums
 from redkit.groups import identity, make_run_context
+from redkit.numeric import _MONOTONE_NO
 from redkit.reductions import chain
 from redkit.witness import Witness, all_witnesses, field_width, pack_fields
 
@@ -85,6 +86,12 @@ def _ref_kss_canonical(inst):
 # subset sum -> monotone ILP
 
 
+# What the two references below return for a rejected witness: this object,
+# so a test can tell a reject from an accepted witness whose target equals
+# the trivial no-instance.
+_REF_MONOTONE_NO = I.trivial_instance("ilp", False, variant="monotone")
+
+
 def _ssm_widths(inst):
     return [field_width(inst.target)] * inst.target.bit_length()
 
@@ -94,7 +101,7 @@ def _ref_ssm_transform(inst, wit):
     k = t.bit_length()
     b = unpack_fields(wit, _ssm_widths(inst)) if k else ()
     if any(d > t for d in b) or sum(d << j for j, d in enumerate(b)) != t:
-        return I.trivial_instance("ilp", False, variant="monotone")
+        return _REF_MONOTONE_NO
     cols = tuple(tuple((p >> j) & 1 for j in range(k))
                  for p in inst.items if p <= t)
     return I.IlpInstance(cols, b, "monotone")
@@ -138,7 +145,7 @@ def _ref_im_transform(inst, wit):
     b_pos, b_neg = fields[:m], fields[m:]
     if any(v > n for v in fields) or \
             any(bp - bn != b for bp, bn, b in zip(b_pos, b_neg, inst.rhs)):
-        return I.trivial_instance("ilp", False, variant="monotone")
+        return _REF_MONOTONE_NO
     cols = tuple(
         tuple(1 if a == 1 else 0 for a in col) +
         tuple(1 if a == -1 else 0 for a in col)
@@ -268,6 +275,29 @@ CASES = {
 }
 
 
+def _packed_test(name, inst, wit):
+    """The whole-integer test ``redkit.numeric`` runs before decoding."""
+    v = wit.value
+    if name == "ilp-to-monotone":
+        m, w = inst.num_rows, field_width(len(inst.columns))
+        code = sum(b << (m - 1 - j) * w for j, b in enumerate(inst.rhs))
+        return (v >> m * w) - (v & ((1 << m * w) - 1)) == code
+    t = inst.target
+    modulus = (2 << field_width(t)) - 1
+    return ((v << (t.bit_length() - 1)) - t) % modulus == 0
+
+
+# Witnesses that pass the packed test but fail the field check, so the
+# decode behind the test is exercised on every run.
+PACKED_BUT_REJECTED = {
+    # b_pos (1, 0), b_neg (0, 7): 8 - 7 = 1 is the rhs code, 1 - 0 != 0
+    "ilp-to-monotone": (I.IlpInstance(((1, 1),) * 7, (0, 1)),
+                        Witness(0x207, 12)),
+    # digits b = (0, 0, 5): 5 << 2 = 20 = 5 (mod 15), but 5 * 4 != 5
+    "ss-to-monotone": (I.SubsetSumInstance((1, 2, 3), 5), Witness(5, 9)),
+}
+
+
 def _witnesses(length, values):
     """Every witness up to 12 bits; past that, the corners and ``values``."""
     if length <= 12:
@@ -285,7 +315,11 @@ def test_layout_reduction_matches_reference(name):
         length = red.witness_len(inst)
         assert length == ref_len(inst)
         for wit in _witnesses(length, values):
-            assert red.apply(inst, wit) == ref_transform(inst, wit), wit
+            got, want = red.apply(inst, wit), ref_transform(inst, wit)
+            assert got == want, wit
+            if want is _REF_MONOTONE_NO:
+                # the verdict memo skips a run of rejects by identity
+                assert got is _MONOTONE_NO, wit
         for bad in (length - 1, length + 1):
             if bad >= 0:
                 with pytest.raises(ReductionError):
@@ -305,6 +339,12 @@ def test_layout_reduction_matches_reference(name):
             agree(inst, values)
 
     check()
+    if name in PACKED_BUT_REJECTED:
+        inst, wit = PACKED_BUT_REJECTED[name]
+        assert _packed_test(name, inst, wit)
+        assert ref_transform(inst, wit) is _REF_MONOTONE_NO
+        assert red.apply(inst, wit) is _MONOTONE_NO
+        agree(inst, [])
 
 
 # ---------------------------------------------------------------------------
