@@ -3,11 +3,22 @@ machine-checks reduction contracts.
 
 Certificates are fixed-width bit strings (``Witness`` values): a count field
 followed by fixed slots, with unused trailing slots required to be zero.  A
-verifier never raises on malformed input; it rejects.  A scheme's layout
-(length, widths, shifts and masks) depends only on the instance, so it is
-computed once per instance and kept by ``witness.layout_cache``; each
-verifier reads the kept pair inline, so its many calls on one instance
-neither hash the instance nor call the layout function.
+verifier never raises on a malformed certificate; it rejects.  A scheme's
+layout (length, shifts, masks and ``len_bound``) depends only on the
+instance's shape: (t, n) for unbounded subset sum, (k, n) for Z_k^k, where
+n is the item or element count.  Each shape is built once and kept in an
+``lru_cache`` of ``USS_SHAPE_CACHE`` or ``ZKK_SHAPE_CACHE`` entries keyed by
+those ints, and ``witness.layout_cache`` keeps the last instance's shape in
+front of it; each verifier reads the kept pair inline, so its many calls on
+one instance neither hash the instance nor call the layout function, and a
+new instance of a known shape costs one cache lookup.  The Z_k^k verifier
+compares the coordinate sums with the instance's own target.  The layout
+function refuses, with one ``ValidationError``, an instance it cannot lay
+out: an unbounded target that is not a nonnegative int (4.0 would alias the
+shape of 4), a group other than Z_k^k with an int k >= 1, or a target
+outside it; every entry point of a scheme goes through it.  The
+synthesizers pack a certificate with the shape's shifts, and a field value
+out of its range is a ``ValidationError``.
 
 A certificate scheme is a nondeterministic transformation whose target is
 decided at once: ``CertificateScheme.reduction()`` maps a certificate to
@@ -48,8 +59,7 @@ from . import instances as I
 from .errors import (ConstructionError, RedkitError, ReductionError,
                      ResourceLimitError, ValidationError)
 from .oracles import DEFAULT_BUDGET, Budget, check_solution, solve
-from .witness import (Witness, all_witnesses, field_width, layout_cache,
-                      pack_fields)
+from .witness import Witness, all_witnesses, field_width, layout_cache
 
 if TYPE_CHECKING:
     from .reductions import Reduction
@@ -103,7 +113,17 @@ class CertificateScheme:
 # tie removes an item.
 
 
-@lru_cache(maxsize=256)      # a family has few; each holds <= 2 * slots + 2
+# Shapes kept per scheme.  An unbounded shape (t, n) or a Z_k^k shape (k, n)
+# holds a few tuples whose size grows with its slot count.  Measured with
+# tracemalloc on full caches of the largest shapes in range, counting the
+# caches' own slots: about 1.9 KB per unbounded shape while t < 2^12 and
+# n <= 2^12, so the 256 entries hold at most 0.6 MB, and about 3.4 KB per
+# Z_k^k shape while k <= 4 and n <= 2^16, so the 64 entries hold at most
+# 0.25 MB.  A sweep meets few shapes: cert-sweep's families have 100 and 8.
+USS_SHAPE_CACHE = 256
+ZKK_SHAPE_CACHE = 64
+
+
 def _tail_masks(count_width, slots, slot, length):
     """Per count field value c, the bits that must be zero: the unused slots
     after the first c (the low bits), or every bit once c > ``slots``."""
@@ -112,22 +132,27 @@ def _tail_masks(count_width, slots, slot, length):
                  for c in range(1 << count_width))
 
 
+def _wide(value, mask):
+    return ValidationError(
+        f"field value {value} does not fit in {mask.bit_length()} bits")
+
+
 class _UssLayout(NamedTuple):
     length: int         # certificate bits
     pairs: int          # slot count
-    widths: tuple       # count, then (index, multiplicity - 1) per slot
     body: int           # bits after the count field: count = value >> body
     tails: tuple        # _tail_masks, indexed by the count
     shifts: tuple       # (index shift, multiplicity shift) per slot
     index_mask: int
     mult_mask: int
+    bound: int          # len_bound
 
 
-@layout_cache
-def _uss_layout(inst) -> _UssLayout:
-    """Certificate layout of one instance; its size is linear in the slot
-    count."""
-    t, n = inst.target, len(inst.items)
+@lru_cache(maxsize=USS_SHAPE_CACHE)
+def _uss_shape(t, n) -> _UssLayout:
+    """Certificate layout of every instance with target t and n items: a
+    count field, then (index, multiplicity - 1) per slot.  Its size is
+    linear in the slot count."""
     pairs = (t + 1).bit_length() - 1
     wc = field_width(pairs)
     wi, wm = field_width(max(n - 1, 0)), field_width(max(t - 1, 0))
@@ -136,9 +161,21 @@ def _uss_layout(inst) -> _UssLayout:
     shifts = tuple((body - j * slot - wi, body - (j + 1) * slot)
                    for j in range(pairs))
     length = wc + body
-    return _UssLayout(length, pairs, (wc,) + (wi, wm) * pairs, body,
+    bound = (t.bit_length() + 1) * (n.bit_length() + t.bit_length() + 1)
+    return _UssLayout(length, pairs, body,
                       _tail_masks(wc, pairs, slot, length), shifts,
-                      (1 << wi) - 1, (1 << wm) - 1)
+                      (1 << wi) - 1, (1 << wm) - 1, bound)
+
+
+@layout_cache
+def _uss_layout(inst) -> _UssLayout:
+    """The shape of one instance.  A target that is not a nonnegative int
+    is refused here, before it could alias a shape: 4.0 hashes like 4."""
+    t = inst.target
+    if type(t) is not int or t < 0:
+        raise ValidationError(
+            f"unbounded-ss: target must be a nonnegative int, got {t!r}")
+    return _uss_shape(t, len(inst.items))
 
 
 def _uss_cert_len(inst):
@@ -146,8 +183,7 @@ def _uss_cert_len(inst):
 
 
 def _uss_len_bound(inst):
-    t, n = inst.target, len(inst.items)
-    return (t.bit_length() + 1) * (n.bit_length() + t.bit_length() + 1)
+    return _uss_layout(inst).bound
 
 
 _USS_LAST = _uss_layout.last
@@ -157,7 +193,7 @@ def _uss_verify(inst, cert):
     held, lay = _USS_LAST[0]
     if inst is not held:
         lay = _uss_layout(inst)
-    length, _, _, body, tails, shifts, imask, mmask = lay
+    length, _, body, tails, shifts, imask, mmask, _ = lay
     if cert.length != length:
         return False
     v = cert.value
@@ -216,11 +252,16 @@ def _uss_synthesize(inst, solution):
     counts = {i: m for i, m in dict(solution).items()
               if m > 0 and inst.items[i] > 0}
     counts = _shrink_support(inst.items, counts, lay.pairs)
-    vals = [len(counts)]
-    for i in sorted(counts):
-        vals += [i, counts[i] - 1]
-    vals += [0, 0] * (lay.pairs - len(counts))
-    return pack_fields(vals, lay.widths)
+    imask, mmask = lay.index_mask, lay.mult_mask
+    value = len(counts) << lay.body
+    for (ishift, mshift), i in zip(lay.shifts, sorted(counts)):
+        m = counts[i] - 1
+        if not 0 <= i <= imask:
+            raise _wide(i, imask)
+        if not 0 <= m <= mmask:
+            raise _wide(m, mmask)
+        value |= i << ishift | m << mshift
+    return Witness(value, lay.length)
 
 
 def _uss_valid(inst):
@@ -259,38 +300,48 @@ def zkk_bound(k: int) -> int:
     return max(1, math.ceil(k * k * math.log2(k))) if k > 1 else 1
 
 
-def _zkk_k(inst):
-    if not isinstance(inst.group, I.ProductGroup):
-        raise ValidationError("scheme expects a Z_k^k instance")
-    return inst.group.k
-
-
 class _ZkkLayout(NamedTuple):
     length: int         # certificate bits
     slots: int          # index slots: s - 1
-    widths: tuple       # count, then one index per slot
     body: int           # bits after the count field: count = value >> body
     tails: tuple        # _tail_masks, indexed by the count
     shifts: tuple       # index shift per slot
     index_mask: int
     k: int
     zero: tuple
-    target: tuple
+    bound: int          # len_bound
+
+
+@lru_cache(maxsize=ZKK_SHAPE_CACHE)
+def _zkk_shape(k, n) -> _ZkkLayout:
+    """Certificate layout of every Z_k^k instance with n elements: a count
+    field, then one index per slot.  Its size is linear in the slot
+    count."""
+    slots = zkk_bound(k) - 1
+    wc, wi = field_width(slots), field_width(max(n - 1, 0))
+    body = slots * wi
+    shifts = tuple(body - (j + 1) * wi for j in range(slots))
+    length = wc + body
+    return _ZkkLayout(length, slots, body,
+                      _tail_masks(wc, slots, wi, length), shifts,
+                      (1 << wi) - 1, k, (0,) * k,
+                      max(k ** 3 * ((k - 1).bit_length() + 1) ** 2, 1))
 
 
 @layout_cache
 def _zkk_layout(inst) -> _ZkkLayout:
-    """Certificate layout of one instance; its size is linear in the slot
-    count."""
-    k = _zkk_k(inst)
-    slots = zkk_bound(k) - 1
-    wc, wi = field_width(slots), field_width(max(len(inst.elements) - 1, 0))
-    body = slots * wi
-    shifts = tuple(body - (j + 1) * wi for j in range(slots))
-    length = wc + body
-    return _ZkkLayout(length, slots, (wc,) + (wi,) * slots, body,
-                      _tail_masks(wc, slots, wi, length), shifts,
-                      (1 << wi) - 1, k, (0,) * k, tuple(inst.target))
+    """The shape of one instance.  A group other than Z_k^k with an int
+    k >= 1, or a target outside it, is refused here."""
+    group = inst.group
+    if not isinstance(group, I.ProductGroup):
+        raise ValidationError("scheme expects a Z_k^k instance")
+    k = group.k
+    if type(k) is not int or k < 1:
+        raise ValidationError(f"zkk: k must be a positive int, got {k!r}")
+    if not group.contains(inst.target):
+        raise ValidationError(
+            f"zkk: target {inst.target!r} is not in Z_{k}^{k}")
+    return _zkk_shape(k, len(inst.elements))
 
 
 def _zkk_cert_len(inst):
@@ -298,8 +349,7 @@ def _zkk_cert_len(inst):
 
 
 def _zkk_len_bound(inst):
-    k = _zkk_k(inst)
-    return max(k ** 3 * ((k - 1).bit_length() + 1) ** 2, 1)
+    return _zkk_layout(inst).bound
 
 
 _ZKK_LAST = _zkk_layout.last
@@ -309,7 +359,7 @@ def _zkk_verify(inst, cert):
     held, lay = _ZKK_LAST[0]
     if inst is not held:
         lay = _zkk_layout(inst)
-    length, _, _, body, tails, shifts, imask, k, zero, target = lay
+    length, _, body, tails, shifts, imask, k, zero, _ = lay
     if cert.length != length:
         return False
     v = cert.value
@@ -327,7 +377,7 @@ def _zkk_verify(inst, cert):
         prev = i
         chosen.append(elements[i])
     # coordinate sums of the chosen elements, each column led by a zero
-    return tuple(map(k.__rmod__, map(sum, zip(zero, *chosen)))) == target
+    return tuple(map(k.__rmod__, map(sum, zip(zero, *chosen)))) == inst.target
 
 
 def find_zero_sum_subsequence(elements, k):
@@ -363,8 +413,13 @@ def _zkk_synthesize(inst, solution):
             raise ConstructionError("no removable zero-sum subsequence")
         keep = set(range(len(chosen))) - set(hit)
         chosen = [chosen[p] for p in sorted(keep)]
-    vals = [len(chosen)] + chosen + [0] * (lay.slots - len(chosen))
-    return pack_fields(vals, lay.widths)
+    imask = lay.index_mask
+    value = len(chosen) << lay.body
+    for i, shift in zip(chosen, lay.shifts):
+        if not 0 <= i <= imask:
+            raise _wide(i, imask)
+        value |= i << shift
+    return Witness(value, lay.length)
 
 
 def _zkk_valid(inst):

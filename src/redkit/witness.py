@@ -13,7 +13,8 @@ Reductions and certificate schemes compute the layout of their fields (the
 length, widths, shifts and masks) once per instance, so that a sweep over
 every witness of an instance decodes each one with a few shifts.  Each
 layout function is wrapped by ``layout_cache``, which holds one instance and
-its layout; its docstring says why one is enough.
+its layout; its docstring says why one is enough.  The certificate schemes
+build a layout once per shape behind it (see ``redkit.certificates``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ def layout_cache(build: Callable) -> Callable:
     needs.  A caller that interleaves instances rebuilds the layout on each
     switch; nothing is kept past the last instance.  The pair is the item
     of the list ``layout.last``, so a verifier can test it without a call.
+
+    ``build`` may itself look the layout up by the instance's shape, as the
+    certificate schemes do (an ``lru_cache`` keyed by a few ints): a switch
+    to a new instance then costs that lookup, instances of one shape share
+    one layout object, and still no instance is kept past the last one.
     """
     # one tuple, stored in a single store, so the pair never mixes two
     # calls; it starts with an object no caller holds

@@ -1,7 +1,9 @@
 """Certificate schemes, contract checkers, and certificate transfer."""
 
 import dataclasses
+import gc
 import re
+import tracemalloc
 from itertools import product, repeat
 
 import pytest
@@ -657,7 +659,6 @@ def test_contract_cache_is_consulted_on_memo_misses_only(monkeypatch):
 
 
 def test_contract_sweep_keeps_one_target_alive():
-    import gc
     import weakref
 
     from redkit.pipeline import _PERM_NO, _PERM_YES, red_cm_to_perm_ss
@@ -824,3 +825,155 @@ def test_verify_matches_reference_on_every_certificate(scheme, widths,
                         product(*[range(1 << w) for w in ws])))
         assert got == want, (inst, [v for v, (a, b) in
                                     enumerate(zip(got, want)) if a != b][:5])
+        # the synthesizer packs with the layout's shifts; its fields must
+        # read back as an accepted certificate
+        res = solve(inst)
+        if res.answer:
+            cert = scheme.synthesize(inst, res.solution)
+            assert cert.length == sum(ws)
+            assert reference(inst, unpack_fields(cert, ws)), inst
+
+
+# ---------------------------------------------------------------------------
+# A scheme's layout depends only on the instance's shape: (t, n) for
+# unbounded subset sum, (k, n) for Z_k^k.  Each shape is built once and kept
+# in a bounded cache behind the one-instance memo.
+
+
+def test_instances_of_one_shape_share_one_layout():
+    a = UnboundedSubsetSumInstance((4, 5), 23)
+    b = UnboundedSubsetSumInstance((1, 9), 23)
+    lay = certificates._uss_layout(a)
+    assert certificates._uss_layout(b) is lay
+    assert certificates._uss_layout(UnboundedSubsetSumInstance((4,), 23)) \
+        is not lay
+    g = ProductGroup(2)
+    c = GroupSubsetSumInstance(g, ((1, 0), (0, 1)), (1, 1))
+    d = GroupSubsetSumInstance(ProductGroup(2), ((0, 0), (1, 1)), (0, 1))
+    lay = certificates._zkk_layout(c)
+    assert certificates._zkk_layout(d) is lay
+    assert certificates._zkk_layout(
+        GroupSubsetSumInstance(g, ((1, 0),), (1, 1))) is not lay
+    # the target is read from the instance, not from the shared layout
+    assert ZKK_SCHEME.verify(c, ZKK_SCHEME.synthesize(c, (0, 1)))
+    assert not ZKK_SCHEME.verify(d, ZKK_SCHEME.synthesize(c, (0, 1)))
+
+
+@pytest.mark.parametrize("shape, size, keys, bound", [
+    # the bounds stated beside USS_SHAPE_CACHE and ZKK_SHAPE_CACHE, at the
+    # largest shapes they cover
+    ("_uss_shape", certificates.USS_SHAPE_CACHE,
+     [(4095 - i, 4096 - i) for i in range(512)], 600_000),
+    ("_zkk_shape", certificates.ZKK_SHAPE_CACHE,
+     [(4, (1 << 16) - i) for i in range(128)], 250_000),
+], ids=["unbounded", "zkk"])
+def test_shape_cache_stays_within_its_stated_bytes(shape, size, keys, bound):
+    build = getattr(certificates, shape)
+    build.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            build(*key)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+        full = build.cache_info().currsize
+    finally:
+        tracemalloc.stop()
+        build.cache_clear()
+    assert len(keys) >= 2 * size and full == size
+    assert held <= bound, held
+
+
+def test_synthesizers_refuse_a_field_out_of_range():
+    inst = UnboundedSubsetSumInstance((4, 5), 23)   # multiplicity: 5 bits
+    for solution in ({0: 33}, {-1: 1}):
+        with pytest.raises(ValidationError, match="does not fit"):
+            UNBOUNDED_SS_SCHEME.synthesize(inst, solution)
+    inst = GroupSubsetSumInstance(ProductGroup(2), ((1, 0), (0, 1)), (1, 1))
+    for solution in ((0, 5), (-1,)):               # index: 1 bit
+        with pytest.raises(ValidationError, match="does not fit"):
+            ZKK_SCHEME.synthesize(inst, solution)
+
+
+def _scheme_calls(scheme, inst):
+    """Every scheme entry point on ``inst``, as thunks."""
+    return (lambda: scheme.cert_len(inst),
+            lambda: scheme.len_bound(inst),
+            lambda: scheme.verify(inst, Witness(0, 1)),
+            lambda: scheme.synthesize(inst, ()),
+            lambda: next(scheme.valid_certificates(inst), None),
+            lambda: certificate_scheme_check(scheme, [inst]))
+
+
+def _assert_refused(scheme, inst):
+    for call in _scheme_calls(scheme, inst):
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_schemes_refuse_malformed_instances():
+    # a Z_k^k target outside the group (a bare TypeError once)
+    _assert_refused(ZKK_SCHEME, GroupSubsetSumInstance(
+        ProductGroup(2), ((0, 1),), 5))
+    _assert_refused(ZKK_SCHEME, GroupSubsetSumInstance(
+        ProductGroup(2), ((0, 1),), (0, 2)))
+    for k in (0, -1, 2.0, True):
+        _assert_refused(ZKK_SCHEME, GroupSubsetSumInstance(
+            ProductGroup(k), (), (0, 0)))
+    _assert_refused(ZKK_SCHEME, GroupSubsetSumInstance(CyclicGroup(4), (), 0))
+    # an unbounded target that is negative or not an int (once a bound
+    # error, a 6-bit layout and an AttributeError), with the int shapes it
+    # would alias already cached
+    for t in (4, 1, 0):
+        assert UNBOUNDED_SS_SCHEME.cert_len(
+            UnboundedSubsetSumInstance((1, 2), t)) > 0
+    for t in (-1, -5, 4.0, True, False, None, "4"):
+        _assert_refused(UNBOUNDED_SS_SCHEME,
+                        UnboundedSubsetSumInstance((1, 2), t))
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                  st.text(max_size=2))
+
+
+@st.composite
+def _uss_any(draw):
+    target = draw(st.one_of(st.integers(-40, 40), _JUNK))
+    items = draw(st.lists(st.integers(1, 9), max_size=3))
+    ok = type(target) is int and target >= 0
+    return UNBOUNDED_SS_SCHEME, UnboundedSubsetSumInstance(items, target), ok
+
+
+@st.composite
+def _zkk_any(draw):
+    k = draw(st.one_of(st.integers(-1, 3), _JUNK))
+    width = k if type(k) is int and k > 0 else 2
+    coord = st.integers(0, width - 1)
+    elements = draw(st.lists(st.tuples(*[coord] * width), max_size=3))
+    target = draw(st.one_of(
+        st.lists(st.integers(-1, width), min_size=width - 1,
+                 max_size=width + 1).map(tuple),
+        st.integers(-2, 2), _JUNK))
+    ok = (type(k) is int and k > 0 and isinstance(target, tuple)
+          and len(target) == k
+          and all(type(c) is int and 0 <= c < k for c in target))
+    return (ZKK_SCHEME,
+            GroupSubsetSumInstance(ProductGroup(k), tuple(elements), target),
+            ok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_uss_any(), _zkk_any()))
+def test_schemes_lay_out_or_refuse_any_target(case):
+    scheme, inst, ok = case
+    if not ok:
+        _assert_refused(scheme, inst)
+        return
+    length = scheme.cert_len(inst)
+    assert length <= scheme.len_bound(inst)
+    assert scheme.verify(inst, Witness(0, length)) in (True, False)
+    assert scheme.verify(inst, Witness(0, length + 1)) is False
+    assert scheme.synthesize(inst, ()).length == length
+    assert certificate_scheme_check(scheme, [inst]).ok

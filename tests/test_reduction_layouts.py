@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from redkit import instances as I
 from redkit.catalog import REDUCTIONS
-from redkit.certificates import nppt_contract_check
+from redkit.certificates import (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
+                                 nppt_contract_check)
 from redkit.errors import ReductionError
-from redkit.families import cm_grid, subset_sums
+from redkit.families import (cm_grid, subset_sums, unbounded_instances,
+                             zkk_instances)
 from redkit.groups import identity, make_run_context
 from redkit.numeric import _MONOTONE_NO
 from redkit.reductions import chain
@@ -395,14 +397,22 @@ def test_chain_matches_its_links_on_interleaved_instances():
 
 
 def test_layout_memo_keeps_only_the_last_source_alive():
-    refs = []
+    # the scheme layouts are kept per shape too; no shape cache may keep
+    # an instance alive
+    jobs = ((REDUCTIONS["cm-to-permss"], cm_grid(1, 3), 259),
+            (UNBOUNDED_SS_SCHEME.reduction(), unbounded_instances(2, 3, 9),
+             100),
+            (ZKK_SCHEME.reduction(), zkk_instances(2, 2), 84))
+    for red, instances, checked in jobs:
+        refs = []
 
-    def family():
-        for inst in cm_grid(1, 3):
-            refs.append(weakref.ref(inst))
-            yield inst
+        def family():
+            for inst in instances:
+                refs.append(weakref.ref(inst))
+                yield inst
 
-    rep = nppt_contract_check(REDUCTIONS["cm-to-permss"], family())
-    assert rep.ok and rep.checked == len(refs) == 259
-    gc.collect()
-    assert [r() is None for r in refs] == [True] * 258 + [False]
+        rep = nppt_contract_check(red, family())
+        assert rep.ok and rep.checked == len(refs) == checked
+        gc.collect()
+        assert [r() is None for r in refs] == \
+            [True] * (checked - 1) + [False], red.name
