@@ -539,12 +539,12 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     """Check the reduction's yes/no contract against the oracles.
 
     A witness is accepted when ``r.transform`` maps it to a target yes
-    instance.  A source that ``r.check_source`` refuses (another kind, or
-    another ILP variant than ``r.source_variant``) raises
-    ``ValidationError`` with its message.  The witness length is taken once
-    per instance and checked against ``r.wit_bound`` when the reduction
-    declares one; a synthesized or valid witness of another length is a
-    ``ReductionError``.
+    instance.  A source that ``r.check_source`` or ``r.witness_len``
+    refuses (another kind, another ILP variant than ``r.source_variant``,
+    or a group ``zq-to-ss`` does not read) raises ``ValidationError`` with
+    its message.  The witness length is taken once per instance and checked
+    against ``r.wit_bound`` when the reduction declares one; a synthesized
+    or valid witness of another length is a ``ReductionError``.
 
     The sweep keeps one target: the last one solved, with its answer.  When
     ``transform`` returns that very object again (a run of rejected
@@ -608,10 +608,10 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     for inst in family:
         try:
             r.check_source(inst)
+            length = witness_len(inst)
         except ReductionError as exc:
             raise ValidationError(str(exc)) from None
         rep.checked += 1
-        length = witness_len(inst)
         if wit_bound is not None:
             bound = wit_bound(inst)
             if length > bound:

@@ -29,13 +29,20 @@ rows, ``k = t.bit_length()`` digits and field width ``w``:
 * ss-to-monotone: with ``M = 2^(w+1) - 1``, ``2^(w+1) = 1 (mod M)`` makes
   digit sum b_j, at bit ``(k-1-j)*w``, count as ``b_j 2^(j+1-k)``, so
   ``(v << (k-1)) % M == sum(b_j 2^j) % M``, and ``v % M`` is
-  ``t * 2^(1-k) mod M`` whenever sum(b_j 2^j) = t.
+  ``t * 2^(1-k) mod M`` whenever sum(b_j 2^j) = t;
+* both, after decoding: each guessed row total is at most its reach, the
+  number of ones that row of the target's columns holds (for
+  ss-to-monotone the kept items with bit j set, for ilp-to-monotone the +1
+  and the -1 entries of row j).  A total above its reach makes a target
+  that ``kernels.ilp_rhs_code`` answers no (method ``range``), so the
+  fixed no-instance changes no verdict, and the sweep skips it without a
+  solve.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import lshift, sub
+from operator import gt, lshift, sub
 from typing import NamedTuple
 
 from . import instances as I
@@ -221,6 +228,7 @@ class _SsmLayout(NamedTuple):
     modulus: int        # M = 2^(width+1) - 1
     residue: int        # t * 2^(1-k) mod M: value % M on every accepted witness
     columns: tuple      # the binary digits of each item <= t
+    reach: tuple        # row j's ones: the items <= t with bit j set
 
 
 @layout_cache
@@ -229,12 +237,13 @@ def _ssm_layout(inst) -> _SsmLayout:
     k = t.bit_length()
     width = field_width(t)
     modulus = (2 << width) - 1
+    columns = tuple(tuple((p >> j) & 1 for j in range(k))
+                    for p in inst.items if p <= t)
     return _SsmLayout(
         k * width, (width,) * k,
         tuple((k - 1 - j) * width for j in range(k)), (1 << width) - 1,
-        modulus, t * pow(2, 1 - k, modulus) % modulus,
-        tuple(tuple((p >> j) & 1 for j in range(k))
-              for p in inst.items if p <= t))
+        modulus, t * pow(2, 1 - k, modulus) % modulus, columns,
+        tuple(sum(col[j] for col in columns) for j in range(k)))
 
 
 def _ssm_transform(inst, wit):
@@ -245,8 +254,9 @@ def _ssm_transform(inst, wit):
         return _MONOTONE_NO
     mask = lay.mask
     b = tuple([(v >> shift) & mask for shift in lay.shifts])
-    # sum(b_j 2^j) == t also bounds every b_j by t
-    if sum(map(lshift, b, range(len(b)))) != inst.target:
+    # the reach test of the module docstring, then sum(b_j 2^j) == t
+    if any(map(gt, b, lay.reach)) or \
+            sum(map(lshift, b, range(len(b)))) != inst.target:
         return _MONOTONE_NO
     return I.IlpInstance(lay.columns, b, "monotone")
 
@@ -283,8 +293,16 @@ def _ssm_valid(inst):
 
 
 def _ssm_canonical(inst):
+    # from the top digit down, each takes as much of what is left of t as
+    # its reach allows: with power-of-two digits this meets t whenever some
+    # digit sums within reach do (any 2^j that lower digits make up can be
+    # traded for one more digit j), so the probe passes the reach test then
     lay = _ssm_layout(inst)
-    b = tuple((inst.target >> j) & 1 for j in range(len(lay.widths)))
+    rem = inst.target
+    b = [0] * len(lay.reach)
+    for j in reversed(range(len(b))):
+        b[j] = min(lay.reach[j], rem >> j)
+        rem -= b[j] << j
     return pack_fields(b, lay.widths)
 
 
@@ -416,6 +434,7 @@ class _ImLayout(NamedTuple):
     low: int            # b_neg half = value & low
     code: int           # sum(rhs_j << (m-1-j)*width): b_pos half - b_neg half
     columns: tuple      # each column's +1 indicator, then its -1 indicator
+    reach: tuple        # each field's most: +1 entries per row, then -1 ones
 
 
 @layout_cache
@@ -424,14 +443,15 @@ def _im_layout(inst) -> _ImLayout:
     fields = 2 * m
     width = field_width(len(inst.columns))
     half = m * width
+    columns = tuple(tuple(1 if a == 1 else 0 for a in col) +
+                    tuple(1 if a == -1 else 0 for a in col)
+                    for col in inst.columns)
     return _ImLayout(
         fields * width, (width,) * fields,
         tuple((fields - 1 - j) * width for j in range(fields)),
         (1 << width) - 1, half, (1 << half) - 1,
         sum(b << (m - 1 - j) * width for j, b in enumerate(inst.rhs)),
-        tuple(tuple(1 if a == 1 else 0 for a in col) +
-              tuple(1 if a == -1 else 0 for a in col)
-              for col in inst.columns))
+        columns, tuple(sum(col[j] for col in columns) for j in range(fields)))
 
 
 def _im_transform(inst, wit):
@@ -445,8 +465,8 @@ def _im_transform(inst, wit):
     mask = lay.mask
     fields = tuple([(v >> shift) & mask for shift in lay.shifts])
     m = len(inst.rhs)
-    # b_pos - b_neg must equal rhs row by row
-    if max(fields, default=0) > len(inst.columns) or \
+    # the reach test of the module docstring, then b_pos - b_neg == rhs
+    if any(map(gt, fields, lay.reach)) or \
             tuple(map(sub, fields[:m], fields[m:])) != inst.rhs:
         return _MONOTONE_NO
     return I.IlpInstance(lay.columns, fields, "monotone")

@@ -120,8 +120,10 @@ def compose(first: Reduction, second: Reduction,
     The composite witness is the first reduction's witness followed by a
     slot sized for the canonical intermediate instance.  When an actual
     intermediate wants a shorter witness the low-order bits are used; when
-    it wants a longer one the zero witness is substituted, which is sound
-    because a no-intermediate maps to a no-instance under every witness.
+    it wants a longer one the slot was sized too small, and ``transform``
+    raises ``ReductionError`` (a ``transform-error`` in the contract sweep).
+    The witness enumeration yields one witness for each such first-link
+    witness, its slot zero, so that a stratified sweep meets the error too.
 
     The composite keeps one intermediate: the instance, first-link witness
     and ``first.transform`` result of its last call, rebound only once that
@@ -177,11 +179,10 @@ def compose(first: Reduction, second: Reduction,
         # they skip Witness's range checks
         mid = intermediate(inst, tuple.__new__(Witness, (v >> l2, l1)))
         l2p = second.witness_len(mid)
-        if l2p <= l2:
-            w2 = tuple.__new__(Witness, (v & ((1 << l2p) - 1), l2p))
-        else:
-            w2 = Witness.zero(l2p)
-        return second.transform(mid, w2)
+        if l2p > l2:
+            raise _overflow(second, l2p, l2)
+        return second.transform(
+            mid, tuple.__new__(Witness, (v & ((1 << l2p) - 1), l2p)))
 
     def synthesize(inst, sol):
         w1 = first.synthesize(inst, sol)
@@ -193,16 +194,16 @@ def compose(first: Reduction, second: Reduction,
         w2 = second.synthesize(mid, got.solution)
         _, l2 = probe(inst)
         if w2.length > l2:
-            raise ReductionError(
-                f"{second.name}: synthesized witness longer than composite slot")
+            raise _overflow(second, w2.length, l2)
         return Witness((w1.value << l2) | w2.value, w1.length + l2)
 
     def valid(inst):
         _, l2 = probe(inst)
         for w1 in first.valid_witnesses(inst):
             mid = intermediate(inst, w1)
-            l2p = second.witness_len(mid)
-            if l2p > l2:
+            if second.witness_len(mid) > l2:
+                # ``transform`` raises on it
+                yield Witness(w1.value << l2, w1.length + l2)
                 continue
             for w2 in second.valid_witnesses(mid):
                 yield Witness((w1.value << l2) | w2.value, w1.length + l2)
@@ -240,6 +241,12 @@ def compose(first: Reduction, second: Reduction,
         source_variant=source_variant,
         target_variant=target_variant,
     )
+
+
+def _overflow(second: Reduction, wanted: int, slot: int) -> ReductionError:
+    return ReductionError(
+        f"{second.name}: intermediate wants a {wanted}-bit witness, "
+        f"composite slot has {slot}")
 
 
 def _passes_variant(r: Reduction) -> bool:

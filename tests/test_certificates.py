@@ -19,10 +19,10 @@ from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
                                  _shrink_support)
 from redkit.errors import ReductionError, ResourceLimitError, ValidationError
 from redkit.families import (cm_grid, ilps, knapsacks, subset_sums,
-                             unbounded_instances, zkk_instances)
+                             unbounded_instances, zkk_instances, zq_instances)
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
-                              IlpInstance, ProductGroup, SubsetSumInstance,
-                              UnboundedSubsetSumInstance)
+                              IlpInstance, Permutation, ProductGroup,
+                              SubsetSumInstance, UnboundedSubsetSumInstance)
 from redkit.oracles import Budget, solve
 from redkit.reductions import chain, compose
 from redkit.witness import Witness, all_witnesses, field_width, \
@@ -438,6 +438,41 @@ def test_sweep_refuses_a_source_of_another_ilp_variant(name, variant):
     # the message is the one check_source gives apply
     with pytest.raises(ReductionError, match=re.escape(expects)):
         red.check_source(next(ilps(variant, 1, 2)))
+
+
+def test_sweep_refuses_a_source_its_witness_len_refuses():
+    # zq-to-ss reads cyclic groups only; its kind check passes S_3, and the
+    # refusal comes from witness_len
+    red = REDUCTIONS["zq-to-ss"]
+    s3 = I.SymmetricGroup(3)
+    inst = GroupSubsetSumInstance(s3, (Permutation((1, 0, 2)),),
+                                  s3.identity())
+    red.check_source(inst)
+    expects = "zq-to-ss expects a cyclic-group instance"
+    with pytest.raises(ValidationError, match=re.escape(expects)):
+        nppt_contract_check(red, [inst])
+
+
+@pytest.mark.parametrize("cap", [4096, 1])
+def test_an_undersized_composite_slot_is_a_transform_error(cap):
+    # a probe of value 0 sizes the ss-to-monotone slot for the subset-sum
+    # target 0 or 1, far below what the other guessed totals want; the
+    # composite must say so, exhaustively (cap 4096) or over its valid
+    # witnesses (cap 1), not narrow the witness
+    first, second = REDUCTIONS["zq-to-ss"], REDUCTIONS["ss-to-monotone"]
+    undersized = dataclasses.replace(
+        first, canonical_witness=lambda inst: Witness.zero(
+            first.witness_len(inst)))
+    assert nppt_contract_check(compose(first, second), zq_instances(3, 2),
+                               exhaustive_cap=cap).ok
+    rep = nppt_contract_check(compose(undersized, second), zq_instances(3, 2),
+                              exhaustive_cap=cap)
+    # no-instances fail in transform, yes-instances in synthesize
+    kinds = [v["kind"] for v in rep.violations]
+    assert "transform-error" in kinds and "completeness" in kinds
+    assert all(re.fullmatch(r"ss-to-monotone: intermediate wants a \d+-bit "
+                            r"witness, composite slot has \d+", v["error"])
+               for v in rep.violations)
 
 
 def test_zero_sum_premise():

@@ -20,10 +20,11 @@ from redkit.catalog import REDUCTIONS
 from redkit.certificates import (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
                                  nppt_contract_check)
 from redkit.errors import ReductionError
-from redkit.families import (cm_grid, subset_sums, unbounded_instances,
-                             zkk_instances)
+from redkit.families import (cm_grid, ilps, subset_sums,
+                             unbounded_instances, zkk_instances)
 from redkit.groups import identity, make_run_context
 from redkit.numeric import _MONOTONE_NO
+from redkit.oracles import solve
 from redkit.reductions import chain
 from redkit.witness import Witness, all_witnesses, field_width, pack_fields
 
@@ -98,15 +99,27 @@ def _ssm_widths(inst):
     return [field_width(inst.target)] * inst.target.bit_length()
 
 
+def _ssm_columns(inst):
+    t = inst.target
+    return tuple(tuple((p >> j) & 1 for j in range(t.bit_length()))
+                 for p in inst.items if p <= t)
+
+
+def _ssm_reach(inst):
+    """Row j's ones in the target: the items <= t with bit j set."""
+    t = inst.target
+    return [sum(1 for p in inst.items if p <= t and (p >> j) & 1)
+            for j in range(t.bit_length())]
+
+
 def _ref_ssm_transform(inst, wit):
     t = inst.target
     k = t.bit_length()
     b = unpack_fields(wit, _ssm_widths(inst)) if k else ()
-    if any(d > t for d in b) or sum(d << j for j, d in enumerate(b)) != t:
+    if any(d > r for d, r in zip(b, _ssm_reach(inst))) or \
+            sum(d << j for j, d in enumerate(b)) != t:
         return _REF_MONOTONE_NO
-    cols = tuple(tuple((p >> j) & 1 for j in range(k))
-                 for p in inst.items if p <= t)
-    return I.IlpInstance(cols, b, "monotone")
+    return I.IlpInstance(_ssm_columns(inst), b, "monotone")
 
 
 def _ref_ssm_valid(inst):
@@ -128,7 +141,13 @@ def _ref_ssm_valid(inst):
 
 
 def _ref_ssm_canonical(inst):
-    b = tuple((inst.target >> j) & 1 for j in range(inst.target.bit_length()))
+    # the top digit first, each as large as its reach and the rest allow
+    rem = inst.target
+    b = []
+    for j, r in reversed(list(enumerate(_ssm_reach(inst)))):
+        d = min(r, rem // (1 << j))
+        rem -= d * (1 << j)
+        b.insert(0, d)
     return pack_fields(b, _ssm_widths(inst))
 
 
@@ -140,19 +159,24 @@ def _im_widths(inst):
     return [field_width(len(inst.columns))] * (2 * inst.num_rows)
 
 
+def _im_columns(inst):
+    return tuple(tuple(1 if a == 1 else 0 for a in col) +
+                 tuple(1 if a == -1 else 0 for a in col)
+                 for col in inst.columns)
+
+
 def _ref_im_transform(inst, wit):
     m = inst.num_rows
-    n = len(inst.columns)
     fields = unpack_fields(wit, _im_widths(inst)) if m else ()
     b_pos, b_neg = fields[:m], fields[m:]
-    if any(v > n for v in fields) or \
+    # each row total is at most the row's +1 (b_pos) or -1 (b_neg) entries
+    reach = [sum(1 for col in inst.columns if col[j] == a)
+             for a in (1, -1) for j in range(m)]
+    if any(v > r for v, r in zip(fields, reach)) or \
             any(bp - bn != b for bp, bn, b in zip(b_pos, b_neg, inst.rhs)):
         return _REF_MONOTONE_NO
-    cols = tuple(
-        tuple(1 if a == 1 else 0 for a in col) +
-        tuple(1 if a == -1 else 0 for a in col)
-        for col in inst.columns)
-    return I.IlpInstance(cols, tuple(b_pos) + tuple(b_neg), "monotone")
+    return I.IlpInstance(_im_columns(inst), tuple(b_pos) + tuple(b_neg),
+                         "monotone")
 
 
 def _ref_im_valid(inst):
@@ -350,6 +374,75 @@ def test_layout_reduction_matches_reference(name):
 
 
 # ---------------------------------------------------------------------------
+# The reach test: a guessed row total above its row's ones is rejected.
+
+
+def _accepts(red, inst, wit):
+    return red.transform(inst, wit) is not _MONOTONE_NO
+
+
+@pytest.mark.parametrize("name, family, counts", [
+    ("ss-to-monotone", lambda: subset_sums(5, 8, 40), (28313, 22527)),
+    ("ilp-to-monotone", lambda: ilps("standard", 2, 2), (1247, 291)),
+    ("ilp-to-monotone", lambda: ilps("standard", 2, 3), (9402, 1806)),
+], ids=["ss-to-monotone", "ilp-to-monotone-2x2", "ilp-to-monotone-2x3"])
+def test_canonical_witness_is_accepted_whenever_some_witness_is(
+        name, family, counts):
+    # a chain sizes its next slot from the canonical witness's target, so
+    # that target must not be the reject constant when a witness is not;
+    # the valid witnesses include every accepted one
+    red = REDUCTIONS[name]
+    checked = some = 0
+    for inst in family():
+        checked += 1
+        accepted = any(_accepts(red, inst, w)
+                       for w in red.valid_witnesses(inst))
+        some += accepted
+        assert _accepts(red, inst, red.canonical_witness(inst)) == accepted
+    assert (checked, some) == counts
+
+
+def _target_without_reach(name, inst, wit):
+    """The target the transform built before the reach test, or None for
+    a witness that fails the other checks as well."""
+    if name == "ss-to-monotone":
+        b = unpack_fields(wit, _ssm_widths(inst)) if inst.target else ()
+        if sum(d << j for j, d in enumerate(b)) != inst.target:
+            return None
+        return I.IlpInstance(_ssm_columns(inst), b, "monotone")
+    m = inst.num_rows
+    fields = unpack_fields(wit, _im_widths(inst)) if m else ()
+    if any(v > len(inst.columns) for v in fields) or \
+            any(p - q != b for p, q, b in zip(fields, fields[m:], inst.rhs)):
+        return None
+    return I.IlpInstance(_im_columns(inst), fields, "monotone")
+
+
+@pytest.mark.parametrize("name, family, rejected", [
+    ("ss-to-monotone", lambda: subset_sums(5, 8, 40), 772709),
+    ("ilp-to-monotone", lambda: ilps("standard", 2, 4), 341683),
+], ids=["ss-to-monotone", "ilp-to-monotone"])
+def test_reach_test_rejects_only_targets_the_oracle_answers_range(
+        name, family, rejected):
+    # on criterion 01's ILP grids, every witness the reach test rejects
+    # had a target that the oracle answers no, with method range; the
+    # valid witnesses include every witness that passes the other checks
+    red = REDUCTIONS[name]
+    count = 0
+    for inst in family():
+        for wit in red.valid_witnesses(inst):
+            if _accepts(red, inst, wit):
+                continue
+            old = _target_without_reach(name, inst, wit)
+            if old is None:
+                continue
+            count += 1
+            got = solve(old)
+            assert (got.answer, got.method) == (False, "range"), (inst, wit)
+    assert count == rejected
+
+
+# ---------------------------------------------------------------------------
 # What the per-instance memos hold: one instance per layout function, and
 # one intermediate per chain link.
 
@@ -384,8 +477,7 @@ def test_chain_matches_its_links_on_interleaved_instances():
         l2 = red.witness_len(inst) - l1
         mid = first.apply(inst, Witness(wit.value >> l2, l1))
         l2p = second.witness_len(mid)
-        if l2p > l2:
-            return second.apply(mid, Witness.zero(l2p))
+        assert l2p <= l2
         return second.apply(mid, Witness(wit.value & ((1 << l2p) - 1), l2p))
 
     a, b = I.SubsetSumInstance((1, 2), 3), I.SubsetSumInstance((2, 3), 5)
