@@ -51,7 +51,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 from itertools import (chain, combinations, compress, count, islice, product,
                        repeat)
-from operator import is_not, itemgetter, ne
+from operator import is_not, itemgetter, lshift, ne
 from random import Random
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -59,7 +59,8 @@ from . import instances as I
 from .errors import (ConstructionError, RedkitError, ReductionError,
                      ResourceLimitError, ValidationError)
 from .oracles import DEFAULT_BUDGET, Budget, check_solution, solve
-from .witness import Witness, all_witnesses, field_width, layout_cache
+from .witness import (Witness, all_witnesses, field_width, layout_cache,
+                      witnesses)
 
 if TYPE_CHECKING:
     from .reductions import Reduction
@@ -268,17 +269,24 @@ def _uss_valid(inst):
     lay = _uss_layout(inst)
     t, items = inst.target, inst.items
     n = len(items)
-    for c in range(min(lay.pairs, n) + 1):
-        head = c << lay.body
-        for idxs in combinations(range(n), c):
-            choices = []
-            for i, (ishift, mshift) in zip(idxs, lay.shifts):
-                # prune: an accepting pair never exceeds the target on its own
-                top = t // items[i] if items[i] else t
-                choices.append([i << ishift | (m - 1) << mshift
-                                for m in range(1, top + 1)])
-            for parts in product(*choices):
-                yield Witness(head | sum(parts), lay.length)
+
+    def runs():
+        # the packed values of one count and index tuple: the count field,
+        # then each slot's index with each multiplicity, summed in C
+        for c in range(min(lay.pairs, n) + 1):
+            head = (c << lay.body,)
+            for idxs in combinations(range(n), c):
+                choices = []
+                for i, (ishift, mshift) in zip(idxs, lay.shifts):
+                    # prune: an accepting pair never exceeds the target on
+                    # its own
+                    top = t // items[i] if items[i] else t
+                    choices.append(range(i << ishift,
+                                         (i << ishift) + (top << mshift),
+                                         1 << mshift))
+                yield map(sum, product(head, *choices))
+
+    return witnesses(chain.from_iterable(runs()), lay.length)
 
 
 UNBOUNDED_SS_SCHEME = CertificateScheme(
@@ -425,12 +433,13 @@ def _zkk_synthesize(inst, solution):
 def _zkk_valid(inst):
     lay = _zkk_layout(inst)
     n = len(inst.elements)
-    for c in range(min(lay.slots, n) + 1):
-        head = c << lay.body
-        for idxs in combinations(range(n), c):
-            yield Witness(head | sum(i << shift
-                                     for i, shift in zip(idxs, lay.shifts)),
-                          lay.length)
+    # per count c, each increasing index tuple shifted into its slots and
+    # summed onto the count field, in C: sum(map(lshift, idxs, shifts), head)
+    values = chain.from_iterable(
+        map(sum, map(map, repeat(lshift), combinations(range(n), c),
+                     repeat(lay.shifts)), repeat(c << lay.body))
+        for c in range(min(lay.slots, n) + 1))
+    return witnesses(values, lay.length)
 
 
 ZKK_SCHEME = CertificateScheme(
@@ -692,26 +701,61 @@ def certificate_scheme_check(scheme: CertificateScheme,
 # on a family, since a synthesized certificate holds at most s - 1 indices.
 
 
-def zero_sum_premise_check(k: int, *, samples: int = 200,
-                           seed: int = 0) -> tuple[int, list]:
-    """Every length-s sequence over Z_k^k must contain a nonempty zero-sum
-    subsequence: exhaustive for k <= 2, seeded random sampling for k = 3."""
-    if k > 3:
-        raise ValidationError("zero-sum premise check is limited to k <= 3")
-    s = zkk_bound(k)
-    elems = [tuple(v) for v in product(range(k), repeat=k)]
-    violations = []
-    checked = 0
-    if k <= 2:
-        for seq in product(elems, repeat=s):
-            checked += 1
-            if find_zero_sum_subsequence(seq, k) is None:
-                violations.append(seq)
-    else:
-        rng = Random(seed)
-        for _ in range(samples):
-            seq = tuple(elems[rng.randrange(len(elems))] for _ in range(s))
-            checked += 1
-            if find_zero_sum_subsequence(seq, k) is None:
-                violations.append(seq)
-    return checked, violations
+def zero_sum_premise_check(k: int) -> tuple[int, int]:
+    """The length of the longest sequence over Z_k^k with no nonempty
+    zero-sum subsequence, found by exhaustion, and the search's node count.
+
+    The premise, that every sequence of s = ``zkk_bound(k)`` elements has a
+    nonempty zero-sum subsequence, holds when that length is below s.
+    Order does not matter, so the depth-first search extends each
+    zero-sum-free multiset by elements no smaller than its last, one node
+    per multiset (the empty one too).  An element is an int, the base-k
+    digits of its coordinates; a node keeps the negated sums of its
+    nonempty sub-multisets as one int of k^k bits, and g extends it while
+    g is nonzero and not among them.  For prime-power k the length is
+    D(Z_k^k) - 1 = k(k - 1) (Olson, 1969): 2 at k = 2 (7 nodes) and 6 at
+    k = 3 (138,425 nodes).
+    """
+    if not 1 <= k <= 3:
+        raise ValidationError(
+            "zero-sum premise check is limited to 1 <= k <= 3")
+    elems = list(product(range(k), repeat=k))
+    size = len(elems)
+    code = {e: i for i, e in enumerate(elems)}
+    add = [[code[tuple((x + y) % k for x, y in zip(a, b))] for b in elems]
+           for a in elems]
+    neg = [code[tuple(-x % k for x in a)] for a in elems]
+    # moved[h][c][bits]: the set whose chunk c (bits c*width onward) is
+    # ``bits``, moved by h; a set moves by h as the union of its 3 chunks'
+    width = -(-size // 3)
+    moved = []
+    for h in range(size):
+        per_chunk = []
+        for c in range(3):
+            table = [0] * (1 << width)
+            for bits in range(1, 1 << width):
+                low = bits & -bits
+                x = c * width + low.bit_length() - 1
+                table[bits] = table[bits ^ low] | \
+                    (1 << add[x][h] if x < size else 0)
+            per_chunk.append(table)
+        moved.append(per_chunk)
+    chunk, full = (1 << width) - 1, (1 << size) - 1
+    longest = nodes = 0
+    stack = [(0, 1, 0)]     # negated sums, least next element, length
+    while stack:
+        negs, least, length = stack.pop()
+        nodes += 1
+        longest = max(longest, length)
+        free = ~negs & full & -(1 << least)
+        while free:
+            bit = free & -free
+            free ^= bit
+            g = bit.bit_length() - 1
+            h = neg[g]
+            m0, m1, m2 = moved[h]
+            # with g: the old sums, g, and each old sum plus g, negated
+            stack.append((negs | 1 << h | m0[negs & chunk] |
+                          m1[negs >> width & chunk] | m2[negs >> 2 * width],
+                          g, length + 1))
+    return longest, nodes

@@ -17,11 +17,11 @@ its shifts and masks.  Targets are built from tuples, so their constructors
 keep them as they are.
 
 The two reductions that guess per-row totals reject most witnesses of a
-no-instance, so each first tests one identity on the packed value ``v``
-that every accepted witness satisfies, and returns its fixed no-instance
-without decoding a field when it fails; a witness that passes is decoded
-and checked field by field, so the test changes no target.  With ``m``
-rows, ``k = t.bit_length()`` digits and field width ``w``:
+no-instance, so each first tests the packed value ``v`` twice, and returns
+its fixed no-instance without decoding a field when a test fails; a witness
+that passes both is decoded and checked field by field, so the tests change
+no target.  With ``m`` rows, ``k = t.bit_length()`` digits and field width
+``w``, the first test is an identity every accepted witness satisfies:
 
 * ilp-to-monotone: ``(v >> m*w) - (v & ((1 << m*w) - 1))`` (the b_pos half
   minus the b_neg half) equals ``sum(rhs_j << (m-1-j)*w)`` whenever
@@ -29,26 +29,43 @@ rows, ``k = t.bit_length()`` digits and field width ``w``:
 * ss-to-monotone: with ``M = 2^(w+1) - 1``, ``2^(w+1) = 1 (mod M)`` makes
   digit sum b_j, at bit ``(k-1-j)*w``, count as ``b_j 2^(j+1-k)``, so
   ``(v << (k-1)) % M == sum(b_j 2^j) % M``, and ``v % M`` is
-  ``t * 2^(1-k) mod M`` whenever sum(b_j 2^j) = t;
-* both, after decoding: each guessed row total is at most its reach, the
-  number of ones that row of the target's columns holds (for
-  ss-to-monotone the kept items with bit j set, for ilp-to-monotone the +1
-  and the -1 entries of row j).  A total above its reach makes a target
-  that ``kernels.ilp_rhs_code`` answers no (method ``range``), so the
-  fixed no-instance changes no verdict, and the sweep skips it without a
-  solve.
+  ``t * 2^(1-k) mod M`` whenever sum(b_j 2^j) = t.
+
+The second is the reach test: each guessed row total is at most its reach,
+the number of ones that row of the target's columns holds (for
+ss-to-monotone the kept items with bit j set, for ilp-to-monotone the +1
+and the -1 entries of row j).  A total above its reach makes a target that
+``kernels.ilp_rhs_code`` answers no (method ``range``), so the fixed
+no-instance changes no verdict, and the sweep skips it without a solve.
+It runs on ``v`` with two (mask, addend, carry) triples built once per
+layout: the mask keeps the even-index (or the odd-index) fields, each of
+which then has a zeroed field above it, the addend puts
+``2^w - 1 - min(reach_j, 2^w - 1)`` on field j, and the sum sets the
+carry bit just above field j exactly when field j exceeds its reach.
+
+Both reductions build their valid witnesses with no Python step per
+witness, as packed values fed to
+``witness.witnesses``.  ilp-to-monotone's are ``map(sum, product(...))``
+over one ``range`` per row, since a row's packed (b_pos, b_neg) is linear
+in b_pos.  ss-to-monotone's depend on t alone: a walk over the digits with
+an explicit stack yields one ``range`` per choice of all but the last two
+digits, and the values of a target up to ``SSM_VALID_TARGET`` are kept
+per target, so a repeated target enumerates from a tuple; a larger one
+streams lazily.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from operator import gt, lshift, sub
+from functools import lru_cache
+from itertools import chain, product
+from operator import lshift, sub
 from typing import NamedTuple
 
 from . import instances as I
 from .errors import ConstructionError, ReductionError
 from .reductions import Reduction, deterministic
-from .witness import Witness, field_width, layout_cache, pack_fields
+from .witness import (Witness, field_width, layout_cache, pack_fields,
+                      witnesses)
 
 # Fixed targets of guard cases and rejected witnesses, built once.
 _SS_YES = I.trivial_instance("subset_sum", True)
@@ -189,12 +206,12 @@ def _kss_synthesize(inst, sol):
 def _kss_valid(inst):
     lay = _kss_layout(inst)
     if lay.fixed is not None:
-        yield Witness.zero(0)
-        return
-    for t_guess in range(inst.capacity + 1):
-        head = t_guess << lay.shift
-        for w_off in range(lay.base - inst.demand):
-            yield Witness(head | w_off, lay.length)
+        return iter((Witness.zero(0),))
+    # each capacity guess, then each demand offset below 2^shift
+    span = lay.base - inst.demand
+    heads = range(0, (inst.capacity + 1) << lay.shift, 1 << lay.shift)
+    return witnesses(chain.from_iterable(range(h, h + span) for h in heads),
+                     lay.length)
 
 
 def _kss_canonical(inst):
@@ -220,6 +237,27 @@ red_knapsack_to_ss = Reduction(
 # Subset sum -> monotone ILP (guessed digit sums of the target).
 
 
+def _over_reach(reach, width):
+    """The packed reach test's (mask, addend, carry) triples, for the
+    even-index and then the odd-index fields, flat: field j of ``reach``'s
+    ``len(reach)`` fields of ``width`` bits sits at bit
+    ``(len(reach) - 1 - j) * width``, as in both layouts below."""
+    top = (1 << width) - 1
+    fields = len(reach)
+    out = []
+    for first in (0, 1):
+        mask = addend = carry = 0
+        for j in range(first, fields, 2):
+            shift = (fields - 1 - j) * width
+            mask |= top << shift
+            # a field fits ``width`` bits, so a reach past ``top`` never
+            # carries: clamped, not a negative addend
+            addend |= (top - min(reach[j], top)) << shift
+            carry |= 1 << shift + width
+        out += (mask, addend, carry)
+    return tuple(out)
+
+
 class _SsmLayout(NamedTuple):
     length: int         # witness bits: one digit sum per row
     widths: tuple
@@ -229,6 +267,7 @@ class _SsmLayout(NamedTuple):
     residue: int        # t * 2^(1-k) mod M: value % M on every accepted witness
     columns: tuple      # the binary digits of each item <= t
     reach: tuple        # row j's ones: the items <= t with bit j set
+    over: tuple         # _over_reach(reach, width)
 
 
 @layout_cache
@@ -239,24 +278,27 @@ def _ssm_layout(inst) -> _SsmLayout:
     modulus = (2 << width) - 1
     columns = tuple(tuple((p >> j) & 1 for j in range(k))
                     for p in inst.items if p <= t)
+    reach = tuple(sum(col[j] for col in columns) for j in range(k))
     return _SsmLayout(
         k * width, (width,) * k,
         tuple((k - 1 - j) * width for j in range(k)), (1 << width) - 1,
-        modulus, t * pow(2, 1 - k, modulus) % modulus, columns,
-        tuple(sum(col[j] for col in columns) for j in range(k)))
+        modulus, t * pow(2, 1 - k, modulus) % modulus, columns, reach,
+        _over_reach(reach, width))
 
 
 def _ssm_transform(inst, wit):
     lay = _ssm_layout(inst)
     v = wit.value
-    # the packed test of the module docstring: sum(b_j 2^j) == t implies it
+    # the packed tests of the module docstring: sum(b_j 2^j) == t implies
+    # the first, and an accepted witness passes the reach test
     if v % lay.modulus != lay.residue:
+        return _MONOTONE_NO
+    em, ea, ec, om, oa, oc = lay.over
+    if (v & em) + ea & ec or (v & om) + oa & oc:
         return _MONOTONE_NO
     mask = lay.mask
     b = tuple([(v >> shift) & mask for shift in lay.shifts])
-    # the reach test of the module docstring, then sum(b_j 2^j) == t
-    if any(map(gt, b, lay.reach)) or \
-            sum(map(lshift, b, range(len(b)))) != inst.target:
+    if sum(map(lshift, b, range(len(b)))) != inst.target:
         return _MONOTONE_NO
     return I.IlpInstance(lay.columns, b, "monotone")
 
@@ -269,27 +311,61 @@ def _ssm_synthesize(inst, sol):
     return pack_fields(b, lay.widths)
 
 
+# Targets whose valid packed values ss-to-monotone keeps.  Those values
+# depend on t alone: there are b(t) of them, the binary partitions of t, a
+# count that grows with t (b(30) = 166, b(63) = 1,626, b(511) > 10^7).
+# Measured with tracemalloc, counting the cache's own slots: a kept target
+# t <= SSM_VALID_TARGET holds at most 1,626 values of at most 36 bits,
+# about 65 KB (t = 63), and the SSM_VALID_CACHE entries, one per kept
+# target so that a sweep cycling through its targets never evicts one,
+# hold at most 25,510 values, about 1.0 MB; contract-sweep's 31 targets
+# hold about 60 KB.  A larger target streams its values lazily.
+SSM_VALID_TARGET = 63
+SSM_VALID_CACHE = SSM_VALID_TARGET + 1
+
+
+def _ssm_values(t):
+    """The packed values of t's valid witnesses, lazily: digit sums b_j
+    with sum(b_j 2^j) = t, b_0 in the outermost loop, each increasing."""
+    k = t.bit_length()
+    if k < 2:
+        return iter((t,))
+    width = field_width(t)
+    last = k - 2
+    # at digit k-2, b_{k-2} += 2 takes 1 from the top digit (at bit 0)
+    step = (2 << width) - 1
+
+    def runs():
+        # digit j contributes b_j 2^j and the higher digits multiples of
+        # 2^(j+1), so b_j has the parity of bit j of rem, and the top digit
+        # takes all that is left; the stack pops each digit's choices in
+        # increasing order, and the values under one choice of digits
+        # 0..k-3 are one range
+        stack = [(0, t, 0)]
+        while stack:
+            j, rem, acc = stack.pop()
+            hi = rem >> j
+            lo = hi & 1
+            shift = (k - 1 - j) * width
+            if j == last:
+                start = acc | lo << shift | (rem - (lo << j)) >> (j + 1)
+                yield range(start, start + ((hi - lo) // 2 + 1) * step, step)
+            else:
+                stack.extend((j + 1, rem - (d << j), acc | d << shift)
+                             for d in range(hi, lo - 1, -2))
+
+    return chain.from_iterable(runs())
+
+
+@lru_cache(maxsize=SSM_VALID_CACHE)
+def _ssm_kept(t):
+    return tuple(_ssm_values(t))
+
+
 def _ssm_valid(inst):
     t = inst.target
-    lay = _ssm_layout(inst)
-    shifts = lay.shifts
-    k = len(shifts)
-
-    def rec(j, rem, acc):
-        # digit j contributes b_j * 2^j and the higher digits multiples of
-        # 2^(j+1), so b_j has the parity of bit j of rem, and the top digit
-        # takes all that is left (at most t)
-        if j == k - 1:
-            yield Witness(acc | (rem >> j) << shifts[j], lay.length)
-            return
-        step = 1 << j
-        for d in range((rem >> j) & 1, min(t, rem // step) + 1, 2):
-            yield from rec(j + 1, rem - d * step, acc | d << shifts[j])
-
-    if k:
-        yield from rec(0, t, 0)
-    else:
-        yield Witness.zero(0)
+    values = _ssm_kept(t) if t <= SSM_VALID_TARGET else _ssm_values(t)
+    return witnesses(values, _ssm_layout(inst).length)
 
 
 def _ssm_canonical(inst):
@@ -401,11 +477,8 @@ def _zsi_synthesize(inst, sol):
 def _zsi_valid(inst):
     n = len(inst.columns)
     if n == 0:
-        yield Witness.zero(0)
-        return
-    width = _zsi_witness_len(inst)
-    for i in range(n):
-        yield pack_fields((i,), [width])
+        return iter((Witness.zero(0),))
+    return witnesses(range(n), _zsi_witness_len(inst))
 
 
 red_zerosum_to_ilp = Reduction(
@@ -434,7 +507,8 @@ class _ImLayout(NamedTuple):
     low: int            # b_neg half = value & low
     code: int           # sum(rhs_j << (m-1-j)*width): b_pos half - b_neg half
     columns: tuple      # each column's +1 indicator, then its -1 indicator
-    reach: tuple        # each field's most: +1 entries per row, then -1 ones
+    over: tuple         # _over_reach of each field's most, the +1 entries
+                        # of each row, then the -1 ones
 
 
 @layout_cache
@@ -446,12 +520,13 @@ def _im_layout(inst) -> _ImLayout:
     columns = tuple(tuple(1 if a == 1 else 0 for a in col) +
                     tuple(1 if a == -1 else 0 for a in col)
                     for col in inst.columns)
+    reach = tuple(sum(col[j] for col in columns) for j in range(fields))
     return _ImLayout(
         fields * width, (width,) * fields,
         tuple((fields - 1 - j) * width for j in range(fields)),
         (1 << width) - 1, half, (1 << half) - 1,
         sum(b << (m - 1 - j) * width for j, b in enumerate(inst.rhs)),
-        columns, tuple(sum(col[j] for col in columns) for j in range(fields)))
+        columns, _over_reach(reach, width))
 
 
 def _im_transform(inst, wit):
@@ -459,15 +534,17 @@ def _im_transform(inst, wit):
         raise ReductionError("ilp-to-monotone expects a standard instance")
     lay = _im_layout(inst)
     v = wit.value
-    # the packed test of the module docstring: b_pos - b_neg == rhs implies it
+    # the packed tests of the module docstring: b_pos - b_neg == rhs
+    # implies the first, and an accepted witness passes the reach test
     if (v >> lay.half) - (v & lay.low) != lay.code:
+        return _MONOTONE_NO
+    em, ea, ec, om, oa, oc = lay.over
+    if (v & em) + ea & ec or (v & om) + oa & oc:
         return _MONOTONE_NO
     mask = lay.mask
     fields = tuple([(v >> shift) & mask for shift in lay.shifts])
     m = len(inst.rhs)
-    # the reach test of the module docstring, then b_pos - b_neg == rhs
-    if any(map(gt, fields, lay.reach)) or \
-            tuple(map(sub, fields[:m], fields[m:])) != inst.rhs:
+    if tuple(map(sub, fields[:m], fields[m:])) != inst.rhs:
         return _MONOTONE_NO
     return I.IlpInstance(lay.columns, fields, "monotone")
 
@@ -486,19 +563,18 @@ def _im_valid(inst):
     m = inst.num_rows
     n = len(inst.columns)
     if m == 0:
-        yield Witness.zero(0)
-        return
+        return iter((Witness.zero(0),))
     lay = _im_layout(inst)
     shifts = lay.shifts
+    # row j's packed (b_pos, b_pos - b_j) is linear in b_pos, over the
+    # b_pos in [0, n] with b_pos - b_j in [0, n]: one range per row
     per_row = []
     for j, b in enumerate(inst.rhs):
-        opts = [bp << shifts[j] | (bp - b) << shifts[m + j]
-                for bp in range(n + 1) if 0 <= bp - b <= n]
-        if not opts:
-            return
-        per_row.append(opts)
-    for combo in product(*per_row):
-        yield Witness(sum(combo), lay.length)
+        step = (1 << shifts[j]) + (1 << shifts[m + j])
+        lo, hi = max(0, b), min(n, n + b)
+        per_row.append(range(lo * step - (b << shifts[m + j]),
+                             (hi + 1) * step - (b << shifts[m + j]), step))
+    return witnesses(map(sum, product(*per_row)), lay.length)
 
 
 def _im_canonical(inst):

@@ -37,7 +37,8 @@ from . import pathdecomp
 from .errors import ValidationError
 from .groups import Permutation, identity, make_run_context
 from .reductions import Reduction, deterministic
-from .witness import Witness, field_width, layout_cache, pack_fields
+from .witness import (Witness, field_width, layout_cache, pack_fields,
+                      witnesses)
 
 COLOR_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
@@ -263,12 +264,12 @@ def _cps_synthesize(inst, sol):
 def _cps_valid(inst):
     n = len(inst.vectors)
     if n == 0:
-        yield Witness.zero(0)
-        return
+        return iter((Witness.zero(0),))
     lay = _cps_layout(inst)
-    for parts in product(*[[c << shift for c in range(n + 1)]
-                           for shift in lay.shifts]):
-        yield Witness(sum(parts), lay.length)
+    # each count in [0, n] at its field's shift
+    return witnesses(map(sum, product(*[range(0, (n + 1) << shift, 1 << shift)
+                                        for shift in lay.shifts])),
+                     lay.length)
 
 
 red_cm_to_perm_ss = Reduction(

@@ -2,12 +2,15 @@
 
 A witness is a bit string of a declared length, carried as (value, length)
 with the first field occupying the most significant bits.  ``Witness`` is
-an immutable tuple subclass of those two fields, so ``all_witnesses`` builds
-every witness of a length in one C-level pipeline (``map`` of
-``tuple.__new__`` over ``zip``) and adds no Python step per witness; the
-sweeps of ``redkit.certificates`` pull them the same way.  Field widths are
-``(upper + 1).bit_length()`` bits for a value range [0, upper]; decoders must
-treat out-of-range field values as "reject" rather than error.
+an immutable tuple subclass of those two fields, so ``witnesses`` builds
+the witnesses of packed values known to fit in one C-level pipeline (``map``
+of ``tuple.__new__`` over ``zip``) and adds no Python step per witness.
+``all_witnesses`` is that pipeline over every value of a length, and the
+valid-witness enumerators of the reductions and certificate schemes feed it
+their packed values; the sweeps of ``redkit.certificates`` pull them the
+same way.  Field widths are ``(upper + 1).bit_length()`` bits for a value
+range [0, upper]; decoders must treat out-of-range field values as
+"reject" rather than error.
 
 Reductions and certificate schemes compute the layout of their fields (the
 length, widths, shifts and masks) once per instance, so that a sweep over
@@ -23,7 +26,7 @@ from collections import namedtuple
 from dataclasses import FrozenInstanceError
 from functools import wraps
 from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -133,12 +136,19 @@ def pack_fields(values: Sequence[int], widths: Sequence[int]) -> Witness:
     return Witness(acc, sum(widths))
 
 
+def witnesses(values: Iterable[int], length: int) -> Iterator[Witness]:
+    """A ``length``-bit witness of each of ``values``, lazily, in order.
+
+    For values known to fit ``length`` bits, such as those an enumerator
+    packs from fields it keeps in range: the pairs skip the checks in
+    ``Witness.__new__``, and ``tuple.__new__`` makes each witness in C, with
+    no Python step per value.
+    """
+    return map(tuple.__new__, repeat(Witness), zip(values, repeat(length)))
+
+
 def all_witnesses(length: int) -> Iterator[Witness]:
     """Every witness of ``length`` bits, in increasing value order."""
     if length < 0:
         raise ValidationError("witness length must be nonnegative")
-    # Each value of range(1 << length) fits by construction, so the pairs
-    # skip the checks in Witness.__new__: tuple.__new__ makes each witness
-    # in C, with no Python step per value.
-    return map(tuple.__new__, repeat(Witness),
-               zip(range(1 << length), repeat(length)))
+    return witnesses(range(1 << length), length)

@@ -23,7 +23,7 @@ from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
                                  ZKK_SCHEME, certificate_scheme_check,
                                  nppt_contract_check,
-                                 zero_sum_premise_check)
+                                 zero_sum_premise_check, zkk_bound)
 from redkit.families import (and_sats, cm_contract_family, cnfs, graphs_upto,
                              ilps, knapsacks, named_graph, random_3cnf,
                              random_subset_sum, subset_sums,
@@ -250,21 +250,28 @@ def test_criterion_09_certificate_schemes():
     zkk = certificate_scheme_check(ZKK_SCHEME, zkk_instances(2, 5),
                                    exhaustive_cap=1 << 17)
     assert zkk.ok, (zkk.violations[:3], zkk.skipped[:3])
+    zkk3 = certificate_scheme_check(ZKK_SCHEME, zkk_instances(3, 2),
+                                    exhaustive_cap=1 << 17)
+    assert zkk3.ok, (zkk3.violations[:3], zkk3.skipped[:3])
+    assert (zkk3.checked, zkk3.no_instances) == (20439, 17628)
     elapsed = time.time() - started
     _line(9, f"PASS unbounded: {uss.checked} instances "
              f"({uss.exhaustive} exhaustive / {uss.stratified} stratified); "
-             f"zkk: {zkk.checked} instances, all bounds hold "
+             f"zkk: {zkk.checked} instances at k = 2, {zkk3.checked} at "
+             f"k = 3 ({zkk3.stratified} stratified), all bounds hold "
              f"({elapsed:.0f}s)")
 
 
 def test_criterion_10_zero_sum_premise():
-    """Every length-4 sequence over Z_2 x Z_2 contains a nonempty
-    zero-sum subsequence."""
-    checked, failures = zero_sum_premise_check(2)
-    _line(10, f"PASS {checked} sequences, {len(failures)} without a "
-              f"zero-sum subsequence")
-    assert checked == 256
-    assert failures == []
+    """Every sequence of s = zkk_bound(k) elements of Z_k^k contains a
+    nonempty zero-sum subsequence, for k = 2 and 3: an exhaustive search
+    finds no zero-sum-free sequence longer than k(k - 1) < s."""
+    found = {k: zero_sum_premise_check(k) for k in (2, 3)}
+    _line(10, "PASS " + "; ".join(
+        f"k = {k}: longest zero-sum-free {longest} < s = {zkk_bound(k)} "
+        f"({nodes} nodes)" for k, (longest, nodes) in found.items()))
+    assert found == {2: (2, 7), 3: (6, 138425)}
+    assert all(longest < zkk_bound(k) for k, (longest, _) in found.items())
 
 
 def test_criterion_11_landau_permutations():

@@ -476,10 +476,20 @@ def test_an_undersized_composite_slot_is_a_transform_error(cap):
 
 
 def test_zero_sum_premise():
-    checked, failures = zero_sum_premise_check(2)
-    assert (checked, failures) == (256, [])
-    checked3, failures3 = zero_sum_premise_check(3, samples=50, seed=5)
-    assert checked3 == 50 and failures3 == []
+    # the longest zero-sum-free sequences, by exhaustion: Olson's k(k - 1),
+    # below s = zkk_bound(k)
+    assert zero_sum_premise_check(1) == (0, 1)
+    assert zero_sum_premise_check(2) == (2, 7)
+    assert zero_sum_premise_check(3) == (6, 138425)
+    for k in (1, 2, 3):
+        assert zero_sum_premise_check(k)[0] == k * (k - 1) < zkk_bound(k)
+    # every sequence one longer than the longest has a zero-sum subsequence
+    elems = list(product(range(2), repeat=2))
+    assert all(find_zero_sum_subsequence(seq, 2) is not None
+               for seq in product(elems, repeat=3))
+    for k in (0, 4):
+        with pytest.raises(ValidationError):
+            zero_sum_premise_check(k)
 
 
 def test_minimal_solution_bound_report():

@@ -8,6 +8,7 @@ length, on the target of every witness, and on the witness enumerations.
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 from functools import lru_cache
 from itertools import islice, product
@@ -23,7 +24,8 @@ from redkit.errors import ReductionError
 from redkit.families import (cm_grid, ilps, subset_sums,
                              unbounded_instances, zkk_instances)
 from redkit.groups import identity, make_run_context
-from redkit.numeric import _MONOTONE_NO
+from redkit.numeric import (SSM_VALID_CACHE, SSM_VALID_TARGET, _MONOTONE_NO,
+                            _ssm_kept)
 from redkit.oracles import solve
 from redkit.reductions import chain
 from redkit.witness import Witness, all_witnesses, field_width, pack_fields
@@ -112,6 +114,12 @@ def _ssm_reach(inst):
             for j in range(t.bit_length())]
 
 
+def _im_reach(inst):
+    """Each field's most: the +1 entries of each row, then the -1 ones."""
+    return [sum(1 for col in inst.columns if col[j] == a)
+            for a in (1, -1) for j in range(inst.num_rows)]
+
+
 def _ref_ssm_transform(inst, wit):
     t = inst.target
     k = t.bit_length()
@@ -170,9 +178,7 @@ def _ref_im_transform(inst, wit):
     fields = unpack_fields(wit, _im_widths(inst)) if m else ()
     b_pos, b_neg = fields[:m], fields[m:]
     # each row total is at most the row's +1 (b_pos) or -1 (b_neg) entries
-    reach = [sum(1 for col in inst.columns if col[j] == a)
-             for a in (1, -1) for j in range(m)]
-    if any(v > r for v, r in zip(fields, reach)) or \
+    if any(v > r for v, r in zip(fields, _im_reach(inst))) or \
             any(bp - bn != b for bp, bn, b in zip(b_pos, b_neg, inst.rhs)):
         return _REF_MONOTONE_NO
     return I.IlpInstance(_im_columns(inst), tuple(b_pos) + tuple(b_neg),
@@ -302,7 +308,7 @@ CASES = {
 
 
 def _packed_test(name, inst, wit):
-    """The whole-integer test ``redkit.numeric`` runs before decoding."""
+    """The whole-integer identity ``redkit.numeric`` tests first."""
     v = wit.value
     if name == "ilp-to-monotone":
         m, w = inst.num_rows, field_width(len(inst.columns))
@@ -313,14 +319,37 @@ def _packed_test(name, inst, wit):
     return ((v << (t.bit_length() - 1)) - t) % modulus == 0
 
 
-# Witnesses that pass the packed test but fail the field check, so the
-# decode behind the test is exercised on every run.
+def _excess(name, inst, wit):
+    """Each decoded field minus its reach, in the layout's field order
+    (field 0 is the most significant): the packed reach test passes a
+    witness whose excesses are all <= 0."""
+    if name == "ilp-to-monotone":
+        widths, reach = _im_widths(inst), _im_reach(inst)
+    else:
+        widths, reach = _ssm_widths(inst), _ssm_reach(inst)
+    fields = unpack_fields(wit, widths) if widths else ()
+    return [f - r for f, r in zip(fields, reach)]
+
+
+# Witnesses that pass the packed identity test but not the field check.
+# The first of each has a field past its reach, which the packed reach test
+# rejects; the second passes that test too, so the decode behind both runs
+# on every run.
 PACKED_BUT_REJECTED = {
-    # b_pos (1, 0), b_neg (0, 7): 8 - 7 = 1 is the rhs code, 1 - 0 != 0
-    "ilp-to-monotone": (I.IlpInstance(((1, 1),) * 7, (0, 1)),
-                        Witness(0x207, 12)),
-    # digits b = (0, 0, 5): 5 << 2 = 20 = 5 (mod 15), but 5 * 4 != 5
-    "ss-to-monotone": (I.SubsetSumInstance((1, 2, 3), 5), Witness(5, 9)),
+    "ilp-to-monotone": (
+        # b_pos (1, 0), b_neg (0, 7): 8 - 7 = 1 is the rhs code, 1 - 0 != 0;
+        # no column has a -1, so b_neg of row 1 is past its reach
+        (I.IlpInstance(((1, 1),) * 7, (0, 1)), Witness(0x207, 12)),
+        # the same fields, with seven -1 entries in row 1
+        (I.IlpInstance(((1, -1),) * 7, (0, 1)), Witness(0x207, 12)),
+    ),
+    "ss-to-monotone": (
+        # digits b = (0, 0, 5): 5 << 2 = 20 = 5 (mod 15), but 5 * 4 != 5;
+        # no item has bit 2, so b_2 is past its reach
+        (I.SubsetSumInstance((1, 2, 3), 5), Witness(5, 9)),
+        # the same digits, with five items 4 <= 5
+        (I.SubsetSumInstance((4,) * 5, 5), Witness(5, 9)),
+    ),
 }
 
 
@@ -366,11 +395,134 @@ def test_layout_reduction_matches_reference(name):
 
     check()
     if name in PACKED_BUT_REJECTED:
-        inst, wit = PACKED_BUT_REJECTED[name]
-        assert _packed_test(name, inst, wit)
-        assert ref_transform(inst, wit) is _REF_MONOTONE_NO
-        assert red.apply(inst, wit) is _MONOTONE_NO
-        agree(inst, [])
+        passes_reach = []
+        for inst, wit in PACKED_BUT_REJECTED[name]:
+            assert _packed_test(name, inst, wit)
+            passes_reach.append(max(_excess(name, inst, wit)) <= 0)
+            assert ref_transform(inst, wit) is _REF_MONOTONE_NO
+            assert red.apply(inst, wit) is _MONOTONE_NO
+            agree(inst, [])
+        assert passes_reach == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# The packed reach test: per field, a carry out of field + (2^w - 1 - reach).
+
+
+# An instance per reduction whose valid witnesses (each passes the packed
+# identity test) put a field at its reach, and exactly one field at reach + 1
+# at the top (index 0), at another even index and at an odd index.
+REACH_EDGES = {
+    # w = 3, reach (3, 1, 0): b = (2, 1, 0) is within reach, and (4, 0, 0),
+    # (0, 2, 0) and (0, 0, 1) have one field at reach + 1
+    "ss-to-monotone": I.SubsetSumInstance((1, 1, 3), 4),
+    # w = 1, reach (0, 0, 0) for b_pos and (1, 1, 1) for b_neg: each row
+    # takes b_pos = b_neg = 1 or 0
+    "ilp-to-monotone": I.IlpInstance(((-1, -1, -1),), (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REACH_EDGES))
+def test_packed_reach_test_edges(name):
+    _, _, ref_transform, ref_valid, _ = CASES[name]
+    red = REDUCTIONS[name]
+    inst = REACH_EDGES[name]
+    seen = set()
+    for wit in ref_valid(inst):
+        excess = _excess(name, inst, wit)
+        over = [j for j, e in enumerate(excess) if e > 0]
+        got, want = red.apply(inst, wit), ref_transform(inst, wit)
+        assert got == want, wit
+        if over:
+            assert got is _MONOTONE_NO and want is _REF_MONOTONE_NO, wit
+        else:
+            # decoded and accepted: a valid witness within reach meets the
+            # exact check
+            assert got is not _MONOTONE_NO, wit
+            if 0 in excess:
+                seen.add("at reach")
+        if len(over) == 1 and excess[over[0]] == 1:
+            j = over[0]
+            seen.add("top" if j == 0 else ("even", "odd")[j % 2])
+    assert seen == {"at reach", "top", "even", "odd"}
+
+
+def test_packed_reach_test_clamps_a_reach_past_the_field():
+    # reach_0 = 5 (five items <= 3 are odd) but a 2-bit field holds 3 at
+    # most: the test must pass every b_0, not wrap to a negative addend
+    red = REDUCTIONS["ss-to-monotone"]
+    inst = I.SubsetSumInstance((1, 1, 1, 1, 3), 3)
+    assert (_ssm_reach(inst), _ssm_widths(inst)) == ([5, 1], [2, 2])
+    accepted = []
+    for wit in all_witnesses(red.witness_len(inst)):
+        got, want = red.apply(inst, wit), _ref_ssm_transform(inst, wit)
+        assert got == want, wit
+        if want is _REF_MONOTONE_NO:
+            assert got is _MONOTONE_NO, wit
+        else:
+            accepted.append(got.rhs)
+    assert accepted == [(1, 1), (3, 0)]
+
+
+# ---------------------------------------------------------------------------
+# The valid-witness enumerators of the two ILP-guessing reductions.
+
+
+def test_ssm_valid_matches_reference_on_every_small_target():
+    # every t <= 64, so t = 2^w - 1 and 2^w for each w <= 6, kept or not
+    red = REDUCTIONS["ss-to-monotone"]
+    for t in range(65):
+        inst = I.SubsetSumInstance((1, 2, 3, 5, 8), t)
+        assert list(red.valid_witnesses(inst)) == \
+            list(_ref_ssm_valid(inst)), t
+
+
+def test_im_valid_matches_reference_at_every_row_total():
+    # rhs of each row in [-n-1, n+1]: a row with rhs = +-n takes one
+    # (b_pos, b_neg), and one past it takes none
+    red = REDUCTIONS["ilp-to-monotone"]
+    columns = ((1, -1, 0), (-1, 1, 1), (1, 1, -1), (0, -1, 1))
+    n = len(columns)
+    totals = (-n - 1, -n, -n + 1, -1, 0, 1, n - 1, n, n + 1)
+    for rhs in product(totals, repeat=3):
+        inst = I.IlpInstance(columns, rhs)
+        assert list(red.valid_witnesses(inst)) == \
+            list(_ref_im_valid(inst)), rhs
+
+
+def test_ssm_valid_streams_a_target_past_the_kept_size():
+    # t = 4096 has more than 10^12 valid witnesses: the first five come
+    # without building the set, and the cache does not see the target
+    red = REDUCTIONS["ss-to-monotone"]
+    inst = I.SubsetSumInstance((1, 2), 4096)
+    assert inst.target > SSM_VALID_TARGET
+    before = _ssm_kept.cache_info()
+    assert list(islice(red.valid_witnesses(inst), 5)) == \
+        list(islice(_ref_ssm_valid(inst), 5))
+    assert _ssm_kept.cache_info() == before
+
+
+def test_ssm_valid_cache_stays_within_its_stated_bytes():
+    # the bounds stated beside SSM_VALID_CACHE: about 65 KB for the largest
+    # kept target, about 1.0 MB for every kept target
+    _ssm_kept.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = []
+        for t in range(SSM_VALID_TARGET, SSM_VALID_TARGET - SSM_VALID_CACHE,
+                       -1):
+            _ssm_kept(t)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+        full = _ssm_kept.cache_info().currsize
+    finally:
+        tracemalloc.stop()
+        _ssm_kept.cache_clear()
+    assert full == SSM_VALID_CACHE
+    assert held[0] <= 70_000, held[0]
+    assert held[-1] <= 1_100_000, held[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +644,7 @@ def test_layout_memo_keeps_only_the_last_source_alive():
     # the scheme layouts are kept per shape too; no shape cache may keep
     # an instance alive
     jobs = ((REDUCTIONS["cm-to-permss"], cm_grid(1, 3), 259),
+            (REDUCTIONS["ss-to-monotone"], subset_sums(2, 4, 8), 89),
             (UNBOUNDED_SS_SCHEME.reduction(), unbounded_instances(2, 3, 9),
              100),
             (ZKK_SCHEME.reduction(), zkk_instances(2, 2), 84))
