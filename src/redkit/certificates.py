@@ -37,8 +37,9 @@ which strategy covered each instance; anything not covered is listed as
 skipped, never silently passed.
 
 One C-level pipeline, ``map`` of ``transform`` over ``compress``, transforms
-the witnesses of an instance, and while the last target solved answered
-no, ``filter`` drops the run of targets that are that very object: Python
+the witnesses of an instance.  The sweep has the oracle decide each of the
+reduction's declared ``constants`` the first time it meets it, and
+``filter`` drops every later target that is a constant answered no: Python
 runs only on another target.  ``compress`` draws one number from a counter
 per witness pulled, so ``witnesses_checked`` is exact however the loop ends;
 a witness whose ``transform`` raised is counted.
@@ -90,7 +91,8 @@ class CertificateScheme:
         """The scheme as a reduction from its kind to itself: a witness is
         a certificate, and its target is the kind's trivial yes instance
         when ``verify`` accepts it, the trivial no instance otherwise, each
-        built once here.  ``len_bound`` is its ``wit_bound``."""
+        built once here and declared as its ``constants``.  ``len_bound``
+        is its ``wit_bound``."""
         # a certificate sweep loads no reduction module but this one
         from .reductions import Reduction
         kind, verify = self.problem_kind, self.verify
@@ -102,7 +104,7 @@ class CertificateScheme:
             transform=lambda inst, cert: yes if verify(inst, cert) else no,
             synthesize=self.synthesize,
             valid_witnesses=self.valid_certificates,
-            wit_bound=self.len_bound)
+            wit_bound=self.len_bound, constants=(yes, no))
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +557,12 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     against ``r.wit_bound`` when the reduction declares one; a synthesized
     or valid witness of another length is a ``ReductionError``.
 
-    The sweep keeps one target: the last one solved, with its answer.  When
-    ``transform`` returns that very object again (a run of rejected
-    witnesses all map to the reduction's one trivial no-instance), the
-    answer is reused; any other target is solved.  The pair is replaced only
-    once ``solve`` returns, so a solve that raises leaves no stale answer.
-    A caller that wants more reuse passes a dict as ``cache``; it is looked
-    up and filled on memo misses only, and the caller bounds its size.
+    Each of ``r.constants`` is solved the first time ``transform`` returns
+    it, and that answer serves the rest of the sweep; any other target is
+    solved each time.  An answer is kept only once ``solve`` returns, so a
+    solve that raises leaves nothing decided.  A caller that wants more
+    reuse passes a dict as ``cache``; it is looked up and filled for every
+    target that is not a decided constant, and the caller bounds its size.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
     name = r.name
@@ -569,45 +570,43 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     synthesize, valid = r.synthesize, r.valid_witnesses
     rng = Random(seed)
     rep = ContractReport(name=name)
-    solved, answer = object(), False    # nothing solved yet
-    end = object()                      # no target: the witnesses ran out
+    # each constant's answer by id (``r`` holds them), None until decided
+    decided = dict.fromkeys(map(id, r.constants))
+    end = object()          # no target: the witnesses ran out
 
     def decide(tgt):
-        nonlocal solved, answer
-        if tgt is solved:
-            return answer
-        if cache is None:
-            hit = solve(tgt, budget).answer
-        else:
-            hit = cache.get(tgt)
-            if hit is None:
-                hit = cache[tgt] = solve(tgt, budget).answer
-        solved, answer = tgt, hit
+        hit = decided.get(id(tgt))
+        if hit is None:
+            if cache is None:
+                hit = solve(tgt, budget).answer
+            else:
+                hit = cache.get(tgt)
+                if hit is None:
+                    hit = cache[tgt] = solve(tgt, budget).answer
+            if id(tgt) in decided:
+                decided[id(tgt)] = hit
         return hit
 
-    # a record is made only about a witness whose target was decided, so
-    # that target is the one last solved
-    def violation(kind, inst, wit):
-        return {"kind": kind, "instance": inst, "witness": wit.to_hex(),
-                "target": solved}
+    def violation(kind, inst, wit, tgt):
+        rep.violations.append({"kind": kind, "instance": inst,
+                               "witness": wit.to_hex(), "target": tgt})
 
     def reject_all(inst, wits, at):
         # ``at(i)`` is the i-th witness of ``wits``, for the record
         seen = count(1)
         tgts = map(partial(transform, inst), compress(wits, seen))
+        for const in r.constants:
+            if decided[id(const)] is False:
+                # in C: this target is no again
+                tgts = filter(partial(is_not, const), tgts)
         try:
-            tgt = next(tgts, end)
-            while tgt is not end and not decide(tgt):
-                # skip in C the run of targets that are the memo's no again
-                tgt = next(tgts, end)
-                if tgt is solved:
-                    tgt = next(filter(partial(is_not, solved), tgts), end)
+            tgt = next(filter(decide, tgts), end)
         finally:
             pulled = next(seen) - 1
             rep.witnesses_checked += pulled
         if tgt is end:
             return True
-        rep.violations.append(violation("soundness", inst, at(pulled - 1)))
+        violation("soundness", inst, at(pulled - 1), tgt)
         return False
 
     def wrong_length(got, length):
@@ -640,7 +639,8 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                 step = "target oracle"
                 if wit.length != length:
                     raise wrong_length(wit.length, length)
-                accepted = decide(transform(inst, wit))
+                tgt = transform(inst, wit)
+                accepted = decide(tgt)
             except ResourceLimitError as exc:
                 rep.skipped.append((inst, f"{step}: {exc}"))
                 continue
@@ -651,7 +651,7 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                 continue
             rep.witnesses_checked += 1
             if not accepted:
-                rep.violations.append(violation("completeness", inst, wit))
+                violation("completeness", inst, wit, tgt)
             continue
         rep.no_instances += 1
         try:

@@ -72,6 +72,10 @@ _SS_YES = I.trivial_instance("subset_sum", True)
 _SS_NO = I.trivial_instance("subset_sum", False)
 _MONOTONE_NO = I.trivial_instance("ilp", False, variant="monotone")
 _STANDARD_NO = I.trivial_instance("ilp", False, variant="standard")
+_ZERO_SUM_YES = I.trivial_instance("ilp", True, variant="zero_sum")
+_ZERO_SUM_NO = I.trivial_instance("ilp", False, variant="zero_sum")
+_ZQ_YES = I.trivial_instance("group_subset_sum", True)
+_ZQ_NO = I.trivial_instance("group_subset_sum", False)
 
 # ---------------------------------------------------------------------------
 # Base-w digit encoding.
@@ -230,6 +234,7 @@ red_knapsack_to_ss = Reduction(
     synthesize=_kss_synthesize,
     valid_witnesses=_kss_valid,
     canonical_witness=_kss_canonical,
+    constants=(_SS_YES, _SS_NO),
 )
 
 
@@ -392,6 +397,7 @@ red_ss_to_monotone = Reduction(
     valid_witnesses=_ssm_valid,
     canonical_witness=_ssm_canonical,
     target_variant="monotone",
+    constants=(_MONOTONE_NO,),
 )
 
 
@@ -400,8 +406,6 @@ red_ss_to_monotone = Reduction(
 
 
 def _mss_transform(inst, wit):
-    if inst.variant != "monotone":
-        raise ReductionError("monotone-to-ss expects a monotone instance")
     n = len(inst.columns)
     if any(d > n for d in inst.rhs):
         return _SS_NO
@@ -412,7 +416,7 @@ def _mss_transform(inst, wit):
 
 red_monotone_to_ss = deterministic(
     "monotone-to-ss", "ilp", "subset_sum", _mss_transform,
-    source_variant="monotone")
+    source_variant="monotone", constants=(_SS_NO,))
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +424,13 @@ red_monotone_to_ss = deterministic(
 
 
 def _mzs_transform(inst, wit):
-    if inst.variant != "monotone":
-        raise ReductionError("monotone-to-zerosum expects a monotone instance")
     m = inst.num_rows
     if all(d == 0 for d in inst.rhs):
-        return I.trivial_instance("ilp", True, variant="zero_sum")
+        return _ZERO_SUM_YES
     cols = tuple(c for c in inst.columns if any(c))
     n = len(cols)
     if max(inst.rhs) > n:
-        return I.trivial_instance("ilp", False, variant="zero_sum")
+        return _ZERO_SUM_NO
     kp = max(max(n, max(inst.rhs), 2) - 1, 1).bit_length()
     ell = 1 << kp
     gr = graver_sequence(kp)
@@ -441,7 +443,8 @@ def _mzs_transform(inst, wit):
 
 red_monotone_to_zerosum = deterministic(
     "monotone-to-zerosum", "ilp", "ilp", _mzs_transform,
-    source_variant="monotone", target_variant="zero_sum")
+    source_variant="monotone", target_variant="zero_sum",
+    constants=(_ZERO_SUM_YES, _ZERO_SUM_NO))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +457,6 @@ def _zsi_witness_len(inst):
 
 
 def _zsi_transform(inst, wit):
-    if inst.variant != "zero_sum":
-        raise ReductionError("zerosum-to-ilp expects a zero-sum instance")
     n = len(inst.columns)
     if n == 0:
         return _STANDARD_NO
@@ -491,6 +492,7 @@ red_zerosum_to_ilp = Reduction(
     valid_witnesses=_zsi_valid,
     source_variant="zero_sum",
     target_variant="standard",
+    constants=(_STANDARD_NO,),
 )
 
 
@@ -530,8 +532,6 @@ def _im_layout(inst) -> _ImLayout:
 
 
 def _im_transform(inst, wit):
-    if inst.variant != "standard":
-        raise ReductionError("ilp-to-monotone expects a standard instance")
     lay = _im_layout(inst)
     v = wit.value
     # the packed tests of the module docstring: b_pos - b_neg == rhs
@@ -595,6 +595,7 @@ red_ilp_to_monotone = Reduction(
     canonical_witness=_im_canonical,
     source_variant="standard",
     target_variant="monotone",
+    constants=(_MONOTONE_NO,),
 )
 
 
@@ -602,31 +603,19 @@ red_ilp_to_monotone = Reduction(
 # Subset sum -> cyclic group subset sum (modulus n*t).
 
 
-def _szq_case(inst):
-    t = inst.target
-    if t == 0 or any(p == t for p in inst.items):
-        return "yes", ()
-    keep = tuple(i for i, p in enumerate(inst.items) if 1 <= p < t)
-    if len(keep) <= 1:
-        return "no", ()
-    return "main", keep
-
-
 def _szq_transform(inst, wit):
-    case, keep = _szq_case(inst)
-    group = I.CyclicGroup(2)
-    if case == "yes":
-        return I.trivial_instance("group_subset_sum", True, group=group)
-    if case == "no":
-        return I.trivial_instance("group_subset_sum", False, group=group)
     t = inst.target
-    q = len(keep) * t
-    return I.GroupSubsetSumInstance(
-        I.CyclicGroup(q), tuple(inst.items[i] for i in keep), t)
+    if t == 0 or t in inst.items:
+        return _ZQ_YES
+    keep = tuple(p for p in inst.items if 1 <= p < t)
+    if len(keep) <= 1:
+        return _ZQ_NO
+    return I.GroupSubsetSumInstance(I.CyclicGroup(len(keep) * t), keep, t)
 
 
 red_ss_to_zq = deterministic(
-    "ss-to-zq", "subset_sum", "group_subset_sum", _szq_transform)
+    "ss-to-zq", "subset_sum", "group_subset_sum", _szq_transform,
+    constants=(_ZQ_YES, _ZQ_NO))
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +675,7 @@ red_zq_to_ss = Reduction(
     synthesize=_zqs_synthesize,
     valid_witnesses=_zqs_valid,
     canonical_witness=_zqs_canonical,
+    constants=(_SS_NO,),
 )
 
 

@@ -280,6 +280,7 @@ red_cm_to_perm_ss = Reduction(
     transform=_cps_transform,
     synthesize=_cps_synthesize,
     valid_witnesses=_cps_valid,
+    constants=(_PERM_YES, _PERM_NO),
 )
 
 PIPELINE_REDUCTIONS = (red_coloring_to_cm, red_cm_to_perm_ss)

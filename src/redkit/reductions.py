@@ -17,7 +17,10 @@ decode structurally (used to stratify exhaustive checks), and
 (used to size composite witnesses).  ``wit_bound(inst)``, when declared, is
 the most witness bits the reduction may use on ``inst``; the contract sweep
 records a ``bit-length-bound`` violation on an instance whose
-``witness_len`` exceeds it.  ``compose`` declares none.
+``witness_len`` exceeds it.  ``compose`` declares none.  ``constants`` are
+the shared targets ``transform`` returns by identity (guard cases, rejected
+witnesses), which the contract sweep solves once; ``compose`` passes on the
+second link's.
 
 For the ``ilp`` kind, ``source_variant`` and ``target_variant`` name the
 variant a reduction reads and writes (None: any).  ``check_source``, which
@@ -57,6 +60,7 @@ class Reduction:
     wit_bound: Optional[Callable] = None
     source_variant: Optional[str] = None
     target_variant: Optional[str] = None
+    constants: tuple = ()
 
     def probe_witness(self, inst) -> Witness:
         if self.canonical_witness is not None:
@@ -91,7 +95,7 @@ def deterministic(name: str, source_kind: str, target_kind: str,
     one 0-bit witness is both the synthesized witness and the only valid
     one.  ``transform(inst, wit)`` ignores ``wit``; ``fields`` are further
     ``Reduction`` fields (``param_bound``, ``canonical_witness``, the
-    variants)."""
+    variants, ``constants``)."""
     zero = Witness.zero(0)
     return Reduction(
         name=name,
@@ -240,6 +244,7 @@ def compose(first: Reduction, second: Reduction,
         param_bound=bound,
         source_variant=source_variant,
         target_variant=target_variant,
+        constants=second.constants,
     )
 
 

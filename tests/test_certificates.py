@@ -4,22 +4,24 @@ import dataclasses
 import gc
 import re
 import tracemalloc
-from itertools import product, repeat
+from itertools import islice, product, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redkit import certificates, instances as I
 from redkit.catalog import REDUCTIONS, get_reduction
-from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
-                                 ZKK_SCHEME, certificate_scheme_check,
+from redkit.certificates import (FULL_SS_SCHEME, SCHEMES,
+                                 UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
+                                 certificate_scheme_check,
                                  find_zero_sum_subsequence,
                                  nppt_contract_check,
                                  zero_sum_premise_check, zkk_bound,
                                  _shrink_support)
 from redkit.errors import ReductionError, ResourceLimitError, ValidationError
-from redkit.families import (cm_grid, ilps, knapsacks, subset_sums,
-                             unbounded_instances, zkk_instances, zq_instances)
+from redkit.families import (and_sats, cm_grid, cnfs, graphs_upto, ilps,
+                             knapsacks, subset_sums, unbounded_instances,
+                             zkk_instances, zq_instances)
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               IlpInstance, Permutation, ProductGroup,
                               SubsetSumInstance, UnboundedSubsetSumInstance)
@@ -646,15 +648,102 @@ def _runs_of_four(inst, wit):
     return NO_B if wit.value >> 2 & 1 else NO_A
 
 
-def test_contract_memo_solves_a_run_of_one_target_once(monkeypatch):
-    asked = _counting_solve(monkeypatch)
-    red = dataclasses.replace(REDUCTIONS["ss-to-monotone"],
-                              transform=_runs_of_four)
-    report = nppt_contract_check(red, [NO_SOURCE])
-    assert report.ok and report.witnesses_checked == 512
-    # one solve per run of four, though only two objects ever come back
-    assert len(asked) == 128
-    assert all(t is (NO_B if i % 2 else NO_A) for i, t in enumerate(asked))
+# A small family of each source kind, for sweeps that watch the targets.
+_SMALL = {
+    "subset_sum": lambda: subset_sums(3, 4, 10),
+    "knapsack": lambda: knapsacks(2, 3),
+    "ilp": lambda: (inst for v in ("standard", "monotone", "zero_sum")
+                    for inst in ilps(v, 2, 2)),
+    "group_subset_sum": lambda: zq_instances(4, 2),
+    "counter_machine": lambda: cm_grid(1, 2),
+    "coloring": lambda: graphs_upto(3),
+    "scheduling": lambda: [I.SchedulingInstance(((2, 1, 1),), b)
+                           for b in (0, 1)],
+    "cnf": lambda: cnfs(2, 2, 2),
+    "and_sat": lambda: and_sats(1, 2, 1, 2),
+    "unbounded_subset_sum": lambda: unbounded_instances(2, 4, 8),
+}
+_SWEPT = {**REDUCTIONS, **{name: scheme.reduction()
+                           for name, scheme in SCHEMES.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEPT))
+def test_declared_constants_are_the_shared_targets(name):
+    # every target ``transform`` returns twice by identity is declared, and
+    # every declared one comes back: the sweep solves any other each time
+    red = _SWEPT[name]
+    held, again = {}, set()
+
+    def transform(inst, wit):
+        tgt = red.transform(inst, wit)
+        if id(tgt) in held:
+            again.add(id(tgt))
+        # holding each target keeps its id from being reused
+        held[id(tgt)] = tgt
+        return tgt
+    if name == "zkk":
+        family = zkk_instances(2, 2)
+    elif red.source_variant is not None:
+        # plus the variant's trivial no: monotone-to-ss returns ``_SS_NO``
+        # only when a rhs entry exceeds the column count, as in no member
+        # of ``ilps``
+        v = red.source_variant
+        family = [*ilps(v, 2, 2), I.trivial_instance("ilp", False, variant=v)]
+    else:
+        family = _SMALL[red.source_kind]()
+    report = nppt_contract_check(
+        dataclasses.replace(red, transform=transform), family)
+    assert report.ok, report.as_dict()
+    declared = set(map(id, red.constants))
+    assert [held[i] for i in again - declared] == []
+    assert declared <= held.keys()
+
+
+# The families of perfbench's contract-sweep and cert-sweep jobs, every
+# ``stride``-th instance as the benchmark samples them: (reduction, family,
+# exhaustive_cap, stride).
+_JOBS = [
+    (REDUCTIONS["ss-to-monotone"], lambda: subset_sums(5, 8, 30), 4096, 12),
+    (REDUCTIONS["ilp-to-monotone"], lambda: ilps("standard", 2, 4), 1024,
+     20),
+    (REDUCTIONS["knapsack-to-ss"], lambda: knapsacks(2, 4), 4096, 1),
+    (get_reduction("ss-to-knapsack+knapsack-to-ss"),
+     lambda: subset_sums(3, 8, 30), 1024, 14),
+    (REDUCTIONS["cm-to-permss"],
+     lambda: (inst for dim, n in ((1, 5), (2, 3)) for inst in cm_grid(dim, n)),
+     4096, 1),
+    (UNBOUNDED_SS_SCHEME.reduction(), lambda: unbounded_instances(3, 8, 24),
+     1 << 14, 1),
+    (ZKK_SCHEME.reduction(), lambda: zkk_instances(2, 7), 1 << 16, 4),
+]
+
+
+@pytest.mark.parametrize("red, family, cap, stride", _JOBS,
+                         ids=[job[0].name for job in _JOBS])
+def test_contract_sweep_solves_each_declared_constant_once(
+        monkeypatch, red, family, cap, stride):
+    real, asked = certificates.solve, []
+    declared = set(map(id, red.constants))
+
+    def counting(inst, budget=None):
+        if id(inst) in declared:
+            asked.append(inst)
+        return real(inst, budget)
+    monkeypatch.setattr(certificates, "solve", counting)
+    returned = 0
+
+    def transform(inst, wit):
+        nonlocal returned
+        tgt = red.transform(inst, wit)
+        returned += id(tgt) in declared
+        return tgt
+    report = nppt_contract_check(
+        dataclasses.replace(red, transform=transform),
+        islice(family(), 0, None, stride), exhaustive_cap=cap)
+    assert report.ok, report.as_dict()
+    # the constants come back many times, and each is solved at most once
+    assert returned > 2 * len(declared)
+    assert asked and len(set(map(id, asked))) == len(asked)
 
 
 def test_contract_memo_solves_equal_but_distinct_targets(monkeypatch):
@@ -667,20 +756,21 @@ def test_contract_memo_solves_equal_but_distinct_targets(monkeypatch):
     assert len(asked) == 512 and len(set(map(id, asked))) > 1
 
 
-def test_contract_memo_keeps_no_answer_from_a_raising_solve(monkeypatch):
+def test_contract_sweep_keeps_no_answer_from_a_raising_solve(monkeypatch):
     asked = _counting_solve(monkeypatch, fail_once=NO_A)
     red = dataclasses.replace(REDUCTIONS["ss-to-monotone"],
-                              transform=lambda inst, wit: NO_A)
-    report = nppt_contract_check(red, [NO_SOURCE, NO_SOURCE])
-    # the first instance is skipped at its first witness; the second
-    # solves the same object again, then reuses that answer
+                              transform=lambda inst, wit: NO_A,
+                              constants=(NO_A,))
+    report = nppt_contract_check(red, [NO_SOURCE, NO_SOURCE, NO_SOURCE])
+    # the first instance is skipped at its first witness, leaving the
+    # constant undecided; the second solves it, and no later witness does
     assert report.skipped == [(NO_SOURCE, "target oracle: planted limit")]
     assert not report.violations and report.stratified == 0
-    assert report.exhaustive == 1 and report.witnesses_checked == 513
+    assert report.exhaustive == 2 and report.witnesses_checked == 1 + 2 * 512
     assert asked == [NO_A, NO_A]
 
 
-def test_contract_cache_is_consulted_on_memo_misses_only(monkeypatch):
+def test_contract_cache_is_consulted_for_undecided_targets(monkeypatch):
     class Counting(dict):
         gets = sets = 0
 
@@ -694,11 +784,13 @@ def test_contract_cache_is_consulted_on_memo_misses_only(monkeypatch):
 
     asked = _counting_solve(monkeypatch)
     red = dataclasses.replace(REDUCTIONS["ss-to-monotone"],
-                              transform=_runs_of_four)
+                              transform=_runs_of_four, constants=(NO_A,))
     cache = Counting()
     report = nppt_contract_check(red, [NO_SOURCE], cache=cache)
     assert report.ok and report.witnesses_checked == 512
-    assert Counting.gets == 128 and Counting.sets == 2
+    # the declared NO_A is looked up until decided, once; the undeclared
+    # NO_B on each of its 256 witnesses
+    assert Counting.gets == 1 + 256 and Counting.sets == 2
     assert asked == [NO_A, NO_B]
     assert cache == {NO_A: False, NO_B: False}
 
@@ -722,7 +814,7 @@ def test_contract_sweep_keeps_one_target_alive():
     report = nppt_contract_check(red, cm_grid(1, 3))
     assert report.ok, report.as_dict()
     assert len(made) > 100
-    # only the memo's target, which is also the one ``record()`` names
+    # at most the target in hand: the sweep keeps no built target
     assert most <= 1
     gc.collect()
     assert not any(ref() is not None for ref in made)

@@ -373,7 +373,7 @@ def test_layout_reduction_matches_reference(name):
             got, want = red.apply(inst, wit), ref_transform(inst, wit)
             assert got == want, wit
             if want is _REF_MONOTONE_NO:
-                # the verdict memo skips a run of rejects by identity
+                # the sweep knows the declared constant by identity
                 assert got is _MONOTONE_NO, wit
         for bad in (length - 1, length + 1):
             if bad >= 0:

@@ -101,9 +101,9 @@ def test_accepting_witness_in_the_corner_probe_phase():
 
 
 def test_accepted_witness_whose_target_the_memo_holds(monkeypatch):
-    # the yes-instance's certificate leads to the trivial yes target, which
-    # the memo then holds; the no-instance's first certificate leads to that
-    # very object, so it is caught from the memo without a solve
+    # the yes-instance's certificate leads to the trivial yes target, a
+    # declared constant the sweep then has decided; the no-instance's first
+    # certificate leads to that very object, so it is caught without a solve
     yes = UnboundedSubsetSumInstance((2,), 4)
     assert solve(yes).answer
     real, asked = certificates.solve, []
