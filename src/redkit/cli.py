@@ -104,7 +104,7 @@ def _cmd_gen(args) -> int:
     elif kind == "coloring":
         inst = F.named_graph(args.graph) if args.graph else \
             F.random_coloring(rng, args.n)
-    elif kind == "cm":
+    else:  # "cm": argparse's choices admit no other kind
         if args.from_coloring:
             from .pipeline import red_coloring_to_cm
             from .witness import Witness
@@ -112,8 +112,6 @@ def _cmd_gen(args) -> int:
             inst = red_coloring_to_cm.apply(src, Witness.zero(0))
         else:
             inst = next(F.cm_samples(args.ell, args.n, 1, seed=args.seed))
-    else:
-        return _fail(f"unknown kind {kind!r}", EXIT_USAGE)
     _emit(I.dumps(inst), args.out)
     return EXIT_YES
 

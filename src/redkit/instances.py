@@ -1,19 +1,20 @@
 """Problem instances: types, structural validation, trivial instances, JSON.
 
-Serialization keeps potentially large integers (subset-sum items, knapsack
-values, scheduling times, cyclic-group data) as decimal strings so readers
-without big-integer support can parse files safely; structurally small
-integers (vector entries, vertex ids, permutation images) stay plain JSON
-numbers.
+Each instance and group field carries its JSON format in its declaration
+(``_field``), and ``to_json``/``from_json`` read those declarations.
+Potentially large integers (subset-sum items, knapsack values, scheduling
+times, cyclic-group data) are decimal strings so readers without
+big-integer support can parse files safely; structurally small integers
+(vector entries, vertex ids, permutation images) stay plain JSON numbers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from operator import add, itemgetter
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import ValidationError
 from .groups import Permutation, identity as perm_identity
@@ -33,15 +34,143 @@ def _tuplize(rows):
 
 
 # ---------------------------------------------------------------------------
+# JSON serialization.
+
+class _Codec(NamedTuple):
+    """A field's JSON format: ``encode`` maps a value to JSON, ``decode``
+    maps JSON back and raises ``ValidationError`` on another shape."""
+
+    encode: Callable
+    decode: Callable
+
+
+def _iparse(v, what: str) -> int:
+    if isinstance(v, bool):
+        raise ValidationError(f"{what}: expected an integer")
+    if isinstance(v, int):
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v, 10)
+        except ValueError:
+            raise ValidationError(f"{what}: not a decimal integer: {v!r}") from None
+    raise ValidationError(f"{what}: expected an integer or decimal string")
+
+
+def _list(v, what: str, size: int | None = None) -> list:
+    """``v`` checked to be a JSON array, of ``size`` entries when given."""
+    if not isinstance(v, list):
+        raise ValidationError(f"{what}: expected a list")
+    if size is not None and len(v) != size:
+        raise ValidationError(f"{what}: expected {size} entries, got {len(v)}")
+    return v
+
+
+def _plain(what: str) -> _Codec:
+    """An integer written as a JSON number (a decimal string is read too)."""
+    return _Codec(lambda x: x, lambda v: _iparse(v, what))
+
+
+def _decimal(what: str) -> _Codec:
+    """An integer written as a decimal string (a JSON number is read too)."""
+    return _Codec(lambda x: str(int(x)), lambda v: _iparse(v, what))
+
+
+def _text(what: str) -> _Codec:
+    def decode(v):
+        if isinstance(v, str):
+            return v
+        raise ValidationError(f"{what}: expected a string")
+    return _Codec(lambda x: x, decode)
+
+
+def _array(item: _Codec, what: str, size: int | None = None) -> _Codec:
+    """A tuple as a JSON array of ``item``, ``size`` long when given."""
+    return _Codec(lambda v: list(map(item.encode, v)),
+                  lambda v: tuple(map(item.decode, _list(v, what, size))))
+
+
+def _row(scalar, what: str, size: int | None = None) -> _Codec:
+    """A tuple of ``scalar(what)`` integers, named ``what`` throughout."""
+    return _array(scalar(what), what, size)
+
+
+def _field(codec, key: str | None = None, default=MISSING):
+    """A dataclass field written with ``codec`` under ``key`` (default: its
+    name), and left out while it holds its default None.  ``codec`` may
+    instead be a function of the fields declared before this one (a dict
+    of their values), as a group's elements are."""
+    codec_of = codec if callable(codec) else lambda values: codec
+    return field(default=default, metadata={"codec": codec_of, "key": key})
+
+
+def _to_fields(obj) -> dict:
+    values = vars(obj)
+    return {f.metadata["key"] or f.name: f.metadata["codec"](values).encode(v)
+            for f in fields(obj)
+            if (v := values[f.name]) is not None or f.default is not None}
+
+
+def _from_tagged(d, tag: str, classes: dict, what: str):
+    """The member of ``classes`` that ``d[tag]`` names, built from the
+    fields ``d`` holds, in field order.  A key left out takes its field's
+    default, or raises ``KeyError`` when the field has none."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what}: expected an object")
+    name = d.get(tag)
+    if not isinstance(name, str) or name not in classes:
+        raise ValidationError(
+            f"{what}: {tag} {name!r} is not one of {', '.join(classes)}")
+    cls = classes[name]
+    got = {}
+    for f in fields(cls):
+        key = f.metadata["key"] or f.name
+        v = d.get(key, f.default)
+        if v is MISSING:
+            raise KeyError(key)
+        if v is not None or f.default is not None:
+            v = f.metadata["codec"](got).decode(v)
+        got[f.name] = v
+    return cls(**got)
+
+
+def to_json(inst: ProblemInstance) -> dict:
+    return {"problem": inst.kind, **_to_fields(inst)}
+
+
+def from_json(d: dict) -> ProblemInstance:
+    try:
+        return _from_tagged(d, "problem", _KIND_CLASSES, "instance")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"malformed {d['problem']} JSON: {exc}") from exc
+
+
+def dumps(inst: ProblemInstance) -> str:
+    return json.dumps(to_json(inst), indent=2, sort_keys=True) + "\n"
+
+
+def loads(text: str) -> ProblemInstance:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply") from None
+    return from_json(data)
+
+
+# ---------------------------------------------------------------------------
 # Group kinds for group subset sum.
 
 @dataclass(frozen=True)
 class CyclicGroup:
     """Z_q under addition; elements are residues."""
 
-    q: int
+    q: int = _field(_decimal("group order"))
 
     family = "cyclic"
+    element = _decimal("element")
 
     def identity(self):
         return 0
@@ -68,9 +197,10 @@ class CyclicGroup:
 class ProductGroup:
     """Z_k^k under componentwise addition; elements are length-k tuples."""
 
-    k: int
+    k: int = _field(_plain("group degree"))
 
     family = "product"
+    element = _row(_plain, "element")
 
     def identity(self):
         return (0,) * self.k
@@ -104,9 +234,11 @@ class ProductGroup:
 class SymmetricGroup:
     """S_k; elements are Permutation values of degree k."""
 
-    k: int
+    k: int = _field(_plain("group degree"))
 
     family = "symmetric"
+    element = _Codec(list, lambda v: Permutation(
+        _row(_plain, "permutation").decode(v)))
 
     def identity(self):
         return perm_identity(self.k)
@@ -137,7 +269,12 @@ class SymmetricGroup:
         return self.k
 
 
-GroupKind = Union[CyclicGroup, ProductGroup, SymmetricGroup]
+_GROUP_CLASSES = {g.family: g for g in (CyclicGroup, ProductGroup,
+                                         SymmetricGroup)}
+GroupKind = Union[tuple(_GROUP_CLASSES.values())]
+_GROUP = _Codec(
+    lambda g: {"family": g.family, **_to_fields(g)},
+    lambda d: _from_tagged(d, "family", _GROUP_CLASSES, "group"))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +282,9 @@ GroupKind = Union[CyclicGroup, ProductGroup, SymmetricGroup]
 
 @dataclass(frozen=True)
 class SubsetSumInstance:
-    items: tuple[int, ...]
-    target: int
-    modulus: int | None = None
+    items: tuple[int, ...] = _field(_row(_decimal, "items"))
+    target: int = _field(_decimal("target"))
+    modulus: int | None = _field(_decimal("modulus"), default=None)
 
     kind = "subset_sum"
 
@@ -160,9 +297,10 @@ class KnapsackInstance:
     """Items are (size, weight) pairs; ask for total size <= capacity and
     total weight >= demand."""
 
-    items: tuple[tuple[int, int], ...]
-    capacity: int
-    demand: int
+    items: tuple[tuple[int, int], ...] = _field(
+        _array(_row(_decimal, "knapsack item", 2), "items"))
+    capacity: int = _field(_decimal("capacity"))
+    demand: int = _field(_decimal("demand"))
 
     kind = "knapsack"
 
@@ -174,9 +312,10 @@ class KnapsackInstance:
 class IlpInstance:
     """0-1 feasibility of A x = rhs with columns over {-1,0,1}."""
 
-    columns: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
-    variant: str = "standard"
+    columns: tuple[tuple[int, ...], ...] = _field(
+        _array(_row(_plain, "column"), "columns"))
+    rhs: tuple[int, ...] = _field(_row(_plain, "rhs"))
+    variant: str = _field(_text("variant"), default="standard")
 
     kind = "ilp"
 
@@ -193,9 +332,10 @@ class IlpInstance:
 class GroupSubsetSumInstance:
     """Does some subsequence multiply (in index order) to the target?"""
 
-    group: GroupKind
-    elements: tuple
-    target: object
+    group: GroupKind = _field(_GROUP)
+    # in the group's own element format, so decoded after the group
+    elements: tuple = _field(lambda f: _array(f["group"].element, "elements"))
+    target: object = _field(lambda f: f["group"].element)
 
     kind = "group_subset_sum"
 
@@ -217,9 +357,10 @@ class CounterMachineInstance:
     running counters in {0,1} and ends at zero.
     """
 
-    dimension: int
-    vectors: tuple[tuple[int, ...], ...]
-    flags: tuple[str, ...]
+    dimension: int = _field(_plain("dimension"))
+    vectors: tuple[tuple[int, ...], ...] = _field(
+        _array(_row(_plain, "vector"), "vectors"))
+    flags: tuple[str, ...] = _field(_array(_text("flag"), "flags"))
 
     kind = "counter_machine"
 
@@ -232,9 +373,11 @@ class CounterMachineInstance:
 class ColoringInstance:
     """3-colorability of a graph packaged with a path decomposition."""
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    bags: tuple[tuple[int, ...], ...]
+    num_vertices: int = _field(_plain("n"), key="n")
+    edges: tuple[tuple[int, int], ...] = _field(
+        _array(_row(_plain, "edge", 2), "edges"))
+    bags: tuple[tuple[int, ...], ...] = _field(
+        _array(_row(_plain, "bag"), "bags"))
 
     kind = "coloring"
 
@@ -248,8 +391,9 @@ class SchedulingInstance:
     """Jobs are (processing, weight, due) triples on one machine; accept iff
     some order keeps the total weight of tardy jobs within the budget."""
 
-    jobs: tuple[tuple[int, int, int], ...]
-    tardy_budget: int
+    jobs: tuple[tuple[int, int, int], ...] = _field(
+        _array(_row(_decimal, "job", 3), "jobs"))
+    tardy_budget: int = _field(_decimal("tardy budget"))
 
     kind = "scheduling"
 
@@ -261,9 +405,10 @@ class SchedulingInstance:
 class CnfInstance:
     """Clauses are tuples of nonzero literals; +i / -i for variable i in 1..num_vars."""
 
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-    arity_cap: int | None = None
+    num_vars: int = _field(_plain("num_vars"))
+    clauses: tuple[tuple[int, ...], ...] = _field(
+        _array(_row(_plain, "clause"), "clauses"))
+    arity_cap: int | None = _field(_plain("arity cap"), default=None)
 
     kind = "cnf"
 
@@ -276,8 +421,10 @@ class AndSatInstance:
     """A conjunction of CNF formulas, each over at most num_vars variables,
     satisfied when every formula is individually satisfiable."""
 
-    num_vars: int
-    formulas: tuple[CnfInstance, ...]
+    num_vars: int = _field(_plain("num_vars"))
+    formulas: tuple[CnfInstance, ...] = _field(_array(_Codec(
+        to_json, lambda d: _from_tagged(d, "problem", {"cnf": CnfInstance},
+                                        "and_sat formula")), "formulas"))
 
     kind = "and_sat"
 
@@ -287,8 +434,8 @@ class AndSatInstance:
 
 @dataclass(frozen=True)
 class UnboundedSubsetSumInstance:
-    items: tuple[int, ...]
-    target: int
+    items: tuple[int, ...] = _field(_row(_decimal, "items"))
+    target: int = _field(_decimal("target"))
 
     kind = "unbounded_subset_sum"
 
@@ -296,14 +443,12 @@ class UnboundedSubsetSumInstance:
         object.__setattr__(self, "items", tuple(self.items))
 
 
-ProblemInstance = Union[
+_KIND_CLASSES = {c.kind: c for c in (
     SubsetSumInstance, KnapsackInstance, IlpInstance, GroupSubsetSumInstance,
     CounterMachineInstance, ColoringInstance, SchedulingInstance, CnfInstance,
-    AndSatInstance, UnboundedSubsetSumInstance,
-]
-
-KINDS = ("subset_sum", "knapsack", "ilp", "group_subset_sum", "counter_machine",
-         "coloring", "scheduling", "cnf", "and_sat", "unbounded_subset_sum")
+    AndSatInstance, UnboundedSubsetSumInstance)}
+ProblemInstance = Union[tuple(_KIND_CLASSES.values())]
+KINDS = tuple(_KIND_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -503,191 +648,3 @@ def parameter(inst: ProblemInstance) -> int:
     if k == "unbounded_subset_sum":
         return (inst.target + 1).bit_length()
     raise ValidationError(f"unknown kind {k!r}")
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization.
-
-def _istr(x: int) -> str:
-    return str(int(x))
-
-
-def _iparse(v, what: str) -> int:
-    if isinstance(v, bool):
-        raise ValidationError(f"{what}: expected an integer")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError:
-            raise ValidationError(f"{what}: not a decimal integer: {v!r}") from None
-    raise ValidationError(f"{what}: expected an integer or decimal string")
-
-
-def _list(v, what: str, size: int | None = None) -> list:
-    """``v`` checked to be a JSON array, of ``size`` entries when given."""
-    if not isinstance(v, list):
-        raise ValidationError(f"{what}: expected a list")
-    if size is not None and len(v) != size:
-        raise ValidationError(f"{what}: expected {size} entries, got {len(v)}")
-    return v
-
-
-def _ints(v, what: str, size: int | None = None) -> tuple[int, ...]:
-    return tuple(_iparse(x, what) for x in _list(v, what, size))
-
-
-def _str(v, what: str) -> str:
-    if not isinstance(v, str):
-        raise ValidationError(f"{what}: expected a string")
-    return v
-
-
-def _group_to_json(g: GroupKind) -> dict:
-    if isinstance(g, CyclicGroup):
-        return {"family": "cyclic", "q": _istr(g.q)}
-    if isinstance(g, ProductGroup):
-        return {"family": "product", "k": g.k}
-    return {"family": "symmetric", "k": g.k}
-
-
-def _group_from_json(d: dict) -> GroupKind:
-    if not isinstance(d, dict):
-        raise ValidationError("group: expected an object")
-    fam = d.get("family")
-    if fam == "cyclic":
-        return CyclicGroup(_iparse(d["q"], "group order"))
-    if fam == "product":
-        return ProductGroup(_iparse(d["k"], "group degree"))
-    if fam == "symmetric":
-        return SymmetricGroup(_iparse(d["k"], "group degree"))
-    raise ValidationError(f"unknown group family {fam!r}")
-
-
-def to_json(inst: ProblemInstance) -> dict:
-    k = inst.kind
-    if k == "subset_sum":
-        d = {"problem": k, "items": [_istr(p) for p in inst.items],
-             "target": _istr(inst.target)}
-        if inst.modulus is not None:
-            d["modulus"] = _istr(inst.modulus)
-        return d
-    if k == "knapsack":
-        return {"problem": k,
-                "items": [[_istr(p), _istr(w)] for p, w in inst.items],
-                "capacity": _istr(inst.capacity), "demand": _istr(inst.demand)}
-    if k == "ilp":
-        return {"problem": k, "variant": inst.variant,
-                "columns": [list(c) for c in inst.columns],
-                "rhs": list(inst.rhs)}
-    if k == "group_subset_sum":
-        g = inst.group
-        enc = _istr if isinstance(g, CyclicGroup) else list
-        return {"problem": k, "group": _group_to_json(g),
-                "elements": [enc(e) for e in inst.elements],
-                "target": enc(inst.target)}
-    if k == "counter_machine":
-        return {"problem": k, "dimension": inst.dimension,
-                "vectors": [list(v) for v in inst.vectors],
-                "flags": list(inst.flags)}
-    if k == "coloring":
-        return {"problem": k, "n": inst.num_vertices,
-                "edges": [list(e) for e in inst.edges],
-                "bags": [list(b) for b in inst.bags]}
-    if k == "scheduling":
-        return {"problem": k,
-                "jobs": [[_istr(p), _istr(w), _istr(d)] for p, w, d in inst.jobs],
-                "tardy_budget": _istr(inst.tardy_budget)}
-    if k == "cnf":
-        d = {"problem": k, "num_vars": inst.num_vars,
-             "clauses": [list(c) for c in inst.clauses]}
-        if inst.arity_cap is not None:
-            d["arity_cap"] = inst.arity_cap
-        return d
-    if k == "and_sat":
-        return {"problem": k, "num_vars": inst.num_vars,
-                "formulas": [to_json(f) for f in inst.formulas]}
-    if k == "unbounded_subset_sum":
-        return {"problem": k, "items": [_istr(p) for p in inst.items],
-                "target": _istr(inst.target)}
-    raise ValidationError(f"unknown kind {k!r}")
-
-
-def from_json(d: dict) -> ProblemInstance:
-    if not isinstance(d, dict):
-        raise ValidationError("instance JSON must be an object")
-    k = d.get("problem")
-    try:
-        if k == "subset_sum":
-            mod = d.get("modulus")
-            return SubsetSumInstance(
-                _ints(d["items"], "items"), _iparse(d["target"], "target"),
-                _iparse(mod, "modulus") if mod is not None else None)
-        if k == "knapsack":
-            return KnapsackInstance(
-                tuple(_ints(it, "knapsack item", 2)
-                      for it in _list(d["items"], "items")),
-                _iparse(d["capacity"], "capacity"), _iparse(d["demand"], "demand"))
-        if k == "ilp":
-            return IlpInstance(
-                tuple(_ints(c, "column") for c in _list(d["columns"], "columns")),
-                _ints(d["rhs"], "rhs"),
-                _str(d.get("variant", "standard"), "variant"))
-        if k == "group_subset_sum":
-            g = _group_from_json(d["group"])
-            if isinstance(g, CyclicGroup):
-                dec = lambda v: _iparse(v, "element")
-            elif isinstance(g, ProductGroup):
-                dec = lambda v: _ints(v, "element")
-            else:
-                dec = lambda v: Permutation(_ints(v, "permutation"))
-            return GroupSubsetSumInstance(
-                g, tuple(dec(e) for e in _list(d["elements"], "elements")),
-                dec(d["target"]))
-        if k == "counter_machine":
-            return CounterMachineInstance(
-                _iparse(d["dimension"], "dimension"),
-                tuple(_ints(v, "vector") for v in _list(d["vectors"], "vectors")),
-                tuple(_str(f, "flag") for f in _list(d["flags"], "flags")))
-        if k == "coloring":
-            return ColoringInstance(
-                _iparse(d["n"], "n"),
-                tuple(_ints(e, "edge", 2) for e in _list(d["edges"], "edges")),
-                tuple(_ints(b, "bag") for b in _list(d["bags"], "bags")))
-        if k == "scheduling":
-            return SchedulingInstance(
-                tuple(_ints(j, "job", 3) for j in _list(d["jobs"], "jobs")),
-                _iparse(d["tardy_budget"], "tardy budget"))
-        if k == "cnf":
-            return CnfInstance(
-                _iparse(d["num_vars"], "num_vars"),
-                tuple(_ints(c, "clause") for c in _list(d["clauses"], "clauses")),
-                None if d.get("arity_cap") is None
-                else _iparse(d["arity_cap"], "arity cap"))
-        if k == "and_sat":
-            formulas = tuple(from_json(f)
-                             for f in _list(d["formulas"], "formulas"))
-            if any(f.kind != "cnf" for f in formulas):
-                raise ValidationError("and_sat formulas must be cnf instances")
-            return AndSatInstance(_iparse(d["num_vars"], "num_vars"), formulas)
-        if k == "unbounded_subset_sum":
-            return UnboundedSubsetSumInstance(
-                _ints(d["items"], "items"), _iparse(d["target"], "target"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {k or 'instance'} JSON: {exc}") from exc
-    raise ValidationError(f"unknown problem kind {k!r}")
-
-
-def dumps(inst: ProblemInstance) -> str:
-    return json.dumps(to_json(inst), indent=2, sort_keys=True) + "\n"
-
-
-def loads(text: str) -> ProblemInstance:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise ValidationError("invalid JSON: nested too deeply") from None
-    return from_json(data)

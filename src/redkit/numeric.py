@@ -648,11 +648,9 @@ def _zqs_synthesize(inst, sol):
 
 def _zqs_valid(inst):
     q = _zqs_q(inst)
-    n = len(inst.elements)
-    width = _zqs_witness_len(inst)
-    start = inst.target % q
-    for t_int in range(start, n * q + 1, q):
-        yield pack_fields((t_int,), [width])
+    # every total up to n*q fits the witness width
+    return witnesses(range(inst.target % q, len(inst.elements) * q + 1, q),
+                     _zqs_witness_len(inst))
 
 
 def _zqs_canonical(inst):

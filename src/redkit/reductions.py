@@ -20,7 +20,8 @@ records a ``bit-length-bound`` violation on an instance whose
 ``witness_len`` exceeds it.  ``compose`` declares none.  ``constants`` are
 the shared targets ``transform`` returns by identity (guard cases, rejected
 witnesses), which the contract sweep solves once; ``compose`` passes on the
-second link's.
+second link's, and each of the first link's that the second returns as it
+is from a 0-bit witness (as an identity does).
 
 For the ``ilp`` kind, ``source_variant`` and ``target_variant`` name the
 variant a reduction reads and writes (None: any).  ``check_source``, which
@@ -227,6 +228,9 @@ def compose(first: Reduction, second: Reduction,
             raise ReductionError("canonical witness overflow in composition")
         return Witness((w1.value << l2) | w2.value, w1.length + l2)
 
+    zero = Witness.zero(0)
+    passed = tuple(c for c in first.constants if second.witness_len(c) == 0
+                   and second.transform(c, zero) is c)
     source_variant, target_variant = first.source_variant, second.target_variant
     if _passes_variant(first):
         source_variant = second.source_variant
@@ -244,7 +248,7 @@ def compose(first: Reduction, second: Reduction,
         param_bound=bound,
         source_variant=source_variant,
         target_variant=target_variant,
-        constants=second.constants,
+        constants=second.constants + passed,
     )
 
 

@@ -103,15 +103,17 @@ JSON_VALUES = st.recursive(
 
 _INT_LIST = st.lists(_INT, max_size=4)
 _INT_ROWS = st.lists(_INT_LIST, max_size=3)
+# each kind's JSON keys, and a group's; ``test_instances`` checks that they
+# are the keys the fields declare
+_GROUP_SHAPE = {"family": st.sampled_from(("cyclic", "product", "symmetric")),
+                "q": _INT, "k": _INT}
 _SHAPES = {
     "subset_sum": {"items": _INT_LIST, "target": _INT, "modulus": _INT},
     "knapsack": {"items": _INT_ROWS, "capacity": _INT, "demand": _INT},
     "ilp": {"columns": _INT_ROWS, "rhs": _INT_LIST,
             "variant": st.sampled_from(I.ILP_VARIANTS)},
     "group_subset_sum": {
-        "group": st.fixed_dictionaries({
-            "family": st.sampled_from(("cyclic", "product", "symmetric")),
-            "q": _INT, "k": _INT}),
+        "group": st.fixed_dictionaries(_GROUP_SHAPE),
         "elements": _INT_ROWS | _INT_LIST, "target": _INT_LIST | _INT},
     "counter_machine": {"dimension": _INT, "vectors": _INT_ROWS,
                         "flags": st.lists(st.sampled_from("OR"), max_size=3)},

@@ -700,8 +700,9 @@ def test_declared_constants_are_the_shared_targets(name):
 
 
 # The families of perfbench's contract-sweep and cert-sweep jobs, every
-# ``stride``-th instance as the benchmark samples them: (reduction, family,
-# exhaustive_cap, stride).
+# ``stride``-th instance as the benchmark samples them, and a chain ending in
+# an identity, which passes on the first link's constants: (reduction,
+# family, exhaustive_cap, stride).
 _JOBS = [
     (REDUCTIONS["ss-to-monotone"], lambda: subset_sums(5, 8, 30), 4096, 12),
     (REDUCTIONS["ilp-to-monotone"], lambda: ilps("standard", 2, 4), 1024,
@@ -715,6 +716,8 @@ _JOBS = [
     (UNBOUNDED_SS_SCHEME.reduction(), lambda: unbounded_instances(3, 8, 24),
      1 << 14, 1),
     (ZKK_SCHEME.reduction(), lambda: zkk_instances(2, 7), 1 << 16, 4),
+    (get_reduction("knapsack-to-ss+identity-subset-sum"),
+     lambda: knapsacks(2, 4), 4096, 1),
 ]
 
 

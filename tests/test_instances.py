@@ -1,13 +1,18 @@
 """Instance validation, trivial-instance verdicts, and JSON round trips."""
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redkit import instances as I
 from redkit.errors import ValidationError
+from redkit.groups import Permutation
 from redkit.oracles import solve
 
-from helpers import INSTANCES, JSON_VALUES, SHAPED_INSTANCES
+from helpers import (_GROUP_SHAPE, _SHAPES, INSTANCES, JSON_VALUES,
+                     SHAPED_INSTANCES)
 
 
 def _one_of_each():
@@ -97,10 +102,76 @@ def test_json_round_trip_every_kind():
         assert I.loads(text) == inst
 
 
+def _odd_fields():
+    """Instances using what no ``--family`` makes (a modulus, an arity cap,
+    S_k and big cyclic groups, scheduling jobs, integers past 2^64), and
+    each kind's trivial instances."""
+    big = 1 << 70
+    s3 = I.SymmetricGroup(3)
+    return [
+        I.SubsetSumInstance((3, 5), 2, modulus=6),
+        I.SubsetSumInstance((big, 3), big + 3, modulus=big << 1),
+        I.KnapsackInstance(((big, 1), (2, big)), big, 1),
+        I.CnfInstance(3, ((1, -2, 3),), arity_cap=3),
+        I.AndSatInstance(3, (I.CnfInstance(2, ((1,),), 1),
+                             I.CnfInstance(3, ()))),
+        I.GroupSubsetSumInstance(s3, (Permutation((1, 0, 2)),
+                                      Permutation((1, 2, 0))),
+                                 Permutation((0, 2, 1))),
+        I.GroupSubsetSumInstance(I.CyclicGroup(big), (big - 1, 5), 7),
+        I.GroupSubsetSumInstance(I.ProductGroup(3), ((1, 2, 0),), (0, 0, 0)),
+        I.SchedulingInstance(((2, 3, 4), (big, 1, 2)), 1),
+        I.UnboundedSubsetSumInstance((big,), big << 2),
+        I.trivial_instance("group_subset_sum", False, group=s3),
+        *(I.trivial_instance(kind, answer)
+          for kind in I.KINDS for answer in (True, False)),
+    ]
+
+
+# sha256 of the concatenated ``dumps`` of each CLI ``--family`` at its
+# defaults, and of ``_odd_fields``: the JSON format, byte for byte
+_DUMPS_SHA256 = {
+    "subset-sum":
+        "a1eb6c2cb729a5e4cb69a3caf3978bfcde60105cf67524cda663d336fd0da053",
+    "knapsack":
+        "71bf2c40714b4b63e41d856b9584c980fec3008dd193ab05ea00ae302105fafb",
+    "ilp-standard":
+        "9885dc45c8fba443ce635963d6138f1b705e33ff8f9529fa2f47bbc139beb3c5",
+    "ilp-monotone":
+        "2135cbf12176602675d030a9745d5fe2dc02f55156c9f4f7d07cff38dc534ff0",
+    "ilp-zero-sum":
+        "b416a90ea730f71990e7884ef04b57640ee717815d970d6cec1b2bc84f2f38b6",
+    "zq":
+        "211c4d736c08b41270abab33c25b9455107c58059cec62c4cceff2bd99e371c5",
+    "zkk":
+        "024d222afef813decfaac492966e5808adfc9205926c9acd434e448a347063cd",
+    "cm":
+        "a42e0020750380f9ed54891b45f92c18b8e9186cb29b4eeb15a6fb179e230c8a",
+    "unbounded":
+        "45d68893e1dfcafdf877c75048c1f3edec4dca8569b2176da6ae2bf3cf4fc55e",
+    "graphs":
+        "001286012495a4ee208497bf55aadfceaa703e4539a7bc27588b6c96b10d5524",
+    "cnf":
+        "784c3819247cc1a8fbb34bdcec46d1cc391a09fe02dc0118baa271e629513d40",
+    "andsat":
+        "63827beb81d66d4fc456034a2c4cd5a1c13b96cdbe9a52849b16a6478d88c8ac",
+    "odd fields":
+        "3556b6889fdac511f887a9962a31f24181fb60d86e7ac06589eca60412d4ae42",
+}
+
+
 def test_dumps_is_byte_stable():
-    inst = I.SubsetSumInstance((9, 2, 4), 11)
-    assert I.dumps(inst) == I.dumps(inst)
-    assert I.dumps(inst).endswith("\n")
+    from redkit.cli import _FAMILIES, _parse_family
+    got = {}
+    for name, insts in [*((name, _parse_family(name)) for name in _FAMILIES),
+                        ("odd fields", _odd_fields())]:
+        digest = hashlib.sha256()
+        for inst in insts:
+            text = I.dumps(inst)
+            assert text.endswith("\n") and I.loads(text) == inst, text
+            digest.update(text.encode())
+        got[name] = digest.hexdigest()
+    assert got == _DUMPS_SHA256
 
 
 def test_loads_rejects_garbage():
@@ -108,6 +179,11 @@ def test_loads_rejects_garbage():
         I.loads('{"kind": "subset_sum", "items": ["x"], "target": "1"}')
     with pytest.raises(ValidationError):
         I.loads('{"kind": "made_up"}')
+    # a tag that is not a string names no class
+    for text in ('{"problem": ["cnf"]}', '{"problem": "group_subset_sum", '
+                 '"group": {"family": {}}, "elements": [], "target": "0"}'):
+        with pytest.raises(ValidationError, match="is not one of"):
+            I.loads(text)
 
 
 def test_parameter_is_positive():
@@ -129,6 +205,16 @@ def test_from_json_raises_only_validation_errors(data):
     except ValidationError:
         return
     assert isinstance(I.validate(inst), list)
+
+
+def test_fuzz_shapes_draw_the_declared_json_keys():
+    # so a field added later is fuzzed too
+    def keys(cls):
+        return {f.metadata["key"] or f.name for f in dataclasses.fields(cls)}
+    for kind, cls in I._KIND_CLASSES.items():
+        assert set(_SHAPES[kind]) == keys(cls), kind
+    assert set(_GROUP_SHAPE) == {"family"}.union(
+        *map(keys, I._GROUP_CLASSES.values()))
 
 
 def test_instance_strategies_cover_every_kind():
