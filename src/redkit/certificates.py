@@ -36,8 +36,9 @@ the transforms collapse to a fixed trivial no-instance.  Reports record
 which strategy covered each instance; anything not covered is listed as
 skipped, never silently passed.
 
-One C-level pipeline, ``map`` of ``transform`` over ``compress``, transforms
-the witnesses of an instance.  The sweep has the oracle decide each of the
+One C-level pipeline, ``map`` of ``transform`` over ``repeat(inst)`` and
+``compress``, transforms the witnesses of an instance, with no Python frame
+of its own per witness.  The sweep has the oracle decide each of the
 reduction's declared ``constants`` the first time it meets it, and
 ``filter`` drops every later target that is a constant answered no: Python
 runs only on another target.  ``compress`` draws one number from a counter
@@ -536,8 +537,8 @@ def _corner_witnesses(length, rng, drawn):
     ones drawn as they are pulled, each also appended to ``drawn``."""
     values = chain((0, (1 << length) - 1) if length else (0,),
                    map(rng.getrandbits, repeat(length, INVALID_SAMPLES)))
-    for value in values:
-        wit = Witness(value, length)
+    # each value fits ``length`` bits: built without the range checks
+    for wit in witnesses(values, length):
         drawn.append(wit)
         yield wit
 
@@ -594,7 +595,7 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     def reject_all(inst, wits, at):
         # ``at(i)`` is the i-th witness of ``wits``, for the record
         seen = count(1)
-        tgts = map(partial(transform, inst), compress(wits, seen))
+        tgts = map(transform, repeat(inst), compress(wits, seen))
         for const in r.constants:
             if decided[id(const)] is False:
                 # in C: this target is no again

@@ -87,8 +87,7 @@ def cm_grid(dimension: int, max_n: int) -> Iterator[I.CounterMachineInstance]:
             for flag in (I.OPTIONAL, I.REQUIRED)]
     for n in range(max_n + 1):
         for seq in product(opts, repeat=n):
-            vectors = tuple(v for v, _ in seq)
-            flags = tuple(f for _, f in seq)
+            vectors, flags = zip(*seq) if n else ((), ())
             yield I.CounterMachineInstance(dimension, vectors, flags)
 
 

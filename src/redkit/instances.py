@@ -28,7 +28,7 @@ ILP_VARIANTS = ("standard", "monotone", "zero_sum")
 def _tuplize(rows):
     """``rows`` as a tuple of tuples; returned as it is when it already is
     one, as in every target a reduction builds."""
-    if type(rows) is tuple and {*map(type, rows)} <= {tuple}:
+    if type(rows) is tuple and {tuple}.issuperset(map(type, rows)):
         return rows
     return tuple(map(tuple, rows))
 
@@ -289,7 +289,10 @@ class SubsetSumInstance:
     kind = "subset_sum"
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+        # a field is stored only when it is not a plain tuple already, as
+        # in the targets and family members the library builds
+        if type(self.items) is not tuple:
+            object.__setattr__(self, "items", tuple(self.items))
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,9 @@ class KnapsackInstance:
     kind = "knapsack"
 
     def __post_init__(self):
-        object.__setattr__(self, "items", _tuplize(self.items))
+        items = _tuplize(self.items)
+        if items is not self.items:
+            object.__setattr__(self, "items", items)
 
 
 @dataclass(frozen=True)
@@ -320,8 +325,11 @@ class IlpInstance:
     kind = "ilp"
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", _tuplize(self.columns))
-        object.__setattr__(self, "rhs", tuple(self.rhs))
+        columns = _tuplize(self.columns)
+        if columns is not self.columns:
+            object.__setattr__(self, "columns", columns)
+        if type(self.rhs) is not tuple:
+            object.__setattr__(self, "rhs", tuple(self.rhs))
 
     @property
     def num_rows(self) -> int:
@@ -365,8 +373,11 @@ class CounterMachineInstance:
     kind = "counter_machine"
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _tuplize(self.vectors))
-        object.__setattr__(self, "flags", tuple(self.flags))
+        vectors = _tuplize(self.vectors)
+        if vectors is not self.vectors:
+            object.__setattr__(self, "vectors", vectors)
+        if type(self.flags) is not tuple:
+            object.__setattr__(self, "flags", tuple(self.flags))
 
 
 @dataclass(frozen=True)
@@ -440,7 +451,8 @@ class UnboundedSubsetSumInstance:
     kind = "unbounded_subset_sum"
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+        if type(self.items) is not tuple:
+            object.__setattr__(self, "items", tuple(self.items))
 
 
 _KIND_CLASSES = {c.kind: c for c in (

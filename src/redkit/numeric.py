@@ -12,9 +12,12 @@ reduction whose witness has several fields computes the instance's layout
 once (length, widths, shifts and mask, plus the parts of the target that do
 not depend on the witness) and keeps it with ``witness.layout_cache`` (which
 says what it holds); ``transform``, ``witness_len``, ``synthesize`` and the
-enumerators read that layout, and ``transform`` decodes ``wit.value`` with
-its shifts and masks.  Targets are built from tuples, so their constructors
-keep them as they are.
+enumerators read that layout, a frozen dataclass with slots, so that each
+field is read as a slot.  ``transform``, called once per witness, reads the
+kept pair inline (``<layout>.last``) and calls the layout function only for
+another instance, then decodes ``wit.value`` with its shifts and masks.
+Targets are built from plain tuples, which their constructors neither copy
+nor store again.
 
 The two reductions that guess per-row totals reject most witnesses of a
 no-instance, so each first tests the packed value ``v`` twice, and returns
@@ -56,10 +59,10 @@ streams lazily.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from operator import lshift, sub
-from typing import NamedTuple
 
 from . import instances as I
 from .errors import ConstructionError, ReductionError
@@ -159,7 +162,8 @@ red_ss_to_knapsack = deterministic(
 # Knapsack -> subset sum (two-track base-W encoding, guessed totals).
 
 
-class _KssLayout(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class _KssLayout:
     fixed: object       # the target of a guard case, None in the main case
     length: int         # witness bits: capacity guess, then demand offset
     widths: tuple
@@ -183,8 +187,13 @@ def _kss_layout(inst) -> _KssLayout:
                       tuple(p * base + wi for p, wi in kept))
 
 
+_KSS_LAST = _kss_layout.last
+
+
 def _kss_transform(inst, wit):
-    lay = _kss_layout(inst)
+    held, lay = _KSS_LAST[0]
+    if inst is not held:
+        lay = _kss_layout(inst)
     if lay.fixed is not None:
         return lay.fixed
     v = wit.value
@@ -263,7 +272,8 @@ def _over_reach(reach, width):
     return tuple(out)
 
 
-class _SsmLayout(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class _SsmLayout:
     length: int         # witness bits: one digit sum per row
     widths: tuple
     shifts: tuple       # shift of row j's digit sum b_j
@@ -291,8 +301,13 @@ def _ssm_layout(inst) -> _SsmLayout:
         _over_reach(reach, width))
 
 
+_SSM_LAST = _ssm_layout.last
+
+
 def _ssm_transform(inst, wit):
-    lay = _ssm_layout(inst)
+    held, lay = _SSM_LAST[0]
+    if inst is not held:
+        lay = _ssm_layout(inst)
     v = wit.value
     # the packed tests of the module docstring: sum(b_j 2^j) == t implies
     # the first, and an accepted witness passes the reach test
@@ -500,7 +515,8 @@ red_zerosum_to_ilp = Reduction(
 # Standard ILP -> monotone ILP (guess positive/negative row totals).
 
 
-class _ImLayout(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class _ImLayout:
     length: int         # witness bits: b_pos per row, then b_neg per row
     widths: tuple
     shifts: tuple       # shift of each field
@@ -531,8 +547,13 @@ def _im_layout(inst) -> _ImLayout:
         columns, _over_reach(reach, width))
 
 
+_IM_LAST = _im_layout.last
+
+
 def _im_transform(inst, wit):
-    lay = _im_layout(inst)
+    held, lay = _IM_LAST[0]
+    if inst is not held:
+        lay = _im_layout(inst)
     v = wit.value
     # the packed tests of the module docstring: b_pos - b_neg == rhs
     # implies the first, and an accepted witness passes the reach test

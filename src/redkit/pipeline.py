@@ -13,15 +13,17 @@ labels (``("introduce", x)``, ``("forget", x)`` or ``("edge", x, y)``), so
 every machine with k labels points at the same vector tuples and holds one
 pointer per vector.
 
-cm-to-permss computes an instance's layout once and keeps it with
-``witness.layout_cache`` (which says what it holds): the witness length and
-count shifts, the target group and elements, and for each counter the
-images of pi^0 .. pi^n already moved onto that counter's block.  An element
-is the concatenation of per-block images of gamma_hat(b), followed by pi or
-the identity.  One ``lru_cache``, ``_block_images(n, block)``, keeps each
-block's images of the powers of pi and of the three letters across
-instances with n vectors; the layout fetches its dimension + 1 blocks once.
-``transform`` decodes ``wit.value`` with the shifts and concatenates the
+cm-to-permss computes an instance's layout (a frozen dataclass with slots,
+as in ``redkit.numeric``) once and keeps it with ``witness.layout_cache``
+(which says what it holds): the witness length and count shifts, the target
+group and elements, and for each counter the images of pi^0 .. pi^n already
+moved onto that counter's block.  An element is the concatenation of
+per-block images of gamma_hat(b), followed by pi or the identity.  One
+``lru_cache``, ``_block_images(n, block)``, keeps each block's images of the
+powers of pi and of the three letters across instances with n vectors; the
+layout fetches its dimension + 1 blocks once.  ``transform`` reads the kept
+pair inline (``_cps_layout.last``), calling the layout function only for
+another instance, decodes ``wit.value`` with the shifts and concatenates the
 chosen blocks into the target permutation.
 """
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 from . import instances as I
 from . import pathdecomp
@@ -194,7 +195,8 @@ _PERM_NO = I.trivial_instance("group_subset_sum", False,
                               group=I.SymmetricGroup(2))
 
 
-class _CpsLayout(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class _CpsLayout:
     length: int         # witness bits: one count per counter
     widths: tuple
     shifts: tuple       # shift of each counter's count
@@ -232,11 +234,16 @@ def _cps_layout(inst) -> _CpsLayout:
         I.SymmetricGroup((ell + 1) * len(tail[0])), tuple(elements))
 
 
+_CPS_LAST = _cps_layout.last
+
+
 def _cps_transform(inst, wit):
     n = len(inst.vectors)
     if n == 0:
         return _PERM_YES
-    lay = _cps_layout(inst)
+    held, lay = _CPS_LAST[0]
+    if inst is not held:
+        lay = _cps_layout(inst)
     v, mask = wit.value, lay.mask
     img = []
     for shift, block in zip(lay.shifts, lay.blocks):

@@ -42,7 +42,10 @@ def layout_cache(build: Callable) -> Callable:
     intermediate object per run of witnesses, so one entry is all either
     needs.  A caller that interleaves instances rebuilds the layout on each
     switch; nothing is kept past the last instance.  The pair is the item
-    of the list ``layout.last``, so a verifier can test it without a call.
+    of the list ``layout.last``: the transforms of the layout-based
+    reductions and the verifiers of the certificate schemes, called once
+    per witness, read it inline and call ``layout`` only on a miss, so a
+    hit adds no Python frame.
 
     ``build`` may itself look the layout up by the instance's shape, as the
     certificate schemes do (an ``lru_cache`` keyed by a few ints): a switch

@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redkit import instances as I
 from redkit.errors import ValidationError
+from redkit.families import cm_grid
 from redkit.groups import Permutation
 from redkit.oracles import solve
 
@@ -77,6 +79,72 @@ def test_group_elements_from_a_list_and_from_a_tuple():
     assert I.validate(inst)
     with pytest.raises(ValidationError, match="out of range"):
         solve(inst)
+
+
+class _Row(tuple):
+    """A tuple subclass, as a caller's row or sequence type may be."""
+
+
+# a well-formed and a malformed instance of each constructor that keeps a
+# plain-tuple field as the very object it is given
+_PLAIN_FIELDS = [
+    (I.SubsetSumInstance, dict(items=(3, 5, 7), target=8)),
+    (I.SubsetSumInstance, dict(items=(3, -1), target=4)),
+    (I.KnapsackInstance, dict(items=((2, 3), (4, 1)), capacity=5, demand=3)),
+    (I.KnapsackInstance, dict(items=((0, 1),), capacity=2, demand=2)),
+    (I.IlpInstance, dict(columns=((1, 0), (-1, 1)), rhs=(0, 1))),
+    (I.IlpInstance, dict(columns=((-1, 0),), rhs=(0, 1), variant="monotone")),
+    (I.CounterMachineInstance, dict(dimension=2, vectors=((1, 0), (-1, 0)),
+                                    flags=(I.OPTIONAL, I.REQUIRED))),
+    (I.CounterMachineInstance, dict(dimension=2, vectors=((2, 0),),
+                                    flags=("X",))),
+    (I.UnboundedSubsetSumInstance, dict(items=(4, 5), target=23)),
+    (I.UnboundedSubsetSumInstance, dict(items=(2,), target=-1)),
+]
+
+
+@pytest.mark.parametrize("cls, plain", _PLAIN_FIELDS)
+def test_sequence_fields_from_lists_tuples_and_subclasses(cls, plain):
+    ref = cls(**plain)
+    seqs = [name for name, v in plain.items() if type(v) is tuple]
+    # all plain tuples: each field is the very object passed in
+    for name in seqs:
+        assert getattr(ref, name) is plain[name]
+    for name in seqs:
+        value = plain[name]
+        if type(value[0]) is tuple:
+            # a list, a tuple of lists, a tuple of tuple-subclass rows
+            forms = [list(value), tuple(map(list, value)),
+                     tuple(map(_Row, value))]
+        else:
+            forms = [list(value), _Row(value)]
+        for form in forms:
+            inst = cls(**{**plain, name: form})
+            got = getattr(inst, name)
+            assert type(got) is tuple and got == value
+            assert {*map(type, got)} <= {tuple, int, str}
+            assert inst == ref and hash(inst) == hash(ref)
+            assert I.validate(inst) == I.validate(ref)
+
+
+def _ref_cm_grid(dimension, max_n):
+    # each member's vectors and flags split by two generator expressions
+    opts = [(vec, flag) for vec in product((-1, 0, 1), repeat=dimension)
+            for flag in (I.OPTIONAL, I.REQUIRED)]
+    for n in range(max_n + 1):
+        for seq in product(opts, repeat=n):
+            yield I.CounterMachineInstance(dimension,
+                                           tuple(v for v, _ in seq),
+                                           tuple(f for _, f in seq))
+
+
+def test_cm_grid_members_match_the_reference():
+    got, want = list(cm_grid(2, 2)), list(_ref_cm_grid(2, 2))
+    assert len(got) == 1 + 18 + 18 ** 2
+    assert got == want
+    for inst in got:
+        assert type(inst.vectors) is tuple and type(inst.flags) is tuple
+        assert {*map(type, inst.vectors)} <= {tuple}
 
 
 @pytest.mark.parametrize("kind", I.KINDS)

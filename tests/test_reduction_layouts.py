@@ -16,7 +16,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redkit import instances as I
+from redkit import instances as I, numeric, pipeline
 from redkit.catalog import REDUCTIONS
 from redkit.certificates import (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
                                  nppt_contract_check)
@@ -638,6 +638,45 @@ def test_chain_matches_its_links_on_interleaved_instances():
         assert 1 < len(wits) <= 1 << 12
         for wit in reversed(wits):
             assert red.apply(inst, wit) == ref(inst, wit), wit
+
+
+# An exhaustively swept no-instance per reduction whose transform reads its
+# layout memo inline, and the module function that builds that layout.
+INLINE_LAYOUT_CASES = {
+    # t = 7 (3 digit sums of 3 bits): 512 witnesses
+    "ss-to-monotone": (numeric, "_ssm_layout",
+                       I.SubsetSumInstance((2, 4), 7), 9),
+    # x2 = -1 cannot hold: 4 fields of 2 bits
+    "ilp-to-monotone": (numeric, "_im_layout",
+                        I.IlpInstance(((1, 0), (0, 1)), (1, -1)), 8),
+    # both items fit, but together they pass the capacity
+    "knapsack-to-ss": (numeric, "_kss_layout",
+                       I.KnapsackInstance(((2, 1), (2, 1)), 3, 2), 4),
+    # a required +1 on counter 0 with nothing to take it back
+    "cm-to-permss": (pipeline, "_cps_layout", I.CounterMachineInstance(
+        2, ((1, 0), (0, 1)), (I.REQUIRED, I.OPTIONAL)), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_LAYOUT_CASES))
+def test_transform_builds_the_layout_once_per_exhaustive_sweep(
+        name, monkeypatch):
+    module, attr, inst, length = INLINE_LAYOUT_CASES[name]
+    build = getattr(module, attr)
+    calls = 0
+
+    def counting(inst):
+        nonlocal calls
+        calls += 1
+        return build(inst)
+
+    monkeypatch.setattr(module, attr, counting)
+    rep = nppt_contract_check(REDUCTIONS[name], [inst])
+    assert rep.ok and (rep.no_instances, rep.exhaustive) == (1, 1)
+    assert rep.witnesses_checked == 1 << length
+    # the sweep's ``witness_len`` call builds the layout; every witness's
+    # ``transform`` then reads the kept pair without a call
+    assert calls == 1
 
 
 def test_layout_memo_keeps_only_the_last_source_alive():
