@@ -112,9 +112,10 @@ class CertificateScheme:
 # Unbounded subset sum: at most floor(log2(t+1)) (index, multiplicity) pairs.
 #
 # Any multiset solution can be rewritten onto that few distinct items: while
-# the support has more, two disjoint sub-supports share a subset sum (2^len
-# sums all land in [0, t]) and shifting the smallest multiplicity across the
-# tie removes an item.
+# the support has more, any floor(log2(t+1)) + 1 of its items have two
+# disjoint sub-supports that share a subset sum (their 2^len sums all land
+# in [0, t]), and shifting the smallest multiplicity across the tie removes
+# an item.
 
 
 # Shapes kept per scheme.  An unbounded shape (t, n) or a Z_k^k shape (k, n)
@@ -219,25 +220,30 @@ def _uss_verify(inst, cert):
 
 
 def _shrink_support(items, counts, cap):
+    """Rewrite ``counts`` (index -> multiplicity, over positive items) onto
+    at most ``cap`` = floor(log2(t + 1)) indices, keeping its sum t.
+
+    Each step searches the first cap + 1 indices only: each of their
+    subsets sums to at most t, so the first t + 2 masks hold two with one
+    sum.  Less their common indices they are disjoint and both nonempty
+    (positive items cannot sum to 0), so the step moves the least
+    multiplicity of either side across and drops that index."""
     while len(counts) > cap:
-        idxs = sorted(counts)
-        if len(idxs) > 22:
-            raise ResourceLimitError("support too large to rewrite")
-        seen = {0: 0}
-        hit = None
+        idxs = sorted(counts)[:cap + 1]
+        sums, seen = [0], {0: 0}
         for mask in range(1, 1 << len(idxs)):
-            s = sum(items[idxs[b]] for b in range(len(idxs)) if mask >> b & 1)
-            if s in seen:
-                hit = (seen[s], mask)
+            bit = mask & -mask
+            total = sums[mask ^ bit] + items[idxs[bit.bit_length() - 1]]
+            if total in seen:
                 break
-            seen[s] = mask
-        if hit is None:
+            seen[total] = mask
+            sums.append(total)
+        else:
+            # only a multiset summing past t gets here
             raise ConstructionError("no colliding sub-supports found")
-        common = hit[0] & hit[1]
+        common = seen[total] & mask
         sides = [[idxs[b] for b in range(len(idxs)) if (m & ~common) >> b & 1]
-                 for m in hit]
-        if not sides[0] or not sides[1]:
-            raise ConstructionError("colliding sub-supports must be disjoint")
+                 for m in (seen[total], mask)]
         low = min(sides[0] + sides[1], key=lambda i: counts[i])
         if low in sides[1]:
             sides.reverse()

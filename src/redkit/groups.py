@@ -204,7 +204,8 @@ def _landau_table() -> list[tuple[int, tuple[int, ...]]]:
 
     Textbook DP over distinct prime powers: an order-maximal permutation of
     degree r is a disjoint union of cycles whose lengths are powers of
-    distinct primes.
+    distinct primes.  The table is non-decreasing in r: it starts constant,
+    and each prime's pass takes a maximum of non-decreasing terms.
     """
     primes = [p for p in range(2, _DEGREE_CAP + 1)
               if all(p % d for d in range(2, int(p ** 0.5) + 1))]
@@ -219,10 +220,6 @@ def _landau_table() -> list[tuple[int, tuple[int, ...]]]:
                     nxt[budget] = (order * pk, parts + (pk,))
                 pk *= p
         best = nxt
-    # make the table monotone in the degree budget
-    for r in range(1, _DEGREE_CAP + 1):
-        if best[r][0] < best[r - 1][0]:
-            best[r] = best[r - 1]
     return best
 
 

@@ -294,6 +294,13 @@ class SubsetSumInstance:
         if type(self.items) is not tuple:
             object.__setattr__(self, "items", tuple(self.items))
 
+    @property
+    def variant(self) -> str:
+        """``"modular"`` with a modulus, ``"plain"`` without: derived, so
+        not a field and not in the JSON.  A reduction that reads plain
+        subset sum names it as its ``source_variant``."""
+        return "plain" if self.modulus is None else "modular"
+
 
 @dataclass(frozen=True)
 class KnapsackInstance:

@@ -155,7 +155,8 @@ def _ssk_transform(inst, wit):
 
 
 red_ss_to_knapsack = deterministic(
-    "ss-to-knapsack", "subset_sum", "knapsack", _ssk_transform)
+    "ss-to-knapsack", "subset_sum", "knapsack", _ssk_transform,
+    source_variant="plain")
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +412,7 @@ red_ss_to_monotone = Reduction(
     synthesize=_ssm_synthesize,
     valid_witnesses=_ssm_valid,
     canonical_witness=_ssm_canonical,
+    source_variant="plain",
     target_variant="monotone",
     constants=(_MONOTONE_NO,),
 )
@@ -636,7 +638,7 @@ def _szq_transform(inst, wit):
 
 red_ss_to_zq = deterministic(
     "ss-to-zq", "subset_sum", "group_subset_sum", _szq_transform,
-    constants=(_ZQ_YES, _ZQ_NO))
+    source_variant="plain", constants=(_ZQ_YES, _ZQ_NO))
 
 
 # ---------------------------------------------------------------------------

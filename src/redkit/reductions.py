@@ -23,12 +23,14 @@ witnesses), which the contract sweep solves once; ``compose`` passes on the
 second link's, and each of the first link's that the second returns as it
 is from a 0-bit witness (as an identity does).
 
-For the ``ilp`` kind, ``source_variant`` and ``target_variant`` name the
-variant a reduction reads and writes (None: any).  ``check_source``, which
-``apply`` calls, refuses a source of another kind or variant; ``compose``
-refuses links whose variants do not meet and chains the two fields.  A
-link that keeps its kind and names no variant (an identity) passes the
-other link's variant through.
+``source_variant`` and ``target_variant`` name the variant a reduction
+reads and writes (None: any): an ILP's ``variant`` field, or a subset-sum
+instance's derived ``variant`` (``"modular"`` with a modulus, ``"plain"``
+without; the three reductions from subset sum read ``"plain"``).
+``check_source``, which ``apply`` calls, refuses a source of another kind
+or variant; ``compose`` refuses links whose variants do not meet and
+chains the two fields.  A link that keeps its kind and names no variant
+(an identity) passes the other link's variant through.
 
 A reduction that reads no witness is declared with ``deterministic``, which
 takes its name, kinds and transform (plus any further ``Reduction`` field)
@@ -117,8 +119,7 @@ def identity_reduction(kind: str) -> Reduction:
                          lambda inst, wit: inst, param_bound=lambda p: p)
 
 
-def compose(first: Reduction, second: Reduction,
-            name: str | None = None) -> Reduction:
+def compose(first: Reduction, second: Reduction) -> Reduction:
     """Chain two reductions; synthesis solves the intermediate instance
     with ``oracles.solve``.
 
@@ -237,7 +238,7 @@ def compose(first: Reduction, second: Reduction,
     if _passes_variant(second):
         target_variant = first.target_variant
     return Reduction(
-        name=name or f"{first.name}+{second.name}",
+        name=f"{first.name}+{second.name}",
         source_kind=first.source_kind,
         target_kind=second.target_kind,
         witness_len=witness_len,

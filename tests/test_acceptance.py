@@ -1,46 +1,141 @@
 """Acceptance suite: one test per shipped guarantee.
 
-Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
-per criterion.  Every expected value was produced by the independent
+Run with ``pytest -v -s tests/test_acceptance.py`` to get one pass/fail
+line per criterion.  Every expected value was produced by the independent
 brute-force oracles in ``redkit.oracles``; time ceilings are asserted where
 a criterion pins one.
 
-No-instance coverage in the contract checks is complete in one of two
-ways: either every witness bit string is enumerated outright, or every
-structurally valid witness is enumerated while the invalid remainder -
-which the transforms collapse onto one fixed no-instance - is probed
-through corner and random representatives.  Either way a single accepting
-witness would be found, so "zero violations" certifies soundness over the
-whole witness space.
+The contract sweeps of criteria 01, 02, 06, 09 and 12 are the rows of one
+table, ``CLAIMS``; a criterion's line gives each row's coverage class and
+seconds.  Exhaustive rows enumerate every witness of every no-instance, as
+criteria 06 and 12 require.  Stratified rows (in criteria 01, 02 and 09)
+enumerate, on their wider no-instances, every structurally valid witness
+and probe the invalid remainder, which the transforms collapse onto one
+fixed no-instance, through corner and random representatives.  Either way
+a single accepting witness would be found, so "zero violations" certifies
+soundness over the whole witness space.  No row is completeness-only
+(without no-instances), but the headline chain, coloring to counter
+machine to permutation-group subset sum, is not a row yet: its families
+have no no-instance, so criterion 06 checks its first link by agreement.
 """
 
 import dataclasses
 import time
+from functools import partial
 from itertools import product
 from random import Random
+from typing import Callable, NamedTuple
 
-from redkit.catalog import REDUCTIONS, get_reduction
-from redkit.certificates import (FULL_SS_SCHEME, UNBOUNDED_SS_SCHEME,
-                                 ZKK_SCHEME, certificate_scheme_check,
-                                 nppt_contract_check,
+from redkit.catalog import get_reduction
+from redkit.certificates import (FULL_SS_SCHEME, SCHEMES, nppt_contract_check,
                                  zero_sum_premise_check, zkk_bound)
 from redkit.families import (and_sats, cm_contract_family, cnfs, graphs_upto,
                              ilps, knapsacks, named_graph, random_3cnf,
                              random_subset_sum, subset_sums,
                              unbounded_instances, zkk_instances, zq_instances)
 from redkit.groups import (UqElement, RunContext, from_cycles, identity,
-                           landau_permutation, make_run_context, run_check_uq,
-                           uq_identity)
+                           landau_permutation, make_run_context, run_check_uq)
 from redkit.numeric import graver_check, graver_sequence
-from redkit.oracles import (DEFAULT_BUDGET, solve, solve_and_sat,
+from redkit.oracles import (DEFAULT_BUDGET, Budget, solve, solve_and_sat,
                             solve_coloring, solve_scheduling)
 from redkit.pathdecomp import check_path_decomposition
-from redkit.pipeline import red_cm_to_perm_ss, red_coloring_to_cm
+from redkit.pipeline import red_coloring_to_cm
 from redkit.reductions import compose
 from redkit.satred import red_andsat_to_scheduling, red_cnf_to_coloring
 from redkit.witness import Witness
 
 from helpers import brute_scheduling
+
+
+class Claim(NamedTuple):
+    """A contract sweep of a catalog spec or scheme name, composed with
+    ``FULL_SS_SCHEME.reduction()`` when ``transfer`` is set."""
+
+    criterion: int
+    spec: str
+    family: Callable
+    cap: int = 4096
+    budget: Budget | None = None
+    pins: tuple = ()        # (report field, value) pairs
+    exhaustive: bool = False    # every no-instance enumerated outright
+    transfer: bool = False
+
+    def reduction(self):
+        red = SCHEMES[self.spec].reduction() if self.spec in SCHEMES \
+            else get_reduction(self.spec)
+        return compose(red, FULL_SS_SCHEME.reduction()) if self.transfer \
+            else red
+
+
+def _random_sources():
+    rng = Random(97)
+    return [random_subset_sum(rng, 6, 30) for _ in range(500)]
+
+
+_SS = partial(subset_sums, 5, 8, 40)
+_MONOTONE = partial(ilps, "monotone", 2, 4)
+_BIG_DP = dataclasses.replace(DEFAULT_BUDGET, max_dp_cells=64_000_000)
+_PINNED = ("checked", "no_instances", "witnesses_checked")
+
+CLAIMS = (
+    # the equivalence class: nine numeric reductions on full grids, then
+    # three round trips through subset sum on random sources
+    Claim(1, "ss-to-knapsack", _SS),
+    Claim(1, "ss-to-monotone", _SS),
+    Claim(1, "ss-to-zq", _SS),
+    Claim(1, "knapsack-to-ss", partial(knapsacks, 3, 6)),
+    Claim(1, "monotone-to-ss", _MONOTONE),
+    Claim(1, "monotone-to-zerosum", _MONOTONE),
+    Claim(1, "zerosum-to-ilp", partial(ilps, "zero_sum", 2, 4)),
+    Claim(1, "ilp-to-monotone", partial(ilps, "standard", 2, 4), cap=1024),
+    Claim(1, "zq-to-ss", partial(zq_instances, 8, 4)),
+    *(Claim(2, spec, _random_sources, budget=_BIG_DP)
+      for spec in ("ss-to-knapsack+knapsack-to-ss",
+                   "ss-to-monotone+monotone-to-ss", "ss-to-zq+zq-to-ss")),
+    # the lower bound's counter-machine link
+    Claim(6, "cm-to-permss", cm_contract_family, exhaustive=True),
+    # short certificates for unbounded subset sum and Z_k^k
+    Claim(9, "unbounded-ss", partial(unbounded_instances, 3, 8, 20),
+          cap=1 << 17),
+    Claim(9, "zkk", partial(zkk_instances, 2, 5), cap=1 << 17),
+    Claim(9, "zkk", partial(zkk_instances, 3, 2), cap=1 << 17,
+          pins=tuple(zip(_PINNED, (20439, 17628)))),
+    # full-mask certificates transferred back into subset sum along five
+    # chains: (checked, no_instances, witnesses_checked) pinned
+    *(Claim(12, spec, family, pins=tuple(zip(_PINNED, counts)),
+            exhaustive=True, transfer=True) for spec, family, counts in (
+        ("knapsack-to-ss", partial(knapsacks, 2, 4), (3825, 1702, 20257)),
+        ("monotone-to-ss", partial(ilps, "monotone", 2, 3), (457, 318, 2363)),
+        ("zq-to-ss", partial(zq_instances, 5, 3), (504, 152, 11660)),
+        ("tsat-to-ss", partial(cnfs, 2, 3, 2), (286, 30, 29440)),
+        ("ilp-to-monotone+monotone-to-ss", partial(ilps, "standard", 1, 3),
+         (110, 60, 962)),
+        ("ilp-to-monotone+monotone-to-ss", partial(ilps, "standard", 2, 2),
+         (1247, 1060, 325195)))),
+)
+
+
+def sweep_criterion(num):
+    """Sweep each row of criterion ``num`` in table order, asserting
+    ``report.ok``, the row's pins and its coverage: the reports, the rows'
+    specs, coverage classes and seconds, and their total seconds."""
+    reports, rows, total = [], [], 0.0
+    for claim in (claim for claim in CLAIMS if claim.criterion == num):
+        started = time.perf_counter()
+        rep = nppt_contract_check(claim.reduction(), claim.family(),
+                                  claim.budget, exhaustive_cap=claim.cap)
+        seconds = time.perf_counter() - started
+        total += seconds
+        assert rep.ok, (claim.spec, rep.violations[:3], rep.skipped[:3])
+        assert [(k, getattr(rep, k)) for k, _ in claim.pins] == \
+            list(claim.pins), claim.spec
+        full = rep.exhaustive == rep.no_instances
+        assert full or not claim.exhaustive, claim.spec
+        coverage = "stratified" if not full else \
+            "exhaustive" if rep.no_instances else "completeness-only"
+        reports.append(rep)
+        rows.append(f"{claim.spec} {coverage} {seconds:.2f}s")
+    return reports, ", ".join(rows), total
 
 
 def _line(num, detail):
@@ -49,49 +144,22 @@ def _line(num, detail):
 
 def test_criterion_01_numeric_reduction_grids():
     """All nine numeric reductions uphold the witness contract on full grids."""
-    started = time.time()
-    jobs = [
-        ("ss-to-knapsack", subset_sums(5, 8, 40), 4096),
-        ("ss-to-monotone", subset_sums(5, 8, 40), 4096),
-        ("ss-to-zq", subset_sums(5, 8, 40), 4096),
-        ("knapsack-to-ss", knapsacks(3, 6), 4096),
-        ("monotone-to-ss", ilps("monotone", 2, 4), 4096),
-        ("monotone-to-zerosum", ilps("monotone", 2, 4), 4096),
-        ("zerosum-to-ilp", ilps("zero_sum", 2, 4), 4096),
-        ("ilp-to-monotone", ilps("standard", 2, 4), 1024),
-        ("zq-to-ss", zq_instances(8, 4), 4096),
-    ]
-    checked = witnesses = 0
-    seconds = []
-    for name, family, cap in jobs:
-        job_started = time.time()
-        report = nppt_contract_check(REDUCTIONS[name], family,
-                                     exhaustive_cap=cap)
-        seconds.append(f"{name} {time.time() - job_started:.2f}s")
-        assert report.ok, (name, report.violations[:3], report.skipped[:3])
-        checked += report.checked
-        witnesses += report.witnesses_checked
-    elapsed = time.time() - started
+    reports, rows, elapsed = sweep_criterion(1)
+    checked = sum(rep.checked for rep in reports)
+    witnesses = sum(rep.witnesses_checked for rep in reports)
     _line(1, f"PASS {checked} instances, {witnesses} witnesses, "
-             f"0 violations ({elapsed:.1f}s: {', '.join(seconds)})")
+             f"0 violations ({elapsed:.1f}s: {rows})")
+    assert (checked, witnesses) == (594426, 6488660)
     assert elapsed <= 300.0
 
 
 def test_criterion_02_composed_reductions_preserve_verdicts():
     """Three round-trip compositions uphold the witness contract on 500
     random instances each (n <= 6, values <= 30)."""
-    budget = dataclasses.replace(DEFAULT_BUDGET, max_dp_cells=64_000_000)
-    checked = witnesses = 0
-    for spec in ("ss-to-knapsack+knapsack-to-ss",
-                 "ss-to-monotone+monotone-to-ss", "ss-to-zq+zq-to-ss"):
-        rng = Random(97)
-        family = [random_subset_sum(rng, 6, 30) for _ in range(500)]
-        report = nppt_contract_check(get_reduction(spec), family, budget)
-        assert report.ok, (spec, report.violations[:3], report.skipped[:3])
-        checked += report.checked
-        witnesses += report.witnesses_checked
-    _line(2, f"PASS {checked} composed instances, {witnesses} witnesses, "
-             f"0 violations")
+    reports, rows, _ = sweep_criterion(2)
+    _line(2, f"PASS {sum(rep.checked for rep in reports)} composed "
+             f"instances, {sum(rep.witnesses_checked for rep in reports)} "
+             f"witnesses, 0 violations ({rows})")
 
 
 def test_criterion_03_graver_sequences():
@@ -173,7 +241,7 @@ def test_criterion_06_coloring_pipeline():
     oracle on every graph with <= 5 vertices plus the named graphs, and the
     machine-to-permutation reduction upholds its contract with full
     witness enumeration on every no-instance."""
-    started = time.time()
+    started = time.perf_counter()
     graphs = list(graphs_upto(5)) + \
         [named_graph(n) for n in ("k3", "k4", "c5", "p4")]
     disagreements = 0
@@ -183,13 +251,11 @@ def test_criterion_06_coloring_pipeline():
             disagreements += 1
     assert disagreements == 0
 
-    report = nppt_contract_check(red_cm_to_perm_ss, cm_contract_family())
-    assert report.ok, (report.violations[:3], report.skipped[:3])
-    assert report.stratified == 0          # every no-instance fully enumerated
-    elapsed = time.time() - started
+    [report], rows, _ = sweep_criterion(6)
+    elapsed = time.perf_counter() - started
     _line(6, f"PASS {len(graphs)} graphs agree; contract on "
              f"{report.checked} machines, {report.witnesses_checked} "
-             f"witnesses, 0 violations ({elapsed:.0f}s)")
+             f"witnesses, 0 violations ({elapsed:.0f}s: {rows})")
     assert elapsed <= 600.0
 
 
@@ -242,24 +308,12 @@ def test_criterion_09_certificate_schemes():
     respect their per-instance bit-length budgets: the sweep records a
     ``bit-length-bound`` violation on any instance it checks whose
     certificate is longer than the scheme's bound."""
-    started = time.time()
-    uss = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
-                                   unbounded_instances(3, 8, 20),
-                                   exhaustive_cap=1 << 17)
-    assert uss.ok, (uss.violations[:3], uss.skipped[:3])
-    zkk = certificate_scheme_check(ZKK_SCHEME, zkk_instances(2, 5),
-                                   exhaustive_cap=1 << 17)
-    assert zkk.ok, (zkk.violations[:3], zkk.skipped[:3])
-    zkk3 = certificate_scheme_check(ZKK_SCHEME, zkk_instances(3, 2),
-                                    exhaustive_cap=1 << 17)
-    assert zkk3.ok, (zkk3.violations[:3], zkk3.skipped[:3])
-    assert (zkk3.checked, zkk3.no_instances) == (20439, 17628)
-    elapsed = time.time() - started
+    (uss, zkk, zkk3), rows, elapsed = sweep_criterion(9)
     _line(9, f"PASS unbounded: {uss.checked} instances "
              f"({uss.exhaustive} exhaustive / {uss.stratified} stratified); "
              f"zkk: {zkk.checked} instances at k = 2, {zkk3.checked} at "
              f"k = 3 ({zkk3.stratified} stratified), all bounds hold "
-             f"({elapsed:.0f}s)")
+             f"({elapsed:.0f}s: {rows})")
 
 
 def test_criterion_10_zero_sum_premise():
@@ -292,56 +346,32 @@ def test_criterion_12_certificate_transfer():
     contract with every no-instance covered exhaustively, and a verifier
     that also accepts the all-ones certificate is caught on exactly the
     no-instances whose certificate slot is nonempty, on at least one
-    instance of every chain.
-
-    The ilp chain runs on two families.  At one row every standard 0/1
-    no-instance has its row total out of the columns' reach under every
-    witness, so ilp-to-monotone maps each witness to its fixed no-instance,
-    every slot is empty and nothing can catch the fault there; two rows
-    give no-instances with a guess in reach."""
-    started = time.time()
-    # (chain, family, (instances, no-instances, witnesses), caught)
-    jobs = [
-        ("knapsack-to-ss", lambda: knapsacks(2, 4), (3825, 1702, 20257), 112),
-        ("monotone-to-ss", lambda: ilps("monotone", 2, 3), (457, 318, 2363),
-         318),
-        ("zq-to-ss", lambda: zq_instances(5, 3), (504, 152, 11660), 142),
-        ("tsat-to-ss", lambda: cnfs(2, 3, 2), (286, 30, 29440), 30),
-        ("ilp-to-monotone+monotone-to-ss", lambda: ilps("standard", 1, 3),
-         (110, 60, 962), 0),
-        ("ilp-to-monotone+monotone-to-ss", lambda: ilps("standard", 2, 2),
-         (1247, 1060, 325195), 104),
-    ]
+    instance of every chain.  On the ilp chain's one-row family every
+    witness of a no-instance maps to ilp-to-monotone's fixed no-instance,
+    so every slot is empty; two rows give no-instances with a slot."""
+    started = time.perf_counter()
+    reports, rows, _ = sweep_criterion(12)
 
     def ones_too(inst, cert):
         return FULL_SS_SCHEME.verify(inst, cert) or \
             0 < cert.length and cert.value == (1 << cert.length) - 1
 
-    faulty = dataclasses.replace(FULL_SS_SCHEME, verify=ones_too)
-    checked = no = witnesses = 0
-    for spec, family, counts, caught in jobs:
-        chain = get_reduction(spec)
-        transferred = compose(chain, FULL_SS_SCHEME.reduction())
-        report = nppt_contract_check(transferred, family())
-        assert report.ok, (spec, report.violations[:3], report.skipped[:3])
-        assert report.exhaustive == report.no_instances, spec
-        assert (report.checked, report.no_instances,
-                report.witnesses_checked) == counts, spec
-        checked += report.checked
-        no += report.no_instances
-        witnesses += report.witnesses_checked
-        planted = nppt_contract_check(compose(chain, faulty.reduction()),
-                                      family())
-        slotted = [inst for inst in family() if not solve(inst).answer and
-                   transferred.witness_len(inst) > chain.witness_len(inst)]
+    faulty = dataclasses.replace(FULL_SS_SCHEME, verify=ones_too).reduction()
+    claims = [claim for claim in CLAIMS if claim.criterion == 12]
+    # each row, and the no-instances its planted fault is caught on
+    for claim, caught in zip(claims, (112, 318, 142, 30, 0, 104), strict=True):
+        spec, chain, transferred = claim.spec, get_reduction(claim.spec), \
+            claim.reduction()
+        planted = nppt_contract_check(compose(chain, faulty), claim.family())
+        slotted = [inst for inst in claim.family() if not solve(inst).answer
+                   and transferred.witness_len(inst) > chain.witness_len(inst)]
         assert [v["instance"] for v in planted.violations] == slotted, spec
         assert len(slotted) == caught, spec
-        if caught:
-            assert not planted.ok, spec
-            assert {v["kind"] for v in planted.violations} == \
-                {"soundness"}, spec
-    elapsed = time.time() - started
-    chains = len({spec for spec, *_ in jobs})
-    _line(12, f"PASS {checked} instances ({no} no, all exhaustive), "
-              f"{witnesses} witnesses, 0 violations; the all-ones fault is "
-              f"caught on all {chains} chains ({elapsed:.0f}s)")
+        assert {v["kind"] for v in planted.violations} <= {"soundness"}, spec
+    elapsed = time.perf_counter() - started
+    _line(12, f"PASS {sum(rep.checked for rep in reports)} instances "
+              f"({sum(rep.no_instances for rep in reports)} no, all "
+              f"exhaustive), {sum(rep.witnesses_checked for rep in reports)} "
+              f"witnesses, 0 violations; the all-ones fault is caught on all "
+              f"{len({claim.spec for claim in claims})} chains "
+              f"({elapsed:.0f}s: {rows})")

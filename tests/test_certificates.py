@@ -4,10 +4,10 @@ import dataclasses
 import gc
 import re
 import tracemalloc
-from itertools import islice, product, repeat
+from itertools import combinations, islice, product, repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redkit import certificates, instances as I
 from redkit.catalog import REDUCTIONS, get_reduction
@@ -25,7 +25,7 @@ from redkit.families import (and_sats, cm_grid, cnfs, graphs_upto, ilps,
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               IlpInstance, Permutation, ProductGroup,
                               SubsetSumInstance, UnboundedSubsetSumInstance)
-from redkit.oracles import Budget, solve
+from redkit.oracles import Budget, check_solution, solve
 from redkit.reductions import chain, compose
 from redkit.witness import Witness, all_witnesses, field_width, \
     pack_fields
@@ -100,6 +100,73 @@ def test_unbounded_synthesize_rewrites_wide_support():
         2 + 3 * (2 + 4)   # 3 pairs even though the given solution has 4
     cert = UNBOUNDED_SS_SCHEME.synthesize(inst, {0: 1, 1: 1, 2: 1, 3: 1})
     assert UNBOUNDED_SS_SCHEME.verify(inst, cert)
+
+
+def _certifies(scheme, inst, solution):
+    cert = scheme.synthesize(inst, solution)
+    return scheme.verify(inst, cert) and \
+        cert.length == scheme.cert_len(inst) <= scheme.len_bound(inst)
+
+
+@pytest.mark.parametrize("items", [
+    tuple(range(100, 123)), tuple(range(100, 164)),
+    # the first floor(log2(t + 1)) = 4 items have distinct subset sums, so
+    # the collision needs the fifth
+    (1, 2, 4, 8, 3)])
+def test_unbounded_synthesize_rewrites_any_wide_support(items):
+    # each item once: a support of every item, past 22 items as well
+    inst = UnboundedSubsetSumInstance(items, sum(items))
+    assert _certifies(UNBOUNDED_SS_SCHEME, inst,
+                      [(i, 1) for i in range(len(items))])
+
+
+def _multisets(items, t, start=0):
+    """Every solution of the unbounded instance (``items``, ``t``) as
+    (index, multiplicity) pairs; a zero item is taken at most once."""
+    if start == len(items):
+        if t == 0:
+            yield []
+        return
+    p = items[start]
+    for m in range(t // p + 1 if p else 2):
+        for rest in _multisets(items, t - m * p, start + 1):
+            yield [(start, m)] * bool(m) + rest
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 9), max_size=4), st.integers(0, 30))
+@example([1, 2, 3], 6)
+def test_every_unbounded_solution_synthesizes_an_accepted_certificate(
+        items, t):
+    inst = UnboundedSubsetSumInstance(tuple(items), t)
+    for sol in _multisets(inst.items, t):
+        assert check_solution(inst, sol)
+        assert _certifies(UNBOUNDED_SS_SCHEME, inst, sol), sol
+
+
+@st.composite
+def _zkk_sources(draw):
+    """A Z_k^k instance of s to s + 2 elements, k in {2, 3}, whose target
+    is the sum of a drawn subsequence."""
+    k = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(0, k - 1)] * k)
+    elements = draw(st.lists(vec, min_size=zkk_bound(k),
+                             max_size=zkk_bound(k) + 2))
+    picked = draw(st.lists(st.booleans(), min_size=len(elements),
+                           max_size=len(elements)))
+    target = tuple(sum(e[j] for e, on in zip(elements, picked) if on) % k
+                   for j in range(k))
+    return GroupSubsetSumInstance(ProductGroup(k), tuple(elements), target)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_zkk_sources())
+def test_every_long_zkk_solution_synthesizes_an_accepted_certificate(inst):
+    s, n = zkk_bound(inst.group.k), len(inst.elements)
+    for sol in (sol for c in range(s, n + 1)
+                for sol in combinations(range(n), c)):
+        if check_solution(inst, sol):
+            assert _certifies(ZKK_SCHEME, inst, sol), sol
 
 
 def test_zkk_bound_values():
@@ -527,7 +594,8 @@ def test_an_identity_link_passes_the_variant_through():
     ident = REDUCTIONS["identity-ilp"]
     before = chain(REDUCTIONS["ss-to-monotone"], ident)
     after = chain(ident, REDUCTIONS["monotone-to-zerosum"])
-    assert (before.source_variant, before.target_variant) == (None, "monotone")
+    assert (before.source_variant, before.target_variant) == \
+        ("plain", "monotone")
     assert (after.source_variant, after.target_variant) == \
         ("monotone", "zero_sum")
     assert chain(ident, ident).target_variant is None
@@ -541,6 +609,36 @@ def test_an_identity_link_passes_the_variant_through():
     with pytest.raises(ReductionError, match="expects a standard instance"):
         chain(ident, REDUCTIONS["ilp-to-monotone"]).apply(
             I.IlpInstance(((1,),), (1,), "monotone"), Witness(0, 0))
+
+
+# 3 + 4 = 2 (mod 5): a modular yes-instance that reads as a plain no
+MODULAR = SubsetSumInstance((3, 4), 2, modulus=5)
+
+
+@pytest.mark.parametrize("name", ["ss-to-knapsack", "ss-to-monotone",
+                                  "ss-to-zq", "ss-to-knapsack+knapsack-to-ss",
+                                  "identity-subset-sum+ss-to-zq"])
+def test_subset_sum_readers_refuse_a_modular_source(name):
+    assert I.validate(MODULAR) == [] and solve(MODULAR).answer
+    red = get_reduction(name)
+    assert red.source_variant == "plain"
+    expects = f"{name} expects a plain instance, got modular"
+    with pytest.raises(ValidationError, match=re.escape(expects)):
+        nppt_contract_check(red, [MODULAR])
+    with pytest.raises(ReductionError, match=re.escape(expects)):
+        red.apply(MODULAR, Witness.zero(red.witness_len(MODULAR)))
+    plain = dataclasses.replace(MODULAR, modulus=None)
+    assert plain.variant == "plain" and nppt_contract_check(red, [plain]).ok
+
+
+def test_a_subset_sum_variant_is_derived_not_stored():
+    assert MODULAR.variant == "modular"
+    assert [f.name for f in dataclasses.fields(MODULAR)] == \
+        ["items", "target", "modulus"]
+    assert "variant" not in I.to_json(MODULAR)
+    # the full-mask scheme reads the modulus through ``check_solution``
+    rep = nppt_contract_check(FULL_SS_SCHEME.reduction(), [MODULAR])
+    assert rep.ok and rep.yes_instances == 1
 
 
 @pytest.mark.parametrize("name", sorted(REDUCTIONS) + ["transfer"])
@@ -683,7 +781,7 @@ def test_declared_constants_are_the_shared_targets(name):
         return tgt
     if name == "zkk":
         family = zkk_instances(2, 2)
-    elif red.source_variant is not None:
+    elif red.source_kind == "ilp" and red.source_variant is not None:
         # plus the variant's trivial no: monotone-to-ss returns ``_SS_NO``
         # only when a rhs entry exceeds the column count, as in no member
         # of ``ilps``

@@ -258,6 +258,16 @@ def test_reduce_variant_mismatch(tmp_path, capsys):
     _usage_error(capsys, "reduce", "monotone-to-ss", src, "--synthesize")
 
 
+def test_subset_sum_readers_refuse_a_modular_source(tmp_path, capsys,
+                                                    monkeypatch):
+    inst = SubsetSumInstance((3, 4), 2, modulus=5)
+    src = _write(tmp_path / "m.json", inst)
+    _usage_error(capsys, "reduce", "ss-to-knapsack", src, "--synthesize")
+    # no --family generator makes a modular instance: one is swapped in
+    monkeypatch.setitem(_FAMILIES, "subset-sum", (lambda: iter([inst]), {}))
+    _usage_error(capsys, "verify", "ss-to-monotone", "--family", "subset-sum")
+
+
 @pytest.mark.parametrize("reduction,extra", [
     ("ss-to-knapsack", ["--family", "subset-sum:n=-1"]),
     ("zq-to-ss", ["--family", "zq:q=0"]),

@@ -1,14 +1,15 @@
 """Permutation algebra, U_q arithmetic, and the run-detecting embeddings."""
 
 import copy
+import math
 import pickle
 from itertools import permutations, product
 
 import pytest
 
 from redkit.errors import ValidationError
-from redkit.groups import (Permutation, UqElement, degree_bound, from_cycles,
-                           gamma, identity, landau_permutation,
+from redkit.groups import (Permutation, UqElement, _landau_table, degree_bound,
+                           from_cycles, gamma, identity, landau_permutation,
                            make_run_context, run_check_uq, uq_identity,
                            uq_product)
 from redkit.instances import SymmetricGroup
@@ -144,6 +145,13 @@ def test_landau_permutation(n):
     assert perm2.degree == deg2
     assert perm2.order() > n
     assert deg2 >= deg  # the table method is at least as tight
+
+
+def test_landau_table_is_non_decreasing_in_the_degree():
+    orders = [order for order, _ in _landau_table()]
+    assert orders == sorted(orders)
+    assert all(math.prod(parts) == order and sum(parts) <= degree
+               for degree, (order, parts) in enumerate(_landau_table()))
 
 
 def test_chi_generator_images():

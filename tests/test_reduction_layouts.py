@@ -679,6 +679,37 @@ def test_transform_builds_the_layout_once_per_exhaustive_sweep(
     assert calls == 1
 
 
+# A second instance per reduction of ``INLINE_LAYOUT_CASES``, with a witness
+# of at most 12 bits.
+OTHER_SOURCES = {
+    "ss-to-monotone": I.SubsetSumInstance((1, 2, 3), 5),
+    "ilp-to-monotone": I.IlpInstance(((1, -1), (1, 1), (0, 1)), (1, 0)),
+    "knapsack-to-ss": I.KnapsackInstance(((1, 2), (2, 1), (3, 3)), 4, 3),
+    "cm-to-permss": I.CounterMachineInstance(
+        1, ((1,), (-1,), (0,)), (I.REQUIRED, I.OPTIONAL, I.OPTIONAL)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_LAYOUT_CASES))
+def test_transform_builds_the_layout_of_an_instance_it_does_not_hold(
+        name, monkeypatch):
+    # the sweep and ``apply`` take ``witness_len`` first, so only a direct
+    # ``transform`` call meets the memo holding another instance
+    module, attr, held, _ = INLINE_LAYOUT_CASES[name]
+    build, calls = getattr(module, attr), []
+    monkeypatch.setattr(module, attr, lambda inst: calls.append(inst) or
+                        build(inst))
+    red, ref_transform = REDUCTIONS[name], CASES[name][2]
+    other = OTHER_SOURCES[name]
+    for inst in (other, dataclasses.replace(held)):
+        for wit in all_witnesses(red.witness_len(inst)):
+            red.witness_len(held)
+            del calls[:]
+            got = red.transform(inst, wit)
+            assert len(calls) == 1 and calls[0] is inst, wit
+            assert got == ref_transform(inst, wit) == red.apply(inst, wit)
+
+
 def test_layout_memo_keeps_only_the_last_source_alive():
     # the scheme layouts are kept per shape too; no shape cache may keep
     # an instance alive
