@@ -27,14 +27,19 @@ trivial no instance otherwise.  So ``nppt_contract_check`` is the one sweep
 for reductions and schemes alike (``certificate_scheme_check`` sweeps
 ``scheme.reduction()``), and ``compose(chain, scheme.reduction())`` carries
 a scheme back along a reduction chain.  Yes instances must accept the
-synthesized witness.  No instances must accept none, covered either by
-enumerating all ``2^L`` witnesses (when small) or by a stratified-exact
-sweep: every witness the reduction enumerates as structurally valid (an
-instance with more than ``VALID_CAP`` is skipped), plus the all-zero,
-all-one and ``INVALID_SAMPLES`` random probes of the invalid stratum, which
-the transforms collapse to a fixed trivial no-instance.  Reports record
-which strategy covered each instance; anything not covered is listed as
-skipped, never silently passed.
+synthesized witness.  No instances must accept none, each covered by the
+cheaper of two exact paths.  The stratified path checks every witness the
+reduction enumerates as structurally valid, then probes the invalid
+stratum with the all-zero, all-one and ``INVALID_SAMPLES`` random
+witnesses, skipping a probe that is itself valid; each probe must map to a
+declared constant answered no, which is what the transforms collapse an
+invalid witness to.  The exhaustive path enumerates all ``2^L`` witnesses.
+A no-instance with ``2^L <= exhaustive_cap`` is stratified only when its
+valid list plus the ``2 + INVALID_SAMPLES`` probes is shorter than
+``2^L``, so one of at most 4 bits never lists its valid witnesses.  A wider
+one is stratified, or skipped when its valid list holds more than
+``VALID_CAP``.  Reports record which path covered each instance; anything
+not covered is listed as skipped, never silently passed.
 
 One C-level pipeline, ``map`` of ``transform`` over ``repeat(inst)`` and
 ``compress``, transforms the witnesses of an instance, with no Python frame
@@ -51,8 +56,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
-from itertools import (chain, combinations, compress, count, islice, product,
-                       repeat)
+from itertools import (chain, combinations, compress, count, filterfalse,
+                       islice, product, repeat)
 from operator import is_not, itemgetter, lshift, ne
 from random import Random
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
@@ -534,19 +539,25 @@ class ContractReport:
 # all-zero and all-one witnesses.
 INVALID_SAMPLES = 16
 # Most valid witnesses enumerated per stratified no-instance; one with more
-# is skipped.
+# is skipped, or enumerated outright when 2^L <= exhaustive_cap.
 VALID_CAP = 200_000
 
 
-def _corner_witnesses(length, rng, drawn):
+def _corner_witnesses(length, rng, listed, kept):
     """The all-zero and all-one witnesses, then ``INVALID_SAMPLES`` random
-    ones drawn as they are pulled, each also appended to ``drawn``."""
+    ones, each drawn from ``rng`` only as it is pulled; those whose value is
+    in ``listed`` are dropped, and each other one is appended to ``kept``."""
     values = chain((0, (1 << length) - 1) if length else (0,),
                    map(rng.getrandbits, repeat(length, INVALID_SAMPLES)))
-    # each value fits ``length`` bits: built without the range checks
-    for wit in witnesses(values, length):
-        drawn.append(wit)
-        yield wit
+    # each value fits ``length`` bits: built without the range checks;
+    # ``kept.append`` returns None, so the outer filter passes all, in C
+    return filterfalse(kept.append, witnesses(
+        filterfalse(listed.__contains__, values), length))
+
+
+def _nth(head, tail, i):
+    """The i-th item of ``head`` followed by ``tail``."""
+    return head[i] if i < len(head) else tail[i - len(head)]
 
 
 def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
@@ -563,6 +574,24 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     its message.  The witness length is taken once per instance and checked
     against ``r.wit_bound`` when the reduction declares one; a synthesized
     or valid witness of another length is a ``ReductionError``.
+
+    Each no-instance takes one path, chosen from the instance alone.  With
+    ``r.valid_witnesses`` declared, the sweep pulls its valid list up to
+    ``VALID_CAP`` entries, and on an instance with ``2^L <= exhaustive_cap``
+    up to ``2^L - 3 - INVALID_SAMPLES`` too, plus one entry to tell that the
+    list is longer; none is pulled when that bound is below 0 (L <= 4).  A
+    list within the bound is swept stratified: each listed witness, then
+    each probe not in the list, stopping at the first violation.  A probe
+    whose target solves to yes is a ``soundness`` violation; one whose
+    target is no declared constant (by identity) is an ``invalid-stratum``
+    violation.  A longer list makes an instance within the cap exhaustive
+    (every witness in increasing value order) and a wider one skipped; an
+    instance within the cap with no valid witnesses declared is exhaustive.
+    So the list held at once has at most ``VALID_CAP + 1`` witnesses.  The
+    probes come from ``Random(seed)``, drawn only as they are pulled, in
+    the same order whichever path the earlier instances took.  A caller
+    that needs every witness of each no-instance within the cap checked
+    sweeps ``dataclasses.replace(r, valid_witnesses=None)``.
 
     Each of ``r.constants`` is solved the first time ``transform`` returns
     it, and that answer serves the rest of the sweep; any other target is
@@ -598,8 +627,16 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
         rep.violations.append({"kind": kind, "instance": inst,
                                "witness": wit.to_hex(), "target": tgt})
 
-    def reject_all(inst, wits, at):
-        # ``at(i)`` is the i-th witness of ``wits``, for the record
+    def reject_all(inst, wits, at, probed=None):
+        # ``at(i)`` is the i-th witness of ``wits``, for the record.  Once
+        # the list ``probed`` is nonempty, the witnesses are probes of the
+        # invalid stratum, whose targets must be declared constants too
+        bad = decide
+        if probed is not None:
+            def bad(tgt):
+                # ``r`` holds the constants, so no other target has their
+                # id; a probe's target that is none is not solved here
+                return probed and id(tgt) not in decided or decide(tgt)
         seen = count(1)
         tgts = map(transform, repeat(inst), compress(wits, seen))
         for const in r.constants:
@@ -607,14 +644,14 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                 # in C: this target is no again
                 tgts = filter(partial(is_not, const), tgts)
         try:
-            tgt = next(filter(decide, tgts), end)
+            tgt = next(filter(bad, tgts), end)
         finally:
             pulled = next(seen) - 1
             rep.witnesses_checked += pulled
-        if tgt is end:
-            return True
-        violation("soundness", inst, at(pulled - 1), tgt)
-        return False
+        if tgt is not end:
+            kind = "invalid-stratum" if probed and id(tgt) not in decided \
+                and not decide(tgt) else "soundness"
+            violation(kind, inst, at(pulled - 1), tgt)
 
     def wrong_length(got, length):
         return ReductionError(
@@ -661,26 +698,39 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                 violation("completeness", inst, wit, tgt)
             continue
         rep.no_instances += 1
+        small = length <= 26 and (1 << length) <= exhaustive_cap
+        # within the cap, a valid list is taken only while it and the
+        # 2 + INVALID_SAMPLES probes are fewer than the 2^L witnesses
+        most = (1 << length) - 3 - INVALID_SAMPLES if small else VALID_CAP
         try:
-            if length <= 26 and (1 << length) <= exhaustive_cap:
-                # in increasing value order: the i-th witness has value i
-                reject_all(inst, all_witnesses(length),
-                           partial(Witness, length=length))
-                rep.exhaustive += 1
-            elif valid is not None:
-                wits = list(islice(valid(inst), VALID_CAP + 1))
-                if len(wits) > VALID_CAP:
-                    rep.skipped.append((inst, "valid witness family too large"))
-                    continue
+            wits = None
+            if valid is not None and most >= 0:
+                most = min(most, VALID_CAP)
+                wits = list(islice(valid(inst), most + 1))
+                if len(wits) > most:
+                    if not small:
+                        rep.skipped.append(
+                            (inst, "valid witness family too large"))
+                        continue
+                    wits = None
+            if wits is not None:
                 odd = next(filter(partial(ne, length),
                                   map(itemgetter(1), wits)), length)
                 if odd != length:
                     raise wrong_length(odd, length)
-                if reject_all(inst, wits, wits.__getitem__):
-                    drawn = []
-                    reject_all(inst, _corner_witnesses(length, rng, drawn),
-                               drawn.__getitem__)
+                # the valid list, then the probes not in it; ``kept`` holds
+                # each probe pulled
+                kept = []
+                probes = _corner_witnesses(
+                    length, rng, set(map(itemgetter(0), wits)), kept)
+                reject_all(inst, chain(wits, probes),
+                           partial(_nth, wits, kept), kept)
                 rep.stratified += 1
+            elif small:
+                # in increasing value order: the i-th witness has value i
+                reject_all(inst, all_witnesses(length),
+                           partial(Witness, length=length))
+                rep.exhaustive += 1
             else:
                 rep.skipped.append((inst, f"witness space 2^{length} too large"))
         except ResourceLimitError as exc:

@@ -8,21 +8,28 @@ a criterion pins one.
 The contract sweeps of criteria 01, 02, 06, 09 and 12 are the rows of one
 table, ``CLAIMS``; a criterion's line gives each row's coverage class and
 seconds.  Exhaustive rows enumerate every witness of every no-instance, as
-criteria 06 and 12 require.  Stratified rows (in criteria 01, 02 and 09)
-enumerate, on their wider no-instances, every structurally valid witness
-and probe the invalid remainder, which the transforms collapse onto one
-fixed no-instance, through corner and random representatives.  Either way
-a single accepting witness would be found, so "zero violations" certifies
-soundness over the whole witness space.  No row is completeness-only
-(without no-instances), but the headline chain, coloring to counter
-machine to permutation-group subset sum, is not a row yet: its families
-have no no-instance, so criterion 06 checks its first link by agreement.
+criteria 06 and 12 require: they sweep their reduction with no valid
+witnesses listed.  Stratified rows (in criteria 01, 02 and 09) cover each
+no-instance by the cheaper exact path: every witness outright, or, when
+fewer, every structurally valid witness plus corner and random probes of
+the invalid remainder.  That remainder must collapse onto a declared
+constant that solves to no.  The sweep checks this on every probe (an
+``invalid-stratum`` violation otherwise), and
+``test_invalid_witnesses_collapse_to_a_no_constant`` checks it for every
+unlisted witness of each row's members of 5 to 10 witness bits.  Where
+that premise holds, a single accepting witness would be found, so "zero
+violations" certifies soundness over the whole witness space; the two
+checks are its evidence, whole up to 10 bits and sampled beyond.  No row
+is completeness-only (without no-instances), but the headline chain,
+coloring to counter machine to permutation-group subset sum, is not a row
+yet: its families have no no-instance, so criterion 06 checks its first
+link by agreement.
 """
 
 import dataclasses
 import time
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -42,7 +49,7 @@ from redkit.pathdecomp import check_path_decomposition
 from redkit.pipeline import red_coloring_to_cm
 from redkit.reductions import compose
 from redkit.satred import red_andsat_to_scheduling, red_cnf_to_coloring
-from redkit.witness import Witness
+from redkit.witness import Witness, all_witnesses
 
 from helpers import brute_scheduling
 
@@ -60,11 +67,18 @@ class Claim(NamedTuple):
     exhaustive: bool = False    # every no-instance enumerated outright
     transfer: bool = False
 
-    def reduction(self):
+    def base(self):
         red = SCHEMES[self.spec].reduction() if self.spec in SCHEMES \
             else get_reduction(self.spec)
         return compose(red, FULL_SS_SCHEME.reduction()) if self.transfer \
             else red
+
+    def reduction(self):
+        """The reduction the row sweeps: listing no valid witnesses when
+        the row is exhaustive, so that every no-instance is enumerated."""
+        red = self.base()
+        return dataclasses.replace(red, valid_witnesses=None) \
+            if self.exhaustive else red
 
 
 def _random_sources():
@@ -138,6 +152,26 @@ def sweep_criterion(num):
     return reports, ", ".join(rows), total
 
 
+def test_invalid_witnesses_collapse_to_a_no_constant():
+    """The premise of every stratified no-instance: a witness that its
+    reduction does not list as valid maps to a declared constant that
+    solves to no.  The sweep checks this on the probes it draws; here the
+    real ``transform`` runs on every unlisted witness of the first 4,000
+    members of 5 to 10 witness bits of each row's family, on yes-instances
+    too."""
+    for claim in CLAIMS:
+        red = claim.base()
+        no = {id(c) for c in red.constants if not solve(c).answer}
+        lengths = ((inst, red.witness_len(inst)) for inst in claim.family())
+        for inst, length in islice(((inst, length) for inst, length in lengths
+                                    if 5 <= length <= 10), 4000):
+            listed = {wit.value for wit in red.valid_witnesses(inst)}
+            for wit in all_witnesses(length):
+                if wit.value not in listed:
+                    tgt = red.transform(inst, wit)
+                    assert id(tgt) in no, (claim.spec, inst, wit, tgt)
+
+
 def _line(num, detail):
     print(f"criterion {num:02d}: {detail}")
 
@@ -149,7 +183,7 @@ def test_criterion_01_numeric_reduction_grids():
     witnesses = sum(rep.witnesses_checked for rep in reports)
     _line(1, f"PASS {checked} instances, {witnesses} witnesses, "
              f"0 violations ({elapsed:.1f}s: {rows})")
-    assert (checked, witnesses) == (594426, 6488660)
+    assert (checked, witnesses) == (594426, 3238792)
     assert elapsed <= 300.0
 
 
@@ -362,7 +396,8 @@ def test_criterion_12_certificate_transfer():
     for claim, caught in zip(claims, (112, 318, 142, 30, 0, 104), strict=True):
         spec, chain, transferred = claim.spec, get_reduction(claim.spec), \
             claim.reduction()
-        planted = nppt_contract_check(compose(chain, faulty), claim.family())
+        planted = nppt_contract_check(dataclasses.replace(
+            compose(chain, faulty), valid_witnesses=None), claim.family())
         slotted = [inst for inst in claim.family() if not solve(inst).answer
                    and transferred.witness_len(inst) > chain.witness_len(inst)]
         assert [v["instance"] for v in planted.violations] == slotted, spec

@@ -241,33 +241,44 @@ def _coverage(report):
 
 
 def test_scheme_check_unbounded_grid(monkeypatch):
-    report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
-                                      unbounded_instances(2, 5, 12))
-    assert report.ok, report.as_dict()
-    assert _coverage(report) == (273, 299067, 73, 27, [], 0)
-    report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
-                                      unbounded_instances(2, 5, 12),
-                                      exhaustive_cap=16)
-    assert report.ok, report.as_dict()
-    assert _coverage(report) == (273, 2108, 25, 75, [], 0)
+    # each no-instance of at least 5 bits has fewer valid certificates than
+    # 2^L - 18, so the cap changes no path
+    for cap in (65536, 16):
+        report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
+                                          unbounded_instances(2, 5, 12),
+                                          exhaustive_cap=cap)
+        assert report.ok, report.as_dict()
+        assert _coverage(report) == (273, 2030, 25, 75, [], 0)
+    # listing no valid certificates, the 73 within the cap are enumerated
+    # outright, and the 27 of 17 bits are skipped
+    report = certificate_scheme_check(
+        dataclasses.replace(UNBOUNDED_SS_SCHEME, valid_certificates=None),
+        unbounded_instances(2, 5, 12))
+    assert not report.ok and not report.violations
+    assert _coverage(report) == (
+        273, 298357, 73, 0, ["witness space 2^17 too large"], 27)
     monkeypatch.setattr(certificates, "VALID_CAP", 2)
     report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
                                       unbounded_instances(2, 5, 12),
                                       exhaustive_cap=16)
     assert not report.ok and not report.violations
     assert _coverage(report) == (
-        273, 956, 25, 30, ["valid witness family too large"], 45)
+        273, 921, 25, 30, ["valid witness family too large"], 45)
+    # within the cap, a valid list past VALID_CAP is enumerated outright
+    report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
+                                      unbounded_instances(2, 5, 12))
+    assert not report.ok and not report.violations
+    assert _coverage(report) == (
+        273, 207257, 48, 30, ["valid witness family too large"], 22)
 
 
 def test_contract_check_coverage_counts(monkeypatch):
     red = REDUCTIONS["ss-to-monotone"]
-    report = nppt_contract_check(red, subset_sums(3, 4, 10))
-    assert report.ok, report.as_dict()
-    assert _coverage(report) == (273, 24779, 94, 20, [], 0)
-    report = nppt_contract_check(red, subset_sums(3, 4, 10),
-                                 exhaustive_cap=16)
-    assert report.ok, report.as_dict()
-    assert _coverage(report) == (273, 2285, 48, 66, [], 0)
+    for cap in (4096, 16):
+        report = nppt_contract_check(red, subset_sums(3, 4, 10),
+                                     exhaustive_cap=cap)
+        assert report.ok, report.as_dict()
+        assert _coverage(report) == (273, 2276, 48, 66, [], 0)
     with monkeypatch.context() as patch:
         patch.setattr(certificates, "VALID_CAP", 2)
         report = nppt_contract_check(red, subset_sums(3, 4, 10),
@@ -283,24 +294,26 @@ def test_contract_check_coverage_counts(monkeypatch):
     chain = get_reduction("ss-to-knapsack+knapsack-to-ss")
     report = nppt_contract_check(chain, subset_sums(3, 5, 10))
     assert report.ok, report.as_dict()
-    assert _coverage(report) == (491, 20451, 222, 0, [], 0)
+    assert _coverage(report) == (491, 10631, 162, 60, [], 0)
     report = nppt_contract_check(chain, subset_sums(3, 5, 10),
                                  exhaustive_cap=8)
     assert report.ok, report.as_dict()
-    assert _coverage(report) == (491, 11416, 134, 88, [], 0)
+    assert _coverage(report) == (491, 10452, 134, 88, [], 0)
     # the permutation-group link and the ILP link: the target oracle's
     # reach closure and its per-columns ILP coding
     report = nppt_contract_check(REDUCTIONS["cm-to-permss"], cm_grid(1, 3))
     assert report.ok, report.as_dict()
     assert _coverage(report) == (259, 666, 137, 0, [], 0)
     red = REDUCTIONS["ilp-to-monotone"]
-    report = nppt_contract_check(red, ilps("standard", 2, 2))
+    for cap in (4096, 16):
+        report = nppt_contract_check(red, ilps("standard", 2, 2),
+                                     exhaustive_cap=cap)
+        assert report.ok, report.as_dict()
+        assert _coverage(report) == (1247, 21645, 84, 976, [], 0)
+    report = nppt_contract_check(
+        dataclasses.replace(red, valid_witnesses=None), ilps("standard", 2, 2))
     assert report.ok, report.as_dict()
     assert _coverage(report) == (1247, 251339, 1060, 0, [], 0)
-    report = nppt_contract_check(red, ilps("standard", 2, 2),
-                                 exhaustive_cap=16)
-    assert report.ok, report.as_dict()
-    assert _coverage(report) == (1247, 21823, 84, 976, [], 0)
 
 
 def test_zero_sum_target_missing_an_rhs_entry_is_caught():
@@ -324,12 +337,17 @@ def test_zero_sum_target_missing_an_rhs_entry_is_caught():
 def test_scheme_check_zkk_grid():
     report = certificate_scheme_check(ZKK_SCHEME, zkk_instances(2, 3))
     assert report.ok, report.as_dict()
+    assert _coverage(report) == (340, 1979, 0, 78, [], 0)
     # every no-instance fully enumerated
+    report = certificate_scheme_check(
+        dataclasses.replace(ZKK_SCHEME, valid_certificates=None),
+        zkk_instances(2, 3))
+    assert report.ok, report.as_dict()
     assert _coverage(report) == (340, 12838, 78, 0, [], 0)
     report = certificate_scheme_check(ZKK_SCHEME, zkk_instances(2, 4),
                                       exhaustive_cap=64)
     assert report.ok, report.as_dict()
-    assert _coverage(report) == (1364, 6488, 33, 138, [], 0)
+    assert _coverage(report) == (1364, 5790, 0, 171, [], 0)
 
 
 def test_scheme_check_catches_unsound_verifier():
@@ -480,11 +498,14 @@ def test_violation_records_carry_the_target_of_their_witness():
     no = dataclasses.replace(base, transform=lambda inst, wit: IlpInstance(
         (), (wit.length + 1,), "monotone"))
     report = nppt_contract_check(no, subset_sums(2, 3, 6))
-    assert len(report.violations) == report.yes_instances > 0
-    for v in report.violations:
+    complete = [v for v in report.violations if v["kind"] == "completeness"]
+    assert len(complete) == report.yes_instances > 0
+    for v in complete:
         length = base.witness_len(v["instance"])
-        assert v["kind"] == "completeness"
         assert v["target"] == IlpInstance((), (length + 1,), "monotone")
+    # on a stratified no-instance, the first probe's target is no constant
+    assert [v["kind"] for v in report.violations if v not in complete] == \
+        ["invalid-stratum"] * report.stratified
 
 
 def test_checkers_reject_a_family_of_the_wrong_kind():
@@ -712,7 +733,8 @@ def test_scheme_sweep_pulls_exhaustive_certificates_through_all_witnesses(
     monkeypatch.setattr(certificates, "all_witnesses", counting)
     no = [UnboundedSubsetSumInstance((2,), 3),
           UnboundedSubsetSumInstance((2, 4), 7)]
-    rep = certificate_scheme_check(UNBOUNDED_SS_SCHEME, no)
+    rep = certificate_scheme_check(
+        dataclasses.replace(UNBOUNDED_SS_SCHEME, valid_certificates=None), no)
     assert rep.ok and rep.exhaustive == 2
     assert len(pulled) == rep.witnesses_checked == (1 << 8) + (1 << 14)
 
@@ -850,7 +872,7 @@ def test_contract_sweep_solves_each_declared_constant_once(
 def test_contract_memo_solves_equal_but_distinct_targets(monkeypatch):
     asked = _counting_solve(monkeypatch)
     red = dataclasses.replace(
-        REDUCTIONS["ss-to-monotone"],
+        REDUCTIONS["ss-to-monotone"], valid_witnesses=None,
         transform=lambda inst, wit: IlpInstance((), (1,), "monotone"))
     report = nppt_contract_check(red, [NO_SOURCE])
     assert report.ok and report.witnesses_checked == 512
@@ -861,7 +883,7 @@ def test_contract_sweep_keeps_no_answer_from_a_raising_solve(monkeypatch):
     asked = _counting_solve(monkeypatch, fail_once=NO_A)
     red = dataclasses.replace(REDUCTIONS["ss-to-monotone"],
                               transform=lambda inst, wit: NO_A,
-                              constants=(NO_A,))
+                              constants=(NO_A,), valid_witnesses=None)
     report = nppt_contract_check(red, [NO_SOURCE, NO_SOURCE, NO_SOURCE])
     # the first instance is skipped at its first witness, leaving the
     # constant undecided; the second solves it, and no later witness does
@@ -885,7 +907,8 @@ def test_contract_cache_is_consulted_for_undecided_targets(monkeypatch):
 
     asked = _counting_solve(monkeypatch)
     red = dataclasses.replace(REDUCTIONS["ss-to-monotone"],
-                              transform=_runs_of_four, constants=(NO_A,))
+                              transform=_runs_of_four, constants=(NO_A,),
+                              valid_witnesses=None)
     cache = Counting()
     report = nppt_contract_check(red, [NO_SOURCE], cache=cache)
     assert report.ok and report.witnesses_checked == 512
