@@ -112,6 +112,11 @@ def _cmd_gen(args) -> int:
             inst = red_coloring_to_cm.apply(src, Witness.zero(0))
         else:
             inst = next(F.cm_samples(args.ell, args.n, 1, seed=args.seed))
+    # an option no minimum covers (a negative --target) builds an instance
+    # that ``solve`` would refuse
+    problems = I.validate(inst)
+    if problems:
+        return _fail("; ".join(problems), EXIT_USAGE)
     _emit(I.dumps(inst), args.out)
     return EXIT_YES
 

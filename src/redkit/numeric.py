@@ -19,22 +19,16 @@ another instance, then decodes ``wit.value`` with its shifts and masks.
 Targets are built from plain tuples, which their constructors neither copy
 nor store again.
 
-The two reductions that guess per-row totals reject most witnesses of a
-no-instance, so each first tests the packed value ``v`` twice, and returns
-its fixed no-instance without decoding a field when a test fails; a witness
-that passes both is decoded and checked field by field, so the tests change
-no target.  With ``m`` rows, ``k = t.bit_length()`` digits and field width
-``w``, the first test is an identity every accepted witness satisfies:
+ilp-to-monotone and ss-to-monotone guess per-row totals and reject most
+witnesses of a no-instance, so each first tests the packed value ``v`` and
+returns its fixed no-instance without decoding a field when a test fails;
+a witness that passes is decoded and checked field by field, so no test
+changes a target.  With ``m`` rows and field width ``w``, ilp-to-monotone
+first tests an identity every accepted witness satisfies: the b_pos half
+``v >> m*w`` minus the b_neg half ``v & ((1 << m*w) - 1)`` equals
+``sum(rhs_j << (m-1-j)*w)``.
 
-* ilp-to-monotone: ``(v >> m*w) - (v & ((1 << m*w) - 1))`` (the b_pos half
-  minus the b_neg half) equals ``sum(rhs_j << (m-1-j)*w)`` whenever
-  b_pos - b_neg = rhs row by row;
-* ss-to-monotone: with ``M = 2^(w+1) - 1``, ``2^(w+1) = 1 (mod M)`` makes
-  digit sum b_j, at bit ``(k-1-j)*w``, count as ``b_j 2^(j+1-k)``, so
-  ``(v << (k-1)) % M == sum(b_j 2^j) % M``, and ``v % M`` is
-  ``t * 2^(1-k) mod M`` whenever sum(b_j 2^j) = t.
-
-The second is the reach test: each guessed row total is at most its reach,
+Both run the reach test: each guessed row total is at most its reach,
 the number of ones that row of the target's columns holds (for
 ss-to-monotone the kept items with bit j set, for ilp-to-monotone the +1
 and the -1 entries of row j).  A total above its reach makes a target that
@@ -46,15 +40,15 @@ which then has a zeroed field above it, the addend puts
 ``2^w - 1 - min(reach_j, 2^w - 1)`` on field j, and the sum sets the
 carry bit just above field j exactly when field j exceeds its reach.
 
-Both reductions build their valid witnesses with no Python step per
-witness, as packed values fed to
-``witness.witnesses``.  ilp-to-monotone's are ``map(sum, product(...))``
-over one ``range`` per row, since a row's packed (b_pos, b_neg) is linear
-in b_pos.  ss-to-monotone's depend on t alone: a walk over the digits with
-an explicit stack yields one ``range`` per choice of all but the last two
-digits, and the values of a target up to ``SSM_VALID_TARGET`` are kept
-per target, so a repeated target enumerates from a tuple; a larger one
-streams lazily.
+Both build their valid witnesses as packed values fed to
+``witness.witnesses``, with no Python step per witness.  ilp-to-monotone's
+are ``map(sum, product(...))`` over one ``range`` per row, since a row's
+packed (b_pos, b_neg) is linear in b_pos.  ss-to-monotone's depend on t
+alone: a walk over the ``k = t.bit_length()`` digits, with an explicit
+stack of one choice iterator per digit below the top two, yields one
+``range`` per choice of those digits, so it holds O(k) values however many
+it yields.  A target up to ``SSM_VALID_TARGET`` keeps its values, so a
+repeated target enumerates from a tuple.
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
-from operator import lshift, sub
+from operator import add, lshift, sub
 
 from . import instances as I
 from .errors import ConstructionError, ReductionError
@@ -279,8 +273,6 @@ class _SsmLayout:
     widths: tuple
     shifts: tuple       # shift of row j's digit sum b_j
     mask: int
-    modulus: int        # M = 2^(width+1) - 1
-    residue: int        # t * 2^(1-k) mod M: value % M on every accepted witness
     columns: tuple      # the binary digits of each item <= t
     reach: tuple        # row j's ones: the items <= t with bit j set
     over: tuple         # _over_reach(reach, width)
@@ -291,15 +283,13 @@ def _ssm_layout(inst) -> _SsmLayout:
     t = inst.target
     k = t.bit_length()
     width = field_width(t)
-    modulus = (2 << width) - 1
     columns = tuple(tuple((p >> j) & 1 for j in range(k))
                     for p in inst.items if p <= t)
     reach = tuple(sum(col[j] for col in columns) for j in range(k))
     return _SsmLayout(
         k * width, (width,) * k,
         tuple((k - 1 - j) * width for j in range(k)), (1 << width) - 1,
-        modulus, t * pow(2, 1 - k, modulus) % modulus, columns, reach,
-        _over_reach(reach, width))
+        columns, reach, _over_reach(reach, width))
 
 
 _SSM_LAST = _ssm_layout.last
@@ -310,10 +300,8 @@ def _ssm_transform(inst, wit):
     if inst is not held:
         lay = _ssm_layout(inst)
     v = wit.value
-    # the packed tests of the module docstring: sum(b_j 2^j) == t implies
-    # the first, and an accepted witness passes the reach test
-    if v % lay.modulus != lay.residue:
-        return _MONOTONE_NO
+    # the packed reach test of the module docstring: an accepted witness
+    # passes it
     em, ea, ec, om, oa, oc = lay.over
     if (v & em) + ea & ec or (v & om) + oa & oc:
         return _MONOTONE_NO
@@ -333,14 +321,12 @@ def _ssm_synthesize(inst, sol):
 
 
 # Targets whose valid packed values ss-to-monotone keeps.  Those values
-# depend on t alone: there are b(t) of them, the binary partitions of t, a
-# count that grows with t (b(30) = 166, b(63) = 1,626, b(511) > 10^7).
-# Measured with tracemalloc, counting the cache's own slots: a kept target
-# t <= SSM_VALID_TARGET holds at most 1,626 values of at most 36 bits,
-# about 65 KB (t = 63), and the SSM_VALID_CACHE entries, one per kept
-# target so that a sweep cycling through its targets never evicts one,
-# hold at most 25,510 values, about 1.0 MB; contract-sweep's 31 targets
-# hold about 60 KB.  A larger target streams its values lazily.
+# depend on t alone: there are b(t) of them, the binary partitions of t
+# (b(30) = 166, b(63) = 1,626, b(511) > 10^7).  Measured with tracemalloc,
+# counting the cache's own slots: a kept target holds at most about 65 KB
+# (t = 63), and the SSM_VALID_CACHE entries, one per kept target so that a
+# sweep cycling through its targets never evicts one, about 1.0 MB.  A
+# larger target streams its values, holding O(k) of them at a time.
 SSM_VALID_TARGET = 63
 SSM_VALID_CACHE = SSM_VALID_TARGET + 1
 
@@ -352,28 +338,35 @@ def _ssm_values(t):
     if k < 2:
         return iter((t,))
     width = field_width(t)
-    last = k - 2
     # at digit k-2, b_{k-2} += 2 takes 1 from the top digit (at bit 0)
     step = (2 << width) - 1
 
     def runs():
         # digit j contributes b_j 2^j and the higher digits multiples of
         # 2^(j+1), so b_j has the parity of bit j of rem, and the top digit
-        # takes all that is left; the stack pops each digit's choices in
-        # increasing order, and the values under one choice of digits
-        # 0..k-3 are one range
-        stack = [(0, t, 0)]
+        # takes all that is left.  stack[j] yields the (rem, acc) left by
+        # each choice of digit j-1 (stack[0] the start), and the values
+        # under one choice of digits 0..k-3 are one range
+        stack = [iter(((t, 0),))]
         while stack:
-            j, rem, acc = stack.pop()
-            hi = rem >> j
-            lo = hi & 1
-            shift = (k - 1 - j) * width
-            if j == last:
+            j = len(stack) - 1
+            for rem, acc in stack[-1]:
+                hi = rem >> j
+                lo = hi & 1
+                shift = (k - 1 - j) * width
+                if j < k - 2:
+                    # b_j = lo, lo + 2, ..., hi: what each leaves of rem,
+                    # and acc with b_j at ``shift``, as two equal ranges
+                    stack.append(zip(
+                        range(rem - (lo << j), -1, -2 << j),
+                        range(acc | lo << shift, acc + (hi + 1 << shift),
+                              2 << shift)))
+                    break
                 start = acc | lo << shift | (rem - (lo << j)) >> (j + 1)
                 yield range(start, start + ((hi - lo) // 2 + 1) * step, step)
             else:
-                stack.extend((j + 1, rem - (d << j), acc | d << shift)
-                             for d in range(hi, lo - 1, -2))
+                # digit j-1's choices are spent: back to digit j-2's
+                stack.pop()
 
     return chain.from_iterable(runs())
 
@@ -601,10 +594,16 @@ def _im_valid(inst):
 
 
 def _im_canonical(inst):
-    n = len(inst.columns)
-    b_pos = tuple(min(max(b, 0), n) for b in inst.rhs)
-    b_neg = tuple(min(max(-b, 0), n) for b in inst.rhs)
-    return pack_fields(b_pos + b_neg, _im_layout(inst).widths)
+    # the widest accepted witness, each field the most an accepted witness
+    # puts there: row j takes b_neg = min(reach-, reach+ - rhs_j); when a
+    # row has no accepted choice, the narrowest fields in range
+    lay, m, n = _im_layout(inst), inst.num_rows, len(inst.columns)
+    reach = [sum(col[j] for col in lay.columns) for j in range(2 * m)]
+    b_neg = [min(reach[m + j], reach[j] - b) for j, b in enumerate(inst.rhs)]
+    fields = list(map(add, b_neg, inst.rhs)) + b_neg
+    if min(fields, default=0) < 0:
+        fields = [min(max(s * b, 0), n) for s in (1, -1) for b in inst.rhs]
+    return pack_fields(fields, lay.widths)
 
 
 red_ilp_to_monotone = Reduction(

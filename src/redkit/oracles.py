@@ -73,7 +73,6 @@ class Budget:
     max_bruteforce_n: int = 25
     max_brute_states: int = 2_000_000
     max_cm_states: int = 4_000_000
-    max_coloring_brute_ops: int = 600_000
     max_coloring_states: int = 500_000
     max_sat_ops: int = 8_000_000
 
@@ -454,15 +453,21 @@ def solve_counter_machine(inst: I.CounterMachineInstance,
 # ---------------------------------------------------------------------------
 # 3-coloring.
 
+# The most work, 3^n * (m + 1) for n vertices and m edges, at which
+# ``solve_coloring`` runs the brute search rather than the DP.
+COLORING_BRUTE_OPS = 600_000
+
+
 def solve_coloring(inst: I.ColoringInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """The brute search over 3^n colorings when its work fits
-    ``max_coloring_brute_ops``, else the DP over the path decomposition's
-    bags.  Each wins on some inputs: the brute search stops at the first
-    proper coloring, the DP empties its layer at the first uncolorable bag."""
+    """The brute search over 3^n colorings when its work is at most
+    ``COLORING_BRUTE_OPS``, else the DP over the path decomposition's bags,
+    whose states ``max_coloring_states`` gates.  Each wins on some inputs:
+    the brute search stops at the first proper coloring, the DP empties its
+    layer at the first uncolorable bag."""
     _refuse_invalid(inst)
     n = inst.num_vertices
     m = len(inst.edges)
-    if n <= 12 and 3 ** n * (m + 1) <= budget.max_coloring_brute_ops:
+    if n <= 12 and 3 ** n * (m + 1) <= COLORING_BRUTE_OPS:
         return _coloring_brute(inst)
     return _coloring_dp(inst, budget)
 

@@ -13,9 +13,11 @@ The contract: if the source is a no-instance, every witness yields a
 no-instance; if it is a yes-instance, the synthesized witness yields a
 yes-instance.  ``valid_witnesses`` optionally enumerates the witnesses that
 decode structurally (used to stratify exhaustive checks), and
-``canonical_witness`` names one witness whose image has the generic shape
-(used to size composite witnesses).  ``wit_bound(inst)``, when declared, is
-the most witness bits the reduction may use on ``inst``; the contract sweep
+``canonical_witness`` names the witness a composite sizes its next slot
+from: the accepted witness (one ``transform`` decodes rather than maps to
+its fixed reject target) whose target needs the widest next slot, or any
+witness when none is accepted.  ``wit_bound(inst)``, when declared, is the
+most witness bits the reduction may use on ``inst``; the contract sweep
 records a ``bit-length-bound`` violation on an instance whose
 ``witness_len`` exceeds it.  ``compose`` declares none.  ``constants`` are
 the shared targets ``transform`` returns by identity (guard cases, rejected

@@ -446,13 +446,19 @@ def _family_spec(draw):
     return name
 
 
-def _exit_code(capsys, argv):
+def _outcome(capsys, argv):
+    """The exit code and the standard output of ``argv``."""
     try:
         code = main(argv)
     except SystemExit as exc:   # argparse's usage errors
         code = exc.code
-    assert "Traceback" not in capsys.readouterr().err
-    return code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.out
+
+
+def _exit_code(capsys, argv):
+    return _outcome(capsys, argv)[0]
 
 
 @settings(max_examples=300, deadline=None,
@@ -526,4 +532,16 @@ def _gen_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_gen_argv())
 def test_gen_exit_code_on_any_options(capsys, argv):
-    assert _exit_code(capsys, argv) in range(5)
+    # an instance gen writes is one that solve accepts
+    code, out = _outcome(capsys, argv)
+    assert code in range(5)
+    if code == 0:
+        assert I.validate(I.loads(out)) == [], argv
+
+
+@pytest.mark.parametrize("kind, target", [("subset-sum", "-3"),
+                                          ("unbounded", "-1")])
+def test_gen_refuses_a_negative_target(capsys, kind, target):
+    code, out, err = run(capsys, "gen", kind, "--target", target)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "target must be nonnegative" in err

@@ -18,9 +18,9 @@ from redkit import instances as I
 from redkit import kernels, oracles
 from redkit.errors import ResourceLimitError, ValidationError
 from redkit.groups import Permutation
-from redkit.oracles import (DEFAULT_BUDGET, Budget, Verdict, check_solution,
-                            solve, solve_coloring, solve_group_ss,
-                            solve_ilp, solve_scheduling)
+from redkit.oracles import (DEFAULT_BUDGET, Budget, Verdict, _coloring_dp,
+                            check_solution, solve, solve_coloring,
+                            solve_group_ss, solve_ilp, solve_scheduling)
 
 from helpers import brute_scheduling
 
@@ -341,10 +341,10 @@ def test_coloring_brute_and_dp_agree():
     for _ in range(120):
         inst = random_coloring(rng, rng.randint(0, 5))
         expected = _brute_coloring(inst)
-        # the Budget alone picks the path: no brute work forces the DP
-        for budget, method in ((DEFAULT_BUDGET, "brute"),
-                               (Budget(max_coloring_brute_ops=0), "dp")):
-            got = solve_coloring(inst, budget)
+        # graphs of at most 5 vertices take the brute path, so the DP is
+        # called directly
+        for got, method in ((solve_coloring(inst), "brute"),
+                            (_coloring_dp(inst, DEFAULT_BUDGET), "dp")):
             assert got.answer == expected and got.method == method, inst
             if got.answer:
                 assert check_solution(inst, got.solution)
@@ -405,6 +405,33 @@ def test_check_solution_rejects_corruption():
         cm = I.CounterMachineInstance(2, ((1, 0), short_or_long),
                                       (I.OPTIONAL,) * 2)
         assert not check_solution(cm, [0, 1])
+
+
+_ONE_CLAUSE = I.CnfInstance(2, ((1, 2),))
+
+
+@pytest.mark.parametrize("inst, sol", [
+    (I.KnapsackInstance(((2, 1), (1, 1)), 3, 1), (0, 0)),
+    (I.IlpInstance(((1,), (1,)), (1,)), (1,)),
+    (I.IlpInstance(((1,), (1,)), (1,)), (1, 1)),
+    (I.IlpInstance(((1,), (-1,)), (0,), "zero_sum"), (0, 0)),
+    (I.GroupSubsetSumInstance(I.CyclicGroup(5), (1, 2), 3), (2,)),
+    (I.GroupSubsetSumInstance(I.CyclicGroup(5), (1, 2), 7), (0,)),
+    (I.ColoringInstance(2, ((0, 1),), ((0, 1),)), (0, 3)),
+    (I.SchedulingInstance(((1, 1, 1), (1, 1, 1)), 0),
+     {"order": (0,), "on_time": (0,)}),
+    (I.SchedulingInstance(((2, 1, 1),), 0), {"order": (0,), "on_time": (0,)}),
+    (_ONE_CLAUSE, (1,)),
+    (I.AndSatInstance(2, (_ONE_CLAUSE, _ONE_CLAUSE)), ((1, 0),)),
+    (I.UnboundedSubsetSumInstance((2,), 4), {0: 0}),
+], ids=["knapsack-repeated-index", "ilp-short", "ilp-row-total",
+        "zero-sum-empty", "group-index-past-end", "group-target-outside",
+        "coloring-fourth-color", "scheduling-order-not-a-permutation",
+        "scheduling-on-time-job-late", "cnf-short", "and-sat-short",
+        "unbounded-zero-count"])
+def test_check_solution_answers_a_malformed_solution_false(inst, sol):
+    # each meets its kind's own reject branch, not the catch-all
+    assert check_solution(inst, sol) is False
 
 
 def test_budget_limits_raise():
@@ -675,8 +702,7 @@ def test_oracles_refuse_what_validate_rejects(inst):
     # each was answered, or ended in a bare IndexError or ValueError, though
     # validate rejects it
     assert I.validate(inst)
-    starved = Budget(max_dp_cells=0, max_coloring_brute_ops=0,
-                     max_sat_ops=0)
+    starved = Budget(max_dp_cells=0, max_sat_ops=0)
     for budget in (DEFAULT_BUDGET, starved):
         with pytest.raises(ValidationError, match=inst.kind):
             solve(inst, budget)
@@ -1224,5 +1250,5 @@ def test_no_verdicts_are_shared_and_equal_fresh_ones():
         assert got == Verdict(False, method=method), inst
         assert got.solution is None and not got
         assert solve(inst, budget) is got
-    dp = solve_coloring(named_graph("k4"), Budget(max_coloring_brute_ops=0))
+    dp = _coloring_dp(named_graph("k4"), DEFAULT_BUDGET)
     assert dp == Verdict(False, method="dp")

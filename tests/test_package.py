@@ -194,6 +194,8 @@ print((wit.value, wit.length), solve(composite.apply(inst, wit)).answer)
 
 
 GRAPH = "I.ColoringInstance(3, ((0, 1), (1, 2)), ((0, 1), (1, 2)))"
+# a path on 13 vertices: past the brute search's gate, so solve runs the DP
+PATH13 = "I.ColoringInstance(13, *[tuple((i, i + 1) for i in range(12))] * 2)"
 
 
 @pytest.mark.parametrize("call, printed", [
@@ -201,8 +203,7 @@ GRAPH = "I.ColoringInstance(3, ((0, 1), (1, 2)), ((0, 1), (1, 2)))"
     ("len(I.validate(I.ColoringInstance(3, ((0, 2),), ((0, 1), (1, 2)))))",
      "1"),
     (f"I.parameter({GRAPH})", "2"),
-    (f"oracles.solve({GRAPH}, oracles.Budget(max_coloring_brute_ops=0))"
-     ".method", "dp"),
+    (f"oracles.solve({PATH13}).method", "dp"),
 ], ids=["validate", "validate-uncovered-edge", "parameter", "dp"])
 def test_coloring_paths_load_the_path_decomposition(call, printed):
     out, loaded = _loaded(f"""

@@ -10,19 +10,20 @@ import dataclasses
 import gc
 import tracemalloc
 import weakref
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redkit import instances as I, numeric, pipeline
-from redkit.catalog import REDUCTIONS
+from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
                                  nppt_contract_check)
 from redkit.errors import ReductionError
-from redkit.families import (cm_grid, ilps, subset_sums,
-                             unbounded_instances, zkk_instances)
+from redkit.families import (cm_grid, ilps, knapsacks, subset_sums,
+                             unbounded_instances, zkk_instances,
+                             zq_instances)
 from redkit.groups import identity, make_run_context
 from redkit.numeric import (SSM_VALID_CACHE, SSM_VALID_TARGET, _MONOTONE_NO,
                             _ssm_kept)
@@ -203,10 +204,19 @@ def _ref_im_valid(inst):
 
 
 def _ref_im_canonical(inst):
-    n = len(inst.columns)
-    b_pos = tuple(min(max(b, 0), n) for b in inst.rhs)
-    b_neg = tuple(min(max(-b, 0), n) for b in inst.rhs)
-    return pack_fields(b_pos + b_neg, _im_widths(inst))
+    # the widest accepted witness: per row, the accepted (b_pos, b_neg)
+    # with the largest fields, found by search; when some row has none,
+    # the narrowest fields in range
+    m, n = inst.num_rows, len(inst.columns)
+    reach = _im_reach(inst)
+    rows = [[(bn + b, bn) for bn in range(reach[m + j] + 1)
+             if 0 <= bn + b <= reach[j]] for j, b in enumerate(inst.rhs)]
+    if all(rows):
+        b_pos, b_neg = zip(*map(max, rows)) if m else ((), ())
+    else:
+        b_pos = tuple(min(max(b, 0), n) for b in inst.rhs)
+        b_neg = tuple(min(max(-b, 0), n) for b in inst.rhs)
+    return pack_fields(tuple(b_pos) + tuple(b_neg), _im_widths(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +318,14 @@ CASES = {
 
 
 def _packed_test(name, inst, wit):
-    """The whole-integer identity ``redkit.numeric`` tests first."""
+    """The whole-integer identity ``redkit.numeric`` tests first, which
+    only ilp-to-monotone has: ss-to-monotone starts with the reach test."""
+    if name != "ilp-to-monotone":
+        return True
     v = wit.value
-    if name == "ilp-to-monotone":
-        m, w = inst.num_rows, field_width(len(inst.columns))
-        code = sum(b << (m - 1 - j) * w for j, b in enumerate(inst.rhs))
-        return (v >> m * w) - (v & ((1 << m * w) - 1)) == code
-    t = inst.target
-    modulus = (2 << field_width(t)) - 1
-    return ((v << (t.bit_length() - 1)) - t) % modulus == 0
+    m, w = inst.num_rows, field_width(len(inst.columns))
+    code = sum(b << (m - 1 - j) * w for j, b in enumerate(inst.rhs))
+    return (v >> m * w) - (v & ((1 << m * w) - 1)) == code
 
 
 def _excess(name, inst, wit):
@@ -331,8 +340,8 @@ def _excess(name, inst, wit):
     return [f - r for f, r in zip(fields, reach)]
 
 
-# Witnesses that pass the packed identity test but not the field check.
-# The first of each has a field past its reach, which the packed reach test
+# Witnesses that pass the packed identity test, where the reduction has
+# one, but not the field check.  The first of each has a field past its reach, which the packed reach test
 # rejects; the second passes that test too, so the decode behind both runs
 # on every run.
 PACKED_BUT_REJECTED = {
@@ -344,8 +353,8 @@ PACKED_BUT_REJECTED = {
         (I.IlpInstance(((1, -1),) * 7, (0, 1)), Witness(0x207, 12)),
     ),
     "ss-to-monotone": (
-        # digits b = (0, 0, 5): 5 << 2 = 20 = 5 (mod 15), but 5 * 4 != 5;
-        # no item has bit 2, so b_2 is past its reach
+        # digits b = (0, 0, 5): 5 * 4 != 5, and no item has bit 2, so b_2
+        # is past its reach
         (I.SubsetSumInstance((1, 2, 3), 5), Witness(5, 9)),
         # the same digits, with five items 4 <= 5
         (I.SubsetSumInstance((4,) * 5, 5), Witness(5, 9)),
@@ -409,7 +418,7 @@ def test_layout_reduction_matches_reference(name):
 # The packed reach test: per field, a carry out of field + (2^w - 1 - reach).
 
 
-# An instance per reduction whose valid witnesses (each passes the packed
+# An instance per reduction whose valid witnesses (each passes any packed
 # identity test) put a field at its reach, and exactly one field at reach + 1
 # at the top (index 0), at another even index and at an odd index.
 REACH_EDGES = {
@@ -502,6 +511,26 @@ def test_ssm_valid_streams_a_target_past_the_kept_size():
     assert _ssm_kept.cache_info() == before
 
 
+def test_ssm_valid_holds_o_k_values_while_it_streams():
+    # t = 2^18 + 1 has 2^17 + 1 choices of b_0: the walk holds one choice
+    # iterator per digit, not a pushed entry per choice, so the first
+    # 1,000 witnesses come within 1 MB
+    red = REDUCTIONS["ss-to-monotone"]
+    inst = I.SubsetSumInstance((1,), 2 ** 18 + 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        first = list(islice(red.valid_witnesses(inst), 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert len(set(first)) == 1000
+    for wit in first:
+        b = unpack_fields(wit, _ssm_widths(inst))
+        assert sum(d << j for j, d in enumerate(b)) == inst.target
+
+
 def test_ssm_valid_cache_stays_within_its_stated_bytes():
     # the bounds stated beside SSM_VALID_CACHE: about 65 KB for the largest
     # kept target, about 1.0 MB for every kept target
@@ -552,6 +581,28 @@ def test_canonical_witness_is_accepted_whenever_some_witness_is(
         some += accepted
         assert _accepts(red, inst, red.canonical_witness(inst)) == accepted
     assert (checked, some) == counts
+
+
+@pytest.mark.parametrize("spec, family", [
+    ("ilp-to-monotone+monotone-to-ss+ss-to-monotone",
+     partial(ilps, "standard", 2, 2)),
+    ("knapsack-to-ss+ss-to-monotone", partial(knapsacks, 2, 4)),
+    ("zq-to-ss+ss-to-monotone", partial(zq_instances, 5, 3)),
+    ("ss-to-monotone+monotone-to-ss+ss-to-monotone",
+     partial(subset_sums, 3, 4, 10)),
+    ("ilp-to-monotone+monotone-to-zerosum+zerosum-to-ilp",
+     partial(ilps, "standard", 2, 2)),
+    ("ss-to-monotone+monotone-to-zerosum+zerosum-to-ilp",
+     partial(subset_sums, 3, 4, 10)),
+])
+def test_three_link_chains_size_their_slots_for_every_accepted_witness(
+        spec, family):
+    # the first link's canonical witness is its widest accepted one, so
+    # the next slot fits the target of every accepted witness: with the
+    # narrowest, ilp-to-monotone's chains met intermediates that want more
+    # bits than the slot has (completeness and transform-error violations)
+    rep = nppt_contract_check(get_reduction(spec), family())
+    assert rep.ok and rep.no_instances, rep.violations[:3]
 
 
 def _target_without_reach(name, inst, wit):

@@ -23,7 +23,7 @@ from redkit.errors import ReductionError
 from redkit.families import (cnfs, graphs_upto, ilps, knapsacks, named_graph,
                              subset_sums, unbounded_instances, zkk_instances,
                              zq_instances)
-from redkit.instances import trivial_instance
+from redkit.instances import IlpInstance, trivial_instance
 from redkit.reductions import compose
 
 from reference_sweep import reference_sweep
@@ -151,3 +151,40 @@ def test_planted_faults_match_the_reference(fault):
     got = nppt_contract_check(red, family(), exhaustive_cap=cap, seed=seed)
     want = reference_sweep(red, family(), exhaustive_cap=cap, seed=seed)
     assert got.as_dict() == want.as_dict()
+
+
+def _wide_zero_sum_ilps():
+    """One- and two-row zero-sum ILPs with 33 to 45 columns: the 6-bit
+    witness of zerosum-to-ilp then has a valid list (one witness per
+    column) that, with the 18 probes, is shorter than the 64 witnesses, so
+    each no-instance takes the stratified path."""
+    return [
+        IlpInstance(((1,),) * 33, (0,), "zero_sum"),
+        IlpInstance(((1,),) * 39 + ((-1,),), (0,), "zero_sum"),
+        IlpInstance(((1, 0), (0, 1), (1, 1)) * 15, (0, 0), "zero_sum"),
+        IlpInstance(((1, -1),) * 20 + ((1, 1),) * 16, (0, 0), "zero_sum"),
+        IlpInstance(((1, -1), (-1, 1)) * 18, (0, 0), "zero_sum"),
+    ]
+
+
+def _zsi_stratum_fault():
+    """zerosum-to-ilp whose all-ones witness, an invalid one the sweep
+    always probes, maps to a fresh no target rather than its constant."""
+    red = get_reduction("zerosum-to-ilp")
+    transform = red.transform
+
+    def broken(inst, wit):
+        if wit.value == (1 << wit.length) - 1:
+            return trivial_instance("ilp", False, variant="standard")
+        return transform(inst, wit)
+    return dataclasses.replace(red, transform=broken)
+
+
+@pytest.mark.parametrize("make, kinds", [
+    (partial(get_reduction, "zerosum-to-ilp"), []),
+    (_zsi_stratum_fault, ["invalid-stratum"] * 3),
+], ids=["clean", "invalid-stratum-fault"])
+def test_wide_zero_sum_ilps_stratify_as_the_reference_does(make, kinds):
+    rep = _same(Sweep(make, _wide_zero_sum_ilps))
+    assert (rep.checked, rep.no_instances, rep.stratified) == (5, 3, 3)
+    assert [v["kind"] for v in rep.violations] == kinds
