@@ -31,8 +31,7 @@ _EXPORTS = {
                   "loads", "trivial_instance", "validate"),
     "kernels": (),
     "numeric": ("NUMERIC_REDUCTIONS", "graver_check", "graver_sequence"),
-    "oracles": ("Budget", "DEFAULT_BUDGET", "Verdict", "check_solution",
-                "solve"),
+    "oracles": ("Verdict", "check_solution", "solve"),
     "pathdecomp": (),
     "pipeline": ("PIPELINE_REDUCTIONS", "red_cm_to_perm_ss",
                  "red_coloring_to_cm"),

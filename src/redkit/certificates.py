@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 from . import instances as I
 from .errors import (ConstructionError, RedkitError, ReductionError,
                      ResourceLimitError, ValidationError)
-from .oracles import DEFAULT_BUDGET, Budget, check_solution, solve
+from .oracles import check_solution, solve
 from .witness import (Witness, all_witnesses, field_width, layout_cache,
                       witnesses)
 
@@ -561,8 +561,7 @@ def _nth(head, tail, i):
 
 
 def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
-                        budget: Budget | None = None, *,
-                        exhaustive_cap: int = 4096,
+                        *, exhaustive_cap: int = 4096,
                         seed: int = 0,
                         cache: dict | None = None) -> ContractReport:
     """Check the reduction's yes/no contract against the oracles.
@@ -599,8 +598,13 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
     solve that raises leaves nothing decided.  A caller that wants more
     reuse passes a dict as ``cache``; it is looked up and filled for every
     target that is not a decided constant, and the caller bounds its size.
+
+    Every solve runs under the oracles' gates, the ``oracles.MAX_*``
+    constants, as do those a transform or synthesis makes itself (a
+    composed link's intermediate, say).  A ``ResourceLimitError`` skips
+    the instance with the step that raised it: the source oracle, the
+    synthesis or the target oracle.
     """
-    budget = budget if budget is not None else DEFAULT_BUDGET
     name = r.name
     transform, witness_len, wit_bound = r.transform, r.witness_len, r.wit_bound
     synthesize, valid = r.synthesize, r.valid_witnesses
@@ -614,11 +618,11 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
         hit = decided.get(id(tgt))
         if hit is None:
             if cache is None:
-                hit = solve(tgt, budget).answer
+                hit = solve(tgt).answer
             else:
                 hit = cache.get(tgt)
                 if hit is None:
-                    hit = cache[tgt] = solve(tgt, budget).answer
+                    hit = cache[tgt] = solve(tgt).answer
             if id(tgt) in decided:
                 decided[id(tgt)] = hit
         return hit
@@ -671,7 +675,7 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
                     "kind": "bit-length-bound", "instance": inst,
                     "witness_len": length, "bound": bound})
         try:
-            src = solve(inst, budget)
+            src = solve(inst)
         except ResourceLimitError as exc:
             rep.skipped.append((inst, f"source oracle: {exc}"))
             continue
@@ -743,11 +747,10 @@ def nppt_contract_check(r: Reduction, family: Iterable[I.ProblemInstance],
 
 def certificate_scheme_check(scheme: CertificateScheme,
                              family: Iterable[I.ProblemInstance],
-                             budget: Budget | None = None, *,
-                             exhaustive_cap: int = 65536,
+                             *, exhaustive_cap: int = 65536,
                              seed: int = 0) -> ContractReport:
     """``nppt_contract_check`` of ``scheme.reduction()``."""
-    return nppt_contract_check(scheme.reduction(), family, budget,
+    return nppt_contract_check(scheme.reduction(), family,
                                exhaustive_cap=exhaustive_cap, seed=seed)
 
 

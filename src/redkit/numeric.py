@@ -21,24 +21,20 @@ nor store again.
 
 ilp-to-monotone and ss-to-monotone guess per-row totals and reject most
 witnesses of a no-instance, so each first tests the packed value ``v`` and
-returns its fixed no-instance without decoding a field when a test fails;
-a witness that passes is decoded and checked field by field, so no test
-changes a target.  With ``m`` rows and field width ``w``, ilp-to-monotone
-first tests an identity every accepted witness satisfies: the b_pos half
-``v >> m*w`` minus the b_neg half ``v & ((1 << m*w) - 1)`` equals
-``sum(rhs_j << (m-1-j)*w)``.
-
-Both run the reach test: each guessed row total is at most its reach,
-the number of ones that row of the target's columns holds (for
-ss-to-monotone the kept items with bit j set, for ilp-to-monotone the +1
-and the -1 entries of row j).  A total above its reach makes a target that
-``kernels.ilp_rhs_code`` answers no (method ``range``), so the fixed
-no-instance changes no verdict, and the sweep skips it without a solve.
-It runs on ``v`` with two (mask, addend, carry) triples built once per
-layout: the mask keeps the even-index (or the odd-index) fields, each of
-which then has a zeroed field above it, the addend puts
-``2^w - 1 - min(reach_j, 2^w - 1)`` on field j, and the sum sets the
-carry bit just above field j exactly when field j exceeds its reach.
+returns its fixed no-instance without decoding a field when the test fails;
+a witness that passes is decoded and checked field by field, so the test
+changes no target.  The test is the reach test: each guessed row total is
+at most its reach, the number of ones that row of the target's columns
+holds (for ss-to-monotone the kept items with bit j set, for
+ilp-to-monotone the +1 and the -1 entries of row j).  A total above its
+reach makes a target that ``kernels.ilp_rhs_code`` answers no (method
+``range``), so the fixed no-instance changes no verdict, and the sweep
+skips it without a solve.  It runs on ``v`` with two (mask, addend, carry)
+triples built once per layout: the mask keeps the even-index (or the
+odd-index) fields, each of which then has a zeroed field above it, the
+addend puts ``2^w - 1 - min(reach_j, 2^w - 1)`` on field j, and the sum
+sets the carry bit just above field j exactly when field j exceeds its
+reach.
 
 Both build their valid witnesses as packed values fed to
 ``witness.witnesses``, with no Python step per witness.  ilp-to-monotone's
@@ -516,9 +512,6 @@ class _ImLayout:
     widths: tuple
     shifts: tuple       # shift of each field
     mask: int
-    half: int           # bits of the b_neg half: b_pos half = value >> half
-    low: int            # b_neg half = value & low
-    code: int           # sum(rhs_j << (m-1-j)*width): b_pos half - b_neg half
     columns: tuple      # each column's +1 indicator, then its -1 indicator
     over: tuple         # _over_reach of each field's most, the +1 entries
                         # of each row, then the -1 ones
@@ -529,7 +522,6 @@ def _im_layout(inst) -> _ImLayout:
     m = inst.num_rows
     fields = 2 * m
     width = field_width(len(inst.columns))
-    half = m * width
     columns = tuple(tuple(1 if a == 1 else 0 for a in col) +
                     tuple(1 if a == -1 else 0 for a in col)
                     for col in inst.columns)
@@ -537,9 +529,7 @@ def _im_layout(inst) -> _ImLayout:
     return _ImLayout(
         fields * width, (width,) * fields,
         tuple((fields - 1 - j) * width for j in range(fields)),
-        (1 << width) - 1, half, (1 << half) - 1,
-        sum(b << (m - 1 - j) * width for j, b in enumerate(inst.rhs)),
-        columns, _over_reach(reach, width))
+        (1 << width) - 1, columns, _over_reach(reach, width))
 
 
 _IM_LAST = _im_layout.last
@@ -550,10 +540,8 @@ def _im_transform(inst, wit):
     if inst is not held:
         lay = _im_layout(inst)
     v = wit.value
-    # the packed tests of the module docstring: b_pos - b_neg == rhs
-    # implies the first, and an accepted witness passes the reach test
-    if (v >> lay.half) - (v & lay.low) != lay.code:
-        return _MONOTONE_NO
+    # the packed reach test of the module docstring: an accepted witness
+    # passes it
     em, ea, ec, om, oa, oc = lay.over
     if (v & em) + ea & ec or (v & om) + oa & oc:
         return _MONOTONE_NO

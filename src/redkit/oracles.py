@@ -1,12 +1,12 @@
 """Exact solvers ("oracles") for every instance kind, plus solution checkers.
 
-Each solver runs the exact method whose memory fits its ``Budget`` gate: a
-bitset dynamic program, a non-dominated front (``kernels.pareto_solve``, for
-knapsack and scheduling, stored pairs gated by ``max_dp_cells``), a frontier
-or reach set, or a brute-force search.  When no method fits it raises
-ResourceLimitError.  The verdict's ``method`` names the one that ran.  Every
-yes verdict carries a solution that has been re-checked by the standalone
-checker before being returned.
+Each solver runs the exact method whose memory fits its gate, one of the
+``MAX_*`` constants below: a bitset dynamic program, a non-dominated front
+(``kernels.pareto_solve``, for knapsack and scheduling, stored pairs gated
+by ``MAX_DP_CELLS``), a frontier or reach set, or a brute-force search.
+When no method fits it raises ResourceLimitError.  The verdict's ``method``
+names the one that ran.  Every yes verdict carries a solution that has been
+re-checked by the standalone checker before being returned.
 
 Subset sum with a modulus q is group subset sum over Z_q
 (``CyclicGroup(q)``) and is solved by the same path.  Past their DP gates,
@@ -26,15 +26,16 @@ part that depends only on it:
   outside {-1, 0, 1}, is a ``ValidationError``, checked once per cache
   miss; the entry also notes whether some entry is -1, so a monotone
   system with one is refused with no scan per instance.
-- ``solve_group_ss`` keeps one memo, the reach set of the last
-  (group, elements, cap), checked by identity and used under every budget
-  (the targets of one cm-to-permss source share their group and elements
-  objects).  It holds one reach set of at most ``max_brute_states``
-  products.  Every group runs the same closure with its ``times``: the map
-  a -> a * e as one callable, taken once per element, so a product is one
-  call from the closure's loop (for S_k, ``operator.itemgetter(*e)``, one
-  C call).  A ``Permutation`` is a tuple, and an S_k product is the plain
-  image tuple, so an S_k closure makes and hashes plain tuples.
+- ``solve_group_ss`` keeps one memo, the reach set of the last (group,
+  elements), checked by identity (the targets of one cm-to-permss source
+  share their group and elements objects).  It holds one reach set of at most
+  ``MAX_BRUTE_STATES`` products, and code that lowers that gate clears the
+  memo (``_last_reach``) first.  Every group runs the same closure with its
+  ``times``: the map a -> a * e as one callable, taken once per element, so a
+  product is one call from the closure's loop (for S_k,
+  ``operator.itemgetter(*e)``, one C call).  A ``Permutation`` is a tuple,
+  and an S_k product is the plain image tuple, so an S_k closure makes and
+  hashes plain tuples.
 - ``solve_counter_machine`` keeps each distinct vector's +1 and -1 masks
   in an ``lru_cache`` of ``CM_MASKS_CACHE`` = 1,024 entries, keyed by the
   vector and the dimension: at most 0.8 MB while the dimension is at most
@@ -44,7 +45,7 @@ part that depends only on it:
   state limit is a ``ResourceLimitError``; a walk back that finds no
   predecessor is a bug and its ``RuntimeError`` goes up as it is.
 
-Group subset sum refuses, under every budget, a target or element the
+Group subset sum refuses, under every gate setting, a target or element the
 group does not contain (``group.contains``), as ``instances.validate``
 does; the knapsack, unbounded subset sum, counter-machine, coloring,
 scheduling, CNF and AND-SAT oracles refuse an instance ``validate``
@@ -67,17 +68,23 @@ from . import kernels
 from .errors import ConstructionError, ResourceLimitError, ValidationError
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_dp_cells: int = 4_000_000
-    max_bruteforce_n: int = 25
-    max_brute_states: int = 2_000_000
-    max_cm_states: int = 4_000_000
-    max_coloring_states: int = 500_000
-    max_sat_ops: int = 8_000_000
-
-
-DEFAULT_BUDGET = Budget()
+# The gates: each bounds the memory or work of one exact method, and a
+# solver with no method within its gates raises ResourceLimitError.
+# Bits of a bitset DP table (n * (t+1), or q for Z_q) and pairs of a front.
+MAX_DP_CELLS = 4_000_000
+# Items of a subset-sum closure, elements of a group one, CNF variables.
+MAX_BRUTEFORCE_N = 25
+# Products a reach closure holds, and sums per half of the ILP's MITM.
+MAX_BRUTE_STATES = 2_000_000
+# States the counter-machine frontier search holds.
+MAX_CM_STATES = 4_000_000
+# Bag states the coloring DP holds, over all its layers.
+MAX_COLORING_STATES = 500_000
+# Clause checks of the CNF brute search, 2^k * (clauses + 1).
+MAX_SAT_OPS = 8_000_000
+# The most work, 3^n * (m + 1) for n vertices and m edges, at which
+# ``solve_coloring`` runs the brute search rather than the DP.
+COLORING_BRUTE_OPS = 600_000
 
 
 @dataclass(frozen=True)
@@ -114,15 +121,15 @@ def _yes(inst, solution, method: str) -> Verdict:
 # ---------------------------------------------------------------------------
 # Subset sum.
 
-def solve_subset_sum(inst: I.SubsetSumInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_subset_sum(inst: I.SubsetSumInstance) -> Verdict:
     """Plain subset sum by the bitset DP when its max(n, 1) * (t+1) table
-    fits ``max_dp_cells`` (n items in [1, t]), else by the reach closure
+    fits ``MAX_DP_CELLS`` (n items in [1, t]), else by the reach closure
     over the sums up to the target.  With a modulus it is group subset sum
     over ``CyclicGroup(modulus)``, solved as that group is and re-checked
     here."""
     if inst.modulus is not None:
         return _solve_group(inst, I.CyclicGroup(inst.modulus), inst.items,
-                            inst.target, budget)
+                            inst.target)
     t = inst.target
     if t < 0 or min(inst.items, default=0) < 0:
         _refuse_invalid(inst)
@@ -130,15 +137,15 @@ def solve_subset_sum(inst: I.SubsetSumInstance, budget: Budget = DEFAULT_BUDGET)
     vals = [inst.items[i] for i in keep]
     n = len(vals)
     # the table has t + 1 bits even when no item fits
-    if max(n, 1) * (t + 1) <= budget.max_dp_cells:
+    if max(n, 1) * (t + 1) <= MAX_DP_CELLS:
         got = kernels.subset_sum_solve(vals, t)
         if got is None:
             return _NO["dp"]
         return _yes(inst, tuple(keep[i] for i in got), "dp")
-    if n <= budget.max_bruteforce_n:
+    if n <= MAX_BRUTEFORCE_N:
         # times(e) is e.__add__
         reach = _reach(vals, 0, attrgetter("__add__"),
-                       budget.max_brute_states, "subset sum: reachable sums",
+                       MAX_BRUTE_STATES, "subset sum: reachable sums",
                        keep=t.__ge__)
         if t not in reach:
             return _NO["brute"]
@@ -149,15 +156,15 @@ def solve_subset_sum(inst: I.SubsetSumInstance, budget: Budget = DEFAULT_BUDGET)
 # ---------------------------------------------------------------------------
 # Knapsack.
 
-def solve_knapsack(inst: I.KnapsackInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_knapsack(inst: I.KnapsackInstance) -> Verdict:
     """Non-dominated (size, weight) fronts capped at the capacity, stopping
     at the first front that meets the demand; the fronts stored are gated
-    by ``max_dp_cells`` pairs."""
+    by ``MAX_DP_CELLS`` pairs."""
     _refuse_invalid(inst)
     items = inst.items
     try:
         got = kernels.pareto_solve(items, [inst.capacity] * len(items),
-                                   inst.demand, budget.max_dp_cells)
+                                   inst.demand, MAX_DP_CELLS)
     except RuntimeError as exc:
         raise ResourceLimitError(f"knapsack: {exc}") from exc
     if got is None:
@@ -216,7 +223,7 @@ def _ilp_columns(columns, rows) -> _IlpColumns:
                        any(-1 in col for col in columns))
 
 
-def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_ilp(inst: I.IlpInstance) -> Verdict:
     """Standard and monotone 0-1 ILP as one subset sum over column codes.
 
     Identical columns are first grouped into bundles of 1, 2, 4, ...
@@ -224,14 +231,14 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     k stays reachable.  ``kernels.ilp_column_codes`` makes A x = rhs one
     integer equation over the bundles; setting y = 1 - x on the bundles
     with negative codes leaves positive items, and the bitset DP solves
-    that plain subset sum when its n * (t+1) table fits ``max_dp_cells``.
+    that plain subset sum when its n * (t+1) table fits ``MAX_DP_CELLS``.
     Otherwise a meet-in-the-middle search over the same codes runs when
-    each half's 2^ceil(n/2) sums fit ``max_brute_states``.  The bundles and
+    each half's 2^ceil(n/2) sums fit ``MAX_BRUTE_STATES``.  The bundles and
     their codes depend only on the columns and are cached per columns tuple
     (``ILP_COLUMNS_CACHE``), so each instance only checks and codes its rhs.
     """
     if inst.variant == "zero_sum":
-        return _solve_zero_sum(inst, budget)
+        return _solve_zero_sum(inst)
     lay = _ilp_columns(inst.columns, len(inst.rhs))
     variant = inst.variant
     if variant != "standard" and (variant != "monotone" or lay.negative):
@@ -241,7 +248,7 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
         return _NO["range"]
     keep, codes = lay.keep, lay.codes
     target = goal + lay.flipped
-    if len(keep) * (target + 1) <= budget.max_dp_cells:
+    if len(keep) * (target + 1) <= MAX_DP_CELLS:
         got = kernels.subset_sum_solve(lay.items, target)
         if got is None:
             return _NO["dp"]
@@ -249,7 +256,7 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
         for k in got:
             chosen[keep[k]] ^= 1
         method = "dp"
-    elif 1 << (len(codes) - len(codes) // 2) <= budget.max_brute_states:
+    elif 1 << (len(codes) - len(codes) // 2) <= MAX_BRUTE_STATES:
         chosen = kernels.ilp01_brute(codes, inst.rhs, lay.base)
         if chosen is None:
             return _NO["mitm"]
@@ -264,7 +271,7 @@ def solve_ilp(inst: I.IlpInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     return _yes(inst, tuple(x), method)
 
 
-def _solve_zero_sum(inst, budget):
+def _solve_zero_sum(inst):
     # one standard feasibility call per candidate column forced to 1
     m = len(inst.rhs)
     if any(inst.rhs) or any(len(col) != m for col in inst.columns):
@@ -274,7 +281,7 @@ def _solve_zero_sum(inst, budget):
         cols = inst.columns[:i] + inst.columns[i + 1:]
         rhs = tuple(-a for a in inst.columns[i])
         sub = I.IlpInstance(cols, rhs, "standard")
-        got = solve_ilp(sub, budget)
+        got = solve_ilp(sub)
         if got.answer:
             x = list(got.solution)
             x.insert(i, 1)
@@ -318,58 +325,59 @@ def _walk(reach, cur):
     return tuple(reversed(sol))
 
 
-# The (group, elements, cap, reach) of the last reach closure: the targets of
-# one cm-to-permss source share their group and elements objects, so an
-# identity test spares both the closure and hashing the elements.  It holds
-# one reach set of at most ``cap`` products.
-_last_reach = (None, None, None, None)
+# The (group, elements, reach) of the last reach closure: the targets of one
+# cm-to-permss source share their group and elements objects, so an identity
+# test spares both the closure and hashing the elements.  It holds one reach
+# set of at most ``MAX_BRUTE_STATES`` products.  The memo is not keyed by
+# that gate, so code that lowers it clears the memo first: a set built under
+# one cap must never answer under a lower one.
+_last_reach = (None, None, None)
 
 
-def _group_reach(group, elements, budget):
+def _group_reach(group, elements):
     """The reach set of ``elements`` in ``group``, from the memo when the
-    group and elements are the very objects of the last call and the cap is
-    the same.  Elements other than the memo's are checked against the group
-    before the element count is held to the budget, so an element outside
-    the group is refused the same way under every budget."""
+    group and elements are the very objects of the last call.  Elements
+    other than the memo's are checked against the group before the element
+    count is held to ``MAX_BRUTEFORCE_N``, so an element outside the group
+    is refused the same way under every gate setting."""
     global _last_reach
-    last_group, last_elements, last_cap, reach = _last_reach
+    last_group, last_elements, reach = _last_reach
     known = group is last_group and elements is last_elements
     if not known and not all(map(group.contains, elements)):
         raise ValidationError(f"{group.family} group: element out of range")
-    if len(elements) > budget.max_bruteforce_n:
+    if len(elements) > MAX_BRUTEFORCE_N:
         raise ResourceLimitError("group subset sum: too many elements")
-    cap = budget.max_brute_states
-    if known and cap == last_cap:
+    if known:
         return reach
-    reach = _reach(elements, group.identity(), group.times, cap,
+    reach = _reach(elements, group.identity(), group.times, MAX_BRUTE_STATES,
                    "group subset sum: products", order=group.order())
-    _last_reach = (group, elements, cap, reach)
+    _last_reach = (group, elements, reach)
     return reach
 
 
-def _solve_group(inst, group, elements, target, budget):
+def _solve_group(inst, group, elements, target):
     """Group subset sum, a yes re-checked against ``inst``.  The group must
     hold the target (checked on every call) and the elements (checked on
     every call for the DP, on a reach-memo miss for the closure).  Z_q runs
-    the modular bitset DP when its q cells fit ``max_dp_cells``; every other
+    the modular bitset DP when its q cells fit ``MAX_DP_CELLS``; every other
     case runs the reach closure."""
     if not group.contains(target):
         raise ValidationError(f"{group.family} group: target out of range")
-    if isinstance(group, I.CyclicGroup) and group.q <= budget.max_dp_cells:
+    if isinstance(group, I.CyclicGroup) and group.q <= MAX_DP_CELLS:
         if not all(map(group.contains, elements)):
             raise ValidationError("cyclic group: element out of range")
         got = kernels.subset_sum_mod_solve(list(elements), group.q, target)
         if got is None:
             return _NO["dp"]
         return _yes(inst, tuple(got), "dp")
-    reach = _group_reach(group, elements, budget)
+    reach = _group_reach(group, elements)
     if target not in reach:
         return _NO["reach"]
     return _yes(inst, _walk(reach, target), "reach")
 
 
-def solve_group_ss(inst: I.GroupSubsetSumInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    return _solve_group(inst, inst.group, inst.elements, inst.target, budget)
+def solve_group_ss(inst: I.GroupSubsetSumInstance) -> Verdict:
+    return _solve_group(inst, inst.group, inst.elements, inst.target)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +442,11 @@ def cm_masks(inst: I.CounterMachineInstance) -> tuple[tuple, tuple, list[bool]]:
     return incs, decs, [*map(eq, flags, repeat(I.REQUIRED))]
 
 
-def solve_counter_machine(inst: I.CounterMachineInstance,
-                          budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_counter_machine(inst: I.CounterMachineInstance) -> Verdict:
     incs, decs, req = cm_masks(inst)
     try:
         got = kernels.counter_machine_solve(incs, decs, req, inst.dimension,
-                                            budget.max_cm_states)
+                                            MAX_CM_STATES)
     except RuntimeError as exc:
         # only the state limit is a refusal; a failed walk back is a bug
         if str(exc) != _CM_STATE_LIMIT:
@@ -453,15 +460,10 @@ def solve_counter_machine(inst: I.CounterMachineInstance,
 # ---------------------------------------------------------------------------
 # 3-coloring.
 
-# The most work, 3^n * (m + 1) for n vertices and m edges, at which
-# ``solve_coloring`` runs the brute search rather than the DP.
-COLORING_BRUTE_OPS = 600_000
-
-
-def solve_coloring(inst: I.ColoringInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_coloring(inst: I.ColoringInstance) -> Verdict:
     """The brute search over 3^n colorings when its work is at most
     ``COLORING_BRUTE_OPS``, else the DP over the path decomposition's bags,
-    whose states ``max_coloring_states`` gates.  Each wins on some inputs:
+    whose states ``MAX_COLORING_STATES`` gates.  Each wins on some inputs:
     the brute search stops at the first proper coloring, the DP empties its
     layer at the first uncolorable bag."""
     _refuse_invalid(inst)
@@ -469,7 +471,7 @@ def solve_coloring(inst: I.ColoringInstance, budget: Budget = DEFAULT_BUDGET) ->
     m = len(inst.edges)
     if n <= 12 and 3 ** n * (m + 1) <= COLORING_BRUTE_OPS:
         return _coloring_brute(inst)
-    return _coloring_dp(inst, budget)
+    return _coloring_dp(inst)
 
 
 def _coloring_brute(inst):
@@ -485,7 +487,7 @@ def _coloring_brute(inst):
     return _NO["brute"]
 
 
-def _coloring_dp(inst, budget):
+def _coloring_dp(inst):
     from .pathdecomp import make_nice
     _, commands = make_nice(inst.num_vertices, inst.edges, inst.bags)
     layers = [{(): None}]
@@ -512,7 +514,7 @@ def _coloring_dp(inst, budget):
                 if cmap[u] != cmap[v]:
                     cur[key] = (key, None)
         total += len(cur)
-        if total > budget.max_coloring_states:
+        if total > MAX_COLORING_STATES:
             raise ResourceLimitError("coloring: bag states over budget")
         layers.append(cur)
         if not cur:
@@ -532,14 +534,14 @@ def _coloring_dp(inst, budget):
 # ---------------------------------------------------------------------------
 # Scheduling (minimize tardy weight against a budget).
 
-def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_scheduling(inst: I.SchedulingInstance) -> Verdict:
     """The on-time set as a knapsack front over the jobs in due-date order.
 
     A set of jobs can all be on time exactly when running them in due-date
     order meets every due date (Lawler and Moore, 1969), so the on-time set
     is a front over (processing, weight) whose cost is capped at each job's
     due date, and it must reach the total weight minus the tardy budget.
-    The fronts stored are gated by ``max_dp_cells`` pairs.
+    The fronts stored are gated by ``MAX_DP_CELLS`` pairs.
     """
     _refuse_invalid(inst)
     jobs = inst.jobs
@@ -548,7 +550,7 @@ def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET
     try:
         got = kernels.pareto_solve([jobs[i][:2] for i in order],
                                    [jobs[i][2] for i in order], goal,
-                                   budget.max_dp_cells)
+                                   MAX_DP_CELLS)
     except RuntimeError as exc:
         raise ResourceLimitError(f"scheduling: {exc}") from exc
     if got is None:
@@ -562,11 +564,11 @@ def solve_scheduling(inst: I.SchedulingInstance, budget: Budget = DEFAULT_BUDGET
 # ---------------------------------------------------------------------------
 # CNF satisfiability and AND-SAT.
 
-def solve_cnf(inst: I.CnfInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_cnf(inst: I.CnfInstance) -> Verdict:
     _refuse_invalid(inst)
     k = inst.num_vars
-    if k > budget.max_bruteforce_n or \
-            (1 << k) * (len(inst.clauses) + 1) > budget.max_sat_ops:
+    if k > MAX_BRUTEFORCE_N or \
+            (1 << k) * (len(inst.clauses) + 1) > MAX_SAT_OPS:
         raise ResourceLimitError("cnf: instance over budget")
     pos, neg = [], []
     for cl in inst.clauses:
@@ -585,11 +587,11 @@ def solve_cnf(inst: I.CnfInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     return _NO["brute"]
 
 
-def solve_and_sat(inst: I.AndSatInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_and_sat(inst: I.AndSatInstance) -> Verdict:
     _refuse_invalid(inst)
     sols = []
     for f in inst.formulas:
-        got = solve_cnf(f, budget)
+        got = solve_cnf(f)
         if not got.answer:
             return _NO["per-formula"]
         sols.append(got.solution)
@@ -599,8 +601,7 @@ def solve_and_sat(inst: I.AndSatInstance, budget: Budget = DEFAULT_BUDGET) -> Ve
 # ---------------------------------------------------------------------------
 # Unbounded subset sum.
 
-def solve_unbounded_ss(inst: I.UnboundedSubsetSumInstance,
-                       budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve_unbounded_ss(inst: I.UnboundedSubsetSumInstance) -> Verdict:
     """Shift doubling: a 0/1 subset sum over the items p, 2p, 4p, ... <= t.
 
     After k of item p's doubles any count of p below 2^k is reachable, and
@@ -609,7 +610,7 @@ def solve_unbounded_ss(inst: I.UnboundedSubsetSumInstance,
     _refuse_invalid(inst)
     t = inst.target
     n = len(inst.items)
-    if (t + 1) * max(n, 1) > budget.max_dp_cells:
+    if (t + 1) * max(n, 1) > MAX_DP_CELLS:
         raise ResourceLimitError("unbounded subset sum: instance over budget")
     doubles, owner = [], []
     for i, p in enumerate(inst.items):
@@ -645,12 +646,12 @@ _SOLVERS = {
 }
 
 
-def solve(inst: I.ProblemInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def solve(inst: I.ProblemInstance) -> Verdict:
     try:
         solver = _SOLVERS[inst.kind]
     except KeyError:
         raise ValidationError(f"no solver for kind {inst.kind!r}") from None
-    return solver(inst, budget)
+    return solver(inst)
 
 
 def check_solution(inst: I.ProblemInstance, sol) -> bool:

@@ -8,15 +8,19 @@ order, with no appeal to the due-date argument the scheduling oracle
 rests on.  ``min_solution_length`` tries every index subsequence of a
 Z_k^k instance, shortest first.  ``primes_landau`` is the plain
 large-order recipe that the Landau-function table of
-``groups.landau_permutation`` must never lose to.
+``groups.landau_permutation`` must never lose to.  ``gates`` sets the
+oracles' gate constants for a block.
 """
 
 import math
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import strategies as st
 
 from redkit import instances as I
+from redkit import oracles
 from redkit.errors import ValidationError
 from redkit.groups import Permutation, from_cycles
 
@@ -32,6 +36,20 @@ def unpack_fields(wit, widths):
         shift -= w
         out.append((rest >> shift) & ((1 << w) - 1))
     return tuple(out)
+
+
+@contextmanager
+def gates(**values):
+    """``redkit.oracles``' gate constants, ``MAX_DP_CELLS=0`` say, set for
+    the block from a cleared reach memo: the memo is not keyed by
+    ``MAX_BRUTE_STATES``, and a set built under one cap must never answer
+    under a lower one.  A ``MonkeyPatch.context()``, so that it also runs
+    inside ``@given``, where a function-scoped fixture cannot."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_last_reach", (None,) * 3)
+        for name, value in values.items():
+            mp.setattr(oracles, name, value)
+        yield
 
 
 def block_diagonal(perms):

@@ -16,12 +16,11 @@ from random import Random
 from redkit.certificates import INVALID_SAMPLES, VALID_CAP, ContractReport
 from redkit.errors import (RedkitError, ReductionError, ResourceLimitError,
                            ValidationError)
-from redkit.oracles import DEFAULT_BUDGET, solve
+from redkit.oracles import solve
 from redkit.witness import Witness
 
 
-def reference_sweep(r, family, budget=None, *, exhaustive_cap=4096, seed=0):
-    budget = budget if budget is not None else DEFAULT_BUDGET
+def reference_sweep(r, family, *, exhaustive_cap=4096, seed=0):
     rng = Random(seed)
     rep = ContractReport(name=r.name)
 
@@ -34,7 +33,7 @@ def reference_sweep(r, family, budget=None, *, exhaustive_cap=4096, seed=0):
         for wit in wits:
             rep.witnesses_checked += 1
             tgt = r.apply(inst, wit)
-            if solve(tgt, budget).answer:
+            if solve(tgt).answer:
                 record("soundness", inst, wit, tgt)
                 return False
         return True
@@ -50,7 +49,7 @@ def reference_sweep(r, family, budget=None, *, exhaustive_cap=4096, seed=0):
                 continue
             rep.witnesses_checked += 1
             tgt = r.apply(inst, wit)
-            if solve(tgt, budget).answer:
+            if solve(tgt).answer:
                 record("soundness", inst, wit, tgt)
                 return
             if not any(tgt is const for const in r.constants):
@@ -69,7 +68,7 @@ def reference_sweep(r, family, budget=None, *, exhaustive_cap=4096, seed=0):
                 "kind": "bit-length-bound", "instance": inst,
                 "witness_len": length, "bound": r.wit_bound(inst)})
         try:
-            src = solve(inst, budget)
+            src = solve(inst)
         except ResourceLimitError as exc:
             rep.skipped.append((inst, f"source oracle: {exc}"))
             continue
@@ -80,7 +79,7 @@ def reference_sweep(r, family, budget=None, *, exhaustive_cap=4096, seed=0):
                 wit = r.synthesize(inst, src.solution)
                 step = "target oracle"
                 tgt = r.apply(inst, wit)
-                accepted = solve(tgt, budget).answer
+                accepted = solve(tgt).answer
             except ResourceLimitError as exc:
                 rep.skipped.append((inst, f"{step}: {exc}"))
                 continue

@@ -43,8 +43,8 @@ from redkit.families import (and_sats, cm_contract_family, cnfs, graphs_upto,
 from redkit.groups import (UqElement, RunContext, from_cycles, identity,
                            landau_permutation, make_run_context, run_check_uq)
 from redkit.numeric import graver_check, graver_sequence
-from redkit.oracles import (DEFAULT_BUDGET, Budget, solve, solve_and_sat,
-                            solve_coloring, solve_scheduling)
+from redkit.oracles import (solve, solve_and_sat, solve_coloring,
+                            solve_scheduling)
 from redkit.pathdecomp import check_path_decomposition
 from redkit.pipeline import red_coloring_to_cm
 from redkit.reductions import compose
@@ -62,7 +62,6 @@ class Claim(NamedTuple):
     spec: str
     family: Callable
     cap: int = 4096
-    budget: Budget | None = None
     pins: tuple = ()        # (report field, value) pairs
     exhaustive: bool = False    # every no-instance enumerated outright
     transfer: bool = False
@@ -88,7 +87,6 @@ def _random_sources():
 
 _SS = partial(subset_sums, 5, 8, 40)
 _MONOTONE = partial(ilps, "monotone", 2, 4)
-_BIG_DP = dataclasses.replace(DEFAULT_BUDGET, max_dp_cells=64_000_000)
 _PINNED = ("checked", "no_instances", "witnesses_checked")
 
 CLAIMS = (
@@ -103,7 +101,7 @@ CLAIMS = (
     Claim(1, "zerosum-to-ilp", partial(ilps, "zero_sum", 2, 4)),
     Claim(1, "ilp-to-monotone", partial(ilps, "standard", 2, 4), cap=1024),
     Claim(1, "zq-to-ss", partial(zq_instances, 8, 4)),
-    *(Claim(2, spec, _random_sources, budget=_BIG_DP)
+    *(Claim(2, spec, _random_sources)
       for spec in ("ss-to-knapsack+knapsack-to-ss",
                    "ss-to-monotone+monotone-to-ss", "ss-to-zq+zq-to-ss")),
     # the lower bound's counter-machine link
@@ -137,7 +135,7 @@ def sweep_criterion(num):
     for claim in (claim for claim in CLAIMS if claim.criterion == num):
         started = time.perf_counter()
         rep = nppt_contract_check(claim.reduction(), claim.family(),
-                                  claim.budget, exhaustive_cap=claim.cap)
+                                  exhaustive_cap=claim.cap)
         seconds = time.perf_counter() - started
         total += seconds
         assert rep.ok, (claim.spec, rep.violations[:3], rep.skipped[:3])

@@ -25,12 +25,12 @@ from redkit.families import (and_sats, cm_grid, cnfs, graphs_upto, ilps,
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               IlpInstance, Permutation, ProductGroup,
                               SubsetSumInstance, UnboundedSubsetSumInstance)
-from redkit.oracles import Budget, check_solution, solve
+from redkit.oracles import check_solution, solve
 from redkit.reductions import chain, compose
 from redkit.witness import Witness, all_witnesses, field_width, \
     pack_fields
 
-from helpers import min_solution_length, unpack_fields
+from helpers import gates, min_solution_length, unpack_fields
 
 
 def test_unbounded_scheme_frozen_example():
@@ -409,9 +409,9 @@ def test_scheme_check_records_raising_verifier():
 
 
 def test_source_oracle_skip_is_reported():
-    starved = Budget(max_dp_cells=0)
-    report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
-                                      unbounded_instances(1, 2, 3), starved)
+    with gates(MAX_DP_CELLS=0):
+        report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
+                                          unbounded_instances(1, 2, 3))
     assert report.checked == len(report.skipped) > 0
     assert all(why.startswith("source oracle: ") for _, why in report.skipped)
 
@@ -438,6 +438,29 @@ def test_budget_skip_in_synthesis_is_not_a_violation():
     assert len(report.skipped) == report.yes_instances
     assert {why for _, why in report.skipped} == {
         "synthesize: support too large to rewrite"}
+
+
+def test_lowered_gate_reaches_a_chains_intermediate_solve(monkeypatch):
+    # compose's synthesize solves its intermediate knapsack itself: with no
+    # DP cells that front is refused, so every yes-instance is skipped at
+    # synthesis, while each source solve takes the reach closure
+    family = list(subset_sums(2, 3, 6))
+    sources, real, methods = set(map(id, family)), certificates.solve, []
+
+    def recording(inst):
+        got = real(inst)
+        if id(inst) in sources:
+            methods.append(got.method)
+        return got
+    monkeypatch.setattr(certificates, "solve", recording)
+    with gates(MAX_DP_CELLS=0):
+        report = nppt_contract_check(
+            get_reduction("ss-to-knapsack+knapsack-to-ss"), family)
+    assert report.violations == [] and report.yes_instances > 0
+    assert methods == ["brute"] * report.checked
+    assert len(report.skipped) == report.yes_instances
+    assert {why for _, why in report.skipped} == {
+        "synthesize: knapsack: pareto front limit exceeded"}
 
 
 def test_wrong_length_witness_is_a_transform_error():
@@ -710,12 +733,12 @@ def _counting_solve(monkeypatch, fail_once=None):
     real = certificates.solve
     asked = []
 
-    def counting(inst, budget=None):
+    def counting(inst):
         if inst.kind == "ilp":
             asked.append(inst)
             if inst is fail_once and asked.count(inst) == 1:
                 raise ResourceLimitError("planted limit")
-        return real(inst, budget)
+        return real(inst)
     monkeypatch.setattr(certificates, "solve", counting)
     return asked
 
@@ -848,10 +871,10 @@ def test_contract_sweep_solves_each_declared_constant_once(
     real, asked = certificates.solve, []
     declared = set(map(id, red.constants))
 
-    def counting(inst, budget=None):
+    def counting(inst):
         if id(inst) in declared:
             asked.append(inst)
-        return real(inst, budget)
+        return real(inst)
     monkeypatch.setattr(certificates, "solve", counting)
     returned = 0
 

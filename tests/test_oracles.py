@@ -18,11 +18,11 @@ from redkit import instances as I
 from redkit import kernels, oracles
 from redkit.errors import ResourceLimitError, ValidationError
 from redkit.groups import Permutation
-from redkit.oracles import (DEFAULT_BUDGET, Budget, Verdict, _coloring_dp,
-                            check_solution, solve, solve_coloring,
-                            solve_group_ss, solve_ilp, solve_scheduling)
+from redkit.oracles import (Verdict, _coloring_dp, check_solution, solve,
+                            solve_coloring, solve_group_ss, solve_ilp,
+                            solve_scheduling)
 
-from helpers import brute_scheduling
+from helpers import brute_scheduling, gates
 
 
 def _mask_items(items, mask):
@@ -169,9 +169,10 @@ def test_knapsack_with_negative_capacity_is_refused():
         for demand in (0, 1):
             inst = I.KnapsackInstance(items, -1, demand)
             assert I.validate(inst), inst
-            for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0)):
-                with pytest.raises(ValidationError, match="knapsack"):
-                    solve(inst, budget)
+            for gate in ({}, {"MAX_DP_CELLS": 0}):
+                with gates(**gate), \
+                        pytest.raises(ValidationError, match="knapsack"):
+                    solve(inst)
 
 
 @pytest.mark.parametrize("variant", ["standard", "monotone", "zero_sum"])
@@ -198,7 +199,8 @@ def test_ilp_variants(variant):
             # small systems go through the encoded subset sum
             assert got.method in ("dp", "range"), (inst, got)
             # without DP cells only an empty table stays on the DP path
-            mitm = solve(inst, Budget(max_dp_cells=0))
+            with gates(MAX_DP_CELLS=0):
+                mitm = solve(inst)
             assert mitm.answer == got.answer, inst
             if mitm.answer:
                 assert check_solution(inst, mitm.solution)
@@ -220,11 +222,11 @@ def test_zero_sum_refuses_a_malformed_rhs():
              I.IlpInstance((), (1,), "zero_sum")]
     for inst in cases:
         assert I.validate(inst)
-        for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0),
-                       Budget(max_brute_states=0),
-                       Budget(max_dp_cells=0, max_brute_states=0)):
-            with pytest.raises(ValidationError, match="rhs must be zeros"):
-                solve(inst, budget)
+        for gate in ({}, {"MAX_DP_CELLS": 0}, {"MAX_BRUTE_STATES": 0},
+                     {"MAX_DP_CELLS": 0, "MAX_BRUTE_STATES": 0}):
+            with gates(**gate), \
+                    pytest.raises(ValidationError, match="rhs must be zeros"):
+                solve(inst)
     assert solve(I.IlpInstance(cols, (0, 0), "zero_sum")).answer
 
 
@@ -246,8 +248,9 @@ def test_ilp_wide_systems_meet_in_the_middle():
         if got.method != "range":
             assert got.method == "mitm", (inst, got)
     # no room for either path
-    with pytest.raises(ResourceLimitError):
-        solve(inst, Budget(max_dp_cells=0, max_brute_states=1))
+    with gates(MAX_DP_CELLS=0, MAX_BRUTE_STATES=1), \
+            pytest.raises(ResourceLimitError):
+        solve(inst)
 
 
 def test_ilp_meet_in_the_middle_codes_the_columns_once(monkeypatch):
@@ -259,11 +262,11 @@ def test_ilp_meet_in_the_middle_codes_the_columns_once(monkeypatch):
     row = (1, -1, 0, 1, 0, -1, 0, 1)
     cols = tuple(row[i:] + row[:i] for i in range(8)) + \
         ((1, 1, 1, 1, -1, -1, -1, -1),)
-    brute = Budget(max_dp_cells=0)
+    monkeypatch.setattr(oracles, "MAX_DP_CELLS", 0)
     for x in ((1,) * 9, (0, 1) * 4 + (1,), (1, 0) * 4 + (0,)):
         inst = I.IlpInstance(cols, tuple(
             sum(c[j] for c, xi in zip(cols, x) if xi) for j in range(8)))
-        got = solve(inst, brute)
+        got = solve(inst)
         assert got.method == "mitm" and check_solution(inst, got.solution)
     assert len(coded) == 1
 
@@ -344,7 +347,7 @@ def test_coloring_brute_and_dp_agree():
         # graphs of at most 5 vertices take the brute path, so the DP is
         # called directly
         for got, method in ((solve_coloring(inst), "brute"),
-                            (_coloring_dp(inst, DEFAULT_BUDGET), "dp")):
+                            (_coloring_dp(inst), "dp")):
             assert got.answer == expected and got.method == method, inst
             if got.answer:
                 assert check_solution(inst, got.solution)
@@ -435,26 +438,25 @@ def test_check_solution_answers_a_malformed_solution_false(inst, sol):
 
 
 def test_budget_limits_raise():
-    tight = Budget(max_dp_cells=4, max_brute_states=4, max_bruteforce_n=2)
     inst = I.SubsetSumInstance(tuple(range(1, 9)), 20)
-    with pytest.raises(ResourceLimitError):
-        solve(inst, tight)
+    with gates(MAX_DP_CELLS=4, MAX_BRUTE_STATES=4, MAX_BRUTEFORCE_N=2), \
+            pytest.raises(ResourceLimitError):
+        solve(inst)
     # 27 counters, each raised by its own optional vector: 2^27 states
     units = tuple(tuple(int(i == j) for j in range(27)) for i in range(27))
     big_cm = I.CounterMachineInstance(27, units, (I.OPTIONAL,) * 27)
-    with pytest.raises(ResourceLimitError):
-        solve(big_cm, Budget(max_cm_states=10_000))
+    with gates(MAX_CM_STATES=10_000), pytest.raises(ResourceLimitError):
+        solve(big_cm)
     # the dimension alone is no limit
     assert solve(I.CounterMachineInstance(27, ((1,) * 27,), (I.OPTIONAL,))).answer
-    starved = Budget(max_dp_cells=0)
-    with pytest.raises(ResourceLimitError):
-        solve(I.KnapsackInstance(((1, 1),), 1, 1), starved)
+    with gates(MAX_DP_CELLS=0), pytest.raises(ResourceLimitError):
+        solve(I.KnapsackInstance(((1, 1),), 1, 1))
     # no room for a front is a refusal at every job count
     for n in (1, 8, 9):
         jobs = I.SchedulingInstance(((1, 1, 1),) * n, n - 1)
         assert solve(jobs).answer
-        with pytest.raises(ResourceLimitError):
-            solve(jobs, starved)
+        with gates(MAX_DP_CELLS=0), pytest.raises(ResourceLimitError):
+            solve(jobs)
 
 
 def test_counter_machine_oracle_refuses_malformed_input():
@@ -470,9 +472,10 @@ def test_counter_machine_oracle_refuses_malformed_input():
              I.CounterMachineInstance(0, ((),), (I.OPTIONAL,))]
     for inst in cases:
         assert I.validate(inst), inst
-        for budget in (DEFAULT_BUDGET, Budget(max_cm_states=1)):
-            with pytest.raises(ValidationError, match="counter machine"):
-                solve(inst, budget)
+        for gate in ({}, {"MAX_CM_STATES": 1}):
+            with gates(**gate), \
+                    pytest.raises(ValidationError, match="counter machine"):
+                solve(inst)
 
 
 def _ref_cm_masks(inst):
@@ -533,9 +536,10 @@ def test_cm_masks_refusals_hold_on_a_warm_and_an_evicted_cache():
             # the vector differs from a cached one in one entry only
             inst = I.CounterMachineInstance(
                 2, ((1, 0), (bad, -1)), (I.OPTIONAL,) * 2)
-            for budget in (DEFAULT_BUDGET, Budget(max_cm_states=1)):
-                with pytest.raises(ValidationError, match="counter machine"):
-                    solve(inst, budget)
+            for gate in ({}, {"MAX_CM_STATES": 1}):
+                with gates(**gate), \
+                        pytest.raises(ValidationError, match="counter machine"):
+                    solve(inst)
 
     warm = I.CounterMachineInstance(2, ((1, 0), (-1, 0), (0, -1)),
                                     (I.OPTIONAL,) * 3)
@@ -575,13 +579,15 @@ def test_counter_machine_walk_back_failure_is_not_a_resource_limit(monkeypatch):
     # back from state 0 finds no predecessor
     monkeypatch.setattr(oracles, "cm_masks",
                         lambda inst: ([1, 1], [0, 1], [True, True]))
-    for budget in (DEFAULT_BUDGET, Budget(max_cm_states=3)):
-        with pytest.raises(RuntimeError, match="reconstruction failed") as got:
-            solve(inst, budget)
+    for gate in ({}, {"MAX_CM_STATES": 3}):
+        with gates(**gate), pytest.raises(
+                RuntimeError, match="reconstruction failed") as got:
+            solve(inst)
         assert not isinstance(got.value, ResourceLimitError)
     # the state limit is still a refusal
-    with pytest.raises(ResourceLimitError, match="state limit"):
-        solve(inst, Budget(max_cm_states=2))
+    with gates(MAX_CM_STATES=2), \
+            pytest.raises(ResourceLimitError, match="state limit"):
+        solve(inst)
 
 
 def _ref_cm_check(inst, sol):
@@ -702,10 +708,9 @@ def test_oracles_refuse_what_validate_rejects(inst):
     # each was answered, or ended in a bare IndexError or ValueError, though
     # validate rejects it
     assert I.validate(inst)
-    starved = Budget(max_dp_cells=0, max_sat_ops=0)
-    for budget in (DEFAULT_BUDGET, starved):
-        with pytest.raises(ValidationError, match=inst.kind):
-            solve(inst, budget)
+    for gate in ({}, {"MAX_DP_CELLS": 0, "MAX_SAT_OPS": 0}):
+        with gates(**gate), pytest.raises(ValidationError, match=inst.kind):
+            solve(inst)
 
 
 def test_verdict_truthiness():
@@ -718,7 +723,7 @@ def test_verdict_truthiness():
 # instance from scratch, as solve_ilp did before the cache.
 
 
-def _ref_solve_ilp(inst, budget=DEFAULT_BUDGET):
+def _ref_solve_ilp(inst):
     groups = {}
     for i, col in enumerate(inst.columns):
         groups.setdefault(col, []).append(i)
@@ -746,7 +751,7 @@ def _ref_solve_ilp(inst, budget=DEFAULT_BUDGET):
     codes, goal = [code(col) for col in cols], code(inst.rhs)
     keep = [b for b, c in enumerate(codes) if c]
     target = goal - sum(c for c in codes if c < 0)
-    if len(keep) * (target + 1) <= budget.max_dp_cells:
+    if len(keep) * (target + 1) <= oracles.MAX_DP_CELLS:
         got = kernels.subset_sum_solve([abs(codes[b]) for b in keep], target)
         if got is None:
             return Verdict(False, method="dp")
@@ -768,10 +773,11 @@ def _ref_solve_ilp(inst, budget=DEFAULT_BUDGET):
 
 
 @pytest.mark.parametrize("variant", ["standard", "monotone"])
-def test_ilp_column_cache_matches_per_target_coding(variant):
+def test_ilp_column_cache_matches_per_target_coding(variant, monkeypatch):
     rng = Random(21)
     entries = (0, 1) if variant == "monotone" else (-1, 0, 1)
-    for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0)):
+    for cells in (oracles.MAX_DP_CELLS, 0):
+        monkeypatch.setattr(oracles, "MAX_DP_CELLS", cells)
         for _ in range(30):
             m, n = rng.randint(1, 4), rng.randint(0, 7)
             # repeated columns, so that some bundles hold several copies
@@ -785,8 +791,8 @@ def test_ilp_column_cache_matches_per_target_coding(variant):
                                      reach + 1), repeat=min(m, 2)):
                 rhs = rhs + tuple(rng.randint(-1, n) for _ in range(m - len(rhs)))
                 inst = I.IlpInstance(cols, rhs, variant)
-                got = solve_ilp(inst, budget)
-                assert got == _ref_solve_ilp(inst, budget), inst
+                got = solve_ilp(inst)
+                assert got == _ref_solve_ilp(inst), inst
                 assert got.answer == _brute_ilp(inst), inst
                 methods.add(got.method)
             assert "range" in methods
@@ -795,8 +801,8 @@ def test_ilp_column_cache_matches_per_target_coding(variant):
             if n:
                 for bad in (rhs[:-1], rhs + (0,)):
                     with pytest.raises(ValidationError):
-                        solve_ilp(I.IlpInstance(cols, bad, variant), budget)
-                assert solve_ilp(inst, budget) == _ref_solve_ilp(inst, budget)
+                        solve_ilp(I.IlpInstance(cols, bad, variant))
+                assert solve_ilp(inst) == _ref_solve_ilp(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +840,11 @@ def test_symmetric_reach_matches_brute_force(case, hit, default):
         # a reachable target, often the identity (the empty product)
         target = sorted(products)[len(elements) % len(products)]
     inst = I.GroupSubsetSumInstance(group, elements, Permutation(tuple(target)))
-    budget = DEFAULT_BUDGET if default else Budget(max_brute_states=10 ** 6)
-    got = solve_group_ss(inst, budget)
+    # the identity's solve below hits the reach memo the first one left
+    with gates(**{} if default else {"MAX_BRUTE_STATES": 10 ** 6}):
+        got = solve_group_ss(inst)
+        ident = I.GroupSubsetSumInstance(group, elements, group.identity())
+        ident_got = solve_group_ss(ident)
     assert got.method == "reach"
     assert got.answer == (tuple(target) in products), inst
     if got.answer:
@@ -844,8 +853,7 @@ def test_symmetric_reach_matches_brute_force(case, hit, default):
             acc = acc * elements[i]
         assert acc == inst.target
     # the identity is always reached, by the empty product
-    ident = I.GroupSubsetSumInstance(group, elements, group.identity())
-    assert solve_group_ss(ident, budget) == Verdict(True, (), "reach")
+    assert ident_got == Verdict(True, (), "reach")
 
 
 def test_symmetric_reach_edges():
@@ -862,15 +870,14 @@ def test_symmetric_reach_edges():
             got = solve(I.GroupSubsetSumInstance(g3, elems, target))
             assert got.answer == (target.images in products)
     assert not solve(I.GroupSubsetSumInstance(g3, (swap,), cyc)).answer
-    # a budget too small for the products
+    # a cap too small for the products
     many = tuple(Permutation(p) for p in ((1, 0, 2, 3), (0, 2, 1, 3),
                                           (0, 1, 3, 2), (1, 2, 3, 0)))
-    with pytest.raises(ResourceLimitError):
-        solve(I.GroupSubsetSumInstance(I.SymmetricGroup(4), many, many[0]),
-              Budget(max_brute_states=3))
+    with gates(MAX_BRUTE_STATES=3), pytest.raises(ResourceLimitError):
+        solve(I.GroupSubsetSumInstance(I.SymmetricGroup(4), many, many[0]))
     # an element of another degree, an element that is not a Permutation
     # (a plain image tuple or an int) and a target of another degree are
-    # refused under either budget, as validate refuses them
+    # refused under either cap, as validate refuses them
     refused = [I.GroupSubsetSumInstance(g3, (cyc, Permutation((1, 0))), cyc),
                I.GroupSubsetSumInstance(g3, (cyc, (1, 0, 2)), cyc),
                I.GroupSubsetSumInstance(g3, (cyc, 1), cyc),
@@ -878,9 +885,10 @@ def test_symmetric_reach_edges():
                I.GroupSubsetSumInstance(g3, elements, (1, 2, 0))]
     for bad in refused:
         assert I.validate(bad)
-        for budget in (DEFAULT_BUDGET, Budget(max_brute_states=100)):
-            with pytest.raises(ValidationError, match="out of range"):
-                solve(bad, budget)
+        for gate in ({}, {"MAX_BRUTE_STATES": 100}):
+            with gates(**gate), \
+                    pytest.raises(ValidationError, match="out of range"):
+                solve(bad)
     # the re-check answers False, and does not raise, when a chosen element
     # or the target has another degree or is not a Permutation
     mixed = I.GroupSubsetSumInstance(
@@ -903,7 +911,8 @@ def test_symmetric_reach_edges():
 
 
 def _check_fallback(inst, expected, method):
-    got = solve(inst, Budget(max_dp_cells=0))
+    with gates(MAX_DP_CELLS=0):
+        got = solve(inst)
     assert got.method == method, inst
     assert got.answer == expected, inst
     if got.answer:
@@ -943,19 +952,20 @@ def test_fallback_paths_match_brute_force():
 def test_plain_reach_keeps_only_sums_up_to_the_target():
     # sums 0..3 fit a cap of 4 states; all 7 sums of the items would not
     inst = I.SubsetSumInstance((1, 2, 3), 3)
-    got = solve(inst, Budget(max_dp_cells=0, max_brute_states=4))
-    assert got == Verdict(True, (0, 1), "brute")
-    with pytest.raises(ResourceLimitError, match="reachable sums over budget"):
-        solve(inst, Budget(max_dp_cells=0, max_brute_states=3))
+    with gates(MAX_DP_CELLS=0, MAX_BRUTE_STATES=4):
+        assert solve(inst) == Verdict(True, (0, 1), "brute")
+    with gates(MAX_DP_CELLS=0, MAX_BRUTE_STATES=3), pytest.raises(
+            ResourceLimitError, match="reachable sums over budget"):
+        solve(inst)
 
 
 def test_subset_sum_dp_gate_counts_a_table_when_no_item_fits():
     # with no item in [1, t] the gate read 0 * (t+1) cells, and the DP
-    # built its (t+1)-bit table past every budget
-    small = Budget(max_dp_cells=10)
+    # built its (t+1)-bit table past every gate
     for inst in (I.SubsetSumInstance((), 100),
                  I.SubsetSumInstance((200,), 100)):
-        assert solve(inst, small) == Verdict(False, method="brute")
+        with gates(MAX_DP_CELLS=10):
+            assert solve(inst) == Verdict(False, method="brute")
     assert solve(I.SubsetSumInstance((), 10 ** 15)) == \
         Verdict(False, method="brute")
 
@@ -969,7 +979,7 @@ def test_cyclic_input_outside_the_group_is_refused():
              I.SubsetSumInstance((2, -1), 2, modulus=5)]
     # residues must be ints: a float raised TypeError in the DP and was
     # answered by reach past it, and a bool was read as its value under
-    # both budgets
+    # both gates
     cyc = I.CyclicGroup(5)
     cases += [I.GroupSubsetSumInstance(cyc, (2.0,), 2),
               I.GroupSubsetSumInstance(cyc, (2,), 2.0),
@@ -978,9 +988,10 @@ def test_cyclic_input_outside_the_group_is_refused():
               I.SubsetSumInstance((2.0,), 2, modulus=5),
               I.SubsetSumInstance((True,), 1, modulus=5)]
     for inst in cases:
-        for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0)):
-            with pytest.raises(ValidationError, match="out of range"):
-                solve(inst, budget)
+        for gate in ({}, {"MAX_DP_CELLS": 0}):
+            with gates(**gate), \
+                    pytest.raises(ValidationError, match="out of range"):
+                solve(inst)
 
 
 def test_product_input_outside_the_group_is_refused():
@@ -998,11 +1009,11 @@ def test_product_input_outside_the_group_is_refused():
              I.GroupSubsetSumInstance(g, ((1, 0),), 1)]
     for inst in cases:
         assert not check_solution(inst, (0,))
-        for budget in (DEFAULT_BUDGET, Budget(max_dp_cells=0),
-                       Budget(max_brute_states=1),
-                       Budget(max_bruteforce_n=0)):
-            with pytest.raises(ValidationError, match="out of range"):
-                solve(inst, budget)
+        for gate in ({}, {"MAX_DP_CELLS": 0}, {"MAX_BRUTE_STATES": 1},
+                     {"MAX_BRUTEFORCE_N": 0}):
+            with gates(**gate), \
+                    pytest.raises(ValidationError, match="out of range"):
+                solve(inst)
     # the elements are checked on a memo miss, the target on every call
     elements = ((1, 0), (0, 1))
     assert solve(I.GroupSubsetSumInstance(g, elements, (1, 1))).answer
@@ -1013,29 +1024,46 @@ def test_product_input_outside_the_group_is_refused():
     assert solve(I.GroupSubsetSumInstance(g, elements, (1, 1))).answer
 
 
-def test_group_reach_memo_is_keyed_by_cap():
+def test_group_reach_memo_is_keyed_by_identity():
     g = I.ProductGroup(3)
     elements = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
     target = (2, 1, 1)
-    expected = solve(I.GroupSubsetSumInstance(g, elements, target))
-    assert expected.answer and expected.method == "reach"
-    assert check_solution(I.GroupSubsetSumInstance(g, elements, target),
-                          expected.solution)
-    # the same objects under a cap the products exceed: not the memo's set
-    with pytest.raises(ResourceLimitError):
-        solve(I.GroupSubsetSumInstance(g, elements, target),
-              Budget(max_brute_states=3))
-    assert solve(I.GroupSubsetSumInstance(g, elements, target)) == expected
     # equal-valued but distinct group and elements objects
-    for group, elems in ((I.ProductGroup(3), elements),
-                         (g, tuple(tuple(e) for e in list(elements))),
-                         (g, elements[:3] + ((1, 1, 0),))):
-        assert elems == elements
-        assert solve(I.GroupSubsetSumInstance(group, elems, target)) == expected
-        assert not solve(I.GroupSubsetSumInstance(group, elems, (2, 2, 2))).answer
-        with pytest.raises(ResourceLimitError):
-            solve(I.GroupSubsetSumInstance(group, elems, target),
-                  Budget(max_brute_states=3))
+    others = ((I.ProductGroup(3), elements),
+              (g, tuple(tuple(e) for e in list(elements))),
+              (g, elements[:3] + ((1, 1, 0),)))
+    closures = []
+    real = oracles._reach
+
+    def counted(*args, **kwargs):
+        closures.append(args[0])
+        return real(*args, **kwargs)
+
+    with gates(), mock.patch.object(oracles, "_reach", counted):
+        expected = solve(I.GroupSubsetSumInstance(g, elements, target))
+        assert expected.answer and expected.method == "reach"
+        assert check_solution(I.GroupSubsetSumInstance(g, elements, target),
+                              expected.solution)
+        # the very objects again: the memo answers, with no closure
+        assert not solve(I.GroupSubsetSumInstance(g, elements,
+                                                  (2, 2, 2))).answer
+        assert len(closures) == 1
+        # each distinct pair runs its own closure
+        for group, elems in others:
+            assert elems == elements
+            assert solve(I.GroupSubsetSumInstance(group, elems, target)) == \
+                expected
+            assert not solve(I.GroupSubsetSumInstance(group, elems,
+                                                      (2, 2, 2))).answer
+        assert len(closures) == 1 + len(others)
+    # under a cap the products exceed, every pair is refused: the memo's
+    # set, built under the default cap, does not answer for the same objects
+    solve(I.GroupSubsetSumInstance(g, elements, target))
+    assert oracles._last_reach[:2] == (g, elements)
+    for group, elems in ((g, elements),) + others:
+        with gates(MAX_BRUTE_STATES=3), pytest.raises(ResourceLimitError):
+            solve(I.GroupSubsetSumInstance(group, elems, target))
+    assert solve(I.GroupSubsetSumInstance(g, elements, target)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1064,14 +1092,13 @@ def _full_reach(elements, start, times, cap, what, keep=None, order=None):
                          what, keep)
 
 
-def _saturating_and_full(inst, budget):
+def _saturating_and_full(inst, **gate):
     """``inst``'s verdict from the saturating closure and from the full
-    one, each on a cold reach memo."""
-    with mock.patch.object(oracles, "_last_reach", (None,) * 4):
-        fast = solve_group_ss(inst, budget)
-    with mock.patch.object(oracles, "_last_reach", (None,) * 4), \
-            mock.patch.object(oracles, "_reach", _full_reach):
-        full = solve_group_ss(inst, budget)
+    one, each on a cold reach memo, under the gates ``gate`` sets."""
+    with gates(**gate):
+        fast = solve_group_ss(inst)
+    with gates(**gate), mock.patch.object(oracles, "_reach", _full_reach):
+        full = solve_group_ss(inst)
     return fast, full
 
 
@@ -1099,9 +1126,8 @@ def test_saturating_closure_matches_the_full_one(case):
     group, elements, target = case
     inst = I.GroupSubsetSumInstance(group, tuple(elements), target)
     # Z_q reaches the closure only past its DP gate
-    budget = Budget(max_dp_cells=0) if isinstance(group, I.CyclicGroup) \
-        else DEFAULT_BUDGET
-    fast, full = _saturating_and_full(inst, budget)
+    gate = {"MAX_DP_CELLS": 0} if isinstance(group, I.CyclicGroup) else {}
+    fast, full = _saturating_and_full(inst, **gate)
     assert fast == full
     assert fast.method == "reach"
 
@@ -1128,9 +1154,8 @@ def test_saturating_closure_makes_fewer_products():
     calls = {}
     for name, closure in (("fast", oracles._reach), ("full", _full_reach)):
         group = _CountingProductGroup(2)
-        with mock.patch.object(oracles, "_last_reach", (None,) * 4), \
-                mock.patch.object(oracles, "_reach", closure):
-            reach = oracles._group_reach(group, elements, DEFAULT_BUDGET)
+        with gates(), mock.patch.object(oracles, "_reach", closure):
+            reach = oracles._group_reach(group, elements)
         calls[name] = (group.calls, list(reach.items()))
     # 1 + 2 products, then the set holds the group; the full closure goes
     # on with 4 products for each of the other four elements, all known
@@ -1138,14 +1163,14 @@ def test_saturating_closure_makes_fewer_products():
     assert calls["full"][0] == 1 + 2 + 4 * 4
     assert calls["fast"][1] == calls["full"][1]
     inst = I.GroupSubsetSumInstance(I.ProductGroup(2), elements, (1, 1))
-    assert _saturating_and_full(inst, DEFAULT_BUDGET) == \
+    assert _saturating_and_full(inst) == \
         (Verdict(True, (0, 1), "reach"),) * 2
     # the cap is checked before the stop: a cap under the order still
     # refuses, and a cap of exactly the order suffices
-    with mock.patch.object(oracles, "_last_reach", (None,) * 4):
-        with pytest.raises(ResourceLimitError):
-            solve_group_ss(inst, Budget(max_brute_states=3))
-        assert solve_group_ss(inst, Budget(max_brute_states=4)).answer
+    with gates(MAX_BRUTE_STATES=3), pytest.raises(ResourceLimitError):
+        solve_group_ss(inst)
+    with gates(MAX_BRUTE_STATES=4):
+        assert solve_group_ss(inst).answer
 
 
 # ---------------------------------------------------------------------------
@@ -1223,32 +1248,31 @@ def test_plain_reach_matches_the_reach_on_add(items, t):
 def test_no_verdicts_are_shared_and_equal_fresh_ones():
     from redkit.families import named_graph
     no_cnf = I.CnfInstance(1, ((1,), (-1,)))
-    starved = Budget(max_dp_cells=0)
+    starved = {"MAX_DP_CELLS": 0}
     cases = [
-        (I.SubsetSumInstance((2, 4), 3), DEFAULT_BUDGET, "dp"),
+        (I.SubsetSumInstance((2, 4), 3), {}, "dp"),
         (I.SubsetSumInstance((2, 4), 3), starved, "brute"),
-        (I.SubsetSumInstance((2, 4), 1, modulus=6), DEFAULT_BUDGET, "dp"),
+        (I.SubsetSumInstance((2, 4), 1, modulus=6), {}, "dp"),
         (I.SubsetSumInstance((2, 4), 1, modulus=6), starved, "reach"),
-        (I.KnapsackInstance(((2, 1),), 1, 1), DEFAULT_BUDGET, "pareto"),
-        (I.IlpInstance(((1,),), (2,)), DEFAULT_BUDGET, "range"),
-        (I.IlpInstance(((1, 1), (1, -1)), (1, 0)), DEFAULT_BUDGET, "dp"),
+        (I.KnapsackInstance(((2, 1),), 1, 1), {}, "pareto"),
+        (I.IlpInstance(((1,),), (2,)), {}, "range"),
+        (I.IlpInstance(((1, 1), (1, -1)), (1, 0)), {}, "dp"),
         (I.IlpInstance(((1, 1), (1, -1)), (1, 0)), starved, "mitm"),
-        (I.IlpInstance(((1,),), (0,), "zero_sum"), DEFAULT_BUDGET,
-         "observation"),
+        (I.IlpInstance(((1,),), (0,), "zero_sum"), {}, "observation"),
         (I.GroupSubsetSumInstance(I.ProductGroup(2), ((1, 0),), (0, 1)),
-         DEFAULT_BUDGET, "reach"),
-        (I.CounterMachineInstance(1, ((1,),), (I.REQUIRED,)), DEFAULT_BUDGET,
-         "frontier"),
-        (named_graph("k4"), DEFAULT_BUDGET, "brute"),
-        (I.SchedulingInstance(((2, 1, 1),), 0), DEFAULT_BUDGET, "pareto"),
-        (no_cnf, DEFAULT_BUDGET, "brute"),
-        (I.AndSatInstance(1, (no_cnf,)), DEFAULT_BUDGET, "per-formula"),
-        (I.UnboundedSubsetSumInstance((2,), 3), DEFAULT_BUDGET, "dp"),
+         {}, "reach"),
+        (I.CounterMachineInstance(1, ((1,),), (I.REQUIRED,)), {}, "frontier"),
+        (named_graph("k4"), {}, "brute"),
+        (I.SchedulingInstance(((2, 1, 1),), 0), {}, "pareto"),
+        (no_cnf, {}, "brute"),
+        (I.AndSatInstance(1, (no_cnf,)), {}, "per-formula"),
+        (I.UnboundedSubsetSumInstance((2,), 3), {}, "dp"),
     ]
-    for inst, budget, method in cases:
-        got = solve(inst, budget)
-        assert got == Verdict(False, method=method), inst
-        assert got.solution is None and not got
-        assert solve(inst, budget) is got
-    dp = _coloring_dp(named_graph("k4"), DEFAULT_BUDGET)
+    for inst, gate, method in cases:
+        with gates(**gate):
+            got = solve(inst)
+            assert got == Verdict(False, method=method), inst
+            assert got.solution is None and not got
+            assert solve(inst) is got
+    dp = _coloring_dp(named_graph("k4"))
     assert dp == Verdict(False, method="dp")

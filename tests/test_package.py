@@ -34,8 +34,7 @@ ORIGINS = {
                   "SymmetricGroup", "UnboundedSubsetSumInstance", "dumps",
                   "loads", "trivial_instance", "validate"),
     "numeric": ("NUMERIC_REDUCTIONS", "graver_check", "graver_sequence"),
-    "oracles": ("Budget", "DEFAULT_BUDGET", "Verdict", "check_solution",
-                "solve"),
+    "oracles": ("Verdict", "check_solution", "solve"),
     "pipeline": ("PIPELINE_REDUCTIONS", "red_cm_to_perm_ss",
                  "red_coloring_to_cm"),
     "reductions": ("Reduction", "chain", "compose", "deterministic",
@@ -59,9 +58,9 @@ REDUCTION_MODULES = ("catalog", "numeric", "pipeline", "satred", "reductions")
 
 def test_all_is_the_exported_names_and_the_submodules():
     names = [n for names in ORIGINS.values() for n in names]
-    assert len(names) == 54 and len(SUBMODULES) == 13
+    assert len(names) == 52 and len(SUBMODULES) == 13
     assert redkit.__all__ == sorted(names + list(SUBMODULES))
-    assert len(redkit.__all__) == 67
+    assert len(redkit.__all__) == 65
 
 
 @pytest.mark.parametrize("module", sorted(ORIGINS))

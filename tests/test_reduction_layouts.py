@@ -140,8 +140,10 @@ def _ref_ssm_valid(inst):
             if rem == 0:
                 yield ()
             return
+        # the higher digits add multiples of 2^(j+1), so d has the parity
+        # of bit j of rem
         step = 1 << j
-        for d in range(min(t, rem // step) + 1):
+        for d in range((rem >> j) & 1, rem // step + 1, 2):
             for rest in rec(j + 1, rem - d * step):
                 yield (d,) + rest
 
@@ -317,17 +319,6 @@ CASES = {
 }
 
 
-def _packed_test(name, inst, wit):
-    """The whole-integer identity ``redkit.numeric`` tests first, which
-    only ilp-to-monotone has: ss-to-monotone starts with the reach test."""
-    if name != "ilp-to-monotone":
-        return True
-    v = wit.value
-    m, w = inst.num_rows, field_width(len(inst.columns))
-    code = sum(b << (m - 1 - j) * w for j, b in enumerate(inst.rhs))
-    return (v >> m * w) - (v & ((1 << m * w) - 1)) == code
-
-
 def _excess(name, inst, wit):
     """Each decoded field minus its reach, in the layout's field order
     (field 0 is the most significant): the packed reach test passes a
@@ -340,14 +331,13 @@ def _excess(name, inst, wit):
     return [f - r for f, r in zip(fields, reach)]
 
 
-# Witnesses that pass the packed identity test, where the reduction has
-# one, but not the field check.  The first of each has a field past its reach, which the packed reach test
-# rejects; the second passes that test too, so the decode behind both runs
-# on every run.
+# Witnesses the field check rejects.  The first of each has a field past
+# its reach, which the packed reach test rejects; the second passes that
+# test too, so the decode behind it runs on every run.
 PACKED_BUT_REJECTED = {
     "ilp-to-monotone": (
-        # b_pos (1, 0), b_neg (0, 7): 8 - 7 = 1 is the rhs code, 1 - 0 != 0;
-        # no column has a -1, so b_neg of row 1 is past its reach
+        # b_pos (1, 0), b_neg (0, 7): 1 - 0 != 0; no column has a -1, so
+        # b_neg of row 1 is past its reach
         (I.IlpInstance(((1, 1),) * 7, (0, 1)), Witness(0x207, 12)),
         # the same fields, with seven -1 entries in row 1
         (I.IlpInstance(((1, -1),) * 7, (0, 1)), Witness(0x207, 12)),
@@ -406,7 +396,6 @@ def test_layout_reduction_matches_reference(name):
     if name in PACKED_BUT_REJECTED:
         passes_reach = []
         for inst, wit in PACKED_BUT_REJECTED[name]:
-            assert _packed_test(name, inst, wit)
             passes_reach.append(max(_excess(name, inst, wit)) <= 0)
             assert ref_transform(inst, wit) is _REF_MONOTONE_NO
             assert red.apply(inst, wit) is _MONOTONE_NO
@@ -418,9 +407,9 @@ def test_layout_reduction_matches_reference(name):
 # The packed reach test: per field, a carry out of field + (2^w - 1 - reach).
 
 
-# An instance per reduction whose valid witnesses (each passes any packed
-# identity test) put a field at its reach, and exactly one field at reach + 1
-# at the top (index 0), at another even index and at an odd index.
+# An instance per reduction whose valid witnesses put a field at its reach,
+# and exactly one field at reach + 1 at the top (index 0), at another even
+# index and at an odd index.
 REACH_EDGES = {
     # w = 3, reach (3, 1, 0): b = (2, 1, 0) is within reach, and (4, 0, 0),
     # (0, 2, 0) and (0, 0, 1) have one field at reach + 1
@@ -514,7 +503,7 @@ def test_ssm_valid_streams_a_target_past_the_kept_size():
 def test_ssm_valid_holds_o_k_values_while_it_streams():
     # t = 2^18 + 1 has 2^17 + 1 choices of b_0: the walk holds one choice
     # iterator per digit, not a pushed entry per choice, so the first
-    # 1,000 witnesses come within 1 MB
+    # 1,000 witnesses come within 1 MB, and are the reference's first 1,000
     red = REDUCTIONS["ss-to-monotone"]
     inst = I.SubsetSumInstance((1,), 2 ** 18 + 1)
     gc.collect()
@@ -529,6 +518,7 @@ def test_ssm_valid_holds_o_k_values_while_it_streams():
     for wit in first:
         b = unpack_fields(wit, _ssm_widths(inst))
         assert sum(d << j for j, d in enumerate(b)) == inst.target
+    assert first == list(islice(_ref_ssm_valid(inst), 1000))
 
 
 def test_ssm_valid_cache_stays_within_its_stated_bytes():

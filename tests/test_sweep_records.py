@@ -126,10 +126,10 @@ def test_accepted_witness_whose_target_the_memo_holds(monkeypatch):
     assert solve(yes).answer
     real, asked = certificates.solve, []
 
-    def counting(inst, budget=None):
+    def counting(inst):
         if inst is not yes and inst is not SMALL:
             asked.append(inst)
-        return real(inst, budget)
+        return real(inst)
     monkeypatch.setattr(certificates, "solve", counting)
     rep = certificate_scheme_check(_exhaustive(_accepting(0)), [yes, SMALL])
     assert rep.witnesses_checked == 2 and rep.exhaustive == 1
