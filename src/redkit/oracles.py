@@ -26,13 +26,18 @@ part that depends only on it:
   outside {-1, 0, 1}, is a ``ValidationError``, checked once per cache
   miss; the entry also notes whether some entry is -1, so a monotone
   system with one is refused with no scan per instance.
-- ``solve_group_ss`` keeps one memo, the reach set of the last (group,
-  elements), checked by identity (the targets of one cm-to-permss source
-  share their group and elements objects).  It holds one reach set of at most
-  ``MAX_BRUTE_STATES`` products, and code that lowers that gate clears the
-  memo (``_last_reach``) first.  Every group runs the same closure with its
-  ``times``: the map a -> a * e as one callable, taken once per element, so a
-  product is one call from the closure's loop (for S_k,
+- ``solve_group_ss`` keeps one memo (``_last_reach``), the last closure:
+  its group, elements, reach set and the set's size after each element.
+  Its key is the group object and a prefix of identical element objects
+  (``is``, not ``==``): a closure in the very same group resumes from the
+  products of the longest prefix of element objects it shares with the
+  memo's, so consecutive sources of a family grid rerun only their last
+  elements, and the targets of one source (which share its elements
+  tuple) run none.  It holds one reach set of at most ``MAX_BRUTE_STATES``
+  products and at most ``MAX_BRUTEFORCE_N`` sizes, and code that lowers
+  that gate clears the memo first.  Every group runs the same closure with
+  its ``times``: the map a -> a * e as one callable, taken once per
+  element, so a product is one call from the closure's loop (for S_k,
   ``operator.itemgetter(*e)``, one C call).  A ``Permutation`` is a tuple,
   and an S_k product is the plain image tuple, so an S_k closure makes and
   hashes plain tuples.
@@ -59,8 +64,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress, count, repeat
-from operator import and_, attrgetter, eq, ne, not_
+from itertools import accumulate, compress, count, islice, repeat
+from operator import and_, attrgetter, eq, is_not, ne, not_
 from typing import NamedTuple
 
 from . import instances as I
@@ -292,7 +297,8 @@ def _solve_zero_sum(inst):
 # ---------------------------------------------------------------------------
 # Group subset sum.
 
-def _reach(elements, start, times, cap, what, keep=None, order=None):
+def _reach(elements, start, times, cap, what, keep=None, order=None,
+           reach=None, sizes=None):
     """Every product ``start * e_i * e_j * ...`` over index-increasing
     subsequences, mapped to its back pointer (index of the last element,
     product before it); ``start`` maps to None.  ``times(e)`` is the map
@@ -301,9 +307,17 @@ def _reach(elements, start, times, cap, what, keep=None, order=None):
     ResourceLimitError once the set holds more than ``cap`` products.
     ``order``, when given, is the size of the group the products lie in:
     once the set holds that many no later product is new, so the closure
-    stops there with the same dict and back pointers as the full one."""
-    reach = {start: None}
-    for i, e in enumerate(elements):
+    stops there with the same dict and back pointers as the full one.
+    ``sizes``, when given, is a list that gets the set's size after each
+    element appended.  A closure resumes when it already holds p sizes:
+    ``reach`` is then the closure of ``elements[:p]``, with ``sizes[i]``
+    its size after element i, and the closure goes on in it from element
+    p with absolute indices in its back pointers."""
+    if reach is None:
+        reach = {start: None}
+    if sizes is None:
+        sizes = []
+    for i, e in enumerate(islice(elements, len(sizes), None), len(sizes)):
         step = times(e)
         for prod in list(reach):
             np = step(prod)
@@ -311,6 +325,7 @@ def _reach(elements, start, times, cap, what, keep=None, order=None):
                 reach[np] = (i, prod)
         if len(reach) > cap:
             raise ResourceLimitError(f"{what} over budget")
+        sizes.append(len(reach))
         if len(reach) == order:
             break
     return reach
@@ -325,42 +340,70 @@ def _walk(reach, cur):
     return tuple(reversed(sol))
 
 
-# The (group, elements, reach) of the last reach closure: the targets of one
-# cm-to-permss source share their group and elements objects, so an identity
-# test spares both the closure and hashing the elements.  It holds one reach
-# set of at most ``MAX_BRUTE_STATES`` products.  The memo is not keyed by
-# that gate, so code that lowers it clears the memo first: a set built under
-# one cap must never answer under a lower one.
-_last_reach = (None, None, None)
+# The (group, elements, reach, sizes) of the last reach closure, where
+# ``sizes[i]`` is the size of ``reach`` after element i (fewer sizes than
+# elements when the closure stopped at the group's order).  A family grid
+# enumerates in product order, so consecutive sources share their group
+# and all but their last element objects, and the targets of one source
+# share its elements tuple: a closure resumes from the longest prefix of
+# element objects it shares with the memo's.  It holds one reach set of at
+# most ``MAX_BRUTE_STATES`` products and at most ``MAX_BRUTEFORCE_N``
+# sizes.  The memo is not keyed by that gate, so code that lowers it
+# clears the memo first: a set built under one cap must never answer
+# under a lower one.
+_last_reach = (None,) * 4
 
 
 def _group_reach(group, elements):
-    """The reach set of ``elements`` in ``group``, from the memo when the
-    group and elements are the very objects of the last call.  Elements
-    other than the memo's are checked against the group before the element
-    count is held to ``MAX_BRUTEFORCE_N``, so an element outside the group
-    is refused the same way under every gate setting."""
+    """The reach set of ``elements`` in ``group``, resumed from the memo's
+    closure of the longest prefix of element objects (an ``is`` test) it
+    shares, when the group is the memo's very object.  Only the elements
+    past that prefix are checked against the group (the prefix was checked
+    under that group object), before the element count is held to
+    ``MAX_BRUTEFORCE_N``, so an element outside the group is refused the
+    same way under every gate setting.  A refused or failed closure leaves
+    the memo as it was."""
     global _last_reach
-    last_group, last_elements, reach = _last_reach
+    last_group, last_elements, reach, sizes = _last_reach
+    # the targets of one source share its elements tuple: each element was
+    # checked when the memo's closure was built, and that closure is the
+    # one asked for
     known = group is last_group and elements is last_elements
-    if not known and not all(map(group.contains, elements)):
+    p = 0
+    if group is last_group and not known:
+        # the first element that is not the memo's, in C and building no
+        # tuple; the memo's closure covers only its first len(sizes)
+        p = min(next(compress(count(), map(is_not, elements, last_elements)),
+                     len(elements)), len(sizes))
+    if not known and not all(map(group.contains, islice(elements, p, None))):
         raise ValidationError(f"{group.family} group: element out of range")
     if len(elements) > MAX_BRUTEFORCE_N:
         raise ResourceLimitError("group subset sum: too many elements")
     if known:
         return reach
+    order = group.order()
+    if not p:
+        reach, sizes = None, []
+    elif p == len(sizes) and (p == len(elements) or len(reach) == order):
+        # every element is shared, or the shared prefix's closure holds
+        # the whole group: the very same set
+        return reach
+    else:
+        # dicts keep insertion order: the closure of the prefix
+        reach, sizes = dict(islice(reach.items(), sizes[p - 1])), sizes[:p]
     reach = _reach(elements, group.identity(), group.times, MAX_BRUTE_STATES,
-                   "group subset sum: products", order=group.order())
-    _last_reach = (group, elements, reach)
+                   "group subset sum: products", order=order, reach=reach,
+                   sizes=sizes)
+    _last_reach = (group, elements, reach, sizes)
     return reach
 
 
 def _solve_group(inst, group, elements, target):
     """Group subset sum, a yes re-checked against ``inst``.  The group must
     hold the target (checked on every call) and the elements (checked on
-    every call for the DP, on a reach-memo miss for the closure).  Z_q runs
-    the modular bitset DP when its q cells fit ``MAX_DP_CELLS``; every other
-    case runs the reach closure."""
+    every call for the DP; for the closure, those past the prefix it shares
+    with the reach memo).  Z_q runs the modular bitset DP when its q cells
+    fit ``MAX_DP_CELLS``; every other case runs the reach closure."""
     if not group.contains(target):
         raise ValidationError(f"{group.family} group: target out of range")
     if isinstance(group, I.CyclicGroup) and group.q <= MAX_DP_CELLS:

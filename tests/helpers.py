@@ -9,7 +9,9 @@ rests on.  ``min_solution_length`` tries every index subsequence of a
 Z_k^k instance, shortest first.  ``primes_landau`` is the plain
 large-order recipe that the Landau-function table of
 ``groups.landau_permutation`` must never lose to.  ``gates`` sets the
-oracles' gate constants for a block.
+oracles' gate constants for a block.  ``PREFIX_RUNS`` draws runs of
+group subset-sum element tuples that share prefixes of element objects,
+as consecutive sources of a family grid do.
 """
 
 import math
@@ -46,7 +48,7 @@ def gates(**values):
     under a lower one.  A ``MonkeyPatch.context()``, so that it also runs
     inside ``@given``, where a function-scoped fixture cannot."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "_last_reach", (None,) * 3)
+        mp.setattr(oracles, "_last_reach", (None,) * 4)
         for name, value in values.items():
             mp.setattr(oracles, name, value)
         yield
@@ -224,3 +226,51 @@ INSTANCES = {
                                       st.lists(_BIG, max_size=4).map(tuple),
                                       _BIG),
 }
+
+
+# ---------------------------------------------------------------------------
+# Runs of element tuples in one group, each sharing a prefix of element
+# objects with the one before, as consecutive sources of a family grid
+# share theirs.  Each group comes with an element it does not contain.
+
+
+def _cells(k):
+    return st.tuples(*[st.integers(0, k - 1)] * k)
+
+
+def _distinct(e):
+    """An element equal to ``e`` but a new object (the small ints of Z_q
+    are shared by the interpreter, so those stay themselves)."""
+    if isinstance(e, Permutation):
+        return Permutation(list(e))
+    return tuple(list(e)) if isinstance(e, tuple) else e
+
+
+@st.composite
+def _prefix_runs(draw):
+    """(group, runs, cap): a group, a list of element tuples, each made of
+    a drawn prefix of the one before (the very objects) and new objects
+    after it, about one in forty outside the group; and a cap on the
+    products, or None."""
+    group, elem, outside = draw(st.one_of(
+        st.just((I.ProductGroup(2), _cells(2), (1, 2))),
+        st.just((I.ProductGroup(3), _cells(3), (1, 1))),
+        st.sampled_from((3, 4)).map(lambda k: (
+            I.SymmetricGroup(k),
+            st.permutations(range(k)).map(Permutation), Permutation((1, 0)))),
+        st.integers(1, 30).map(lambda q: (
+            I.CyclicGroup(q), st.integers(0, q - 1), q))))
+
+    def new(most):
+        return [_distinct(outside if draw(st.integers(0, 39)) == 0
+                          else draw(elem))
+                for _ in range(draw(st.integers(0, most)))]
+    runs = [tuple(new(8))]
+    for _ in range(draw(st.integers(1, 5))):
+        last = runs[-1]
+        runs.append(tuple([*last[:draw(st.integers(0, len(last)))],
+                           *new(3)]))
+    return group, runs, draw(st.none() | st.integers(1, 30))
+
+
+PREFIX_RUNS = _prefix_runs()

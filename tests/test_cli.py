@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, file outputs."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from redkit import instances as I
 from redkit.catalog import REDUCTIONS
-from redkit.certificates import SCHEMES
+from redkit.certificates import SCHEMES, ZKK_SCHEME
 from redkit.cli import _FAMILIES, main
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
-                              SubsetSumInstance, SymmetricGroup,
+                              ProductGroup, SubsetSumInstance, SymmetricGroup,
                               UnboundedSubsetSumInstance, dumps, loads)
 
-from helpers import INSTANCES, JSON_VALUES, SHAPED_INSTANCES
+from helpers import INSTANCES, JSON_VALUES, SHAPED_INSTANCES, gates
 
 
 def run(capsys, *argv):
@@ -311,6 +312,62 @@ def test_cert_check_exit_codes(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "cert-check", "zkk", inst)
     assert code == 2          # scheme / instance kind mismatch
+
+
+# a Z_2^2 instance whose two equal elements never sum to the target
+_ZKK_NO = GroupSubsetSumInstance(ProductGroup(2), ((1, 0), (1, 0)), (0, 1))
+
+
+def _report_lines(out, label):
+    return [line for line in out.splitlines()
+            if line.startswith(f"  {label}: ")]
+
+
+def test_verify_reports_a_violation_and_a_skip(capsys, monkeypatch):
+    inst = SubsetSumInstance((3, 4), 7)
+    monkeypatch.setitem(_FAMILIES, "subset-sum", (lambda: iter([inst]), {}))
+    # a planted fault: every witness maps to a no-instance
+    broken = dataclasses.replace(
+        REDUCTIONS["identity-subset-sum"],
+        transform=lambda src, wit: SubsetSumInstance((), 1))
+    monkeypatch.setitem(REDUCTIONS, "identity-subset-sum", broken)
+    code, out, _ = run(capsys, "verify", "identity-subset-sum",
+                       "--family", "subset-sum")
+    assert code == 1
+    assert "1 violations, 0 skipped" in out
+    [line] = _report_lines(out, "violation")
+    assert "'kind': 'completeness'" in line
+    # no gate lets the source oracle decide it: skipped, not passed
+    with gates(MAX_DP_CELLS=0, MAX_BRUTEFORCE_N=0):
+        code, out, _ = run(capsys, "verify", "ss-to-knapsack",
+                           "--family", "subset-sum")
+    assert code == 4
+    assert "0 violations, 1 skipped" in out
+    assert _report_lines(out, "skipped") == [
+        f"  skipped: source oracle: subset sum: instance over budget: "
+        f"{inst!r}"]
+
+
+def test_cert_check_reports_a_violation_and_a_skip(tmp_path, capsys,
+                                                    monkeypatch):
+    src = _write(tmp_path / "zkk.json", _ZKK_NO)
+    code, out, _ = run(capsys, "cert-check", "zkk", src)
+    assert code == 0 and "0 violations, 0 skipped" in out
+    # a planted fault: the verifier accepts every certificate
+    broken = dataclasses.replace(SCHEMES["zkk"], verify=lambda i, c: True)
+    monkeypatch.setitem(SCHEMES, "zkk", broken)
+    code, out, _ = run(capsys, "cert-check", "zkk", src)
+    assert code == 1
+    [line] = _report_lines(out, "violation")
+    assert "'kind': 'soundness'" in line
+    # a cap under the instance's products: skipped, not passed
+    monkeypatch.setitem(SCHEMES, "zkk", ZKK_SCHEME)
+    with gates(MAX_BRUTE_STATES=1):
+        code, out, _ = run(capsys, "cert-check", "zkk", src)
+    assert code == 4
+    assert _report_lines(out, "skipped") == [
+        f"  skipped: source oracle: group subset sum: products over budget: "
+        f"{_ZKK_NO!r}"]
 
 
 def test_entry_point_installed():

@@ -16,13 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from redkit import instances as I
 from redkit import kernels, oracles
-from redkit.errors import ResourceLimitError, ValidationError
+from redkit.errors import (ConstructionError, ResourceLimitError,
+                           ValidationError)
 from redkit.groups import Permutation
 from redkit.oracles import (Verdict, _coloring_dp, check_solution, solve,
                             solve_coloring, solve_group_ss, solve_ilp,
                             solve_scheduling)
 
-from helpers import brute_scheduling, gates
+from helpers import PREFIX_RUNS, brute_scheduling, gates
 
 
 def _mask_items(items, mask):
@@ -1025,45 +1026,93 @@ def test_product_input_outside_the_group_is_refused():
 
 
 def test_group_reach_memo_is_keyed_by_identity():
+    # a closure resumes from the longest prefix of element objects it
+    # shares with the memo's, under the memo's very group object
     g = I.ProductGroup(3)
     elements = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
     target = (2, 1, 1)
-    # equal-valued but distinct group and elements objects
-    others = ((I.ProductGroup(3), elements),
-              (g, tuple(tuple(e) for e in list(elements))),
-              (g, elements[:3] + ((1, 1, 0),)))
-    closures = []
+    # equal-valued but distinct element objects
+    copies = tuple(tuple(list(e)) for e in elements)
+    starts = []
     real = oracles._reach
 
-    def counted(*args, **kwargs):
-        closures.append(args[0])
-        return real(*args, **kwargs)
+    def counted(*args, sizes=None, **kwargs):
+        # the element the closure starts from: 0, or the resumed prefix
+        starts.append(len(sizes))
+        return real(*args, sizes=sizes, **kwargs)
 
+    def fresh(group, elems):
+        return list(real(elems, group.identity(), group.times, 10 ** 6, "x",
+                         order=group.order()).items())
+
+    # (group, elements, the element its closure starts from, or None when
+    # the memo answers with no closure)
+    runs = [(g, elements, 0),
+            (g, elements, None),
+            # a new tuple of the same element objects
+            (g, tuple(list(elements)), None),
+            # an equal but distinct group
+            (I.ProductGroup(3), elements, 0),
+            (g, elements, 0),
+            # a changed suffix
+            (g, elements[:2] + ((0, 1, 1),), 2),
+            # an equal third element is not the same object
+            (g, elements[:2] + (copies[2], elements[3]), 2),
+            (g, copies, 0),
+            # a shorter tuple copies the products of its prefix
+            (g, copies[:3], 3)]
     with gates(), mock.patch.object(oracles, "_reach", counted):
-        expected = solve(I.GroupSubsetSumInstance(g, elements, target))
-        assert expected.answer and expected.method == "reach"
-        assert check_solution(I.GroupSubsetSumInstance(g, elements, target),
-                              expected.solution)
-        # the very objects again: the memo answers, with no closure
-        assert not solve(I.GroupSubsetSumInstance(g, elements,
-                                                  (2, 2, 2))).answer
-        assert len(closures) == 1
-        # each distinct pair runs its own closure
-        for group, elems in others:
-            assert elems == elements
-            assert solve(I.GroupSubsetSumInstance(group, elems, target)) == \
-                expected
-            assert not solve(I.GroupSubsetSumInstance(group, elems,
-                                                      (2, 2, 2))).answer
-        assert len(closures) == 1 + len(others)
+        for group, elems, start in runs:
+            before = len(starts)
+            inst = I.GroupSubsetSumInstance(group, elems, target)
+            got = solve(inst)
+            assert starts[before:] == ([] if start is None else [start])
+            assert got.method == "reach"
+            want = fresh(group, elems)
+            assert got.answer == (target in dict(want))
+            if got.answer:
+                assert check_solution(inst, got.solution)
+            # each result equals a fresh closure, item for item, and the
+            # repeat is answered by the memo
+            assert list(oracles._group_reach(group, elems).items()) == want
+            assert len(starts) == before + (start is not None)
+    # a closure over the cap leaves the memo as it was
+    with gates(MAX_BRUTE_STATES=6):
+        assert solve(I.GroupSubsetSumInstance(g, elements[:2], (1, 1, 0)))
+        memo = oracles._last_reach
+        with pytest.raises(ResourceLimitError):
+            solve(I.GroupSubsetSumInstance(g, elements[:3], target))
+        assert oracles._last_reach is memo
     # under a cap the products exceed, every pair is refused: the memo's
     # set, built under the default cap, does not answer for the same objects
-    solve(I.GroupSubsetSumInstance(g, elements, target))
+    expected = solve(I.GroupSubsetSumInstance(g, elements, target))
     assert oracles._last_reach[:2] == (g, elements)
-    for group, elems in ((g, elements),) + others:
+    for group, elems, _ in runs:
         with gates(MAX_BRUTE_STATES=3), pytest.raises(ResourceLimitError):
             solve(I.GroupSubsetSumInstance(group, elems, target))
     assert solve(I.GroupSubsetSumInstance(g, elements, target)) == expected
+
+
+def test_a_wrong_walk_on_a_resumed_closure_is_a_construction_error(
+        monkeypatch):
+    # every yes answer is re-checked by ``_yes``, resumed closures too
+    g = I.ProductGroup(3)
+    a, b, c = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    starts, real_reach, real_walk = [], oracles._reach, oracles._walk
+
+    def counted(*args, sizes=None, **kwargs):
+        starts.append(len(sizes))
+        return real_reach(*args, sizes=sizes, **kwargs)
+    monkeypatch.setattr(oracles, "_reach", counted)
+    with gates():
+        assert solve(I.GroupSubsetSumInstance(g, (a, b), (1, 1, 0))) == \
+            Verdict(True, (0, 1), "reach")
+        # one index short of the path the closure took
+        monkeypatch.setattr(oracles, "_walk",
+                            lambda reach, cur: real_walk(reach, cur)[:-1])
+        with pytest.raises(ConstructionError, match="invalid solution"):
+            solve(I.GroupSubsetSumInstance(g, (a, b, c), (1, 1, 1)))
+    assert starts == [0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -1071,25 +1120,32 @@ def test_group_reach_memo_is_keyed_by_identity():
 # closure that runs every element step, whatever the set holds.
 
 
-def _reach_on_mul(elements, start, mul, cap, what, keep=None, order=None):
-    """The reach closure on a two-argument multiply, one call per product."""
-    reach = {start: None}
-    for i, e in enumerate(elements):
+def _reach_on_mul(elements, start, mul, cap, what, keep=None, order=None,
+                  reach=None, sizes=None):
+    """The reach closure on a two-argument multiply, one call per product;
+    ``reach`` and ``sizes`` resume it as they resume ``oracles._reach``."""
+    if reach is None:
+        reach = {start: None}
+    if sizes is None:
+        sizes = []
+    for i in range(len(sizes), len(elements)):
         for prod in list(reach):
-            np = mul(prod, e)
+            np = mul(prod, elements[i])
             if np not in reach and (keep is None or keep(np)):
                 reach[np] = (i, prod)
         if len(reach) > cap:
             raise ResourceLimitError(f"{what} over budget")
+        sizes.append(len(reach))
         if len(reach) == order:
             break
     return reach
 
 
-def _full_reach(elements, start, times, cap, what, keep=None, order=None):
+def _full_reach(elements, start, times, cap, what, keep=None, order=None,
+                reach=None, sizes=None):
     """``oracles._reach`` without the stop: ``order`` is taken and unused."""
     return _reach_on_mul(elements, start, lambda a, e: times(e)(a), cap,
-                         what, keep)
+                         what, keep, reach=reach, sizes=sizes)
 
 
 def _saturating_and_full(inst, **gate):
@@ -1243,6 +1299,63 @@ def test_plain_reach_matches_the_reach_on_add(items, t):
                          keep=t.__ge__)
     want = _reach_on_mul(items, 0, add, 10 ** 6, "x", keep=t.__ge__)
     assert list(got.items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# A group closure resumes from the prefix of element objects it shares with
+# the memo's.  Each result must equal a fresh closure item for item, and a
+# refused one must leave the memo as it was.
+
+
+def _shared_runs():
+    """One run per case the resume must get right, as ``PREFIX_RUNS``
+    draws them."""
+    z2, z3, s3, z7 = (I.ProductGroup(2), I.ProductGroup(3),
+                      I.SymmetricGroup(3), I.CyclicGroup(7))
+    # d equals a but is another object
+    a, b, c, d = (1, 0), (0, 1), (1, 1), tuple([1, 0])
+    x, y = Permutation((1, 2, 0)), Permutation((1, 0, 2))
+    u, v = (1, 0, 0), (0, 1, 0)
+    return [
+        # the first closure holds all of Z_2^2 after b, inside the prefix
+        (z2, [(a, b, c), (a, b, c, d), (a, b, d)], None),
+        # a new tuple of the very same objects, then a strict prefix
+        (s3, [(x, y, x), (x, y, x), (x, y)], None),
+        # an element outside the group after the prefix, then a resume
+        (z3, [(u, v), (u, v, (1, 1)), (u, v, (0, 0, 1))], None),
+        # the prefix's 2 sums fit the cap, the full 7 do not
+        (z7, [(1,), (1, 2, 4), (1, 2)], 5),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(PREFIX_RUNS)
+@example(_shared_runs()[0])
+@example(_shared_runs()[1])
+@example(_shared_runs()[2])
+@example(_shared_runs()[3])
+def test_resumed_closure_matches_a_fresh_one(case):
+    group, runs, cap = case
+    gate = {"MAX_DP_CELLS": 0}
+    if cap is not None:
+        gate["MAX_BRUTE_STATES"] = cap
+    with gates(**gate):
+        for elements in runs:
+            memo = oracles._last_reach
+            if not all(map(group.contains, elements)):
+                with pytest.raises(ValidationError, match="out of range"):
+                    oracles._group_reach(group, elements)
+                assert oracles._last_reach is memo
+                continue
+            want = list(_full_reach(elements, group.identity(), group.times,
+                                    10 ** 6, "x").items())
+            if cap is not None and len(want) > cap:
+                with pytest.raises(ResourceLimitError):
+                    oracles._group_reach(group, elements)
+                assert oracles._last_reach is memo
+                continue
+            got = oracles._group_reach(group, elements)
+            assert list(got.items()) == want
 
 
 def test_no_verdicts_are_shared_and_equal_fresh_ones():
