@@ -13,25 +13,43 @@ labels (``("introduce", x)``, ``("forget", x)`` or ``("edge", x, y)``), so
 every machine with k labels points at the same vector tuples and holds one
 pointer per vector.
 
-cm-to-permss computes an instance's layout (a frozen dataclass with slots,
-as in ``redkit.numeric``) once and keeps it with ``witness.layout_cache``
-(which says what it holds): the witness length and count shifts, the target
-group and elements, and for each counter the images of pi^0 .. pi^n already
-moved onto that counter's block.  An element is the concatenation of
-per-block images of gamma_hat(b), followed by pi or the identity.  One
-``lru_cache``, ``_block_images(n, block)``, keeps each block's images of the
-powers of pi and of the three letters across instances with n vectors; the
-layout fetches its dimension + 1 blocks once.  ``transform`` reads the kept
-pair inline (``_cps_layout.last``), calling the layout function only for
-another instance, decodes ``wit.value`` with the shifts and concatenates the
-chosen blocks into the target permutation.
+cm-to-permss reads a witness as one count c_j per counter j, the number
+of chosen vectors that touch it.  An accepting run starts every counter at
+0, keeps it in {0, 1} and ends it at 0, so the chosen vectors that touch
+counter j alternate +1, -1: c_j is even, half of them are +1 and half -1,
+and all the REQUIRED ones are chosen.  With P_j and N_j the vectors with +1
+and -1 at j and R_j the REQUIRED vectors touching j, a run's counts are
+even with R_j <= c_j <= 2 min(P_j, N_j).  The transform maps a witness with
+any other count to the declared no constant, ``valid_witnesses`` lists
+exactly the others, and a synthesized witness, the counts of a run, is
+always listed.
+
+The transform computes an instance's layout (a frozen dataclass with
+slots, as in ``redkit.numeric``) once and keeps it with
+``witness.layout_cache`` (which says what it holds): the witness length
+and count shifts, the target group and elements, and for each counter a
+tuple over its field values holding the image of pi^c moved onto that
+counter's block for an allowed count c and None for any other.  An
+element is the concatenation of per-block images of gamma_hat(b),
+followed by pi or the identity.  Three ``lru_cache`` caches hold the shared
+pieces: ``_block_images(n, block)``, each block's images of the powers of
+pi and of the three letters for machines with n vectors;
+``_cps_element(n, vector, flag)``, one element object per vector; and
+``_symmetric_group(degree)``, one group object per degree.  So
+consecutive machines of a grid hand the group oracle the same group and
+the same element objects for their shared vectors, and its reach closure
+resumes from their shared prefix.  ``transform`` reads the kept pair
+inline (``_cps_layout.last``), calling the layout function only for
+another instance, decodes ``wit.value`` with the shifts and concatenates
+the chosen blocks into the target permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
+from operator import ne
 
 from . import instances as I
 from . import pathdecomp
@@ -168,10 +186,10 @@ red_coloring_to_cm = deterministic(
 
 
 # One entry per (vector count n, block): n + 4 image tuples of 2r points,
-# at most 1.8 KB at n = 5, 33 KB at n = 32 and 159 KB at n = 128 (measured
-# on block 19; lower blocks share more small ints), so the 32 entries hold
-# at most about 1.1 MB while n <= 32 and 5.1 MB while n <= 128, where a K4
-# machine's 20 blocks fit.
+# at most 1.7 KB at n = 5, 37 KB at n = 32 and 176 KB at n = 128 (measured
+# with tracemalloc on block 19; lower blocks share more small ints), so the
+# 32 entries of blocks 0 .. 31 hold at most about 1.1 MB while n <= 32 and
+# 5.1 MB while n <= 128, where a K4 machine's 20 blocks fit.
 @lru_cache(maxsize=32)
 def _block_images(n: int, block: int) -> tuple[tuple, dict]:
     """Images of pi^0 .. pi^n (indexed by the exponent) and of the three
@@ -188,6 +206,36 @@ def _block_images(n: int, block: int) -> tuple[tuple, dict]:
     return tuple(powers), letters
 
 
+# One entry per (n, vector, flag): a permutation of (dimension + 1) blocks
+# of points, whose ints are the ``_block_images`` ones.  Measured with
+# tracemalloc on coloring-to-cm's K4 machine (degree 640, 128 vectors, 98
+# distinct (vector, flag) pairs), an entry takes about 5.4 KB, 8 bytes a
+# point, so the 256 entries hold at most about 1.4 MB at degree 640 and
+# 3.3 MB at degree 1,600 (128 vectors, dimension 49).  The machines of one
+# vector count in a grid of dimension d share at most 2 * 3^d keys.
+CPS_ELEMENT_CACHE = 256
+
+
+@lru_cache(maxsize=CPS_ELEMENT_CACHE)
+def _cps_element(n: int, vec: tuple, flag: str) -> Permutation:
+    """gamma_hat(b) of each entry b of ``vec`` on its counter's block, then
+    pi (``flag`` REQUIRED) or the identity on the last block: the element
+    of one vector of a machine with ``n`` vectors, shared by every such
+    machine.  ``vec`` must have entries in {-1, 0, 1}; a KeyError
+    otherwise."""
+    img = []
+    for j, b in enumerate(vec):
+        img += _block_images(n, j)[1][b]
+    tail = _block_images(n, len(vec))[0]
+    img += tail[1] if flag == I.REQUIRED else tail[0]
+    # blocks of permutations on disjoint points: a permutation
+    return tuple.__new__(Permutation, img)
+
+
+# One group object per degree, so that consecutive machines of a grid hand
+# the group oracle the very group its reach memo holds.  A group is one int.
+_symmetric_group = lru_cache(maxsize=32)(I.SymmetricGroup)
+
 # Targets of machines with no vectors and of rejected witnesses.
 _PERM_YES = I.trivial_instance("group_subset_sum", True,
                                group=I.SymmetricGroup(2))
@@ -201,7 +249,7 @@ class _CpsLayout:
     widths: tuple
     shifts: tuple       # shift of each counter's count
     mask: int
-    blocks: tuple       # per counter, the pi-power images of its block
+    blocks: tuple       # per counter and count: a pi-power image or None
     tail: tuple         # images of pi^f_C on the last block
     group: object
     elements: tuple
@@ -209,29 +257,51 @@ class _CpsLayout:
 
 @layout_cache
 def _cps_layout(inst) -> _CpsLayout:
+    """The witness layout and target parts of one machine with n vectors.
+
+    On an accepting run counter j starts at 0, ends at 0 and stays in
+    {0, 1}, so the chosen vectors that touch it alternate +1, -1: their
+    count c_j is even, takes at most min(P_j, N_j) of each sign, and
+    counts every REQUIRED vector that touches j (P_j and N_j count the
+    vectors with +1 and -1 at j, R_j the REQUIRED ones with either).  So
+    c_j is even and R_j <= c_j <= 2 min(P_j, N_j) <= n, and a witness with
+    any other count is rejected: ``blocks[j]`` holds, per field value, the
+    image of pi^c on counter j's block for an allowed count c, else None.
+    The elements come from ``_cps_element`` and the group from
+    ``_symmetric_group``, so machines that share vectors share element
+    objects and their group."""
     n, ell = len(inst.vectors), inst.dimension
     if n == 0:
         return _CpsLayout(0, (), (), 0, (), (), None, ())
+    if any(map(ne, map(len, inst.vectors), repeat(ell))):
+        raise ValidationError(
+            "counter machine: vector length differs from dimension")
+    try:
+        elements = tuple(map(_cps_element, repeat(n), inst.vectors,
+                             inst.flags))
+    except (KeyError, TypeError):
+        # an entry that is no letter's key, or one that cannot be hashed
+        raise ValidationError(
+            "counter machine: vector entries must be in {-1,0,1}") from None
     width = field_width(n)
-    blocks = [_block_images(n, j) for j in range(ell + 1)]
-    tail = blocks[ell][0]
-    elements = []
-    for vec, flag in zip(inst.vectors, inst.flags):
-        img = []
-        for b, (_, letters) in zip(vec, blocks):
-            if b not in letters:
-                raise ValidationError(
-                    f"counter machine: entry {b!r} not in {{-1,0,1}}")
-            img += letters[b]
-        img += tail[1] if flag == I.REQUIRED else tail[0]
-        # blocks of permutations on disjoint points: a permutation
-        elements.append(tuple.__new__(Permutation, img))
-    f_c = inst.flags.count(I.REQUIRED)
+    required = [v for v, f in zip(inst.vectors, inst.flags)
+                if f == I.REQUIRED]
+    touched = [len(col) - col.count(0) for col in zip(*required)] or \
+        [0] * ell
+    blocks = []
+    for j, col in enumerate(zip(*inst.vectors)):
+        # the even counts from R_j up to 2 min(P_j, N_j)
+        lo, hi = touched[j] + (touched[j] & 1), \
+            2 * min(col.count(1), col.count(-1))
+        table = [None] * (1 << width)
+        table[lo:hi + 1:2] = _block_images(n, j)[0][lo:hi + 1:2]
+        blocks.append(tuple(table))
+    tail = _block_images(n, ell)[0]
     return _CpsLayout(
         ell * width, (width,) * ell,
         tuple((ell - 1 - j) * width for j in range(ell)), (1 << width) - 1,
-        tuple(powers for powers, _ in blocks[:ell]), tail[f_c],
-        I.SymmetricGroup((ell + 1) * len(tail[0])), tuple(elements))
+        tuple(blocks), tail[inst.flags.count(I.REQUIRED)],
+        _symmetric_group((ell + 1) * len(tail[0])), elements)
 
 
 _CPS_LAST = _cps_layout.last
@@ -247,10 +317,10 @@ def _cps_transform(inst, wit):
     v, mask = wit.value, lay.mask
     img = []
     for shift, block in zip(lay.shifts, lay.blocks):
-        c = (v >> shift) & mask
-        if c > n:
+        part = block[(v >> shift) & mask]
+        if part is None:
             return _PERM_NO
-        img += block[c]
+        img += part
     img += lay.tail
     # blocks of pi-powers on disjoint points: a permutation by construction
     return I.GroupSubsetSumInstance(lay.group, lay.elements,
@@ -273,10 +343,10 @@ def _cps_valid(inst):
     if n == 0:
         return iter((Witness.zero(0),))
     lay = _cps_layout(inst)
-    # each count in [0, n] at its field's shift
-    return witnesses(map(sum, product(*[range(0, (n + 1) << shift, 1 << shift)
-                                        for shift in lay.shifts])),
-                     lay.length)
+    # each allowed count (a field value with an image) at its field's shift
+    return witnesses(map(sum, product(*[
+        [c << shift for c, part in enumerate(block) if part is not None]
+        for shift, block in zip(lay.shifts, lay.blocks)])), lay.length)
 
 
 red_cm_to_perm_ss = Reduction(

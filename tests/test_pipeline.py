@@ -4,19 +4,27 @@ Golden vectors were produced by running the transforms and cross-checking
 verdicts with the brute-force solvers.
 """
 
+import gc
 import hashlib
+import operator
+import tracemalloc
 from random import Random
+from unittest import mock
 
 import pytest
 
+from redkit import oracles, pipeline
 from redkit.errors import ValidationError
-from redkit.families import graphs_upto, named_graph
+from redkit.families import cm_grid, graphs_upto, named_graph
+from redkit.groups import make_run_context
 from redkit.instances import (REQUIRED, ColoringInstance,
                               CounterMachineInstance)
 from redkit.oracles import solve, solve_coloring, solve_counter_machine
 from redkit.pipeline import (_block, coloring_blocks, is_run,
                              red_cm_to_perm_ss, red_coloring_to_cm)
 from redkit.witness import Witness, all_witnesses
+
+from helpers import gates
 
 
 def _to_cm(graph):
@@ -173,3 +181,78 @@ def test_full_pipeline_target_is_well_formed():
     target = pipe.apply(graph, wit)
     assert validate(target) == []
     assert target.kind == "group_subset_sum"
+
+
+def test_cps_caches_stay_within_their_stated_bytes():
+    # the bounds stated beside the caches: about 5.4 KB per element at
+    # coloring-to-cm's K4 machine (degree 640, 128 vectors), and for the 32
+    # block entries of blocks 0 .. 31 about 1.1 MB while n <= 32 and 5.1 MB
+    # while n <= 128
+    cm = _to_cm(named_graph("k4"))
+    n, ell = len(cm.vectors), cm.dimension
+    for j in range(ell + 1):
+        pipeline._block_images(n, j)
+    pipeline._cps_element.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for vec, flag in zip(cm.vectors, cm.flags):
+            pipeline._cps_element(n, vec, flag)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    entries = pipeline._cps_element.cache_info().currsize
+    assert entries == len(set(zip(cm.vectors, cm.flags))) == 98
+    assert len(pipeline._cps_element(n, cm.vectors[0], cm.flags[0])) == 640
+    assert held <= 5_400 * entries, held / entries
+    assert pipeline.CPS_ELEMENT_CACHE * 5_400 <= 1_400_000
+    for n, bound in ((32, 1_100_000), (128, 5_100_000)):
+        make_run_context(n)
+        pipeline._block_images.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for j in range(32):
+                pipeline._block_images(n, j)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            pipeline._block_images.cache_clear()
+        assert pipeline._block_images.cache_info().currsize == 0
+        assert held <= bound, (n, held)
+
+
+def test_consecutive_grid_sources_resume_the_group_closure():
+    # consecutive machines of a grid share their group object and all but
+    # their last element objects, so the second closure resumes from the
+    # first's prefix and equals a fresh one, item for item
+    red = red_cm_to_perm_ss
+    machines = [inst for inst in cm_grid(2, 3) if len(inst.vectors) == 3]
+    for a, b in zip(machines, machines[1:]):
+        wits = [next(red.valid_witnesses(inst), None) for inst in (a, b)]
+        if None not in wits and a.vectors[:2] == b.vectors[:2]:
+            break
+    targets = [red.apply(inst, wit) for inst, wit in zip((a, b), wits)]
+    assert targets[0].group is targets[1].group
+    assert all(map(operator.is_, targets[0].elements[:2],
+                   targets[1].elements[:2]))
+    starts, real = [], oracles._reach
+
+    def counted(*args, sizes=None, **kwargs):
+        starts.append(len(sizes))
+        return real(*args, sizes=sizes, **kwargs)
+
+    group, elements = targets[1].group, targets[1].elements
+    with gates(), mock.patch.object(oracles, "_reach", counted):
+        for tgt in targets:
+            solve(tgt)
+        # the memo holds the resumed closure and answers for it
+        resumed = oracles._group_reach(group, elements)
+    assert starts == [0, 2]
+    fresh = real(elements, group.identity(), group.times, 10 ** 6, "x",
+                 order=group.order())
+    assert list(resumed.items()) == list(fresh.items())

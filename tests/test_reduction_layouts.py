@@ -247,7 +247,25 @@ def _ref_cps_len(inst):
     return sum(_cps_widths(inst)) if inst.vectors else 0
 
 
-def _ref_cps_transform(inst, wit):
+def _ref_cps_counts(inst):
+    """Per counter j, the counts c an accepting run can give it: along a
+    run counter j steps 0, 1, 0, ... so its touching vectors alternate +1
+    and -1 and c is even, with c / 2 at most the vectors with +1 at j and
+    at most those with -1, and c at least the REQUIRED vectors touching j."""
+    out = []
+    for j in range(inst.dimension):
+        ups = sum(1 for v in inst.vectors if v[j] == 1)
+        downs = sum(1 for v in inst.vectors if v[j] == -1)
+        req = sum(1 for v, f in zip(inst.vectors, inst.flags)
+                  if f == I.REQUIRED and v[j] != 0)
+        out.append([c for c in range(0, len(inst.vectors) + 1, 2)
+                    if req <= c and c // 2 <= min(ups, downs)])
+    return out
+
+
+def _ref_cps_paper_target(inst, wit):
+    """The target under the paper's rule, which rejects only a count above
+    n: a witness the count rule rejects may still get a real target here."""
     n = len(inst.vectors)
     if n == 0:
         return I.trivial_instance("group_subset_sum", True,
@@ -263,13 +281,102 @@ def _ref_cps_transform(inst, wit):
     return I.GroupSubsetSumInstance(group, elements, block_diagonal(parts))
 
 
+def _ref_cps_transform(inst, wit):
+    if inst.vectors and any(
+            c not in ok for c, ok in zip(unpack_fields(wit, _cps_widths(inst)),
+                                         _ref_cps_counts(inst))):
+        return I.trivial_instance("group_subset_sum", False,
+                                  group=I.SymmetricGroup(2))
+    return _ref_cps_paper_target(inst, wit)
+
+
 def _ref_cps_valid(inst):
-    n = len(inst.vectors)
-    if n == 0:
+    if not inst.vectors:
         yield Witness.zero(0)
         return
-    for counts in product(range(n + 1), repeat=inst.dimension):
+    for counts in product(*_ref_cps_counts(inst)):
         yield pack_fields(counts, _cps_widths(inst))
+
+
+def _runs(inst):
+    """Every index set, as a sorted tuple, that holds each REQUIRED vector
+    and whose vectors in index order are a run: each vector in turn is
+    taken, when the counters stay in {0, 1}, or passed over, when it is
+    OPTIONAL."""
+    found = []
+
+    def extend(i, chosen, state):
+        if i == len(inst.vectors):
+            if not any(state):
+                found.append(chosen)
+            return
+        nxt = tuple(map(sum, zip(state, inst.vectors[i])))
+        if set(nxt) <= {0, 1}:
+            extend(i + 1, chosen + (i,), nxt)
+        if inst.flags[i] == I.OPTIONAL:
+            extend(i + 1, chosen, state)
+
+    extend(0, (), (0,) * inst.dimension)
+    return found
+
+
+CPS_GRIDS = ((1, 5), (2, 3), (3, 2))
+
+
+def test_cps_transform_rejects_exactly_the_unlisted_witnesses():
+    # the count rule is exact: a witness maps to the declared no constant
+    # if and only if ``valid_witnesses`` does not list it
+    red = REDUCTIONS["cm-to-permss"]
+    machines = 0
+    for dim, n in CPS_GRIDS:
+        for inst in cm_grid(dim, n):
+            machines += 1
+            valid = list(red.valid_witnesses(inst))
+            assert valid == list(_ref_cps_valid(inst))
+            listed = set(valid)
+            for wit in all_witnesses(red.witness_len(inst)):
+                assert (red.transform(inst, wit) is pipeline._PERM_NO) == \
+                    (wit not in listed), (inst, wit)
+    assert machines == 9331 + 6175 + 2971
+
+
+def test_cps_rule_drops_only_targets_that_solve_no():
+    # a witness the count rule rejects and the paper's rule keeps has a
+    # target that solves no: the sweep loses no check of the group
+    # construction
+    red = REDUCTIONS["cm-to-permss"]
+    dropped = 0
+    for dim, n in ((1, 4), (2, 2)):
+        for inst in cm_grid(dim, n):
+            for wit in all_witnesses(red.witness_len(inst)):
+                if red.transform(inst, wit) is not pipeline._PERM_NO:
+                    continue
+                old = _ref_cps_paper_target(inst, wit)
+                if old.kind == "group_subset_sum" and old.elements:
+                    dropped += 1
+                assert not solve(old).answer, (inst, wit)
+    assert dropped > 0
+
+
+def test_every_run_synthesizes_an_accepted_witness():
+    # each brute-force solution of a small yes-machine synthesizes a
+    # witness the count rule accepts and whose target solves yes
+    red = REDUCTIONS["cm-to-permss"]
+    solutions = 0
+    for dim, n in CPS_GRIDS:
+        for inst in cm_grid(dim, n):
+            runs = _runs(inst)
+            assert solve(inst).answer == bool(runs), inst
+            if not inst.vectors:
+                continue
+            listed = set(red.valid_witnesses(inst))
+            for sol in runs:
+                wit = red.synthesize(inst, sol)
+                assert wit in listed, (inst, sol)
+                tgt = red.apply(inst, wit)
+                assert tgt is not pipeline._PERM_NO and solve(tgt).answer
+                solutions += 1
+    assert solutions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +786,30 @@ def test_chain_matches_its_links_on_interleaved_instances():
         assert 1 < len(wits) <= 1 << 12
         for wit in reversed(wits):
             assert red.apply(inst, wit) == ref(inst, wit), wit
+
+
+def test_chain_reports_a_synthesized_witness_with_a_no_intermediate():
+    # a first link whose synthesizer picks a witness with a no intermediate:
+    # the chain's synthesis refuses it, and the sweep reports the source's
+    # completeness violation with the chain's message
+    first, second = REDUCTIONS["ss-to-monotone"], REDUCTIONS["monotone-to-ss"]
+    planted = []
+
+    def to_no(inst, sol):
+        # the first rejected witness, else the real one
+        wit = next((wit for wit in all_witnesses(first.witness_len(inst))
+                    if first.transform(inst, wit) is _MONOTONE_NO), None)
+        planted.append(wit is not None)
+        return first.synthesize(inst, sol) if wit is None else wit
+
+    red = chain(dataclasses.replace(first, synthesize=to_no), second)
+    rep = nppt_contract_check(red, subset_sums(2, 3, 6))
+    assert len(planted) == rep.yes_instances
+    assert 0 < len(rep.violations) == sum(planted) < rep.yes_instances
+    for got in rep.violations:
+        assert got["kind"] == "completeness"
+        assert got["error"] == \
+            "ss-to-monotone: synthesized witness produced a no-instance"
 
 
 # An exhaustively swept no-instance per reduction whose transform reads its
