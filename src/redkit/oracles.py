@@ -21,7 +21,7 @@ part that depends only on it:
 
 - ``solve_ilp`` keeps the column bundles, row totals, base and column codes
   per (columns, row count) in an ``lru_cache`` of ``ILP_COLUMNS_CACHE`` =
-  64 entries, a few KB each; an instance then only checks and codes its
+  64 entries of about 2 KB each; an instance then only checks and codes its
   rhs.  A column whose length differs from the rhs's, or with an entry
   outside {-1, 0, 1}, is a ``ValidationError``, checked once per cache
   miss; the entry also notes whether some entry is -1, so a monotone
@@ -183,8 +183,9 @@ def solve_knapsack(inst: I.KnapsackInstance) -> Verdict:
 # Column layouts ``solve_ilp`` keeps, one per (columns, row count): the
 # targets of one ilp-to-monotone source share their columns and differ only
 # in rhs, and a sweep solves them one source at a time.  An entry for 6 rows
-# and 9-12 columns costs about 3.1 KB with the columns tuple it keeps alive
-# (tracemalloc over 64 such systems), so a full cache is about 0.2 MB.
+# and 9-12 distinct columns costs about 2.1 KB with the columns tuple it
+# keeps alive (tracemalloc over 64 such systems, Python 3.11), so a full
+# cache is about 0.14 MB.
 ILP_COLUMNS_CACHE = 64
 
 
@@ -562,8 +563,7 @@ def _coloring_dp(inst):
         layers.append(cur)
         if not cur:
             return _NO["dp"]
-    if () not in layers[-1]:
-        return _NO["dp"]
+    # make_nice ends on an empty bag, so a nonempty last layer is {(): ...}
     assign = {}
     key = ()
     for j in range(len(layers) - 1, 0, -1):

@@ -16,13 +16,17 @@ pointer per vector.
 cm-to-permss reads a witness as one count c_j per counter j, the number
 of chosen vectors that touch it.  An accepting run starts every counter at
 0, keeps it in {0, 1} and ends it at 0, so the chosen vectors that touch
-counter j alternate +1, -1: c_j is even, half of them are +1 and half -1,
-and all the REQUIRED ones are chosen.  With P_j and N_j the vectors with +1
-and -1 at j and R_j the REQUIRED vectors touching j, a run's counts are
-even with R_j <= c_j <= 2 min(P_j, N_j).  The transform maps a witness with
-any other count to the declared no constant, ``valid_witnesses`` lists
-exactly the others, and a synthesized witness, the counts of a run, is
-always listed.
+counter j, in index order, alternate +1, -1 and hold every REQUIRED one
+that touches j.  The counts such a choice can take are found by one scan
+of counter j's nonzero entries in index order, keeping two bitsets over
+counts, at0 and at1, of the choices so far that leave the counter at 0 and
+at 1 (at first at0 = {0} and at1 = {}): an OPTIONAL +1 adds at0 shifted
+by one to at1, a REQUIRED +1 makes at1 that and at0 empty, and a -1 does
+the mirror image.  c_j is allowed when it is in at0 at the end.  The rule
+looks at one counter at a time, so it is exact at dimension 1 and only
+necessary above.  The transform maps a witness with any other count to the
+declared no constant, ``valid_witnesses`` lists exactly the others, and a
+synthesized witness, the counts of a run, is always listed.
 
 The transform computes an instance's layout (a frozen dataclass with
 slots, as in ``redkit.numeric``) once and keeps it with
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from operator import ne
 
 from . import instances as I
@@ -113,11 +117,11 @@ def is_run(vectors) -> bool:
 
 
 # One entry per (k, command): at most 16 (vector, flag) pairs of 3k + 7
-# entries each, at most 4.6 KB at k = 4, 6.9 KB at k = 10 and 15 KB at
-# k = 32 (measured on an edge block; introduce and forget blocks take about
-# a third), so the 128 entries hold at most about 0.9 MB while k <= 10 and
-# 2 MB while k <= 32.  A machine with k labels uses at most k(k + 1)
-# entries, 110 at k = 10.
+# entries each, at most 4.6 KB at k = 4, 6.9 KB at k = 10 and 15.1 KB at
+# k = 32 (measured with tracemalloc on edge blocks; introduce and forget
+# blocks take about a third), so the 128 entries hold at most about 0.9 MB
+# while k <= 10 and 2 MB while k <= 32.  A machine with k labels uses at
+# most k(k + 1) entries, 110 at k = 10.
 @lru_cache(maxsize=128)
 def _block(k: int, cmd: tuple) -> tuple:
     """The (vector, flag) pairs of one command of a machine with ``k``
@@ -260,11 +264,14 @@ def _cps_layout(inst) -> _CpsLayout:
     """The witness layout and target parts of one machine with n vectors.
 
     On an accepting run counter j starts at 0, ends at 0 and stays in
-    {0, 1}, so the chosen vectors that touch it alternate +1, -1: their
-    count c_j is even, takes at most min(P_j, N_j) of each sign, and
-    counts every REQUIRED vector that touches j (P_j and N_j count the
-    vectors with +1 and -1 at j, R_j the REQUIRED ones with either).  So
-    c_j is even and R_j <= c_j <= 2 min(P_j, N_j) <= n, and a witness with
+    {0, 1}, so the chosen vectors that touch it, in index order, alternate
+    +1, -1 and hold every REQUIRED vector that touches j.  Scanning j's
+    nonzero entries in index order, bit c of ``at0`` (``at1``) says that
+    some such choice among the entries so far takes c of them and leaves
+    the counter at 0 (at 1).  An OPTIONAL +1 may be taken from 0 or passed
+    over (at1 |= at0 << 1); a REQUIRED +1 must be taken from 0 (at0, at1 =
+    0, at0 << 1); a -1 is the mirror image.  The allowed counts are the
+    bits of ``at0`` at the end, all even and at most n, and a witness with
     any other count is rejected: ``blocks[j]`` holds, per field value, the
     image of pi^c on counter j's block for an allowed count c, else None.
     The elements come from ``_cps_element`` and the group from
@@ -284,18 +291,18 @@ def _cps_layout(inst) -> _CpsLayout:
         raise ValidationError(
             "counter machine: vector entries must be in {-1,0,1}") from None
     width = field_width(n)
-    required = [v for v, f in zip(inst.vectors, inst.flags)
-                if f == I.REQUIRED]
-    touched = [len(col) - col.count(0) for col in zip(*required)] or \
-        [0] * ell
+    required = [f == I.REQUIRED for f in inst.flags]
     blocks = []
     for j, col in enumerate(zip(*inst.vectors)):
-        # the even counts from R_j up to 2 min(P_j, N_j)
-        lo, hi = touched[j] + (touched[j] & 1), \
-            2 * min(col.count(1), col.count(-1))
-        table = [None] * (1 << width)
-        table[lo:hi + 1:2] = _block_images(n, j)[0][lo:hi + 1:2]
-        blocks.append(tuple(table))
+        at0, at1 = 1, 0
+        for b, req in zip(compress(col, col), compress(required, col)):
+            if b == 1:
+                at0, at1 = (0, at0 << 1) if req else (at0, at1 | at0 << 1)
+            else:
+                at0, at1 = (at1 << 1, 0) if req else (at0 | at1 << 1, at1)
+        powers = _block_images(n, j)[0]
+        blocks.append(tuple([powers[c] if at0 >> c & 1 else None
+                             for c in range(1 << width)]))
     tail = _block_images(n, ell)[0]
     return _CpsLayout(
         ell * width, (width,) * ell,

@@ -574,6 +574,31 @@ def test_cm_mask_cache_stays_within_its_stated_bytes():
     assert held <= 800_000, held
 
 
+def test_ilp_columns_cache_stays_within_its_stated_bytes():
+    # the bound stated beside ILP_COLUMNS_CACHE: about 2.1 KB an entry for
+    # 6 rows and 9-12 columns, counting the columns the cache keeps alive,
+    # and about 0.14 MB when full
+    rng = Random(0)
+    systems = [tuple(map(tuple, _distinct_vectors(6, rng.randint(9, 12), s)))
+               for s in range(2 * oracles.ILP_COLUMNS_CACHE)]
+    oracles._ilp_columns.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        while systems:
+            # only the cache holds a system once it is popped
+            oracles._ilp_columns(systems.pop(), 6)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    entries = oracles._ilp_columns.cache_info().currsize
+    assert entries == oracles.ILP_COLUMNS_CACHE
+    assert held <= 2_200 * entries, held / entries
+    assert oracles.ILP_COLUMNS_CACHE * 2_200 <= 145_000
+
+
 def test_counter_machine_walk_back_failure_is_not_a_resource_limit(monkeypatch):
     inst = I.CounterMachineInstance(1, ((1,), (-1,)), (I.REQUIRED,) * 2)
     # the -1 and +1 coordinates of the second vector overlap, so the walk

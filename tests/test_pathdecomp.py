@@ -3,6 +3,7 @@
 import pytest
 
 from redkit.errors import ValidationError
+from redkit.families import graphs_upto, named_graph
 from redkit.pathdecomp import check_path_decomposition, greedy_labels, \
     make_nice, width
 
@@ -54,6 +55,16 @@ def test_make_nice_structure():
     edges = {(min(u, v), max(u, v))
              for c, u, v in [c for c in commands if c[0] == "edge"]}
     assert edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+
+
+def test_make_nice_ends_on_an_empty_bag():
+    # the coloring DP relies on it: its last layer then holds only the
+    # empty assignment whenever it is nonempty
+    graphs = [*graphs_upto(5), *map(named_graph, ("k3", "k4", "c5", "p4"))]
+    for g in graphs:
+        bags, _ = make_nice(g.num_vertices, g.edges, g.bags)
+        assert bags[-1] == frozenset(), g
+    assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024 + 4
 
 
 def test_make_nice_edges_have_live_endpoints():

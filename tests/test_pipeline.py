@@ -8,6 +8,7 @@ import gc
 import hashlib
 import operator
 import tracemalloc
+from itertools import permutations
 from random import Random
 from unittest import mock
 
@@ -224,6 +225,38 @@ def test_cps_caches_stay_within_their_stated_bytes():
             pipeline._block_images.cache_clear()
         assert pipeline._block_images.cache_info().currsize == 0
         assert held <= bound, (n, held)
+
+
+def test_block_cache_stays_within_its_stated_bytes():
+    # the bound stated beside ``_block``: an edge block (the largest) takes
+    # at most 4.6 KB at k = 4, 6.9 KB at k = 10 and 15.1 KB at k = 32, and
+    # the 128 entries at most 0.9 MB while k <= 10
+    def held_by(keys):
+        _block.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for k, cmd in keys:
+                _block(k, cmd)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            _block.cache_clear()
+
+    def edges(k):
+        return [(k, ("edge", x, y))
+                for x, y in permutations(range(1, k + 1), 2)]
+
+    for k, bound in ((4, 4_600), (10, 6_900), (32, 15_100)):
+        keys = edges(k)[:_block.cache_info().maxsize]
+        assert held_by(keys) <= bound * len(keys), k
+    # the largest 128 entries with k <= 10: all 90 edge blocks at k = 10,
+    # then edge blocks at k = 9
+    keys = (edges(10) + edges(9))[:128]
+    assert _block.cache_info().maxsize == len(keys) == 128
+    assert held_by(keys) <= 900_000
 
 
 def test_consecutive_grid_sources_resume_the_group_closure():

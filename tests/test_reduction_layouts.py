@@ -11,7 +11,7 @@ import gc
 import tracemalloc
 import weakref
 from functools import lru_cache, partial
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,18 +248,33 @@ def _ref_cps_len(inst):
 
 
 def _ref_cps_counts(inst):
-    """Per counter j, the counts c an accepting run can give it: along a
-    run counter j steps 0, 1, 0, ... so its touching vectors alternate +1
-    and -1 and c is even, with c / 2 at most the vectors with +1 at j and
-    at most those with -1, and c at least the REQUIRED vectors touching j."""
+    """Per counter j, the counts c an accepting run can give it, by brute
+    force: along a run counter j steps 0, 1, 0, ..., so c is the size of a
+    subset of the vectors touching j that holds every REQUIRED one and
+    whose entries at j, in index order, read +1, -1, +1, -1, ..., -1."""
     out = []
     for j in range(inst.dimension):
-        ups = sum(1 for v in inst.vectors if v[j] == 1)
-        downs = sum(1 for v in inst.vectors if v[j] == -1)
-        req = sum(1 for v, f in zip(inst.vectors, inst.flags)
-                  if f == I.REQUIRED and v[j] != 0)
-        out.append([c for c in range(0, len(inst.vectors) + 1, 2)
-                    if req <= c and c // 2 <= min(ups, downs)])
+        touching = [i for i, v in enumerate(inst.vectors) if v[j] != 0]
+        required = {i for i in touching if inst.flags[i] == I.REQUIRED}
+        out.append([
+            c for c in range(len(touching) + 1)
+            if any(required <= set(sub)
+                   and [inst.vectors[i][j] for i in sub] == [1, -1] * (c // 2)
+                   for sub in combinations(touching, c))])
+    return out
+
+
+def _ref_cps_interval_counts(inst):
+    """Per counter j, the counts the interval rule allows: even, at least
+    the REQUIRED vectors touching j and at most twice the smaller of the
+    vectors with +1 and with -1 at j.  Looser than the alternating rule."""
+    out = []
+    for j in range(inst.dimension):
+        col = [v[j] for v in inst.vectors]
+        req = sum(1 for b, f in zip(col, inst.flags)
+                  if f == I.REQUIRED and b != 0)
+        out.append([c for c in range(0, len(col) + 1, 2)
+                    if req <= c <= 2 * min(col.count(1), col.count(-1))])
     return out
 
 
@@ -341,9 +356,9 @@ def test_cps_transform_rejects_exactly_the_unlisted_witnesses():
 
 
 def test_cps_rule_drops_only_targets_that_solve_no():
-    # a witness the count rule rejects and the paper's rule keeps has a
-    # target that solves no: the sweep loses no check of the group
-    # construction
+    # a witness the count rule rejects and the paper's rule (or the looser
+    # interval rule) keeps has a target that solves no: the sweep loses no
+    # check of the group construction
     red = REDUCTIONS["cm-to-permss"]
     dropped = 0
     for dim, n in ((1, 4), (2, 2)):
@@ -356,6 +371,40 @@ def test_cps_rule_drops_only_targets_that_solve_no():
                     dropped += 1
                 assert not solve(old).answer, (inst, wit)
     assert dropped > 0
+    narrowed = 0
+    for dim, n in ((2, 3), (3, 2)):
+        for inst in cm_grid(dim, n):
+            if not inst.vectors:
+                continue
+            exact, loose = _ref_cps_counts(inst), \
+                _ref_cps_interval_counts(inst)
+            assert all(set(e) <= set(lo) for e, lo in zip(exact, loose))
+            if exact == loose:
+                continue
+            listed = set(red.valid_witnesses(inst))
+            for counts in product(*loose):
+                wit = pack_fields(counts, _cps_widths(inst))
+                if wit not in listed:
+                    narrowed += 1
+                    assert not solve(_ref_cps_paper_target(inst, wit)).answer
+    assert narrowed > 0
+
+
+def test_cps_rule_is_exact_at_dimension_one():
+    # one counter: the alternating rule is the whole acceptance condition,
+    # so a machine has a listed witness iff it is a yes-instance, and every
+    # listed witness's target solves yes
+    red = REDUCTIONS["cm-to-permss"]
+    yes_targets = 0
+    for inst in cm_grid(1, 5):
+        valid = list(red.valid_witnesses(inst))
+        assert bool(valid) == solve(inst).answer, inst
+        if not inst.vectors:
+            continue
+        for wit in valid:
+            assert solve(red.apply(inst, wit)).answer, (inst, wit)
+            yes_targets += 1
+    assert yes_targets == 4055
 
 
 def test_every_run_synthesizes_an_accepted_witness():
