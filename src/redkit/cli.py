@@ -7,7 +7,9 @@ Each subcommand imports what it runs.  This module loads only the
 instances, the oracles and their kernels, so ``solve`` loads no reduction,
 certificate scheme or family generator; ``reduce`` and ``verify`` load the
 catalog of reductions, ``verify`` and ``cert-check`` the certificate module,
-and ``gen`` and ``verify`` the families.
+and ``gen`` and ``verify`` the families.  ``gen --from-coloring`` adds the
+coloring-to-cm reduction, and ``cert-check`` loads the ``Reduction`` class a
+scheme is swept as but no reduction of the catalog.
 """
 
 from __future__ import annotations

@@ -198,6 +198,8 @@ def run_check_uq(seq, q: int) -> tuple[UqElement, bool]:
 _DEGREE_CAP = 128
 
 
+# the table holds about 24 KB (23,560 B measured by tracemalloc, Python
+# 3.11), and its build peaks at about 84 KB
 @lru_cache(maxsize=1)
 def _landau_table() -> list[tuple[int, tuple[int, ...]]]:
     """best[r] = (max order of a degree-r permutation, witnessing cycle lengths).
@@ -334,8 +336,12 @@ class RunContext:
         return None
 
 
+# 64 contexts, each with pi and its three letters built, hold about 97 KB
+# for n = 1 .. 64, 166 KB for n = 1,000 .. 1,063 and 217 KB for
+# n = 10,000 .. 10,063 (tracemalloc, Python 3.11)
 @lru_cache(maxsize=64)
 def make_run_context(n: int) -> RunContext:
-    """Context whose carrier order exceeds n, for run detection on length-n input."""
-    carrier, _deg = landau_permutation(n)
+    """Context whose carrier order exceeds max(n, 1), for run detection on
+    length-n input: a carrier of order 1 would leave U_1 no pi0."""
+    carrier, _deg = landau_permutation(max(n, 1))
     return RunContext(n_bound=n, q=carrier.order(), carrier=carrier)

@@ -2,19 +2,21 @@
 
 Each solver runs the exact method whose memory fits its gate, one of the
 ``MAX_*`` constants below: a bitset dynamic program, a non-dominated front
-(``kernels.pareto_solve``, for knapsack and scheduling, stored pairs gated
-by ``MAX_DP_CELLS``), a frontier or reach set, or a brute-force search.
-When no method fits it raises ResourceLimitError.  The verdict's ``method``
-names the one that ran.  Every yes verdict carries a solution that has been
-re-checked by the standalone checker before being returned.
+(``kernels.pareto_solve``, method ``pareto``, for knapsack and scheduling,
+stored pairs gated by ``MAX_DP_CELLS``), a frontier or reach set, or a
+brute-force search.  When no method fits it raises ResourceLimitError.  The
+verdict's ``method`` names the one that ran.  Every yes verdict carries a
+solution that has been re-checked by the standalone checker before being
+returned.
 
 Subset sum with a modulus q is group subset sum over Z_q
 (``CyclicGroup(q)``) and is solved by the same path.  Past their DP gates,
-plain subset sum and group subset sum run one reach closure (``_reach``):
-the products of index-increasing subsequences, with back pointers.  A
-group closure stops once it holds the group's ``order()`` products (q for
-Z_q, k^k for Z_k^k, k! for S_k): no later product could be new, so the
-set and its back pointers are those of the full closure.
+plain subset sum (method ``brute``) and group subset sum (method
+``reach``) run one reach closure (``_reach``): the products of
+index-increasing subsequences, with back pointers.  A group closure stops
+once it holds the group's ``order()`` products (q for Z_q, k^k for Z_k^k,
+k! for S_k): no later product could be new, so the set and its back
+pointers are those of the full closure.
 
 Targets of one source often share their shape, so three solvers keep the
 part that depends only on it:

@@ -32,7 +32,8 @@ without; the three reductions from subset sum read ``"plain"``).
 ``check_source``, which ``apply`` calls, refuses a source of another kind
 or variant; ``compose`` refuses links whose variants do not meet and
 chains the two fields.  A link that keeps its kind and names no variant
-(an identity) passes the other link's variant through.
+(an identity) passes the other link's variant through.  The transforms do
+not test the variant again.
 
 A reduction that reads no witness is declared with ``deterministic``, which
 takes its name, kinds and transform (plus any further ``Reduction`` field)

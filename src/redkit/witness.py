@@ -116,6 +116,9 @@ class Witness(namedtuple("Witness", ("value", "length"))):
     @classmethod
     def from_hex(cls, text: str, length: int) -> "Witness":
         try:
+            # int() takes a sign, which no witness's hex has
+            if "-" in text or "+" in text:
+                raise ValueError
             value = int(text, 16)
         except ValueError as exc:
             raise ValidationError(f"bad witness hex: {text!r}") from exc

@@ -221,7 +221,7 @@ def test_criterion_04_run_detection_three_ways():
 
     total = mismatches = 0
     for n in range(0, 9):
-        ctx = make_run_context(max(n, 1))
+        ctx = make_run_context(n)
         for seq in product((-1, 0, 1), repeat=n):
             total += 1
             a = direct(seq)

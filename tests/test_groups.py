@@ -1,8 +1,10 @@
 """Permutation algebra, U_q arithmetic, and the run-detecting embeddings."""
 
 import copy
+import gc
 import math
 import pickle
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -152,6 +154,59 @@ def test_landau_table_is_non_decreasing_in_the_degree():
     assert orders == sorted(orders)
     assert all(math.prod(parts) == order and sum(parts) <= degree
                for degree, (order, parts) in enumerate(_landau_table()))
+
+
+def _held_bytes(build):
+    """Bytes still allocated after ``build()``, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_landau_table_stays_within_its_stated_bytes():
+    # the comment on ``_landau_table``: about 24 KB held
+    _landau_table.cache_clear()
+    held = _held_bytes(_landau_table)
+    assert _landau_table.cache_info().currsize == 1
+    assert held <= 30_000, held
+
+
+def test_run_context_cache_stays_within_its_stated_bytes():
+    # the comment on ``make_run_context``: 64 contexts with pi and the three
+    # letters built hold about 97 KB at n = 1 .. 64, 166 KB at 1,000 ..
+    # 1,063 and 217 KB at 10,000 .. 10,063
+    _landau_table()
+
+    def build(low):
+        for n in range(low, low + 64):
+            ctx = make_run_context(n)
+            ctx.pi
+            for b in (-1, 0, 1):
+                ctx.gamma_hat(b)
+
+    try:
+        for low, bound in ((1, 120_000), (1000, 200_000), (10_000, 260_000)):
+            make_run_context.cache_clear()
+            held = _held_bytes(lambda: build(low))
+            assert make_run_context.cache_info().currsize == 64
+            assert held <= bound, (low, held)
+    finally:
+        make_run_context.cache_clear()
+
+
+def test_run_context_at_length_zero():
+    # a carrier of order 1 would leave U_1 no pi0: n = 0 takes n = 1's
+    ctx = make_run_context(0)
+    assert ctx.n_bound == 0 and ctx.q == make_run_context(1).q == 2
+    assert ctx.pi_exponent(identity(ctx.domain)) == 0
+    assert ctx.pi_exponent(ctx.pi) is None
+    assert all(ctx.gamma_hat(b).degree == ctx.domain for b in (-1, 0, 1))
 
 
 def test_chi_generator_images():

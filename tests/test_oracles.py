@@ -23,7 +23,7 @@ from redkit.oracles import (Verdict, _coloring_dp, check_solution, solve,
                             solve_coloring, solve_group_ss, solve_ilp,
                             solve_scheduling)
 
-from helpers import PREFIX_RUNS, brute_scheduling, gates
+from helpers import PREFIX_RUNS, SHAPED_INSTANCES, brute_scheduling, gates
 
 
 def _mask_items(items, mask):
@@ -737,6 +737,47 @@ def test_oracles_refuse_what_validate_rejects(inst):
     for gate in ({}, {"MAX_DP_CELLS": 0, "MAX_SAT_OPS": 0}):
         with gates(**gate), pytest.raises(ValidationError, match=inst.kind):
             solve(inst)
+
+
+# the default gates; the closures, the MITM and the coloring DP in place of
+# the DPs and the coloring brute search; past both subset-sum methods; stores
+# of one entry; and every gate shut
+_MISSHAPEN_GATES = (
+    {},
+    {"MAX_DP_CELLS": 0, "COLORING_BRUTE_OPS": 0},
+    {"MAX_DP_CELLS": 0, "MAX_BRUTEFORCE_N": 0},
+    {"MAX_BRUTE_STATES": 1, "MAX_CM_STATES": 1, "MAX_COLORING_STATES": 1,
+     "MAX_SAT_OPS": 1},
+    {name: 0 for name in ("MAX_DP_CELLS", "MAX_BRUTEFORCE_N",
+                          "MAX_BRUTE_STATES", "MAX_CM_STATES",
+                          "MAX_COLORING_STATES", "MAX_SAT_OPS",
+                          "COLORING_BRUTE_OPS")},
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(SHAPED_INSTANCES)
+def test_misshapen_input_is_refused_exactly_when_validate_rejects(data):
+    """Whatever ``from_json`` loads, ``solve`` raises ``ValidationError``
+    under every gate setting when ``validate`` rejects it, and otherwise
+    never does, and every answer it gives agrees."""
+    try:
+        inst = I.from_json(data)
+    except ValidationError:
+        return
+    rejected = bool(I.validate(inst))
+    answers = set()
+    for gate in _MISSHAPEN_GATES:
+        with gates(**gate):
+            try:
+                answers.add(solve(inst).answer)
+            except ValidationError:
+                assert rejected, (inst, gate)
+                continue
+            except ResourceLimitError:
+                pass
+        assert not rejected, (inst, gate)
+    assert len(answers) <= 1, inst
 
 
 def test_verdict_truthiness():

@@ -45,6 +45,10 @@ def test_hex_round_trip():
         assert Witness.from_hex(wit.to_hex(), length) == wit
     with pytest.raises(ValidationError):
         Witness.from_hex("ff", 3)
+    # int(text, 16) takes a sign: "-1" would read as -1 and "-0" as 0
+    for text in ("-1", "-0", "+1"):
+        with pytest.raises(ValidationError, match="bad witness hex"):
+            Witness.from_hex(text, 4)
 
 
 def test_pack_unpack_round_trip():
