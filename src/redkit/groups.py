@@ -281,7 +281,7 @@ class RunContext:
         return 2 * self.carrier.degree
 
     # the generator images and the three letters are built once per
-    # context: pi_exponent and pipeline._block_images read them
+    # context: pi_exponent and pipeline._cps_shape read them
     @cached_property
     def pi0(self) -> Permutation:
         return self.chi(UqElement(0, 1, 0, self.q))

@@ -14,38 +14,26 @@ every machine with k labels points at the same vector tuples and holds one
 pointer per vector.
 
 cm-to-permss reads a witness as one count c_j per counter j, the number
-of chosen vectors that touch it.  An accepting run starts every counter at
-0, keeps it in {0, 1} and ends it at 0, so the chosen vectors that touch
-counter j, in index order, alternate +1, -1 and hold every REQUIRED one
-that touches j.  The counts such a choice can take are found by one scan
-of counter j's nonzero entries in index order, keeping two bitsets over
-counts, at0 and at1, of the choices so far that leave the counter at 0 and
-at 1 (at first at0 = {0} and at1 = {}): an OPTIONAL +1 adds at0 shifted
-by one to at1, a REQUIRED +1 makes at1 that and at0 empty, and a -1 does
-the mirror image.  c_j is allowed when it is in at0 at the end.  The rule
-looks at one counter at a time, so it is exact at dimension 1 and only
-necessary above.  The transform maps a witness with any other count to the
-declared no constant, ``valid_witnesses`` lists exactly the others, and a
+of chosen vectors that touch it.  It allows only the counts a run can give
+counter j (``_cps_layout`` says how they are found): exact at dimension 1,
+only necessary above.  A witness with another count maps to the declared
+no constant, ``valid_witnesses`` lists exactly the others, and a
 synthesized witness, the counts of a run, is always listed.
 
-The transform computes an instance's layout (a frozen dataclass with
-slots, as in ``redkit.numeric``) once and keeps it with
-``witness.layout_cache`` (which says what it holds): the witness length
-and count shifts, the target group and elements, and for each counter a
-tuple over its field values holding the image of pi^c moved onto that
-counter's block for an allowed count c and None for any other.  An
-element is the concatenation of per-block images of gamma_hat(b),
-followed by pi or the identity.  Three ``lru_cache`` caches hold the shared
-pieces: ``_block_images(n, block)``, each block's images of the powers of
-pi and of the three letters for machines with n vectors;
-``_cps_element(n, vector, flag)``, one element object per vector; and
-``_symmetric_group(degree)``, one group object per degree.  So
-consecutive machines of a grid hand the group oracle the same group and
-the same element objects for their shared vectors, and its reach closure
-resumes from their shared prefix.  ``transform`` reads the kept pair
-inline (``_cps_layout.last``), calling the layout function only for
-another instance, decodes ``wit.value`` with the shifts and concatenates
-the chosen blocks into the target permutation.
+A shape, ``_cps_shape(n, l)`` (an ``lru_cache``), holds what depends only
+on the vector count n and the dimension l: the field layout, the images
+of pi^0 .. pi^n and of the three letters gamma_hat(b) on each counter's
+block, those of pi^0 .. pi^n on the last block, and the group (one object
+per degree, ``_symmetric_group``).  A machine's layout, kept by
+``witness.layout_cache``, holds what is its own: one ``_cps_element``
+object per vector (an ``lru_cache`` keyed by n, vector and flag), one int
+per counter whose bit c allows count c, the image of pi^f_C on the last
+block, and ``fixed``, the target of every witness of a machine with no
+vectors (yes) or with a counter that allows no count (no).  Consecutive
+machines of a grid thus hand the group oracle the same group and element
+objects, and its reach closure resumes from their shared prefix.
+``transform`` reads the kept pair inline (``_cps_layout.last``), returns
+``fixed`` when set, and else concatenates each count's power image.
 """
 
 from __future__ import annotations
@@ -189,29 +177,49 @@ red_coloring_to_cm = deterministic(
 # Counter machine -> symmetric group subset sum.
 
 
-# One entry per (vector count n, block): n + 4 image tuples of 2r points,
-# at most 1.7 KB at n = 5, 37 KB at n = 32 and 176 KB at n = 128 (measured
-# with tracemalloc on block 19; lower blocks share more small ints), so the
-# 32 entries of blocks 0 .. 31 hold at most about 1.1 MB while n <= 32 and
-# 5.1 MB while n <= 128, where a K4 machine's 20 blocks fit.
-@lru_cache(maxsize=32)
-def _block_images(n: int, block: int) -> tuple[tuple, dict]:
-    """Images of pi^0 .. pi^n (indexed by the exponent) and of the three
-    letters gamma_hat(b) (keyed by b), moved onto the ``block``-th block of
-    points; shared by every machine with ``n`` vectors."""
+@dataclass(frozen=True, slots=True)
+class _CpsShape:
+    length: int         # witness bits: one count per counter
+    widths: tuple
+    shifts: tuple       # shift of each counter's count
+    mask: int
+    powers: tuple       # per counter: images of pi^0 .. pi^n on its block
+    letters: tuple      # per counter: images of gamma_hat(b), keyed by b
+    tail: tuple         # images of pi^0 .. pi^n on the last block
+    group: object
+
+
+# An entry holds l + 1 blocks of n + 4 images of 2r points, each block's
+# images sharing its r point objects.  Measured with tracemalloc (Python
+# 3.11), it takes 4.6 KB at n = 5, l = 2, 0.83 MB at K4's n = 128, l = 19
+# and 1.33 MB at n = 128, l = 31, so the two entries hold at most 2.7 MB
+# while n <= 128 and l <= 31.  A grid lists its machines by vector count,
+# so consecutive machines share a shape until n changes.
+@lru_cache(maxsize=2)
+def _cps_shape(n: int, ell: int) -> _CpsShape:
+    """The shape of every machine with ``n`` vectors of ``ell`` counters."""
     ctx = make_run_context(n)
-    off = block * ctx.domain
-    powers, acc = [], identity(ctx.domain)
+    r = ctx.domain
+    pows, acc = [], identity(r)
     for _ in range(n + 1):
-        powers.append(tuple(off + p for p in acc))
+        pows.append(acc)
         acc = acc * ctx.pi
-    letters = {b: tuple(off + p for p in ctx.gamma_hat(b))
-               for b in (-1, 0, 1)}
-    return tuple(powers), letters
+    # block j's point ints, one object each, shared by all its images
+    blocks = [tuple(range(j * r, j * r + r)).__getitem__
+              for j in range(ell + 1)]
+    powers = [tuple([tuple(map(at, img)) for img in pows]) for at in blocks]
+    width = field_width(n)
+    return _CpsShape(
+        ell * width, (width,) * ell,
+        tuple((ell - 1 - j) * width for j in range(ell)), (1 << width) - 1,
+        tuple(powers[:ell]),
+        tuple({b: tuple(map(at, ctx.gamma_hat(b))) for b in (-1, 0, 1)}
+              for at in blocks[:ell]),
+        powers[ell], _symmetric_group((ell + 1) * r))
 
 
 # One entry per (n, vector, flag): a permutation of (dimension + 1) blocks
-# of points, whose ints are the ``_block_images`` ones.  Measured with
+# of points, whose ints are the ``_cps_shape`` ones.  Measured with
 # tracemalloc on coloring-to-cm's K4 machine (degree 640, 128 vectors, 98
 # distinct (vector, flag) pairs), an entry takes about 5.4 KB, 8 bytes a
 # point, so the 256 entries hold at most about 1.4 MB at degree 640 and
@@ -227,11 +235,11 @@ def _cps_element(n: int, vec: tuple, flag: str) -> Permutation:
     of one vector of a machine with ``n`` vectors, shared by every such
     machine.  ``vec`` must have entries in {-1, 0, 1}; a KeyError
     otherwise."""
+    shape = _cps_shape(n, len(vec))
     img = []
-    for j, b in enumerate(vec):
-        img += _block_images(n, j)[1][b]
-    tail = _block_images(n, len(vec))[0]
-    img += tail[1] if flag == I.REQUIRED else tail[0]
+    for letters, b in zip(shape.letters, vec):
+        img += letters[b]
+    img += shape.tail[1] if flag == I.REQUIRED else shape.tail[0]
     # blocks of permutations on disjoint points: a permutation
     return tuple.__new__(Permutation, img)
 
@@ -245,23 +253,25 @@ _PERM_YES = I.trivial_instance("group_subset_sum", True,
                                group=I.SymmetricGroup(2))
 _PERM_NO = I.trivial_instance("group_subset_sum", False,
                               group=I.SymmetricGroup(2))
+_CPS_EMPTY = _CpsShape(0, (), (), 0, (), (), (), None)
 
 
 @dataclass(frozen=True, slots=True)
 class _CpsLayout:
-    length: int         # witness bits: one count per counter
-    widths: tuple
-    shifts: tuple       # shift of each counter's count
-    mask: int
-    blocks: tuple       # per counter and count: a pi-power image or None
-    tail: tuple         # images of pi^f_C on the last block
-    group: object
+    fixed: object       # the target of a guard case, None in the main case
+    shape: _CpsShape
+    allowed: tuple      # per counter: bit c set when count c is allowed
+    tail: tuple         # image of pi^f_C on the last block
     elements: tuple
 
 
 @layout_cache
 def _cps_layout(inst) -> _CpsLayout:
-    """The witness layout and target parts of one machine with n vectors.
+    """A machine's shape (``_cps_shape``) and its own part: its elements
+    from ``_cps_element``, which also checks the entries, one int of
+    allowed counts per counter, the image of pi^f_C on the last block, and
+    ``fixed``: ``_PERM_YES`` with no vectors (``_CPS_EMPTY``'s 0 witness
+    bits), ``_PERM_NO`` when some counter allows no count, else None.
 
     On an accepting run counter j starts at 0, ends at 0 and stays in
     {0, 1}, so the chosen vectors that touch it, in index order, alternate
@@ -272,14 +282,10 @@ def _cps_layout(inst) -> _CpsLayout:
     over (at1 |= at0 << 1); a REQUIRED +1 must be taken from 0 (at0, at1 =
     0, at0 << 1); a -1 is the mirror image.  The allowed counts are the
     bits of ``at0`` at the end, all even and at most n, and a witness with
-    any other count is rejected: ``blocks[j]`` holds, per field value, the
-    image of pi^c on counter j's block for an allowed count c, else None.
-    The elements come from ``_cps_element`` and the group from
-    ``_symmetric_group``, so machines that share vectors share element
-    objects and their group."""
+    any other count is rejected."""
     n, ell = len(inst.vectors), inst.dimension
     if n == 0:
-        return _CpsLayout(0, (), (), 0, (), (), None, ())
+        return _CpsLayout(_PERM_YES, _CPS_EMPTY, (), (), ())
     if any(map(ne, map(len, inst.vectors), repeat(ell))):
         raise ValidationError(
             "counter machine: vector length differs from dimension")
@@ -290,77 +296,71 @@ def _cps_layout(inst) -> _CpsLayout:
         # an entry that is no letter's key, or one that cannot be hashed
         raise ValidationError(
             "counter machine: vector entries must be in {-1,0,1}") from None
-    width = field_width(n)
     required = [f == I.REQUIRED for f in inst.flags]
-    blocks = []
-    for j, col in enumerate(zip(*inst.vectors)):
+    allowed = []
+    for col in zip(*inst.vectors):
         at0, at1 = 1, 0
         for b, req in zip(compress(col, col), compress(required, col)):
             if b == 1:
                 at0, at1 = (0, at0 << 1) if req else (at0, at1 | at0 << 1)
             else:
                 at0, at1 = (at1 << 1, 0) if req else (at0 | at1 << 1, at1)
-        powers = _block_images(n, j)[0]
-        blocks.append(tuple([powers[c] if at0 >> c & 1 else None
-                             for c in range(1 << width)]))
-    tail = _block_images(n, ell)[0]
-    return _CpsLayout(
-        ell * width, (width,) * ell,
-        tuple((ell - 1 - j) * width for j in range(ell)), (1 << width) - 1,
-        tuple(blocks), tail[inst.flags.count(I.REQUIRED)],
-        _symmetric_group((ell + 1) * len(tail[0])), elements)
+        allowed.append(at0)
+    shape = _cps_shape(n, ell)
+    return _CpsLayout(None if all(allowed) else _PERM_NO, shape,
+                      tuple(allowed), shape.tail[sum(required)], elements)
 
 
 _CPS_LAST = _cps_layout.last
 
 
 def _cps_transform(inst, wit):
-    n = len(inst.vectors)
-    if n == 0:
-        return _PERM_YES
     held, lay = _CPS_LAST[0]
     if inst is not held:
         lay = _cps_layout(inst)
-    v, mask = wit.value, lay.mask
+    if lay.fixed is not None:
+        return lay.fixed
+    shape, v = lay.shape, wit.value
+    mask = shape.mask
     img = []
-    for shift, block in zip(lay.shifts, lay.blocks):
-        part = block[(v >> shift) & mask]
-        if part is None:
+    for shift, ok, powers in zip(shape.shifts, lay.allowed, shape.powers):
+        c = v >> shift & mask
+        if not ok >> c & 1:
             return _PERM_NO
-        img += part
+        img += powers[c]
     img += lay.tail
     # blocks of pi-powers on disjoint points: a permutation by construction
-    return I.GroupSubsetSumInstance(lay.group, lay.elements,
+    return I.GroupSubsetSumInstance(shape.group, lay.elements,
                                     tuple.__new__(Permutation, img))
 
 
 def _cps_synthesize(inst, sol):
-    n = len(inst.vectors)
-    if n == 0:
+    lay = _cps_layout(inst)
+    if lay.fixed is _PERM_YES:
         return Witness.zero(0)
     chosen = set(sol)
     counts = tuple(
         sum(1 for i in chosen if inst.vectors[i][j] != 0)
         for j in range(inst.dimension))
-    return pack_fields(counts, _cps_layout(inst).widths)
+    return pack_fields(counts, lay.shape.widths)
 
 
 def _cps_valid(inst):
-    n = len(inst.vectors)
-    if n == 0:
-        return iter((Witness.zero(0),))
     lay = _cps_layout(inst)
-    # each allowed count (a field value with an image) at its field's shift
+    if lay.fixed is _PERM_YES:
+        return iter((Witness.zero(0),))
+    # each allowed count at its field's shift; none at all for a fixed no
     return witnesses(map(sum, product(*[
-        [c << shift for c, part in enumerate(block) if part is not None]
-        for shift, block in zip(lay.shifts, lay.blocks)])), lay.length)
+        [c << shift for c in range(at0.bit_length()) if at0 >> c & 1]
+        for shift, at0 in zip(lay.shape.shifts, lay.allowed)])),
+        lay.shape.length)
 
 
 red_cm_to_perm_ss = Reduction(
     name="cm-to-permss",
     source_kind="counter_machine",
     target_kind="group_subset_sum",
-    witness_len=lambda inst: _cps_layout(inst).length,
+    witness_len=lambda inst: _cps_layout(inst).shape.length,
     transform=_cps_transform,
     synthesize=_cps_synthesize,
     valid_witnesses=_cps_valid,

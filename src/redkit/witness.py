@@ -17,7 +17,9 @@ length, widths, shifts and masks) once per instance, so that a sweep over
 every witness of an instance decodes each one with a few shifts.  Each
 layout function is wrapped by ``layout_cache``, which holds one instance and
 its layout; its docstring says why one is enough.  The certificate schemes
-build a layout once per shape behind it (see ``redkit.certificates``).
+build a layout once per shape behind it (see ``redkit.certificates``), and
+so does cm-to-permss, per vector count and dimension (see
+``redkit.pipeline``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def layout_cache(build: Callable) -> Callable:
@@ -115,13 +119,11 @@ class Witness(namedtuple("Witness", ("value", "length"))):
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "Witness":
-        try:
-            # int() takes a sign, which no witness's hex has
-            if "-" in text or "+" in text:
-                raise ValueError
-            value = int(text, 16)
-        except ValueError as exc:
-            raise ValidationError(f"bad witness hex: {text!r}") from exc
+        # ASCII hex digits only: int(text, 16) also takes a sign,
+        # whitespace, a 0x prefix, underscores and non-ASCII digits
+        if not text or not _HEX_DIGITS.issuperset(text):
+            raise ValidationError(f"bad witness hex: {text!r}")
+        value = int(text, 16)
         if value >> length:
             raise ValidationError("witness hex wider than declared length")
         return cls(value, length)

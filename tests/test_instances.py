@@ -285,6 +285,30 @@ def test_fuzz_shapes_draw_the_declared_json_keys():
         *map(keys, I._GROUP_CLASSES.values()))
 
 
+def test_shaped_draws_reach_valid_group_instances():
+    # elements and targets shaped for the drawn group: a share of the
+    # misshapen-input draws loads and validates as group subset sum, so
+    # ``solve`` reaches the group oracle (none did when each field was
+    # drawn alone); the count is stated beside ``_instance_shaped``
+    counts = {"draws": 0, "loaded": 0, "valid": 0}
+
+    @settings(max_examples=1000, derandomize=True, database=None,
+              deadline=None)
+    @given(SHAPED_INSTANCES)
+    def draw(data):
+        counts["draws"] += 1
+        try:
+            inst = I.from_json(data)
+        except ValidationError:
+            return
+        if inst.kind == "group_subset_sum":
+            counts["loaded"] += 1
+            counts["valid"] += not I.validate(inst)
+
+    draw()
+    assert counts["valid"] >= 20, counts
+
+
 def test_instance_strategies_cover_every_kind():
     assert sorted(INSTANCES) == sorted(I.KINDS)
 

@@ -17,7 +17,6 @@ import pytest
 from redkit import oracles, pipeline
 from redkit.errors import ValidationError
 from redkit.families import cm_grid, graphs_upto, named_graph
-from redkit.groups import make_run_context
 from redkit.instances import (REQUIRED, ColoringInstance,
                               CounterMachineInstance)
 from redkit.oracles import solve, solve_coloring, solve_counter_machine
@@ -186,13 +185,13 @@ def test_full_pipeline_target_is_well_formed():
 
 def test_cps_caches_stay_within_their_stated_bytes():
     # the bounds stated beside the caches: about 5.4 KB per element at
-    # coloring-to-cm's K4 machine (degree 640, 128 vectors), and for the 32
-    # block entries of blocks 0 .. 31 about 1.1 MB while n <= 32 and 5.1 MB
-    # while n <= 128
+    # coloring-to-cm's K4 machine (degree 640, 128 vectors), and a shape of
+    # 4.6 KB at n = 5, l = 2, 0.83 MB at K4's n = 128, l = 19 and 1.33 MB
+    # at n = 128, l = 31, the two entries at most 2.7 MB while n <= 128 and
+    # l <= 31
     cm = _to_cm(named_graph("k4"))
     n, ell = len(cm.vectors), cm.dimension
-    for j in range(ell + 1):
-        pipeline._block_images(n, j)
+    pipeline._cps_shape(n, ell)
     pipeline._cps_element.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -209,22 +208,30 @@ def test_cps_caches_stay_within_their_stated_bytes():
     assert len(pipeline._cps_element(n, cm.vectors[0], cm.flags[0])) == 640
     assert held <= 5_400 * entries, held / entries
     assert pipeline.CPS_ELEMENT_CACHE * 5_400 <= 1_400_000
-    for n, bound in ((32, 1_100_000), (128, 5_100_000)):
-        make_run_context(n)
-        pipeline._block_images.cache_clear()
+
+    def held_by(shapes):
+        for key in shapes:
+            # the run context and the group keep caches of their own
+            pipeline._cps_shape(*key)
+        pipeline._cps_shape.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for j in range(32):
-                pipeline._block_images(n, j)
+            for key in shapes:
+                pipeline._cps_shape(*key)
             gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - base
+            return tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-            pipeline._block_images.cache_clear()
-        assert pipeline._block_images.cache_info().currsize == 0
-        assert held <= bound, (n, held)
+            pipeline._cps_shape.cache_clear()
+
+    for key, bound in (((5, 2), 4_600), ((n, ell), 830_000),
+                       ((128, 31), 1_330_000)):
+        assert held_by([key]) <= bound, key
+    # the largest two entries while n <= 128 and l <= 31
+    assert pipeline._cps_shape.cache_info().maxsize == 2
+    assert held_by([(127, 31), (128, 31)]) <= 2_700_000
 
 
 def test_block_cache_stays_within_its_stated_bytes():

@@ -355,6 +355,28 @@ def test_cps_transform_rejects_exactly_the_unlisted_witnesses():
     assert machines == 9331 + 6175 + 2971
 
 
+def test_cps_fixed_no_is_exactly_a_counter_with_no_count():
+    # a machine's layout answers every witness with the no constant, with no
+    # decoding, exactly when some counter allows no count, which is exactly
+    # when no witness is listed; its witness length stays one field per
+    # counter, so an exhaustive sweep visits the same witnesses
+    red = REDUCTIONS["cm-to-permss"]
+    fixed = 0
+    for dim, n in CPS_GRIDS:
+        for inst in cm_grid(dim, n):
+            if not inst.vectors:
+                continue
+            lay = pipeline._cps_layout(inst)
+            empty = not all(_ref_cps_counts(inst))
+            assert (lay.fixed is pipeline._PERM_NO) == empty, inst
+            assert (lay.fixed is pipeline._PERM_NO) == \
+                (next(red.valid_witnesses(inst), None) is None), inst
+            assert lay.fixed in (None, pipeline._PERM_NO)
+            assert red.witness_len(inst) == sum(_cps_widths(inst))
+            fixed += empty
+    assert fixed > 0
+
+
 def test_cps_rule_drops_only_targets_that_solve_no():
     # a witness the count rule rejects and the paper's rule (or the looser
     # interval rule) keeps has a target that solves no: the sweep loses no

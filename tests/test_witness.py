@@ -45,8 +45,11 @@ def test_hex_round_trip():
         assert Witness.from_hex(wit.to_hex(), length) == wit
     with pytest.raises(ValidationError):
         Witness.from_hex("ff", 3)
-    # int(text, 16) takes a sign: "-1" would read as -1 and "-0" as 0
-    for text in ("-1", "-0", "+1"):
+    # int(text, 16) takes a sign ("-1" would read as -1 and "-0" as 0),
+    # whitespace, a 0x prefix and underscores ("0X_1" as 1, "f_f" as 255)
+    # and non-ASCII digits (ARABIC-INDIC DIGIT ONE as 1); the empty string
+    for text in ("-1", "-0", "+1", " 1", "1\n", "0X_1", "0x1", "f_f",
+                 "\u0661", ""):
         with pytest.raises(ValidationError, match="bad witness hex"):
             Witness.from_hex(text, 4)
 
