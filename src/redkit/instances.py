@@ -44,16 +44,24 @@ class _Codec(NamedTuple):
     decode: Callable
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def _iparse(v, what: str) -> int:
     if isinstance(v, bool):
         raise ValidationError(f"{what}: expected an integer")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError:
-            raise ValidationError(f"{what}: not a decimal integer: {v!r}") from None
+        # ASCII digits after an optional "-" only: int(v, 10) also takes
+        # whitespace, a "+", underscores and non-ASCII digits
+        digits = v[1:] if v[:1] == "-" else v
+        if digits and _DIGITS.issuperset(digits):
+            try:
+                return int(v, 10)
+            except ValueError:
+                pass        # more digits than int() converts
+        raise ValidationError(f"{what}: not a decimal integer: {v!r}")
     raise ValidationError(f"{what}: expected an integer or decimal string")
 
 

@@ -402,11 +402,15 @@ def _group_reach(group, elements):
 
 
 def _solve_group(inst, group, elements, target):
-    """Group subset sum, a yes re-checked against ``inst``.  The group must
-    hold the target (checked on every call) and the elements (checked on
+    """Group subset sum, a yes re-checked against ``inst``.  A product or
+    symmetric group must have a positive degree, and the group must hold
+    the target (both checked on every call) and the elements (checked on
     every call for the DP; for the closure, those past the prefix it shares
     with the reach memo).  Z_q runs the modular bitset DP when its q cells
     fit ``MAX_DP_CELLS``; every other case runs the reach closure."""
+    if not isinstance(group, I.CyclicGroup) and group.k < 1:
+        # Z_0^0 and S_0 hold their empty target, but validate rejects them
+        raise ValidationError(f"{group.family} group: degree must be positive")
     if not group.contains(target):
         raise ValidationError(f"{group.family} group: target out of range")
     if isinstance(group, I.CyclicGroup) and group.q <= MAX_DP_CELLS:

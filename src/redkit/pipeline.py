@@ -20,27 +20,30 @@ only necessary above.  A witness with another count maps to the declared
 no constant, ``valid_witnesses`` lists exactly the others, and a
 synthesized witness, the counts of a run, is always listed.
 
-A shape, ``_cps_shape(n, l)`` (an ``lru_cache``), holds what depends only
+A machine with no vectors (yes) or with a counter that allows no count
+(no) is a guard case: its witness has 0 bits, so a sweep checks one
+witness where the fields would give 2^(l*w), and that witness maps to
+the declared constant ``fixed`` with no element built.  Otherwise a
+shape, ``_cps_shape(n, l)`` (an ``lru_cache``), holds what depends only
 on the vector count n and the dimension l: the field layout, the images
 of pi^0 .. pi^n and of the three letters gamma_hat(b) on each counter's
 block, those of pi^0 .. pi^n on the last block, and the group (one object
 per degree, ``_symmetric_group``).  A machine's layout, kept by
 ``witness.layout_cache``, holds what is its own: one ``_cps_element``
 object per vector (an ``lru_cache`` keyed by n, vector and flag), one int
-per counter whose bit c allows count c, the image of pi^f_C on the last
-block, and ``fixed``, the target of every witness of a machine with no
-vectors (yes) or with a counter that allows no count (no).  Consecutive
-machines of a grid thus hand the group oracle the same group and element
-objects, and its reach closure resumes from their shared prefix.
-``transform`` reads the kept pair inline (``_cps_layout.last``), returns
-``fixed`` when set, and else concatenates each count's power image.
+per counter whose bit c allows count c, and the image of pi^f_C on the
+last block.  Consecutive machines of a grid thus hand the group oracle
+the same group and element objects, and its reach closure resumes from
+their shared prefix.  ``transform`` reads the kept pair inline
+(``_cps_layout.last``), returns ``fixed`` when set, and else concatenates
+each count's power image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from operator import ne
 
 from . import instances as I
@@ -254,6 +257,8 @@ _PERM_YES = I.trivial_instance("group_subset_sum", True,
 _PERM_NO = I.trivial_instance("group_subset_sum", False,
                               group=I.SymmetricGroup(2))
 _CPS_EMPTY = _CpsShape(0, (), (), 0, (), (), (), None)
+# The entries a vector may hold, as ``_cps_element``'s letters are keyed.
+_ENTRIES = frozenset((-1, 0, 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,13 +270,21 @@ class _CpsLayout:
     elements: tuple
 
 
+# The layouts of the guard cases, shared by every such machine.
+_CPS_FIXED_YES = _CpsLayout(_PERM_YES, _CPS_EMPTY, (), (), ())
+_CPS_FIXED_NO = _CpsLayout(_PERM_NO, _CPS_EMPTY, (), (), ())
+
+
 @layout_cache
 def _cps_layout(inst) -> _CpsLayout:
-    """A machine's shape (``_cps_shape``) and its own part: its elements
-    from ``_cps_element``, which also checks the entries, one int of
-    allowed counts per counter, the image of pi^f_C on the last block, and
-    ``fixed``: ``_PERM_YES`` with no vectors (``_CPS_EMPTY``'s 0 witness
-    bits), ``_PERM_NO`` when some counter allows no count, else None.
+    """A machine's layout.  A guard case has no elements and ``fixed``,
+    the target of its one witness: ``_PERM_YES`` with no vectors and
+    ``_PERM_NO`` when some counter allows no count, so a fixed no has 0
+    witness bits (``_CPS_EMPTY``) and builds neither elements nor a shape.
+    Otherwise ``fixed`` is None and the layout holds the machine's shape
+    (``_cps_shape``), its elements from ``_cps_element``, one int of
+    allowed counts per counter, and the image of pi^f_C on the last block.
+    The entries are checked first, in one pass.
 
     On an accepting run counter j starts at 0, ends at 0 and stays in
     {0, 1}, so the chosen vectors that touch it, in index order, alternate
@@ -285,17 +298,17 @@ def _cps_layout(inst) -> _CpsLayout:
     any other count is rejected."""
     n, ell = len(inst.vectors), inst.dimension
     if n == 0:
-        return _CpsLayout(_PERM_YES, _CPS_EMPTY, (), (), ())
+        return _CPS_FIXED_YES
     if any(map(ne, map(len, inst.vectors), repeat(ell))):
         raise ValidationError(
             "counter machine: vector length differs from dimension")
     try:
-        elements = tuple(map(_cps_element, repeat(n), inst.vectors,
-                             inst.flags))
-    except (KeyError, TypeError):
-        # an entry that is no letter's key, or one that cannot be hashed
+        entries_ok = _ENTRIES.issuperset(chain.from_iterable(inst.vectors))
+    except TypeError:       # an entry that cannot be hashed
+        entries_ok = False
+    if not entries_ok:
         raise ValidationError(
-            "counter machine: vector entries must be in {-1,0,1}") from None
+            "counter machine: vector entries must be in {-1,0,1}")
     required = [f == I.REQUIRED for f in inst.flags]
     allowed = []
     for col in zip(*inst.vectors):
@@ -305,10 +318,13 @@ def _cps_layout(inst) -> _CpsLayout:
                 at0, at1 = (0, at0 << 1) if req else (at0, at1 | at0 << 1)
             else:
                 at0, at1 = (at1 << 1, 0) if req else (at0 | at1 << 1, at1)
+        if not at0:
+            return _CPS_FIXED_NO
         allowed.append(at0)
     shape = _cps_shape(n, ell)
-    return _CpsLayout(None if all(allowed) else _PERM_NO, shape,
-                      tuple(allowed), shape.tail[sum(required)], elements)
+    return _CpsLayout(None, shape, tuple(allowed), shape.tail[sum(required)],
+                      tuple(map(_cps_element, repeat(n), inst.vectors,
+                                inst.flags)))
 
 
 _CPS_LAST = _cps_layout.last
@@ -347,9 +363,10 @@ def _cps_synthesize(inst, sol):
 
 def _cps_valid(inst):
     lay = _cps_layout(inst)
-    if lay.fixed is _PERM_YES:
-        return iter((Witness.zero(0),))
-    # each allowed count at its field's shift; none at all for a fixed no
+    if lay.fixed is not None:
+        # a fixed no's one witness maps to the no constant: none is valid
+        return iter((Witness.zero(0),) if lay.fixed is _PERM_YES else ())
+    # each allowed count at its field's shift
     return witnesses(map(sum, product(*[
         [c << shift for c in range(at0.bit_length()) if at0 >> c & 1]
         for shift, at0 in zip(lay.shape.shifts, lay.allowed)])),

@@ -175,17 +175,30 @@ def _instance_shaped(draw):
     """A dict naming a kind, each of its fields (or a few left out) holding
     a value of the right shape or random JSON.  Half the time a group
     subset-sum kind then gets a ``_SMALL_GROUP`` with elements and a
-    target shaped for it."""
+    target shaped for it, and a third of those get one element or the
+    target shaped for another size of the same family instead (a larger
+    order, another degree), which ``validate`` rejects unless it fits
+    this size too."""
     kind = draw(st.sampled_from(I.KINDS))
     out = {"problem": kind}
     for key, shaped in _SHAPES[kind].items():
         if draw(st.integers(0, 9)):
             out[key] = draw(shaped | JSON_VALUES)
     if kind == "group_subset_sum" and draw(st.booleans()):
-        out["group"] = draw(_SMALL_GROUP)
-        element = _group_element(out["group"])
-        out["elements"] = draw(st.lists(element, max_size=4))
+        group = out["group"] = draw(_SMALL_GROUP)
+        element = _group_element(group)
+        elements = out["elements"] = draw(st.lists(element, max_size=4))
         out["target"] = draw(element)
+        if not draw(st.integers(0, 2)):
+            k = group["k"]
+            other = dict(group, q=group["q"] + draw(st.integers(1, 40)),
+                         k=draw(st.integers(1, 5).filter(k.__ne__)))
+            stray = draw(_group_element(other))
+            slot = draw(st.integers(0, len(elements)))
+            if slot < len(elements):
+                elements[slot] = stray
+            else:
+                out["target"] = stray
     return out
 
 

@@ -303,7 +303,9 @@ def test_contract_check_coverage_counts(monkeypatch):
     # reach closure and its per-columns ILP coding
     report = nppt_contract_check(REDUCTIONS["cm-to-permss"], cm_grid(1, 3))
     assert report.ok, report.as_dict()
-    assert _coverage(report) == (259, 666, 137, 0, [], 0)
+    # every no-source of the grid has a counter that allows no count, so
+    # one witness of 0 bits each
+    assert _coverage(report) == (259, 259, 137, 0, [], 0)
     red = REDUCTIONS["ilp-to-monotone"]
     for cap in (4096, 16):
         report = nppt_contract_check(red, ilps("standard", 2, 2),

@@ -254,6 +254,23 @@ def test_loads_rejects_garbage():
             I.loads(text)
 
 
+def test_decimal_strings_take_only_ascii_digits():
+    # int(v, 10) also reads whitespace, a "+", underscores and non-ASCII
+    # digits: " 1_0" loaded as 10, "\u0663" as 3 and "0_7" as 7
+    for bad in (" 1_0", "\u0663", "0_7", " 7", "7\n", "+7", "-+7", "--7",
+                "-", "", "1" * 5000):
+        for data in ({"problem": "subset_sum", "items": [bad], "target": "7"},
+                     {"problem": "subset_sum", "items": [], "target": bad},
+                     {"problem": "group_subset_sum",
+                      "group": {"family": "cyclic", "q": bad},
+                      "elements": [], "target": "0"}):
+            with pytest.raises(ValidationError, match="not a decimal integer"):
+                I.from_json(data)
+    got = I.from_json({"problem": "subset_sum", "items": ["10", "-3", "007"],
+                       "target": "-0"})
+    assert (got.items, got.target) == ((10, -3, 7), 0)
+
+
 def test_parameter_is_positive():
     for inst in _one_of_each():
         assert I.parameter(inst) >= 1
@@ -289,7 +306,9 @@ def test_shaped_draws_reach_valid_group_instances():
     # elements and targets shaped for the drawn group: a share of the
     # misshapen-input draws loads and validates as group subset sum, so
     # ``solve`` reaches the group oracle (none did when each field was
-    # drawn alone); the count is stated beside ``_instance_shaped``
+    # drawn alone), and a share loads with one element or the target shaped
+    # for another size, so it meets the oracle's refusals; the counts are
+    # stated beside ``_instance_shaped``
     counts = {"draws": 0, "loaded": 0, "valid": 0}
 
     @settings(max_examples=1000, derandomize=True, database=None,
@@ -307,6 +326,7 @@ def test_shaped_draws_reach_valid_group_instances():
 
     draw()
     assert counts["valid"] >= 20, counts
+    assert counts["loaded"] - counts["valid"] >= 5, counts
 
 
 def test_instance_strategies_cover_every_kind():

@@ -1091,6 +1091,17 @@ def test_product_input_outside_the_group_is_refused():
     assert solve(I.GroupSubsetSumInstance(g, elements, (1, 1))).answer
 
 
+def test_group_of_degree_zero_is_refused():
+    # Z_0^0 and S_0 hold their empty target, so the target check passed
+    # them and solve answered yes where validate rejects the group
+    for inst in (I.GroupSubsetSumInstance(I.ProductGroup(0), ((), ()), ()),
+                 I.GroupSubsetSumInstance(I.SymmetricGroup(0), (),
+                                          Permutation(()))):
+        assert I.validate(inst) == ["group degree must be positive"]
+        with pytest.raises(ValidationError, match="degree must be positive"):
+            solve(inst)
+
+
 def test_group_reach_memo_is_keyed_by_identity():
     # a closure resumes from the longest prefix of element objects it
     # shares with the memo's, under the memo's very group object

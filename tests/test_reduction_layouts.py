@@ -20,9 +20,9 @@ from redkit import instances as I, numeric, pipeline
 from redkit.catalog import REDUCTIONS, get_reduction
 from redkit.certificates import (UNBOUNDED_SS_SCHEME, ZKK_SCHEME,
                                  nppt_contract_check)
-from redkit.errors import ReductionError
-from redkit.families import (cm_grid, ilps, knapsacks, subset_sums,
-                             unbounded_instances, zkk_instances,
+from redkit.errors import ReductionError, ValidationError
+from redkit.families import (cm_contract_family, cm_grid, ilps, knapsacks,
+                             subset_sums, unbounded_instances, zkk_instances,
                              zq_instances)
 from redkit.groups import identity, make_run_context
 from redkit.numeric import (SSM_VALID_CACHE, SSM_VALID_TARGET, _MONOTONE_NO,
@@ -244,7 +244,11 @@ def _cps_widths(inst):
 
 
 def _ref_cps_len(inst):
-    return sum(_cps_widths(inst)) if inst.vectors else 0
+    # a machine with no vectors, or with a counter that no run can give
+    # any count, has one witness of 0 bits
+    if not inst.vectors or not all(_ref_cps_counts(inst)):
+        return 0
+    return sum(_cps_widths(inst))
 
 
 def _ref_cps_counts(inst):
@@ -297,11 +301,13 @@ def _ref_cps_paper_target(inst, wit):
 
 
 def _ref_cps_transform(inst, wit):
-    if inst.vectors and any(
-            c not in ok for c, ok in zip(unpack_fields(wit, _cps_widths(inst)),
-                                         _ref_cps_counts(inst))):
-        return I.trivial_instance("group_subset_sum", False,
-                                  group=I.SymmetricGroup(2))
+    if inst.vectors:
+        allowed = _ref_cps_counts(inst)
+        if not all(allowed) or any(
+                c not in ok for c, ok in zip(
+                    unpack_fields(wit, _cps_widths(inst)), allowed)):
+            return I.trivial_instance("group_subset_sum", False,
+                                      group=I.SymmetricGroup(2))
     return _ref_cps_paper_target(inst, wit)
 
 
@@ -356,10 +362,10 @@ def test_cps_transform_rejects_exactly_the_unlisted_witnesses():
 
 
 def test_cps_fixed_no_is_exactly_a_counter_with_no_count():
-    # a machine's layout answers every witness with the no constant, with no
+    # a machine's layout answers its witness with the no constant, with no
     # decoding, exactly when some counter allows no count, which is exactly
-    # when no witness is listed; its witness length stays one field per
-    # counter, so an exhaustive sweep visits the same witnesses
+    # when no witness is listed; such a machine has one witness of 0 bits,
+    # and any other one field per counter
     red = REDUCTIONS["cm-to-permss"]
     fixed = 0
     for dim, n in CPS_GRIDS:
@@ -372,21 +378,63 @@ def test_cps_fixed_no_is_exactly_a_counter_with_no_count():
             assert (lay.fixed is pipeline._PERM_NO) == \
                 (next(red.valid_witnesses(inst), None) is None), inst
             assert lay.fixed in (None, pipeline._PERM_NO)
-            assert red.witness_len(inst) == sum(_cps_widths(inst))
+            assert red.witness_len(inst) == \
+                (0 if empty else sum(_cps_widths(inst)))
             fixed += empty
     assert fixed > 0
 
 
+def test_cps_fixed_no_has_no_run():
+    # the 0-bit rule, checked without the oracle: a machine's witness has 0
+    # bits exactly when its layout fixes the target, and a machine fixed no
+    # has no accepting run (by brute force) and maps its one witness to the
+    # no constant
+    red = REDUCTIONS["cm-to-permss"]
+    families = [partial(cm_grid, dim, n) for dim, n in CPS_GRIDS]
+    machines = fixed_no = 0
+    for family in families + [cm_contract_family]:
+        for inst in family():
+            machines += 1
+            fixed = pipeline._cps_layout(inst).fixed
+            assert (red.witness_len(inst) == 0) == (fixed is not None), inst
+            if fixed is not pipeline._PERM_NO:
+                continue
+            fixed_no += 1
+            assert not _runs(inst), inst
+            assert red.transform(inst, Witness.zero(0)) is pipeline._PERM_NO
+    assert (machines, fixed_no) == (18477 + 17906, 24744)
+
+
+def test_cps_layout_refuses_an_entry_outside_minus_one_to_one():
+    # the scan reads an entry other than 0 and 1 as -1, and a fixed no
+    # builds no element, so the entries are checked before either: with a
+    # REQUIRED vector alone the counter allows no count, and with two
+    # OPTIONAL ones it allows 0
+    red = REDUCTIONS["cm-to-permss"]
+    for bad in (2, -2, 0.5, "1", None, [1]):
+        for inst in (I.CounterMachineInstance(1, ((bad,),), (I.REQUIRED,)),
+                     I.CounterMachineInstance(1, ((1,), (bad,)),
+                                              (I.OPTIONAL, I.OPTIONAL))):
+            with pytest.raises(ValidationError, match=r"entries must be in"):
+                red.witness_len(inst)
+
+
 def test_cps_rule_drops_only_targets_that_solve_no():
-    # a witness the count rule rejects and the paper's rule (or the looser
-    # interval rule) keeps has a target that solves no: the sweep loses no
-    # check of the group construction
+    # a count vector the count rule rejects and the paper's rule (or the
+    # looser interval rule) keeps has a target that solves no: the sweep
+    # loses no check of the group construction.  Every count vector at the
+    # field widths is tried; a fixed no, whose one witness has 0 bits,
+    # rejects them all
     red = REDUCTIONS["cm-to-permss"]
     dropped = 0
     for dim, n in ((1, 4), (2, 2)):
         for inst in cm_grid(dim, n):
-            for wit in all_witnesses(red.witness_len(inst)):
-                if red.transform(inst, wit) is not pipeline._PERM_NO:
+            if not inst.vectors:
+                continue
+            fixed = red.witness_len(inst) == 0
+            for wit in all_witnesses(sum(_cps_widths(inst))):
+                if not fixed and \
+                        red.transform(inst, wit) is not pipeline._PERM_NO:
                     continue
                 old = _ref_cps_paper_target(inst, wit)
                 if old.kind == "group_subset_sum" and old.elements:
@@ -895,9 +943,11 @@ INLINE_LAYOUT_CASES = {
     # both items fit, but together they pass the capacity
     "knapsack-to-ss": (numeric, "_kss_layout",
                        I.KnapsackInstance(((2, 1), (2, 1)), 3, 2), 4),
-    # a required +1 on counter 0 with nothing to take it back
+    # each counter allows a count (2 and 0), but taking the -1 for counter
+    # 0 sends counter 1 below 0: 2 fields of 2 bits
     "cm-to-permss": (pipeline, "_cps_layout", I.CounterMachineInstance(
-        2, ((1, 0), (0, 1)), (I.REQUIRED, I.OPTIONAL)), 4),
+        2, ((1, 0), (-1, -1), (0, 1)),
+        (I.REQUIRED, I.OPTIONAL, I.OPTIONAL)), 4),
 }
 
 
