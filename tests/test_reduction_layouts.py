@@ -365,14 +365,20 @@ def test_cps_fixed_no_is_exactly_a_counter_with_no_count():
     # a machine's layout answers its witness with the no constant, with no
     # decoding, exactly when some counter allows no count, which is exactly
     # when no witness is listed; such a machine has one witness of 0 bits,
-    # and any other one field per counter
+    # which maps to the no constant, and no accepting run (by brute force,
+    # without the oracle); any other machine with vectors has one field per
+    # counter, and a witness of 0 bits exactly when its layout fixes the target
     red = REDUCTIONS["cm-to-permss"]
-    fixed = 0
-    for dim, n in CPS_GRIDS:
-        for inst in cm_grid(dim, n):
+    families = [partial(cm_grid, dim, n) for dim, n in CPS_GRIDS]
+    machines = fixed_no = 0
+    for family in families + [cm_contract_family]:
+        for inst in family():
+            machines += 1
+            lay = pipeline._cps_layout(inst)
+            assert (red.witness_len(inst) == 0) == (lay.fixed is not None), \
+                inst
             if not inst.vectors:
                 continue
-            lay = pipeline._cps_layout(inst)
             empty = not all(_ref_cps_counts(inst))
             assert (lay.fixed is pipeline._PERM_NO) == empty, inst
             assert (lay.fixed is pipeline._PERM_NO) == \
@@ -380,28 +386,11 @@ def test_cps_fixed_no_is_exactly_a_counter_with_no_count():
             assert lay.fixed in (None, pipeline._PERM_NO)
             assert red.witness_len(inst) == \
                 (0 if empty else sum(_cps_widths(inst)))
-            fixed += empty
-    assert fixed > 0
-
-
-def test_cps_fixed_no_has_no_run():
-    # the 0-bit rule, checked without the oracle: a machine's witness has 0
-    # bits exactly when its layout fixes the target, and a machine fixed no
-    # has no accepting run (by brute force) and maps its one witness to the
-    # no constant
-    red = REDUCTIONS["cm-to-permss"]
-    families = [partial(cm_grid, dim, n) for dim, n in CPS_GRIDS]
-    machines = fixed_no = 0
-    for family in families + [cm_contract_family]:
-        for inst in family():
-            machines += 1
-            fixed = pipeline._cps_layout(inst).fixed
-            assert (red.witness_len(inst) == 0) == (fixed is not None), inst
-            if fixed is not pipeline._PERM_NO:
-                continue
-            fixed_no += 1
-            assert not _runs(inst), inst
-            assert red.transform(inst, Witness.zero(0)) is pipeline._PERM_NO
+            if empty:
+                fixed_no += 1
+                assert not _runs(inst), inst
+                assert red.transform(inst, Witness.zero(0)) is \
+                    pipeline._PERM_NO
     assert (machines, fixed_no) == (18477 + 17906, 24744)
 
 

@@ -3,12 +3,14 @@
 Witness counts and violation records of a sweep in which one witness is
 accepted, or raises, at a known place in each coverage phase; and the
 sha256 of whole reports for small sweeps of both certificate schemes and of
-three reductions, each also with a planted fault, and of two more chains.
+three reductions, each also with a planted fault (cm-to-permss on two
+families), and of two more chains.
 """
 
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -313,6 +315,7 @@ _USS_FAMILY = partial(unbounded_instances, 2, 4, 10)
 _ZKK_FAMILY = partial(zkk_instances, 2, 3)
 _SS3 = partial(subset_sums, 3, 4, 10)
 _SS5 = partial(subset_sums, 3, 5, 10)
+_CM2 = partial(cm_grid, 2, 3)
 
 DIGEST_CASES = {
     "unbounded-ss": Sweep(UNBOUNDED_SS_SCHEME.reduction, _USS_FAMILY, 65536),
@@ -327,9 +330,10 @@ DIGEST_CASES = {
         lambda: _reduction_fault(REDUCTIONS["ss-to-monotone"]), _SS3),
     "cm-to-permss": Sweep(lambda: REDUCTIONS["cm-to-permss"],
                           partial(cm_grid, 1, 3)),
+    # dimension 2, where some no-sources are not fixed no and so are decoded
+    "cm-to-permss/dim2": Sweep(lambda: REDUCTIONS["cm-to-permss"], _CM2),
     "cm-to-permss/fault": Sweep(
-        lambda: _reduction_fault(REDUCTIONS["cm-to-permss"]),
-        partial(cm_grid, 1, 3)),
+        lambda: _reduction_fault(REDUCTIONS["cm-to-permss"]), _CM2),
     "ss-ks-ss": Sweep(lambda: get_reduction("ss-to-knapsack+knapsack-to-ss"),
                       _SS5, 8),
     "ss-ks-ss/fault": Sweep(
@@ -362,19 +366,26 @@ DIGEST_CASES = {
 # no unbounded-ss pin at a small cap: the scheme's valid lists are shorter
 # than 2^L less the 18 probes on every small family, so its no-instances
 # take the stratified path at any cap, and such a pin held the bytes of
-# unbounded-ss.  The two cm-to-permss pins were re-recorded when a machine
-# with a counter that allows no count came to have one witness of 0 bits:
-# every no-source of cm_grid(1, 3) is such a machine, so cm-to-permss
-# checks 259 witnesses where it checked 666, and nothing else moved.  In
-# cm-to-permss/fault the planted fault (values 2 mod 5) no longer meets a
-# no-source's witness (value 0): its 135 transform-error records went, all
-# 137 no-sources are exhaustive (2 were), 222 witnesses are checked (494),
-# and the 37 completeness records of the yes-sources stay.
+# unbounded-ss.  The cm-to-permss pin was re-recorded when a machine with a
+# counter that allows no count (a fixed no) came to have one witness of 0
+# bits: every no-source of cm_grid(1, 3) is such a machine, so it checks 259
+# witnesses where it checked 666, and nothing else moved.  Since a fixed
+# no's one witness (value 0) never meets the planted fault (values 2 mod 5),
+# the fault pin moved then from cm_grid(1, 3) to cm_grid(2, 3), where 256 of
+# the 4,749 no-sources are not fixed no and are decoded; cm-to-permss/dim2
+# sweeps that family with no fault.  Recorded on the code before the 0-bit
+# witness, cm-to-permss/dim2 differed only in ``witnesses_checked`` (77,314,
+# now 10,015), and cm-to-permss/fault had a transform-error record on every
+# one of the 4,749 no-sources and checked 15,582 witnesses (now 256 and
+# 6,596, the 4,493 fixed no exhaustive); both have the same 91 completeness
+# records of yes-sources.
 DIGESTS = {
     "cm-to-permss":
         "40e63f5416cb9b9a85c01b98d57cfeeadce100061fa5532afc0c9ef2991dc374",
+    "cm-to-permss/dim2":
+        "a0307b3a936a3998ef4b592c93142afbb34fb9af335c35ff4df588d2506875e3",
     "cm-to-permss/fault":
-        "506f7fbe777aba5d6d7c8c8316ba64a5f876a102819e442dc3feb37eab79f46f",
+        "7ae94540de86824e374797b9344747851be38a1fe6f445ed2a7d992c73cd8f7c",
     "ss-ks-ss":
         "ef3c1a2b015a3d1eec8442e02dbd05eefd606a0d07b1fdc3271a3ebd37fb33a9",
     "ss-ks-ss/fault":
@@ -410,3 +421,17 @@ def test_report_digest(name):
     rep = DIGEST_CASES[name].run()
     assert _digest(rep) == DIGESTS[name], (
         rep.checked, rep.witnesses_checked, rep.violations[:3])
+
+
+def test_cm_fault_pin_reaches_decoded_no_sources():
+    # the pin's family must keep no-sources whose witnesses are decoded (a
+    # fixed no's one witness, value 0, never meets the fault), or the pin
+    # no longer shows the fault reported on the no side; a digest would be
+    # re-recorded without saying so
+    red = REDUCTIONS["cm-to-permss"]
+    rep = DIGEST_CASES["cm-to-permss/fault"].run()
+    kinds = Counter((v["kind"], solve(v["instance"]).answer,
+                     red.witness_len(v["instance"]) > 0)
+                    for v in rep.violations)
+    assert kinds == {("transform-error", False, True): 256,
+                     ("completeness", True, True): 91}
