@@ -15,10 +15,23 @@ new instance of a known shape costs one cache lookup.  The Z_k^k verifier
 compares the coordinate sums with the instance's own target.  The layout
 function refuses, with one ``ValidationError``, an instance it cannot lay
 out: an unbounded target that is not a nonnegative int (4.0 would alias the
-shape of 4), a group other than Z_k^k with an int k >= 1, or a target
-outside it; every entry point of a scheme goes through it.  The
-synthesizers pack a certificate with the shape's shifts, and a field value
-out of its range is a ``ValidationError``.
+shape of 4) or a negative item, a group other than Z_k^k with an int
+k >= 1, or a target outside it; every entry point of a scheme goes through
+it.  The synthesizers pack a certificate with the shape's shifts, and a
+field value out of its range is a ``ValidationError``.
+
+Only certificates that can reach the accept comparison are listed.  Items
+are nonnegative, so an unbounded certificate whose running total passes t
+never sums to t: the verifier rejects at the first slot that passes it, and
+the enumerator lists exactly the certificates whose every running total
+stays within t.  Per count and increasing index tuple, it walks the
+multiplicities of every slot but the last with what each leaves of t, and
+yields the last slot's as one ``range``; a tuple whose items sum past t
+yields nothing.  The Z_k^k certificates whose indices decode depend on
+(k, n) alone: a shape with at most ``ZKK_VALID_KEPT`` of them keeps their
+packed values, one tuple per shape in an ``lru_cache`` of
+``ZKK_VALID_CACHE`` entries, and a larger one streams them, the same values
+in the same order.
 
 A certificate scheme is a nondeterministic transformation whose target is
 decided at once: ``CertificateScheme.reduction()`` maps a certificate to
@@ -180,12 +193,16 @@ def _uss_shape(t, n) -> _UssLayout:
 @layout_cache
 def _uss_layout(inst) -> _UssLayout:
     """The shape of one instance.  A target that is not a nonnegative int
-    is refused here, before it could alias a shape: 4.0 hashes like 4."""
-    t = inst.target
+    is refused here, before it could alias a shape: 4.0 hashes like 4, and
+    so is a negative item, which the running-total bound cannot take."""
+    t, items = inst.target, inst.items
     if type(t) is not int or t < 0:
         raise ValidationError(
             f"unbounded-ss: target must be a nonnegative int, got {t!r}")
-    return _uss_shape(t, len(inst.items))
+    if items and min(items) < 0:
+        raise ValidationError(
+            f"unbounded-ss: items must be nonnegative, got {min(items)!r}")
+    return _uss_shape(t, len(items))
 
 
 def _uss_cert_len(inst):
@@ -221,6 +238,8 @@ def _uss_verify(inst, cert):
             return False
         prev = i
         total += m * items[i]
+        if total > t:
+            return False
     return total == t
 
 
@@ -280,25 +299,36 @@ def _uss_synthesize(inst, solution):
 
 
 def _uss_valid(inst):
+    """The certificates the running-total bound keeps (see the module
+    docstring), in increasing order of count, indices, multiplicities."""
     lay = _uss_layout(inst)
     t, items = inst.target, inst.items
     n = len(items)
 
+    def walk(value, spare, slots):
+        # ``spare`` is what t leaves once each of ``slots`` holds one copy
+        # of its item, so the first slot takes up to spare // item more (a
+        # zero item up to t in all); the last slot's multiplicities are one
+        # range
+        (i, (ishift, mshift)), rest = slots[0], slots[1:]
+        item = items[i]
+        value |= i << ishift
+        top = spare // item + 1 if item else t
+        if not rest:
+            yield range(value, value + (top << mshift), 1 << mshift)
+            return
+        for m in range(top):
+            yield from walk(value | m << mshift, spare - m * item, rest)
+
     def runs():
-        # the packed values of one count and index tuple: the count field,
-        # then each slot's index with each multiplicity, summed in C
-        for c in range(min(lay.pairs, n) + 1):
-            head = (c << lay.body,)
+        yield (0,)
+        get = items.__getitem__
+        for c in range(1, min(lay.pairs, n) + 1):
+            head = c << lay.body
             for idxs in combinations(range(n), c):
-                choices = []
-                for i, (ishift, mshift) in zip(idxs, lay.shifts):
-                    # prune: an accepting pair never exceeds the target on
-                    # its own
-                    top = t // items[i] if items[i] else t
-                    choices.append(range(i << ishift,
-                                         (i << ishift) + (top << mshift),
-                                         1 << mshift))
-                yield map(sum, product(head, *choices))
+                spare = t - sum(map(get, idxs))
+                if spare >= 0:
+                    yield from walk(head, spare, tuple(zip(idxs, lay.shifts)))
 
     return witnesses(chain.from_iterable(runs()), lay.length)
 
@@ -322,6 +352,15 @@ def zkk_bound(k: int) -> int:
     return max(1, math.ceil(k * k * math.log2(k))) if k > 1 else 1
 
 
+# Z_k^k shapes whose valid packed values are kept: those with at most
+# ZKK_VALID_KEPT valid certificates.  Measured with tracemalloc, counting the
+# cache's own slots: a kept shape holds at most about 16 KB while k <= 4
+# (k = 4, n = 8), and the ZKK_VALID_CACHE entries at most about 90 KB.
+# cert-sweep's family (k = 2, n <= 7) has 8 shapes, of at most 64 values.
+ZKK_VALID_KEPT = 256
+ZKK_VALID_CACHE = 32
+
+
 class _ZkkLayout(NamedTuple):
     length: int         # certificate bits
     slots: int          # index slots: s - 1
@@ -332,6 +371,7 @@ class _ZkkLayout(NamedTuple):
     k: int
     zero: tuple
     bound: int          # len_bound
+    kept: bool          # at most ZKK_VALID_KEPT valid certificates
 
 
 @lru_cache(maxsize=ZKK_SHAPE_CACHE)
@@ -344,10 +384,12 @@ def _zkk_shape(k, n) -> _ZkkLayout:
     body = slots * wi
     shifts = tuple(body - (j + 1) * wi for j in range(slots))
     length = wc + body
+    valid = sum(map(math.comb, repeat(n), range(min(slots, n) + 1)))
     return _ZkkLayout(length, slots, body,
                       _tail_masks(wc, slots, wi, length), shifts,
                       (1 << wi) - 1, k, (0,) * k,
-                      max(k ** 3 * ((k - 1).bit_length() + 1) ** 2, 1))
+                      max(k ** 3 * ((k - 1).bit_length() + 1) ** 2, 1),
+                      valid <= ZKK_VALID_KEPT)
 
 
 @layout_cache
@@ -381,7 +423,7 @@ def _zkk_verify(inst, cert):
     held, lay = _ZKK_LAST[0]
     if inst is not held:
         lay = _zkk_layout(inst)
-    length, _, body, tails, shifts, imask, k, zero, _ = lay
+    length, _, body, tails, shifts, imask, k, zero, _, _ = lay
     if cert.length != length:
         return False
     v = cert.value
@@ -444,15 +486,28 @@ def _zkk_synthesize(inst, solution):
     return Witness(value, lay.length)
 
 
-def _zkk_valid(inst):
-    lay = _zkk_layout(inst)
-    n = len(inst.elements)
-    # per count c, each increasing index tuple shifted into its slots and
-    # summed onto the count field, in C: sum(map(lshift, idxs, shifts), head)
-    values = chain.from_iterable(
+def _zkk_values(lay, n):
+    """The packed values of every certificate of shape ``lay`` with n
+    elements that the verifier decodes, lazily: per count c, each
+    increasing index tuple shifted into its slots and summed onto the count
+    field, in C: sum(map(lshift, idxs, shifts), head)."""
+    return chain.from_iterable(
         map(sum, map(map, repeat(lshift), combinations(range(n), c),
                      repeat(lay.shifts)), repeat(c << lay.body))
         for c in range(min(lay.slots, n) + 1))
+
+
+@lru_cache(maxsize=ZKK_VALID_CACHE)
+def _zkk_kept(k, n):
+    return tuple(_zkk_values(_zkk_shape(k, n), n))
+
+
+def _zkk_valid(inst):
+    """The certificates whose indices decode, kept per shape or streamed
+    (see the module docstring)."""
+    lay = _zkk_layout(inst)
+    n = len(inst.elements)
+    values = _zkk_kept(lay.k, n) if lay.kept else _zkk_values(lay, n)
     return witnesses(values, lay.length)
 
 

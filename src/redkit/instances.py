@@ -222,12 +222,15 @@ class ProductGroup:
         return lambda a: tuple(map(k.__rmod__, map(add, a, e)))
 
     def contains(self, e) -> bool:
-        # a plain loop: the oracle asks this of every element it is given
+        # a plain loop: the oracle asks this of every element it is given.
+        # A bool coordinate is refused, as CyclicGroup refuses a bool
+        # element and the JSON reader refuses a bool integer
         k = self.k
         if not isinstance(e, tuple) or len(e) != k:
             return False
         for c in e:
-            if not isinstance(c, int) or not 0 <= c < k:
+            if not isinstance(c, int) or isinstance(c, bool) \
+                    or not 0 <= c < k:
                 return False
         return True
 

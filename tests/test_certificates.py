@@ -242,13 +242,15 @@ def _coverage(report):
 
 def test_scheme_check_unbounded_grid(monkeypatch):
     # each no-instance of at least 5 bits has fewer valid certificates than
-    # 2^L - 18, so the cap changes no path
+    # 2^L - 18, so the cap changes no path; the valid lists hold only the
+    # certificates whose running totals stay within t (2,030 witnesses
+    # before that bound)
     for cap in (65536, 16):
         report = certificate_scheme_check(UNBOUNDED_SS_SCHEME,
                                           unbounded_instances(2, 5, 12),
                                           exhaustive_cap=cap)
         assert report.ok, report.as_dict()
-        assert _coverage(report) == (273, 2030, 25, 75, [], 0)
+        assert _coverage(report) == (273, 1929, 25, 75, [], 0)
     # listing no valid certificates, the 73 within the cap are enumerated
     # outright, and the 27 of 17 bits are skipped
     report = certificate_scheme_check(
@@ -1172,6 +1174,117 @@ def test_shape_cache_stays_within_its_stated_bytes(shape, size, keys, bound):
     assert held <= bound, held
 
 
+def test_zkk_kept_cache_stays_within_its_stated_bytes():
+    # the bounds stated beside ZKK_VALID_CACHE: about 16 KB for the largest
+    # kept shape while k <= 4, about 90 KB for a full cache of them.  The
+    # last ZKK_VALID_CACHE keys are the 27 kept shapes with n > 0 at k = 2, 3
+    # and 4 and five at k = 1; their layouts are built first, so that only
+    # the kept values are measured
+    kept = certificates._zkk_kept
+    keys = [(1, n) for n in range(37)] + [
+        (k, n) for k in (2, 3, 4) for n in range(1, 16)
+        if certificates._zkk_shape(k, n).kept]
+    for key in keys:
+        certificates._zkk_shape(*key)
+    kept.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = []
+        for key in keys:
+            kept(*key)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+        full = kept.cache_info().currsize
+    finally:
+        tracemalloc.stop()
+        kept.cache_clear()
+    size = certificates.ZKK_VALID_CACHE
+    assert len(keys) >= 2 * size and full == size
+    assert max(map(int.__sub__, held[1:], held)) <= 17_000, held
+    assert held[-1] <= 100_000, held[-1]
+
+
+# ---------------------------------------------------------------------------
+# The valid lists hold exactly the certificates that can reach the accept
+# comparison, each once.
+
+
+def _uss_listable(inst, vals):
+    """Whether the unbounded certificate of field values ``vals`` is one the
+    running-total bound keeps: a count of at most the slot count, a zero
+    tail, increasing indices below n, each multiplicity in [1, t], and
+    every running total within t."""
+    count, t = vals[0], inst.target
+    if count > (len(vals) - 1) // 2 or any(vals[1 + 2 * count:]):
+        return False
+    prev, total = -1, 0
+    for i, m in zip(vals[1:1 + 2 * count:2], vals[2:2 + 2 * count:2]):
+        if i >= len(inst.items) or i <= prev or m + 1 > t:
+            return False
+        prev, total = i, total + (m + 1) * inst.items[i]
+        if total > t:
+            return False
+    return True
+
+
+def test_unbounded_valid_list_is_exactly_what_the_bound_keeps():
+    # every certificate of at most 16 bits, in increasing value order, as
+    # its field tuple (most significant field first)
+    checked = 0
+    for family in (unbounded_instances(2, 4, 10),
+                   unbounded_instances(3, 5, 12)):
+        for inst in family:
+            ws = _uss_widths(inst)
+            if sum(ws) > 16:
+                continue
+            listed = [w.value for w in
+                      UNBOUNDED_SS_SCHEME.valid_certificates(inst)]
+            keep = map(_uss_listable, repeat(inst),
+                       product(*[range(1 << w) for w in ws]))
+            assert len(set(listed)) == len(listed), inst
+            assert set(listed) == {v for v, ok in enumerate(keep) if ok}, \
+                inst
+            checked += 1
+    assert checked == 135 + 434
+
+
+def _zkk_reference_values(lay, n):
+    """Per count, each increasing index tuple packed into its slots."""
+    return [c << lay.body | sum(i << s for i, s in zip(idxs, lay.shifts))
+            for c in range(min(lay.slots, n) + 1)
+            for idxs in combinations(range(n), c)]
+
+
+def test_zkk_kept_values_are_the_streamed_ones():
+    # at k <= 3, on both sides of ZKK_VALID_KEPT (k = 1 has one certificate
+    # at every n): a kept shape's tuple holds the values its stream yields,
+    # in the same order, and a larger shape streams without the cache
+    kept = certificates._zkk_kept
+    kept.cache_clear()
+    sides = set()
+    for k in (1, 2, 3):
+        for n in range(14):
+            inst = GroupSubsetSumInstance(ProductGroup(k), ((0,) * k,) * n,
+                                          (0,) * k)
+            lay = certificates._zkk_layout(inst)
+            stream = list(certificates._zkk_values(lay, n))
+            assert stream == _zkk_reference_values(lay, n)
+            assert lay.kept == (len(stream) <= certificates.ZKK_VALID_KEPT)
+            before = kept.cache_info()
+            listed = [w.value for w in ZKK_SCHEME.valid_certificates(inst)]
+            assert listed == stream
+            if lay.kept:
+                assert kept(k, n) == tuple(stream)
+                assert kept.cache_info().hits > before.hits
+            else:
+                assert kept.cache_info() == before
+            sides.add((k, lay.kept))
+    kept.cache_clear()
+    assert sides == {(1, True), (2, True), (2, False), (3, True), (3, False)}
+
+
 def test_synthesizers_refuse_a_field_out_of_range():
     inst = UnboundedSubsetSumInstance((4, 5), 23)   # multiplicity: 5 bits
     for solution in ({0: 33}, {-1: 1}):
@@ -1218,6 +1331,14 @@ def test_schemes_refuse_malformed_instances():
     for t in (-1, -5, 4.0, True, False, None, "4"):
         _assert_refused(UNBOUNDED_SS_SCHEME,
                         UnboundedSubsetSumInstance((1, 2), t))
+    # a negative item, which the running-total bound cannot take: a
+    # certificate could pass t and come back to it
+    for items in ((1, -2), (-1,)):
+        inst = UnboundedSubsetSumInstance(items, 4)
+        assert I.validate(inst) == ["items must be nonnegative"]
+        with pytest.raises(ValidationError, match="items must be nonneg"):
+            certificates._uss_layout(inst)
+        _assert_refused(UNBOUNDED_SS_SCHEME, inst)
 
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),

@@ -1091,6 +1091,27 @@ def test_product_input_outside_the_group_is_refused():
     assert solve(I.GroupSubsetSumInstance(g, elements, (1, 1))).answer
 
 
+def test_product_bool_coordinate_is_refused_as_json_refuses_it():
+    # a bool coordinate passed validate and solved yes, though the JSON
+    # reader refuses it; CyclicGroup refused a bool element in both
+    g = I.ProductGroup(2)
+    cases = [I.GroupSubsetSumInstance(g, ((True, 0),), (1, 0)),
+             I.GroupSubsetSumInstance(g, ((0, False), (1, 0)), (1, 0)),
+             I.GroupSubsetSumInstance(g, ((1, 0),), (True, 0))]
+    for inst in cases:
+        assert I.validate(inst)
+        for gate in ({}, {"MAX_DP_CELLS": 0}, {"MAX_BRUTEFORCE_N": 0}):
+            with gates(**gate), \
+                    pytest.raises(ValidationError, match="out of range"):
+                solve(inst)
+        with pytest.raises(ValidationError, match="expected an integer"):
+            I.loads(I.dumps(inst))
+    # with int coordinates all three take the instance
+    inst = I.GroupSubsetSumInstance(g, ((1, 0),), (1, 0))
+    assert not I.validate(inst) and solve(inst).answer
+    assert I.loads(I.dumps(inst)) == inst
+
+
 def test_group_of_degree_zero_is_refused():
     # Z_0^0 and S_0 hold their empty target, so the target check passed
     # them and solve answered yes where validate rejects the group

@@ -71,8 +71,10 @@ def test_facts_the_counts_below_rest_on():
     assert not solve(SMALL).answer and not solve(WIDE).answer
     assert UNBOUNDED_SS_SCHEME.cert_len(SMALL) == 8
     assert UNBOUNDED_SS_SCHEME.cert_len(WIDE) == 14
+    # 8 before the running-total bound: 8576 and 8832 take item 2 twice
+    # or three times beside item 4, past t = 7
     valid = [w.value for w in UNBOUNDED_SS_SCHEME.valid_certificates(WIDE)]
-    assert valid == [0, 4096, 4352, 4608, 6144, 8320, 8576, 8832]
+    assert valid == [0, 4096, 4352, 4608, 6144, 8320]
 
 
 def test_accepting_witness_in_the_exhaustive_phase():
@@ -101,22 +103,22 @@ def test_accepting_witness_in_the_stratified_phase():
 
 
 def test_accepting_witness_in_the_corner_probe_phase():
-    # all 8 valid certificates, then the all-ones probe: the zero probe is
+    # all 6 valid certificates, then the all-ones probe: the zero probe is
     # the valid certificate 0, already checked
     rep = certificate_scheme_check(_accepting((1 << 14) - 1), [WIDE],
                                    exhaustive_cap=16)
     assert (rep.witnesses_checked, rep.exhaustive, rep.stratified) == \
-        (8 + 1, 0, 1)
+        (6 + 1, 0, 1)
     assert rep.violations == [
         {"kind": "soundness", "instance": WIDE, "witness": "3fff",
          "target": YES_USS}]
-    # nothing accepted: 8 valid certificates and 2 + 16 probes, less the
+    # nothing accepted: 6 valid certificates and 2 + 16 probes, less the
     # zero probe; the sweep takes this path also at the default cap, since
-    # 8 + 18 < 2^14
+    # 6 + 18 < 2^14
     for cap in (16, 4096):
         rep = certificate_scheme_check(UNBOUNDED_SS_SCHEME, [WIDE],
                                        exhaustive_cap=cap)
-        assert rep.ok and rep.witnesses_checked == 8 + 17
+        assert rep.ok and rep.witnesses_checked == 6 + 17
         assert (rep.exhaustive, rep.stratified) == (0, 1)
 
 
@@ -225,8 +227,8 @@ def test_probe_inside_the_valid_set_is_neither_transformed_nor_counted():
     red = dataclasses.replace(base, transform=counting)
     rep = nppt_contract_check(red, [WIDE])
     # the zero probe is the valid certificate 0: transformed once, as valid
-    assert seen.count(0) == 1 and seen[8] == (1 << 14) - 1
-    assert rep.ok and rep.witnesses_checked == len(seen) == 8 + 17
+    assert seen.count(0) == 1 and seen[6] == (1 << 14) - 1
+    assert rep.ok and rep.witnesses_checked == len(seen) == 6 + 17
 
 
 def _counting_valid(scheme, pulled):
@@ -378,7 +380,12 @@ DIGEST_CASES = {
 # now 10,015), and cm-to-permss/fault had a transform-error record on every
 # one of the 4,749 no-sources and checked 15,582 witnesses (now 256 and
 # 6,596, the 4,493 fixed no exhaustive); both have the same 91 completeness
-# records of yes-sources.
+# records of yes-sources.  The two unbounded-ss pins were re-recorded when
+# the scheme came to list only the certificates whose running totals stay
+# within t: they changed only in ``witnesses_checked`` (1,172, now 1,118,
+# and 395, now 383) and in the certificate 9 of the fault pin's 59 records
+# name, the first faulty one met on the shorter list, on the same 59
+# no-instances.
 DIGESTS = {
     "cm-to-permss":
         "40e63f5416cb9b9a85c01b98d57cfeeadce100061fa5532afc0c9ef2991dc374",
@@ -399,9 +406,9 @@ DIGESTS = {
     "ss-to-monotone/fault":
         "e809a767d317b18c13687b76d27bec0deb329665001bf6e737806fb92668ed56",
     "unbounded-ss":
-        "8005a71c12cf018bcb8cd98798ef0e9eecd2309b41d9a49b6656ce56aa3ddcd6",
+        "f5c21fd8b2f9202e2cd03d37cdbb654b887f4e61c88fc654e623953e152e6015",
     "unbounded-ss/fault":
-        "3a9eb2f432dc27b2bb801160994a94ab76a5b09abe2a81a3884d39226e217e44",
+        "210b7d10f1f2c8d4b754c1cf0ec42e64bf4d6b295cfd381086e846acaf872cdd",
     "zkk":
         "707bb2b04d9742c38de4d682573ee4d36f2e07f3c2456845bcc004262d4a8a32",
     "zkk/fault":
@@ -435,3 +442,12 @@ def test_cm_fault_pin_reaches_decoded_no_sources():
                     for v in rep.violations)
     assert kinds == {("transform-error", False, True): 256,
                      ("completeness", True, True): 91}
+
+
+def test_uss_fault_pin_catches_the_fault_on_the_same_no_instances():
+    # 59 no-instances of unbounded_instances(2, 4, 10), each with one
+    # soundness record, whichever of its faulty certificates is met first
+    rep = DIGEST_CASES["unbounded-ss/fault"].run()
+    assert Counter((v["kind"], solve(v["instance"]).answer)
+                   for v in rep.violations) == {("soundness", False): 59}
+    assert len({v["instance"] for v in rep.violations}) == 59
