@@ -223,13 +223,15 @@ class ProductGroup:
 
     def contains(self, e) -> bool:
         # a plain loop: the oracle asks this of every element it is given.
-        # A bool coordinate is refused, as CyclicGroup refuses a bool
-        # element and the JSON reader refuses a bool integer
+        # A coordinate is an int and not a bool, as CyclicGroup asks of an
+        # element and the JSON reader of an integer; an exact int, the
+        # common case, takes one type test
         k = self.k
         if not isinstance(e, tuple) or len(e) != k:
             return False
         for c in e:
-            if not isinstance(c, int) or isinstance(c, bool) \
+            if type(c) is not int and (isinstance(c, bool)
+                                       or not isinstance(c, int)) \
                     or not 0 <= c < k:
                 return False
         return True
