@@ -71,8 +71,8 @@ def test_facts_the_counts_below_rest_on():
     assert not solve(SMALL).answer and not solve(WIDE).answer
     assert UNBOUNDED_SS_SCHEME.cert_len(SMALL) == 8
     assert UNBOUNDED_SS_SCHEME.cert_len(WIDE) == 14
-    # 8 before the running-total bound: 8576 and 8832 take item 2 twice
-    # or three times beside item 4, past t = 7
+    # not 8576 and 8832: item 2 twice or three times beside item 4 passes
+    # t = 7
     valid = [w.value for w in UNBOUNDED_SS_SCHEME.valid_certificates(WIDE)]
     assert valid == [0, 4096, 4352, 4608, 6144, 8320]
 
