@@ -29,9 +29,8 @@ multiplicities of every slot but the last with what each leaves of t, and
 yields the last slot's as one ``range``; a tuple whose items sum past t
 yields nothing.  The Z_k^k certificates whose indices decode depend on
 (k, n) alone: a shape with at most ``ZKK_VALID_KEPT`` of them keeps their
-packed values, one tuple per shape in an ``lru_cache`` of
-``ZKK_VALID_CACHE`` entries, and a larger one streams them, the same values
-in the same order.
+packed values in its layout, one tuple built with the layout, and a larger
+one streams them, the same values in the same order.
 
 A certificate scheme is a nondeterministic transformation whose target is
 decided at once: ``CertificateScheme.reduction()`` maps a certificate to
@@ -137,12 +136,15 @@ class CertificateScheme:
 
 
 # Shapes kept per scheme.  An unbounded shape (t, n) or a Z_k^k shape (k, n)
-# holds a few tuples whose size grows with its slot count.  Measured with
-# tracemalloc on full caches of the largest shapes in range, counting the
-# caches' own slots: about 1.9 KB per unbounded shape while t < 2^12 and
-# n <= 2^12, so the 256 entries hold at most 0.6 MB, and about 3.4 KB per
-# Z_k^k shape while k <= 4 and n <= 2^16, so the 64 entries hold at most
-# 0.25 MB.  A sweep meets few shapes: cert-sweep's families have 100 and 8.
+# holds a few tuples whose size grows with its slot count, and a Z_k^k shape
+# with at most ZKK_VALID_KEPT valid certificates also their packed values.
+# Measured with tracemalloc on full caches of the largest shapes in range,
+# counting the caches' own slots: about 1.9 KB per unbounded shape while
+# t < 2^12 and n <= 2^12, so the 256 entries hold at most 0.6 MB.  A Z_k^k
+# shape takes about 3.4 KB while k <= 4 and n <= 2^16, or up to 15.2 KB
+# (k = 4, n = 8) with its values; the 30 shapes with 2 <= k <= 4 that keep
+# them take 109 KB together, so the 64 entries hold at most 0.25 MB.  A
+# sweep meets few shapes: cert-sweep's families have 100 and 8.
 USS_SHAPE_CACHE = 256
 ZKK_SHAPE_CACHE = 64
 
@@ -352,13 +354,10 @@ def zkk_bound(k: int) -> int:
     return max(1, math.ceil(k * k * math.log2(k))) if k > 1 else 1
 
 
-# Z_k^k shapes whose valid packed values are kept: those with at most
-# ZKK_VALID_KEPT valid certificates.  Measured with tracemalloc, counting the
-# cache's own slots: a kept shape holds at most about 16 KB while k <= 4
-# (k = 4, n = 8), and the ZKK_VALID_CACHE entries at most about 90 KB.
-# cert-sweep's family (k = 2, n <= 7) has 8 shapes, of at most 64 values.
+# Z_k^k shapes whose layout keeps their valid packed values: those with at
+# most ZKK_VALID_KEPT valid certificates.  cert-sweep's family (k = 2,
+# n <= 7) has 8 shapes, of at most 64 values.
 ZKK_VALID_KEPT = 256
-ZKK_VALID_CACHE = 32
 
 
 class _ZkkLayout(NamedTuple):
@@ -371,25 +370,28 @@ class _ZkkLayout(NamedTuple):
     k: int
     zero: tuple
     bound: int          # len_bound
-    kept: bool          # at most ZKK_VALID_KEPT valid certificates
+    values: tuple       # the valid packed values, None past ZKK_VALID_KEPT
 
 
 @lru_cache(maxsize=ZKK_SHAPE_CACHE)
 def _zkk_shape(k, n) -> _ZkkLayout:
     """Certificate layout of every Z_k^k instance with n elements: a count
-    field, then one index per slot.  Its size is linear in the slot
-    count."""
+    field, then one index per slot, and the valid packed values when they
+    are at most ``ZKK_VALID_KEPT``.  Without them its size is linear in the
+    slot count."""
     slots = zkk_bound(k) - 1
     wc, wi = field_width(slots), field_width(max(n - 1, 0))
     body = slots * wi
     shifts = tuple(body - (j + 1) * wi for j in range(slots))
     length = wc + body
+    lay = _ZkkLayout(length, slots, body,
+                     _tail_masks(wc, slots, wi, length), shifts,
+                     (1 << wi) - 1, k, (0,) * k,
+                     max(k ** 3 * ((k - 1).bit_length() + 1) ** 2, 1), None)
     valid = sum(map(math.comb, repeat(n), range(min(slots, n) + 1)))
-    return _ZkkLayout(length, slots, body,
-                      _tail_masks(wc, slots, wi, length), shifts,
-                      (1 << wi) - 1, k, (0,) * k,
-                      max(k ** 3 * ((k - 1).bit_length() + 1) ** 2, 1),
-                      valid <= ZKK_VALID_KEPT)
+    if valid > ZKK_VALID_KEPT:
+        return lay
+    return lay._replace(values=tuple(_zkk_values(lay, n)))
 
 
 @layout_cache
@@ -497,17 +499,13 @@ def _zkk_values(lay, n):
         for c in range(min(lay.slots, n) + 1))
 
 
-@lru_cache(maxsize=ZKK_VALID_CACHE)
-def _zkk_kept(k, n):
-    return tuple(_zkk_values(_zkk_shape(k, n), n))
-
-
 def _zkk_valid(inst):
-    """The certificates whose indices decode, kept per shape or streamed
-    (see the module docstring)."""
+    """The certificates whose indices decode, kept in the layout or
+    streamed (see the module docstring)."""
     lay = _zkk_layout(inst)
-    n = len(inst.elements)
-    values = _zkk_kept(lay.k, n) if lay.kept else _zkk_values(lay, n)
+    values = lay.values
+    if values is None:
+        values = _zkk_values(lay, len(inst.elements))
     return witnesses(values, lay.length)
 
 

@@ -10,11 +10,10 @@ builds a permutation by construction (a product, the identity, or blocks
 on disjoint points) makes it with ``tuple.__new__(Permutation, images)``,
 skipping the check in ``Permutation.__new__``.
 
-Two caches live here: ``_landau_table``, the one table of minimal-degree
-permutations of large order, and ``make_run_context``, the run contexts of
-the last 64 sequence lengths.  A context builds its generator images and
-its three letters gamma_hat(-1), gamma_hat(0), gamma_hat(1) once, on first
-use.
+One cache lives here: ``_landau_table``, the one table of minimal-degree
+permutations of large order.  ``make_run_context`` builds a new context on
+each call; a context builds its generator images and its three letters
+gamma_hat(-1), gamma_hat(0), gamma_hat(1) once, on first use.
 """
 
 from __future__ import annotations
@@ -336,10 +335,6 @@ class RunContext:
         return None
 
 
-# 64 contexts, each with pi and its three letters built, hold about 97 KB
-# for n = 1 .. 64, 166 KB for n = 1,000 .. 1,063 and 217 KB for
-# n = 10,000 .. 10,063 (tracemalloc, Python 3.11)
-@lru_cache(maxsize=64)
 def make_run_context(n: int) -> RunContext:
     """Context whose carrier order exceeds max(n, 1), for run detection on
     length-n input: a carrier of order 1 would leave U_1 no pi0."""

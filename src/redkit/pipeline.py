@@ -27,16 +27,16 @@ the declared constant ``fixed`` with no element built.  Otherwise a
 shape, ``_cps_shape(n, l)`` (an ``lru_cache``), holds what depends only
 on the vector count n and the dimension l: the field layout, the images
 of pi^0 .. pi^n and of the three letters gamma_hat(b) on each counter's
-block, those of pi^0 .. pi^n on the last block, and the group (one object
-per degree, ``_symmetric_group``).  A machine's layout, kept by
-``witness.layout_cache``, holds what is its own: one ``_cps_element``
-object per vector (an ``lru_cache`` keyed by n, vector and flag), one int
-per counter whose bit c allows count c, and the image of pi^f_C on the
-last block.  Consecutive machines of a grid thus hand the group oracle
-the same group and element objects, and its reach closure resumes from
-their shared prefix.  ``transform`` reads the kept pair inline
-(``_cps_layout.last``), returns ``fixed`` when set, and else concatenates
-each count's power image.
+block, those of pi^0 .. pi^n on the last block, and the group, each
+built from one run context (``groups.make_run_context``) on a miss.  A
+machine's layout, kept by ``witness.layout_cache``, holds what is its
+own: one ``_cps_element`` object per vector (an ``lru_cache`` keyed by n,
+vector and flag), one int per counter whose bit c allows count c, and the
+image of pi^f_C on the last block.  Consecutive machines of a grid thus
+hand the group oracle the same group and element objects, and its reach
+closure resumes from their shared prefix.  ``transform`` reads the kept
+pair inline (``_cps_layout.last``), returns ``fixed`` when set, and else
+concatenates each count's power image.
 """
 
 from __future__ import annotations
@@ -84,23 +84,6 @@ class CounterLayout:
         for i in downs:
             v[i] = -1
         return tuple(v)
-
-
-def is_run(vectors) -> bool:
-    """Every prefix sum in {0,1}^l and total sum zero."""
-    vectors = list(vectors)
-    if not vectors:
-        return True
-    ell = len(vectors[0])
-    if any(len(v) != ell for v in vectors):
-        raise ValidationError("run check requires uniform dimension")
-    state = [0] * ell
-    for v in vectors:
-        for j in range(ell):
-            state[j] += v[j]
-            if state[j] not in (0, 1):
-                return False
-    return all(c == 0 for c in state)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +201,7 @@ def _cps_shape(n: int, ell: int) -> _CpsShape:
         tuple(powers[:ell]),
         tuple({b: tuple(map(at, ctx.gamma_hat(b))) for b in (-1, 0, 1)}
               for at in blocks[:ell]),
-        powers[ell], _symmetric_group((ell + 1) * r))
+        powers[ell], I.SymmetricGroup((ell + 1) * r))
 
 
 # One entry per (n, vector, flag): a permutation of (dimension + 1) blocks
@@ -246,10 +229,6 @@ def _cps_element(n: int, vec: tuple, flag: str) -> Permutation:
     # blocks of permutations on disjoint points: a permutation
     return tuple.__new__(Permutation, img)
 
-
-# One group object per degree, so that consecutive machines of a grid hand
-# the group oracle the very group its reach memo holds.  A group is one int.
-_symmetric_group = lru_cache(maxsize=32)(I.SymmetricGroup)
 
 # Targets of machines with no vectors and of rejected witnesses.
 _PERM_YES = I.trivial_instance("group_subset_sum", True,

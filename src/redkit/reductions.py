@@ -30,10 +30,12 @@ reads and writes (None: any): an ILP's ``variant`` field, or a subset-sum
 instance's derived ``variant`` (``"modular"`` with a modulus, ``"plain"``
 without; the three reductions from subset sum read ``"plain"``).
 ``check_source``, which ``apply`` calls, refuses a source of another kind
-or variant; ``compose`` refuses links whose variants do not meet and
-chains the two fields.  A link that keeps its kind and names no variant
-(an identity) passes the other link's variant through.  The transforms do
-not test the variant again.
+or variant, and ``apply`` then refuses, with a ``ValidationError`` naming
+the reduction, a source ``instances.validate`` rejects; the transforms
+themselves assume a valid source.  ``compose`` refuses links whose
+variants do not meet and chains the two fields.  A link that keeps its
+kind and names no variant (an identity) passes the other link's variant
+through.  The transforms do not test the variant again.
 
 A reduction that reads no witness is declared with ``deterministic``, which
 takes its name, kinds and transform (plus any further ``Reduction`` field)
@@ -48,7 +50,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ReductionError
+from .errors import ReductionError, ValidationError
+from .instances import validate
 from .witness import Witness, layout_cache
 
 
@@ -88,6 +91,10 @@ class Reduction:
     def apply(self, inst, wit: Witness):
         # before ``witness_len``, which may read fields of the source kind
         self.check_source(inst)
+        problems = validate(inst)
+        if problems:
+            raise ValidationError(
+                f"{self.name}: invalid source: {'; '.join(problems)}")
         if wit.length != self.witness_len(inst):
             raise ReductionError(
                 f"{self.name}: witness length {wit.length}, "

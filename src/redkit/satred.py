@@ -46,8 +46,6 @@ red_3sat_to_ss = deterministic(
 
 def _as_transform(inst, wit):
     n = len(inst.formulas)
-    if any(len(cl) == 0 for f in inst.formulas for cl in f.clauses):
-        return I.trivial_instance("scheduling", False)
     if (1 << inst.num_vars) <= n:
         # brute-forcing assignments is cheaper than the construction here
         got = oracles.solve_and_sat(inst)
@@ -113,8 +111,6 @@ def cnf_coloring_layout(inst: I.CnfInstance):
 
 
 def _cc_transform(inst, wit):
-    if any(len(cl) == 0 for cl in inst.clauses):
-        return I.trivial_instance("coloring", False)
     num, edges, bags = cnf_coloring_layout(inst)
     return I.ColoringInstance(num, edges, bags)
 

@@ -20,6 +20,7 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
+from hypothesis.internal.conjecture import providers
 
 from redkit import instances as I
 from redkit import oracles
@@ -52,6 +53,23 @@ def gates(**values):
         for name, value in values.items():
             mp.setattr(oracles, name, value)
         yield
+
+
+@contextmanager
+def no_source_constants():
+    """A block in which Hypothesis draws no literal from the source.  Now
+    and then it draws a constant from the non-test modules loaded so far
+    (``providers._get_local_constants``), so a derandomized run's examples
+    change with the redkit modules earlier tests happened to load; with an
+    empty pool it draws the same examples in any test order.  Its cache of
+    the constants each draw permits is emptied on entry and on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(providers, "_get_local_constants", providers.Constants)
+        providers.CONSTANTS_CACHE.cache.clear()
+        try:
+            yield
+        finally:
+            providers.CONSTANTS_CACHE.cache.clear()
 
 
 def block_diagonal(perms):
@@ -166,24 +184,21 @@ def _group_element(group):
     return st.permutations(range(k))
 
 
-# Of 1,000 derandomized draws (``test_instances``'
-# ``test_shaped_draws_reach_valid_group_instances``), 39 load as group
-# subset sum and all 39 validate, so ``solve`` reaches the group oracle on
-# them; with each field drawn alone, none loaded.
+# Of 1,000 derandomized draws with no source constants (``test_instances``'
+# ``test_shaped_draws_reach_valid_group_instances``), 76 load as group
+# subset sum and 52 of them validate, so ``solve`` reaches the group oracle
+# on them; with each field drawn alone, none loaded.
 @st.composite
 def _instance_shaped(draw):
     """A dict naming a kind, each of its fields (or a few left out) holding
-    a value of the right shape or random JSON.  Half the time a group
-    subset-sum kind then gets a ``_SMALL_GROUP`` with elements and a
-    target shaped for it, and a third of those get one element or the
-    target shaped for another size of the same family instead (a larger
-    order, another degree), which ``validate`` rejects unless it fits
-    this size too."""
-    kind = draw(st.sampled_from(I.KINDS))
+    a value of the right shape or random JSON.  Group subset sum is named
+    twice as often as each other kind, and half of its draws instead get
+    a ``_SMALL_GROUP`` with elements and a target shaped for it; a third
+    of those get one element or the target shaped for another size of
+    the same family instead (a larger order, another degree), which
+    ``validate`` rejects unless it fits this size too."""
+    kind = draw(st.sampled_from(I.KINDS + ("group_subset_sum",)))
     out = {"problem": kind}
-    for key, shaped in _SHAPES[kind].items():
-        if draw(st.integers(0, 9)):
-            out[key] = draw(shaped | JSON_VALUES)
     if kind == "group_subset_sum" and draw(st.booleans()):
         group = out["group"] = draw(_SMALL_GROUP)
         element = _group_element(group)
@@ -199,6 +214,10 @@ def _instance_shaped(draw):
                 elements[slot] = stray
             else:
                 out["target"] = stray
+        return out
+    for key, shaped in _SHAPES[kind].items():
+        if draw(st.integers(0, 9)):
+            out[key] = draw(shaped | JSON_VALUES)
     return out
 
 

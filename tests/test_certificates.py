@@ -698,6 +698,41 @@ def test_apply_refuses_an_instance_of_another_kind(name):
                 red.apply(I.trivial_instance(kind, True), Witness(0, 6))
 
 
+# one source per kind and ILP variant that ``instances.validate`` rejects
+_INVALID_SOURCES = [
+    SubsetSumInstance((3, -1), 2),
+    I.KnapsackInstance(((0, 1),), 1, 1),
+    I.IlpInstance(((2, 0),), (0, 0)),
+    I.IlpInstance(((1,), (-1,)), (0,), "monotone"),
+    I.IlpInstance(((1,),), (1,), "zero_sum"),
+    GroupSubsetSumInstance(CyclicGroup(5), (7,), 2),
+    I.CounterMachineInstance(2, ((1, 0), (-1, 0)), (I.OPTIONAL,)),
+    I.ColoringInstance(2, ((0, 5),), ((0, 1),)),
+    I.SchedulingInstance(((0, 1, 1),), 0),
+    I.CnfInstance(1, ((2,),)),
+    I.AndSatInstance(1, (I.CnfInstance(2, ((1, 2),)),)),
+    I.UnboundedSubsetSumInstance((-1,), 2),
+]
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_apply_refuses_a_source_validate_rejects(name):
+    red = REDUCTIONS[name]
+    refused = 0
+    for inst in _INVALID_SOURCES:
+        try:
+            red.check_source(inst)
+        except ReductionError:
+            continue
+        problems = I.validate(inst)
+        assert problems, inst
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{name}: invalid source: {problems[0]}")):
+            red.apply(inst, Witness.zero(0))
+        refused += 1
+    assert refused
+
+
 def test_transfer_identity_sweep():
     rep = nppt_contract_check(
         compose(get_reduction("identity-subset-sum"),
@@ -1145,13 +1180,20 @@ def test_instances_of_one_shape_share_one_layout():
     assert not ZKK_SCHEME.verify(d, ZKK_SCHEME.synthesize(c, (0, 1)))
 
 
+# the 30 Z_k^k shapes with 2 <= k <= 4 whose layouts keep their valid values
+_ZKK_KEPT_SHAPES = [(2, n) for n in range(12)] + [
+    (k, n) for k in (3, 4) for n in range(9)]
+
+
 @pytest.mark.parametrize("shape, size, keys, bound", [
     # the bounds stated beside USS_SHAPE_CACHE and ZKK_SHAPE_CACHE, at the
-    # largest shapes they cover
+    # largest shapes they cover; a full Z_k^k cache ends holding every
+    # shape with 2 <= k <= 4 that keeps its values and the largest others
     ("_uss_shape", certificates.USS_SHAPE_CACHE,
      [(4095 - i, 4096 - i) for i in range(512)], 600_000),
     ("_zkk_shape", certificates.ZKK_SHAPE_CACHE,
-     [(4, (1 << 16) - i) for i in range(128)], 250_000),
+     [(4, (1 << 16) - i) for i in range(128 - len(_ZKK_KEPT_SHAPES))] +
+     _ZKK_KEPT_SHAPES, 250_000),
 ], ids=["unbounded", "zkk"])
 def test_shape_cache_stays_within_its_stated_bytes(shape, size, keys, bound):
     build = getattr(certificates, shape)
@@ -1170,38 +1212,6 @@ def test_shape_cache_stays_within_its_stated_bytes(shape, size, keys, bound):
         build.cache_clear()
     assert len(keys) >= 2 * size and full == size
     assert held <= bound, held
-
-
-def test_zkk_kept_cache_stays_within_its_stated_bytes():
-    # the bounds stated beside ZKK_VALID_CACHE: about 16 KB for the largest
-    # kept shape while k <= 4, about 90 KB for a full cache of them.  The
-    # last ZKK_VALID_CACHE keys are the 27 kept shapes with n > 0 at k = 2, 3
-    # and 4 and five at k = 1; their layouts are built first, so that only
-    # the kept values are measured
-    kept = certificates._zkk_kept
-    keys = [(1, n) for n in range(37)] + [
-        (k, n) for k in (2, 3, 4) for n in range(1, 16)
-        if certificates._zkk_shape(k, n).kept]
-    for key in keys:
-        certificates._zkk_shape(*key)
-    kept.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        held = []
-        for key in keys:
-            kept(*key)
-            gc.collect()
-            held.append(tracemalloc.get_traced_memory()[0] - base)
-        full = kept.cache_info().currsize
-    finally:
-        tracemalloc.stop()
-        kept.cache_clear()
-    size = certificates.ZKK_VALID_CACHE
-    assert len(keys) >= 2 * size and full == size
-    assert max(map(int.__sub__, held[1:], held)) <= 17_000, held
-    assert held[-1] <= 100_000, held[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -1257,10 +1267,8 @@ def _zkk_reference_values(lay, n):
 
 def test_zkk_kept_values_are_the_streamed_ones():
     # at k <= 3, on both sides of ZKK_VALID_KEPT (k = 1 has one certificate
-    # at every n): a kept shape's tuple holds the values its stream yields,
-    # in the same order, and a larger shape streams without the cache
-    kept = certificates._zkk_kept
-    kept.cache_clear()
+    # at every n): a kept shape's values are those its stream yields, in
+    # the same order, and a larger shape keeps none and streams them
     sides = set()
     for k in (1, 2, 3):
         for n in range(14):
@@ -1269,16 +1277,13 @@ def test_zkk_kept_values_are_the_streamed_ones():
             lay = certificates._zkk_layout(inst)
             stream = list(certificates._zkk_values(lay, n))
             assert stream == _zkk_reference_values(lay, n)
-            assert lay.kept == (len(stream) <= certificates.ZKK_VALID_KEPT)
-            before = kept.cache_info()
+            kept = lay.values is not None
+            assert kept == (len(stream) <= certificates.ZKK_VALID_KEPT)
+            if kept:
+                assert lay.values == tuple(stream)
             listed = [w.value for w in ZKK_SCHEME.valid_certificates(inst)]
             assert listed == stream
-            # a kept shape is built into the cache on its first listing
-            assert kept.cache_info().misses == before.misses + lay.kept
-            if lay.kept:
-                assert kept(k, n) == tuple(stream)
-            sides.add((k, lay.kept))
-    kept.cache_clear()
+            sides.add((k, kept))
     assert sides == {(1, True), (2, True), (2, False), (3, True), (3, False)}
 
 

@@ -602,3 +602,80 @@ def test_gen_refuses_a_negative_target(capsys, kind, target):
     code, out, err = run(capsys, "gen", kind, "--target", target)
     assert (code, out) == (2, "")
     assert err.count("error:") == 1 and "target must be nonnegative" in err
+
+
+# The CLI smoke cases, run in-process (a modular source and a negative gen
+# target have tests of their own above).  A row is one or more commands,
+# every one but the last exiting 0, then the last one's exit code and a
+# fragment of what it printed (stdout, then stderr).  ``{d}`` is the test's
+# directory, which holds ``_SMOKE_FILES``.
+_SMOKE_FILES = {
+    "zkk-yes.json": {"problem": "group_subset_sum",
+                     "group": {"family": "product", "k": 2},
+                     "elements": [[1, 0], [0, 1], [1, 0]], "target": [0, 1]},
+    "zkk-no.json": {"problem": "group_subset_sum",
+                    "group": {"family": "product", "k": 2},
+                    "elements": [[1, 0], [1, 0]], "target": [0, 1]},
+    # 2 and 4 never sum to 7
+    "uss-no.json": {"problem": "unbounded_subset_sum", "items": ["2", "4"],
+                    "target": "7"},
+    # its one counter allows no count: one 0-bit witness
+    "cm-fixed-no.json": {"problem": "counter_machine", "dimension": 1,
+                         "vectors": [[1]], "flags": ["R"]},
+}
+_PASS = ", 0 violations, 0 skipped"
+_SMOKE = [
+    ("verify ss-to-monotone --family subset-sum:n=2,max=4,tmax=7", 0, _PASS),
+    ("verify ilp-to-monotone --family ilp-standard:m=1,n=3", 0, _PASS),
+    ("verify knapsack-to-ss --family knapsack:n=2,max=3", 0, _PASS),
+    ("verify cm-to-permss --family cm:ell=1,n=2", 0, _PASS),
+    # dimension 2 to 3 vectors: exhaustive no-instances; to 4 vectors:
+    # stratified over the counts a run can take; dimension 3, where
+    # counters interact
+    ("verify cm-to-permss --family cm:ell=2,n=3", 0, _PASS),
+    ("verify cm-to-permss --family cm:ell=2,n=4", 0, _PASS),
+    ("verify cm-to-permss --family cm:ell=3,n=2", 0, _PASS),
+    ("verify ss-to-knapsack+knapsack-to-ss"
+     " --family subset-sum:n=2,max=4,tmax=7", 0, _PASS),
+    ("verify zq-to-ss --family zq:q=8,n=4", 0, _PASS),
+    ("verify ilp-to-monotone --family ilp-standard:m=2,n=4", 0, _PASS),
+    # a three-link chain sized from ilp-to-monotone's canonical witness
+    ("verify ilp-to-monotone+monotone-to-ss+ss-to-monotone"
+     " --family ilp-standard:m=2,n=2", 0, _PASS),
+    (("gen unbounded --seed 1 --out {d}/u.json",
+      "cert-check unbounded-ss {d}/u.json"), 0, _PASS),
+    (("gen subset-sum --seed 1 --out {d}/ss.json",
+      "cert-check full-ss {d}/ss.json"), 0, _PASS),
+    ("cert-check zkk {d}/zkk-yes.json", 0, "(1 yes / 0 no)"),
+    ("cert-check zkk {d}/zkk-no.json", 0, "(0 yes / 1 no)"),
+    ("solve {d}/uss-no.json", 1, "no ("),
+    # the 6 certificates whose running totals stay within 7 and 17 probes
+    # of the invalid stratum
+    ("cert-check unbounded-ss {d}/uss-no.json", 0, " 23 witnesses, "),
+    # int() reads "0X_1" as 1
+    (("gen subset-sum --seed 1 --out {d}/ss.json",
+      "reduce ss-to-monotone {d}/ss.json --witness 0X_1"), 2,
+     "error: bad witness hex"),
+    ("reduce cm-to-permss {d}/cm-fixed-no.json --witness 1", 2,
+     "error: witness hex wider than declared length"),
+    (("reduce cm-to-permss {d}/cm-fixed-no.json --witness 0 --out {d}/t.json",
+      "solve {d}/t.json"), 1, "no ("),
+    # 30 items up to 10^12: past both of the subset-sum oracle's gates
+    (("gen subset-sum --n 30 --max 1000000000000 --seed 1 --out {d}/big.json",
+      "solve {d}/big.json"), 3, "error: subset sum: instance over budget"),
+]
+
+
+@pytest.mark.parametrize(
+    "steps, code, fragment", _SMOKE,
+    ids=[(s if isinstance(s, str) else s[-1]).replace("{d}/", "")
+         for s, _, _ in _SMOKE])
+def test_smoke_case(tmp_path, capsys, steps, code, fragment):
+    for name, data in _SMOKE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data) + "\n")
+    *first, last = (steps,) if isinstance(steps, str) else steps
+    for step in first:
+        assert run(capsys, *step.format(d=tmp_path).split())[0] == 0, step
+    got, out, err = run(capsys, *last.format(d=tmp_path).split())
+    assert got == code, (out, err)
+    assert fragment in out + err, (out, err)

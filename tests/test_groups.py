@@ -177,29 +177,6 @@ def test_landau_table_stays_within_its_stated_bytes():
     assert held <= 30_000, held
 
 
-def test_run_context_cache_stays_within_its_stated_bytes():
-    # the comment on ``make_run_context``: 64 contexts with pi and the three
-    # letters built hold about 97 KB at n = 1 .. 64, 166 KB at 1,000 ..
-    # 1,063 and 217 KB at 10,000 .. 10,063
-    _landau_table()
-
-    def build(low):
-        for n in range(low, low + 64):
-            ctx = make_run_context(n)
-            ctx.pi
-            for b in (-1, 0, 1):
-                ctx.gamma_hat(b)
-
-    try:
-        for low, bound in ((1, 120_000), (1000, 200_000), (10_000, 260_000)):
-            make_run_context.cache_clear()
-            held = _held_bytes(lambda: build(low))
-            assert make_run_context.cache_info().currsize == 64
-            assert held <= bound, (low, held)
-    finally:
-        make_run_context.cache_clear()
-
-
 def test_run_context_at_length_zero():
     # a carrier of order 1 would leave U_1 no pi0: n = 0 takes n = 1's
     ctx = make_run_context(0)

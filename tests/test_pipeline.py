@@ -20,8 +20,8 @@ from redkit.families import cm_grid, graphs_upto, named_graph
 from redkit.instances import (REQUIRED, ColoringInstance,
                               CounterMachineInstance)
 from redkit.oracles import solve, solve_coloring, solve_counter_machine
-from redkit.pipeline import (_block, coloring_blocks, is_run,
-                             red_cm_to_perm_ss, red_coloring_to_cm)
+from redkit.pipeline import (_block, coloring_blocks, red_cm_to_perm_ss,
+                             red_coloring_to_cm)
 from redkit.witness import Witness, all_witnesses
 
 from helpers import gates
@@ -30,15 +30,6 @@ from helpers import gates
 def _to_cm(graph):
     return red_coloring_to_cm.apply(
         graph, Witness.zero(red_coloring_to_cm.witness_len(graph)))
-
-
-def test_is_run_predicate():
-    assert is_run(())
-    assert is_run(((1,), (-1,)))
-    assert is_run(((1, 0), (0, 1), (-1, 0), (0, -1)))
-    assert not is_run(((1,), (1,)))          # counter leaves {0,1}
-    assert not is_run(((-1,),))              # dips below zero
-    assert not is_run(((1,),))               # does not return to zero
 
 
 def test_single_vertex_machine_frozen():
@@ -211,7 +202,7 @@ def test_cps_caches_stay_within_their_stated_bytes():
 
     def held_by(shapes):
         for key in shapes:
-            # the run context and the group keep caches of their own
+            # the Landau table is a cache of its own
             pipeline._cps_shape(*key)
         pipeline._cps_shape.cache_clear()
         gc.collect()

@@ -57,10 +57,11 @@ def test_andsat_single_formula_frozen():
     assert solve(sched).answer is solve(a).answer is True
 
 
-def test_andsat_empty_clause_guard():
+def test_andsat_refuses_an_empty_clause():
     a = AndSatInstance(1, (CnfInstance(1, ((),)),))
-    sched = _apply(red_andsat_to_scheduling, a)
-    assert not solve(sched).answer
+    with pytest.raises(ValidationError,
+                       match="andsat-to-scheduling: .*empty clause"):
+        _apply(red_andsat_to_scheduling, a)
 
 
 def test_andsat_dense_formula_guard():
@@ -107,10 +108,11 @@ def test_cnf_coloring_layout_deterministic():
     assert cnf_coloring_layout(c) == cnf_coloring_layout(c)
 
 
-def test_cnf_coloring_empty_clause_guard():
+def test_cnf_to_coloring_refuses_an_empty_clause():
     bad = CnfInstance(1, ((),))
-    out = _apply(red_cnf_to_coloring, bad)
-    assert not solve(out).answer
+    with pytest.raises(ValidationError,
+                       match="cnf-to-coloring: .*empty clause"):
+        _apply(red_cnf_to_coloring, bad)
 
 
 def test_cnf_to_coloring_preserves_verdicts():
