@@ -45,9 +45,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load(path: str) -> I.ProblemInstance:
+    # the memo ``Reduction.apply`` reads, so ``reduce`` validates once
     with open(path, "r", encoding="utf-8") as fh:
         inst = I.loads(fh.read())
-    problems = I.validate(inst)
+    problems = I.source_problems(inst)
     if problems:
         raise ValidationError("; ".join(problems))
     return inst

@@ -1,5 +1,8 @@
 """Problem instances: types, structural validation, trivial instances, JSON.
 
+``validate`` lists an instance's structural problems; ``source_problems``
+keeps that list for the last instance object.
+
 Each instance and group field carries its JSON format in its declaration
 (``_field``), and ``to_json``/``from_json`` read those declarations.
 Potentially large integers (subset-sum items, knapsack values, scheduling
@@ -594,6 +597,24 @@ def validate(inst: ProblemInstance) -> list[str]:
     else:
         out.append(f"unknown kind {k!r}")
     return out
+
+
+# The last instance object ``source_problems`` checked and its problems, one
+# tuple in a single store; it starts with an object no caller holds.
+_last_checked = [(object(), None)]
+
+
+def source_problems(inst: ProblemInstance) -> list[str]:
+    """``validate(inst)``, kept for the last instance object asked for (an
+    ``is`` test, as ``witness.layout_cache`` keeps a layout).
+    ``Reduction.apply`` and the CLI's loader read it, so many ``apply``
+    calls on one source, and ``redkit reduce``'s load and apply, validate
+    it once.  The list is shared: callers only read it."""
+    held, problems = _last_checked[0]
+    if inst is not held:
+        problems = validate(inst)
+        _last_checked[0] = (inst, problems)
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -36,22 +36,25 @@ addend puts ``2^w - 1 - min(reach_j, 2^w - 1)`` on field j, and the sum
 sets the carry bit just above field j exactly when field j exceeds its
 reach.
 
-Both build their valid witnesses as packed values fed to
-``witness.witnesses``, with no Python step per witness.  ilp-to-monotone's
-are ``map(sum, product(...))`` over one ``range`` per row, since a row's
-packed (b_pos, b_neg) is linear in b_pos.  ss-to-monotone's depend on t
-alone: a walk over the ``k = t.bit_length()`` digits, with an explicit
-stack of one choice iterator per digit below the top two, yields one
-``range`` per choice of those digits, so it holds O(k) values however many
-it yields: its first 1,000 witnesses for t = 2^18 + 1 take under 1 MB.  A
-target up to ``SSM_VALID_TARGET`` keeps its values, so a repeated target
-enumerates from a tuple.
+Both list exactly the witnesses the transform decodes, those whose every
+field is within its reach and that meet the rhs, as packed values fed to
+``witness.witnesses``, with no Python step per witness; the packed test
+stays in the transforms for the probes and the exhaustive sweeps.
+ilp-to-monotone's are ``map(sum, product(...))`` over one ``range`` per
+row, since a row's packed (b_pos, b_neg) is linear in b_pos: b_pos from
+max(0, rhs_j) to the least of its reach and b_neg's reach plus rhs_j.
+ss-to-monotone's are a walk over the ``k = t.bit_length()`` digits, each
+b_j at most its reach and leaving no more of t than the digits above it
+can cover; the digits above the last one with a nonzero reach are 0.  It
+keeps an explicit stack of one choice iterator per digit below the last
+two and yields one clipped ``range`` per choice of those digits, so it
+holds O(k) values however many it yields: for t = 2^18 + 1 over 2^14
+items 2^18 - 1 (2^13 choices of b_0) its first 1,000 take under 1 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, product
 from operator import add, lshift, sub
 
@@ -280,9 +283,11 @@ def _ssm_layout(inst) -> _SsmLayout:
     t = inst.target
     k = t.bit_length()
     width = field_width(t)
-    columns = tuple(tuple((p >> j) & 1 for j in range(k))
-                    for p in inst.items if p <= t)
-    reach = tuple(sum(col[j] for col in columns) for j in range(k))
+    digits = range(k)
+    columns = tuple([tuple([(p >> j) & 1 for j in digits])
+                     for p in inst.items if p <= t])
+    # row j's ones, summed column by column in C
+    reach = tuple(map(sum, zip(*columns))) if columns else (0,) * k
     return _SsmLayout(
         k * width, (width,) * k,
         tuple((k - 1 - j) * width for j in range(k)), (1 << width) - 1,
@@ -317,49 +322,55 @@ def _ssm_synthesize(inst, sol):
     return pack_fields(b, lay.widths)
 
 
-# Targets whose valid packed values ss-to-monotone keeps.  Those values
-# depend on t alone: there are b(t) of them, the binary partitions of t
-# (b(30) = 166, b(63) = 1,626, b(511) > 10^7).  Measured with tracemalloc,
-# counting the cache's own slots: a kept target holds at most about 65 KB
-# (t = 63), and the SSM_VALID_CACHE entries, one per kept target so that a
-# sweep cycling through its targets never evicts one, about 1.0 MB.  A
-# larger target streams its values, holding O(k) of them at a time.
-SSM_VALID_TARGET = 63
-SSM_VALID_CACHE = SSM_VALID_TARGET + 1
-
-
-def _ssm_values(t):
-    """The packed values of t's valid witnesses, lazily: digit sums b_j
-    with sum(b_j 2^j) = t, b_0 in the outermost loop, each increasing."""
+def _ssm_values(t, reach):
+    """The packed values of the digit sums b_j with sum(b_j 2^j) = t and
+    each b_j <= reach_j, lazily: b_0 in the outermost loop, each
+    increasing, so the values increase."""
     k = t.bit_length()
-    if k < 2:
-        return iter((t,))
     width = field_width(t)
-    # at digit k-2, b_{k-2} += 2 takes 1 from the top digit (at bit 0)
-    step = (2 << width) - 1
+    # the digits above ``top``, the last with a nonzero reach, are 0
+    top = max((j for j, r in enumerate(reach) if r), default=-1)
+    if top < 1:
+        # t = 0 has no digit; otherwise digit 0, the first field, takes t
+        if t == 0:
+            return iter((0,))
+        if top == 0 and t <= reach[0]:
+            return iter((t << (k - 1) * width,))
+        return iter(())
+    # at digit top-1, b_{top-1} += 2 takes 1 from digit top
+    shift_top = (k - 1 - top) * width
+    step = ((2 << width) - 1) << shift_top
+    # cover[j] = sum(reach_i 2^i for i >= j): the most digits j.. can add
+    cover = [0] * (k + 1)
+    for j in reversed(range(k)):
+        cover[j] = cover[j + 1] + (reach[j] << j)
 
     def runs():
         # digit j contributes b_j 2^j and the higher digits multiples of
-        # 2^(j+1), so b_j has the parity of bit j of rem, and the top digit
-        # takes all that is left.  stack[j] yields the (rem, acc) left by
-        # each choice of digit j-1 (stack[0] the start), and the values
-        # under one choice of digits 0..k-3 are one range
+        # 2^(j+1), so b_j has the parity of bit j of rem, is at most its
+        # reach, and leaves the higher digits at most what they can cover.
+        # stack[j] yields the (rem, acc) left by each choice of digit j-1
+        # (stack[0] the start), and the values under one choice of digits
+        # 0..top-2 are one range
         stack = [iter(((t, 0),))]
         while stack:
             j = len(stack) - 1
             for rem, acc in stack[-1]:
-                hi = rem >> j
-                lo = hi & 1
+                h = rem >> j
+                lo = max(h & 1, h - (cover[j + 1] >> j))
+                hi = min(h, reach[j])
+                hi -= (hi ^ h) & 1
                 shift = (k - 1 - j) * width
-                if j < k - 2:
+                if j < top - 1:
                     # b_j = lo, lo + 2, ..., hi: what each leaves of rem,
-                    # and acc with b_j at ``shift``, as two equal ranges
+                    # and acc with b_j at ``shift``, as two ranges
                     stack.append(zip(
                         range(rem - (lo << j), -1, -2 << j),
                         range(acc | lo << shift, acc + (hi + 1 << shift),
                               2 << shift)))
                     break
-                start = acc | lo << shift | (rem - (lo << j)) >> (j + 1)
+                start = acc | lo << shift | \
+                    (rem - (lo << j)) >> top << shift_top
                 yield range(start, start + ((hi - lo) // 2 + 1) * step, step)
             else:
                 # digit j-1's choices are spent: back to digit j-2's
@@ -368,15 +379,9 @@ def _ssm_values(t):
     return chain.from_iterable(runs())
 
 
-@lru_cache(maxsize=SSM_VALID_CACHE)
-def _ssm_kept(t):
-    return tuple(_ssm_values(t))
-
-
 def _ssm_valid(inst):
-    t = inst.target
-    values = _ssm_kept(t) if t <= SSM_VALID_TARGET else _ssm_values(t)
-    return witnesses(values, _ssm_layout(inst).length)
+    lay = _ssm_layout(inst)
+    return witnesses(_ssm_values(inst.target, lay.reach), lay.length)
 
 
 def _ssm_canonical(inst):
@@ -514,8 +519,9 @@ class _ImLayout:
     shifts: tuple       # shift of each field
     mask: int
     columns: tuple      # each column's +1 indicator, then its -1 indicator
-    over: tuple         # _over_reach of each field's most, the +1 entries
-                        # of each row, then the -1 ones
+    reach: tuple        # each field's most: the +1 entries of each row,
+                        # then the -1 ones
+    over: tuple         # _over_reach(reach, width)
 
 
 @layout_cache
@@ -523,14 +529,15 @@ def _im_layout(inst) -> _ImLayout:
     m = inst.num_rows
     fields = 2 * m
     width = field_width(len(inst.columns))
-    columns = tuple(tuple(1 if a == 1 else 0 for a in col) +
-                    tuple(1 if a == -1 else 0 for a in col)
-                    for col in inst.columns)
-    reach = tuple(sum(col[j] for col in columns) for j in range(fields))
+    columns = tuple([tuple([1 if a == 1 else 0 for a in col] +
+                           [1 if a == -1 else 0 for a in col])
+                     for col in inst.columns])
+    # each field's ones, summed column by column in C
+    reach = tuple(map(sum, zip(*columns))) if columns else (0,) * fields
     return _ImLayout(
         fields * width, (width,) * fields,
         tuple((fields - 1 - j) * width for j in range(fields)),
-        (1 << width) - 1, columns, _over_reach(reach, width))
+        (1 << width) - 1, columns, reach, _over_reach(reach, width))
 
 
 _IM_LAST = _im_layout.last
@@ -566,17 +573,17 @@ def _im_synthesize(inst, sol):
 
 def _im_valid(inst):
     m = inst.num_rows
-    n = len(inst.columns)
     if m == 0:
         return iter((Witness.zero(0),))
     lay = _im_layout(inst)
-    shifts = lay.shifts
+    shifts, reach = lay.shifts, lay.reach
     # row j's packed (b_pos, b_pos - b_j) is linear in b_pos, over the
-    # b_pos in [0, n] with b_pos - b_j in [0, n]: one range per row
+    # b_pos within its reach with b_pos - b_j in [0, its reach]: one range
+    # per row
     per_row = []
     for j, b in enumerate(inst.rhs):
         step = (1 << shifts[j]) + (1 << shifts[m + j])
-        lo, hi = max(0, b), min(n, n + b)
+        lo, hi = max(0, b), min(reach[j], reach[m + j] + b)
         per_row.append(range(lo * step - (b << shifts[m + j]),
                              (hi + 1) * step - (b << shifts[m + j]), step))
     return witnesses(map(sum, product(*per_row)), lay.length)
@@ -587,7 +594,7 @@ def _im_canonical(inst):
     # puts there: row j takes b_neg = min(reach-, reach+ - rhs_j); when a
     # row has no accepted choice, the narrowest fields in range
     lay, m, n = _im_layout(inst), inst.num_rows, len(inst.columns)
-    reach = [sum(col[j] for col in lay.columns) for j in range(2 * m)]
+    reach = lay.reach
     b_neg = [min(reach[m + j], reach[j] - b) for j, b in enumerate(inst.rhs)]
     fields = list(map(add, b_neg, inst.rhs)) + b_neg
     if min(fields, default=0) < 0:

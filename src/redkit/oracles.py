@@ -18,9 +18,18 @@ once it holds the group's ``order()`` products (q for Z_q, k^k for Z_k^k,
 k! for S_k): no later product could be new, so the set and its back
 pointers are those of the full closure.
 
-Targets of one source often share their shape, so three solvers keep the
+Targets of one source often share their shape, so four solvers keep the
 part that depends only on it:
 
+- ``solve_subset_sum`` keeps one memo (``_last_sums``) for plain subset
+  sum: the last items tuple its DP path was asked about and, from the
+  second consecutive ask of the very same object (``is``) on, that tuple's
+  subset sums as one int bitset.  The targets of one knapsack-to-ss or
+  zq-to-ss source share their items tuple, so a no target is answered by
+  one bit test, with method ``dp`` as the DP would; a set bit still runs
+  the DP and the yes re-check.  The set is built only when max(n, 1) *
+  (sum + 1) <= ``MAX_DP_CELLS``, so it holds at most that many bits (0.53
+  MB), and it is read only where the DP path runs under the current gate.
 - ``solve_ilp`` keeps the column bundles, row totals, base and column codes
   per (columns, row count) in an ``lru_cache`` of ``ILP_COLUMNS_CACHE`` =
   64 entries of about 2 KB each; an instance then only checks and codes its
@@ -128,6 +137,41 @@ def _yes(inst, solution, method: str) -> Verdict:
 # ---------------------------------------------------------------------------
 # Subset sum.
 
+# The (items, sums) of the last items tuple the plain subset-sum DP path
+# was asked about.  ``sums`` is None on its first ask; on the second
+# consecutive ask of the very same object (``is``) it becomes that tuple's
+# subset sums as one int, bit s set when some subset sums to s.  The
+# targets of one knapsack-to-ss or zq-to-ss source share its items tuple,
+# so one set answers all their no targets.  The set is built only when
+# max(n, 1) * (sum + 1) <= ``MAX_DP_CELLS`` for n items, so it holds at
+# most that many bits: 0.53 MB, in CPython's 30-bit digits of 4 bytes
+# (measured with tracemalloc).  It is exact under every gate and is read
+# only where the DP path runs, so lowering a gate needs no clearing.
+_last_sums = (None, None)
+
+
+def _no_subset_sums_to(items, t) -> bool:
+    """Whether the memo's subset sums of ``items`` show that none is t;
+    False when the memo holds no set for this very object.  A set bit
+    proves nothing here: the DP and ``_yes``'s re-check still run."""
+    global _last_sums
+    if max(len(items), 1) * (t + 1) > MAX_DP_CELLS:
+        # the DP path may not run: the set is not read
+        return False
+    held, sums = _last_sums
+    if items is not held:
+        _last_sums = (items, None)
+        return False
+    if sums is None:
+        if max(len(items), 1) * (sum(items) + 1) > MAX_DP_CELLS:
+            return False
+        sums = 1
+        for p in items:
+            sums |= sums << p
+        _last_sums = (items, sums)
+    return not sums >> t & 1
+
+
 def solve_subset_sum(inst: I.SubsetSumInstance) -> Verdict:
     """Plain subset sum by the bitset DP when its max(n, 1) * (t+1) table
     fits ``MAX_DP_CELLS`` (n items in [1, t]), else by the reach closure
@@ -140,6 +184,8 @@ def solve_subset_sum(inst: I.SubsetSumInstance) -> Verdict:
     t = inst.target
     if t < 0 or min(inst.items, default=0) < 0:
         _refuse_invalid(inst)
+    if _no_subset_sums_to(inst.items, t):
+        return _NO["dp"]
     keep = [i for i, p in enumerate(inst.items) if 1 <= p <= t]
     vals = [inst.items[i] for i in keep]
     n = len(vals)

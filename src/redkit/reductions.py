@@ -32,8 +32,11 @@ without; the three reductions from subset sum read ``"plain"``).
 ``check_source``, which ``apply`` calls, refuses a source of another kind
 or variant, and ``apply`` then refuses, with a ``ValidationError`` naming
 the reduction, a source ``instances.validate`` rejects; the transforms
-themselves assume a valid source.  ``compose`` refuses links whose
-variants do not meet and chains the two fields.  A link that keeps its
+themselves assume a valid source.  ``apply`` reads that check from
+``instances.source_problems``, which keeps it for the last source object,
+so many ``apply`` calls on one source validate it once, and so does
+``redkit reduce``, whose loader shares the memo.  ``compose`` refuses
+links whose variants do not meet and chains the two fields.  A link that keeps its
 kind and names no variant (an identity) passes the other link's variant
 through.  The transforms do not test the variant again.
 
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ReductionError, ValidationError
-from .instances import validate
+from .instances import source_problems
 from .witness import Witness, layout_cache
 
 
@@ -91,7 +94,7 @@ class Reduction:
     def apply(self, inst, wit: Witness):
         # before ``witness_len``, which may read fields of the source kind
         self.check_source(inst)
-        problems = validate(inst)
+        problems = source_problems(inst)
         if problems:
             raise ValidationError(
                 f"{self.name}: invalid source: {'; '.join(problems)}")

@@ -44,12 +44,15 @@ def unpack_fields(wit, widths):
 @contextmanager
 def gates(**values):
     """``redkit.oracles``' gate constants, ``MAX_DP_CELLS=0`` say, set for
-    the block from a cleared reach memo: the memo is not keyed by
+    the block from cleared memos: the reach memo is not keyed by
     ``MAX_BRUTE_STATES``, and a set built under one cap must never answer
-    under a lower one.  A ``MonkeyPatch.context()``, so that it also runs
-    inside ``@given``, where a function-scoped fixture cannot."""
+    under a lower one; the subset-sum memo starts the block empty, so that
+    the block's calls alone decide when it builds its set.  A
+    ``MonkeyPatch.context()``, so that it also runs inside ``@given``,
+    where a function-scoped fixture cannot."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_last_reach", (None,) * 4)
+        mp.setattr(oracles, "_last_sums", (None, None))
         for name, value in values.items():
             mp.setattr(oracles, name, value)
         yield

@@ -1,12 +1,20 @@
-"""An independent referee for group subset sum.
+"""An independent referee for group subset sum, plain subset sum and 0-1
+ILP.
 
-``group_subset_sum(inst)`` decides a ``GroupSubsetSumInstance`` that
-``instances.validate`` accepts from an explicit ``set`` of every
-subsequence product, grown one element at a time, with each group's
-multiply written out here.  It imports nothing from ``redkit.oracles`` or
-``redkit.kernels``, keeps nothing between calls and returns no solution,
-so a fault in the oracle's reach closure, its memo or its bitset DP is
-not repeated here.  ``tests/test_reference_oracle.py`` compares the two.
+Each function decides an instance that ``instances.validate`` accepts from
+an explicit ``set``, grown one element at a time:
+- ``group_subset_sum(inst)``: every subsequence product, with each group's
+  multiply written out here;
+- ``subset_sum(inst)``: every subset sum of a subset-sum instance without
+  a modulus;
+- ``ilp(inst)``: every row-sum vector of the columns, each marked by
+  whether a nonempty set of columns gives it (the zero-sum variant asks
+  for one).
+
+They import nothing from ``redkit.oracles`` or ``redkit.kernels``, keep
+nothing between calls and return no solution, so a fault in the oracles'
+reach closure, their memos or their bitset DPs is not repeated here.
+``tests/test_reference_oracle.py`` compares them with the oracles.
 """
 
 from itertools import permutations, product
@@ -48,3 +56,23 @@ def group_subset_sum(inst) -> bool:
         products |= {_multiply(group, a, e) for a in products}
     target = inst.target
     return (target if group.family == "cyclic" else tuple(target)) in products
+
+
+def subset_sum(inst) -> bool:
+    """Whether some subset of ``inst.items`` sums to ``inst.target``."""
+    sums = {0}
+    for p in inst.items:
+        sums |= {s + p for s in sums}
+    return inst.target in sums
+
+
+def ilp(inst) -> bool:
+    """Whether some 0/1 x has ``A x = inst.rhs`` for the columns of A,
+    with x nonzero for the zero-sum variant."""
+    reached = {((0,) * len(inst.rhs), False)}
+    for col in inst.columns:
+        reached |= {(tuple(a + b for a, b in zip(vec, col)), True)
+                    for vec, _ in reached}
+    rhs = tuple(inst.rhs)
+    return (rhs, True) in reached or \
+        (inst.variant != "zero_sum" and (rhs, False) in reached)

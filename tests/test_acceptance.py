@@ -181,7 +181,7 @@ def test_criterion_01_numeric_reduction_grids():
     witnesses = sum(rep.witnesses_checked for rep in reports)
     _line(1, f"PASS {checked} instances, {witnesses} witnesses, "
              f"0 violations ({elapsed:.1f}s: {rows})")
-    assert (checked, witnesses) == (594426, 3238792)
+    assert (checked, witnesses) == (594426, 2566291)
     assert elapsed <= 300.0
 
 

@@ -278,14 +278,16 @@ def test_contract_check_coverage_counts(monkeypatch):
         report = nppt_contract_check(red, subset_sums(3, 4, 10),
                                      exhaustive_cap=cap)
         assert report.ok, report.as_dict()
-        assert _coverage(report) == (273, 2276, 48, 66, [], 0)
+        assert _coverage(report) == (273, 1865, 48, 66, [], 0)
+    # 9 of the 66 stratified no-instances list 2 valid witnesses, the
+    # others at most 1
     with monkeypatch.context() as patch:
-        patch.setattr(certificates, "VALID_CAP", 2)
+        patch.setattr(certificates, "VALID_CAP", 1)
         report = nppt_contract_check(red, subset_sums(3, 4, 10),
                                      exhaustive_cap=16)
     assert not report.ok and not report.violations
     assert _coverage(report) == (
-        273, 647, 48, 0, ["valid witness family too large"], 66)
+        273, 1686, 48, 57, ["valid witness family too large"], 9)
     blind = dataclasses.replace(red, valid_witnesses=None)
     report = nppt_contract_check(blind, subset_sums(2, 3, 6),
                                  exhaustive_cap=16)
@@ -311,7 +313,7 @@ def test_contract_check_coverage_counts(monkeypatch):
         report = nppt_contract_check(red, ilps("standard", 2, 2),
                                      exhaustive_cap=cap)
         assert report.ok, report.as_dict()
-        assert _coverage(report) == (1247, 21645, 84, 976, [], 0)
+        assert _coverage(report) == (1247, 19148, 84, 976, [], 0)
     report = nppt_contract_check(
         dataclasses.replace(red, valid_witnesses=None), ilps("standard", 2, 2))
     assert report.ok, report.as_dict()

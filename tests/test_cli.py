@@ -10,9 +10,11 @@ from redkit import instances as I
 from redkit.catalog import REDUCTIONS
 from redkit.certificates import SCHEMES, ZKK_SCHEME
 from redkit.cli import _FAMILIES, main
+from redkit.errors import ValidationError
 from redkit.instances import (CyclicGroup, GroupSubsetSumInstance,
                               ProductGroup, SubsetSumInstance, SymmetricGroup,
                               UnboundedSubsetSumInstance, dumps, loads)
+from redkit.witness import Witness, all_witnesses
 
 from helpers import INSTANCES, JSON_VALUES, SHAPED_INSTANCES, gates
 
@@ -65,7 +67,6 @@ def test_gen_kinds(tmp_path, argv, kind):
 def test_gen_cm_from_coloring_matches_library(tmp_path):
     from redkit.catalog import get_reduction
     from redkit.families import named_graph
-    from redkit.witness import Witness
     out = tmp_path / "cm.json"
     assert main(["gen", "cm", "--from-coloring", "k3", "--out", str(out)]) == 0
     expected = get_reduction("coloring-to-cm").apply(
@@ -122,6 +123,34 @@ def test_reduce_with_sidecar(tmp_path, capsys):
     assert meta["witness"] == {"hex": "0", "length": 0}
     assert len(meta["source_sha256"]) == 64
     assert meta["parameter_before"] > 0 and meta["parameter_after"] > 0
+
+
+def test_a_source_is_validated_once_per_object(tmp_path, capsys,
+                                             monkeypatch):
+    # ``redkit reduce`` loads and applies through one memo, and so do many
+    # ``apply`` calls on one source; another object, equal or not, is
+    # validated again
+    calls = []
+    real = I.validate
+    monkeypatch.setattr(I, "validate",
+                        lambda inst: calls.append(inst) or real(inst))
+    # a memo holding no source
+    monkeypatch.setattr(I, "_last_checked", [(object(), None)])
+    src = _write(tmp_path / "src.json", SubsetSumInstance((3, 5), 8))
+    code, _, _ = run(capsys, "reduce", "ss-to-monotone", src)
+    assert code == 0 and len(calls) == 1
+    red = REDUCTIONS["ss-to-monotone"]
+    inst = SubsetSumInstance((3, 5), 5)
+    for copy in (inst, inst, dataclasses.replace(inst)):
+        for wit in all_witnesses(red.witness_len(copy)):
+            red.apply(copy, wit)
+    assert len(calls) == 3 and calls[1] is inst and calls[2] is not inst
+    # a rejected source is refused on every call, from the memo
+    bad = SubsetSumInstance((3, -1), 2)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            red.apply(bad, Witness.zero(0))
+    assert len(calls) == 4
 
 
 def test_reduce_synthesize_yes_and_no(tmp_path, capsys):

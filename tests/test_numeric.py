@@ -91,16 +91,17 @@ def test_ss_to_monotone_frozen():
     r = REDUCTIONS["ss-to-monotone"]
     inst = SubsetSumInstance((3, 5), 5)
     assert r.witness_len(inst) == 9
-    outs = {w.value: r.apply(inst, w) for w in r.valid_witnesses(inst)}
-    assert set(outs) == {65, 80, 200, 320}
-    out = outs.pop(65)
+    assert [w.value for w in r.valid_witnesses(inst)] == [65]
+    out = r.apply(inst, Witness(65, 9))
     assert out.variant == "monotone"
     assert out.columns == ((1, 1, 0), (1, 0, 1))
     # the row targets re-sum to the original target
     assert out.rhs == (1, 0, 1)
     # (1, 2, 0), (3, 1, 0) and (5, 0, 0) re-sum to 5 too, but each has a
     # row total above that row's ones (2, 1, 1), so the witness is rejected
-    assert all(o is _MONOTONE_NO for o in outs.values())
+    # and not listed
+    for value in (80, 200, 320):
+        assert r.apply(inst, Witness(value, 9)) is _MONOTONE_NO
 
 
 def test_monotone_to_ss_frozen():
@@ -136,7 +137,9 @@ def test_ilp_to_monotone_frozen():
     r = REDUCTIONS["ilp-to-monotone"]
     ilp = IlpInstance(((1, -1), (0, 1)), (1, 0), variant="standard")
     assert r.witness_len(ilp) == 8
-    assert len(list(r.valid_witnesses(ilp))) == 6
+    # per row, (b_pos, b_neg) within the row's +1 and -1 entries: (1, 0) in
+    # row 0 (no -1 there), and (0, 0) or (1, 1) in row 1
+    assert [w.value for w in r.valid_witnesses(ilp)] == [64, 81]
     out = r.apply(ilp, Witness(81, 8))
     assert out.columns == ((1, 0, 0, 1), (0, 1, 0, 0))
     assert out.rhs == (1, 1, 0, 1)

@@ -6,7 +6,7 @@ itself, so the library solvers are never their own referee.
 
 import gc
 import tracemalloc
-from itertools import accumulate, permutations, product
+from itertools import accumulate, permutations, product, repeat
 from operator import add, attrgetter
 from random import Random
 from unittest import mock
@@ -1487,3 +1487,105 @@ def test_no_verdicts_are_shared_and_equal_fresh_ones():
             assert solve(inst) is got
     dp = _coloring_dp(named_graph("k4"))
     assert dp == Verdict(False, method="dp")
+
+
+# ---------------------------------------------------------------------------
+# The subset-sum memo: one set of subset sums per items tuple, built on the
+# second consecutive ask of the very same object.
+
+
+def test_subset_sum_memo_answers_no_targets_from_one_set(monkeypatch):
+    items = (3, 5, 9)
+    calls = []
+    real = kernels.subset_sum_solve
+    monkeypatch.setattr(kernels, "subset_sum_solve",
+                        lambda vals, t: calls.append(t) or real(vals, t))
+
+    def ask(objects, t):
+        got = solve(I.SubsetSumInstance(objects, t))
+        assert got.answer == _brute_subset_sum(I.SubsetSumInstance(items, t))
+        assert got.method == "dp"
+        return got
+
+    with gates():
+        # the first ask runs the DP and notes the tuple; the second builds
+        # the set, which answers no targets (past the sum too) with no DP
+        ask(items, 4)
+        assert oracles._last_sums == (items, None) and calls == [4]
+        for t in (4, 6, 13, 18, 100):
+            ask(items, t)
+        assert calls == [4]
+        assert oracles._last_sums[1] == sum(1 << s for s in
+                                            (0, 3, 5, 8, 9, 12, 14, 17))
+        # a set bit still runs the DP and the re-check
+        assert ask(items, 14).solution == (1, 2) and calls == [4, 14]
+        # an equal but distinct tuple starts over, and so does the first
+        copy = tuple(list(items))
+        for objects in (copy, copy, items):
+            ask(objects, 4)
+        assert calls == [4, 14, 4, 4]
+        assert oracles._last_sums == (items, None)
+        # items of 0 add no sum
+        zeros = (0, 0, 2)
+        for t in (1, 1, 2):
+            assert solve(I.SubsetSumInstance(zeros, t)).answer == (t == 2)
+        assert oracles._last_sums == (zeros, 0b101)
+    # a lowered gate keeps the set unread where the DP would not run
+    with gates():
+        for t in (4, 4):
+            ask(items, t)
+        with monkeypatch.context() as mp:
+            mp.setattr(oracles, "MAX_DP_CELLS", 3)
+            got = solve(I.SubsetSumInstance(items, 4))
+        assert (got.answer, got.method) == (False, "brute")
+
+
+def test_subset_sum_memo_stays_within_its_stated_bytes():
+    # the bound stated beside ``_last_sums``: a set of at most MAX_DP_CELLS
+    # bits, 0.53 MB in 30-bit digits of 4 bytes, built only when
+    # max(n, 1) * (sum + 1) fits the gate
+    cells = oracles.MAX_DP_CELLS
+    fits, over = (cells - 1,), (cells,)
+    with gates():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                assert not solve(I.SubsetSumInstance(fits, 5)).answer
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert oracles._last_sums[1] == 1 | 1 << cells - 1
+        assert held <= cells * 4 // 30 + 1_000 <= 535_000, held
+        for _ in range(3):
+            assert not solve(I.SubsetSumInstance(over, 5)).answer
+        assert oracles._last_sums == (over, None)
+        two = (1, cells // 2 - 1)
+        for _ in range(2):
+            assert not solve(I.SubsetSumInstance(two, 5)).answer
+        assert oracles._last_sums == (two, None)
+
+
+def test_targets_of_one_source_share_one_items_object():
+    # the memo's saving: every subset-sum target of one knapsack-to-ss or
+    # zq-to-ss source (and of one chain source's intermediate) is built on
+    # the very same items tuple
+    from redkit.catalog import get_reduction
+    from redkit.families import knapsacks, subset_sums, zq_instances
+    jobs = (("knapsack-to-ss", knapsacks(2, 3)),
+            ("zq-to-ss", zq_instances(5, 3)),
+            ("ss-to-knapsack+knapsack-to-ss", subset_sums(2, 4, 8)))
+    for spec, family in jobs:
+        red = get_reduction(spec)
+        shared = 0
+        constants = set(map(id, red.constants))
+        for inst in family:
+            red.witness_len(inst)
+            targets = [tgt for tgt in map(red.transform, repeat(inst),
+                                          red.valid_witnesses(inst))
+                       if id(tgt) not in constants]
+            assert len({id(tgt.items) for tgt in targets}) <= 1, (spec, inst)
+            shared += len(targets) > 1
+        assert shared, spec

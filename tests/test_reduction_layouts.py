@@ -11,7 +11,8 @@ import gc
 import tracemalloc
 import weakref
 from functools import lru_cache, partial
-from itertools import combinations, islice, product
+from itertools import combinations, compress, islice, product, repeat
+from operator import is_not
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,7 @@ from redkit.families import (cm_contract_family, cm_grid, ilps, knapsacks,
                              subset_sums, unbounded_instances, zkk_instances,
                              zq_instances)
 from redkit.groups import identity, make_run_context
-from redkit.numeric import (SSM_VALID_CACHE, SSM_VALID_TARGET, _MONOTONE_NO,
-                            _ssm_kept)
+from redkit.numeric import _MONOTONE_NO
 from redkit.oracles import solve
 from redkit.reductions import chain
 from redkit.witness import Witness, all_witnesses, field_width, pack_fields
@@ -131,9 +131,13 @@ def _ref_ssm_transform(inst, wit):
     return I.IlpInstance(_ssm_columns(inst), b, "monotone")
 
 
-def _ref_ssm_valid(inst):
+def _ref_ssm_valid(inst, within_reach=True):
+    """Every witness whose digit sums re-sum to t, b_0 in the outermost
+    loop, each increasing; when ``within_reach``, only those whose every
+    digit sum is at most its row's ones (the transform rejects the rest)."""
     t = inst.target
     k = t.bit_length()
+    most = _ssm_reach(inst) if within_reach else [t] * k
 
     def rec(j, rem):
         if j == k:
@@ -143,12 +147,13 @@ def _ref_ssm_valid(inst):
         # the higher digits add multiples of 2^(j+1), so d has the parity
         # of bit j of rem
         step = 1 << j
-        for d in range((rem >> j) & 1, rem // step + 1, 2):
+        for d in range((rem >> j) & 1, min(rem // step, most[j]) + 1, 2):
             for rest in rec(j + 1, rem - d * step):
                 yield (d,) + rest
 
+    widths = _ssm_widths(inst)
     for b in rec(0, t):
-        yield pack_fields(b, _ssm_widths(inst))
+        yield pack_fields(b, widths)
 
 
 def _ref_ssm_canonical(inst):
@@ -188,21 +193,27 @@ def _ref_im_transform(inst, wit):
                          "monotone")
 
 
-def _ref_im_valid(inst):
+def _ref_im_valid(inst, within_reach=True):
+    """Every witness whose (b_pos, b_neg) per row, each in [0, n], differ
+    by the row's rhs; when ``within_reach``, only those whose every field
+    is at most its reach (the transform rejects the rest)."""
     m = inst.num_rows
     n = len(inst.columns)
     if m == 0:
         yield Witness.zero(0)
         return
+    most = _im_reach(inst) if within_reach else [n] * (2 * m)
     per_row = []
-    for b in inst.rhs:
-        opts = [(bp, bp - b) for bp in range(n + 1) if 0 <= bp - b <= n]
+    for j, b in enumerate(inst.rhs):
+        opts = [(bp, bp - b) for bp in range(most[j] + 1)
+                if 0 <= bp - b <= most[m + j]]
         if not opts:
             return
         per_row.append(opts)
+    widths = _im_widths(inst)
     for combo in product(*per_row):
         yield pack_fields(tuple(bp for bp, _ in combo) +
-                          tuple(bn for _, bn in combo), _im_widths(inst))
+                          tuple(bn for _, bn in combo), widths)
 
 
 def _ref_im_canonical(inst):
@@ -622,9 +633,9 @@ def test_layout_reduction_matches_reference(name):
 # The packed reach test: per field, a carry out of field + (2^w - 1 - reach).
 
 
-# An instance per reduction whose valid witnesses put a field at its reach,
-# and exactly one field at reach + 1 at the top (index 0), at another even
-# index and at an odd index.
+# An instance per reduction whose witnesses that meet the rhs, within reach
+# or not, put a field at its reach, and exactly one field at reach + 1 at
+# the top (index 0), at another even index and at an odd index.
 REACH_EDGES = {
     # w = 3, reach (3, 1, 0): b = (2, 1, 0) is within reach, and (4, 0, 0),
     # (0, 2, 0) and (0, 0, 1) have one field at reach + 1
@@ -641,7 +652,7 @@ def test_packed_reach_test_edges(name):
     red = REDUCTIONS[name]
     inst = REACH_EDGES[name]
     seen = set()
-    for wit in ref_valid(inst):
+    for wit in ref_valid(inst, within_reach=False):
         excess = _excess(name, inst, wit)
         over = [j for j, e in enumerate(excess) if e > 0]
         got, want = red.apply(inst, wit), ref_transform(inst, wit)
@@ -703,24 +714,74 @@ def test_im_valid_matches_reference_at_every_row_total():
             list(_ref_im_valid(inst)), rhs
 
 
-def test_ssm_valid_streams_a_target_past_the_kept_size():
-    # t = 4096 has more than 10^12 valid witnesses: the first five come
-    # without building the set, and the cache does not see the target
-    red = REDUCTIONS["ss-to-monotone"]
-    inst = I.SubsetSumInstance((1, 2), 4096)
-    assert inst.target > SSM_VALID_TARGET
-    before = _ssm_kept.cache_info()
-    assert list(islice(red.valid_witnesses(inst), 5)) == \
-        list(islice(_ref_ssm_valid(inst), 5))
-    assert _ssm_kept.cache_info() == before
+# Criterion 01's ILP-guessing rows, and the layout function whose ``reach``
+# bounds each row's valid list.
+GUESSING_ROWS = {
+    "ss-to-monotone": (partial(subset_sums, 5, 8, 40), "_ssm_layout"),
+    "ilp-to-monotone": (partial(ilps, "standard", 2, 4), "_im_layout"),
+}
+
+
+def _listing_errors(red, family, most_bits=9):
+    """(sources checked, sources whose valid list is not exactly the
+    witnesses that ``red.transform`` does not map to the reject constant),
+    over the sources of at most ``most_bits`` witness bits."""
+    checked = wrong = 0
+    for inst in family:
+        length = red.witness_len(inst)
+        if length > most_bits:
+            continue
+        checked += 1
+        listed = list(red.valid_witnesses(inst))
+        every = list(all_witnesses(length))
+        decoded = compress(every, map(is_not, map(
+            red.transform, repeat(inst), every), repeat(_MONOTONE_NO)))
+        wrong += len(set(listed)) != len(listed) or \
+            set(listed) != set(decoded)
+    return checked, wrong
+
+
+@pytest.mark.parametrize("name", sorted(GUESSING_ROWS))
+def test_valid_list_is_exactly_the_witnesses_within_reach(name):
+    # every criterion-01 source of at most 9 witness bits (ss-to-monotone
+    # with t <= 7, ilp-to-monotone with m = 1 or n <= 3), all of its
+    # witnesses: the list holds each one the transform decodes, once, and
+    # nothing else
+    family, _ = GUESSING_ROWS[name]
+    checked, wrong = _listing_errors(REDUCTIONS[name], family())
+    assert (checked, wrong) == \
+        ({"ss-to-monotone": 10251, "ilp-to-monotone": 9537}[name], 0)
+
+
+@pytest.mark.parametrize("name", sorted(GUESSING_ROWS))
+def test_valid_list_check_catches_one_field_past_its_reach(name,
+                                                           monkeypatch):
+    # a planted fault: the enumerator reads field 0's reach one too high,
+    # while the transform's packed test keeps the real one
+    family, attr = GUESSING_ROWS[name]
+    build = getattr(numeric, attr)
+
+    def loose(inst):
+        lay = build(inst)
+        if not lay.reach:
+            return lay
+        return dataclasses.replace(lay, reach=(lay.reach[0] + 1,
+                                               *lay.reach[1:]))
+    monkeypatch.setattr(numeric, attr, loose)
+    checked, wrong = _listing_errors(REDUCTIONS[name], family(), 6)
+    assert 0 < wrong < checked
 
 
 def test_ssm_valid_holds_o_k_values_while_it_streams():
-    # t = 2^18 + 1 has 2^17 + 1 choices of b_0: the walk holds one choice
-    # iterator per digit, not a pushed entry per choice, so the first
-    # 1,000 witnesses come within 1 MB, and are the reference's first 1,000
+    # t = 2^18 + 1 and 2^14 items 2^18 - 1: each digit sum below the top
+    # one reaches 2^14, so b_0 has 2^13 choices within reach, and so has
+    # each digit above it while what is left of t allows: the walk holds
+    # one choice iterator per digit, not a pushed entry per choice, so the
+    # first 1,000 witnesses come within 1 MB, and are the reference's
+    # first 1,000 (the layout, built first, holds the items' digits)
     red = REDUCTIONS["ss-to-monotone"]
-    inst = I.SubsetSumInstance((1,), 2 ** 18 + 1)
+    inst = I.SubsetSumInstance((2 ** 18 - 1,) * 2 ** 14, 2 ** 18 + 1)
+    red.witness_len(inst)
     gc.collect()
     tracemalloc.start()
     try:
@@ -734,29 +795,6 @@ def test_ssm_valid_holds_o_k_values_while_it_streams():
         b = unpack_fields(wit, _ssm_widths(inst))
         assert sum(d << j for j, d in enumerate(b)) == inst.target
     assert first == list(islice(_ref_ssm_valid(inst), 1000))
-
-
-def test_ssm_valid_cache_stays_within_its_stated_bytes():
-    # the bounds stated beside SSM_VALID_CACHE: about 65 KB for the largest
-    # kept target, about 1.0 MB for every kept target
-    _ssm_kept.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        held = []
-        for t in range(SSM_VALID_TARGET, SSM_VALID_TARGET - SSM_VALID_CACHE,
-                       -1):
-            _ssm_kept(t)
-            gc.collect()
-            held.append(tracemalloc.get_traced_memory()[0] - base)
-        full = _ssm_kept.cache_info().currsize
-    finally:
-        tracemalloc.stop()
-        _ssm_kept.cache_clear()
-    assert full == SSM_VALID_CACHE
-    assert held[0] <= 70_000, held[0]
-    assert held[-1] <= 1_100_000, held[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -834,11 +872,14 @@ def test_reach_test_rejects_only_targets_the_oracle_answers_range(
         name, family, rejected):
     # on criterion 01's ILP grids, every witness the reach test rejects
     # had a target that the oracle answers no, with method range; the
-    # valid witnesses include every witness that passes the other checks
+    # reference's witnesses that meet the rhs, within reach or not, include
+    # every witness that passes the other checks
     red = REDUCTIONS[name]
+    ref_valid = CASES[name][3]
     count = 0
     for inst in family():
-        for wit in red.valid_witnesses(inst):
+        red.witness_len(inst)
+        for wit in ref_valid(inst, within_reach=False):
             if _accepts(red, inst, wit):
                 continue
             old = _target_without_reach(name, inst, wit)
