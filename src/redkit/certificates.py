@@ -24,13 +24,13 @@ Only certificates that can reach the accept comparison are listed.  Items
 are nonnegative, so an unbounded certificate whose running total passes t
 never sums to t: the verifier rejects at the first slot that passes it, and
 the enumerator lists exactly the certificates whose every running total
-stays within t.  Per count and increasing index tuple, it walks the
-multiplicities of every slot but the last with what each leaves of t, and
-yields the last slot's as one ``range``; a tuple whose items sum past t
-yields nothing.  The Z_k^k certificates whose indices decode depend on
-(k, n) alone: a shape with at most ``ZKK_VALID_KEPT`` of them keeps their
-packed values in its layout, one tuple built with the layout, and a larger
-one streams them, the same values in the same order.
+stays within t.  Per count, it walks the increasing index tuples and never
+extends one whose items sum past t (at most n steps per listed certificate
+and count), then the multiplicities of every slot but the last with what
+each leaves of t, and yields the last slot's as one ``range``.  The Z_k^k
+certificates whose indices decode depend on (k, n) alone: a shape with at
+most ``ZKK_VALID_KEPT`` of them keeps their packed values in its layout, one
+tuple built with the layout, and a larger one streams them.
 
 A certificate scheme is a nondeterministic transformation whose target is
 decided at once: ``CertificateScheme.reduction()`` maps a certificate to
@@ -322,15 +322,24 @@ def _uss_valid(inst):
         for m in range(top):
             yield from walk(value | m << mshift, spare - m * item, rest)
 
+    def fits(c, start, spare):
+        # the increasing c-tuples of indices from ``start`` on, in
+        # lexicographic order, whose items sum to at most ``spare``, each
+        # with what it leaves of it: a prefix past it is not extended
+        if not c:
+            yield (), spare
+            return
+        for i in range(start, n - c + 1):
+            if items[i] <= spare:
+                for rest, left in fits(c - 1, i + 1, spare - items[i]):
+                    yield (i, *rest), left
+
     def runs():
         yield (0,)
-        get = items.__getitem__
         for c in range(1, min(lay.pairs, n) + 1):
             head = c << lay.body
-            for idxs in combinations(range(n), c):
-                spare = t - sum(map(get, idxs))
-                if spare >= 0:
-                    yield from walk(head, spare, tuple(zip(idxs, lay.shifts)))
+            for idxs, spare in fits(c, 0, t):
+                yield from walk(head, spare, tuple(zip(idxs, lay.shifts)))
 
     return witnesses(chain.from_iterable(runs()), lay.length)
 

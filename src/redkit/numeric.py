@@ -17,7 +17,10 @@ field is read as a slot.  ``transform``, called once per witness, reads the
 kept pair inline (``<layout>.last``) and calls the layout function only for
 another instance, then decodes ``wit.value`` with its shifts and masks.
 Targets are built from plain tuples, which their constructors neither copy
-nor store again.
+nor store again.  Each valid list puts a widest accepted witness first, as
+``reductions.compose`` reads it: knapsack-to-ss, ilp-to-monotone and
+zq-to-ss count their guesses down, and ss-to-monotone's first value is its
+greedy one (see ``_ssm_values``).
 
 ilp-to-monotone and ss-to-monotone guess per-row totals and reject most
 witnesses of a no-instance, so each first tests the packed value ``v`` and
@@ -42,7 +45,7 @@ field is within its reach and that meet the rhs, as packed values fed to
 stays in the transforms for the probes and the exhaustive sweeps.
 ilp-to-monotone's are ``map(sum, product(...))`` over one ``range`` per
 row, since a row's packed (b_pos, b_neg) is linear in b_pos: b_pos from
-max(0, rhs_j) to the least of its reach and b_neg's reach plus rhs_j.
+the least of its reach and b_neg's reach plus rhs_j down to max(0, rhs_j).
 ss-to-monotone's are a walk over the ``k = t.bit_length()`` digits, each
 b_j at most its reach and leaving no more of t than the digits above it
 can cover; the digits above the last one with a nonzero reach are 0.  It
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import add, lshift, sub
+from operator import lshift, sub
 
 from . import instances as I
 from .errors import ConstructionError, ReductionError
@@ -215,18 +218,11 @@ def _kss_valid(inst):
     lay = _kss_layout(inst)
     if lay.fixed is not None:
         return iter((Witness.zero(0),))
-    # each capacity guess, then each demand offset below 2^shift
+    # each capacity guess, then each demand offset below 2^shift, largest first
     span = lay.base - inst.demand
-    heads = range(0, (inst.capacity + 1) << lay.shift, 1 << lay.shift)
-    return witnesses(chain.from_iterable(range(h, h + span) for h in heads),
-                     lay.length)
-
-
-def _kss_canonical(inst):
-    lay = _kss_layout(inst)
-    if lay.fixed is not None:
-        return Witness.zero(0)
-    return pack_fields((inst.capacity, lay.base - 1 - inst.demand), lay.widths)
+    heads = range(inst.capacity << lay.shift, -1, -1 << lay.shift)
+    return witnesses(chain.from_iterable(range(h + span - 1, h - 1, -1)
+                                         for h in heads), lay.length)
 
 
 red_knapsack_to_ss = Reduction(
@@ -237,7 +233,6 @@ red_knapsack_to_ss = Reduction(
     transform=_kss_transform,
     synthesize=_kss_synthesize,
     valid_witnesses=_kss_valid,
-    canonical_witness=_kss_canonical,
     constants=(_SS_YES, _SS_NO),
 )
 
@@ -325,7 +320,13 @@ def _ssm_synthesize(inst, sol):
 def _ssm_values(t, reach):
     """The packed values of the digit sums b_j with sum(b_j 2^j) = t and
     each b_j <= reach_j, lazily: b_0 in the outermost loop, each
-    increasing, so the values increase."""
+    increasing, so the values increase.
+
+    The first value is the greedy one, widest first: from the top digit
+    down, each takes as much of what is left of t as its reach allows.
+    With power-of-two digits this meets t whenever some digit sums within
+    reach do (any 2^j that lower digits make up can be traded for one more
+    digit j), and it puts the most on the top digits."""
     k = t.bit_length()
     width = field_width(t)
     # the digits above ``top``, the last with a nonzero reach, are 0
@@ -384,20 +385,6 @@ def _ssm_valid(inst):
     return witnesses(_ssm_values(inst.target, lay.reach), lay.length)
 
 
-def _ssm_canonical(inst):
-    # from the top digit down, each takes as much of what is left of t as
-    # its reach allows: with power-of-two digits this meets t whenever some
-    # digit sums within reach do (any 2^j that lower digits make up can be
-    # traded for one more digit j), so the probe passes the reach test then
-    lay = _ssm_layout(inst)
-    rem = inst.target
-    b = [0] * len(lay.reach)
-    for j in reversed(range(len(b))):
-        b[j] = min(lay.reach[j], rem >> j)
-        rem -= b[j] << j
-    return pack_fields(b, lay.widths)
-
-
 red_ss_to_monotone = Reduction(
     name="ss-to-monotone",
     source_kind="subset_sum",
@@ -406,7 +393,6 @@ red_ss_to_monotone = Reduction(
     transform=_ssm_transform,
     synthesize=_ssm_synthesize,
     valid_witnesses=_ssm_valid,
-    canonical_witness=_ssm_canonical,
     source_variant="plain",
     target_variant="monotone",
     constants=(_MONOTONE_NO,),
@@ -579,27 +565,14 @@ def _im_valid(inst):
     shifts, reach = lay.shifts, lay.reach
     # row j's packed (b_pos, b_pos - b_j) is linear in b_pos, over the
     # b_pos within its reach with b_pos - b_j in [0, its reach]: one range
-    # per row
+    # per row, counting down, so the first value has every field at its most
     per_row = []
     for j, b in enumerate(inst.rhs):
         step = (1 << shifts[j]) + (1 << shifts[m + j])
         lo, hi = max(0, b), min(reach[j], reach[m + j] + b)
-        per_row.append(range(lo * step - (b << shifts[m + j]),
-                             (hi + 1) * step - (b << shifts[m + j]), step))
+        per_row.append(range(hi * step - (b << shifts[m + j]),
+                             (lo - 1) * step - (b << shifts[m + j]), -step))
     return witnesses(map(sum, product(*per_row)), lay.length)
-
-
-def _im_canonical(inst):
-    # the widest accepted witness, each field the most an accepted witness
-    # puts there: row j takes b_neg = min(reach-, reach+ - rhs_j); when a
-    # row has no accepted choice, the narrowest fields in range
-    lay, m, n = _im_layout(inst), inst.num_rows, len(inst.columns)
-    reach = lay.reach
-    b_neg = [min(reach[m + j], reach[j] - b) for j, b in enumerate(inst.rhs)]
-    fields = list(map(add, b_neg, inst.rhs)) + b_neg
-    if min(fields, default=0) < 0:
-        fields = [min(max(s * b, 0), n) for s in (1, -1) for b in inst.rhs]
-    return pack_fields(fields, lay.widths)
 
 
 red_ilp_to_monotone = Reduction(
@@ -610,7 +583,6 @@ red_ilp_to_monotone = Reduction(
     transform=_im_transform,
     synthesize=_im_synthesize,
     valid_witnesses=_im_valid,
-    canonical_witness=_im_canonical,
     source_variant="standard",
     target_variant="monotone",
     constants=(_MONOTONE_NO,),
@@ -666,20 +638,11 @@ def _zqs_synthesize(inst, sol):
 
 def _zqs_valid(inst):
     q = _zqs_q(inst)
-    # every total up to n*q fits the witness width
-    return witnesses(range(inst.target % q, len(inst.elements) * q + 1, q),
-                     _zqs_witness_len(inst))
-
-
-def _zqs_canonical(inst):
-    q = _zqs_q(inst)
-    n = len(inst.elements)
-    width = _zqs_witness_len(inst)
+    # every total up to n*q fits the witness width; the largest comes first
+    top = len(inst.elements) * q
     start = inst.target % q
-    if start > n * q:
-        return Witness.zero(width)
-    top = start + q * ((n * q - start) // q)
-    return pack_fields((top,), [width])
+    return witnesses(range(top - (top - start) % q, start - 1, -q),
+                     _zqs_witness_len(inst))
 
 
 red_zq_to_ss = Reduction(
@@ -690,7 +653,6 @@ red_zq_to_ss = Reduction(
     transform=_zqs_transform,
     synthesize=_zqs_synthesize,
     valid_witnesses=_zqs_valid,
-    canonical_witness=_zqs_canonical,
     constants=(_SS_NO,),
 )
 

@@ -12,18 +12,18 @@ A reduction from kind A to kind B carries:
 The contract: if the source is a no-instance, every witness yields a
 no-instance; if it is a yes-instance, the synthesized witness yields a
 yes-instance.  ``valid_witnesses`` optionally enumerates the witnesses that
-decode structurally (used to stratify exhaustive checks), and
-``canonical_witness`` names the witness a composite sizes its next slot
-from: the accepted witness (one ``transform`` decodes rather than maps to
-its fixed reject target) whose target needs the widest next slot, or any
-witness when none is accepted.  ``wit_bound(inst)``, when declared, is the
-most witness bits the reduction may use on ``inst``; the contract sweep
-records a ``bit-length-bound`` violation on an instance whose
-``witness_len`` exceeds it.  ``compose`` declares none.  ``constants`` are
-the shared targets ``transform`` returns by identity (guard cases, rejected
-witnesses), which the contract sweep solves once; ``compose`` passes on the
-second link's, and each of the first link's that the second returns as it
-is from a 0-bit witness (as an identity does).
+decode structurally (used to stratify exhaustive checks), a widest
+accepted one first: an accepted witness (one ``transform`` decodes rather
+than maps to its fixed reject target) whose target needs the widest next
+slot.  ``compose`` sizes its next slot from that first witness, or from the
+zero witness when there is no list or it is empty.  ``wit_bound(inst)``,
+when declared, is the most witness bits the reduction may use on ``inst``;
+the contract sweep records a ``bit-length-bound`` violation on an instance
+whose ``witness_len`` exceeds it.  ``compose`` declares none.
+``constants`` are the shared targets ``transform`` returns by identity
+(guard cases, rejected witnesses), which the contract sweep solves once;
+``compose`` passes on the second link's, and each of the first link's that
+the second returns as it is from a 0-bit witness (as an identity does).
 
 ``source_variant`` and ``target_variant`` name the variant a reduction
 reads and writes (None: any): an ILP's ``variant`` field, or a subset-sum
@@ -67,17 +67,11 @@ class Reduction:
     transform: Callable
     synthesize: Callable
     valid_witnesses: Optional[Callable] = None
-    canonical_witness: Optional[Callable] = None
     param_bound: Optional[Callable] = None
     wit_bound: Optional[Callable] = None
     source_variant: Optional[str] = None
     target_variant: Optional[str] = None
     constants: tuple = ()
-
-    def probe_witness(self, inst) -> Witness:
-        if self.canonical_witness is not None:
-            return self.canonical_witness(inst)
-        return Witness.zero(self.witness_len(inst))
 
     def check_source(self, inst) -> None:
         """Raise ``ReductionError`` unless ``inst`` has the source kind and,
@@ -110,8 +104,7 @@ def deterministic(name: str, source_kind: str, target_kind: str,
     """A reduction that reads no witness: its witness has 0 bits, and the
     one 0-bit witness is both the synthesized witness and the only valid
     one.  ``transform(inst, wit)`` ignores ``wit``; ``fields`` are further
-    ``Reduction`` fields (``param_bound``, ``canonical_witness``, the
-    variants, ``constants``)."""
+    ``Reduction`` fields (``param_bound``, the variants, ``constants``)."""
     zero = Witness.zero(0)
     return Reduction(
         name=name,
@@ -137,22 +130,25 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
     with ``oracles.solve``.
 
     The composite witness is the first reduction's witness followed by a
-    slot sized for the canonical intermediate instance.  When an actual
-    intermediate wants a shorter witness the low-order bits are used; when
-    it wants a longer one the slot was sized too small, and ``transform``
-    raises ``ReductionError`` (a ``transform-error`` in the contract sweep).
-    The witness enumeration yields one witness for each such first-link
-    witness, its slot zero, so that a stratified sweep meets the error too.
+    slot sized for the intermediate instance of the first reduction's
+    first listed witness, a widest accepted one (the zero witness when it
+    lists none).  The composite lists each first-link witness in turn, the
+    second link's list behind it, so it starts from that witness too.
+    When an actual intermediate wants a shorter witness the low-order bits
+    are used; when it wants a longer one the first list broke the
+    widest-first rule, and ``transform`` raises ``ReductionError`` (a
+    ``transform-error`` in the contract sweep).  The witness enumeration
+    yields one witness for each such first-link witness, its slot zero, so
+    that a stratified sweep meets the error too.
 
     The composite keeps one intermediate: the instance, first-link witness
     and ``first.transform`` result of its last call, rebound only once that
     call returns.  Every use of ``first.transform`` (the slot sizes,
-    ``transform``, ``synthesize``, the witness enumeration and the
-    canonical witness) goes through it, and it is reused while the very
-    same instance object comes with an equal first-link witness.  A sweep
-    in increasing value order thus builds each intermediate once per run of
-    2^l2 tails, and the next link's ``witness.layout_cache`` sees that same
-    object again.
+    ``transform``, ``synthesize`` and the witness enumeration) goes through
+    it, and it is reused while the very same instance object comes with an
+    equal first-link witness.  A sweep in increasing value order thus builds
+    each intermediate once per run of 2^l2 tails, and the next link's
+    ``witness.layout_cache`` sees that same object again.
     """
     if first.target_kind != second.source_kind:
         raise ReductionError(
@@ -182,7 +178,9 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
     def probe(inst):
         # the slot sizes depend only on the instance: computed once each
         l1 = first.witness_len(inst)
-        mid0 = intermediate(inst, first.probe_witness(inst))
+        # the first listed witness is a widest accepted one
+        listed = first.valid_witnesses(inst) if first.valid_witnesses else ()
+        mid0 = intermediate(inst, next(iter(listed), Witness.zero(l1)))
         return l1, second.witness_len(mid0)
 
     def witness_len(inst):
@@ -233,15 +231,6 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
     if first.param_bound is not None and second.param_bound is not None:
         bound = lambda p: second.param_bound(first.param_bound(p))  # noqa: E731
 
-    def canonical(inst):
-        w1 = first.probe_witness(inst)
-        mid = intermediate(inst, w1)
-        w2 = second.probe_witness(mid)
-        _, l2 = probe(inst)
-        if w2.length > l2:
-            raise ReductionError("canonical witness overflow in composition")
-        return Witness((w1.value << l2) | w2.value, w1.length + l2)
-
     zero = Witness.zero(0)
     passed = tuple(c for c in first.constants if second.witness_len(c) == 0
                    and second.transform(c, zero) is c)
@@ -258,7 +247,6 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
         transform=transform,
         synthesize=synthesize,
         valid_witnesses=valid if has_valid else None,
-        canonical_witness=canonical,
         param_bound=bound,
         source_variant=source_variant,
         target_variant=target_variant,

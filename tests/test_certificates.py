@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import re
+import time
 import tracemalloc
 from itertools import combinations, islice, product, repeat
 
@@ -572,14 +573,15 @@ def test_sweep_refuses_a_source_its_witness_len_refuses():
 
 @pytest.mark.parametrize("cap", [4096, 1])
 def test_an_undersized_composite_slot_is_a_transform_error(cap):
-    # a probe of value 0 sizes the ss-to-monotone slot for the subset-sum
-    # target 0 or 1, far below what the other guessed totals want; the
-    # composite must say so, exhaustively (cap 4096) or over its valid
-    # witnesses (cap 1), not narrow the witness
+    # zq-to-ss's totals listed in increasing order put the least total
+    # first, which sizes the ss-to-monotone slot for a subset-sum target
+    # below q, far below what the other guessed totals want; the composite
+    # must say so, exhaustively (cap 4096) or over its valid witnesses
+    # (cap 1), not narrow the witness
     first, second = REDUCTIONS["zq-to-ss"], REDUCTIONS["ss-to-monotone"]
     undersized = dataclasses.replace(
-        first, canonical_witness=lambda inst: Witness.zero(
-            first.witness_len(inst)))
+        first, valid_witnesses=lambda inst: iter(sorted(
+            first.valid_witnesses(inst))))
     assert nppt_contract_check(compose(first, second), zq_instances(3, 2),
                                exhaustive_cap=cap).ok
     rep = nppt_contract_check(compose(undersized, second), zq_instances(3, 2),
@@ -1239,9 +1241,17 @@ def _uss_listable(inst, vals):
     return True
 
 
+def _uss_order(fields):
+    """The order of an unbounded certificate's field values in its valid
+    list: count, then the indices, then the multiplicities."""
+    used = fields[1:1 + 2 * fields[0]]
+    return fields[0], used[::2], used[1::2]
+
+
 def test_unbounded_valid_list_is_exactly_what_the_bound_keeps():
     # every certificate of at most 16 bits, in increasing value order, as
-    # its field tuple (most significant field first)
+    # its field tuple (most significant field first); the list is in the
+    # order the unbounded-ss pins were recorded in
     checked = 0
     for family in (unbounded_instances(2, 4, 10),
                    unbounded_instances(3, 5, 12)):
@@ -1256,8 +1266,24 @@ def test_unbounded_valid_list_is_exactly_what_the_bound_keeps():
             assert len(set(listed)) == len(listed), inst
             assert set(listed) == {v for v, ok in enumerate(keep) if ok}, \
                 inst
+            fields = [unpack_fields(Witness(v, sum(ws)), ws) for v in listed]
+            assert fields == sorted(fields, key=_uss_order), inst
             checked += 1
     assert checked == 135 + 434
+
+
+def test_unbounded_valid_list_never_extends_a_prefix_past_t():
+    # every item is past t, so no index tuple fits and the list holds the
+    # empty certificate alone: found in n steps per count, where building
+    # every index tuple first took 33 s at n = 30
+    inst = UnboundedSubsetSumInstance((2001,) * 40, 2000)
+    started = time.perf_counter()
+    rep = certificate_scheme_check(UNBOUNDED_SS_SCHEME, [inst])
+    assert time.perf_counter() - started < 10
+    # the one certificate, then 2 + 16 probes less the zero one it is
+    assert (rep.no_instances, rep.stratified, rep.witnesses_checked) == \
+        (1, 1, 18)
+    assert rep.ok
 
 
 def _zkk_reference_values(lay, n):

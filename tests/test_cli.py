@@ -668,7 +668,7 @@ _SMOKE = [
      " --family subset-sum:n=2,max=4,tmax=7", 0, _PASS),
     ("verify zq-to-ss --family zq:q=8,n=4", 0, _PASS),
     ("verify ilp-to-monotone --family ilp-standard:m=2,n=4", 0, _PASS),
-    # a three-link chain sized from ilp-to-monotone's canonical witness
+    # a three-link chain sized from ilp-to-monotone's first listed witness
     ("verify ilp-to-monotone+monotone-to-ss+ss-to-monotone"
      " --family ilp-standard:m=2,n=2", 0, _PASS),
     (("gen unbounded --seed 1 --out {d}/u.json",

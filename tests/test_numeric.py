@@ -67,7 +67,8 @@ def test_knapsack_to_ss_frozen():
     assert {v: (t.items, t.target) for v, t in got.items()} == {
         0: ((11,), 3), 2: ((11,), 7), 4: ((11,), 11)}
     assert solve(got[4]).answer and not solve(got[0]).answer
-    assert r.probe_witness(kp).value == 4
+    # the widest accepted witness, the largest target, comes first
+    assert next(r.valid_witnesses(kp)).value == 4
 
 
 def test_knapsack_to_ss_guards():
@@ -139,7 +140,8 @@ def test_ilp_to_monotone_frozen():
     assert r.witness_len(ilp) == 8
     # per row, (b_pos, b_neg) within the row's +1 and -1 entries: (1, 0) in
     # row 0 (no -1 there), and (0, 0) or (1, 1) in row 1
-    assert [w.value for w in r.valid_witnesses(ilp)] == [64, 81]
+    # row 1's widest, (1, 1), first
+    assert [w.value for w in r.valid_witnesses(ilp)] == [81, 64]
     out = r.apply(ilp, Witness(81, 8))
     assert out.columns == ((1, 0, 0, 1), (0, 1, 0, 0))
     assert out.rhs == (1, 1, 0, 1)
@@ -203,8 +205,11 @@ def test_round_trip_chain_preserves_verdicts():
             wit = fwd.synthesize(inst, src.solution)
             assert solve(fwd.apply(inst, wit)).answer
         else:
-            # no-instances must stay no under every witness; spot-check one
-            assert not solve(fwd.apply(inst, fwd.probe_witness(inst))).answer
+            # no-instances must stay no under every witness; spot-check
+            # the first listed one, or the zero witness when none is
+            wit = next(fwd.valid_witnesses(inst),
+                       Witness.zero(fwd.witness_len(inst)))
+            assert not solve(fwd.apply(inst, wit)).answer
 
 
 @pytest.mark.parametrize("name,family", [

@@ -28,7 +28,7 @@ from redkit.families import (cm_contract_family, cm_grid, ilps, knapsacks,
 from redkit.groups import identity, make_run_context
 from redkit.numeric import _MONOTONE_NO
 from redkit.oracles import solve
-from redkit.reductions import chain
+from redkit.reductions import chain, compose
 from redkit.witness import Witness, all_witnesses, field_width, pack_fields
 
 from helpers import block_diagonal, unpack_fields
@@ -71,12 +71,14 @@ def _ref_kss_transform(inst, wit):
 
 
 def _ref_kss_valid(inst):
+    """Every guess, widest first: the capacity guess and then the demand
+    guess counting down."""
     case, _, W = _kss_case(inst)
     if case != "main":
         yield Witness.zero(0)
         return
-    for t_guess in range(inst.capacity + 1):
-        for w_guess in range(inst.demand, W):
+    for t_guess in reversed(range(inst.capacity + 1)):
+        for w_guess in reversed(range(inst.demand, W)):
             yield pack_fields((t_guess, w_guess - inst.demand),
                               _kss_widths(inst))
 
@@ -195,8 +197,9 @@ def _ref_im_transform(inst, wit):
 
 def _ref_im_valid(inst, within_reach=True):
     """Every witness whose (b_pos, b_neg) per row, each in [0, n], differ
-    by the row's rhs; when ``within_reach``, only those whose every field
-    is at most its reach (the transform rejects the rest)."""
+    by the row's rhs, row 0 in the outermost loop, each b_pos decreasing
+    (widest first); when ``within_reach``, only those whose every field is
+    at most its reach (the transform rejects the rest)."""
     m = inst.num_rows
     n = len(inst.columns)
     if m == 0:
@@ -205,7 +208,7 @@ def _ref_im_valid(inst, within_reach=True):
     most = _im_reach(inst) if within_reach else [n] * (2 * m)
     per_row = []
     for j, b in enumerate(inst.rhs):
-        opts = [(bp, bp - b) for bp in range(most[j] + 1)
+        opts = [(bp, bp - b) for bp in reversed(range(most[j] + 1))
                 if 0 <= bp - b <= most[m + j]]
         if not opts:
             return
@@ -607,7 +610,15 @@ def test_layout_reduction_matches_reference(name):
         assert list(islice(red.valid_witnesses(inst), 5000)) == \
             list(islice(ref_valid(inst), 5000))
         if ref_canonical is not None:
-            assert red.canonical_witness(inst) == ref_canonical(inst)
+            # the widest accepted witness is listed first; with none
+            # listed, every witness, the zero one a chain then sizes its
+            # slot from too, maps to the reject constant
+            first = next(red.valid_witnesses(inst), None)
+            if first is not None:
+                assert first == ref_canonical(inst)
+            else:
+                for wit in (ref_canonical(inst), Witness.zero(length)):
+                    assert ref_transform(inst, wit) is _REF_MONOTONE_NO
 
     @settings(max_examples=150, deadline=None)
     @given(instances, instances,
@@ -810,11 +821,11 @@ def _accepts(red, inst, wit):
     ("ilp-to-monotone", lambda: ilps("standard", 2, 2), (1247, 291)),
     ("ilp-to-monotone", lambda: ilps("standard", 2, 3), (9402, 1806)),
 ], ids=["ss-to-monotone", "ilp-to-monotone-2x2", "ilp-to-monotone-2x3"])
-def test_canonical_witness_is_accepted_whenever_some_witness_is(
+def test_first_listed_witness_is_accepted_whenever_some_witness_is(
         name, family, counts):
-    # a chain sizes its next slot from the canonical witness's target, so
-    # that target must not be the reject constant when a witness is not;
-    # the valid witnesses include every accepted one
+    # a chain sizes its next slot from the first listed witness's target,
+    # so that target must not be the reject constant when a witness's is
+    # not; the valid witnesses include every accepted one
     red = REDUCTIONS[name]
     checked = some = 0
     for inst in family():
@@ -822,7 +833,8 @@ def test_canonical_witness_is_accepted_whenever_some_witness_is(
         accepted = any(_accepts(red, inst, w)
                        for w in red.valid_witnesses(inst))
         some += accepted
-        assert _accepts(red, inst, red.canonical_witness(inst)) == accepted
+        first = next(red.valid_witnesses(inst), None)
+        assert (first is not None and _accepts(red, inst, first)) == accepted
     assert (checked, some) == counts
 
 
@@ -840,12 +852,98 @@ def test_canonical_witness_is_accepted_whenever_some_witness_is(
 ])
 def test_three_link_chains_size_their_slots_for_every_accepted_witness(
         spec, family):
-    # the first link's canonical witness is its widest accepted one, so
+    # the first link's first listed witness is its widest accepted one, so
     # the next slot fits the target of every accepted witness: with the
     # narrowest, ilp-to-monotone's chains met intermediates that want more
     # bits than the slot has (completeness and transform-error violations)
     rep = nppt_contract_check(get_reduction(spec), family())
     assert rep.ok and rep.no_instances, rep.violations[:3]
+
+
+# Criterion 01's source families, by kind: a reduction, or a chain, reads
+# the family of its source kind, the members whose variant it reads.
+_SOURCE_FAMILIES = {
+    "subset_sum": partial(subset_sums, 5, 8, 40),
+    "knapsack": partial(knapsacks, 3, 6),
+    "ilp": lambda: (inst for variant in ("monotone", "zero_sum", "standard")
+                    for inst in ilps(variant, 2, 4)),
+    "group_subset_sum": partial(zq_instances, 8, 4),
+}
+
+
+def _composed(first, second):
+    """``compose(first, second)``, or None where it refuses the pair."""
+    try:
+        return compose(first, second)
+    except ReductionError:
+        return None
+
+
+def _narrower_first(first, nexts, most=1000, bits=10):
+    """(source and next-link pairs checked, the names of the reductions of
+    ``nexts`` for which the target of some witness ``first`` lists needs
+    more bits than its first listed witness's target), over the first
+    ``most`` sources of ``first``'s family with at most ``bits`` witness
+    bits; a source that lists nothing is not checked."""
+    def small(inst):
+        try:
+            first.check_source(inst)
+        except ReductionError:
+            return False
+        return first.witness_len(inst) <= bits
+    checked, narrower = 0, set()
+    for inst in islice(filter(small, _SOURCE_FAMILIES[first.source_kind]()),
+                       most):
+        targets = [first.transform(inst, wit)
+                   for wit in first.valid_witnesses(inst)]
+        for second in nexts if targets else ():
+            widths = [second.witness_len(tgt) for tgt in targets]
+            checked += 1
+            if max(widths) > widths[0]:
+                narrower.add(second.name)
+    return checked, narrower
+
+
+def test_each_list_starts_with_a_widest_witness_for_every_next_link():
+    # ``compose`` sizes its slot from the first link's first listed
+    # witness, so that witness's target must need the most bits of the next
+    # link among the listed witnesses' targets: checked for each reduction
+    # of the catalog and each two-link chain of them (the ILP-guessing
+    # widths matter only behind monotone-to-ss) whose source kind has a
+    # criterion-01 family, followed by each reduction that ``compose``
+    # accepts after it.  No order of one link's list can serve every chain:
+    # behind ss-to-knapsack, knapsack-to-ss wants no bits for a target past
+    # the items' sum (a fixed no) and the most just below it, while
+    # ss-to-monotone behind zq-to-ss wants the largest total, so the two
+    # chains through ss-to-knapsack break the rule, as their three-link
+    # chains show (completeness violations: the slot is too narrow)
+    singles = list(REDUCTIONS.values())
+    firsts = singles + [pair for a in singles for b in singles
+                        if (pair := _composed(a, b)) is not None]
+    checked, narrower = 0, set()
+    for first in firsts:
+        if first.source_kind in _SOURCE_FAMILIES:
+            nexts = [second for second in singles
+                     if _composed(first, second) is not None]
+            got, names = _narrower_first(first, nexts)
+            checked += got
+            narrower |= {(first.name, name) for name in names}
+    assert narrower == {
+        ("knapsack-to-ss+ss-to-knapsack", "knapsack-to-ss"),
+        ("zq-to-ss+ss-to-knapsack", "knapsack-to-ss")}
+    assert checked == 121783
+
+
+def test_widest_first_check_catches_a_list_in_increasing_order():
+    # a planted fault: zq-to-ss lists its totals least first, so the first
+    # target is the narrowest for ss-to-monotone on every source with two
+    # totals of different widths
+    red = REDUCTIONS["zq-to-ss"]
+    increasing = dataclasses.replace(red, valid_witnesses=lambda inst: iter(
+        sorted(red.valid_witnesses(inst))))
+    second = REDUCTIONS["ss-to-monotone"]
+    assert _narrower_first(red, [second]) == (990, set())
+    assert _narrower_first(increasing, [second]) == (990, {second.name})
 
 
 def _target_without_reach(name, inst, wit):

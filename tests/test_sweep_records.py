@@ -416,7 +416,13 @@ class Pin(NamedTuple):
 # round, so its verdicts part moved too (553a4d05... before), as did
 # ``witnesses_checked`` and ``stratified`` (666 and 31, now 544 and 37:
 # an instance whose sweep raised is counted in neither phase; full digest
-# e809a767... before).
+# e809a767... before).  ss-ks-ss/fault was re-recorded when each valid list
+# came to put its widest accepted witness first: knapsack-to-ss counts its
+# guesses down, so on 74 of the 88 no-instances the first faulty witness
+# met is now a raising one (``transform-error``) where it was an accepted
+# one (``soundness``), on the same 146 instances (see the test below), and
+# its counts went (521, 134, 88) -> (614, 134, 14) (verdicts 9f54b1f7...
+# and full digest 33f293a7... before).
 PINS = {
     "cm-to-permss": Pin(
         "49c3da461667f4cea7c03efda656a9ee44a6beb5511a8da5574bb3de98001307",
@@ -439,9 +445,9 @@ PINS = {
         (10452, 134, 88),
         "7b0be87233fa695280e45d360b9c7897dc7fa9fbc62c701bfa9fbdf620b0cab3"),
     "ss-ks-ss/fault": Pin(
-        "9f54b1f7c0d481bfbb40e706f25f89ff48d5515f31fc945c025256fba212524f",
-        (521, 134, 88),
-        "33f293a781223e085a946a79fb2d12ffba3597f5f93cbf91dca5bd0c6fc5c926"),
+        "a3482b85755102692cf6b18555485f8901d3fba8db4175989a701232e76d6f20",
+        (614, 134, 14),
+        "616122ea73b376bcb89db96e24f79a675975806b0ab7dbac893ddf13fe0016c3"),
     "ss-ms-ss": Pin(
         "3dfae40a1bbc94693f6d84e6419fdc0390ec44be2d5d0a96e92f0e4dd368e897",
         (1865, 48, 66),
@@ -493,11 +499,22 @@ def _verdicts(rep):
     return data
 
 
+def _caught(rep):
+    """Each record kind's count, and the sha256 of the sorted reprs of the
+    instances the records name: a fault pin whose verdicts part moved but
+    whose caught instances did not differs only in which faulty witness a
+    sweep meets first."""
+    kinds = Counter(v["kind"] for v in rep.violations)
+    return dict(sorted(kinds.items())), \
+        _digest(sorted(repr(v["instance"]) for v in rep.violations))
+
+
 @pytest.mark.parametrize("name", sorted(DIGEST_CASES))
 def test_report_digest(name):
     rep = DIGEST_CASES[name].run()
     pin = PINS[name]
-    assert _digest(_verdicts(rep)) == pin.verdicts, rep.violations[:3]
+    assert _digest(_verdicts(rep)) == pin.verdicts, \
+        (_caught(rep), rep.violations[:3])
     assert tuple(map(rep.as_dict().get, _COUNTS)) == pin.counts
     assert _digest(rep.as_dict()) == pin.full
 
@@ -534,3 +551,19 @@ def test_ssm_fault_pin_catches_the_fault_on_the_same_instances():
                    for v in rep.violations) == {(False, False): 114,
                                                 (True, True): 6}
     assert len({v["instance"] for v in rep.violations}) == 120
+
+
+def test_chain_fault_pin_catches_the_fault_on_the_same_instances():
+    # one record on each of 146 instances, 58 of them yes-instances (a
+    # completeness record), whichever faulty witness is met first on a
+    # no-instance: a raising one (transform-error) or an accepted one
+    # (soundness); the caught set is the one recorded before the lists
+    # put their widest witness first
+    rep = DIGEST_CASES["ss-ks-ss/fault"].run()
+    assert Counter((v["kind"] == "completeness", solve(v["instance"]).answer)
+                   for v in rep.violations) == {(False, False): 88,
+                                                (True, True): 58}
+    assert len({v["instance"] for v in rep.violations}) == 146
+    assert _caught(rep) == (
+        {"completeness": 58, "soundness": 14, "transform-error": 74},
+        "11e9fc75a49d0eed881d6161dbd328542a0bde254f35dd5297d748b6be8b8512")
