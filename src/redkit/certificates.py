@@ -8,8 +8,8 @@ layout (length, shifts, masks and ``len_bound``) depends only on the
 instance's shape: (t, n) for unbounded subset sum, (k, n) for Z_k^k, where
 n is the item or element count.  Each shape is built once and kept in an
 ``lru_cache`` of ``USS_SHAPE_CACHE`` or ``ZKK_SHAPE_CACHE`` entries keyed by
-those ints, and ``witness.layout_cache`` keeps the last instance's shape in
-front of it; each verifier reads the kept pair inline, so its many calls on
+those ints, and ``instances.layout_cache`` keeps the last instance's shape
+in front of it; each verifier reads the kept pair inline, so its many calls on
 one instance neither hash the instance nor call the layout function, and a
 new instance of a known shape costs one cache lookup.  The Z_k^k verifier
 compares the coordinate sums with the instance's own target.  The layout
@@ -78,8 +78,7 @@ from . import instances as I
 from .errors import (ConstructionError, RedkitError, ReductionError,
                      ResourceLimitError, ValidationError)
 from .oracles import check_solution, solve
-from .witness import (Witness, all_witnesses, field_width, layout_cache,
-                      witnesses)
+from .witness import Witness, all_witnesses, field_width, witnesses
 
 if TYPE_CHECKING:
     from .reductions import Reduction
@@ -192,7 +191,7 @@ def _uss_shape(t, n) -> _UssLayout:
                       (1 << wi) - 1, (1 << wm) - 1, bound)
 
 
-@layout_cache
+@I.layout_cache
 def _uss_layout(inst) -> _UssLayout:
     """The shape of one instance.  A target that is not a nonnegative int
     is refused here, before it could alias a shape: 4.0 hashes like 4, and
@@ -403,7 +402,7 @@ def _zkk_shape(k, n) -> _ZkkLayout:
     return lay._replace(values=tuple(_zkk_values(lay, n)))
 
 
-@layout_cache
+@I.layout_cache
 def _zkk_layout(inst) -> _ZkkLayout:
     """The shape of one instance.  A group other than Z_k^k with an int
     k >= 1, or a target outside it, is refused here."""

@@ -1,7 +1,8 @@
 """Problem instances: types, structural validation, trivial instances, JSON.
 
 ``validate`` lists an instance's structural problems; ``source_problems``
-keeps that list for the last instance object.
+keeps that list for the last instance object, with ``layout_cache``, the
+one-object memo that also keeps the reductions' and schemes' layouts.
 
 Each instance and group field carries its JSON format in its declaration
 (``_field``), and ``to_json``/``from_json`` read those declarations.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import wraps
 from operator import add, itemgetter
 from typing import Callable, NamedTuple, Union
 
@@ -516,11 +518,11 @@ def validate(inst: ProblemInstance) -> list[str]:
         if inst.variant not in ILP_VARIANTS:
             out.append(f"unknown variant {inst.variant!r}")
         m = len(inst.rhs)
-        lo = 0 if inst.variant == "monotone" else -1
+        entries = (0, 1) if inst.variant == "monotone" else (-1, 0, 1)
         for col in inst.columns:
             if len(col) != m:
                 out.append("column length differs from rhs length")
-            if any(not lo <= a <= 1 for a in col):
+            if any(a not in entries for a in col):
                 out.append("column entries out of range")
         if inst.variant == "zero_sum" and any(b != 0 for b in inst.rhs):
             out.append("zero_sum variant requires rhs = 0")
@@ -599,22 +601,51 @@ def validate(inst: ProblemInstance) -> list[str]:
     return out
 
 
-# The last instance object ``source_problems`` checked and its problems, one
-# tuple in a single store; it starts with an object no caller holds.
-_last_checked = [(object(), None)]
+def layout_cache(build: Callable) -> Callable:
+    """``build(inst)``, kept for the last instance object asked for.
+
+    The memo holds exactly one instance and its layout, and reuses the
+    layout while the very same object (``is``) is asked for again, so a hit
+    costs one identity test and never hashes the instance.  A sweep checks
+    every witness of one instance before the next, and a chain of
+    reductions (``reductions.compose``) hands the next link one
+    intermediate object per run of witnesses, so one entry is all either
+    needs.  A caller that interleaves instances rebuilds the layout on each
+    switch; nothing is kept past the last instance.  The pair is the item
+    of the list ``layout.last``: the transforms of the layout-based
+    reductions and the verifiers of the certificate schemes, called once
+    per witness, read it inline and call ``layout`` only on a miss, so a
+    hit adds no Python frame.  ``source_problems`` keeps a source's
+    ``validate`` list the same way.
+
+    ``build`` may itself look the layout up by the instance's shape, as the
+    certificate schemes do (an ``lru_cache`` keyed by a few ints): a switch
+    to a new instance then costs that lookup, instances of one shape share
+    one layout object, and still no instance is kept past the last one.
+    """
+    # one tuple, stored in a single store, so the pair never mixes two
+    # calls; it starts with an object no caller holds
+    last = [(object(), None)]
+
+    @wraps(build)
+    def layout(inst):
+        held, lay = last[0]
+        if inst is held:
+            return lay
+        lay = build(inst)
+        last[0] = (inst, lay)
+        return lay
+    layout.last = last
+    return layout
 
 
+@layout_cache
 def source_problems(inst: ProblemInstance) -> list[str]:
-    """``validate(inst)``, kept for the last instance object asked for (an
-    ``is`` test, as ``witness.layout_cache`` keeps a layout).
+    """``validate(inst)``, kept for the last instance object asked for.
     ``Reduction.apply`` and the CLI's loader read it, so many ``apply``
     calls on one source, and ``redkit reduce``'s load and apply, validate
     it once.  The list is shared: callers only read it."""
-    held, problems = _last_checked[0]
-    if inst is not held:
-        problems = validate(inst)
-        _last_checked[0] = (inst, problems)
-    return problems
+    return validate(inst)
 
 
 # ---------------------------------------------------------------------------

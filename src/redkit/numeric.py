@@ -10,34 +10,38 @@ invalid witnesses map to fixed trivial no-instances so that exhaustive
 contract checks can cover the invalid stratum with a single probe.  A
 reduction whose witness has several fields computes the instance's layout
 once (length, widths, shifts and mask, plus the parts of the target that do
-not depend on the witness) and keeps it with ``witness.layout_cache`` (which
-says what it holds); ``transform``, ``witness_len``, ``synthesize`` and the
-enumerators read that layout, a frozen dataclass with slots, so that each
-field is read as a slot.  ``transform``, called once per witness, reads the
-kept pair inline (``<layout>.last``) and calls the layout function only for
-another instance, then decodes ``wit.value`` with its shifts and masks.
-Targets are built from plain tuples, which their constructors neither copy
+not depend on the witness) and keeps it with ``instances.layout_cache``
+(which says what it holds); ``transform``, ``witness_len``, ``synthesize``
+and the enumerators read that layout, a frozen dataclass with slots, so
+that each field is read as a slot.  ``transform``, called once per
+witness, reads the kept pair inline (``<layout>.last``) and calls the
+layout function only for another instance, then decodes ``wit.value`` with
+its shifts and masks.  Targets are built from plain tuples, which their constructors neither copy
 nor store again.  Each valid list puts a widest accepted witness first, as
 ``reductions.compose`` reads it: knapsack-to-ss, ilp-to-monotone and
 zq-to-ss count their guesses down, and ss-to-monotone's first value is its
 greedy one (see ``_ssm_values``).
 
-ilp-to-monotone and ss-to-monotone guess per-row totals and reject most
-witnesses of a no-instance, so each first tests the packed value ``v`` and
-returns its fixed no-instance without decoding a field when the test fails;
-a witness that passes is decoded and checked field by field, so the test
-changes no target.  The test is the reach test: each guessed row total is
-at most its reach, the number of ones that row of the target's columns
-holds (for ss-to-monotone the kept items with bit j set, for
-ilp-to-monotone the +1 and the -1 entries of row j).  A total above its
-reach makes a target that ``kernels.ilp_rhs_code`` answers no (method
-``range``), so the fixed no-instance changes no verdict, and the sweep
-skips it without a solve.  It runs on ``v`` with two (mask, addend, carry)
-triples built once per layout: the mask keeps the even-index (or the
-odd-index) fields, each of which then has a zeroed field above it, the
-addend puts ``2^w - 1 - min(reach_j, 2^w - 1)`` on field j, and the sum
-sets the carry bit just above field j exactly when field j exceeds its
-reach.
+ss-to-monotone and ilp-to-monotone share one row-guessing layout: each
+witness field guesses one row total of a monotone 0-1 target whose columns
+do not depend on the witness (for ss-to-monotone a row per binary digit of
+t and a column per item <= t, for ilp-to-monotone the +1 rows and then the
+-1 rows of the source and a column per source column).  ``_guess_layout``
+builds it from those 0/1 columns, the field count and the field width, and
+``_row_sums`` sums the columns' rows into each row's reach, its ones; the
+synthesizers apply it to the chosen columns.  Both reductions reject most
+witnesses of a no-instance, so each transform first tests the packed value
+``v`` and returns its fixed no-instance without decoding a field when the
+test fails; a witness that passes is decoded and checked field by field,
+so the test changes no target.  The test is the reach test: each guessed
+row total is at most its reach.  A total above its reach makes a target
+that ``kernels.ilp_rhs_code`` answers no (method ``range``), so the fixed
+no-instance changes no verdict, and the sweep skips it without a solve.
+It runs on ``v`` with two (mask, addend, carry) triples built once per
+layout: the mask keeps the even-index (or the odd-index) fields, each of
+which then has a zeroed field above it, the addend puts
+``2^w - 1 - min(reach_j, 2^w - 1)`` on field j, and the sum sets the carry
+bit just above field j exactly when field j exceeds its reach.
 
 Both list exactly the witnesses the transform decodes, those whose every
 field is within its reach and that meet the rhs, as packed values fed to
@@ -64,8 +68,7 @@ from operator import lshift, sub
 from . import instances as I
 from .errors import ConstructionError, ReductionError
 from .reductions import Reduction, deterministic
-from .witness import (Witness, field_width, layout_cache, pack_fields,
-                      witnesses)
+from .witness import Witness, field_width, pack_fields, witnesses
 
 # Fixed targets of guard cases and rejected witnesses, built once.
 _SS_YES = I.trivial_instance("subset_sum", True)
@@ -171,7 +174,7 @@ class _KssLayout:
     items: tuple        # the target's items, size * W + weight
 
 
-@layout_cache
+@I.layout_cache
 def _kss_layout(inst) -> _KssLayout:
     t, w = inst.capacity, inst.demand
     kept = [(p, wi) for p, wi in inst.items if p <= t]
@@ -238,55 +241,64 @@ red_knapsack_to_ss = Reduction(
 
 
 # ---------------------------------------------------------------------------
-# Subset sum -> monotone ILP (guessed digit sums of the target).
+# Row guessing: ss-to-monotone and ilp-to-monotone guess each row total of
+# one monotone 0-1 target, within that row's reach.
 
 
-def _over_reach(reach, width):
-    """The packed reach test's (mask, addend, carry) triples, for the
-    even-index and then the odd-index fields, flat: field j of ``reach``'s
-    ``len(reach)`` fields of ``width`` bits sits at bit
-    ``(len(reach) - 1 - j) * width``, as in both layouts below."""
+@dataclass(frozen=True, slots=True)
+class _GuessLayout:
+    length: int         # witness bits: one guessed total per row
+    widths: tuple
+    shifts: tuple       # shift of row j's total: (fields - 1 - j) * width
+    mask: int
+    columns: tuple      # the target's 0/1 columns
+    reach: tuple        # row j's ones over the columns: its total's most
+    over: tuple         # the packed reach test's (mask, addend, carry)
+                        # triples, for the even-index then the odd-index rows
+
+
+def _row_sums(columns, fields):
+    """Each row's total over 0/1 ``columns`` of ``fields`` rows, summed
+    column by column in C."""
+    return tuple(map(sum, zip(*columns))) if columns else (0,) * fields
+
+
+def _guess_layout(columns, fields, width) -> _GuessLayout:
     top = (1 << width) - 1
-    fields = len(reach)
-    out = []
+    shifts = tuple(range((fields - 1) * width, -1, -width))
+    reach = _row_sums(columns, fields)
+    over = []
     for first in (0, 1):
         mask = addend = carry = 0
         for j in range(first, fields, 2):
-            shift = (fields - 1 - j) * width
+            shift = shifts[j]
             mask |= top << shift
             # a field fits ``width`` bits, so a reach past ``top`` never
             # carries: clamped, not a negative addend
             addend |= (top - min(reach[j], top)) << shift
             carry |= 1 << shift + width
-        out += (mask, addend, carry)
-    return tuple(out)
+        over += (mask, addend, carry)
+    return _GuessLayout(fields * width, (width,) * fields, shifts, top,
+                        columns, reach, tuple(over))
 
 
-@dataclass(frozen=True, slots=True)
-class _SsmLayout:
-    length: int         # witness bits: one digit sum per row
-    widths: tuple
-    shifts: tuple       # shift of row j's digit sum b_j
-    mask: int
-    columns: tuple      # the binary digits of each item <= t
-    reach: tuple        # row j's ones: the items <= t with bit j set
-    over: tuple         # _over_reach(reach, width)
+# ---------------------------------------------------------------------------
+# Subset sum -> monotone ILP (guessed digit sums of the target).
 
 
-@layout_cache
-def _ssm_layout(inst) -> _SsmLayout:
+def _bits(items, t):
+    """The binary digits of each of ``items`` <= t, least significant first,
+    one per digit of t."""
+    digits = range(t.bit_length())
+    return tuple([tuple([(p >> j) & 1 for j in digits])
+                  for p in items if p <= t])
+
+
+@I.layout_cache
+def _ssm_layout(inst) -> _GuessLayout:
+    # one row per binary digit of t, one column per item <= t
     t = inst.target
-    k = t.bit_length()
-    width = field_width(t)
-    digits = range(k)
-    columns = tuple([tuple([(p >> j) & 1 for j in digits])
-                     for p in inst.items if p <= t])
-    # row j's ones, summed column by column in C
-    reach = tuple(map(sum, zip(*columns))) if columns else (0,) * k
-    return _SsmLayout(
-        k * width, (width,) * k,
-        tuple((k - 1 - j) * width for j in range(k)), (1 << width) - 1,
-        columns, reach, _over_reach(reach, width))
+    return _guess_layout(_bits(inst.items, t), t.bit_length(), field_width(t))
 
 
 _SSM_LAST = _ssm_layout.last
@@ -310,17 +322,15 @@ def _ssm_transform(inst, wit):
 
 
 def _ssm_synthesize(inst, sol):
-    lay = _ssm_layout(inst)
-    chosen = [inst.items[i] for i in sol if inst.items[i] != 0]
-    b = tuple(sum((p >> j) & 1 for p in chosen)
-              for j in range(len(lay.widths)))
-    return pack_fields(b, lay.widths)
+    widths = _ssm_layout(inst).widths
+    chosen = _bits([inst.items[i] for i in sol], inst.target)
+    return pack_fields(_row_sums(chosen, len(widths)), widths)
 
 
-def _ssm_values(t, reach):
+def _ssm_values(t, lay):
     """The packed values of the digit sums b_j with sum(b_j 2^j) = t and
-    each b_j <= reach_j, lazily: b_0 in the outermost loop, each
-    increasing, so the values increase.
+    each b_j <= reach_j, packed at ``lay``'s shifts, lazily: b_0 in the
+    outermost loop, each increasing, so the values increase.
 
     The first value is the greedy one, widest first: from the top digit
     down, each takes as much of what is left of t as its reach allows.
@@ -328,7 +338,7 @@ def _ssm_values(t, reach):
     reach do (any 2^j that lower digits make up can be traded for one more
     digit j), and it puts the most on the top digits."""
     k = t.bit_length()
-    width = field_width(t)
+    reach, shifts = lay.reach, lay.shifts
     # the digits above ``top``, the last with a nonzero reach, are 0
     top = max((j for j, r in enumerate(reach) if r), default=-1)
     if top < 1:
@@ -336,11 +346,11 @@ def _ssm_values(t, reach):
         if t == 0:
             return iter((0,))
         if top == 0 and t <= reach[0]:
-            return iter((t << (k - 1) * width,))
+            return iter((t << shifts[0],))
         return iter(())
     # at digit top-1, b_{top-1} += 2 takes 1 from digit top
-    shift_top = (k - 1 - top) * width
-    step = ((2 << width) - 1) << shift_top
+    shift_top = shifts[top]
+    step = (2 * lay.mask + 1) << shift_top
     # cover[j] = sum(reach_i 2^i for i >= j): the most digits j.. can add
     cover = [0] * (k + 1)
     for j in reversed(range(k)):
@@ -361,7 +371,7 @@ def _ssm_values(t, reach):
                 lo = max(h & 1, h - (cover[j + 1] >> j))
                 hi = min(h, reach[j])
                 hi -= (hi ^ h) & 1
-                shift = (k - 1 - j) * width
+                shift = shifts[j]
                 if j < top - 1:
                     # b_j = lo, lo + 2, ..., hi: what each leaves of rem,
                     # and acc with b_j at ``shift``, as two ranges
@@ -382,7 +392,7 @@ def _ssm_values(t, reach):
 
 def _ssm_valid(inst):
     lay = _ssm_layout(inst)
-    return witnesses(_ssm_values(inst.target, lay.reach), lay.length)
+    return witnesses(_ssm_values(inst.target, lay), lay.length)
 
 
 red_ss_to_monotone = Reduction(
@@ -498,32 +508,15 @@ red_zerosum_to_ilp = Reduction(
 # Standard ILP -> monotone ILP (guess positive/negative row totals).
 
 
-@dataclass(frozen=True, slots=True)
-class _ImLayout:
-    length: int         # witness bits: b_pos per row, then b_neg per row
-    widths: tuple
-    shifts: tuple       # shift of each field
-    mask: int
-    columns: tuple      # each column's +1 indicator, then its -1 indicator
-    reach: tuple        # each field's most: the +1 entries of each row,
-                        # then the -1 ones
-    over: tuple         # _over_reach(reach, width)
-
-
-@layout_cache
-def _im_layout(inst) -> _ImLayout:
-    m = inst.num_rows
-    fields = 2 * m
-    width = field_width(len(inst.columns))
+@I.layout_cache
+def _im_layout(inst) -> _GuessLayout:
+    # rows: b_pos per source row, then b_neg per source row; each column's
+    # +1 indicator, then its -1 indicator
     columns = tuple([tuple([1 if a == 1 else 0 for a in col] +
                            [1 if a == -1 else 0 for a in col])
                      for col in inst.columns])
-    # each field's ones, summed column by column in C
-    reach = tuple(map(sum, zip(*columns))) if columns else (0,) * fields
-    return _ImLayout(
-        fields * width, (width,) * fields,
-        tuple((fields - 1 - j) * width for j in range(fields)),
-        (1 << width) - 1, columns, reach, _over_reach(reach, width))
+    return _guess_layout(columns, 2 * inst.num_rows,
+                         field_width(len(inst.columns)))
 
 
 _IM_LAST = _im_layout.last
@@ -548,13 +541,9 @@ def _im_transform(inst, wit):
 
 
 def _im_synthesize(inst, sol):
-    m = inst.num_rows
-    support = [i for i, x in enumerate(sol) if x]
-    b_pos = tuple(sum(1 for i in support if inst.columns[i][j] == 1)
-                  for j in range(m))
-    b_neg = tuple(sum(1 for i in support if inst.columns[i][j] == -1)
-                  for j in range(m))
-    return pack_fields(b_pos + b_neg, _im_layout(inst).widths)
+    lay = _im_layout(inst)
+    chosen = [col for col, x in zip(lay.columns, sol) if x]
+    return pack_fields(_row_sums(chosen, len(lay.widths)), lay.widths)
 
 
 def _im_valid(inst):

@@ -29,7 +29,7 @@ on the vector count n and the dimension l: the field layout, the images
 of pi^0 .. pi^n and of the three letters gamma_hat(b) on each counter's
 block, those of pi^0 .. pi^n on the last block, and the group, each
 built from one run context (``groups.make_run_context``) on a miss.  A
-machine's layout, kept by ``witness.layout_cache``, holds what is its
+machine's layout, kept by ``instances.layout_cache``, holds what is its
 own: one ``_cps_element`` object per vector (an ``lru_cache`` keyed by n,
 vector and flag), one int per counter whose bit c allows count c, and the
 image of pi^f_C on the last block.  Consecutive machines of a grid thus
@@ -51,8 +51,7 @@ from . import pathdecomp
 from .errors import ValidationError
 from .groups import Permutation, identity, make_run_context
 from .reductions import Reduction, deterministic
-from .witness import (Witness, field_width, layout_cache, pack_fields,
-                      witnesses)
+from .witness import Witness, field_width, pack_fields, witnesses
 
 COLOR_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
@@ -254,7 +253,7 @@ _CPS_FIXED_YES = _CpsLayout(_PERM_YES, _CPS_EMPTY, (), (), ())
 _CPS_FIXED_NO = _CpsLayout(_PERM_NO, _CPS_EMPTY, (), (), ())
 
 
-@layout_cache
+@I.layout_cache
 def _cps_layout(inst) -> _CpsLayout:
     """A machine's layout.  A guard case has no elements and ``fixed``,
     the target of its one witness: ``_PERM_YES`` with no vectors and

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ReductionError, ValidationError
-from .instances import source_problems
-from .witness import Witness, layout_cache
+from .instances import layout_cache, source_problems
+from .witness import Witness
 
 
 @dataclass(frozen=True)
@@ -141,14 +141,15 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
     yields one witness for each such first-link witness, its slot zero, so
     that a stratified sweep meets the error too.
 
-    The composite keeps one intermediate: the instance, first-link witness
-    and ``first.transform`` result of its last call, rebound only once that
-    call returns.  Every use of ``first.transform`` (the slot sizes,
-    ``transform``, ``synthesize`` and the witness enumeration) goes through
-    it, and it is reused while the very same instance object comes with an
-    equal first-link witness.  A sweep in increasing value order thus builds
+    The composite keeps one intermediate: the instance and first-link
+    witness of its last call, the ``first.transform`` result and that
+    result's ``second.witness_len``, rebound only once that call returns.
+    Every use of ``first.transform`` (the slot sizes, ``transform``,
+    ``synthesize`` and the witness enumeration) goes through it, and it is
+    reused while the very same instance object comes with an equal
+    first-link witness.  A sweep in increasing value order thus builds
     each intermediate once per run of 2^l2 tails, and the next link's
-    ``witness.layout_cache`` sees that same object again.
+    ``instances.layout_cache`` sees that same object again.
     """
     if first.target_kind != second.source_kind:
         raise ReductionError(
@@ -163,16 +164,18 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
 
     # one tuple, rebound in a single store; it starts with an object no
     # caller holds
-    last = (object(), None, None)
+    last = (object(), None, None, None)
 
     def intermediate(inst, w1):
+        # (the intermediate, the witness length the next link wants on it)
         nonlocal last
-        held, held_w1, mid = last
+        held, held_w1, mid, l2 = last
         if inst is held and w1 == held_w1:
-            return mid
+            return mid, l2
         mid = first.transform(inst, w1)
-        last = (inst, w1, mid)
-        return mid
+        l2 = second.witness_len(mid)
+        last = (inst, w1, mid, l2)
+        return mid, l2
 
     @layout_cache
     def probe(inst):
@@ -180,8 +183,7 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
         l1 = first.witness_len(inst)
         # the first listed witness is a widest accepted one
         listed = first.valid_witnesses(inst) if first.valid_witnesses else ()
-        mid0 = intermediate(inst, next(iter(listed), Witness.zero(l1)))
-        return l1, second.witness_len(mid0)
+        return l1, intermediate(inst, next(iter(listed), Witness.zero(l1)))[1]
 
     def witness_len(inst):
         l1, l2 = probe(inst)
@@ -194,8 +196,7 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
         v = wit.value
         # both parts fit their lengths, since ``wit`` fits l1 + l2 bits, so
         # they skip Witness's range checks
-        mid = intermediate(inst, tuple.__new__(Witness, (v >> l2, l1)))
-        l2p = second.witness_len(mid)
+        mid, l2p = intermediate(inst, tuple.__new__(Witness, (v >> l2, l1)))
         if l2p > l2:
             raise _overflow(second, l2p, l2)
         return second.transform(
@@ -203,7 +204,7 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
 
     def synthesize(inst, sol):
         w1 = first.synthesize(inst, sol)
-        mid = intermediate(inst, w1)
+        mid = intermediate(inst, w1)[0]
         got = oracles.solve(mid)
         if not got.answer:
             raise ReductionError(
@@ -217,8 +218,8 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
     def valid(inst):
         _, l2 = probe(inst)
         for w1 in first.valid_witnesses(inst):
-            mid = intermediate(inst, w1)
-            if second.witness_len(mid) > l2:
+            mid, l2p = intermediate(inst, w1)
+            if l2p > l2:
                 # ``transform`` raises on it
                 yield Witness(w1.value << l2, w1.length + l2)
                 continue

@@ -17,8 +17,11 @@ def tsat_to_ss_instance(inst: I.CnfInstance) -> I.SubsetSumInstance:
     if any(len(set(cl)) > 3 for cl in inst.clauses):
         raise ValidationError("3sat-to-ss requires arity at most 3")
     k = inst.num_vars
-    c = len(inst.clauses)
-    clause_sets = [set(cl) for cl in inst.clauses]
+    # one digit per distinct clause (as a set of literals), first occurrence
+    # first: a repeated clause adds no constraint, and the target parameter
+    # stays poly(num_vars)
+    clause_sets = list(dict.fromkeys(map(frozenset, inst.clauses)))
+    c = len(clause_sets)
 
     def clause_digits(lit):
         return sum(10 ** (k + j) for j, cl in enumerate(clause_sets) if lit in cl)
@@ -93,7 +96,8 @@ def cnf_coloring_layout(inst: I.CnfInstance):
     next_v = 2 * n + 2
     bags = []
     for cl in inst.clauses:
-        lits = [lit_vertex(x) for x in cl]
+        # a repeated literal adds nothing to the OR, so each gets one vertex
+        lits = [lit_vertex(x) for x in dict.fromkeys(cl)]
         gadget = []
         out = lits[0]
         for w in lits[1:]:

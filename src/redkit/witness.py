@@ -15,61 +15,23 @@ range [0, upper]; decoders must treat out-of-range field values as
 Reductions and certificate schemes compute the layout of their fields (the
 length, widths, shifts and masks) once per instance, so that a sweep over
 every witness of an instance decodes each one with a few shifts.  Each
-layout function is wrapped by ``layout_cache``, which holds one instance and
-its layout; its docstring says why one is enough.  The certificate schemes
-build a layout once per shape behind it (see ``redkit.certificates``), and
-so does cm-to-permss, per vector count and dimension (see
-``redkit.pipeline``).
+layout function is wrapped by ``instances.layout_cache``, which holds one
+instance and its layout; its docstring says why one is enough.  The
+certificate schemes build a layout once per shape behind it (see
+``redkit.certificates``), and so does cm-to-permss, per vector count and
+dimension (see ``redkit.pipeline``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import FrozenInstanceError
-from functools import wraps
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
-def layout_cache(build: Callable) -> Callable:
-    """``build(inst)``, kept for the last instance object asked for.
-
-    The memo holds exactly one instance and its layout, and reuses the
-    layout while the very same object (``is``) is asked for again, so a hit
-    costs one identity test and never hashes the instance.  A sweep checks
-    every witness of one instance before the next, and a chain of
-    reductions (``reductions.compose``) hands the next link one
-    intermediate object per run of witnesses, so one entry is all either
-    needs.  A caller that interleaves instances rebuilds the layout on each
-    switch; nothing is kept past the last instance.  The pair is the item
-    of the list ``layout.last``: the transforms of the layout-based
-    reductions and the verifiers of the certificate schemes, called once
-    per witness, read it inline and call ``layout`` only on a miss, so a
-    hit adds no Python frame.
-
-    ``build`` may itself look the layout up by the instance's shape, as the
-    certificate schemes do (an ``lru_cache`` keyed by a few ints): a switch
-    to a new instance then costs that lookup, instances of one shape share
-    one layout object, and still no instance is kept past the last one.
-    """
-    # one tuple, stored in a single store, so the pair never mixes two
-    # calls; it starts with an object no caller holds
-    last = [(object(), None)]
-
-    @wraps(build)
-    def layout(inst):
-        held, lay = last[0]
-        if inst is held:
-            return lay
-        lay = build(inst)
-        last[0] = (inst, lay)
-        return lay
-    layout.last = last
-    return layout
 
 
 def field_width(upper: int) -> int:

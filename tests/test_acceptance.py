@@ -119,7 +119,7 @@ CLAIMS = (
         ("knapsack-to-ss", partial(knapsacks, 2, 4), (3825, 1702, 20257)),
         ("monotone-to-ss", partial(ilps, "monotone", 2, 3), (457, 318, 2363)),
         ("zq-to-ss", partial(zq_instances, 5, 3), (504, 152, 11660)),
-        ("tsat-to-ss", partial(cnfs, 2, 3, 2), (286, 30, 29440)),
+        ("tsat-to-ss", partial(cnfs, 2, 3, 2), (286, 30, 26368)),
         ("ilp-to-monotone+monotone-to-ss", partial(ilps, "standard", 1, 3),
          (110, 60, 962)),
         ("ilp-to-monotone+monotone-to-ss", partial(ilps, "standard", 2, 2),

@@ -134,8 +134,8 @@ def test_a_source_is_validated_once_per_object(tmp_path, capsys,
     real = I.validate
     monkeypatch.setattr(I, "validate",
                         lambda inst: calls.append(inst) or real(inst))
-    # a memo holding no source
-    monkeypatch.setattr(I, "_last_checked", [(object(), None)])
+    # a memo holding no source (emptying it needs no undo)
+    I.source_problems.last[0] = (object(), None)
     src = _write(tmp_path / "src.json", SubsetSumInstance((3, 5), 8))
     code, _, _ = run(capsys, "reduce", "ss-to-monotone", src)
     assert code == 0 and len(calls) == 1

@@ -63,6 +63,25 @@ def test_validation_catches_malformed():
         assert I.validate(inst), inst
 
 
+@pytest.mark.parametrize("inst, name", [
+    (I.IlpInstance(((0.5, 1), (1, 0)), (1, 1)), "ilp-to-monotone"),
+    (I.IlpInstance(((0.5,),), (1,), "monotone"), "monotone-to-ss"),
+])
+def test_a_fractional_ilp_entry_is_refused_alike(inst, name):
+    # the oracle's entry rule, {-1, 0, 1} ({0, 1} for monotone), not a
+    # range: validate, solve and apply all refuse 0.5 (the Python API can
+    # build it; JSON input cannot carry it)
+    from redkit.catalog import REDUCTIONS
+    from redkit.witness import Witness
+
+    red = REDUCTIONS[name]
+    assert I.validate(inst) == ["column entries out of range"]
+    with pytest.raises(ValidationError, match="entries must be in"):
+        solve(inst)
+    with pytest.raises(ValidationError, match=f"{name}: invalid source"):
+        red.apply(inst, Witness.zero(red.witness_len(inst)))
+
+
 def test_group_elements_from_a_list_and_from_a_tuple():
     g = I.ProductGroup(2)
     # a list, and list members in it, become tuples

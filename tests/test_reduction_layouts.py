@@ -1013,6 +1013,26 @@ def test_chain_builds_each_intermediate_once_per_first_link_witness():
     assert calls == rep.checked
 
 
+def test_chain_asks_the_next_link_its_witness_length_once_per_intermediate():
+    # the memo keeps the next link's witness length beside the
+    # intermediate, so the sweep's transforms do not ask it again
+    calls = 0
+    second = REDUCTIONS["knapsack-to-ss"]
+    witness_len = second.witness_len
+
+    def counting(inst):
+        nonlocal calls
+        calls += 1
+        return witness_len(inst)
+
+    red = chain(REDUCTIONS["ss-to-knapsack"],
+                dataclasses.replace(second, witness_len=counting))
+    calls = 0
+    rep = nppt_contract_check(red, subset_sums(3, 5, 10), exhaustive_cap=8)
+    assert (rep.checked, rep.witnesses_checked) == (491, 10452)
+    assert calls == rep.checked
+
+
 def test_chain_matches_its_links_on_interleaved_instances():
     # witnesses in decreasing order, and instances switched (to an equal
     # but distinct copy too), so the intermediate memo misses between runs

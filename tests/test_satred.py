@@ -9,7 +9,8 @@ import pytest
 from redkit import families
 from redkit.errors import ValidationError
 from redkit.families import cnfs, random_3cnf
-from redkit.instances import AndSatInstance, CnfInstance, trivial_instance
+from redkit.instances import (AndSatInstance, CnfInstance, parameter,
+                              trivial_instance)
 from redkit.oracles import solve
 from redkit.satred import (cnf_coloring_layout, red_3sat_to_ss,
                            red_andsat_to_scheduling, red_cnf_to_coloring,
@@ -39,6 +40,23 @@ def test_tsat_digit_structure():
 def test_tsat_rejects_wide_clause():
     with pytest.raises(ValidationError):
         tsat_to_ss_instance(CnfInstance(4, ((1, 2, 3, 4),)))
+
+
+def test_tsat_keeps_one_digit_per_distinct_clause():
+    # a repeated clause (as a set of literals) adds no digit, so the target
+    # parameter stays 13 however often one 3-variable clause repeats
+    for m in (1, 8, 64, 1024):
+        f = CnfInstance(3, ((1, -2, 3),) * m)
+        assert parameter(_apply(red_3sat_to_ss, f)) == 13, m
+    # first occurrence first, whatever order the literals come in
+    assert tsat_to_ss_instance(CnfInstance(2, ((1, 2), (-1,), (2, 1)))) == \
+        tsat_to_ss_instance(CnfInstance(2, ((1, 2), (-1,))))
+    # and AND-SAT stacks the deduplicated sums: 4 copies of a formula with
+    # a 512-fold clause give the target of 4 copies with the clause once
+    once = CnfInstance(3, ((1, 2, 3), (-1, 2)))
+    many = CnfInstance(3, ((1, 2, 3),) * 512 + ((-1, 2),))
+    assert _apply(red_andsat_to_scheduling, AndSatInstance(3, (many,) * 4)) \
+        == _apply(red_andsat_to_scheduling, AndSatInstance(3, (once,) * 4))
 
 
 def test_3sat_reduction_preserves_verdicts():
@@ -101,6 +119,16 @@ def test_cnf_coloring_layout_frozen():
     assert edges == ((0, 1), (0, 2), (0, 3), (2, 3), (0, 4), (0, 5), (4, 5),
                      (2, 6), (4, 7), (6, 7), (8, 6), (8, 7), (8, 0), (8, 1))
     assert bags == ((0, 1, 2, 3, 4, 5, 6, 7, 8),)
+
+
+def test_cnf_coloring_keeps_one_vertex_per_distinct_literal():
+    # a repeated literal adds nothing to the OR chain, so a bag holds at
+    # most 2n + 2 + 3(2n - 1) vertices: (x1 or x1 or ...) keeps parameter 6
+    for m in (1, 4, 16, 64):
+        f = CnfInstance(2, ((1,) * m,))
+        assert parameter(_apply(red_cnf_to_coloring, f)) == 6, m
+    assert cnf_coloring_layout(CnfInstance(2, ((1, 2, 1, 2),))) == \
+        cnf_coloring_layout(CnfInstance(2, ((1, 2),)))
 
 
 def test_cnf_coloring_layout_deterministic():
