@@ -12,13 +12,19 @@ those ints, and ``instances.layout_cache`` keeps the last instance's shape
 in front of it; each verifier reads the kept pair inline, so its many calls on
 one instance neither hash the instance nor call the layout function, and a
 new instance of a known shape costs one cache lookup.  The Z_k^k verifier
-compares the coordinate sums with the instance's own target.  The layout
-function refuses, with one ``ValidationError``, an instance it cannot lay
-out: an unbounded target that is not a nonnegative int (4.0 would alias the
-shape of 4) or a negative item, a group other than Z_k^k with an int
-k >= 1, or a target outside it; every entry point of a scheme goes through
-it.  The synthesizers pack a certificate with the shape's shifts, and a
-field value out of its range is a ``ValidationError``.
+adds the chosen elements as packed ints, k fields of w + 1 bits with
+w = (2k - 1).bit_length(), and after each addition takes k off every field
+that reached k, with the shape's addend and carry mask; it accepts when the
+sum is the instance's packed target.  Its memo keeps, beside the shared
+shape, that packed target and each element's packing, made the first time
+a certificate chooses the element (one outside Z_k^k is a
+``ValidationError`` then).  The layout function refuses, with one
+``ValidationError``, an instance it cannot lay out: an unbounded target
+that is not a nonnegative int (4.0 would alias the shape of 4) or a
+negative item, a group other than Z_k^k with an int k >= 1, or a target
+outside it; every entry point of a scheme goes through it.  The
+synthesizers pack a certificate with the shape's shifts, and a field value
+out of its range is a ``ValidationError``.
 
 Only certificates that can reach the accept comparison are listed.  Items
 are nonnegative, so an unbounded certificate whose running total passes t
@@ -140,10 +146,11 @@ class CertificateScheme:
 # Measured with tracemalloc on full caches of the largest shapes in range,
 # counting the caches' own slots: about 1.9 KB per unbounded shape while
 # t < 2^12 and n <= 2^12, so the 256 entries hold at most 0.6 MB.  A Z_k^k
-# shape takes about 3.4 KB while k <= 4 and n <= 2^16, or up to 15.2 KB
+# shape takes about 3.8 KB while k <= 4 and n <= 2^16, or up to 15.6 KB
 # (k = 4, n = 8) with its values; the 30 shapes with 2 <= k <= 4 that keep
-# them take 109 KB together, so the 64 entries hold at most 0.25 MB.  A
-# sweep meets few shapes: cert-sweep's families have 100 and 8.
+# them take 116 KB together, so the 64 entries hold at most 0.25 MB (242
+# KB measured).  A sweep meets few shapes: cert-sweep's families have 100
+# and 8.
 USS_SHAPE_CACHE = 256
 ZKK_SHAPE_CACHE = 64
 
@@ -376,7 +383,11 @@ class _ZkkLayout(NamedTuple):
     shifts: tuple       # index shift per slot
     index_mask: int
     k: int
-    zero: tuple
+    fields: tuple       # shift of each coordinate's field in a packed element
+    residues: frozenset  # 0 .. k - 1, the coordinates an element may hold
+    w: int              # a field's bits but its carry: (2k - 1).bit_length()
+    add: int            # 2^w - k per field: one of k or more reaches bit w
+    carry: int          # bit w of each field
     bound: int          # len_bound
     values: tuple       # the valid packed values, None past ZKK_VALID_KEPT
 
@@ -385,16 +396,21 @@ class _ZkkLayout(NamedTuple):
 def _zkk_shape(k, n) -> _ZkkLayout:
     """Certificate layout of every Z_k^k instance with n elements: a count
     field, then one index per slot, and the valid packed values when they
-    are at most ``ZKK_VALID_KEPT``.  Without them its size is linear in the
-    slot count."""
+    are at most ``ZKK_VALID_KEPT``; and the packing of an element, k fields
+    of w + 1 bits, with the addend and carry mask that reduce each field mod
+    k.  Without the values its size is linear in the slot count."""
     slots = zkk_bound(k) - 1
     wc, wi = field_width(slots), field_width(max(n - 1, 0))
     body = slots * wi
     shifts = tuple(body - (j + 1) * wi for j in range(slots))
     length = wc + body
+    w = (2 * k - 1).bit_length()
+    fields = tuple(range(0, k * (w + 1), w + 1))
     lay = _ZkkLayout(length, slots, body,
                      _tail_masks(wc, slots, wi, length), shifts,
-                     (1 << wi) - 1, k, (0,) * k,
+                     (1 << wi) - 1, k, fields, frozenset(range(k)), w,
+                     sum(((1 << w) - k) << f for f in fields),
+                     sum(1 << w << f for f in fields),
                      max(k ** 3 * ((k - 1).bit_length() + 1) ** 2, 1), None)
     valid = sum(map(math.comb, repeat(n), range(min(slots, n) + 1)))
     if valid > ZKK_VALID_KEPT:
@@ -403,9 +419,12 @@ def _zkk_shape(k, n) -> _ZkkLayout:
 
 
 @I.layout_cache
-def _zkk_layout(inst) -> _ZkkLayout:
-    """The shape of one instance.  A group other than Z_k^k with an int
-    k >= 1, or a target outside it, is refused here."""
+def _zkk_layout(inst) -> tuple:
+    """The shape of one instance, with what the verifier keeps of it: the
+    (shape, packed, goal) triple, where ``packed`` holds each element's
+    packing once a certificate has chosen it (None before) and ``goal`` is
+    the packed target.  A group other than Z_k^k with an int k >= 1, or a
+    target outside it, is refused here."""
     group = inst.group
     if not isinstance(group, I.ProductGroup):
         raise ValidationError("scheme expects a Z_k^k instance")
@@ -415,43 +434,65 @@ def _zkk_layout(inst) -> _ZkkLayout:
     if not group.contains(inst.target):
         raise ValidationError(
             f"zkk: target {inst.target!r} is not in Z_{k}^{k}")
-    return _zkk_shape(k, len(inst.elements))
+    lay = _zkk_shape(k, len(inst.elements))
+    return (lay, [None] * len(inst.elements),
+            sum(map(lshift, inst.target, lay.fields)))
+
+
+def _zkk_pack(lay, e):
+    """Element e as one int, coordinate j in the field at ``lay.fields[j]``.
+    An element that is no k-tuple of ints in [0, k) is a
+    ``ValidationError``: its fields would carry into their neighbours."""
+    k = lay.k
+    try:
+        if len(e) == k and lay.residues.issuperset(e):
+            # a float equal to a residue passes the test, and lshift
+            # raises on it
+            return sum(map(lshift, e, lay.fields))
+    except TypeError:
+        pass
+    raise ValidationError(f"zkk: element {e!r} is not in Z_{k}^{k}")
 
 
 def _zkk_cert_len(inst):
-    return _zkk_layout(inst).length
+    return _zkk_layout(inst)[0].length
 
 
 def _zkk_len_bound(inst):
-    return _zkk_layout(inst).bound
+    return _zkk_layout(inst)[0].bound
 
 
 _ZKK_LAST = _zkk_layout.last
 
 
 def _zkk_verify(inst, cert):
-    held, lay = _ZKK_LAST[0]
+    held, run = _ZKK_LAST[0]
     if inst is not held:
-        lay = _zkk_layout(inst)
-    length, _, body, tails, shifts, imask, k, zero, _, _ = lay
+        run = _zkk_layout(inst)
+    lay, packed, goal = run
+    length, _, body, tails, shifts, imask, k, _, _, w, add, carry, _, _ = lay
     if cert.length != length:
         return False
     v = cert.value
     count = v >> body
     if v & tails[count]:
         return False
-    elements = inst.elements
-    n = len(elements)
+    n = len(packed)
     prev = -1
-    chosen = []
+    s = 0
     for shift in shifts[:count]:
         i = (v >> shift) & imask
         if i >= n or i <= prev:
             return False
         prev = i
-        chosen.append(elements[i])
-    # coordinate sums of the chosen elements, each column led by a zero
-    return tuple(map(k.__rmod__, map(sum, zip(zero, *chosen)))) == inst.target
+        p = packed[i]
+        if p is None:
+            p = packed[i] = _zkk_pack(lay, inst.elements[i])
+        # each field is at most 2k - 2 < 2^w; the addend carries those of
+        # k or more into bit w, and each carry takes k off its field
+        s += p
+        s -= (((s + add) & carry) >> w) * k
+    return s == goal
 
 
 def find_zero_sum_subsequence(elements, k):
@@ -478,7 +519,7 @@ def find_zero_sum_subsequence(elements, k):
 
 
 def _zkk_synthesize(inst, solution):
-    lay = _zkk_layout(inst)
+    lay = _zkk_layout(inst)[0]
     chosen = sorted(solution)
     while len(chosen) > lay.slots:
         hit = find_zero_sum_subsequence([inst.elements[i] for i in chosen],
@@ -510,7 +551,7 @@ def _zkk_values(lay, n):
 def _zkk_valid(inst):
     """The certificates whose indices decode, kept in the layout or
     streamed (see the module docstring)."""
-    lay = _zkk_layout(inst)
+    lay = _zkk_layout(inst)[0]
     values = lay.values
     if values is None:
         values = _zkk_values(lay, len(inst.elements))

@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import wraps
+from itertools import chain
 from operator import add, itemgetter
 from typing import Callable, NamedTuple, Union
 
@@ -491,39 +492,61 @@ KINDS = tuple(_KIND_CLASSES)
 # ---------------------------------------------------------------------------
 # Validation.
 
+def _ints(values) -> bool:
+    """Whether every value is an int, and not a bool, as the JSON reader
+    asks of an integer."""
+    return {int}.issuperset(map(type, values))
+
+
 def validate(inst: ProblemInstance) -> list[str]:
     """Structural invariant violations; an empty list means the instance is
-    well formed."""
+    well formed.  The numbers of subset sum, knapsack, 0-1 ILP and
+    unbounded subset sum must be ints: a float is reported, not compared."""
     out: list[str] = []
     k = inst.kind
     if k == "subset_sum":
-        if inst.target < 0:
-            out.append("target must be nonnegative")
-        if any(p < 0 for p in inst.items):
-            out.append("items must be nonnegative")
-        if inst.modulus is not None:
-            if inst.modulus < 1:
-                out.append("modulus must be positive")
-            elif not all(0 <= p < inst.modulus for p in inst.items) or \
-                    not (0 <= inst.target < inst.modulus):
-                out.append("modular items and target must lie in [0, modulus)")
+        if not _ints((inst.target, *inst.items)) or \
+                inst.modulus is not None and type(inst.modulus) is not int:
+            out.append("items, target and modulus must be ints")
+        else:
+            if inst.target < 0:
+                out.append("target must be nonnegative")
+            if any(p < 0 for p in inst.items):
+                out.append("items must be nonnegative")
+            if inst.modulus is not None:
+                if inst.modulus < 1:
+                    out.append("modulus must be positive")
+                elif not all(0 <= p < inst.modulus for p in inst.items) or \
+                        not (0 <= inst.target < inst.modulus):
+                    out.append(
+                        "modular items and target must lie in [0, modulus)")
     elif k == "knapsack":
-        if inst.capacity < 0 or inst.demand < 0:
-            out.append("capacity and demand must be nonnegative")
-        for p, w in inst.items:
-            if p <= 0 or w <= 0:
-                out.append("item sizes and weights must be positive")
-                break
+        if not _ints((inst.capacity, inst.demand,
+                      *chain.from_iterable(inst.items))):
+            out.append("item sizes, weights, capacity and demand must be ints")
+        else:
+            if inst.capacity < 0 or inst.demand < 0:
+                out.append("capacity and demand must be nonnegative")
+            for p, w in inst.items:
+                if p <= 0 or w <= 0:
+                    out.append("item sizes and weights must be positive")
+                    break
     elif k == "ilp":
         if inst.variant not in ILP_VARIANTS:
             out.append(f"unknown variant {inst.variant!r}")
         m = len(inst.rhs)
         entries = (0, 1) if inst.variant == "monotone" else (-1, 0, 1)
+        if not _ints(inst.rhs):
+            out.append("rhs entries must be ints")
+        typed = _ints(chain.from_iterable(inst.columns))
         for col in inst.columns:
             if len(col) != m:
                 out.append("column length differs from rhs length")
             if any(a not in entries for a in col):
                 out.append("column entries out of range")
+            elif not typed and not _ints(col):
+                # 1.0 and True are in range
+                out.append("column entries must be ints")
         if inst.variant == "zero_sum" and any(b != 0 for b in inst.rhs):
             out.append("zero_sum variant requires rhs = 0")
     elif k == "group_subset_sum":
@@ -592,10 +615,13 @@ def validate(inst: ProblemInstance) -> list[str]:
                 out.append("formula uses more variables than the shared bound")
             out.extend(validate(f))
     elif k == "unbounded_subset_sum":
-        if inst.target < 0:
-            out.append("target must be nonnegative")
-        if any(p < 0 for p in inst.items):
-            out.append("items must be nonnegative")
+        if not _ints((inst.target, *inst.items)):
+            out.append("items and target must be ints")
+        else:
+            if inst.target < 0:
+                out.append("target must be nonnegative")
+            if any(p < 0 for p in inst.items):
+                out.append("items must be nonnegative")
     else:
         out.append(f"unknown kind {k!r}")
     return out
@@ -622,6 +648,9 @@ def layout_cache(build: Callable) -> Callable:
     certificate schemes do (an ``lru_cache`` keyed by a few ints): a switch
     to a new instance then costs that lookup, instances of one shape share
     one layout object, and still no instance is kept past the last one.
+    It may also return that shared layout with a little of the instance's
+    own, as the Z_k^k scheme keeps its packed target and elements beside
+    the shape: that goes with the instance at the next switch.
     """
     # one tuple, stored in a single store, so the pair never mixes two
     # calls; it starts with an object no caller holds

@@ -34,9 +34,11 @@ part that depends only on it:
   per (columns, row count) in an ``lru_cache`` of ``ILP_COLUMNS_CACHE`` =
   64 entries of about 2 KB each; an instance then only checks and codes its
   rhs.  A column whose length differs from the rhs's, or with an entry
-  outside {-1, 0, 1}, is a ``ValidationError``, checked once per cache
-  miss; the entry also notes whether some entry is -1, so a monotone
-  system with one is refused with no scan per instance.
+  outside {-1, 0, 1} or a float one, is a ``ValidationError``, checked once
+  per cache miss and never kept (1.0 hashes like 1, and its float code
+  would answer the int columns equal to it); the entry also notes whether
+  some entry is -1, so a monotone system with one is refused with no scan
+  per instance.
 - ``solve_group_ss`` keeps one memo (``_last_reach``), the last closure:
   its group, elements, reach set and the set's size after each element.
   Its key is the group object and a prefix of identical element objects
@@ -68,7 +70,12 @@ scheduling, CNF and AND-SAT oracles refuse an instance ``validate``
 rejects; plain subset sum refuses a negative target or item; the 0-1 ILP
 refuses a variant other than standard, monotone and zero-sum, and a
 monotone system with an entry -1; and the zero-sum ILP refuses an rhs
-that is not all zeros, one per row.
+that is not all zeros, one per row.  Where a fast path skips ``validate``
+(plain subset sum, the 0-1 ILP), a field of another type than int, a float
+say, raises a ``TypeError`` in its arithmetic, which ``solve`` turns into
+``validate``'s ``ValidationError``; a float that meets no such arithmetic
+(an item past the target, a column entry 1.0 of a kept int column) is
+solved by its value.
 """
 
 from __future__ import annotations
@@ -269,6 +276,9 @@ def _ilp_columns(columns, rows) -> _IlpColumns:
             cols.append(tuple(a * len(bundle) for a in col))
             size <<= 1
     totals, base, codes = kernels.ilp_column_codes(cols, rows)
+    if not {int}.issuperset(map(type, codes)):
+        # an entry 1.0 passes the test above and makes its code a float
+        raise ValidationError("ilp: column entries must be in {-1,0,1}")
     keep = tuple(b for b, c in enumerate(codes) if c)
     return _IlpColumns(tuple(bundles), tuple(codes), tuple(totals), base,
                        tuple(abs(codes[b]) for b in keep), keep,
@@ -746,7 +756,13 @@ def solve(inst: I.ProblemInstance) -> Verdict:
         solver = _SOLVERS[inst.kind]
     except KeyError:
         raise ValidationError(f"no solver for kind {inst.kind!r}") from None
-    return solver(inst)
+    try:
+        return solver(inst)
+    except TypeError:
+        # a fast path that skips ``validate`` meets a float (say) only in
+        # its arithmetic: ``validate`` names it then, at no cost before
+        _refuse_invalid(inst)
+        raise
 
 
 def check_solution(inst: I.ProblemInstance, sol) -> bool:

@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from itertools import combinations, islice, product, repeat
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1134,20 +1135,170 @@ def test_zkk_verify_matches_reference(a, b):
         assert ZKK_SCHEME.verify(inst, cert) == _ref_zkk_verify(inst, cert)
 
 
+@st.composite
+def _wide_zkk_cases(draw):
+    """A Z_k^k instance with k <= 9 and at most 5 random elements, and a
+    certificate of its layout whose indices decode, the same with one
+    field redrawn, or a raw value (one bit long or short at times).  Half
+    the targets are the sum of the elements a decoding certificate names,
+    so the reference accepts often."""
+    k, n = draw(st.integers(1, 9)), draw(st.integers(0, 5))
+    elem = st.tuples(*[st.integers(0, k - 1)] * k)
+    elements = tuple(draw(st.lists(elem, min_size=n, max_size=n)))
+    ws = _zkk_widths(GroupSubsetSumInstance(ProductGroup(k), elements,
+                                            (0,) * k))
+    slots = len(ws) - 1
+    shape = draw(st.sampled_from(("decodes", "redrawn", "raw")))
+    chosen = []
+    if shape == "raw":
+        length = max(sum(ws) + draw(st.sampled_from((-1, 0, 1))), 0)
+        cert = Witness(draw(st.integers(0, (1 << length) - 1)), length)
+    else:
+        chosen = sorted(draw(st.sets(st.integers(0, max(n - 1, 0)),
+                                     max_size=min(slots, n))))
+        fields = [len(chosen), *chosen, *[0] * (slots - len(chosen))]
+        if shape == "redrawn":
+            j = draw(st.integers(0, slots))
+            fields[j] = draw(st.integers(0, (1 << ws[j]) - 1))
+        cert = pack_fields(fields, ws)
+    target = draw(elem)
+    if draw(st.booleans()):
+        target = tuple(sum(col) % k for col in
+                       zip((0,) * k, *map(elements.__getitem__, chosen)))
+    return GroupSubsetSumInstance(ProductGroup(k), elements, target), cert
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_wide_zkk_cases())
+def test_packed_zkk_verify_matches_coordinate_sums(case):
+    # the packed fields of w + 1 bits at every k up to 9; verify never
+    # raises on a certificate
+    inst, cert = case
+    assert ZKK_SCHEME.verify(inst, cert) == _ref_zkk_verify(inst, cert)
+
+
+def test_zkk_memo_tells_instances_of_one_shape_apart():
+    # a and b share their shape, so only the packed elements and target the
+    # memo keeps tell them apart: each certificate is verified on a, b, a
+    # and equal copies, so every switch finds the other's packings held
+    group = ProductGroup(3)
+    a = GroupSubsetSumInstance(group, ((1, 2, 0), (2, 2, 1), (0, 1, 1)),
+                               (0, 1, 1))
+    b = GroupSubsetSumInstance(group, ((2, 0, 1), (1, 1, 2), (0, 1, 1)),
+                               (2, 1, 2))
+    certs = list(ZKK_SCHEME.valid_certificates(a))
+    answers = set()
+    for cert in certs:
+        for inst in (a, b, a, dataclasses.replace(a), b,
+                     dataclasses.replace(b)):
+            got = ZKK_SCHEME.verify(inst, cert)
+            assert got == _ref_zkk_verify(inst, cert), (inst, cert)
+            answers.add((inst == a, got))
+    assert answers == {(True, True), (True, False), (False, True),
+                       (False, False)}
+    for inst in (a, b, dataclasses.replace(a)):
+        for cert in certs:
+            assert ZKK_SCHEME.verify(inst, cert) == \
+                _ref_zkk_verify(inst, cert)
+
+
+@pytest.mark.parametrize("bad", [
+    (1,), (1, 0, 1), (2, 0), (0, -1), (1.0, 0), (0.5, 1), (True, 0),
+    (False, True), ("a", 0), (None, 1),
+], ids=["short", "long", "coordinate-k", "coordinate-minus-1", "float-1",
+        "float-half", "bool", "bools", "str", "none"])
+def test_zkk_element_outside_the_group_is_refused_or_answered(bad):
+    # an instance whose target lays out: each certificate either gets the
+    # coordinate-sum answer or, once its indices reach the bad element in
+    # increasing order, a ValidationError; never a TypeError
+    inst = GroupSubsetSumInstance(ProductGroup(2), ((1, 0), bad, (1, 1)),
+                                  (0, 1))
+    ws = _zkk_widths(inst)
+    packs = len(bad) == 2 and all(type(c) in (int, bool) and 0 <= c < 2
+                                  for c in bad)
+    for cert in all_witnesses(sum(ws)):
+        count, *slots = unpack_fields(cert, ws)
+        run = slots[:count]
+        # the indices the verifier reads before one fails to increase
+        read = run[:next((j for j in range(1, len(run))
+                          if run[j] <= run[j - 1]), len(run))]
+        reaches = count <= len(slots) and not any(slots[count:]) and \
+            1 in read
+        if reaches and not packs:
+            with pytest.raises(ValidationError, match="not in Z_2"):
+                ZKK_SCHEME.verify(inst, cert)
+        else:
+            assert ZKK_SCHEME.verify(inst, cert) == \
+                _ref_zkk_verify(inst, cert), cert
+
+
+def test_zkk_packs_each_element_once_per_instance(monkeypatch):
+    # an element is packed (and checked) the first time a certificate
+    # chooses it, not once per certificate; a new instance object packs
+    # its own
+    calls = []
+    pack = certificates._zkk_pack
+
+    def counting(lay, e):
+        calls.append(e)
+        return pack(lay, e)
+    monkeypatch.setattr(certificates, "_zkk_pack", counting)
+    elements = ((1, 0), (0, 1), (1, 1), (0, 0))
+    inst = GroupSubsetSumInstance(ProductGroup(2), elements, (1, 0))
+    length = ZKK_SCHEME.cert_len(inst)
+    for _ in range(2):
+        assert sum(map(ZKK_SCHEME.verify, repeat(inst),
+                       all_witnesses(length))) > 1
+    assert sorted(calls) == sorted(elements)
+    ZKK_SCHEME.verify(dataclasses.replace(inst),
+                      ZKK_SCHEME.synthesize(inst, (0,)))
+    assert len(calls) == len(elements) + 1
+
+
+def _zkk_every_family():
+    """Every Z_k^k instance with k = 2 and n <= 4 or k = 1 and n <= 6, a
+    yes and a no one per n <= 2 at k = 3 (2^18 certificates each), and yes
+    and no ones with n <= 3 at k = 6, 7 and 9, of random elements."""
+    yield from zkk_instances(2, 4)
+    yield from zkk_instances(1, 6)
+    for k, top in ((3, 2), (6, 3), (7, 3), (9, 3)):
+        rng = Random(k)
+        group = ProductGroup(k)
+        for n in range(top + 1):
+            elements = tuple(tuple(rng.randrange(k) for _ in range(k))
+                             for _ in range(n))
+            # the sum of the first and last elements, then that sum with
+            # its first coordinate moved by one
+            ends = (elements[0], elements[-1]) if n > 1 else elements
+            yes = tuple(sum(col) % k for col in zip((0,) * k, *ends))
+            for target in (yes, ((yes[0] + 1) % k, *yes[1:])):
+                yield GroupSubsetSumInstance(group, elements, target)
+
+
 @pytest.mark.parametrize("scheme, widths, reference, family", [
     (UNBOUNDED_SS_SCHEME, _uss_widths, _ref_uss_fields,
      lambda: unbounded_instances(2, 5, 12)),
-    (ZKK_SCHEME, _zkk_widths, _ref_zkk_fields, lambda: zkk_instances(2, 4)),
+    (ZKK_SCHEME, _zkk_widths, _ref_zkk_fields, _zkk_every_family),
 ], ids=["unbounded", "zkk"])
 def test_verify_matches_reference_on_every_certificate(scheme, widths,
                                                        reference, family):
     # the field tuples of all certificates, listed in increasing value order
-    # (most significant field first), pair up with all_witnesses
+    # (most significant field first), pair up with all_witnesses.  A layout
+    # wider than 18 bits is checked on each certificate whose indices
+    # decode and each of those with one bit changed
     for inst in family():
         ws = widths(inst)
-        got = list(map(scheme.verify, repeat(inst), all_witnesses(sum(ws))))
-        want = list(map(reference, repeat(inst),
-                        product(*[range(1 << w) for w in ws])))
+        length = sum(ws)
+        if length <= 18:
+            certs = all_witnesses(length)
+            fields = product(*[range(1 << w) for w in ws])
+        else:
+            listed = [w.value for w in scheme.valid_certificates(inst)]
+            certs = [Witness(v ^ flip, length) for v in listed
+                     for flip in (0, *(1 << j for j in range(length)))]
+            fields = [unpack_fields(c, ws) for c in certs]
+        got = list(map(scheme.verify, repeat(inst), certs))
+        want = list(map(reference, repeat(inst), fields))
         assert got == want, (inst, [v for v, (a, b) in
                                     enumerate(zip(got, want)) if a != b][:5])
         # the synthesizer packs with the layout's shifts; its fields must
@@ -1175,10 +1326,10 @@ def test_instances_of_one_shape_share_one_layout():
     g = ProductGroup(2)
     c = GroupSubsetSumInstance(g, ((1, 0), (0, 1)), (1, 1))
     d = GroupSubsetSumInstance(ProductGroup(2), ((0, 0), (1, 1)), (0, 1))
-    lay = certificates._zkk_layout(c)
-    assert certificates._zkk_layout(d) is lay
+    lay = certificates._zkk_layout(c)[0]
+    assert certificates._zkk_layout(d)[0] is lay
     assert certificates._zkk_layout(
-        GroupSubsetSumInstance(g, ((1, 0),), (1, 1))) is not lay
+        GroupSubsetSumInstance(g, ((1, 0),), (1, 1)))[0] is not lay
     # the target is read from the instance, not from the shared layout
     assert ZKK_SCHEME.verify(c, ZKK_SCHEME.synthesize(c, (0, 1)))
     assert not ZKK_SCHEME.verify(d, ZKK_SCHEME.synthesize(c, (0, 1)))
@@ -1302,7 +1453,7 @@ def test_zkk_kept_values_are_the_streamed_ones():
         for n in range(14):
             inst = GroupSubsetSumInstance(ProductGroup(k), ((0,) * k,) * n,
                                           (0,) * k)
-            lay = certificates._zkk_layout(inst)
+            lay = certificates._zkk_layout(inst)[0]
             stream = list(certificates._zkk_values(lay, n))
             assert stream == _zkk_reference_values(lay, n)
             kept = lay.values is not None

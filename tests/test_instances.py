@@ -82,6 +82,34 @@ def test_a_fractional_ilp_entry_is_refused_alike(inst, name):
         red.apply(inst, Witness.zero(red.witness_len(inst)))
 
 
+@pytest.mark.parametrize("inst", [
+    I.IlpInstance(((1,),), (0.5,)),
+    I.SubsetSumInstance((1.5, 2), 3.5),
+    I.SubsetSumInstance((1, 2), 3.0),
+    I.SubsetSumInstance((1, 2), 3, modulus=5.0),
+    I.UnboundedSubsetSumInstance((1.5, 2), 3),
+    I.UnboundedSubsetSumInstance((1, 2), True),
+    I.KnapsackInstance(((1.5, 1),), 2, 1),
+    I.KnapsackInstance(((1, 1),), 2, 1.0),
+], ids=["ilp", "subset_sum", "subset_sum-target", "subset_sum-modulus",
+        "unbounded_subset_sum", "unbounded_subset_sum-bool", "knapsack",
+        "knapsack-demand"])
+def test_a_number_that_is_not_an_int_is_refused(inst):
+    # validate names it, and solve refuses it with that ValidationError,
+    # not the TypeError of the fast paths that skip validate (the Python
+    # API can build these; JSON input cannot carry them)
+    assert [p for p in I.validate(inst) if p.endswith("must be ints")]
+    with pytest.raises(ValidationError, match="must be ints"):
+        solve(inst)
+
+
+def test_an_ilp_column_entry_that_is_not_an_int_is_reported():
+    # 1.0 and True are in range, so only the type check names them
+    for col in ((1.0, 0), (True, 0)):
+        inst = I.IlpInstance((col, (0, 1)), (1, 1))
+        assert I.validate(inst) == ["column entries must be ints"]
+
+
 def test_group_elements_from_a_list_and_from_a_tuple():
     g = I.ProductGroup(2)
     # a list, and list members in it, become tuples

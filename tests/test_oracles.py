@@ -599,6 +599,19 @@ def test_ilp_columns_cache_stays_within_its_stated_bytes():
     assert oracles.ILP_COLUMNS_CACHE * 2_200 <= 145_000
 
 
+def test_ilp_columns_cache_never_keeps_a_float_column():
+    # 1.0 hashes like 1: a kept entry built from the float columns would
+    # answer the int system equal to them, whose codes would then be floats
+    oracles._ilp_columns.cache_clear()
+    floats = I.IlpInstance(((1.0,), (1,)), (1,))
+    with pytest.raises(ValidationError, match="entries must be in"):
+        solve(floats)
+    assert oracles._ilp_columns.cache_info().currsize == 0
+    assert solve(I.IlpInstance(((1,), (1,)), (2,))).solution == (1, 1)
+    # the int entry kept now answers the equal float columns by value
+    assert solve(floats).answer
+
+
 def test_counter_machine_walk_back_failure_is_not_a_resource_limit(monkeypatch):
     inst = I.CounterMachineInstance(1, ((1,), (-1,)), (I.REQUIRED,) * 2)
     # the -1 and +1 coordinates of the second vector overlap, so the walk
