@@ -16,6 +16,10 @@ Contract:
 - Both hold about ``2 * sqrt(n)`` bitsets of ``target + 1`` (or q) bits
   at once for n items: every isqrt(n)+1-th prefix, plus one block of
   prefixes recomputed during the walk back (see ``_scan``).
+- ``subset_sum_mod_mitm(items, q, target)``: the contract of
+  ``subset_sum_mod_solve`` by meet in the middle; stores each half's
+  subset sums mod q, at most 2^ceil(n/2) of them, as a list, and the first
+  half's as a set too.
 - ``counter_machine_solve(incs, decs, required, dimension, limit)``: disjoint
   masks of +1/-1 coordinates per vector; returns the chosen ascending index
   list, or None; raises RuntimeError once more than ``limit`` states are
@@ -72,6 +76,26 @@ def subset_sum_mod_solve(items, q, target):
         return reach
 
     return _scan(items, target, add, q)
+
+
+def subset_sum_mod_mitm(items, q, target):
+    """Meet-in-the-middle subset sum over Z_q (Horowitz and Sahni, 1974).
+
+    Lists s - target mod q for the sum s of each subset of the first half
+    of the items, and -s mod q for that of each subset of the second half.
+    A residue in both lists is a left subset and a right subset whose sums
+    add up to target mod q; the smallest such residue is taken.
+    """
+    half = len(items) // 2
+    left = _subset_sums(items[:half], q, -target)
+    right = _subset_sums([-p for p in items[half:]], q)
+    meet = set(left).intersection(right)
+    if not meet:
+        return None
+    x = min(meet)
+    lmask, rmask = left.index(x), right.index(x)
+    return [i for i in range(half) if lmask >> i & 1] + \
+        [half + i for i in range(len(items) - half) if rmask >> i & 1]
 
 
 def _scan(items, target, add, q):
@@ -172,10 +196,8 @@ def ilp_column_codes(columns, rows):
     chosen codes sum to the code of rhs.  Returns the row totals of
     |entries|, the base B and the column codes.
     """
-    totals = [0] * rows
-    for col in columns:
-        for j, a in enumerate(col):
-            totals[j] += abs(a)
+    totals = [sum(map(abs, row)) for row in zip(*columns)] if columns \
+        else [0] * rows
     base = 2 * max(totals, default=0) + 1
     return totals, base, [_code(col, base) for col in columns]
 
@@ -214,11 +236,17 @@ def ilp01_brute(codes, rhs, base):
     return None
 
 
-def _subset_sums(codes):
-    """sums[mask] is the sum of codes[i] over the set bits i of mask."""
-    sums = [0]
-    for c in codes:
-        sums += [s + c for s in sums]
+def _subset_sums(codes, q=None, start=0):
+    """sums[mask] is start plus the sum of codes[i] over the set bits i of
+    mask, reduced mod q when q is given."""
+    if q is None:
+        sums = [start]
+        for c in codes:
+            sums += [s + c for s in sums]
+    else:
+        sums = [start % q]
+        for c in codes:
+            sums += [(s + c) % q for s in sums]
     return sums
 
 

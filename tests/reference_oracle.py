@@ -5,8 +5,8 @@ Each function decides an instance that ``instances.validate`` accepts from
 an explicit ``set``, grown one element at a time:
 - ``group_subset_sum(inst)``: every subsequence product, with each group's
   multiply written out here;
-- ``subset_sum(inst)``: every subset sum of a subset-sum instance without
-  a modulus;
+- ``subset_sum(inst)``: every subset sum of a subset-sum instance, as a
+  set of residues mod q when it has a modulus q;
 - ``ilp(inst)``: every row-sum vector of the columns, each marked by
   whether a nonempty set of columns gives it (the zero-sum variant asks
   for one).
@@ -59,10 +59,12 @@ def group_subset_sum(inst) -> bool:
 
 
 def subset_sum(inst) -> bool:
-    """Whether some subset of ``inst.items`` sums to ``inst.target``."""
+    """Whether some subset of ``inst.items`` sums to ``inst.target``, or to
+    it mod q for a modulus q."""
+    q = inst.modulus
     sums = {0}
     for p in inst.items:
-        sums |= {s + p for s in sums}
+        sums |= {s + p if q is None else (s + p) % q for s in sums}
     return inst.target in sums
 
 

@@ -46,6 +46,33 @@ def test_pure_mod_solve_known_values():
     assert kernels.subset_sum_mod_solve((7, 10, 3), 7, 3) == [1]
 
 
+def test_mod_mitm_known_values():
+    assert kernels.subset_sum_mod_mitm((3, 5), 6, 2) == [0, 1]
+    assert kernels.subset_sum_mod_mitm((2, 4), 8, 1) is None
+    assert kernels.subset_sum_mod_mitm((), 5, 0) == []
+    assert kernels.subset_sum_mod_mitm((), 5, 3) is None
+    assert kernels.subset_sum_mod_mitm((7, 10, 3), 7, 3) == [1]
+    assert kernels.subset_sum_mod_mitm((4, 9), 1, 0) == []
+
+
+def test_mod_mitm_matches_brute():
+    rng = Random(13)
+    for _ in range(600):
+        q = rng.choice((1, 2, rng.randint(3, 40), rng.randint(1_000, 60_000)))
+        # items may be multiples of q or exceed it; they count mod q
+        items = tuple(rng.choice((0, q, 2 * q, rng.randrange(3 * q)))
+                      for _ in range(rng.randint(0, 9)))
+        mask = rng.randrange(1 << len(items))
+        for t in (0, rng.randrange(q),
+                  sum(p for i, p in enumerate(items) if mask >> i & 1) % q):
+            got = kernels.subset_sum_mod_mitm(items, q, t)
+            assert (got is not None) == _brute_subset_sum(items, t, q), \
+                (items, q, t)
+            if got is not None:
+                _check_indices(items, got)
+                assert sum(items[i] for i in got) % q == t
+
+
 def test_pure_cm_known_values():
     # one up, one down on the same counter
     assert kernels.counter_machine_solve([1, 0], [0, 1], [False, False], 1, 100) == []

@@ -575,9 +575,9 @@ def test_cm_mask_cache_stays_within_its_stated_bytes():
 
 
 def test_ilp_columns_cache_stays_within_its_stated_bytes():
-    # the bound stated beside ILP_COLUMNS_CACHE: about 2.1 KB an entry for
+    # the bound stated beside ILP_COLUMNS_CACHE: about 2.0 KB an entry for
     # 6 rows and 9-12 columns, counting the columns the cache keeps alive,
-    # and about 0.14 MB when full
+    # and about 0.13 MB when full
     rng = Random(0)
     systems = [tuple(map(tuple, _distinct_vectors(6, rng.randint(9, 12), s)))
                for s in range(2 * oracles.ILP_COLUMNS_CACHE)]
@@ -597,6 +597,83 @@ def test_ilp_columns_cache_stays_within_its_stated_bytes():
     assert entries == oracles.ILP_COLUMNS_CACHE
     assert held <= 2_200 * entries, held / entries
     assert oracles.ILP_COLUMNS_CACHE * 2_200 <= 145_000
+
+
+def _reference_ilp_columns(columns, rows):
+    """The column layout built entry by entry, one column at a time."""
+    for col in columns:
+        if len(col) != rows:
+            raise ValidationError("ilp: column length differs from rhs length")
+        if not {-1, 0, 1}.issuperset(col):
+            raise ValidationError("ilp: column entries must be in {-1,0,1}")
+    groups = {}
+    for i, col in enumerate(columns):
+        groups.setdefault(col, []).append(i)
+    bundles, cols = [], []
+    for col, idx in groups.items():
+        size = 1
+        while idx:
+            bundle, idx = tuple(idx[:size]), idx[size:]
+            bundles.append(bundle)
+            cols.append(tuple(a * len(bundle) for a in col))
+            size <<= 1
+    totals = [0] * rows
+    for col in cols:
+        for j, a in enumerate(col):
+            totals[j] += abs(a)
+    base = 2 * max(totals, default=0) + 1
+    codes = []
+    for col in cols:
+        acc = 0
+        for d in reversed(col):
+            acc = acc * base + d
+        codes.append(acc)
+    if not all(type(c) is int for c in codes):
+        raise ValidationError("ilp: column entries must be in {-1,0,1}")
+    keep = tuple(b for b, c in enumerate(codes) if c)
+    return oracles._IlpColumns(
+        tuple(bundles), tuple(codes), tuple(totals), base,
+        tuple(abs(codes[b]) for b in keep), keep,
+        -sum(c for c in codes if c < 0), tuple(int(c < 0) for c in codes),
+        any(-1 in col for col in columns))
+
+
+def _layout_or_refusal(build, columns, rows):
+    try:
+        return build(columns, rows)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_ilp_columns_equal_the_reference_build():
+    from redkit.families import ilps
+    systems = {(inst.columns, len(inst.rhs))
+               for variant in ("standard", "monotone")
+               for inst in ilps(variant, 2, 4)}
+    rng = Random(22)
+    for _ in range(3_000):
+        # columns drawn from a small pool, so that some repeat
+        rows = rng.randint(1, 6)
+        pool = [tuple(rng.choice((-1, 0, 1)) for _ in range(rows))
+                for _ in range(rng.randint(1, 8))]
+        systems.add((tuple(rng.choice(pool)
+                           for _ in range(rng.randint(0, 12))), rows))
+    assert len(systems) > 3_000
+    # a short column, an entry 2 and an entry 1.0, alone and after another
+    # fault or a sound column (a list: a set would keep one of two systems
+    # equal by value)
+    faults = [(before + (bad, (1, -1)), 2)
+              for bad in ((1,), (1, 2), (1.0, 0), (True, -1))
+              for before in ((), ((0, 1),), ((2,),), ((0, 1.0),))]
+    build = oracles._ilp_columns.__wrapped__
+    refusals = set()
+    for columns, rows in [*systems, *faults]:
+        want = _layout_or_refusal(_reference_ilp_columns, columns, rows)
+        assert _layout_or_refusal(build, columns, rows) == want, columns
+        if isinstance(want, str):
+            refusals.add(want)
+    assert refusals == {"ilp: column length differs from rhs length",
+                        "ilp: column entries must be in {-1,0,1}"}
 
 
 def test_ilp_columns_cache_never_keeps_a_float_column():
@@ -1478,6 +1555,8 @@ def test_no_verdicts_are_shared_and_equal_fresh_ones():
         (I.SubsetSumInstance((2, 4), 3), starved, "brute"),
         (I.SubsetSumInstance((2, 4), 1, modulus=6), {}, "dp"),
         (I.SubsetSumInstance((2, 4), 1, modulus=6), starved, "reach"),
+        # few items over a large q: the halves' 4 sums beat 2 * 10^4 cells
+        (I.SubsetSumInstance((2, 4), 1, modulus=10_000), {}, "mitm"),
         (I.KnapsackInstance(((2, 1),), 1, 1), {}, "pareto"),
         (I.IlpInstance(((1,),), (2,)), {}, "range"),
         (I.IlpInstance(((1, 1), (1, -1)), (1, 0)), {}, "dp"),

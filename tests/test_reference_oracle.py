@@ -1,13 +1,17 @@
-"""The group subset-sum, plain subset-sum and 0-1 ILP oracles against an
+"""The group subset-sum, subset-sum and 0-1 ILP oracles against an
 independent referee.
 
 ``reference_oracle`` decides each instance from an explicit set of
 products, sums or row-sum vectors.  The group runs share prefixes of
 element objects, as consecutive sources of a family grid do, so the
 oracle's reach closures resume from its memo; every member of the group is
-a target.  The subset-sum calls drive the oracle's subset-sum memo, and the
-ILP calls share their columns, as the targets of one source do.
+a target.  The subset-sum calls drive the oracle's subset-sum memo, the
+Z_q calls run on both sides of the rule that picks the bitset DP or meet
+in the middle, and the ILP calls share their columns, as the targets of one
+source do.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +88,44 @@ def test_subset_sum_matches_the_referee():
     # the same draws whichever modules earlier tests loaded
     with no_source_constants():
         _subset_sum_matches_the_referee()
+
+
+@st.composite
+def _zq_cases(draw):
+    """(q, items, targets): a small q with every residue a target, or a
+    large one with the sum of a drawn subset and a few drawn residues."""
+    big = draw(st.booleans())
+    q = draw(st.integers(1_000, 60_000) if big else st.integers(1, 40))
+    items = draw(st.lists(st.integers(0, q - 1), max_size=12 if big else 7))
+    if not big:
+        return q, items, range(q)
+    mask = draw(st.integers(0, (1 << len(items)) - 1))
+    hit = sum(p for i, p in enumerate(items) if mask >> i & 1) % q
+    return q, items, [hit, *draw(st.lists(st.integers(0, q - 1),
+                                          min_size=1, max_size=3))]
+
+
+def test_zq_subset_sum_matches_the_referee():
+    # modular subset sum and Z_q group subset sum, each target under the
+    # default gates; the rule picks one method per (item count, q)
+    methods = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_zq_cases())
+    def run(case):
+        q, items, targets = case
+        for target in targets:
+            for inst in (I.SubsetSumInstance(items, target, modulus=q),
+                         I.GroupSubsetSumInstance(I.CyclicGroup(q), items,
+                                                  target)):
+                got = solve(inst)
+                assert got.answer == subset_sum(
+                    I.SubsetSumInstance(items, target, modulus=q)), inst
+        methods[got.method] += 1
+
+    with gates(), no_source_constants():
+        run()
+    assert methods["mitm"] >= 60 and methods["dp"] >= 60, methods
 
 
 @st.composite
