@@ -17,9 +17,10 @@ Contract:
   at once for n items: every isqrt(n)+1-th prefix, plus one block of
   prefixes recomputed during the walk back (see ``_scan``).
 - ``subset_sum_mod_mitm(items, q, target)``: the contract of
-  ``subset_sum_mod_solve`` by meet in the middle; stores each half's
-  subset sums mod q, at most 2^ceil(n/2) of them, as a list, and the first
-  half's as a set too.
+  ``subset_sum_mod_solve`` by meet in the middle, or for q None, that of
+  subset sum over the integers with no bound on items or target; stores
+  each half's subset sums (mod q), at most 2^ceil(n/2) of them, as a list,
+  and the first half's as a set too.
 - ``counter_machine_solve(incs, decs, required, dimension, limit)``: disjoint
   masks of +1/-1 coordinates per vector; returns the chosen ascending index
   list, or None; raises RuntimeError once more than ``limit`` states are
@@ -29,10 +30,10 @@ Contract:
   ``ilp_rhs_code(rhs, totals, base)``: the code of rhs, or None when some
   row's rhs is out of reach of every 0/1 combination.  A caller codes one
   set of columns once for many right-hand sides.
-- ``ilp01_brute(codes, rhs, base)``: exact 0-1 search for A x = rhs by meet
-  in the middle over the column codes in base B, for an rhs that
-  ``ilp_rhs_code`` accepts; returns a 0/1 assignment list, or None.  Stores
-  the 2^ceil(n/2) subset sums of each half of the n codes.
+- ``ilp01_brute(codes, rhs, base)``: exact 0-1 search for A x = rhs, for an
+  rhs that ``ilp_rhs_code`` accepts: ``subset_sum_mod_mitm`` over the
+  integers, from the column codes in base B to the code of rhs; returns a
+  0/1 assignment list, or None.
 - ``pareto_solve(items, caps, goal, limit)``: (cost, value) items with
   nonnegative entries; item i may be taken when the cost of the items taken
   up to and including i is at most ``caps[i]``; returns an ascending index
@@ -79,7 +80,8 @@ def subset_sum_mod_solve(items, q, target):
 
 
 def subset_sum_mod_mitm(items, q, target):
-    """Meet-in-the-middle subset sum over Z_q (Horowitz and Sahni, 1974).
+    """Meet-in-the-middle subset sum over Z_q, or over the integers when q
+    is None (Horowitz and Sahni, 1974).
 
     Lists s - target mod q for the sum s of each subset of the first half
     of the items, and -s mod q for that of each subset of the second half.
@@ -218,22 +220,16 @@ def _code(vec, base):
 
 
 def ilp01_brute(codes, rhs, base):
-    """Meet-in-the-middle 0-1 search for A x = rhs (Horowitz and Sahni, 1974).
-
-    ``codes`` are the column codes in base ``base`` (``ilp_column_codes``),
-    and every |rhs[j]| is at most its row's total.  Lists the code sums of
-    every subset of each half of the codes, then looks up, for each
-    right-half sum, the left-half sum that completes the code of rhs.
-    """
-    goal = _code(rhs, base)
-    half = len(codes) // 2
-    left = {s: mask for mask, s in enumerate(_subset_sums(codes[:half]))}
-    for mask, s in enumerate(_subset_sums(codes[half:])):
-        lmask = left.get(goal - s)
-        if lmask is not None:
-            return [lmask >> i & 1 for i in range(half)] + \
-                [mask >> i & 1 for i in range(len(codes) - half)]
-    return None
+    """0-1 search for A x = rhs as a subset sum of the column codes in base
+    ``base`` (``ilp_column_codes``) to the code of rhs, every |rhs[j]| at
+    most its row's total, by meet in the middle over the integers."""
+    got = subset_sum_mod_mitm(codes, None, _code(rhs, base))
+    if got is None:
+        return None
+    x = [0] * len(codes)
+    for i in got:
+        x[i] = 1
+    return x
 
 
 def _subset_sums(codes, q=None, start=0):

@@ -38,11 +38,9 @@ part that depends only on it:
   per (columns, row count) in an ``lru_cache`` of ``ILP_COLUMNS_CACHE`` =
   64 entries of about 2 KB each; an instance then only checks and codes its
   rhs.  A column whose length differs from the rhs's, or with an entry
-  outside {-1, 0, 1} or a float one, is a ``ValidationError``, checked once
-  per cache miss and never kept (1.0 hashes like 1, and its float code
-  would answer the int columns equal to it); the entry also notes whether
-  some entry is -1, so a monotone system with one is refused with no scan
-  per instance.
+  outside {-1, 0, 1}, is a ``ValidationError``, checked once per cache miss
+  and never kept; the entry also notes whether some entry is -1, so a
+  monotone system with one is refused with no scan per instance.
 - ``solve_group_ss`` keeps one memo (``_last_reach``), the last closure:
   its group, elements, reach set and the set's size after each element.
   Its key is the group object and a prefix of identical element objects
@@ -75,11 +73,11 @@ rejects; plain subset sum refuses a negative target or item; the 0-1 ILP
 refuses a variant other than standard, monotone and zero-sum, and a
 monotone system with an entry -1; and the zero-sum ILP refuses an rhs
 that is not all zeros, one per row.  Where a fast path skips ``validate``
-(plain subset sum, the 0-1 ILP), a field of another type than int, a float
-say, raises a ``TypeError`` in its arithmetic, which ``solve`` turns into
-``validate``'s ``ValidationError``; a float that meets no such arithmetic
-(an item past the target, a column entry 1.0 of a kept int column) is
-solved by its value.
+(plain subset sum, the 0-1 ILP), it first tests in C that each number is
+an exact int, and refuses any other (a float, a bool) with ``validate``'s
+``ValidationError``: an item 0.5 past the target would never be added,
+and a column entry 1.0 hashes like 1 and would read an int system's
+cached layout.  A modulus gets the same test.
 """
 
 from __future__ import annotations
@@ -189,11 +187,13 @@ def solve_subset_sum(inst: I.SubsetSumInstance) -> Verdict:
     over the sums up to the target.  With a modulus it is group subset sum
     over ``CyclicGroup(modulus)``, solved as that group is and re-checked
     here."""
-    if inst.modulus is not None:
-        return _solve_group(inst, I.CyclicGroup(inst.modulus), inst.items,
-                            inst.target)
-    t = inst.target
-    if t < 0 or min(inst.items, default=0) < 0:
+    t, q = inst.target, inst.modulus
+    if q is not None:
+        if type(q) is not int:
+            _refuse_invalid(inst)
+        return _solve_group(inst, I.CyclicGroup(q), inst.items, t)
+    if type(t) is not int or not {int}.issuperset(map(type, inst.items)) \
+            or t < 0 or min(inst.items, default=0) < 0:
         _refuse_invalid(inst)
     if _no_subset_sums_to(inst.items, t):
         return _NO["dp"]
@@ -289,9 +289,6 @@ def _ilp_columns(columns, rows) -> _IlpColumns:
                 cols.append(tuple(a * len(bundle) for a in col))
                 size <<= 1
     totals, base, codes = kernels.ilp_column_codes(cols, rows)
-    if not {int}.issuperset(map(type, codes)):
-        # an entry 1.0 passes the test above and makes its code a float
-        raise ValidationError("ilp: column entries must be in {-1,0,1}")
     chosen = tuple([int(c < 0) for c in codes])
     return _IlpColumns(tuple(bundles), tuple(codes), tuple(totals), base,
                        tuple(map(abs, compress(codes, codes))),
@@ -313,6 +310,8 @@ def solve_ilp(inst: I.IlpInstance) -> Verdict:
     their codes depend only on the columns and are cached per columns tuple
     (``ILP_COLUMNS_CACHE``), so each instance only checks and codes its rhs.
     """
+    if not {int}.issuperset(map(type, chain(inst.rhs, *inst.columns))):
+        _refuse_invalid(inst)
     if inst.variant == "zero_sum":
         return _solve_zero_sum(inst)
     lay = _ilp_columns(inst.columns, len(inst.rhs))
@@ -793,13 +792,7 @@ def solve(inst: I.ProblemInstance) -> Verdict:
         solver = _SOLVERS[inst.kind]
     except KeyError:
         raise ValidationError(f"no solver for kind {inst.kind!r}") from None
-    try:
-        return solver(inst)
-    except TypeError:
-        # a fast path that skips ``validate`` meets a float (say) only in
-        # its arithmetic: ``validate`` names it then, at no cost before
-        _refuse_invalid(inst)
-        raise
+    return solver(inst)
 
 
 def check_solution(inst: I.ProblemInstance, sol) -> bool:

@@ -3,11 +3,9 @@ against, and Hypothesis strategies for instances and instance-shaped JSON.
 
 The library decodes witness fields with shifts and masks from a cached
 layout and builds permutations in place; these are the plain versions it
-replaced, kept here as references.  ``brute_scheduling`` tries every job
-order, with no appeal to the due-date argument the scheduling oracle
-rests on.  ``min_solution_length`` tries every index subsequence of a
-Z_k^k instance, shortest first.  ``primes_landau`` is the plain
-large-order recipe that the Landau-function table of
+replaced, kept here as references.  ``min_solution_length`` tries every
+index subsequence of a Z_k^k instance, shortest first.  ``primes_landau``
+is the plain large-order recipe that the Landau-function table of
 ``groups.landau_permutation`` must never lose to.  ``gates`` sets the
 oracles' gate constants for a block.  ``PREFIX_RUNS`` draws runs of
 group subset-sum element tuples that share prefixes of element objects,
@@ -16,7 +14,7 @@ as consecutive sources of a family grid do.
 
 import math
 from contextlib import contextmanager
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
@@ -112,22 +110,6 @@ def min_solution_length(inst):
             if acc == target:
                 return size
     return None
-
-
-def brute_scheduling(inst):
-    """Whether some order of the jobs keeps the tardy weight within budget."""
-    jobs = inst.jobs
-    for order in permutations(range(len(jobs))):
-        clock = 0
-        tardy = 0
-        for i in order:
-            p, w, d = jobs[i]
-            clock += p
-            if clock > d:
-                tardy += w
-        if tardy <= inst.tardy_budget:
-            return True
-    return not jobs and inst.tardy_budget >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +300,11 @@ def _prefix_runs(draw):
     after it, about one in forty outside the group; and a cap on the
     products, or None."""
     group, elem, outside = draw(st.one_of(
-        st.just((I.ProductGroup(2), _cells(2), (1, 2))),
-        st.just((I.ProductGroup(3), _cells(3), (1, 1))),
-        st.sampled_from((3, 4)).map(lambda k: (
-            I.SymmetricGroup(k),
-            st.permutations(range(k)).map(Permutation), Permutation((1, 0)))),
+        st.integers(1, 3).map(lambda k: (
+            I.ProductGroup(k), _cells(k), (1,) * (k - 1) + (k,))),
+        st.integers(1, 4).map(lambda k: (
+            I.SymmetricGroup(k), st.permutations(range(k)).map(Permutation),
+            Permutation(range(k + 1)))),
         st.integers(1, 30).map(lambda q: (
             I.CyclicGroup(q), st.integers(0, q - 1), q))))
 

@@ -2,12 +2,15 @@
 
 ``reference_sweep`` takes the arguments of
 ``certificates.nppt_contract_check`` except ``cache``, and returns the
-same ``ContractReport``.  It applies every witness with ``Reduction.apply`` and
-solves every target with ``oracles.solve``: no declared constant is decided
-once, no answer is kept and no target is filtered.  The probes of the
-invalid stratum come from one ``Random(seed)`` per sweep, drawn only as
-they are checked, in the sweep's order.  ``tests/test_reference_sweep.py``
-compares the two reports exactly.
+same ``ContractReport``.  It applies every witness with
+``Reduction.apply`` and decides every target with the referee
+(``reference_oracle.decide``), so a wrong answer of the target oracle
+moves the sweep's report and not this one.  No declared constant is
+decided once, no answer is kept and no target is filtered.  A source is
+solved by ``oracles.solve``, whose solution ``synthesize`` needs.  The
+probes of the invalid stratum come from one ``Random(seed)`` per sweep,
+drawn only as they are checked, in the sweep's order.
+``tests/test_reference_sweep.py`` compares the two reports exactly.
 """
 
 from itertools import islice
@@ -18,6 +21,8 @@ from redkit.errors import (RedkitError, ReductionError, ResourceLimitError,
                            ValidationError)
 from redkit.oracles import solve
 from redkit.witness import Witness
+
+from reference_oracle import decide
 
 
 def reference_sweep(r, family, *, exhaustive_cap=4096, seed=0):
@@ -33,7 +38,7 @@ def reference_sweep(r, family, *, exhaustive_cap=4096, seed=0):
         for wit in wits:
             rep.witnesses_checked += 1
             tgt = r.apply(inst, wit)
-            if solve(tgt).answer:
+            if decide(tgt):
                 record("soundness", inst, wit, tgt)
                 return False
         return True
@@ -49,7 +54,7 @@ def reference_sweep(r, family, *, exhaustive_cap=4096, seed=0):
                 continue
             rep.witnesses_checked += 1
             tgt = r.apply(inst, wit)
-            if solve(tgt).answer:
+            if decide(tgt):
                 record("soundness", inst, wit, tgt)
                 return
             if not any(tgt is const for const in r.constants):
@@ -79,7 +84,7 @@ def reference_sweep(r, family, *, exhaustive_cap=4096, seed=0):
                 wit = r.synthesize(inst, src.solution)
                 step = "target oracle"
                 tgt = r.apply(inst, wit)
-                accepted = solve(tgt).answer
+                accepted = decide(tgt)
             except ResourceLimitError as exc:
                 rep.skipped.append((inst, f"{step}: {exc}"))
                 continue

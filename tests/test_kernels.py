@@ -1,7 +1,6 @@
-"""Kernels against independent in-test brute forces.
-
-Every expected answer here is recomputed by exhaustive search written in the
-test itself, so the kernels are never their own referee.
+"""Kernels against the independent referee of ``reference_oracle`` and
+against exhaustive searches written in the tests, so the kernels are never
+their own referee.
 """
 
 from random import Random
@@ -10,15 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redkit import kernels
+from redkit.instances import (OPTIONAL, REQUIRED, CounterMachineInstance,
+                              IlpInstance, SubsetSumInstance)
 from redkit.kernels import BACKEND
 
-
-def _brute_subset_sum(items, target, q=None):
-    for mask in range(1 << len(items)):
-        total = sum(p for i, p in enumerate(items) if mask >> i & 1)
-        if (total % q == target) if q else total == target:
-            return True
-    return False
+from reference_oracle import counter_machine, ilp, subset_sum
 
 
 def _check_indices(items, sol):
@@ -66,8 +61,8 @@ def test_mod_mitm_matches_brute():
         for t in (0, rng.randrange(q),
                   sum(p for i, p in enumerate(items) if mask >> i & 1) % q):
             got = kernels.subset_sum_mod_mitm(items, q, t)
-            assert (got is not None) == _brute_subset_sum(items, t, q), \
-                (items, q, t)
+            assert (got is not None) == subset_sum(
+                SubsetSumInstance(items, t, q)), (items, q, t)
             if got is not None:
                 _check_indices(items, got)
                 assert sum(items[i] for i in got) % q == t
@@ -109,7 +104,8 @@ def test_subset_sum_matches_brute():
         # items beyond the target and zeros must be skipped, never chosen
         items = tuple(rng.randint(0, t + 10) for _ in range(rng.randint(0, 8)))
         got = kernels.subset_sum_solve(items, t)
-        assert (got is not None) == _brute_subset_sum(items, t), (items, t)
+        assert (got is not None) == subset_sum(SubsetSumInstance(items, t)), \
+            (items, t)
         if got is not None:
             _check_indices(items, got)
             assert sum(items[i] for i in got) == t
@@ -124,7 +120,8 @@ def test_mod_solve_matches_brute():
                       for _ in range(rng.randint(0, 8)))
         t = rng.randrange(q)
         got = kernels.subset_sum_mod_solve(items, q, t)
-        assert (got is not None) == _brute_subset_sum(items, t, q), (items, q, t)
+        assert (got is not None) == subset_sum(
+            SubsetSumInstance(items, t, q)), (items, q, t)
         if got is not None:
             _check_indices(items, got)
             assert sum(items[i] for i in got) % q == t
@@ -137,12 +134,10 @@ def test_mod_solve_many_items():
         q = rng.randint(2, 400)
         items = [rng.randrange(q) * rng.choice((1, 2, 6)) % q
                  for _ in range(rng.randint(20, 90))]
-        reach = {0}
-        for p in items:
-            reach |= {(r + p) % q for r in reach}
         for t in rng.sample(range(q), min(q, 5)):
             got = kernels.subset_sum_mod_solve(items, q, t)
-            assert (got is not None) == (t in reach), (items, q, t)
+            assert (got is not None) == subset_sum(
+                SubsetSumInstance(items, t, q)), (items, q, t)
             if got is not None:
                 _check_indices(items, got)
                 assert sum(items[i] for i in got) % q == t
@@ -184,10 +179,11 @@ def test_cm_matches_brute():
                 state = (state | incs[i]) & ~decs[i]
             return state == 0
 
-        expected = any(
-            all(mask >> i & 1 for i in range(n) if req[i]) and
-            runs([i for i in range(n) if mask >> i & 1])
-            for mask in range(1 << n))
+        vectors = tuple(tuple(inc >> d & 1 or -(dec >> d & 1)
+                              for d in range(dim))
+                        for inc, dec in zip(incs, decs))
+        expected = counter_machine(CounterMachineInstance(
+            dim, vectors, tuple(REQUIRED if r else OPTIONAL for r in req)))
         got = kernels.counter_machine_solve(incs, decs, req, dim, 10_000)
         assert (got is not None) == expected, (incs, decs, req)
         if got is not None:
@@ -209,10 +205,7 @@ def test_ilp_brute_matches_brute():
                         for j in range(m))
         else:
             rhs = tuple(rng.randint(-3, 3) for _ in range(m))
-        expected = any(
-            all(sum(c[j] for i, c in enumerate(cols) if mask >> i & 1) == rhs[j]
-                for j in range(m))
-            for mask in range(1 << n))
+        expected = ilp(IlpInstance(cols, rhs))
         got = _ilp_mitm(cols, rhs)
         assert (got is not None) == expected, (cols, rhs)
         if got is not None:

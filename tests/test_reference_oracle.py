@@ -1,5 +1,5 @@
-"""The group subset-sum, subset-sum and 0-1 ILP oracles against an
-independent referee.
+"""The oracles against an independent referee, and the referee's own
+independence.
 
 ``reference_oracle`` decides each instance from an explicit set of
 products, sums or row-sum vectors.  The group runs share prefixes of
@@ -7,23 +7,39 @@ element objects, as consecutive sources of a family grid do, so the
 oracle's reach closures resume from its memo; every member of the group is
 a target.  The subset-sum calls drive the oracle's subset-sum memo, the
 Z_q calls run on both sides of the rule that picks the bitset DP or meet
-in the middle, and the ILP calls share their columns, as the targets of one
-source do.
+in the middle, and past the DP gate.  Every yes verdict is re-checked
+with ``check_solution``.  The test of each other kind is in
+``tests/test_oracles.py``.
 """
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_oracle
 from redkit import instances as I
 from redkit import oracles
 from redkit.errors import ValidationError
 from redkit.groups import Permutation
-from redkit.oracles import solve
+from redkit.oracles import check_solution, solve
 
 from helpers import PREFIX_RUNS, gates, no_source_constants
-from reference_oracle import group_subset_sum, ilp, members, subset_sum
+from reference_oracle import group_subset_sum, members, subset_sum
+
+
+def test_the_referee_decides_every_kind_and_imports_no_solver():
+    assert set(reference_oracle.DECIDERS) == set(I.KINDS)
+    tree = ast.parse(Path(reference_oracle.__file__).read_text())
+    imported = {f"{node.module}.{alias.name}" if isinstance(
+        node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import,
+                                                        ast.ImportFrom))
+        for alias in node.names}
+    assert imported == {"itertools.permutations", "itertools.product",
+                        "redkit.instances.REQUIRED"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -33,15 +49,21 @@ def test_group_subset_sum_matches_the_referee(case):
     targets = members(group)
     if group.family == "symmetric":
         targets = list(map(Permutation, targets))
-    # default gates (Z_q by its bitset DP), then Z_q by the reach closure
+    # default gates (Z_q by its bitset DP, the others by the reach closure),
+    # then every group by the reach closure
     for gate in ({}, {"MAX_DP_CELLS": 0}):
+        method = "dp" if group.family == "cyclic" and not gate else "reach"
         with gates(**gate):
             for elements in runs:
                 if not all(map(group.contains, elements)):
                     continue
                 for target in targets:
                     inst = I.GroupSubsetSumInstance(group, elements, target)
-                    assert solve(inst).answer == group_subset_sum(inst), inst
+                    got = solve(inst)
+                    assert got.answer == group_subset_sum(inst), inst
+                    assert got.method == method, inst
+                    if got.answer:
+                        assert check_solution(inst, got.solution), inst
 
 
 # Plain subset sum: calls on a few items tuples, each also as an equal but
@@ -79,6 +101,8 @@ def _subset_sum_matches_the_referee(case):
                     continue
                 got = solve(inst)
                 assert got.answer == want, (inst, gate)
+                if want:
+                    assert check_solution(inst, got.solution), inst
                 dp = max(sum(1 <= p <= target for p in items), 1) * \
                     (target + 1) <= oracles.MAX_DP_CELLS
                 assert got.method == ("dp" if dp else "brute"), (inst, gate)
@@ -107,52 +131,28 @@ def _zq_cases(draw):
 
 def test_zq_subset_sum_matches_the_referee():
     # modular subset sum and Z_q group subset sum, each target under the
-    # default gates; the rule picks one method per (item count, q)
+    # default gates, where the rule picks one method per (item count, q),
+    # and a small q also past the DP gate, by the reach closure
     methods = Counter()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_zq_cases())
     def run(case):
         q, items, targets = case
-        for target in targets:
-            for inst in (I.SubsetSumInstance(items, target, modulus=q),
-                         I.GroupSubsetSumInstance(I.CyclicGroup(q), items,
-                                                  target)):
-                got = solve(inst)
-                assert got.answer == subset_sum(
-                    I.SubsetSumInstance(items, target, modulus=q)), inst
-        methods[got.method] += 1
+        for gate in ({}, {"MAX_DP_CELLS": 0}) if q <= 40 else ({},):
+            with gates(**gate):
+                for target in targets:
+                    modular = I.SubsetSumInstance(items, target, modulus=q)
+                    want = subset_sum(modular)
+                    for inst in (modular, I.GroupSubsetSumInstance(
+                            I.CyclicGroup(q), items, target)):
+                        got = solve(inst)
+                        assert got.answer == want, inst
+                        if want:
+                            assert check_solution(inst, got.solution), inst
+                        assert (got.method == "reach") == bool(gate), inst
+            methods[got.method] += 1
 
-    with gates(), no_source_constants():
-        run()
-    assert methods["mitm"] >= 60 and methods["dp"] >= 60, methods
-
-
-@st.composite
-def _ilp_systems(draw):
-    """(columns, rhs list, variant): one set of columns and several rhs,
-    as the targets of one ilp-to-monotone source share their columns."""
-    m = draw(st.integers(0, 3))
-    variant = draw(st.sampled_from(("standard", "monotone", "zero_sum")))
-    low = 0 if variant == "monotone" else -1
-    columns = tuple(draw(st.lists(st.tuples(*[st.integers(low, 1)] * m),
-                                  max_size=6)))
-    if variant == "zero_sum":
-        return columns, [(0,) * m], variant
-    # one past the most any row can reach, on each side
-    rhs = st.tuples(*[st.integers(7 * low - 1, 7)] * m)
-    return columns, draw(st.lists(rhs, min_size=1, max_size=6)), variant
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_ilp_systems())
-def _ilp_matches_the_referee(case):
-    columns, rhss, variant = case
-    for rhs in rhss:
-        inst = I.IlpInstance(columns, rhs, variant)
-        assert solve(inst).answer == ilp(inst), inst
-
-
-def test_ilp_matches_the_referee():
     with no_source_constants():
-        _ilp_matches_the_referee()
+        run()
+    assert min(methods[m] for m in ("mitm", "dp", "reach")) >= 60, methods

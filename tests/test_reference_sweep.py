@@ -1,9 +1,11 @@
 """The contract sweep against its reference, a plain loop over every witness.
 
-``reference_sweep`` applies and solves every witness it checks, so a
-report it shares with ``nppt_contract_check`` says that the sweep's
-shortcuts (the constants decided once, the identity filter, the C-level
-pipeline and the witness counter) change nothing a report shows.  The
+``reference_sweep`` applies every witness it checks and decides its
+target with the referee, so a report it shares with
+``nppt_contract_check`` says that the sweep's shortcuts (the constants
+decided once, the identity filter, the C-level pipeline and the witness
+counter) change nothing a report shows, and that the target oracle and
+the referee agree on every target both sweeps check.  The
 reports are compared whole on the pinned sweeps of
 ``tests/test_sweep_records.py``, on small families of the acceptance
 suite's claims, and on faults that Hypothesis plants with
